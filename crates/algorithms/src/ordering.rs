@@ -27,10 +27,10 @@
 //! the message was in flight, the predicate may no longer hold and the swap
 //! is abandoned (counted via [`Event::SwapUseless`]).
 
-use dslice_core::attribute::misplaced;
-use dslice_core::metrics::{gain_score, local_ranks};
+use dslice_core::attribute::{misplaced, AttributeKey};
+use dslice_core::metrics::gain_score;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{Attribute, NodeId, ProtocolMsg, View};
+use dslice_core::{Attribute, NodeId, ProtocolMsg, View, ViewEntry};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -243,41 +243,67 @@ impl Ordering {
         self.selection
     }
 
+    /// This node as a member of its own local sequences.
+    fn self_entry(&self) -> ViewEntry {
+        ViewEntry::new(self.id, self.attribute, self.r)
+    }
+
+    /// `member`'s 1-based positions `(ℓα, ℓρ)` in the local sequences over
+    /// `N_i ∪ {i}` (Fig. 2 lines 4–8), as
+    /// [`local_ranks`](dslice_core::metrics::local_ranks) would number them
+    /// — ties broken by id — but counted straight off the view: a member's
+    /// position is one more than the number of members ordered before it.
+    fn local_positions(&self, view: &View, member: &ViewEntry) -> (usize, usize) {
+        let me = self.self_entry();
+        let before = |x: &ViewEntry, y: &ViewEntry| {
+            let by_attribute =
+                AttributeKey::new(x.id, x.attribute) < AttributeKey::new(y.id, y.attribute);
+            let by_value = x
+                .value
+                .partial_cmp(&y.value)
+                .expect("random values are finite")
+                .then_with(|| x.id.cmp(&y.id))
+                .is_lt();
+            (by_attribute as usize, by_value as usize)
+        };
+        view.iter()
+            .chain(std::iter::once(&me))
+            .fold((1, 1), |(la, lr), other| {
+                let (attribute_first, value_first) = before(other, member);
+                (la + attribute_first, lr + value_first)
+            })
+    }
+
     /// Selects the swap partner among the misplaced neighbors of `view`,
     /// per the node's policy. `None` if no neighbor is misplaced.
     fn select_partner(&self, view: &View, ctx: &mut dyn Context) -> Option<NodeId> {
-        let misplaced_neighbors: Vec<_> = view
-            .iter()
-            .filter(|e| misplaced(self.attribute, self.r, e.attribute, e.value))
-            .filter(|e| !self.is_partner_banned(e.id))
-            .collect();
-        if misplaced_neighbors.is_empty() {
-            return None;
-        }
+        let candidates = || {
+            view.iter()
+                .filter(|e| misplaced(self.attribute, self.r, e.attribute, e.value))
+                .filter(|e| !self.is_partner_banned(e.id))
+        };
         match self.selection {
             SwapSelection::RandomMisplaced => {
-                let idx = ctx.rng().gen_range(0..misplaced_neighbors.len());
-                Some(misplaced_neighbors[idx].id)
+                let count = candidates().count();
+                if count == 0 {
+                    return None;
+                }
+                let idx = ctx.rng().gen_range(0..count);
+                candidates().nth(idx).map(|e| e.id)
             }
             SwapSelection::MaxGain => {
-                // Local sequences over N_i ∪ {i} (Fig. 2 lines 4–8).
-                let members: Vec<(NodeId, Attribute, f64)> = view
-                    .iter()
-                    .map(|e| (e.id, e.attribute, e.value))
-                    .chain(std::iter::once((self.id, self.attribute, self.r)))
-                    .collect();
-                let ranks = local_ranks(&members);
-                let me = ranks[&self.id];
-                misplaced_neighbors
-                    .iter()
+                let mut candidates = candidates().peekable();
+                candidates.peek()?;
+                let me = self.local_positions(view, &self.self_entry());
+                candidates
+                    .map(|e| (gain_score(me, self.local_positions(view, e)), e.id))
                     .max_by(|a, b| {
-                        gain_score(me, ranks[&a.id])
-                            .partial_cmp(&gain_score(me, ranks[&b.id]))
+                        a.0.partial_cmp(&b.0)
                             .expect("gain scores are finite")
                             // Deterministic tie-break.
-                            .then_with(|| b.id.cmp(&a.id))
+                            .then_with(|| b.1.cmp(&a.1))
                     })
-                    .map(|e| e.id)
+                    .map(|(_, id)| id)
             }
         }
     }
@@ -911,6 +937,30 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn counted_local_positions_match_the_sorted_local_ranks(
+            // Coarse grids force attribute and value ties, which the id breaks.
+            members in proptest::collection::vec((0u32..6, 1u32..6), 1..14),
+        ) {
+            let entries: Vec<(u64, f64, f64)> = members
+                .iter()
+                .enumerate()
+                .map(|(k, &(a, r))| (k as u64 + 2, a as f64, r as f64 / 8.0))
+                .collect();
+            let view = view_of(&entries);
+            let node = Ordering::mod_jk(NodeId::new(1), attr(3.0), 0.5);
+            let mut all: Vec<(NodeId, Attribute, f64)> = view
+                .iter()
+                .map(|e| (e.id, e.attribute, e.value))
+                .collect();
+            all.push((node.id, node.attribute, node.r));
+            let sorted = dslice_core::metrics::local_ranks(&all);
+            let me = node.self_entry();
+            for member in view.iter().chain(std::iter::once(&me)) {
+                prop_assert_eq!(node.local_positions(&view, member), sorted[&member.id]);
+            }
+        }
+
         #[test]
         fn liveness_bans_exactly_at_strike_limit_and_frees_at_cooldown_expiry(
             strike_limit in 1u32..5,

@@ -15,8 +15,8 @@
 //! are genuinely local and are used inside mod-JK.
 
 use crate::attribute::AttributeKey;
-use crate::{rank, Attribute, NodeId, Partition};
-use std::collections::{HashMap, HashSet};
+use crate::{rank, Attribute, NodeId, NodeIdMap, NodeIdSet, Partition};
+use std::collections::HashMap;
 
 /// Global disorder measure from explicit rank pairs `(α_i, ρ_i)`.
 ///
@@ -158,7 +158,7 @@ pub struct RankCache {
     /// Live nodes in `A.sequence` order (sorted by `(attribute, id)`).
     sorted: Vec<AttributeKey>,
     /// 1-based attribute rank per live node, renumbered after each churn.
-    ranks: HashMap<NodeId, usize>,
+    ranks: NodeIdMap<usize>,
 }
 
 impl RankCache {
@@ -197,7 +197,7 @@ impl RankCache {
             return;
         }
         if !leavers.is_empty() {
-            let gone: HashSet<NodeId> = leavers.iter().copied().collect();
+            let gone: NodeIdSet = leavers.iter().copied().collect();
             self.sorted.retain(|key| !gone.contains(&key.id));
         }
         if !joiners.is_empty() {
@@ -305,7 +305,7 @@ impl RankCache {
 /// forgotten; joiners count as changes only on their second appearance.
 #[derive(Clone, Debug, Default)]
 pub struct SliceTracker {
-    believed: HashMap<NodeId, crate::SliceIndex>,
+    believed: NodeIdMap<crate::SliceIndex>,
 }
 
 impl SliceTracker {
@@ -331,7 +331,10 @@ impl SliceTracker {
         I: IntoIterator<Item = &'a (NodeId, Attribute, f64)>,
     {
         let mut changes = 0;
-        let mut fresh: HashMap<NodeId, crate::SliceIndex> = HashMap::new();
+        // Sized for the population seen last time: one allocation, no
+        // rehash-as-it-grows.
+        let mut fresh: NodeIdMap<crate::SliceIndex> =
+            NodeIdMap::with_capacity_and_hasher(self.believed.len(), Default::default());
         for &(id, _, est) in nodes {
             let slice = partition.slice_of(est);
             if let Some(&previous) = self.believed.get(&id) {

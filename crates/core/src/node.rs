@@ -6,7 +6,9 @@
 //! `a_i < a_j`, or `a_i == a_j` and `i < j`.
 
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A unique node identifier.
 ///
@@ -52,6 +54,46 @@ impl From<NodeId> for u64 {
         id.0
     }
 }
+
+/// A multiplicative (Fibonacci) hasher for maps keyed by [`NodeId`]s that the
+/// program issued itself.
+///
+/// Simulated identities come from [`NodeIdAllocator`] — sequential `u64`s —
+/// so one multiplication by an odd constant spreads them over the table
+/// perfectly, at a fraction of SipHash's cost on the per-message and
+/// per-view-entry lookups of a 10⁵-node cycle. It offers **no protection
+/// against keys crafted to collide**: never key a map of peer-supplied ids
+/// (anything read off a socket, as in `dslice-net`) with it — those keep the
+/// standard library's default hasher.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached by keys that do not hash through `write_u64`.
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        // 2⁶⁴ / φ, odd: a bijection on every low-bit prefix (sequential ids
+        // fill the buckets evenly) whose high bits — the table's control
+        // bytes — mix the whole key.
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A `HashMap` keyed by program-issued [`NodeId`]s (see [`NodeIdHasher`] for
+/// why it must not hold peer-supplied ids).
+pub type NodeIdMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
+
+/// A `HashSet` of program-issued [`NodeId`]s (see [`NodeIdHasher`]).
+pub type NodeIdSet = HashSet<NodeId, BuildHasherDefault<NodeIdHasher>>;
 
 /// A monotonically increasing allocator of [`NodeId`]s.
 ///
@@ -128,6 +170,29 @@ mod tests {
     fn allocator_can_start_anywhere() {
         let mut alloc = NodeIdAllocator::starting_at(1000);
         assert_eq!(alloc.allocate(), NodeId::new(1000));
+    }
+
+    #[test]
+    fn id_map_spreads_sequential_ids_over_every_bucket() {
+        // Sequential ids must not collapse onto few buckets: over any
+        // power-of-two table the low bits of the hash are a permutation.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<NodeIdHasher>::default();
+        for bits in [4u32, 10, 16] {
+            let buckets = 1u64 << bits;
+            let mut seen = vec![false; buckets as usize];
+            for raw in 0..buckets {
+                seen[(build.hash_one(NodeId::new(raw)) & (buckets - 1)) as usize] = true;
+            }
+            assert!(seen.iter().all(|&hit| hit), "{bits}-bit table has holes");
+        }
+        let mut map: NodeIdMap<u64> = NodeIdMap::default();
+        for raw in 0..1000 {
+            map.insert(NodeId::new(raw), raw * 2);
+        }
+        assert_eq!(map[&NodeId::new(777)], 1554);
+        let set: NodeIdSet = (0..10).map(NodeId::new).collect();
+        assert!(set.contains(&NodeId::new(9)) && !set.contains(&NodeId::new(10)));
     }
 
     #[test]

@@ -17,9 +17,17 @@
 //! deterministic: slot assignment depends only on the sequence of inserts
 //! and removes, never on hash iteration order (the index map is only ever
 //! *queried*, not iterated).
+//!
+//! Slots are stable for as long as a node lives, so a runtime resolves
+//! `NodeId → slot` **once** per phase ([`slot_of`](NodeSlab::slot_of)) and
+//! addresses the node by slot afterwards ([`slot`](NodeSlab::slot),
+//! [`slot_mut`](NodeSlab::slot_mut), [`take_slot`](NodeSlab::take_slot),
+//! [`take_pair_slots`](NodeSlab::take_pair_slots)) — a bounds-checked array
+//! index, no hashing. The id-addressed accessors are the same operations
+//! behind one lookup. The index is a [`NodeIdMap`]: the slab is meant for
+//! identities the program issued itself, not for peer-supplied ones.
 
-use crate::NodeId;
-use std::collections::HashMap;
+use crate::{NodeId, NodeIdMap};
 
 /// A slot-addressed, id-indexed dense store of per-node state.
 ///
@@ -32,7 +40,7 @@ pub struct NodeSlab<T> {
     /// Slot storage. `None` marks a free (or temporarily vacated) slot.
     slots: Vec<Option<(NodeId, T)>>,
     /// Id → slot lookup. Entries persist while a node is [`take`](NodeSlab::take)n.
-    index: HashMap<NodeId, usize>,
+    index: NodeIdMap<usize>,
     /// Free slots, reused LIFO (deterministic).
     free: Vec<usize>,
 }
@@ -41,7 +49,7 @@ impl<T> Default for NodeSlab<T> {
     fn default() -> Self {
         NodeSlab {
             slots: Vec::new(),
-            index: HashMap::new(),
+            index: NodeIdMap::default(),
             free: Vec::new(),
         }
     }
@@ -57,7 +65,7 @@ impl<T> NodeSlab<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         NodeSlab {
             slots: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: NodeIdMap::with_capacity_and_hasher(capacity, Default::default()),
             free: Vec::new(),
         }
     }
@@ -129,14 +137,25 @@ impl<T> NodeSlab<T> {
 
     /// Shared access to `id`'s state.
     pub fn get(&self, id: NodeId) -> Option<&T> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot].as_ref().map(|(_, v)| v)
+        self.slot(self.slot_of(id)?)
     }
 
     /// Mutable access to `id`'s state.
     pub fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot].as_mut().map(|(_, v)| v)
+        let slot = self.slot_of(id)?;
+        self.slot_mut(slot)
+    }
+
+    /// Shared access to the state stored in `slot`: `None` for a free,
+    /// vacated ([`take_slot`](NodeSlab::take_slot)n) or out-of-range slot.
+    pub fn slot(&self, slot: usize) -> Option<&T> {
+        self.slots.get(slot)?.as_ref().map(|(_, v)| v)
+    }
+
+    /// Mutable access to the state stored in `slot` (see
+    /// [`slot`](NodeSlab::slot)).
+    pub fn slot_mut(&mut self, slot: usize) -> Option<&mut T> {
+        self.slots.get_mut(slot)?.as_mut().map(|(_, v)| v)
     }
 
     /// Temporarily moves `id`'s state out of the slab, keeping its slot
@@ -147,13 +166,20 @@ impl<T> NodeSlab<T> {
     /// take one node, mutate it against `&mut self` access to its partner,
     /// put it back — all O(1), with no slot churn.
     pub fn take(&mut self, id: NodeId) -> Option<(usize, T)> {
-        let slot = *self.index.get(&id)?;
-        let (_, value) = self.slots[slot].take()?;
+        let slot = self.slot_of(id)?;
+        let (_, value) = self.take_slot(slot)?;
         Some((slot, value))
     }
 
-    /// Restores a node moved out by [`take`](NodeSlab::take) into its
-    /// reserved slot.
+    /// The slot-addressed form of [`take`](NodeSlab::take): moves the state
+    /// stored in `slot` out, keeping the slot reserved. `None` for a free,
+    /// already vacated or out-of-range slot.
+    pub fn take_slot(&mut self, slot: usize) -> Option<(NodeId, T)> {
+        self.slots.get_mut(slot)?.take()
+    }
+
+    /// Restores a node moved out by [`take`](NodeSlab::take) or
+    /// [`take_slot`](NodeSlab::take_slot) into its reserved slot.
     pub fn put_back(&mut self, slot: usize, id: NodeId, value: T) {
         debug_assert!(self.slots[slot].is_none(), "slot occupied on put_back");
         debug_assert_eq!(self.index.get(&id), Some(&slot), "slot not reserved");
@@ -219,21 +245,29 @@ impl<T> NodeSlab<T> {
     /// two pairs of one batch), so within a batch every `take_pair` succeeds
     /// and the extracted pairs can be processed on any thread in any order.
     pub fn take_pair(&mut self, a: NodeId, b: NodeId) -> Option<TakenPair<T>> {
-        if a == b {
+        self.take_pair_slots(self.slot_of(a)?, self.slot_of(b)?)
+    }
+
+    /// The slot-addressed form of [`take_pair`](NodeSlab::take_pair), for
+    /// runtimes that resolved both endpoints when they scheduled the
+    /// exchange. Same contract: `None`, with nothing left taken, when the
+    /// slots alias or either is free, vacated or out of range.
+    pub fn take_pair_slots(&mut self, a_slot: usize, b_slot: usize) -> Option<TakenPair<T>> {
+        if a_slot == b_slot {
             return None;
         }
-        let (a_slot, a_state) = self.take(a)?;
-        match self.take(b) {
-            Some((b_slot, b_state)) => Some(TakenPair {
+        let (a_id, a) = self.take_slot(a_slot)?;
+        match self.take_slot(b_slot) {
+            Some((b_id, b)) => Some(TakenPair {
                 a_slot,
-                a_id: a,
-                a: a_state,
+                a_id,
+                a,
                 b_slot,
-                b_id: b,
-                b: b_state,
+                b_id,
+                b,
             }),
             None => {
-                self.put_back(a_slot, a, a_state);
+                self.put_back(a_slot, a_id, a);
                 None
             }
         }
@@ -269,7 +303,7 @@ fn chunk_slots<T>(slots: &mut [Option<(NodeId, T)>], count: usize) -> Vec<SlabCh
 /// [`NodeSlab::chunks_mut_with_lookup`]; valid while the chunks are live.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotLookup<'a> {
-    index: &'a HashMap<NodeId, usize>,
+    index: &'a NodeIdMap<usize>,
 }
 
 impl SlotLookup<'_> {
@@ -327,6 +361,8 @@ impl<T> SlabChunk<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -480,6 +516,113 @@ mod tests {
         assert_eq!(visited, 8);
         assert!(!lookup.contains(id(4)));
         assert_eq!(slab.get(id(7)), Some(&107));
+    }
+
+    #[test]
+    fn slot_addressing_rejects_dead_slots() {
+        let mut slab: NodeSlab<u32> = NodeSlab::new();
+        slab.insert(id(1), 10);
+        slab.insert(id(2), 20);
+        slab.remove(id(1)); // slot 0 is now free
+        assert_eq!(slab.slot(0), None);
+        assert_eq!(slab.slot_mut(0), None);
+        assert_eq!(slab.take_slot(0), None);
+        assert_eq!(slab.slot(7), None, "out of range");
+        assert!(slab.take_pair_slots(0, 1).is_none(), "free endpoint");
+        assert_eq!(slab.slot(1), Some(&20), "failed pair take restored b");
+        assert!(slab.take_pair_slots(1, 1).is_none(), "aliasing slots");
+        assert!(
+            slab.take_pair_slots(1, 9).is_none(),
+            "out-of-range endpoint"
+        );
+        assert_eq!(slab.slot(1), Some(&20), "failed pair take restored a");
+    }
+
+    /// Index, slots and free list must describe one population: every
+    /// indexed id sits in its slot, free slots are empty and indexed by
+    /// nobody, and no slot is free twice.
+    fn assert_consistent(slab: &NodeSlab<u32>, model: &BTreeMap<u64, u32>) {
+        assert_eq!(slab.len(), model.len());
+        for (&raw, value) in model {
+            let slot = slab.slot_of(id(raw)).expect("live id is indexed");
+            assert_eq!(slab.slots[slot], Some((id(raw), *value)));
+        }
+        let mut free = slab.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), slab.free.len(), "a slot is free twice");
+        for &slot in &free {
+            assert!(slab.slots[slot].is_none(), "free slot {slot} is occupied");
+            assert!(
+                slab.index.values().all(|&live| live != slot),
+                "free slot {slot} is also live"
+            );
+        }
+        assert_eq!(slab.slot_count(), model.len() + free.len());
+    }
+
+    proptest! {
+        /// Whatever sequence of inserts, removes and takes a run performs,
+        /// addressing a node by slot does exactly what addressing it by id
+        /// does, and the free list never overlaps the live set.
+        #[test]
+        fn slot_and_id_addressing_agree_under_churn(
+            ops in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..120),
+        ) {
+            let mut slab: NodeSlab<u32> = NodeSlab::new();
+            let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut next_id = 0u64;
+            for (op, pick_a, pick_b) in ops {
+                let live: Vec<u64> = model.keys().copied().collect();
+                let pick = |p: usize| live[p % live.len()];
+                match op {
+                    0 => {
+                        let slot = slab.insert(id(next_id), next_id as u32);
+                        prop_assert_eq!(slab.slot(slot), Some(&(next_id as u32)));
+                        model.insert(next_id, next_id as u32);
+                        next_id += 1;
+                    }
+                    1 if !live.is_empty() => {
+                        let raw = pick(pick_a);
+                        prop_assert_eq!(slab.remove(id(raw)), model.remove(&raw));
+                    }
+                    2 if !live.is_empty() => {
+                        let raw = pick(pick_a);
+                        let slot = slab.slot_of(id(raw)).unwrap();
+                        let by_id = slab.take(id(raw)).unwrap();
+                        prop_assert_eq!(slab.slot(slot), None, "taken state is out");
+                        slab.put_back(by_id.0, id(raw), by_id.1);
+                        let by_slot = slab.take_slot(slot).unwrap();
+                        prop_assert_eq!(slab.get(id(raw)), None, "taken state is out");
+                        prop_assert_eq!((slot, by_slot.1), by_id);
+                        prop_assert_eq!(by_slot.0, id(raw));
+                        slab.put_back(slot, by_slot.0, by_slot.1);
+                        *slab.slot_mut(slot).unwrap() += 1;
+                        *model.get_mut(&raw).unwrap() += 1;
+                        prop_assert_eq!(slab.get(id(raw)), model.get(&raw));
+                    }
+                    3 if !live.is_empty() => {
+                        let (a, b) = (pick(pick_a), pick(pick_b));
+                        let slots = (slab.slot_of(id(a)).unwrap(), slab.slot_of(id(b)).unwrap());
+                        let by_id = slab.take_pair(id(a), id(b));
+                        prop_assert_eq!(by_id.is_some(), a != b);
+                        let seen = by_id.map(|pair| {
+                            let seen = (pair.a_slot, pair.a_id, pair.a, pair.b_slot, pair.b_id, pair.b);
+                            slab.put_back_pair(pair);
+                            seen
+                        });
+                        let by_slot = slab.take_pair_slots(slots.0, slots.1).map(|pair| {
+                            let seen = (pair.a_slot, pair.a_id, pair.a, pair.b_slot, pair.b_id, pair.b);
+                            slab.put_back_pair(pair);
+                            seen
+                        });
+                        prop_assert_eq!(seen, by_slot);
+                    }
+                    _ => {}
+                }
+                assert_consistent(&slab, &model);
+            }
+        }
     }
 
     #[test]

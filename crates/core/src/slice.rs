@@ -17,6 +17,7 @@
 use crate::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Tolerance used when validating that slice fractions sum to one.
 const FRACTION_SUM_TOLERANCE: f64 = 1e-9;
@@ -115,10 +116,32 @@ impl fmt::Display for Slice {
 /// let part = Partition::from_boundaries(&[0.8]).unwrap();
 /// assert_eq!(part.slice_of(0.85).as_usize(), 1);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Partition {
-    /// Strictly increasing interior boundaries, all in `(0, 1)`.
-    boundaries: Vec<f64>,
+    /// Strictly increasing interior boundaries, all in `(0, 1)`. Shared:
+    /// the partitioning is global knowledge (§3.2), so every node's copy is
+    /// one more handle on the same array, not `k − 1` floats of its own.
+    boundaries: Arc<[f64]>,
+}
+
+/// On the wire a partition is `{"boundaries": [..]}`, as the derive wrote it
+/// while the boundaries were a plain `Vec`.
+impl Serialize for Partition {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![("boundaries".into(), self.boundaries.to_value())])
+    }
+}
+
+/// Goes through [`Partition::from_boundaries`]: the boundary lookups bisect,
+/// so unsorted or out-of-range input must not get in.
+impl Deserialize for Partition {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected a map for Partition"))?;
+        let boundaries = Vec::<f64>::from_value(serde::__field(map, "boundaries"))?;
+        Partition::from_boundaries(&boundaries).map_err(serde::Error::custom)
+    }
 }
 
 impl Partition {
@@ -152,7 +175,7 @@ impl Partition {
             }
         }
         Ok(Partition {
-            boundaries: boundaries.to_vec(),
+            boundaries: boundaries.into(),
         })
     }
 
@@ -185,7 +208,9 @@ impl Partition {
                 "last fraction is {last}, must be positive"
             )));
         }
-        Ok(Partition { boundaries })
+        Ok(Partition {
+            boundaries: boundaries.into(),
+        })
     }
 
     /// Number of slices.
@@ -232,26 +257,38 @@ impl Partition {
         SliceIndex::new(idx.min(self.len() - 1))
     }
 
-    /// Distance from `r` to the closest *interior* slice boundary — the `d`
-    /// of Theorem 5.1 and the `dist(·, b)` used to select `j1` in Fig. 5.
-    ///
-    /// For a single-slice partition there is no interior boundary and the
-    /// distance is `+∞` (every node is trivially far from any boundary).
-    pub fn boundary_distance(&self, r: f64) -> f64 {
-        self.boundaries
-            .iter()
-            .map(|&b| (r - b).abs())
-            .fold(f64::INFINITY, f64::min)
+    /// The interior boundary closest to `r` and its distance `|r − b|`, from
+    /// one bisection: the closest boundary is one of the two that bracket
+    /// `r`. Midway between them the lower one wins. `None` for a
+    /// single-slice partition or a NaN `r`.
+    fn nearest_boundary(&self, r: f64) -> Option<(f64, f64)> {
+        if r.is_nan() {
+            return None;
+        }
+        let above = self.boundaries.partition_point(|&b| b < r);
+        let candidate = |idx: usize| self.boundaries.get(idx).map(|&b| (b, (r - b).abs()));
+        match (above.checked_sub(1).and_then(candidate), candidate(above)) {
+            (Some(lower), Some(upper)) => Some(if upper.1 < lower.1 { upper } else { lower }),
+            (lower, upper) => lower.or(upper),
+        }
     }
 
-    /// The closest interior boundary to `r`, if any.
+    /// Distance from `r` to the closest *interior* slice boundary — the `d`
+    /// of Theorem 5.1 and the `dist(·, b)` used to select `j1` in Fig. 5.
+    /// O(log k) in the number of slices.
+    ///
+    /// For a single-slice partition there is no interior boundary and the
+    /// distance is `+∞` (every node is trivially far from any boundary); a
+    /// NaN `r` is `+∞` away from everything too.
+    pub fn boundary_distance(&self, r: f64) -> f64 {
+        self.nearest_boundary(r)
+            .map_or(f64::INFINITY, |(_, distance)| distance)
+    }
+
+    /// The closest interior boundary to `r`, if any (`None` for a NaN `r`);
+    /// exactly midway between two boundaries, the lower one.
     pub fn closest_boundary(&self, r: f64) -> Option<f64> {
-        self.boundaries.iter().copied().min_by(|x, y| {
-            (r - x)
-                .abs()
-                .partial_cmp(&(r - y).abs())
-                .expect("boundaries are finite")
-        })
+        self.nearest_boundary(r).map(|(boundary, _)| boundary)
     }
 
     /// The interior boundaries (strictly increasing, inside `(0,1)`).
@@ -389,6 +426,54 @@ mod tests {
     }
 
     #[test]
+    fn nan_estimate_has_no_closest_boundary() {
+        // `closest_boundary` used to panic on NaN while `boundary_distance`
+        // quietly answered +∞; both now come from one lookup.
+        let part = Partition::equal(4).unwrap();
+        assert_eq!(part.closest_boundary(f64::NAN), None);
+        assert_eq!(part.boundary_distance(f64::NAN), f64::INFINITY);
+        // Infinite estimates are merely far away.
+        assert_eq!(part.boundary_distance(f64::INFINITY), f64::INFINITY);
+        assert_eq!(part.closest_boundary(f64::NEG_INFINITY), Some(0.25));
+    }
+
+    #[test]
+    fn midway_between_two_boundaries_the_lower_one_wins() {
+        let part = Partition::from_boundaries(&[0.25, 0.75]).unwrap();
+        assert_eq!(part.closest_boundary(0.5), Some(0.25));
+        assert_eq!(part.boundary_distance(0.5), 0.25);
+        // On a boundary the answer is that boundary, at distance zero.
+        assert_eq!(part.closest_boundary(0.75), Some(0.75));
+        assert_eq!(part.boundary_distance(0.75), 0.0);
+    }
+
+    #[test]
+    fn deserialization_validates_boundaries() {
+        let part = Partition::from_fractions(&[0.1, 0.4, 0.5]).unwrap();
+        let parsed = Partition::from_value(&part.to_value()).unwrap();
+        assert_eq!(parsed, part);
+        let bad = |boundaries: &[f64]| {
+            serde::Value::Map(vec![("boundaries".into(), boundaries.to_value())])
+        };
+        assert!(
+            Partition::from_value(&bad(&[0.7, 0.3])).is_err(),
+            "unsorted"
+        );
+        assert!(
+            Partition::from_value(&bad(&[0.5, 1.5])).is_err(),
+            "outside (0, 1)"
+        );
+        assert!(Partition::from_value(&serde::Value::Null).is_err());
+    }
+
+    #[test]
+    fn clones_share_one_boundary_array() {
+        let part = Partition::equal(100).unwrap();
+        let copy = part.clone();
+        assert!(std::ptr::eq(part.boundaries(), copy.boundaries()));
+    }
+
+    #[test]
     fn sdm_term_equals_index_distance_for_equal_slices() {
         // Paper §4.4 example: believed slice 3, actual slice 1 → distance 2.
         let part = Partition::equal(10).unwrap();
@@ -415,7 +500,67 @@ mod tests {
         );
     }
 
+    /// The linear scans `boundary_distance` and `closest_boundary` were
+    /// before they bisected: the reference the property test below holds the
+    /// O(log k) lookup to. (`min_by` keeps the first of equal minima — the
+    /// lower boundary.)
+    fn linear_scan(part: &Partition, r: f64) -> (f64, Option<f64>) {
+        let distance = part
+            .boundaries()
+            .iter()
+            .map(|&b| (r - b).abs())
+            .fold(f64::INFINITY, f64::min);
+        let closest = part
+            .boundaries()
+            .iter()
+            .copied()
+            .min_by(|x, y| (r - x).abs().partial_cmp(&(r - y).abs()).unwrap());
+        (distance, closest)
+    }
+
+    /// Partitions built both ways: explicit boundaries (from sorted distinct
+    /// grid points, so gaps are irregular) and cumulative fractions.
+    fn any_partition() -> impl Strategy<Value = Partition> {
+        prop_oneof![
+            proptest::collection::vec(1u32..1000, 0..24).prop_map(|mut grid| {
+                grid.sort_unstable();
+                grid.dedup();
+                let boundaries: Vec<f64> = grid.iter().map(|&g| g as f64 / 1000.0).collect();
+                Partition::from_boundaries(&boundaries).unwrap()
+            }),
+            proptest::collection::vec(1u32..50, 1..24).prop_map(|weights| {
+                let total: u32 = weights.iter().sum();
+                let fractions: Vec<f64> =
+                    weights.iter().map(|&w| w as f64 / total as f64).collect();
+                Partition::from_fractions(&fractions).unwrap()
+            }),
+        ]
+    }
+
     proptest! {
+        #[test]
+        fn bisected_boundary_lookup_matches_the_linear_scan(
+            part in any_partition(),
+            r in -0.5f64..=1.5,
+            on_boundary in 0usize..32,
+        ) {
+            let mut probes = vec![r];
+            // Exactly on a boundary, and exactly midway between neighbors.
+            if let Some(&b) = part.boundaries().get(on_boundary % part.len()) {
+                probes.push(b);
+            }
+            for w in part.boundaries().windows(2) {
+                probes.push((w[0] + w[1]) / 2.0);
+            }
+            for r in probes {
+                let (distance, closest) = linear_scan(&part, r);
+                // Bit-for-bit: the ranking protocol's j1 choice compares
+                // these distances, and the goldens pin its choices.
+                prop_assert_eq!(part.boundary_distance(r).to_bits(), distance.to_bits());
+                prop_assert_eq!(part.closest_boundary(r), closest);
+            }
+        }
+
         #[test]
         fn slice_of_is_consistent_with_contains(
             k in 1usize..50,

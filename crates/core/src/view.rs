@@ -241,6 +241,45 @@ impl View {
         }
     }
 
+    /// Replaces the view with `incoming` — the *swap* of the paper's Cyclon
+    /// variant (Fig. 3 lines 5–6 / 9–10): the received entries become the
+    /// view, in arrival order, minus any entry describing `owner` and minus
+    /// repeated ids (the first occurrence wins), cut at `capacity`. A payload
+    /// shorter than the capacity is topped up with the freshest previous
+    /// entries (youngest first, ties by id) the payload did not mention.
+    ///
+    /// Works inside the view's own storage: no allocation, and the entry
+    /// vector never grows past `capacity`.
+    pub fn replace_with(&mut self, owner: NodeId, incoming: &[ViewEntry]) {
+        let accepted = |idx: usize| {
+            let id = incoming[idx].id;
+            id != owner && incoming[..idx].iter().all(|earlier| earlier.id != id)
+        };
+        let fresh = (0..incoming.len())
+            .filter(|&idx| accepted(idx))
+            .take(self.capacity)
+            .count();
+        // Keep the previous entries that will top the payload up (none when
+        // the payload fills the view), then put the payload in front of them.
+        if fresh < self.capacity {
+            self.entries
+                .retain(|e| e.id != owner && incoming.iter().all(|i| i.id != e.id));
+            self.entries
+                .sort_unstable_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)));
+            self.entries.truncate(self.capacity - fresh);
+        } else {
+            self.entries.clear();
+        }
+        let kept = self.entries.len();
+        self.entries.extend(
+            (0..incoming.len())
+                .filter(|&idx| accepted(idx))
+                .take(fresh)
+                .map(|idx| incoming[idx]),
+        );
+        self.entries.rotate_left(kept);
+    }
+
     fn evict_oldest(&mut self) {
         if let Some((idx, _)) = self
             .entries
@@ -441,6 +480,72 @@ mod tests {
     }
 
     #[test]
+    fn replace_with_swaps_in_the_payload() {
+        let owner = NodeId::new(0);
+        let mut v = View::new(2).unwrap();
+        v.insert(entry(1, 3, 0.1));
+        v.replace_with(
+            owner,
+            &[
+                entry(0, 0, 0.9), // self pointer → dropped
+                entry(5, 1, 0.5),
+                entry(5, 0, 0.6), // repeated id → first occurrence wins
+                entry(6, 2, 0.7),
+                entry(7, 0, 0.8), // beyond capacity → dropped
+            ],
+        );
+        assert_eq!(v.entries(), &[entry(5, 1, 0.5), entry(6, 2, 0.7)]);
+        v.check_invariants(Some(owner)).unwrap();
+    }
+
+    #[test]
+    fn replace_with_tops_a_short_payload_up_with_the_freshest_residents() {
+        let owner = NodeId::new(0);
+        let mut v = View::new(4).unwrap();
+        v.insert(entry(1, 7, 0.1));
+        v.insert(entry(2, 1, 0.2));
+        v.insert(entry(3, 4, 0.3));
+        v.insert(entry(4, 1, 0.4));
+        // Payload of two; resident 3 is mentioned by it, so 2 and 4 (age 1,
+        // id order) fill the remaining two places, after the payload.
+        v.replace_with(owner, &[entry(9, 0, 0.9), entry(3, 0, 0.35)]);
+        let ids: Vec<u64> = v.ids().map(|i| i.as_u64()).collect();
+        assert_eq!(ids, vec![9, 3, 2, 4]);
+        assert_eq!(
+            v.get(NodeId::new(3)).unwrap().value,
+            0.35,
+            "payload copy wins"
+        );
+        assert!(v.entries.capacity() <= 4, "storage grew past the capacity");
+    }
+
+    /// The Cyclon swap as it was written before it worked in place (a fresh
+    /// view filled by `contains` + `insert`, topped up from a sorted copy):
+    /// the reference the property test below holds `replace_with` to.
+    fn replace_by_rebuilding(view: &View, owner: NodeId, incoming: &[ViewEntry]) -> View {
+        let capacity = view.capacity();
+        let mut fresh = View::new(capacity).unwrap();
+        for e in incoming {
+            if e.id != owner && !fresh.contains(e.id) && fresh.len() < capacity {
+                fresh.insert(*e);
+            }
+        }
+        if fresh.len() < capacity {
+            let mut old: Vec<ViewEntry> = view.entries().to_vec();
+            old.sort_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)));
+            for e in old {
+                if fresh.len() >= capacity {
+                    break;
+                }
+                if e.id != owner && !fresh.contains(e.id) {
+                    fresh.insert(e);
+                }
+            }
+        }
+        fresh
+    }
+
+    #[test]
     fn random_selection_is_uniformish() {
         let mut v = View::new(4).unwrap();
         for i in 1..=4 {
@@ -496,6 +601,32 @@ mod tests {
             v.merge(owner, &incoming);
             prop_assert!(v.check_invariants(Some(owner)).is_ok());
             prop_assert!(v.len() <= cap);
+        }
+
+        #[test]
+        fn replace_with_matches_the_rebuilding_reference(
+            cap in 1usize..12,
+            resident in proptest::collection::vec((0u64..24, 0u32..6, 0.01f64..1.0), 0..12),
+            incoming in proptest::collection::vec((0u64..24, 0u32..6, 0.01f64..1.0), 0..16),
+            owner in 0u64..24,
+        ) {
+            let owner = NodeId::new(owner);
+            let mut v = View::new(cap).unwrap();
+            for (id, age, val) in resident {
+                if NodeId::new(id) != owner {
+                    v.insert(ViewEntry::with_age(NodeId::new(id), age, attr(1.0), val));
+                }
+            }
+            let incoming: Vec<_> = incoming
+                .into_iter()
+                .map(|(id, age, val)| ViewEntry::with_age(NodeId::new(id), age, attr(1.0), val))
+                .collect();
+            let expected = replace_by_rebuilding(&v, owner, &incoming);
+            v.replace_with(owner, &incoming);
+            // Same entries in the same order: order decides `random` picks.
+            prop_assert_eq!(v.entries(), expected.entries());
+            prop_assert!(v.check_invariants(Some(owner)).is_ok());
+            prop_assert!(v.entries.capacity() <= cap.max(4));
         }
 
         #[test]

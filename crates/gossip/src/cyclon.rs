@@ -47,33 +47,6 @@ impl CyclonSampler {
             view: View::new(capacity)?,
         })
     }
-
-    /// Replaces the view with `incoming` (self-pointers and duplicate ids
-    /// dropped), topping up with the freshest previous entries if the
-    /// payload is shorter than the capacity.
-    fn replace_view(&mut self, incoming: &[ViewEntry]) {
-        let capacity = self.view.capacity();
-        let mut fresh = View::new(capacity).expect("capacity >= 1");
-        for e in incoming {
-            if e.id != self.owner && !fresh.contains(e.id) && fresh.len() < capacity {
-                fresh.insert(*e);
-            }
-        }
-        if fresh.len() < capacity {
-            // Top up with our freshest previous entries.
-            let mut old: Vec<ViewEntry> = self.view.entries().to_vec();
-            old.sort_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)));
-            for e in old {
-                if fresh.len() >= capacity {
-                    break;
-                }
-                if e.id != self.owner && !fresh.contains(e.id) {
-                    fresh.insert(e);
-                }
-            }
-        }
-        self.view = fresh;
-    }
 }
 
 impl PeerSampler for CyclonSampler {
@@ -109,44 +82,40 @@ impl PeerSampler for CyclonSampler {
         Some(self.view.oldest()?.id)
     }
 
-    fn initiate_with(
+    fn initiate_into(
         &mut self,
         partner: NodeId,
         self_entry: ViewEntry,
         _rng: &mut dyn RngCore,
-    ) -> ExchangeRequest {
+        payload: &mut Vec<ViewEntry>,
+    ) {
         // Line 3: the request payload is the view copy, minus the partner's
         // own entry, plus a fresh self-descriptor.
-        let mut entries: Vec<ViewEntry> = self
-            .view
-            .iter()
-            .filter(|e| e.id != partner)
-            .copied()
-            .collect();
-        entries.push(self_entry);
-        ExchangeRequest { partner, entries }
+        payload.clear();
+        payload.extend(self.view.iter().filter(|e| e.id != partner));
+        payload.push(self_entry);
     }
 
-    fn handle_request(
+    fn handle_request_into(
         &mut self,
         self_entry: ViewEntry,
         from: NodeId,
         entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
+        reply: &mut Vec<ViewEntry>,
+    ) {
         // Line 8: reply with the pre-merge view, discarding pointers to the
         // requester, plus a fresh self-descriptor so the requester learns
         // our current value.
-        let mut reply: Vec<ViewEntry> =
-            self.view.iter().filter(|e| e.id != from).copied().collect();
+        reply.clear();
+        reply.extend(self.view.iter().filter(|e| e.id != from));
         reply.push(self_entry);
         // Lines 9–10: adopt the received entries (swap).
-        self.replace_view(entries);
-        reply
+        self.view.replace_with(self.owner, entries);
     }
 
     fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {
         // Lines 5–6: adopt the received entries (swap).
-        self.replace_view(entries);
+        self.view.replace_with(self.owner, entries);
     }
 }
 
@@ -221,16 +190,19 @@ mod tests {
     }
 
     #[test]
-    fn replace_discards_self_and_duplicates_and_respects_capacity() {
+    fn reply_discards_self_and_duplicates_and_respects_capacity() {
         let mut s = CyclonSampler::new(NodeId::new(0), 2).unwrap();
         s.view_mut().insert(entry(1, 3));
-        s.replace_view(&[
-            entry(0, 0), // self pointer → dropped
-            entry(5, 1),
-            entry(5, 0), // duplicate id → first occurrence wins
-            entry(6, 2),
-            entry(7, 0), // beyond capacity → dropped
-        ]);
+        s.handle_reply(
+            NodeId::new(9),
+            &[
+                entry(0, 0), // self pointer → dropped
+                entry(5, 1),
+                entry(5, 0), // duplicate id → first occurrence wins
+                entry(6, 2),
+                entry(7, 0), // beyond capacity → dropped
+            ],
+        );
         assert_eq!(s.view().len(), 2);
         assert!(s.view().contains(NodeId::new(5)));
         assert!(s.view().contains(NodeId::new(6)));

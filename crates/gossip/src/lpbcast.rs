@@ -96,10 +96,11 @@ impl LpbcastSampler {
         self.view = fresh;
     }
 
-    /// Builds the digest payload: up to `digest_size` random view entries
-    /// plus the fresh self-descriptor.
-    fn digest(&self, self_entry: ViewEntry, rng: &mut dyn RngCore) -> Vec<ViewEntry> {
-        let mut pool: Vec<ViewEntry> = self.view.entries().to_vec();
+    /// Writes the digest payload into `pool`: up to `digest_size` random
+    /// view entries plus the fresh self-descriptor.
+    fn digest(&self, self_entry: ViewEntry, rng: &mut dyn RngCore, pool: &mut Vec<ViewEntry>) {
+        pool.clear();
+        pool.extend_from_slice(self.view.entries());
         // Partial Fisher–Yates: the first `digest_size` slots end up holding
         // a uniform sample without cloning the whole pool twice.
         let take = self.digest_size.min(pool.len());
@@ -109,7 +110,6 @@ impl LpbcastSampler {
         }
         pool.truncate(take);
         pool.push(self_entry);
-        pool
     }
 }
 
@@ -144,24 +144,25 @@ impl PeerSampler for LpbcastSampler {
         Some(self.view.random(rng)?.id)
     }
 
-    fn initiate_with(
+    fn initiate_into(
         &mut self,
-        partner: NodeId,
+        _partner: NodeId,
         self_entry: ViewEntry,
         rng: &mut dyn RngCore,
-    ) -> ExchangeRequest {
-        let entries = self.digest(self_entry, rng);
-        ExchangeRequest { partner, entries }
+        payload: &mut Vec<ViewEntry>,
+    ) {
+        self.digest(self_entry, rng, payload);
     }
 
-    fn handle_request(
+    fn handle_request_into(
         &mut self,
         _self_entry: ViewEntry,
         _from: NodeId,
         entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
+        reply: &mut Vec<ViewEntry>,
+    ) {
         self.lpbcast_merge(entries);
-        Vec::new() // push-only: nothing flows back
+        reply.clear(); // push-only: nothing flows back
     }
 
     fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {

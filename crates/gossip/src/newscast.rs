@@ -91,28 +91,29 @@ impl PeerSampler for NewscastSampler {
         Some(self.view.random(rng)?.id)
     }
 
-    fn initiate_with(
+    fn initiate_into(
         &mut self,
-        partner: NodeId,
+        _partner: NodeId,
         self_entry: ViewEntry,
         _rng: &mut dyn RngCore,
-    ) -> ExchangeRequest {
-        let mut entries: Vec<ViewEntry> = self.view.entries().to_vec();
-        entries.push(self_entry);
-        ExchangeRequest { partner, entries }
+        payload: &mut Vec<ViewEntry>,
+    ) {
+        payload.clear();
+        payload.extend_from_slice(self.view.entries());
+        payload.push(self_entry);
     }
 
-    fn handle_request(
+    fn handle_request_into(
         &mut self,
         self_entry: ViewEntry,
         from: NodeId,
         entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
-        let mut reply: Vec<ViewEntry> =
-            self.view.iter().filter(|e| e.id != from).copied().collect();
+        reply: &mut Vec<ViewEntry>,
+    ) {
+        reply.clear();
+        reply.extend(self.view.iter().filter(|e| e.id != from));
         reply.push(self_entry);
         self.newscast_merge(entries);
-        reply
     }
 
     fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {

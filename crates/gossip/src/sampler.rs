@@ -95,16 +95,16 @@ pub trait PeerSampler: Send {
     /// pick, *without* building the payload. The runtime collects every
     /// node's choice up front, partitions the pairs into conflict-free
     /// batches, and later calls
-    /// [`initiate_with`](PeerSampler::initiate_with) to build the payload at
+    /// [`initiate_into`](PeerSampler::initiate_into) to build the payload at
     /// execution time (possibly on another thread).
     ///
     /// Any randomness must come from `rng`, and the *same* stream must be
-    /// handed back to `initiate_with` so the pair (choice, payload) consumes
+    /// handed back to `initiate_into` so the pair (choice, payload) consumes
     /// exactly the draws `initiate` would.
     ///
     /// The default declines to gossip (`None`) — correct for oracle-refilled
     /// substrates. **A substrate that gossips must override this** (together
-    /// with [`initiate_with`](PeerSampler::initiate_with)): the cycle
+    /// with [`initiate_into`](PeerSampler::initiate_into)): the cycle
     /// simulator drives membership exclusively through the split path, so a
     /// sampler implementing only the combined
     /// [`initiate`](PeerSampler::initiate) would never exchange views there.
@@ -115,34 +115,67 @@ pub trait PeerSampler: Send {
 
     /// Execute half of a schedule-then-execute runtime: build the request
     /// payload for `partner`, chosen earlier by
-    /// [`schedule_exchange`](PeerSampler::schedule_exchange). The view must
-    /// **not** be re-aged (aging happened at schedule time). The view seen
-    /// here may differ from the one the partner was chosen from — the node
-    /// may have responded to other exchanges in earlier batches.
+    /// [`schedule_exchange`](PeerSampler::schedule_exchange), into `payload`
+    /// (cleared first). The view must **not** be re-aged (aging happened at
+    /// schedule time). The view seen here may differ from the one the
+    /// partner was chosen from — the node may have responded to other
+    /// exchanges in earlier batches.
+    ///
+    /// The buffer is the caller's, so a runtime that executes exchanges back
+    /// to back (the cycle simulator) reuses one per worker and the exchange
+    /// allocates nothing.
     ///
     /// The default sends only the fresh self-descriptor; substrates that can
     /// return a partner from `schedule_exchange` override it.
+    fn initiate_into(
+        &mut self,
+        partner: NodeId,
+        self_entry: ViewEntry,
+        rng: &mut dyn RngCore,
+        payload: &mut Vec<ViewEntry>,
+    ) {
+        let _ = (partner, rng);
+        payload.clear();
+        payload.push(self_entry);
+    }
+
+    /// [`initiate_into`](PeerSampler::initiate_into) for callers that must
+    /// own the payload (the network runtime ships it in a message).
     fn initiate_with(
         &mut self,
         partner: NodeId,
         self_entry: ViewEntry,
         rng: &mut dyn RngCore,
     ) -> ExchangeRequest {
-        let _ = rng;
-        ExchangeRequest {
-            partner,
-            entries: vec![self_entry],
-        }
+        let mut entries = Vec::new();
+        self.initiate_into(partner, self_entry, rng, &mut entries);
+        ExchangeRequest { partner, entries }
     }
 
-    /// Passive side: absorb the request payload, produce the reply payload
-    /// (the passive node's view, minus pointers to the requester).
+    /// Passive side: absorb the request payload and write the reply payload
+    /// (the passive node's view, minus pointers to the requester) into
+    /// `reply` (cleared first) — the caller's buffer, as in
+    /// [`initiate_into`](PeerSampler::initiate_into).
+    fn handle_request_into(
+        &mut self,
+        self_entry: ViewEntry,
+        from: NodeId,
+        entries: &[ViewEntry],
+        reply: &mut Vec<ViewEntry>,
+    );
+
+    /// [`handle_request_into`](PeerSampler::handle_request_into) for callers
+    /// that must own the reply (the network runtime ships it in a message).
     fn handle_request(
         &mut self,
         self_entry: ViewEntry,
         from: NodeId,
         entries: &[ViewEntry],
-    ) -> Vec<ViewEntry>;
+    ) -> Vec<ViewEntry> {
+        let mut reply = Vec::new();
+        self.handle_request_into(self_entry, from, entries, &mut reply);
+        reply
+    }
 
     /// Active side, phase 2: absorb the reply payload.
     fn handle_reply(&mut self, from: NodeId, entries: &[ViewEntry]);

@@ -69,13 +69,14 @@ impl PeerSampler for UniformOracle {
         None
     }
 
-    fn handle_request(
+    fn handle_request_into(
         &mut self,
         _self_entry: ViewEntry,
         _from: NodeId,
         _entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
-        Vec::new()
+        reply: &mut Vec<ViewEntry>,
+    ) {
+        reply.clear();
     }
 
     fn handle_reply(&mut self, _from: NodeId, _entries: &[ViewEntry]) {}

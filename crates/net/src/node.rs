@@ -779,15 +779,19 @@ impl NodeRuntime {
     /// link as needed.
     fn enqueue(&mut self, to: NodeId, out: Outbound) {
         if let Some((tx, depth)) = self.links.get(&to) {
+            // Count the message before it is visible to the link task: the
+            // task decrements per dequeue, and a dequeue that overtook the
+            // increment would take the counter below zero.
+            let d = depth.fetch_add(1, Ordering::AcqRel) + 1;
             match tx.try_send(out) {
                 Ok(()) => {
-                    let d = depth.fetch_add(1, Ordering::AcqRel) + 1;
                     self.peak_queue_depth = self.peak_queue_depth.max(d);
                     return;
                 }
                 Err(TrySendError::Full(_)) => {
                     // The peer is badly behind; shed load like a lost
                     // datagram rather than blocking the node loop.
+                    depth.fetch_sub(1, Ordering::AcqRel);
                     self.queue_drops += 1;
                     return;
                 }

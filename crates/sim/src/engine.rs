@@ -41,11 +41,12 @@
 //!    counter-based stream** keyed by `(seed, node id, cycle)` (see
 //!    [`crate::stream`]). The step is node-local — it reads nothing but the
 //!    node's own state — so the engine partitions the slot array across
-//!    `cfg.shards` scoped worker threads; outgoing messages land in
-//!    per-slot buffers merged in slot order. **Any shard count produces a
-//!    byte-identical run**: per-node streams make the draws independent of
-//!    scheduling, and the merge order is fixed.
-//! 6. **Delivery phase** — the merged buffers are routed in slot order per
+//!    `cfg.shards` scoped worker threads; each worker appends what its
+//!    nodes send to one flat outbox, marking where every sender's messages
+//!    end. **Any shard count produces a byte-identical run**: per-node
+//!    streams make the draws independent of scheduling, and the outboxes
+//!    are read back in chunk order, which is slot order.
+//! 6. **Delivery phase** — the outboxes are routed sender by sender per
 //!    the [`Concurrency`](crate::Concurrency) model: non-overlapping
 //!    messages are delivered immediately as *atomic exchanges*, overlapping
 //!    messages are deferred to an end-of-cycle drain in random order, where
@@ -74,8 +75,39 @@
 //! ## Storage
 //!
 //! Node state lives in a dense [`NodeSlab`]: contiguous slots walked in
-//! slot order each phase, an id → slot map for O(1) delivery, and a free
-//! list so churn reuses slots (memory is bounded by the peak population).
+//! slot order each phase, an id → slot map, and a free list so churn
+//! reuses slots (memory is bounded by the peak population).
+//!
+//! **Every per-cycle touch of a node is O(1): at most one cheap hash to
+//! find it, and no allocation.** A node's slot is stable while it lives, so
+//! each phase
+//! resolves `NodeId → slot` once, where the id enters it, and indexes the
+//! slot array from then on:
+//!
+//! * *membership* resolves the partner's slot when it schedules the
+//!   exchange; batching, extraction and put-back are slot-addressed;
+//! * *refresh* (and the churn phase's dead-neighbor sweep) resolves each
+//!   view entry against the slab's own index, lent out read-only beside
+//!   the mutable chunks — no side table of the population is built;
+//! * *delivery* resolves each endpoint of a message once and borrows the
+//!   recipient where it lives (node storage and the engine's RNG are
+//!   separate fields, so both are lent at once — nothing is moved out).
+//!
+//! The lookups that remain go through `dslice_core`'s `NodeIdMap`, a
+//! one-multiplication hasher that suits the sequential ids the engine's own
+//! allocator issues and nothing else (ids read off a socket keep SipHash —
+//! see `dslice_core::node::NodeIdHasher`).
+//!
+//! What a phase needs beyond node state lives in engine- or worker-owned
+//! buffers that persist across cycles (`Scratch`): the membership
+//! schedule, batches and per-worker request/reply payloads (the samplers
+//! write into them through
+//! [`PeerSampler::initiate_into`]/[`handle_request_into`](PeerSampler::handle_request_into),
+//! and the Cyclon swap rewrites a view inside its own storage), the
+//! per-worker active-phase outboxes, the delivery queues. Nothing is kept
+//! per node: a spare vector there is paid for `n` times. The slice
+//! partition is shared the same way — every protocol instance holds a
+//! handle on one boundary array.
 //!
 //! Everything is driven by the run seed: identical `(config, protocol,
 //! churn, seed)` yields identical runs, byte for byte — at any shard count.
@@ -91,15 +123,15 @@ use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
 use dslice_core::slab::SlabChunk;
 use dslice_core::{
-    metrics, Attribute, NodeId, NodeSlab, Partition, ProtocolMsg, Result, SlotLookup, TakenPair,
-    ViewEntry,
+    metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, SlotLookup,
+    TakenPair, ViewEntry,
 };
 use dslice_gossip::{build_sampler, PeerSampler, SamplerKind};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::mem;
 
 /// Stream domain of the regular active step (see [`NodeRng::for_node`]).
@@ -143,7 +175,7 @@ impl SimNode {
 /// streams (active phase).
 struct EngineCtx<'a, R: RngCore> {
     rng: &'a mut R,
-    out: &'a mut Vec<(NodeId, ProtocolMsg)>,
+    out: &'a mut Vec<Envelope>,
     counters: &'a mut EventCounters,
 }
 
@@ -161,43 +193,51 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
     }
 }
 
-/// Messages produced by one slot's active step, tagged with the slot.
-type SlotBuffer = (usize, Vec<(NodeId, ProtocolMsg)>);
+/// An addressed protocol message on its way through the engine.
+type Envelope = (NodeId, ProtocolMsg);
 
-/// Runs the active phase over one contiguous chunk of the slot array.
+/// Everything one chunk's active steps sent, flat and in slot order:
+/// `ends[k]` is where the `k`-th sending node's messages end in `msgs`
+/// (silent nodes leave no mark). One per worker, reused every cycle.
+#[derive(Default)]
+struct Outbox {
+    msgs: Vec<Envelope>,
+    ends: Vec<usize>,
+}
+
+/// Runs the active phase over one contiguous chunk of the slot array,
+/// collecting what the nodes send into `outbox`.
 ///
 /// Pure per-node work: each node draws from its own `(seed, id, cycle)`
-/// stream and writes only to its own state and the chunk-local buffers, so
+/// stream and writes only to its own state and the chunk's outbox, so
 /// chunks can execute on any thread in any order with identical results.
 fn active_chunk(
     mut chunk: SlabChunk<'_, SimNode>,
     seed: u64,
     cycle: u64,
-) -> (Vec<SlotBuffer>, EventCounters) {
-    let mut buffers = Vec::new();
+    outbox: &mut Outbox,
+) -> EventCounters {
     let mut counters = EventCounters::default();
-    for (slot, id, node) in chunk.iter_mut() {
+    for (_slot, id, node) in chunk.iter_mut() {
         let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
-        let mut out = Vec::new();
-        {
-            let mut ctx = EngineCtx {
-                rng: &mut rng,
-                out: &mut out,
-                counters: &mut counters,
-            };
-            node.proto.on_active(node.sampler.view(), &mut ctx);
-        }
-        if !out.is_empty() {
-            buffers.push((slot, out));
+        let sent_before = outbox.msgs.len();
+        let mut ctx = EngineCtx {
+            rng: &mut rng,
+            out: &mut outbox.msgs,
+            counters: &mut counters,
+        };
+        node.proto.on_active(node.sampler.view(), &mut ctx);
+        if outbox.msgs.len() > sent_before {
+            outbox.ends.push(outbox.msgs.len());
         }
     }
-    (buffers, counters)
+    counters
 }
 
 /// One scheduled membership exchange: the initiator, its chosen partner
-/// (with both slots resolved), and the initiator's membership stream,
-/// carried from schedule to execute so the pair consumes exactly the draws
-/// a combined `initiate` would.
+/// (with both slots resolved — nothing downstream looks an id up again),
+/// and the initiator's membership stream, carried from schedule to execute
+/// so the pair consumes exactly the draws a combined `initiate` would.
 struct ScheduledExchange {
     id: NodeId,
     slot: usize,
@@ -206,51 +246,64 @@ struct ScheduledExchange {
     rng: NodeRng,
 }
 
-/// One extracted pair awaiting execution: both endpoints' state plus the
-/// initiator's carried stream.
+/// One extracted pair awaiting execution on a worker thread: both
+/// endpoints' state plus the initiator's carried stream.
 struct ExchangeJob {
     pair: TakenPair<SimNode>,
     rng: NodeRng,
 }
 
-/// Runs one scheduled pairwise exchange on an extracted pair. Pure
-/// pair-local work: it mutates only the two nodes and draws only from the
-/// initiator's carried membership stream, so the pairs of a conflict-free
-/// batch can execute on any thread in any order with identical results.
-fn run_exchange(job: &mut ExchangeJob) {
-    let pair = &mut job.pair;
-    let self_entry = pair.a.self_entry();
-    let req = pair
-        .a
-        .sampler
-        .initiate_with(pair.b_id, self_entry, &mut job.rng);
-    let partner_entry = pair.b.self_entry();
-    let reply = pair
-        .b
-        .sampler
-        .handle_request(partner_entry, pair.a_id, &req.entries);
-    pair.a.sampler.handle_reply(pair.b_id, &reply);
+/// The request and reply payloads of the exchange a worker is executing.
+/// One pair of buffers per worker, reused for every exchange it runs.
+#[derive(Default)]
+struct ExchangeBufs {
+    request: Vec<ViewEntry>,
+    reply: Vec<ViewEntry>,
 }
 
-/// Executes one conflict-free batch of exchanges, fanned out across up to
-/// `shards` scoped worker threads. Small batches run inline — spawning
-/// costs more than it saves there, and the result is identical either way
-/// (only wall-clock differs).
-fn execute_batch(jobs: &mut [ExchangeJob], shards: usize) {
-    /// Minimum pairs that justify putting a worker thread on a batch.
-    const MIN_PAIRS_PER_WORKER: usize = 64;
-    if shards <= 1 || jobs.len() < 2 * MIN_PAIRS_PER_WORKER {
-        for job in jobs.iter_mut() {
-            run_exchange(job);
-        }
-        return;
+/// Runs one scheduled pairwise exchange on an extracted pair. Pure
+/// pair-local work: it mutates only the two nodes and the worker's payload
+/// buffers, and draws only from the initiator's carried membership stream,
+/// so the pairs of a conflict-free batch can execute on any thread in any
+/// order with identical results.
+fn run_exchange(pair: &mut TakenPair<SimNode>, rng: &mut NodeRng, bufs: &mut ExchangeBufs) {
+    let self_entry = pair.a.self_entry();
+    pair.a
+        .sampler
+        .initiate_into(pair.b_id, self_entry, rng, &mut bufs.request);
+    let partner_entry = pair.b.self_entry();
+    pair.b
+        .sampler
+        .handle_request_into(partner_entry, pair.a_id, &bufs.request, &mut bufs.reply);
+    pair.a.sampler.handle_reply(pair.b_id, &bufs.reply);
+}
+
+/// Minimum pairs that justify putting a worker thread on a batch.
+const MIN_PAIRS_PER_WORKER: usize = 64;
+
+/// Executes one scheduled exchange where the nodes live: both endpoints are
+/// moved out by slot, exchanged, and put straight back.
+fn exchange_in_place(
+    nodes: &mut NodeSlab<SimNode>,
+    scheduled: &ScheduledExchange,
+    bufs: &mut ExchangeBufs,
+) {
+    if let Some(mut pair) = nodes.take_pair_slots(scheduled.slot, scheduled.partner_slot) {
+        run_exchange(&mut pair, &mut scheduled.rng.clone(), bufs);
+        nodes.put_back_pair(pair);
     }
-    let per_worker = jobs.len().div_ceil(shards).max(MIN_PAIRS_PER_WORKER);
+}
+
+/// Executes the extracted pairs of one conflict-free batch across scoped
+/// worker threads, one per payload-buffer pair in `bufs`. Which worker runs
+/// which pair is invisible in the result (only wall-clock differs).
+fn exchange_on_workers(jobs: &mut [ExchangeJob], bufs: &mut [ExchangeBufs]) {
+    let per_worker = jobs.len().div_ceil(bufs.len()).max(MIN_PAIRS_PER_WORKER);
     std::thread::scope(|scope| {
-        for chunk in jobs.chunks_mut(per_worker) {
+        for (chunk, bufs) in jobs.chunks_mut(per_worker).zip(bufs.iter_mut()) {
             scope.spawn(move || {
                 for job in chunk {
-                    run_exchange(job);
+                    run_exchange(&mut job.pair, &mut job.rng, bufs);
                 }
             });
         }
@@ -320,21 +373,34 @@ fn refresh_chunk(mut chunk: SlabChunk<'_, SimNode>, lookup: SlotLookup<'_>, publ
     }
 }
 
-/// Reusable per-cycle buffers: after the first cycle warms these up, the
-/// cycle hot path performs no allocation that scales with `n`.
+/// Reusable per-cycle buffers: after the first cycles warm these up, the
+/// cycle hot path performs no allocation that scales with `n` (enforced by
+/// `tests/alloc_steady_state.rs`). Every buffer belongs to the engine or to
+/// one of its workers — never to a node, where a spare vector would be paid
+/// for `n` times over. A phase `mem::take`s what it needs and hands it back
+/// when done, which is what lets it borrow the rest of the engine meanwhile.
 #[derive(Default)]
 struct Scratch {
     /// Latency-drain split: messages due this cycle.
-    due: Vec<(NodeId, ProtocolMsg)>,
+    due: Vec<Envelope>,
     /// Latency-drain split: messages still in flight (swapped with
     /// `in_flight` each cycle).
     flying: Vec<(usize, NodeId, ProtocolMsg)>,
     /// Work queue shared by the drain, delivery and deferred phases.
-    queue: VecDeque<(NodeId, ProtocolMsg)>,
+    queue: VecDeque<Envelope>,
     /// Overlap-deferred messages awaiting the end-of-cycle drain.
-    deferred: Vec<(NodeId, ProtocolMsg)>,
+    deferred: Vec<Envelope>,
     /// Response staging inside the final drain.
-    late: Vec<(NodeId, ProtocolMsg)>,
+    late: Vec<Envelope>,
+    /// What the message being delivered provoked, before it is routed.
+    responses: Vec<Envelope>,
+    /// Atomic-exchange replay: what the replayed active step sent (and,
+    /// after it, what each replayed delivery provoked)…
+    replay_out: Vec<Envelope>,
+    /// …and the replay's own delivery queue (the outer one is mid-drain).
+    replay_queue: VecDeque<Envelope>,
+    /// Active phase: one flat outbox per worker.
+    outboxes: Vec<Outbox>,
     /// Membership schedule: one entry per initiating node.
     scheduled: Vec<ScheduledExchange>,
     /// Batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
@@ -344,8 +410,10 @@ struct Scratch {
     /// Pairs beyond the 128-batch bitmask (pathological in-degree),
     /// executed sequentially after the batches.
     overflow: Vec<usize>,
-    /// Extracted pair state for the batch currently executing.
+    /// Extracted pair state for the batch currently on worker threads.
     jobs: Vec<ExchangeJob>,
+    /// Membership execute: one request/reply buffer pair per worker.
+    exchange_bufs: Vec<ExchangeBufs>,
     /// Oracle refill: the cycle's population snapshot as view entries.
     pool_entries: Vec<ViewEntry>,
     /// Refresh phase: published value per slot.
@@ -400,7 +468,7 @@ pub struct Engine {
     /// Nodes converted to rank-inflating liars via
     /// [`corrupt_nodes`](Engine::corrupt_nodes); maintained across churn
     /// (a departed liar is forgotten, joiners are honest).
-    liars: HashSet<NodeId>,
+    liars: NodeIdSet,
     /// Network-condition fault injection (partitions, drop rate, region
     /// latency); quiet by default and guaranteed RNG-free while quiet.
     fault: NetworkFault,
@@ -459,7 +527,7 @@ impl Engine {
             last_sdm: 0.0,
             last_gdm: 0.0,
             scratch: Scratch::default(),
-            liars: HashSet::new(),
+            liars: NodeIdSet::default(),
             fault: NetworkFault::default(),
             schedule_log: None,
             recorder: None,
@@ -934,12 +1002,15 @@ impl Engine {
         self.scratch.due = due;
         let mut deferred = mem::take(&mut self.scratch.deferred);
         deferred.clear();
-        while let Some((to, msg)) = queue.pop_front() {
-            for (to2, msg2) in self.deliver(to, msg, false, &mut counters, &mut dropped) {
-                if let Some(now) = self.route(to2, msg2, &mut deferred, &mut dropped) {
-                    queue.push_back(now);
-                }
-            }
+        while let Some(envelope) = queue.pop_front() {
+            self.deliver_and_route(
+                envelope,
+                false,
+                &mut queue,
+                &mut deferred,
+                &mut counters,
+                &mut dropped,
+            );
         }
         timer.lap(&mut timings.drain_ns);
 
@@ -958,28 +1029,37 @@ impl Engine {
         timer.lap(&mut timings.refresh_ns);
 
         // Active phase: node-local protocol steps on per-node RNG streams,
-        // sharded across worker threads; buffers merged in slot order.
-        let phase_buffers = self.active_phase(&mut counters);
+        // sharded across worker threads, each filling its own outbox.
+        let mut outboxes = self.active_phase(&mut counters);
         timer.lap(&mut timings.active_ns);
 
-        // Delivery phase, in slot order. Non-overlapping messages complete
-        // as atomic exchanges (with conflict replay, see module docs);
-        // overlapping ones join the end-of-cycle drain. (`queue` is empty
-        // again at the top of every iteration.)
-        for (_slot, out) in phase_buffers {
-            for (to, msg) in out {
-                if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
-                    queue.push_back(now);
-                }
-            }
-            while let Some((to, msg)) = queue.pop_front() {
-                for (to2, msg2) in self.deliver(to, msg, true, &mut counters, &mut dropped) {
-                    if let Some(now) = self.route(to2, msg2, &mut deferred, &mut dropped) {
+        // Delivery phase: outboxes in chunk order, senders in slot order.
+        // Non-overlapping messages complete as atomic exchanges (with
+        // conflict replay, see module docs); overlapping ones join the
+        // end-of-cycle drain. (`queue` is empty again after every sender.)
+        for outbox in &mut outboxes {
+            let mut msgs = outbox.msgs.drain(..);
+            let mut sent = 0;
+            for &end in &outbox.ends {
+                for (to, msg) in msgs.by_ref().take(end - sent) {
+                    if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
                         queue.push_back(now);
                     }
                 }
+                sent = end;
+                while let Some(envelope) = queue.pop_front() {
+                    self.deliver_and_route(
+                        envelope,
+                        true,
+                        &mut queue,
+                        &mut deferred,
+                        &mut counters,
+                        &mut dropped,
+                    );
+                }
             }
         }
+        self.scratch.outboxes = outboxes;
 
         // End-of-cycle drain: overlapping messages land in random order;
         // their responses are also in flight within this cycle (unless the
@@ -988,13 +1068,15 @@ impl Engine {
         queue.extend(deferred.drain(..));
         self.scratch.deferred = deferred;
         let mut late = mem::take(&mut self.scratch.late);
-        while let Some((to, msg)) = queue.pop_front() {
-            late.clear();
-            for response in self.deliver(to, msg, false, &mut counters, &mut dropped) {
-                if let Some(now) = self.route(response.0, response.1, &mut late, &mut dropped) {
-                    queue.push_back(now);
-                }
-            }
+        while let Some(envelope) = queue.pop_front() {
+            self.deliver_and_route(
+                envelope,
+                false,
+                &mut queue,
+                &mut late,
+                &mut counters,
+                &mut dropped,
+            );
             // Responses that drew an "overlapping" coin inside the final
             // drain have no later drain this cycle; they join the queue.
             queue.extend(late.drain(..));
@@ -1098,36 +1180,34 @@ impl Engine {
 
         // Schedule: every live node's partner choice, drawn from its own
         // counter-based stream — independent of every other node's draws,
-        // against its start-of-phase view.
+        // against its start-of-phase view — with the partner's slot
+        // resolved on the spot, the one id lookup an exchange costs. A
+        // partner that is not alive (possible only for same-cycle stale
+        // entries) costs the initiator that pointer and its exchange,
+        // exactly as in the sequential model.
         let mut scheduled = mem::take(&mut self.scratch.scheduled);
         scheduled.clear();
-        for (slot, id, node) in self.nodes.iter_mut() {
-            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
-            if let Some(partner) = node.sampler.schedule_exchange(&mut rng) {
-                scheduled.push(ScheduledExchange {
-                    id,
-                    slot,
-                    partner,
-                    partner_slot: usize::MAX,
-                    rng,
-                });
-            }
-        }
-
-        // Resolve partner slots. A partner that is not alive (possible only
-        // for same-cycle stale entries) costs the initiator that pointer and
-        // its exchange, exactly as in the sequential model.
-        for s in &mut scheduled {
-            match self.nodes.slot_of(s.partner) {
-                Some(partner_slot) => s.partner_slot = partner_slot,
-                None => {
-                    if let Some(node) = self.nodes.get_mut(s.id) {
-                        node.sampler.view_mut().remove(s.partner);
+        let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(1);
+        for mut chunk in chunks {
+            for (slot, id, node) in chunk.iter_mut() {
+                let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
+                let Some(partner) = node.sampler.schedule_exchange(&mut rng) else {
+                    continue;
+                };
+                match lookup.slot_of(partner) {
+                    Some(partner_slot) => scheduled.push(ScheduledExchange {
+                        id,
+                        slot,
+                        partner,
+                        partner_slot,
+                        rng,
+                    }),
+                    None => {
+                        node.sampler.view_mut().remove(partner);
                     }
                 }
             }
         }
-        scheduled.retain(|s| s.partner_slot != usize::MAX);
 
         // Partition gating: a cross-band exchange's REQ′ never crosses —
         // the pair is severed before batching (the initiator keeps its
@@ -1136,12 +1216,14 @@ impl Engine {
         // lookup against the frozen cuts.
         if let Some(partition) = self.fault.partition() {
             let nodes = &self.nodes;
+            let band_of = |slot| {
+                nodes
+                    .slot(slot)
+                    .map(|n: &SimNode| partition.band_of(n.proto.attribute().value()))
+            };
             scheduled.retain(|s| {
-                let connected = match (nodes.get(s.id), nodes.get(s.partner)) {
-                    (Some(a), Some(b)) => {
-                        partition.band_of(a.proto.attribute().value())
-                            == partition.band_of(b.proto.attribute().value())
-                    }
+                let connected = match (band_of(s.slot), band_of(s.partner_slot)) {
+                    (Some(a), Some(b)) => a == b,
                     _ => false,
                 };
                 if !connected {
@@ -1199,35 +1281,35 @@ impl Engine {
 
         // Execute: batches in order; within a batch the pairs are disjoint
         // and each draws only from its carried stream, so the partition
-        // across worker threads is invisible in the result.
+        // across worker threads is invisible in the result. Small batches
+        // (and every batch of an unsharded run) execute in place, pair by
+        // pair — spawning costs more than it saves there.
         let shards = self.cfg.shards;
+        let mut bufs = mem::take(&mut self.scratch.exchange_bufs);
+        bufs.resize_with(shards, ExchangeBufs::default);
         let mut jobs = mem::take(&mut self.scratch.jobs);
         for batch in batches.iter().take(used_batches) {
-            jobs.clear();
-            for &idx in batch {
-                let s = &scheduled[idx];
-                if let Some(pair) = self.nodes.take_pair(s.id, s.partner) {
-                    jobs.push(ExchangeJob {
-                        pair,
-                        rng: s.rng.clone(),
-                    });
+            if shards == 1 || batch.len() < 2 * MIN_PAIRS_PER_WORKER {
+                for &idx in batch {
+                    exchange_in_place(&mut self.nodes, &scheduled[idx], &mut bufs[0]);
                 }
+                continue;
             }
-            execute_batch(&mut jobs, shards);
+            jobs.extend(batch.iter().filter_map(|&idx| {
+                let s = &scheduled[idx];
+                let pair = self.nodes.take_pair_slots(s.slot, s.partner_slot)?;
+                Some(ExchangeJob {
+                    pair,
+                    rng: s.rng.clone(),
+                })
+            }));
+            exchange_on_workers(&mut jobs, &mut bufs);
             for job in jobs.drain(..) {
                 self.nodes.put_back_pair(job.pair);
             }
         }
         for &idx in overflow.iter() {
-            let s = &scheduled[idx];
-            if let Some(pair) = self.nodes.take_pair(s.id, s.partner) {
-                let mut job = ExchangeJob {
-                    pair,
-                    rng: s.rng.clone(),
-                };
-                run_exchange(&mut job);
-                self.nodes.put_back_pair(job.pair);
-            }
+            exchange_in_place(&mut self.nodes, &scheduled[idx], &mut bufs[0]);
         }
 
         self.scratch.scheduled = scheduled;
@@ -1235,6 +1317,7 @@ impl Engine {
         self.scratch.batches = batches;
         self.scratch.overflow = overflow;
         self.scratch.jobs = jobs;
+        self.scratch.exchange_bufs = bufs;
     }
 
     /// Membership phase of the uniform-oracle substrate: snapshot the
@@ -1317,42 +1400,41 @@ impl Engine {
     }
 
     /// Runs the active phase, partitioned across `cfg.shards` scoped worker
-    /// threads (inline when 1), and returns the per-slot outgoing buffers
-    /// merged in slot order.
-    fn active_phase(&mut self, counters: &mut EventCounters) -> Vec<SlotBuffer> {
+    /// threads (inline when 1), and returns the workers' outboxes in chunk
+    /// order — chunks cover ascending slot ranges and each outbox is filled
+    /// in slot order, so walking them in sequence IS slot order. The caller
+    /// hands the (drained) outboxes back to `scratch`.
+    fn active_phase(&mut self, counters: &mut EventCounters) -> Vec<Outbox> {
         let seed = self.cfg.seed;
         let cycle = self.cycle as u64;
-        let shards = self.cfg.shards;
 
-        if shards <= 1 {
-            let Some(chunk) = self.nodes.chunks_mut(1).into_iter().next() else {
-                return Vec::new();
-            };
-            let (buffers, chunk_counters) = active_chunk(chunk, seed, cycle);
-            counters.merge(&chunk_counters);
-            return buffers;
+        let mut outboxes = mem::take(&mut self.scratch.outboxes);
+        let chunks = self.nodes.chunks_mut(self.cfg.shards);
+        if outboxes.len() < chunks.len() {
+            outboxes.resize_with(chunks.len(), Outbox::default);
         }
-
-        let chunks = self.nodes.chunks_mut(shards);
-        let mut results: Vec<(Vec<SlotBuffer>, EventCounters)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for chunk in chunks {
-                handles.push(scope.spawn(move || active_chunk(chunk, seed, cycle)));
+        for outbox in &mut outboxes {
+            outbox.msgs.clear();
+            outbox.ends.clear();
+        }
+        let work = chunks.into_iter().zip(&mut outboxes);
+        if self.cfg.shards <= 1 {
+            for (chunk, outbox) in work {
+                counters.merge(&active_chunk(chunk, seed, cycle, outbox));
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("active-phase worker panicked"))
-                .collect()
-        });
-
-        // Merge: chunks cover ascending slot ranges, buffers within a chunk
-        // are ascending too — concatenation in chunk order IS slot order.
-        let mut buffers = Vec::with_capacity(results.iter().map(|(b, _)| b.len()).sum());
-        for (chunk_buffers, chunk_counters) in results.drain(..) {
-            buffers.extend(chunk_buffers);
-            counters.merge(&chunk_counters);
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .map(|(chunk, outbox)| {
+                        scope.spawn(move || active_chunk(chunk, seed, cycle, outbox))
+                    })
+                    .collect();
+                for handle in handles {
+                    counters.merge(&handle.join().expect("active-phase worker panicked"));
+                }
+            });
         }
-        buffers
+        outboxes
     }
 
     /// Routes one outgoing message: drops it (loss), holds it across cycles
@@ -1362,9 +1444,9 @@ impl Engine {
         &mut self,
         to: NodeId,
         msg: ProtocolMsg,
-        deferred: &mut Vec<(NodeId, ProtocolMsg)>,
+        deferred: &mut Vec<Envelope>,
         dropped: &mut u64,
-    ) -> Option<(NodeId, ProtocolMsg)> {
+    ) -> Option<Envelope> {
         // Fault injection first: a quiet fault (the default) takes neither
         // branch and flips no coin, keeping fault-free runs byte-identical.
         if !self.fault.is_quiet() {
@@ -1475,11 +1557,14 @@ impl Engine {
         // Prune departed neighbors from every view before anyone gossips —
         // only when someone actually departed (a join-only cycle at 10⁵
         // nodes must not pay an O(n·c) scan for leavers that cannot exist).
+        // The slab's own index is the live set: the leavers just left it.
         if !removed.is_empty() {
-            let alive: HashSet<NodeId> = self.nodes.ids().collect();
-            let is_alive = |id: NodeId| alive.contains(&id);
-            for (_, _, node) in self.nodes.iter_mut() {
-                node.sampler.remove_dead(&is_alive);
+            let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(1);
+            let is_alive = |id: NodeId| lookup.contains(id);
+            for mut chunk in chunks {
+                for (_, _, node) in chunk.iter_mut() {
+                    node.sampler.remove_dead(&is_alive);
+                }
             }
         }
 
@@ -1510,72 +1595,77 @@ impl Engine {
         (left, joined)
     }
 
-    /// Takes `id`'s state out of the slab, runs `f` against the rest of the
-    /// engine, and puts the state back — the borrow-splitting pattern every
-    /// single-node mutation path shares. Returns `None` (without calling
-    /// `f`) when `id` is not live.
-    fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut Self, &mut SimNode) -> R,
-    ) -> Option<R> {
-        let (slot, mut node) = self.nodes.take(id)?;
-        let result = f(self, &mut node);
-        self.nodes.put_back(slot, id, node);
-        Some(result)
-    }
-
-    /// Refreshes every value snapshot in `id`'s view from the live nodes —
-    /// the "view is up-to-date when a message is sent" idealization of the
-    /// atomic cycle model (§4.5.2). Departed neighbors are dropped. The
-    /// single-node form of [`refresh_phase`](Engine::refresh_phase), used on
-    /// the replay path.
-    fn refresh_view(&mut self, id: NodeId) {
-        self.with_node(id, |engine, node| {
-            node.sampler
-                .view_mut()
-                .refresh_values(|nid| engine.nodes.get(nid).map(|n| n.proto.published_value()));
-        });
-    }
-
     /// Replays a conflicted atomic exchange: the proposer's view is brought
-    /// up to date and its active step re-runs (on the replay stream), as if
-    /// its atomic turn came after the exchange that invalidated its
-    /// original proposal. The replayed messages resolve immediately — they
-    /// are the second half of one atomic action, so they draw no new
-    /// routing coins and cannot themselves be replayed.
-    fn replay_exchange(&mut self, from: NodeId, counters: &mut EventCounters, dropped: &mut u64) {
+    /// up to date — every value snapshot refreshed from the live nodes,
+    /// departed neighbors dropped: the single-node form of
+    /// [`refresh_phase`](Engine::refresh_phase) — and its active step
+    /// re-runs (on the replay stream), as if its atomic turn came after the
+    /// exchange that invalidated its original proposal. The replayed
+    /// messages resolve immediately — they are the second half of one
+    /// atomic action, so they draw no new routing coins and cannot
+    /// themselves be replayed.
+    fn replay_exchange(
+        &mut self,
+        from_slot: usize,
+        counters: &mut EventCounters,
+        dropped: &mut u64,
+    ) {
         // The aborted proposal never happened under atomic semantics;
         // un-count it (its replacement, if any, records itself).
         counters.swaps_proposed = counters.swaps_proposed.saturating_sub(1);
-        self.refresh_view(from);
-        let Some(out) = self.with_node(from, |engine, node| {
-            let mut out = Vec::new();
-            let mut rng = NodeRng::for_node(
-                engine.cfg.seed,
-                from.as_u64(),
-                engine.cycle as u64,
-                REPLAY_SALT,
-            );
-            let mut ctx = EngineCtx {
-                rng: &mut rng,
-                out: &mut out,
-                counters,
-            };
-            node.proto.on_active(node.sampler.view(), &mut ctx);
-            out
-        }) else {
+        // The proposer steps out of the slab while it reads its neighbors.
+        let Some((from, mut node)) = self.nodes.take_slot(from_slot) else {
             return;
         };
-        let mut queue: VecDeque<(NodeId, ProtocolMsg)> = out.into();
+        let nodes = &self.nodes;
+        node.sampler
+            .view_mut()
+            .refresh_values(|nid| nodes.get(nid).map(|n| n.proto.published_value()));
+        let mut out = mem::take(&mut self.scratch.replay_out);
+        let mut rng =
+            NodeRng::for_node(self.cfg.seed, from.as_u64(), self.cycle as u64, REPLAY_SALT);
+        let mut ctx = EngineCtx {
+            rng: &mut rng,
+            out: &mut out,
+            counters,
+        };
+        node.proto.on_active(node.sampler.view(), &mut ctx);
+        self.nodes.put_back(from_slot, from, node);
+
+        let mut queue = mem::take(&mut self.scratch.replay_queue);
+        queue.extend(out.drain(..));
         while let Some((to, msg)) = queue.pop_front() {
-            for response in self.deliver(to, msg, false, counters, dropped) {
-                queue.push_back(response);
-            }
+            self.deliver(to, msg, false, counters, dropped, &mut out);
+            queue.extend(out.drain(..));
         }
+        self.scratch.replay_out = out;
+        self.scratch.replay_queue = queue;
     }
 
-    /// Delivers one message; returns the responses it provoked.
+    /// Delivers one message and routes whatever it provoked: responses for
+    /// immediate delivery join `queue`, overlapping ones `deferred`.
+    fn deliver_and_route(
+        &mut self,
+        (to, msg): Envelope,
+        atomic: bool,
+        queue: &mut VecDeque<Envelope>,
+        deferred: &mut Vec<Envelope>,
+        counters: &mut EventCounters,
+        dropped: &mut u64,
+    ) {
+        let mut responses = mem::take(&mut self.scratch.responses);
+        self.deliver(to, msg, atomic, counters, dropped, &mut responses);
+        for (to, msg) in responses.drain(..) {
+            if let Some(now) = self.route(to, msg, deferred, dropped) {
+                queue.push_back(now);
+            }
+        }
+        self.scratch.responses = responses;
+    }
+
+    /// Delivers one message, appending the responses it provoked to `out`.
+    /// Each endpoint's slot is resolved once and the node addressed in
+    /// place from then on.
     ///
     /// `SwapReq` messages are resolved *transactionally* (see
     /// [`SliceProtocol::try_atomic_swap`]): the paper's cycle-based
@@ -1592,53 +1682,49 @@ impl Engine {
         atomic: bool,
         counters: &mut EventCounters,
         dropped: &mut u64,
-    ) -> Vec<(NodeId, ProtocolMsg)> {
+        out: &mut Vec<Envelope>,
+    ) {
         if let ProtocolMsg::SwapReq { from, a, .. } = msg {
-            if self.nodes.get(to).is_none() || self.nodes.get(from).is_none() {
+            let (Some(to_slot), Some(from_slot)) =
+                (self.nodes.slot_of(to), self.nodes.slot_of(from))
+            else {
                 // Either endpoint departed mid-flight: the exchange cannot
                 // complete; the message is lost.
                 *dropped += 1;
-                return Vec::new();
-            }
+                return;
+            };
             // The proposal is evaluated against the proposer's *current*
             // value; the snapshot in the message only matters on real wires.
-            let current_r = self
-                .nodes
-                .get(from)
-                .expect("checked above")
-                .proto
-                .estimate();
-            let callee = self.nodes.get_mut(to).expect("checked above");
+            let proposer = self.nodes.slot(from_slot).expect("resolved slot is live");
+            let current_r = proposer.proto.estimate();
+            let callee = self.nodes.slot_mut(to_slot).expect("resolved slot is live");
             match callee.proto.try_atomic_swap(a, current_r) {
                 Some(pre_swap) => {
-                    self.nodes
-                        .get_mut(from)
-                        .expect("checked above")
-                        .proto
-                        .adopt_value(pre_swap);
+                    let proposer = self
+                        .nodes
+                        .slot_mut(from_slot)
+                        .expect("resolved slot is live");
+                    proposer.proto.adopt_value(pre_swap);
                     counters.record(Event::SwapApplied);
                 }
-                None if atomic => self.replay_exchange(from, counters, dropped),
+                None if atomic => self.replay_exchange(from_slot, counters, dropped),
                 None => counters.record(Event::SwapUseless),
             }
-            return Vec::new();
+            return;
         }
 
-        match self.with_node(to, |engine, node| {
-            let mut out = Vec::new();
-            let mut ctx = EngineCtx {
-                rng: &mut engine.rng,
-                out: &mut out,
-                counters,
-            };
-            node.proto.on_message(node.sampler.view(), msg, &mut ctx);
-            out
-        }) {
-            Some(out) => out,
-            None => {
-                *dropped += 1;
-                Vec::new()
+        // The recipient is borrowed where it lives; the shared stream is a
+        // different field of the engine, so both can be lent out at once.
+        match self.nodes.get_mut(to) {
+            Some(node) => {
+                let mut ctx = EngineCtx {
+                    rng: &mut self.rng,
+                    out,
+                    counters,
+                };
+                node.proto.on_message(node.sampler.view(), msg, &mut ctx);
             }
+            None => *dropped += 1,
         }
     }
 }

@@ -1,0 +1,94 @@
+//! The cycle hot path must not allocate per node.
+//!
+//! The engine's `Scratch` promises that "the cycle hot path performs no
+//! allocation that scales with `n`" once the first cycles have warmed its
+//! buffers up. This test holds it to that: a counting global allocator
+//! watches `Engine::step()` on a static population and the count must stay
+//! far below one allocation per node. What remains is a handful of
+//! per-cycle vectors whose *number* does not depend on `n` (the metrics
+//! snapshot, the chunk list of each sharded phase) and, for mod-JK, the
+//! occasional replay buffer growing.
+
+use dslice_core::Partition;
+use dslice_sim::{Engine, ProtocolKind, SimConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (`alloc` and `realloc` calls).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread so that the test
+/// harness's other threads cannot disturb the measurement.
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // `try_with`: the allocator also runs while a thread's locals are
+        // being torn down, when the counter is already gone.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell<u64>` with a const initializer and no destructor, so touching it
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr` came from `System`; the rest is passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn steady_state_cycles_do_not_allocate_per_node() {
+    const N: usize = 4000;
+    const WARM_UP: usize = 3;
+    const MEASURED: usize = 5;
+    for kind in [ProtocolKind::Ranking, ProtocolKind::ModJk] {
+        let cfg = SimConfig {
+            n: N,
+            view_size: 10,
+            partition: Partition::equal(20).unwrap(),
+            seed: 11,
+            ..SimConfig::default()
+        };
+        let mut engine = Engine::new(cfg, kind).unwrap();
+        for _ in 0..WARM_UP {
+            engine.step();
+        }
+        for cycle in 0..MEASURED {
+            let before = allocations();
+            let stats = engine.step();
+            let spent = allocations() - before;
+            assert_eq!(stats.n, N, "the population is static");
+            assert!(
+                spent < (N / 20) as u64,
+                "{}: cycle {} made {spent} allocations for {N} nodes",
+                kind.label(),
+                WARM_UP + cycle + 1,
+            );
+        }
+    }
+}

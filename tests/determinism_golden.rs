@@ -195,3 +195,99 @@ fn golden_record_roundtrips_through_json() {
     let parsed: RunRecord = serde_json::from_str(&record.to_json()).unwrap();
     assert_eq!(parsed, record);
 }
+
+/// FNV-1a-64 over the golden bytes: a compact pin for records far too large
+/// to commit (n = 5000 × 20 cycles serializes to tens of kilobytes).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `kind` at n = 5000 for 20 cycles at shards 1 and 4 and compares the
+/// FNV-1a-64 of the serialized record with `pinned`.
+///
+/// The scenario goldens stop at n ≤ 1000, where a slab never recycles more
+/// than a handful of slots. These pins hold the record past the golden
+/// sizes — slot reuse under churn, deferred swaps and the windowed
+/// estimators all in play — to constants captured on the commit before the
+/// engine's hot path became slot-addressed. A hot-path change that reorders
+/// a single draw, merge or float sum shows here as a changed hash.
+fn assert_pinned_at_5000(
+    kind: ProtocolKind,
+    concurrency: Concurrency,
+    churn_rate: Option<f64>,
+    pinned: u64,
+) {
+    for shards in [1, 4] {
+        let cfg = SimConfig {
+            n: 5000,
+            view_size: 10,
+            partition: Partition::equal(20).unwrap(),
+            seed: 4242,
+            shards,
+            concurrency,
+            ..SimConfig::default()
+        };
+        let churn = churn_rate.map(|rate| -> Box<dyn ChurnModel> {
+            Box::new(UncorrelatedChurn::new(
+                ChurnSchedule {
+                    rate,
+                    period: 1,
+                    stop_after: None,
+                },
+                AttributeDistribution::default(),
+            ))
+        });
+        let hash = fnv1a64(golden(cfg, kind, churn, 20).as_bytes());
+        assert_eq!(
+            hash,
+            pinned,
+            "{}, shards={shards}: record bytes changed (got {hash:#018x})",
+            kind.label()
+        );
+    }
+}
+
+#[test]
+fn ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::Ranking,
+        Concurrency::None,
+        None,
+        0x67f3_e717_1805_84b4,
+    );
+}
+
+#[test]
+fn churned_half_concurrent_mod_jk_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::ModJk,
+        Concurrency::Half,
+        Some(0.001),
+        0x4e92_cbfb_3fa0_83e8,
+    );
+}
+
+#[test]
+fn sliding_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::SlidingRanking { window: 256 },
+        Concurrency::None,
+        None,
+        0x5dee_b327_d238_e5a9,
+    );
+}
+
+#[test]
+fn fence_trim_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::FencedTrimmedRanking {
+            window: 16,
+            trim_ppm: 100_000,
+        },
+        Concurrency::None,
+        None,
+        0xe376_f7ca_1425_46b2,
+    );
+}

@@ -88,6 +88,16 @@ pub enum Targeting {
 /// honest distribution shifts widen the fences and re-admit the new range
 /// within one window turnover. Filtering activates only once the window has
 /// filled — before that there is no spread to judge against.
+///
+/// # Cost per sample
+///
+/// [`admit`](RobustFilter::admit) judges first (one or two order-statistic
+/// queries, depending on the tier) and pushes second. The window keeps its
+/// samples sorted as they arrive (see [`ValueWindow`]), so the queries are
+/// index arithmetic — O(1) for the fences and the naive trim band, two
+/// bisections for the fence-sanitized cuts — and the push is O(log w)
+/// comparisons plus one shift of at most `w` floats. No tier sorts or
+/// allocates per sample.
 #[derive(Clone, Debug)]
 pub struct RobustFilter {
     window: ValueWindow,
@@ -236,7 +246,9 @@ pub struct RankingProtocol<E: RankEstimator> {
     targeting: Targeting,
     /// Optional outlier-robust sample admission (off for the paper-faithful
     /// variants; every sample is absorbed unconditionally when `None`).
-    filter: Option<RobustFilter>,
+    /// Boxed so an undefended node carries one pointer, not the filter's
+    /// window headers.
+    filter: Option<Box<RobustFilter>>,
 }
 
 /// The ranking algorithm with unbounded counters (Fig. 5).
@@ -329,13 +341,13 @@ impl<E: RankEstimator> RankingProtocol<E> {
     /// Attaches outlier-robust sample admission (builder style): samples
     /// outside the filter's fences are rejected instead of absorbed.
     pub fn with_filter(mut self, filter: RobustFilter) -> Self {
-        self.filter = Some(filter);
+        self.filter = Some(Box::new(filter));
         self
     }
 
     /// The robust-admission filter, if one is attached.
     pub fn filter(&self) -> Option<&RobustFilter> {
-        self.filter.as_ref()
+        self.filter.as_deref()
     }
 
     /// The target-selection policy in use.
@@ -456,6 +468,7 @@ impl<E: RankEstimator> SliceProtocol for RankingProtocol<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::reference::{SortingWindow, TRICKY};
     use dslice_core::protocol::MockContext;
     use dslice_core::ViewEntry;
     use proptest::prelude::*;
@@ -912,7 +925,86 @@ mod tests {
         assert!(fenced.admit(0.5));
     }
 
+    /// `RobustFilter::admit` as it stood over the clone-and-sort window:
+    /// the reference the admission-sequence proptest compares against.
+    struct SortingFilter {
+        window: SortingWindow,
+        fence_k: Option<f64>,
+        trim_pct: Option<f64>,
+    }
+
+    impl SortingFilter {
+        fn mirroring(filter: &RobustFilter) -> Self {
+            SortingFilter {
+                window: SortingWindow::new(filter.window_capacity()),
+                fence_k: filter.fence_k,
+                trim_pct: filter.trim_pct,
+            }
+        }
+
+        fn admit(&mut self, value: f64) -> bool {
+            let admitted = if self.window.is_full() {
+                let fence_ok = match self.fence_k.and_then(|k| self.window.tukey_fences(k)) {
+                    Some((lo, hi)) => value >= lo && value <= hi,
+                    None => true,
+                };
+                let trim_ok = match self.trim_pct {
+                    Some(pct) => {
+                        let (lo, hi) = match self.fence_k {
+                            Some(k) => self
+                                .window
+                                .fenced_trim_cuts(k * RobustFilter::INNER_FENCE_RATIO, pct)
+                                .unwrap(),
+                            None => (
+                                self.window.quantile(pct).unwrap(),
+                                self.window.quantile(1.0 - pct).unwrap(),
+                            ),
+                        };
+                        value >= lo && value <= hi
+                    }
+                    None => true,
+                };
+                fence_ok && trim_ok
+            } else {
+                true
+            };
+            self.window.push(value);
+            admitted
+        }
+    }
+
     proptest! {
+        #[test]
+        fn filters_admit_exactly_what_the_sorting_reference_admits(
+            w in 1usize..=64,
+            pct in 0.01f64..0.49,
+            stream in proptest::collection::vec(
+                (0usize..TRICKY.len() + 16, -2.0f64..2.0),
+                1..400,
+            ),
+        ) {
+            for mut filter in [
+                RobustFilter::new(w),
+                RobustFilter::trimmed(w, pct),
+                RobustFilter::fenced_trimmed(w, pct),
+            ] {
+                let mut reference = SortingFilter::mirroring(&filter);
+                for (step, &(pick, drawn)) in stream.iter().enumerate() {
+                    let value = TRICKY.get(pick).copied().unwrap_or(drawn);
+                    prop_assert_eq!(
+                        filter.admit(value),
+                        reference.admit(value),
+                        "sample {} ({:?}) of a w={} stream, trim {:?}, fence {:?}",
+                        step,
+                        value,
+                        w,
+                        filter.trim_fraction(),
+                        filter.has_fence()
+                    );
+                }
+            }
+        }
+
         #[test]
         fn degenerate_windows_never_panic_and_admit_zero_spread(
             w in 1usize..4,

@@ -14,7 +14,11 @@
 //! comparison bit) in the same FIFO discipline and answers order-statistic
 //! queries over them — the evidence base for the outlier-robust absorption
 //! defense, which needs quartiles of the recent sample stream to decide
-//! whether a new sample is statistically plausible.
+//! whether a new sample is statistically plausible. The defenses query it
+//! once or twice for *every* sample a node sees, so it keeps a sorted
+//! mirror of the ring up to date on each push (O(log w) search, one shift
+//! of at most w floats) and answers from that, rather than sorting per
+//! query; see the type docs for the invariant and why it is bit-exact.
 
 use serde::{Deserialize, Serialize};
 
@@ -215,12 +219,43 @@ impl Deserialize for BitWindow {
 /// window retains the values themselves so their spread can be measured:
 /// the robust-absorption defense asks "is this new sample an outlier versus
 /// the recent stream?" via [`tukey_fences`](ValueWindow::tukey_fences).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// # The sorted mirror
+///
+/// Beside the ring buffer (arrival order, which decides *who* is evicted)
+/// the window keeps `sorted`: the same multiset of samples in
+/// [`f64::total_cmp`] order. [`push`](ValueWindow::push) and
+/// [`clear`](ValueWindow::clear) keep the two in step, and every query
+/// interpolates straight off the mirror.
+///
+/// **Invariant:** `sorted` is a permutation of `values` (bit patterns, not
+/// just numeric values) and is non-decreasing under `total_cmp`.
+///
+/// **Why that is exact:** `total_cmp` is a total order on bit patterns —
+/// two samples compare equal only if they are the same bits (`-0.0` sorts
+/// before `0.0`, NaNs sort by sign and payload) — so a multiset of `f64`s
+/// has exactly one sorted sequence. The mirror therefore *is* the vector a
+/// clone-and-sort of the ring would produce, bit for bit, and every
+/// quantile, fence and cut read off it is the one the sort would give.
+///
+/// **Cost:** a push into a full window is two binary searches (the evicted
+/// sample's position, the new sample's position) and one shift of the
+/// elements between the two — O(log w) comparisons plus at most `w` moved
+/// floats. Queries are O(1) ([`quantile`](ValueWindow::quantile),
+/// [`tukey_fences`](ValueWindow::tukey_fences)) or O(log w)
+/// ([`fenced_trim_cuts`](ValueWindow::fenced_trim_cuts)), where sorting per
+/// query was O(w log w) — and the filters ask once or twice per sample.
+///
+/// On the wire the window is `{"values", "capacity", "head"}`; the mirror is
+/// derived state and is rebuilt, after validation, on deserialization.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ValueWindow {
     values: Vec<f64>,
     capacity: usize,
     /// Index the next overwrite lands on once the window has filled.
     head: usize,
+    /// The stored samples in `f64::total_cmp` order (see the type docs).
+    sorted: Vec<f64>,
 }
 
 impl ValueWindow {
@@ -234,6 +269,7 @@ impl ValueWindow {
             values: Vec::new(),
             capacity,
             head: 0,
+            sorted: Vec::new(),
         }
     }
 
@@ -261,27 +297,54 @@ impl ValueWindow {
     pub fn push(&mut self, value: f64) {
         if self.values.len() < self.capacity {
             self.values.push(value);
+            let at = Self::insertion_point(&self.sorted, value);
+            self.sorted.insert(at, value);
         } else {
-            self.values[self.head] = value;
+            let evicted = std::mem::replace(&mut self.values[self.head], value);
             self.head = (self.head + 1) % self.capacity;
+            self.replace_in_mirror(evicted, value);
+        }
+    }
+
+    /// Where `value` goes in a `total_cmp`-sorted slice: before its twins.
+    fn insertion_point(sorted: &[f64], value: f64) -> usize {
+        sorted.partition_point(|v| v.total_cmp(&value).is_lt())
+    }
+
+    /// Takes `evicted` out of the mirror and puts `value` in, shifting only
+    /// the elements between the two positions.
+    fn replace_in_mirror(&mut self, evicted: f64, value: f64) {
+        // `total_cmp` equality is bit equality, so whichever twin the search
+        // lands on is the right one; `==` would take `0.0` for `-0.0`.
+        let out = self
+            .sorted
+            .binary_search_by(|v| v.total_cmp(&evicted))
+            .expect("every sample in the ring is in the mirror");
+        if value.total_cmp(&evicted).is_gt() {
+            let at = out + 1 + Self::insertion_point(&self.sorted[out + 1..], value);
+            self.sorted.copy_within(out + 1..at, out);
+            self.sorted[at - 1] = value;
+        } else {
+            let at = Self::insertion_point(&self.sorted[..out], value);
+            self.sorted.copy_within(at..out, at + 1);
+            self.sorted[at] = value;
         }
     }
 
     /// Discards all stored samples.
     pub fn clear(&mut self) {
         self.values.clear();
+        self.sorted.clear();
         self.head = 0;
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`) of the stored samples with linear
     /// interpolation between order statistics, or `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
+        if self.sorted.is_empty() {
             return None;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        Some(Self::interpolate(&sorted, q))
+        Some(Self::interpolate(&self.sorted, q))
     }
 
     /// `q`-quantile over an already-sorted slice.
@@ -297,13 +360,11 @@ impl ValueWindow {
     /// is zero (a degenerate stream carries no spread information to judge
     /// outliers against).
     pub fn tukey_fences(&self, k: f64) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
+        if self.sorted.is_empty() {
             return None;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let q1 = Self::interpolate(&sorted, 0.25);
-        let q3 = Self::interpolate(&sorted, 0.75);
+        let q1 = Self::interpolate(&self.sorted, 0.25);
+        let q3 = Self::interpolate(&self.sorted, 0.75);
         let iqr = q3 - q1;
         if iqr <= 0.0 {
             return None;
@@ -325,13 +386,12 @@ impl ValueWindow {
     /// are undefined (zero spread) the cuts fall back to whole-window
     /// quantiles. `None` while the window is empty.
     pub fn fenced_trim_cuts(&self, k: f64, pct: f64) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
+        if self.sorted.is_empty() {
             return None;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let q1 = Self::interpolate(&sorted, 0.25);
-        let q3 = Self::interpolate(&sorted, 0.75);
+        let sorted = &self.sorted[..];
+        let q1 = Self::interpolate(sorted, 0.25);
+        let q3 = Self::interpolate(sorted, 0.75);
         let iqr = q3 - q1;
         let inliers = if iqr > 0.0 {
             let lo = q1 - k * iqr;
@@ -340,7 +400,7 @@ impl ValueWindow {
             let end = sorted.partition_point(|&v| v <= hi);
             &sorted[start..end]
         } else {
-            &sorted[..]
+            sorted
         };
         Some((
             Self::interpolate(inliers, pct),
@@ -349,8 +409,208 @@ impl ValueWindow {
     }
 }
 
+/// The mirror is derived state: the wire form stays the three fields the
+/// derive wrote before the mirror existed, in the same order.
+impl Serialize for ValueWindow {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("values".into(), self.values.to_value()),
+            ("capacity".into(), self.capacity.to_value()),
+            ("head".into(), self.head.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ValueWindow {
+    /// Validating deserialization: a zero capacity, more samples than the
+    /// capacity or a head outside the ring would otherwise parse and panic
+    /// on the next `push`. Only states `new`/`push`/`clear` can reach are
+    /// accepted; the mirror is rebuilt by sorting once.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct ValueWindow"))?;
+        let field = |name: &str| serde::__field(m, name);
+        let err = |msg: String| serde::Error::custom(format!("ValueWindow: {msg}"));
+        let values: Vec<f64> = Deserialize::from_value(field("values"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.values: {e}")))?;
+        let capacity: usize = Deserialize::from_value(field("capacity"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.capacity: {e}")))?;
+        let head: usize = Deserialize::from_value(field("head"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.head: {e}")))?;
+
+        if capacity == 0 {
+            return Err(err("capacity must be at least 1".into()));
+        }
+        if values.len() > capacity {
+            return Err(err(format!(
+                "{} values exceed capacity {capacity}",
+                values.len()
+            )));
+        }
+        if head >= capacity {
+            return Err(err(format!(
+                "head {head} out of range for capacity {capacity}"
+            )));
+        }
+        // The head only starts moving once the window has filled.
+        if values.len() < capacity && head != 0 {
+            return Err(err(format!(
+                "head {head} inconsistent with unfilled len {}",
+                values.len()
+            )));
+        }
+
+        let mut sorted = values.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        Ok(ValueWindow {
+            values,
+            capacity,
+            head,
+            sorted,
+        })
+    }
+}
+
+/// The clone-and-sort window the sorted mirror replaced, kept verbatim as
+/// the reference the differential tests (here and in `ranking.rs`) hold
+/// [`ValueWindow`] to, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    /// A ring buffer that clones and sorts its samples on every query.
+    #[derive(Clone, Debug)]
+    pub(crate) struct SortingWindow {
+        values: Vec<f64>,
+        capacity: usize,
+        head: usize,
+    }
+
+    impl SortingWindow {
+        pub(crate) fn new(capacity: usize) -> Self {
+            assert!(capacity > 0);
+            SortingWindow {
+                values: Vec::new(),
+                capacity,
+                head: 0,
+            }
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.values.len()
+        }
+
+        pub(crate) fn is_full(&self) -> bool {
+            self.values.len() == self.capacity
+        }
+
+        pub(crate) fn push(&mut self, value: f64) {
+            if self.values.len() < self.capacity {
+                self.values.push(value);
+            } else {
+                self.values[self.head] = value;
+                self.head = (self.head + 1) % self.capacity;
+            }
+        }
+
+        pub(crate) fn clear(&mut self) {
+            self.values.clear();
+            self.head = 0;
+        }
+
+        fn sorted(&self) -> Option<Vec<f64>> {
+            if self.values.is_empty() {
+                return None;
+            }
+            let mut sorted = self.values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            Some(sorted)
+        }
+
+        fn interpolate(sorted: &[f64], q: f64) -> f64 {
+            let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        }
+
+        pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
+            Some(Self::interpolate(&self.sorted()?, q))
+        }
+
+        pub(crate) fn tukey_fences(&self, k: f64) -> Option<(f64, f64)> {
+            let sorted = self.sorted()?;
+            let q1 = Self::interpolate(&sorted, 0.25);
+            let q3 = Self::interpolate(&sorted, 0.75);
+            let iqr = q3 - q1;
+            if iqr <= 0.0 {
+                return None;
+            }
+            Some((q1 - k * iqr, q3 + k * iqr))
+        }
+
+        pub(crate) fn fenced_trim_cuts(&self, k: f64, pct: f64) -> Option<(f64, f64)> {
+            let sorted = self.sorted()?;
+            let q1 = Self::interpolate(&sorted, 0.25);
+            let q3 = Self::interpolate(&sorted, 0.75);
+            let iqr = q3 - q1;
+            let inliers = if iqr > 0.0 {
+                let lo = q1 - k * iqr;
+                let hi = q3 + k * iqr;
+                let start = sorted.partition_point(|&v| v < lo);
+                let end = sorted.partition_point(|&v| v <= hi);
+                &sorted[start..end]
+            } else {
+                &sorted[..]
+            };
+            Some((
+                Self::interpolate(inliers, pct),
+                Self::interpolate(inliers, 1.0 - pct),
+            ))
+        }
+    }
+
+    /// Samples chosen to break an inexact mirror: duplicates, both zeros
+    /// (`-0.0 == 0.0` but `total_cmp` orders them), infinities, subnormals
+    /// and NaNs of both signs.
+    pub(crate) const TRICKY: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.25,
+        0.5,
+        0.75,
+        2.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        1e300,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    /// Bit-for-bit equality, except that any NaN equals any NaN: which
+    /// operand's payload an arithmetic NaN inherits is not specified, and
+    /// no comparison downstream can tell payloads apart.
+    pub(crate) fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// [`same_bits`] over an optional pair (fences, cuts).
+    pub(crate) fn same_pair(a: Option<(f64, f64)>, b: Option<(f64, f64)>) -> bool {
+        match (a, b) {
+            (Some((a0, a1)), Some((b0, b1))) => same_bits(a0, b0) && same_bits(a1, b1),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{same_bits, same_pair, SortingWindow, TRICKY};
     use super::*;
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -531,6 +791,82 @@ mod tests {
     }
 
     #[test]
+    fn value_window_serde_roundtrip_preserves_every_answer() {
+        // Unfilled, exactly full, and wrapped with the head mid-ring.
+        for pushes in [0usize, 5, 8, 21] {
+            let mut w = ValueWindow::new(8);
+            for i in 0..pushes {
+                w.push(((i * 37) % 11) as f64 * 0.25 - 1.0);
+            }
+            let json = serde_json::to_string(&w).unwrap();
+            assert!(
+                json.starts_with(r#"{"values":["#) && !json.contains("sorted"),
+                "wire form is values/capacity/head only: {json}"
+            );
+            let mut parsed: ValueWindow = serde_json::from_str(&json).unwrap();
+            assert_eq!(parsed, w);
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), json);
+            // The rebuilt mirror answers bit-for-bit, now and after more
+            // pushes (eviction must find its samples in the rebuilt mirror).
+            for step in 0..12 {
+                for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
+                    assert_eq!(
+                        parsed.quantile(q).map(f64::to_bits),
+                        w.quantile(q).map(f64::to_bits)
+                    );
+                }
+                assert!(same_pair(parsed.tukey_fences(1.5), w.tukey_fences(1.5)));
+                assert!(same_pair(
+                    parsed.fenced_trim_cuts(1.5, 0.1),
+                    w.fenced_trim_cuts(1.5, 0.1)
+                ));
+                parsed.push(step as f64 * 0.3);
+                w.push(step as f64 * 0.3);
+            }
+        }
+    }
+
+    #[test]
+    fn value_window_deserialize_rejects_unreachable_state() {
+        let cases = [
+            // zero capacity: the next push would index an empty ring
+            (r#"{"values":[],"capacity":0,"head":0}"#, "at least 1"),
+            // more samples than the ring holds
+            (
+                r#"{"values":[1.0,2.0,3.0],"capacity":2,"head":0}"#,
+                "exceed capacity",
+            ),
+            // head outside the ring
+            (
+                r#"{"values":[1.0,2.0],"capacity":2,"head":2}"#,
+                "out of range",
+            ),
+            // the head moves only once the window has filled
+            (r#"{"values":[1.0],"capacity":4,"head":1}"#, "inconsistent"),
+            // wrong shapes
+            (r#"{"values":[1.0],"capacity":4}"#, "head"),
+            (r#"{"values":"x","capacity":4,"head":0}"#, "values"),
+            (r#"[1.0, 2.0]"#, "expected map"),
+        ];
+        for (json, needle) in cases {
+            let err = serde_json::from_str::<ValueWindow>(json)
+                .expect_err(&format!("must reject {json}"))
+                .to_string();
+            assert!(
+                err.contains(needle),
+                "error for {json} should mention `{needle}`, got: {err}"
+            );
+        }
+        // Reachable states parse: a full window with the head mid-ring.
+        let mut ok: ValueWindow =
+            serde_json::from_str(r#"{"values":[4.0,2.0,3.0],"capacity":3,"head":1}"#).unwrap();
+        assert_eq!(ok.quantile(0.5), Some(3.0));
+        ok.push(9.0); // evicts the 2.0 the head points at
+        assert_eq!(ok.quantile(0.0), Some(3.0));
+        assert_eq!(ok.quantile(1.0), Some(9.0));
+    }
+
+    #[test]
     fn value_window_tukey_fences() {
         let mut w = ValueWindow::new(8);
         assert_eq!(w.tukey_fences(1.5), None, "empty window has no fences");
@@ -655,6 +991,49 @@ mod tests {
                 // Fences bracket the interquartile range.
                 prop_assert!(lo <= w.quantile(0.25).unwrap());
                 prop_assert!(hi >= w.quantile(0.75).unwrap());
+            }
+        }
+
+        #[test]
+        fn value_window_matches_the_sorting_reference_bit_for_bit(
+            cap in 1usize..=64,
+            ops in proptest::collection::vec(
+                (0u32..40, 0usize..TRICKY.len() + 8, -2.0f64..2.0, 0.0f64..1.0),
+                1..300,
+            ),
+            k in 0.5f64..4.0,
+            pct in 0.0f64..0.5,
+        ) {
+            let mut window = ValueWindow::new(cap);
+            let mut reference = SortingWindow::new(cap);
+            for (op, pick, drawn, q) in ops {
+                if op == 0 {
+                    window.clear();
+                    reference.clear();
+                } else {
+                    // Mostly pool values, so twins and specials are common.
+                    let value = TRICKY.get(pick).copied().unwrap_or(drawn);
+                    window.push(value);
+                    reference.push(value);
+                }
+                prop_assert_eq!(window.len(), reference.len());
+                prop_assert_eq!(window.is_full(), reference.is_full());
+                for q in [q, 0.0, 0.25, 0.75, 1.0] {
+                    match (window.quantile(q), reference.quantile(q)) {
+                        (Some(a), Some(b)) => prop_assert!(
+                            same_bits(a, b),
+                            "quantile({q}): {a:?} vs reference {b:?}"
+                        ),
+                        (a, b) => prop_assert_eq!(a, b),
+                    }
+                }
+                let (a, b) = (window.tukey_fences(k), reference.tukey_fences(k));
+                prop_assert!(same_pair(a, b), "tukey_fences({k}): {a:?} vs {b:?}");
+                let (a, b) = (
+                    window.fenced_trim_cuts(k, pct),
+                    reference.fenced_trim_cuts(k, pct),
+                );
+                prop_assert!(same_pair(a, b), "fenced_trim_cuts({k}, {pct}): {a:?} vs {b:?}");
             }
         }
 

@@ -255,10 +255,18 @@ impl View {
             let id = incoming[idx].id;
             id != owner && incoming[..idx].iter().all(|earlier| earlier.id != id)
         };
-        let fresh = (0..incoming.len())
-            .filter(|&idx| accepted(idx))
-            .take(self.capacity)
-            .count();
+        // One pass over the payload: how many entries it contributes, and
+        // how far in the last of them sits.
+        let (mut fresh, mut span) = (0, 0);
+        for idx in 0..incoming.len() {
+            if fresh == self.capacity {
+                break;
+            }
+            if accepted(idx) {
+                fresh += 1;
+                span = idx + 1;
+            }
+        }
         // Keep the previous entries that will top the payload up (none when
         // the payload fills the view), then put the payload in front of them.
         if fresh < self.capacity {
@@ -271,12 +279,17 @@ impl View {
             self.entries.clear();
         }
         let kept = self.entries.len();
-        self.entries.extend(
-            (0..incoming.len())
-                .filter(|&idx| accepted(idx))
-                .take(fresh)
-                .map(|idx| incoming[idx]),
-        );
+        if fresh == span {
+            // Nothing was refused (every honest Cyclon payload): the taken
+            // entries are a prefix, no second look at them needed.
+            self.entries.extend_from_slice(&incoming[..span]);
+        } else {
+            self.entries.extend(
+                (0..span)
+                    .filter(|&idx| accepted(idx))
+                    .map(|idx| incoming[idx]),
+            );
+        }
         self.entries.rotate_left(kept);
     }
 

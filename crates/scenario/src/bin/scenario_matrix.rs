@@ -6,7 +6,9 @@
 //! ```
 //!
 //! * default: run every scenario, write `<name>.json` under `--out`
-//!   (default `scenario-reports/`), print a summary table.
+//!   (default `scenario-reports/`), print a summary table. Every run also
+//!   writes `timings.tsv` there: one `name<TAB>seconds` row per scenario, in
+//!   library order, so a defence whose cost explodes shows up as a row.
 //! * `--check`: additionally compare each report **byte-for-byte** against
 //!   the committed golden under `--goldens` (default
 //!   `docs/scenarios/goldens/`); exit non-zero on any mismatch, missing
@@ -21,6 +23,7 @@ use dslice_scenario::library;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Args {
     out: PathBuf,
@@ -136,9 +139,13 @@ fn main() -> ExitCode {
         "scenario", "protocol", "cycles", "n", "final-sdm", "accuracy", "honest"
     );
     let mut failures = Vec::new();
+    let mut timings = String::new();
     for scenario in library::all() {
         let name = scenario.name().to_string();
-        let report = match scenario.run() {
+        let started = Instant::now();
+        let outcome = scenario.run();
+        timings.push_str(&format!("{name}\t{:.3}\n", started.elapsed().as_secs_f64()));
+        let report = match outcome {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("scenario_matrix: `{name}` failed: {e}");
@@ -192,6 +199,15 @@ fn main() -> ExitCode {
                 }
             }
         }
+    }
+
+    let timings_path = args.out.join("timings.tsv");
+    if let Err(e) = fs::write(&timings_path, timings) {
+        eprintln!(
+            "scenario_matrix: cannot write {}: {e}",
+            timings_path.display()
+        );
+        failures.push("timings.tsv".into());
     }
 
     if args.check {

@@ -291,3 +291,40 @@ fn fence_trim_ranking_record_is_pinned_at_5000_nodes() {
         0xe376_f7ca_1425_46b2,
     );
 }
+
+// The three defended tiers at the window sizes the scenario library runs
+// them with (64 / 128 samples), constants captured on the commit before
+// `ValueWindow` kept its samples sorted incrementally. Every sample crosses
+// `RobustFilter::admit`, so any drift in the window's order statistics — one
+// quartile interpolated from a neighbouring sample, one wrong twin evicted —
+// changes these bytes.
+
+#[test]
+fn robust_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::RobustRanking { window: 64 },
+        Concurrency::None,
+        None,
+        0x8c95_723a_03e7_bde0,
+    );
+}
+
+#[test]
+fn trimmed_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::trimmed(128, 0.1),
+        Concurrency::None,
+        None,
+        0x39f4_e0a6_bbd7_9dbc,
+    );
+}
+
+#[test]
+fn wide_fence_trim_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::fenced_trimmed(128, 0.1),
+        Concurrency::None,
+        None,
+        0x367a_49ad_8753_169a,
+    );
+}

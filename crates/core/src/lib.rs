@@ -73,7 +73,7 @@ pub mod view;
 pub use attribute::Attribute;
 pub use error::{Error, Result};
 pub use message::ProtocolMsg;
-pub use node::{NodeId, NodeIdMap, NodeIdSet};
+pub use node::{NodeId, NodeIdSet};
 pub use slab::{NodeSlab, SlotLookup, TakenPair};
 pub use slice::{Partition, Slice, SliceIndex};
 pub use view::{View, ViewEntry};

@@ -15,7 +15,7 @@
 //! are genuinely local and are used inside mod-JK.
 
 use crate::attribute::AttributeKey;
-use crate::{rank, Attribute, NodeId, NodeIdMap, NodeIdSet, Partition};
+use crate::{rank, Attribute, NodeId, Partition};
 use std::collections::HashMap;
 
 /// Global disorder measure from explicit rank pairs `(α_i, ρ_i)`.
@@ -42,6 +42,12 @@ where
 /// Global disorder measure of a population given each node's attribute and
 /// current random value: computes `A.sequence` and `R.sequence` ranks and
 /// applies the GDM formula.
+///
+/// This is the self-contained form, for a population nobody keeps a
+/// [`RankCache`] of, and the reference [`RankCache::gdm`] is tested
+/// against bit for bit. Runtimes that maintain a cache use the method: it
+/// takes `α` from the cache instead of sorting attributes again and builds
+/// no hash maps.
 pub fn gdm<'a, I>(nodes: I) -> f64
 where
     I: IntoIterator<Item = &'a (NodeId, Attribute, f64)>,
@@ -152,13 +158,19 @@ where
 /// churn plan in via [`apply_churn`](RankCache::apply_churn) (a linear merge,
 /// no global re-sort), and then evaluate the SDM with [`sdm`](RankCache::sdm)
 /// in O(n) — where the uncached [`sdm`] function pays an O(n log n) sort per
-/// call. On churn-free cycles the maintenance cost is zero.
+/// call — and the GDM with [`gdm`](RankCache::gdm), which sorts only the
+/// random values. On churn-free cycles the maintenance cost is zero.
+///
+/// The ranks are a column indexed by the raw node id, so every rank lookup
+/// is an array index: 4 bytes per identity ever tracked, and ids must lie
+/// below `u32::MAX` (the simulator issues them sequentially from 0).
 #[derive(Clone, Debug, Default)]
 pub struct RankCache {
     /// Live nodes in `A.sequence` order (sorted by `(attribute, id)`).
     sorted: Vec<AttributeKey>,
-    /// 1-based attribute rank per live node, renumbered after each churn.
-    ranks: NodeIdMap<usize>,
+    /// 1-based attribute rank per raw id, renumbered after each churn;
+    /// 0 for an id that is not tracked.
+    ranks: Vec<u32>,
 }
 
 impl RankCache {
@@ -187,6 +199,7 @@ impl RankCache {
             .map(|(id, a)| AttributeKey::new(id, a))
             .collect();
         self.sorted.sort_unstable();
+        self.ranks.clear();
         self.renumber();
     }
 
@@ -197,8 +210,14 @@ impl RankCache {
             return;
         }
         if !leavers.is_empty() {
-            let gone: NodeIdSet = leavers.iter().copied().collect();
-            self.sorted.retain(|key| !gone.contains(&key.id));
+            // Untrack the leavers first; their zeroed rows then mark them.
+            for &id in leavers {
+                if let Some(rank) = id.row().and_then(|row| self.ranks.get_mut(row)) {
+                    *rank = 0;
+                }
+            }
+            let ranks = &self.ranks;
+            self.sorted.retain(|key| ranks[key.id.dense_row()] != 0);
         }
         if !joiners.is_empty() {
             let mut incoming: Vec<AttributeKey> = joiners
@@ -228,19 +247,29 @@ impl RankCache {
         self.renumber();
     }
 
+    /// Rewrites every tracked row (every rank can shift); rows of ids that
+    /// left are already 0.
     fn renumber(&mut self) {
-        // Reuse the map's buckets across churn batches: the inserts are
-        // unavoidable (every rank can shift), the reallocation is not.
-        self.ranks.clear();
-        self.ranks.reserve(self.sorted.len());
         for (idx, key) in self.sorted.iter().enumerate() {
-            self.ranks.insert(key.id, idx + 1);
+            let row = key.id.dense_row();
+            if row >= self.ranks.len() {
+                self.ranks.resize(row + 1, 0);
+            }
+            // Fits: the tracked ids are distinct and below `u32::MAX`.
+            self.ranks[row] = (idx + 1) as u32;
         }
     }
 
     /// The 1-based attribute rank `α_i` of a live node.
     pub fn rank(&self, id: NodeId) -> Option<usize> {
-        self.ranks.get(&id).copied()
+        let rank = *self.ranks.get(id.row()?)?;
+        (rank != 0).then_some(rank as usize)
+    }
+
+    /// [`rank`](RankCache::rank) for an id the caller guarantees is tracked.
+    fn tracked_rank(&self, id: NodeId) -> usize {
+        self.rank(id)
+            .unwrap_or_else(|| panic!("node {id} is not tracked by the rank cache"))
     }
 
     /// The *true* slice of a live node under `partition`: its normalized
@@ -263,7 +292,7 @@ impl RankCache {
         estimates
             .into_iter()
             .map(|(id, est)| {
-                let alpha = self.ranks[&id];
+                let alpha = self.tracked_rank(id);
                 let actual = partition.slice_of(rank::normalized(alpha, n));
                 partition.sdm_term(actual, partition.slice_of(est))
             })
@@ -279,7 +308,7 @@ impl RankCache {
         let n = self.len();
         let (mut total, mut correct) = (0usize, 0usize);
         for (id, est) in estimates {
-            let alpha = self.ranks[&id];
+            let alpha = self.tracked_rank(id);
             let actual = partition.slice_of(rank::normalized(alpha, n));
             if partition.slice_of(est) == actual {
                 correct += 1;
@@ -292,6 +321,45 @@ impl RankCache {
             correct as f64 / total as f64
         }
     }
+
+    /// Global disorder measure of `snapshot` — `(id, attribute, value)` for
+    /// exactly the population the cache tracks — bit-identical to the free
+    /// [`gdm`] over the same slice.
+    ///
+    /// `α_i` is the cached `A.sequence` rank (no attribute sort, no map);
+    /// `ρ_i` comes from one sort of the values with the comparator of
+    /// [`rank::value_ranks`] (`partial_cmp`, ties by id), so it is the same
+    /// bijection. The squared differences are summed in snapshot order, as
+    /// [`gdm`] sums them: float addition order decides the last bit.
+    ///
+    /// Panics if an id is not tracked (runtimes keep the cache in lock-step
+    /// with the live population, which debug builds check).
+    pub fn gdm(&self, snapshot: &[(NodeId, Attribute, f64)]) -> f64 {
+        debug_assert!(
+            snapshot.len() == self.len() && snapshot.iter().all(|e| self.rank(e.0).is_some()),
+            "the rank cache must track exactly the snapshot's population"
+        );
+        let mut by_value: Vec<(f64, NodeId, u32)> = snapshot
+            .iter()
+            .enumerate()
+            .map(|(pos, &(id, _, value))| (value, id, pos as u32))
+            .collect();
+        by_value.sort_unstable_by(|(ra, ia, _), (rb, ib, _)| {
+            ra.partial_cmp(rb)
+                .expect("random values are finite")
+                .then_with(|| ia.cmp(ib))
+        });
+        let mut rho = vec![0u32; snapshot.len()];
+        for (idx, &(_, _, pos)) in by_value.iter().enumerate() {
+            rho[pos as usize] = idx as u32 + 1;
+        }
+        gdm_from_ranks(
+            snapshot
+                .iter()
+                .zip(&rho)
+                .map(|(&(id, _, _), &rho)| (self.tracked_rank(id), rho as usize)),
+        )
+    }
 }
 
 /// Tracks per-node *believed* slices across observations and counts
@@ -300,12 +368,25 @@ impl RankCache {
 /// stability"): an application holding a slice allocation cares as much
 /// about nodes *flapping* between slices as about raw assignment accuracy.
 ///
-/// Feed it one snapshot per cycle; it reports how many live nodes changed
-/// their believed slice since the previous snapshot. Departed nodes are
-/// forgotten; joiners count as changes only on their second appearance.
+/// Feed it one snapshot per cycle (each id at most once); it reports how
+/// many live nodes changed their believed slice since the previous
+/// snapshot. Departed nodes are forgotten; joiners count as changes only on
+/// their second appearance.
+///
+/// The beliefs are a column of `(observation, slice)` stamps indexed by the
+/// raw node id (8 bytes per identity ever observed; ids must lie below
+/// `u32::MAX`), overwritten in place: a node's change counts only when its
+/// stamp comes from the immediately preceding observation, so nothing is
+/// rebuilt or cleared between cycles.
 #[derive(Clone, Debug, Default)]
 pub struct SliceTracker {
-    believed: NodeIdMap<crate::SliceIndex>,
+    /// Per raw id: the observation that last saw the node (0 = never) and
+    /// the slice it believed then.
+    stamps: Vec<(u32, u32)>,
+    /// Observations folded in so far.
+    epoch: u32,
+    /// Nodes in the latest observation.
+    len: usize,
 }
 
 impl SliceTracker {
@@ -316,12 +397,12 @@ impl SliceTracker {
 
     /// Number of nodes currently tracked.
     pub fn len(&self) -> usize {
-        self.believed.len()
+        self.len
     }
 
     /// Whether no node is tracked yet.
     pub fn is_empty(&self) -> bool {
-        self.believed.is_empty()
+        self.len == 0
     }
 
     /// Folds in one population snapshot (`(id, attribute, estimate)`);
@@ -330,21 +411,23 @@ impl SliceTracker {
     where
         I: IntoIterator<Item = &'a (NodeId, Attribute, f64)>,
     {
-        let mut changes = 0;
-        // Sized for the population seen last time: one allocation, no
-        // rehash-as-it-grows.
-        let mut fresh: NodeIdMap<crate::SliceIndex> =
-            NodeIdMap::with_capacity_and_hasher(self.believed.len(), Default::default());
+        let previous = self.epoch;
+        self.epoch += 1;
+        let (mut changes, mut len) = (0, 0);
         for &(id, _, est) in nodes {
-            let slice = partition.slice_of(est);
-            if let Some(&previous) = self.believed.get(&id) {
-                if previous != slice {
-                    changes += 1;
-                }
+            let slice = partition.slice_of(est).as_usize() as u32;
+            let row = id.dense_row();
+            if row >= self.stamps.len() {
+                self.stamps.resize(row + 1, (0, 0));
             }
-            fresh.insert(id, slice);
+            let stamp = &mut self.stamps[row];
+            if previous != 0 && stamp.0 == previous && stamp.1 != slice {
+                changes += 1;
+            }
+            *stamp = (self.epoch, slice);
+            len += 1;
         }
-        self.believed = fresh;
+        self.len = len;
         changes
     }
 }
@@ -716,6 +799,135 @@ mod tests {
             let cached = cache.sdm(&part, survivors.iter().map(|&(id, _, est)| (id, est)));
             let fresh = sdm(&part, &survivors);
             prop_assert!((cached - fresh).abs() < 1e-9, "cached {cached} vs fresh {fresh}");
+        }
+    }
+
+    /// A population with repeated attributes and repeated values (both
+    /// drawn from small grids), so the id tie-breaks of both sequences are
+    /// exercised.
+    fn tied_population(picks: &[(u8, u8)], first_id: u64) -> Vec<(NodeId, Attribute, f64)> {
+        picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, r))| {
+                let value = f64::from(r % 7 + 1) / 8.0;
+                node(first_id + i as u64, f64::from(a % 5) * 10.0, value)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// `RankCache::gdm` is the free `gdm` bit for bit — on the built
+        /// population and after every one of several random churn batches,
+        /// with the snapshot in an arbitrary (slot-like) order.
+        #[test]
+        fn rank_cache_gdm_is_bit_identical_to_gdm_under_churn(
+            initial in proptest::collection::vec((0u8..255, 0u8..255), 1..60),
+            batches in proptest::collection::vec(
+                (proptest::collection::vec(0usize..64, 0..8), proptest::collection::vec((0u8..255, 0u8..255), 0..8)),
+                0..6,
+            ),
+            rotate in 0usize..64,
+        ) {
+            let mut live = tied_population(&initial, 0);
+            let mut next_id = 1000;
+            let mut cache = RankCache::new();
+            cache.rebuild(live.iter().map(|&(id, a, _)| (id, a)));
+            let check = |cache: &RankCache, live: &Vec<(NodeId, Attribute, f64)>| {
+                let mut snapshot = live.clone();
+                let len = snapshot.len().max(1);
+                snapshot.rotate_left(rotate % len);
+                let cached = cache.gdm(&snapshot);
+                let fresh = gdm(&snapshot);
+                prop_assert_eq!(cached.to_bits(), fresh.to_bits(), "cached {} vs fresh {}", cached, fresh);
+                Ok(())
+            };
+            check(&cache, &live)?;
+            for (leave, join) in batches {
+                let mut leavers: Vec<NodeId> = leave
+                    .iter()
+                    .filter(|_| live.len() > 1)
+                    .map(|&k| live[k % live.len()].0)
+                    .collect();
+                leavers.sort_unstable();
+                leavers.dedup();
+                live.retain(|(id, _, _)| !leavers.contains(id));
+                let joiners = tied_population(&join, next_id);
+                next_id += joiners.len() as u64;
+                cache.apply_churn(
+                    &leavers,
+                    &joiners.iter().map(|&(id, a, _)| (id, a)).collect::<Vec<_>>(),
+                );
+                live.extend(joiners);
+                check(&cache, &live)?;
+            }
+        }
+    }
+
+    /// The map-rebuilding tracker the id-indexed one replaced: the
+    /// reference the property test below holds `SliceTracker` to.
+    #[derive(Default)]
+    struct MapTracker {
+        believed: HashMap<NodeId, SliceIndex>,
+    }
+
+    impl MapTracker {
+        fn observe(&mut self, partition: &Partition, nodes: &[(NodeId, Attribute, f64)]) -> usize {
+            let mut changes = 0;
+            let mut fresh = HashMap::new();
+            for &(id, _, est) in nodes {
+                let slice = partition.slice_of(est);
+                if self
+                    .believed
+                    .get(&id)
+                    .is_some_and(|&previous| previous != slice)
+                {
+                    changes += 1;
+                }
+                fresh.insert(id, slice);
+            }
+            self.believed = fresh;
+            changes
+        }
+    }
+
+    proptest! {
+        /// Over random snapshot sequences — nodes leaving, joining with
+        /// fresh ids, coming back after an absence, moving between slices —
+        /// the stamp column counts exactly the changes the map did.
+        #[test]
+        fn slice_tracker_matches_the_map_reference(
+            k in 1usize..6,
+            steps in proptest::collection::vec(
+                proptest::collection::vec((0u64..48, 0.0f64..=1.0), 0..40),
+                1..12,
+            ),
+            repartition_at in 0usize..16,
+        ) {
+            let mut part = Partition::equal(k).unwrap();
+            let mut tracker = SliceTracker::new();
+            let mut reference = MapTracker::default();
+            let a = Attribute::new(1.0).unwrap();
+            for (step, picks) in steps.iter().enumerate() {
+                if step == repartition_at {
+                    // What `Engine::set_partition` does: a fresh tracker.
+                    part = Partition::equal(k + 1).unwrap();
+                    tracker = SliceTracker::new();
+                    reference = MapTracker::default();
+                }
+                let mut seen = std::collections::BTreeSet::new();
+                let snapshot: Vec<_> = picks
+                    .iter()
+                    .filter(|&&(id, _)| seen.insert(id))
+                    .map(|&(id, est)| (NodeId::new(id), a, est))
+                    .collect();
+                prop_assert_eq!(
+                    tracker.observe(&part, &snapshot),
+                    reference.observe(&part, &snapshot),
+                    "step {}", step
+                );
+                prop_assert_eq!(tracker.len(), reference.believed.len());
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! `a_i < a_j`, or `a_i == a_j` and `i < j`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -28,6 +28,26 @@ impl NodeId {
     /// Returns the raw integer value of this identifier.
     pub const fn as_u64(self) -> u64 {
         self.0
+    }
+
+    /// This id as a row of an id-indexed column (`NodeSlab`'s index,
+    /// `RankCache`'s ranks, `SliceTracker`'s stamps), for storing into it.
+    ///
+    /// Panics, naming the id, at or above `u32::MAX`: those columns hold
+    /// identities the program issued itself, sequentially from 0, and a row
+    /// per id up to an arbitrary `u64` would exhaust memory.
+    pub(crate) fn dense_row(self) -> usize {
+        assert!(
+            self.0 < u64::from(u32::MAX),
+            "node {self} is beyond the id-indexed tables' range (ids must be below 2^32 - 1)"
+        );
+        self.0 as usize
+    }
+
+    /// This id as a row of an id-indexed column, for looking it up: `None`
+    /// where no row can exist, so an unknown id is simply absent.
+    pub(crate) fn row(self) -> Option<usize> {
+        usize::try_from(self.0).ok()
     }
 }
 
@@ -60,11 +80,16 @@ impl From<NodeId> for u64 {
 ///
 /// Simulated identities come from [`NodeIdAllocator`] — sequential `u64`s —
 /// so one multiplication by an odd constant spreads them over the table
-/// perfectly, at a fraction of SipHash's cost on the per-message and
-/// per-view-entry lookups of a 10⁵-node cycle. It offers **no protection
+/// perfectly, at a fraction of SipHash's cost. It offers **no protection
 /// against keys crafted to collide**: never key a map of peer-supplied ids
 /// (anything read off a socket, as in `dslice-net`) with it — those keep the
 /// standard library's default hasher.
+///
+/// The per-cycle lookups of the simulator do not hash at all: the slab's
+/// index, `RankCache`'s ranks and `SliceTracker`'s stamps are columns
+/// indexed by the id itself. The one set still hashed with this hasher is
+/// off the hot path: the engine's liar set, consulted on churn and by the
+/// honest-accuracy probe.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeIdHasher(u64);
 
@@ -87,10 +112,6 @@ impl Hasher for NodeIdHasher {
         self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
-
-/// A `HashMap` keyed by program-issued [`NodeId`]s (see [`NodeIdHasher`] for
-/// why it must not hold peer-supplied ids).
-pub type NodeIdMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// A `HashSet` of program-issued [`NodeId`]s (see [`NodeIdHasher`]).
 pub type NodeIdSet = HashSet<NodeId, BuildHasherDefault<NodeIdHasher>>;
@@ -186,11 +207,6 @@ mod tests {
             }
             assert!(seen.iter().all(|&hit| hit), "{bits}-bit table has holes");
         }
-        let mut map: NodeIdMap<u64> = NodeIdMap::default();
-        for raw in 0..1000 {
-            map.insert(NodeId::new(raw), raw * 2);
-        }
-        assert_eq!(map[&NodeId::new(777)], 1554);
         let set: NodeIdSet = (0..10).map(NodeId::new).collect();
         assert!(set.contains(&NodeId::new(9)) && !set.contains(&NodeId::new(10)));
     }

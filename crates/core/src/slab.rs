@@ -12,22 +12,34 @@
 //!   without disturbing any other node.
 //!
 //! [`NodeSlab`] provides exactly that: a `Vec<Option<(NodeId, T)>>` of
-//! *slots*, a `NodeId → slot` index map, and a LIFO free list so that churn
+//! *slots*, a `NodeId → slot` index, and a LIFO free list so that churn
 //! reuses slots instead of growing the vector forever. All operations are
 //! deterministic: slot assignment depends only on the sequence of inserts
-//! and removes, never on hash iteration order (the index map is only ever
-//! *queried*, not iterated).
+//! and removes.
 //!
 //! Slots are stable for as long as a node lives, so a runtime resolves
 //! `NodeId → slot` **once** per phase ([`slot_of`](NodeSlab::slot_of)) and
 //! addresses the node by slot afterwards ([`slot`](NodeSlab::slot),
 //! [`slot_mut`](NodeSlab::slot_mut), [`take_slot`](NodeSlab::take_slot),
-//! [`take_pair_slots`](NodeSlab::take_pair_slots)) — a bounds-checked array
-//! index, no hashing. The id-addressed accessors are the same operations
-//! behind one lookup. The index is a [`NodeIdMap`]: the slab is meant for
-//! identities the program issued itself, not for peer-supplied ones.
+//! [`take_pair_slots`](NodeSlab::take_pair_slots)). The id-addressed
+//! accessors are the same operations behind one lookup — and the lookup is
+//! an array index too, nothing hashes: the index is a `Vec<u32>` indexed by
+//! the raw id, [`u32::MAX`] marking an id that is not live. That is the
+//! right shape for identities the program issued itself, sequentially from
+//! 0 (the simulator's `NodeIdAllocator`): the index costs 4 bytes per
+//! identity ever issued, live or not, and ids at or above `u32::MAX` are
+//! refused. It is the wrong shape for peer-supplied ids.
 
-use crate::{NodeId, NodeIdMap};
+use crate::NodeId;
+
+/// An index row whose id is not live.
+const ABSENT: u32 = u32::MAX;
+
+/// The live slot of `id` in an id-indexed slot index.
+fn lookup(index: &[u32], id: NodeId) -> Option<usize> {
+    let slot = *index.get(id.row()?)?;
+    (slot != ABSENT).then_some(slot as usize)
+}
 
 /// A slot-addressed, id-indexed dense store of per-node state.
 ///
@@ -39,18 +51,22 @@ use crate::{NodeId, NodeIdMap};
 pub struct NodeSlab<T> {
     /// Slot storage. `None` marks a free (or temporarily vacated) slot.
     slots: Vec<Option<(NodeId, T)>>,
-    /// Id → slot lookup. Entries persist while a node is [`take`](NodeSlab::take)n.
-    index: NodeIdMap<usize>,
+    /// Id → slot, indexed by the raw id ([`ABSENT`] for ids that are not
+    /// live). Rows persist while a node is [`take`](NodeSlab::take)n.
+    index: Vec<u32>,
     /// Free slots, reused LIFO (deterministic).
     free: Vec<usize>,
+    /// Live nodes (including temporarily taken ones).
+    len: usize,
 }
 
 impl<T> Default for NodeSlab<T> {
     fn default() -> Self {
         NodeSlab {
             slots: Vec::new(),
-            index: NodeIdMap::default(),
+            index: Vec::new(),
             free: Vec::new(),
+            len: 0,
         }
     }
 }
@@ -61,49 +77,58 @@ impl<T> NodeSlab<T> {
         Self::default()
     }
 
-    /// Creates an empty slab with room for `capacity` nodes.
+    /// Creates an empty slab with room for `capacity` nodes (and index rows
+    /// for ids `0..capacity`).
     pub fn with_capacity(capacity: usize) -> Self {
         NodeSlab {
             slots: Vec::with_capacity(capacity),
-            index: NodeIdMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: Vec::with_capacity(capacity),
             free: Vec::new(),
+            len: 0,
         }
     }
 
     /// Number of live nodes (including temporarily taken ones).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Whether the slab holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
-    /// Number of slots ever allocated (live + free). Memory use is bounded
-    /// by the *peak* population, not the current one.
+    /// Number of slots ever allocated (live + free). Slot storage is bounded
+    /// by the *peak* population, not the current one; the id index adds 4
+    /// bytes per identity ever inserted.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether `id` is live.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.index.contains_key(&id)
+        self.slot_of(id).is_some()
     }
 
     /// The slot currently assigned to `id`, if live.
     pub fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
+        lookup(&self.index, id)
     }
 
     /// Inserts `value` under `id`, reusing the most recently freed slot if
     /// any. Returns the assigned slot.
     ///
     /// Panics if `id` is already present — node identities are unique for
-    /// the lifetime of a run (the allocator never reuses them).
+    /// the lifetime of a run (the allocator never reuses them) — or if `id`
+    /// is `u32::MAX` or above (the index is a row per id; see the module
+    /// docs).
     pub fn insert(&mut self, id: NodeId, value: T) -> usize {
+        let row = id.dense_row();
+        if row >= self.index.len() {
+            self.index.resize(row + 1, ABSENT);
+        }
         assert!(
-            !self.index.contains_key(&id),
+            self.index[row] == ABSENT,
             "node {id} inserted twice into slab"
         );
         let slot = match self.free.pop() {
@@ -120,13 +145,18 @@ impl<T> NodeSlab<T> {
                 self.slots.len() - 1
             }
         };
-        self.index.insert(id, slot);
+        // Never truncates nor hits `ABSENT`: every slot ever allocated held a
+        // distinct id below `u32::MAX`, so there are fewer slots than that.
+        self.index[row] = slot as u32;
+        self.len += 1;
         slot
     }
 
     /// Removes `id`, freeing its slot for reuse. Returns the value.
     pub fn remove(&mut self, id: NodeId) -> Option<T> {
-        let slot = self.index.remove(&id)?;
+        let slot = self.slot_of(id)?;
+        self.index[id.dense_row()] = ABSENT;
+        self.len -= 1;
         let (stored_id, value) = self.slots[slot]
             .take()
             .expect("indexed slot must be occupied");
@@ -182,7 +212,7 @@ impl<T> NodeSlab<T> {
     /// [`take_slot`](NodeSlab::take_slot) into its reserved slot.
     pub fn put_back(&mut self, slot: usize, id: NodeId, value: T) {
         debug_assert!(self.slots[slot].is_none(), "slot occupied on put_back");
-        debug_assert_eq!(self.index.get(&id), Some(&slot), "slot not reserved");
+        debug_assert_eq!(self.slot_of(id), Some(slot), "slot not reserved");
         self.slots[slot] = Some((id, value));
     }
 
@@ -301,20 +331,21 @@ fn chunk_slots<T>(slots: &mut [Option<(NodeId, T)>], count: usize) -> Vec<SlabCh
 
 /// Read-only id → slot lookup handed out by
 /// [`NodeSlab::chunks_mut_with_lookup`]; valid while the chunks are live.
+/// It lends the slab's id-indexed slot column: a lookup is an array index.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotLookup<'a> {
-    index: &'a NodeIdMap<usize>,
+    index: &'a [u32],
 }
 
 impl SlotLookup<'_> {
     /// The slot currently assigned to `id`, if live.
     pub fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
+        lookup(self.index, id)
     }
 
     /// Whether `id` is live.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.index.contains_key(&id)
+        self.slot_of(id).is_some()
     }
 }
 
@@ -554,33 +585,42 @@ mod tests {
         for &slot in &free {
             assert!(slab.slots[slot].is_none(), "free slot {slot} is occupied");
             assert!(
-                slab.index.values().all(|&live| live != slot),
+                slab.index.iter().all(|&live| live as usize != slot),
                 "free slot {slot} is also live"
             );
         }
         assert_eq!(slab.slot_count(), model.len() + free.len());
+        let indexed = slab.index.iter().filter(|&&slot| slot != ABSENT).count();
+        assert_eq!(indexed, model.len(), "index rows and live nodes disagree");
     }
 
     proptest! {
         /// Whatever sequence of inserts, removes and takes a run performs,
         /// addressing a node by slot does exactly what addressing it by id
-        /// does, and the free list never overlaps the live set.
+        /// does, and the free list never overlaps the live set — for the
+        /// allocator's sequential ids and for gapped, non-monotone ones (a
+        /// bijective scramble of the insert counter over `0..10_007`).
         #[test]
         fn slot_and_id_addressing_agree_under_churn(
             ops in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..120),
+            scramble in prop_oneof![Just(None), (1u64..10_007, 0u64..10_007).prop_map(Some)],
         ) {
             let mut slab: NodeSlab<u32> = NodeSlab::new();
             let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-            let mut next_id = 0u64;
+            let mut inserted = 0u64;
             for (op, pick_a, pick_b) in ops {
                 let live: Vec<u64> = model.keys().copied().collect();
                 let pick = |p: usize| live[p % live.len()];
                 match op {
                     0 => {
-                        let slot = slab.insert(id(next_id), next_id as u32);
-                        prop_assert_eq!(slab.slot(slot), Some(&(next_id as u32)));
-                        model.insert(next_id, next_id as u32);
-                        next_id += 1;
+                        let raw = match scramble {
+                            None => inserted,
+                            Some((stride, offset)) => (inserted * stride + offset) % 10_007,
+                        };
+                        inserted += 1;
+                        let slot = slab.insert(id(raw), raw as u32);
+                        prop_assert_eq!(slab.slot(slot), Some(&(raw as u32)));
+                        model.insert(raw, raw as u32);
                     }
                     1 if !live.is_empty() => {
                         let raw = pick(pick_a);
@@ -631,5 +671,13 @@ mod tests {
         let mut slab: NodeSlab<u32> = NodeSlab::new();
         slab.insert(id(1), 1);
         slab.insert(id(1), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4294967295 is beyond")]
+    fn id_beyond_the_index_range_panics() {
+        let mut slab: NodeSlab<u32> = NodeSlab::new();
+        assert_eq!(slab.slot_of(id(u64::MAX)), None, "lookups just miss");
+        slab.insert(id(u64::from(u32::MAX)), 1);
     }
 }

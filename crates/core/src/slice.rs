@@ -180,7 +180,10 @@ impl Partition {
     }
 
     /// Creates a partition from slice fractions, e.g. `[0.1, 0.4, 0.5]` for a
-    /// 10% / 40% / 50% split. Fractions must be positive and sum to 1.
+    /// 10% / 40% / 50% split. Fractions must be positive and sum to 1
+    /// (within 1e-9), and the cumulative boundaries they yield must pass
+    /// [`from_boundaries`](Partition::from_boundaries): a sum inside the
+    /// tolerance can still push an interior boundary to 1 or past it.
     pub fn from_fractions(fractions: &[f64]) -> Result<Self> {
         if fractions.is_empty() {
             return Err(Error::EmptyPartition);
@@ -208,9 +211,7 @@ impl Partition {
                 "last fraction is {last}, must be positive"
             )));
         }
-        Ok(Partition {
-            boundaries: boundaries.into(),
-        })
+        Partition::from_boundaries(&boundaries)
     }
 
     /// Number of slices.
@@ -391,6 +392,10 @@ mod tests {
         assert!(Partition::from_fractions(&[0.5, 0.4]).is_err()); // sums to 0.9
         assert!(Partition::from_fractions(&[1.2, -0.2]).is_err());
         assert!(Partition::from_fractions(&[0.0, 1.0]).is_err());
+        // Sums within the tolerance whose cumulative boundary overshoots 1:
+        // the last slice would have negative length.
+        assert!(Partition::from_fractions(&[0.6, 0.4 + 5e-10, 1e-10]).is_err());
+        assert!(Partition::from_fractions(&[0.5, 0.5 + 9e-10, 1e-12]).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::{Attribute, Error, NodeId, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One row of a node's view: Table 1 of the paper.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -291,6 +292,67 @@ impl View {
             );
         }
         self.entries.rotate_left(kept);
+    }
+
+    /// The Cyclon full-view swap between two views in one process, written
+    /// where the views live. `self` belongs to `own.id` and `other` to
+    /// `other_own.id`; the `own`s are the two fresh self-descriptors. On
+    /// success `self` holds the first `c` of (`other` without `own.id`, then
+    /// `other_own`), and `other` holds the first `c` of (`self` without
+    /// `other_own.id`, then `own`). Entries keep their ages.
+    ///
+    /// That is what the message exchange — request and reply payloads
+    /// built from the pre-exchange views, each adopted by
+    /// [`replace_with`](View::replace_with) — leaves behind whenever neither
+    /// side needs a top-up, given the structural invariants on entry (no
+    /// duplicate, no self-entry). So this returns `false` and touches
+    /// nothing unless both views have capacity `c` and
+    /// `|self| − [other_own.id ∈ self] + 1 ≥ c` and
+    /// `|other| − [own.id ∈ other] + 1 ≥ c` (and the ids differ).
+    ///
+    /// The entries are swapped element by element inside the two existing
+    /// buffers, never by swapping the buffers: each view's storage stays
+    /// with its node, so a runtime that lays node state out in slot order
+    /// keeps walking it in slot order.
+    pub fn swap_in_place(
+        &mut self,
+        own: ViewEntry,
+        other: &mut View,
+        other_own: ViewEntry,
+    ) -> bool {
+        let c = self.capacity;
+        let mine = self.entries.iter().position(|e| e.id == other_own.id);
+        let theirs = other.entries.iter().position(|e| e.id == own.id);
+        if own.id == other_own.id
+            || other.capacity != c
+            || self.entries.len() - usize::from(mine.is_some()) + 1 < c
+            || other.entries.len() - usize::from(theirs.is_some()) + 1 < c
+        {
+            return false;
+        }
+        if let Some(idx) = mine {
+            self.entries.remove(idx);
+        }
+        if let Some(idx) = theirs {
+            other.entries.remove(idx);
+        }
+        // Each side now holds c − 1 or c entries: swap the common prefix,
+        // then hand the longer side's last entry over.
+        let common = self.entries.len().min(other.entries.len());
+        self.entries[..common].swap_with_slice(&mut other.entries[..common]);
+        match self.entries.len().cmp(&other.entries.len()) {
+            Ordering::Greater => other.entries.extend(self.entries.pop()),
+            Ordering::Less => self.entries.extend(other.entries.pop()),
+            Ordering::Equal => {}
+        }
+        // A self-descriptor fits only where the swapped-in entries left room.
+        if self.entries.len() < c {
+            self.entries.push(other_own);
+        }
+        if other.entries.len() < c {
+            other.entries.push(own);
+        }
+        true
     }
 
     fn evict_oldest(&mut self) {

@@ -27,8 +27,41 @@
 //! makes the continuous stream of fresh samples the ranking algorithm
 //! relies on actually uniform. The regression test
 //! `overlay_stays_diverse_over_many_cycles` pins this property.
+//!
+//! ## The in-process exchange
+//!
+//! The message path copies each view twice per exchange: into a payload,
+//! then out of it by [`View::replace_with`]. When both samplers live in one
+//! process (the cycle simulator) and both are Cyclon, the exchange is only
+//! a swap of the two views, and [`PeerSampler::exchange_local`] does it
+//! where the views live ([`View::swap_in_place`]): with A the initiator, B
+//! the partner and `c` the capacity, B's view becomes the first `c` of (A's
+//! view without B, then A's fresh descriptor) and A's view the first `c` of
+//! (B's view without A, then B's descriptor) — ages travel with their
+//! entries, and a descriptor is appended only where there is room, as the
+//! message path's cut at `c` would drop it otherwise.
+//!
+//! That is exactly the message path's result whenever no view is topped
+//! up, i.e. when both capacities are `c`, `|V_A| − [B ∈ V_A] + 1 ≥ c` and
+//! `|V_B| − [A ∈ V_B] + 1 ≥ c`. Otherwise — a short view, unequal
+//! capacities, a non-Cyclon partner, or self-descriptors that do not carry
+//! the samplers' owner ids — the exchange falls back to the message path.
+//! In the simulator nearly every exchange qualifies, including the ≈ 40 %
+//! whose initiator no longer holds its partner (it served as a responder
+//! earlier in the batch order, after scheduling). Both paths are held to
+//! each other by a proptest and a 10⁵-case sweep in this module.
+//!
+//! The swap moves entries element by element between the two existing
+//! buffers; it never swaps the `Vec`s themselves. Swapping the vectors gives
+//! the same entries but lets every view's heap buffer wander away from its
+//! node, so the simulator's slot-ordered sweeps (refresh, active) stop
+//! walking memory in order — at 10⁵ nodes that cost more than the copies
+//! saved.
 
-use crate::sampler::{ExchangeRequest, PeerSampler, SamplerKind};
+use crate::sampler::{
+    debug_assert_exchanged, exchange_via_messages, ExchangeBuffers, ExchangeRequest, PeerSampler,
+    SamplerKind,
+};
 use dslice_core::{NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
@@ -117,12 +150,37 @@ impl PeerSampler for CyclonSampler {
         // Lines 5–6: adopt the received entries (swap).
         self.view.replace_with(self.owner, entries);
     }
+
+    /// Swaps the two views in place when the partner is Cyclon too and no
+    /// top-up is needed (see the module docs); the message path otherwise.
+    fn exchange_local(
+        &mut self,
+        self_entry: ViewEntry,
+        partner: &mut dyn PeerSampler,
+        partner_entry: ViewEntry,
+        rng: &mut dyn RngCore,
+        bufs: &mut ExchangeBuffers,
+    ) {
+        let swapped = partner.kind() == SamplerKind::Cyclon
+            && self_entry.id == self.owner
+            && partner_entry.id == partner.owner()
+            && self
+                .view
+                .swap_in_place(self_entry, partner.view_mut(), partner_entry);
+        if swapped {
+            debug_assert_exchanged(&self.view, self.owner, partner);
+        } else {
+            exchange_via_messages(self, self_entry, partner, partner_entry, rng, bufs);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::{exchange_via_messages, ExchangeBuffers};
     use dslice_core::Attribute;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -269,6 +327,145 @@ mod tests {
         s.bootstrap(&[entry(5, 0), entry(0, 0)]); // self pointer filtered
         assert!(s.view().contains(NodeId::new(5)));
         assert!(!s.view().contains(NodeId::new(0)));
+    }
+
+    /// Fills a Cyclon view for the differential tests: the partner's entry
+    /// first when `knows`, then `entries` (repeats skipped) until full.
+    fn seeded_sampler(
+        owner: u64,
+        capacity: usize,
+        knows: Option<ViewEntry>,
+        entries: &[(u64, u32, f64)],
+    ) -> CyclonSampler {
+        let mut s = CyclonSampler::new(NodeId::new(owner), capacity).unwrap();
+        for e in knows
+            .into_iter()
+            .chain(entries.iter().map(|&(id, age, value)| {
+                ViewEntry::with_age(NodeId::new(id), age, attr(id as f64), value)
+            }))
+        {
+            if !s.view.is_full() && !s.view.contains(e.id) {
+                s.view.insert(e);
+            }
+        }
+        s.view.check_invariants(Some(NodeId::new(owner))).unwrap();
+        s
+    }
+
+    /// Runs `exchange_local` and the message path from the same pair and
+    /// asserts both leave identical views — ids, ages, values, order.
+    /// Returns whether `exchange_local` skipped the payload buffers (took
+    /// the in-place swap), after checking that it did so exactly when the
+    /// swap is exact: equal capacities and no top-up on either side.
+    fn assert_local_matches_messages(a: CyclonSampler, b: CyclonSampler, seed: u64) -> bool {
+        let (own_a, own_b) = (descriptor(a.owner.as_u64()), descriptor(b.owner.as_u64()));
+        let c = a.view.capacity();
+        let eligible = b.view.capacity() == c
+            && a.view.len() - usize::from(a.view.contains(b.owner)) + 1 >= c
+            && b.view.len() - usize::from(b.view.contains(a.owner)) + 1 >= c;
+
+        let (mut local_a, mut local_b) = (a.clone(), b.clone());
+        let mut bufs = ExchangeBuffers::default();
+        local_a.exchange_local(
+            own_a,
+            &mut local_b,
+            own_b,
+            &mut StdRng::seed_from_u64(seed),
+            &mut bufs,
+        );
+        let in_place = bufs.request.is_empty() && bufs.reply.is_empty();
+
+        let (mut msg_a, mut msg_b) = (a, b);
+        let mut bufs = ExchangeBuffers::default();
+        exchange_via_messages(
+            &mut msg_a,
+            own_a,
+            &mut msg_b,
+            own_b,
+            &mut StdRng::seed_from_u64(seed),
+            &mut bufs,
+        );
+
+        assert_eq!(
+            local_a.view.entries(),
+            msg_a.view.entries(),
+            "initiator's view"
+        );
+        assert_eq!(
+            local_b.view.entries(),
+            msg_b.view.entries(),
+            "partner's view"
+        );
+        assert!(
+            in_place || !eligible,
+            "an exact swap went through the payloads"
+        );
+        assert!(
+            !in_place || eligible,
+            "the swap ran where the message path tops up"
+        );
+        in_place
+    }
+
+    proptest! {
+        /// The in-process exchange equals the message path, entry for entry,
+        /// over capacities 1..=24 (equal and unequal), views from empty to
+        /// full, random ages and values, and either side holding the other.
+        #[test]
+        fn exchange_local_matches_the_message_path(
+            cap_a in 1usize..=24,
+            cap_b in prop_oneof![Just(0usize), 1usize..=24],
+            a_entries in proptest::collection::vec((2u64..64, 0u32..12, 0.0f64..1.0), 0..=24),
+            b_entries in proptest::collection::vec((2u64..64, 0u32..12, 0.0f64..1.0), 0..=24),
+            knows in (0u8..2, 0u8..2, 0u32..12, 0u32..12),
+            seed in 0u64..1 << 40,
+        ) {
+            let cap_b = if cap_b == 0 { cap_a } else { cap_b };
+            let (a_knows_b, b_knows_a, age_b, age_a) = knows;
+            let a = seeded_sampler(0, cap_a, (a_knows_b == 1).then(|| entry(1, age_b)), &a_entries);
+            let b = seeded_sampler(1, cap_b, (b_knows_a == 1).then(|| entry(0, age_a)), &b_entries);
+            assert_local_matches_messages(a, b, seed);
+        }
+    }
+
+    /// The seeded sweep: 10⁵ random pairs shaped like the simulator's (full
+    /// or nearly full views, equal capacities most of the time), each
+    /// checked against the message path — and the in-place swap must
+    /// actually carry most of them.
+    #[test]
+    fn exchange_local_sweep_takes_the_in_place_swap() {
+        const CASES: usize = 100_000;
+        let mut rng = StdRng::seed_from_u64(0xC1C1_0AE5);
+        let mut in_place = 0;
+        for case in 0..CASES {
+            let cap_a = rng.gen_range(1..=24);
+            let cap_b = if rng.gen_bool(0.9) {
+                cap_a
+            } else {
+                rng.gen_range(1..=24)
+            };
+            let fill = |cap: usize, rng: &mut StdRng| -> Vec<(u64, u32, f64)> {
+                let len = if rng.gen_bool(0.8) {
+                    cap
+                } else {
+                    rng.gen_range(0..=cap)
+                };
+                rand::seq::index::sample(rng, 78, len)
+                    .into_iter()
+                    .map(|k| (k as u64 + 2, rng.gen_range(0..12), rng.gen::<f64>()))
+                    .collect()
+            };
+            let (a_entries, b_entries) = (fill(cap_a, &mut rng), fill(cap_b, &mut rng));
+            let knows =
+                |rng: &mut StdRng, id| rng.gen_bool(0.5).then(|| entry(id, rng.gen_range(0..12)));
+            let a = seeded_sampler(0, cap_a, knows(&mut rng, 1), &a_entries);
+            let b = seeded_sampler(1, cap_b, knows(&mut rng, 0), &b_entries);
+            in_place += usize::from(assert_local_matches_messages(a, b, case as u64));
+        }
+        assert!(
+            in_place * 2 > CASES,
+            "only {in_place} of {CASES} exchanges were swapped in place"
+        );
     }
 
     /// Regression test for the overlay-degeneration bug: run a full overlay

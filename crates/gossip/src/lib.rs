@@ -25,10 +25,11 @@
 //!   uniformly random live nodes by the runtime each cycle; the "uniform"
 //!   baseline of Fig. 6(b).
 //!
-//! All three implement [`PeerSampler`], a three-phase message-level
-//! interface (`initiate` → `handle_request` → `handle_reply`) that the cycle
-//! simulator drives atomically and the network runtime drives over real
-//! sockets.
+//! All four implement [`PeerSampler`], a three-phase message-level
+//! interface (`initiate` → `handle_request` → `handle_reply`) that the
+//! network runtime drives over real sockets. The cycle simulator drives
+//! whole exchanges atomically through [`PeerSampler::exchange_local`], which
+//! two Cyclon samplers carry out as a swap of their views in place.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,7 +44,7 @@ pub mod uniform;
 pub use cyclon::CyclonSampler;
 pub use lpbcast::LpbcastSampler;
 pub use newscast::NewscastSampler;
-pub use sampler::{PeerSampler, SamplerConfig, SamplerKind};
+pub use sampler::{ExchangeBuffers, PeerSampler, SamplerConfig, SamplerKind};
 pub use uniform::UniformOracle;
 
 use dslice_core::{Attribute, NodeId, Result, ViewEntry};

@@ -9,6 +9,15 @@
 //!   exactly the atomic view exchange of the paper's PeerSim setup (§4.5);
 //! * the **network runtime** can ship the two payloads as real `ViewReq` /
 //!   `ViewAck` messages.
+//!
+//! A runtime that holds both endpoints in one process calls
+//! [`PeerSampler::exchange_local`] instead: by default the same three
+//! phases through reusable [`ExchangeBuffers`], and for a pair of
+//! [`CyclonSampler`](crate::CyclonSampler)s a swap of the two views where
+//! they live, with no payload copied at all. The message path stays the
+//! definition of an exchange all the same: `dslice-net` ships its payloads
+//! over sockets, Newscast and Lpbcast exchange only through it, and the
+//! in-process Cyclon swap is tested against it.
 
 use dslice_core::{NodeId, View, ViewEntry};
 use rand::RngCore;
@@ -67,6 +76,58 @@ pub struct ExchangeRequest {
     pub partner: NodeId,
     /// The entries to send (`N_i \ {e_j} ∪ {⟨i,0,a_i,r_i⟩}` for Cyclon).
     pub entries: Vec<ViewEntry>,
+}
+
+/// The request and reply payloads of an exchange run by
+/// [`PeerSampler::exchange_local`] through the message path. A runtime that
+/// executes exchanges back to back keeps one per worker and reuses it, so
+/// the exchange allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ExchangeBuffers {
+    /// The initiator's request payload.
+    pub request: Vec<ViewEntry>,
+    /// The partner's reply payload.
+    pub reply: Vec<ViewEntry>,
+}
+
+/// One whole exchange between two samplers held in one process, through the
+/// message path: [`initiate_into`](PeerSampler::initiate_into) →
+/// [`handle_request_into`](PeerSampler::handle_request_into) →
+/// [`handle_reply`](PeerSampler::handle_reply), the payloads living in
+/// `bufs`. This is the default body of
+/// [`PeerSampler::exchange_local`], and what the Cyclon override falls back
+/// to.
+pub(crate) fn exchange_via_messages<S: PeerSampler + ?Sized>(
+    initiator: &mut S,
+    self_entry: ViewEntry,
+    partner: &mut dyn PeerSampler,
+    partner_entry: ViewEntry,
+    rng: &mut dyn RngCore,
+    bufs: &mut ExchangeBuffers,
+) {
+    let partner_id = partner.owner();
+    initiator.initiate_into(partner_id, self_entry, rng, &mut bufs.request);
+    partner.handle_request_into(
+        partner_entry,
+        initiator.owner(),
+        &bufs.request,
+        &mut bufs.reply,
+    );
+    initiator.handle_reply(partner_id, &bufs.reply);
+    debug_assert_exchanged(initiator.view(), initiator.owner(), partner);
+}
+
+/// Debug builds: after an exchange both views hold at most `c` entries, no
+/// duplicate id and no entry for their owner. The in-process Cyclon swap is
+/// exact only on views that satisfy this, so every exchange re-checks it.
+pub(crate) fn debug_assert_exchanged(view: &View, owner: NodeId, partner: &dyn PeerSampler) {
+    if cfg!(debug_assertions) {
+        for (view, owner) in [(view, owner), (partner.view(), partner.owner())] {
+            if let Err(e) = view.check_invariants(Some(owner)) {
+                panic!("view of node {owner} broke its invariants in an exchange: {e}");
+            }
+        }
+    }
 }
 
 /// A peer-sampling service instance owned by one node.
@@ -179,6 +240,29 @@ pub trait PeerSampler: Send {
 
     /// Active side, phase 2: absorb the reply payload.
     fn handle_reply(&mut self, from: NodeId, entries: &[ViewEntry]);
+
+    /// Runs a whole exchange with `partner`, chosen earlier by
+    /// [`schedule_exchange`](PeerSampler::schedule_exchange), when both
+    /// samplers live in this process (the cycle simulator). `self_entry`
+    /// and `partner_entry` are the two nodes' fresh self-descriptors; `rng`
+    /// is the stream carried from scheduling, as for
+    /// [`initiate_into`](PeerSampler::initiate_into).
+    ///
+    /// The default is the message path — the three calls above, back to
+    /// back — with the payloads in `bufs`. An override may do the same work
+    /// without the payloads but must leave both samplers exactly as the
+    /// message path would (including the draws taken from `rng`). Either
+    /// way, debug builds check both views' invariants afterwards.
+    fn exchange_local(
+        &mut self,
+        self_entry: ViewEntry,
+        partner: &mut dyn PeerSampler,
+        partner_entry: ViewEntry,
+        rng: &mut dyn RngCore,
+        bufs: &mut ExchangeBuffers,
+    ) {
+        exchange_via_messages(self, self_entry, partner, partner_entry, rng, bufs);
+    }
 
     /// Drops entries for nodes that are no longer alive. Runtimes call this
     /// after churn so protocols never gossip with the departed.

@@ -55,7 +55,8 @@
 //!    every [`metrics_every`](crate::SimConfig::metrics_every)-th cycle
 //!    (skipped cycles repeat the last computed disorder values); SDM and
 //!    slice accuracy come from the churn-maintained
-//!    [`RankCache`](metrics::RankCache) in O(n).
+//!    [`RankCache`](metrics::RankCache) in O(n), and so does the GDM's
+//!    attribute rank (only the random values are sorted).
 //!
 //! ## Atomic exchanges under phased execution
 //!
@@ -75,14 +76,13 @@
 //! ## Storage
 //!
 //! Node state lives in a dense [`NodeSlab`]: contiguous slots walked in
-//! slot order each phase, an id → slot map, and a free list so churn
-//! reuses slots (memory is bounded by the peak population).
+//! slot order each phase, an id → slot index, and a free list so churn
+//! reuses slots (slot storage is bounded by the peak population).
 //!
-//! **Every per-cycle touch of a node is O(1): at most one cheap hash to
+//! **Every per-cycle touch of a node is O(1): at most one array index to
 //! find it, and no allocation.** A node's slot is stable while it lives, so
-//! each phase
-//! resolves `NodeId → slot` once, where the id enters it, and indexes the
-//! slot array from then on:
+//! each phase resolves `NodeId → slot` once, where the id enters it, and
+//! indexes the slot array from then on:
 //!
 //! * *membership* resolves the partner's slot when it schedules the
 //!   exchange; batching, extraction and put-back are slot-addressed;
@@ -93,21 +93,22 @@
 //!   recipient where it lives (node storage and the engine's RNG are
 //!   separate fields, so both are lent at once — nothing is moved out).
 //!
-//! The lookups that remain go through `dslice_core`'s `NodeIdMap`, a
-//! one-multiplication hasher that suits the sequential ids the engine's own
-//! allocator issues and nothing else (ids read off a socket keep SipHash —
-//! see `dslice_core::node::NodeIdHasher`).
+//! Resolving an id hashes nothing: the slab's index, the rank cache's
+//! ranks and the slice tracker's stamps are columns indexed by the raw id,
+//! which the engine's own allocator issues sequentially from 0. They cost
+//! about 16 bytes per identity ever issued — 0.16 MB per 10k joins — on
+//! top of the slots (see [`Engine::slot_count`]).
 //!
 //! What a phase needs beyond node state lives in engine- or worker-owned
 //! buffers that persist across cycles (`Scratch`): the membership
-//! schedule, batches and per-worker request/reply payloads (the samplers
-//! write into them through
-//! [`PeerSampler::initiate_into`]/[`handle_request_into`](PeerSampler::handle_request_into),
-//! and the Cyclon swap rewrites a view inside its own storage), the
-//! per-worker active-phase outboxes, the delivery queues. Nothing is kept
-//! per node: a spare vector there is paid for `n` times. The slice
-//! partition is shared the same way — every protocol instance holds a
-//! handle on one boundary array.
+//! schedule, batches and per-worker request/reply payloads, the per-worker
+//! active-phase outboxes, the delivery queues. An exchange between two
+//! Cyclon samplers uses no payload at all: [`PeerSampler::exchange_local`]
+//! swaps the two views element by element where they live; the other
+//! substrates (and the rare Cyclon exchange whose views need a top-up) go
+//! through the payload buffers. Nothing is kept per node: a spare vector
+//! there is paid for `n` times. The slice partition is shared the same
+//! way — every protocol instance holds a handle on one boundary array.
 //!
 //! Everything is driven by the run seed: identical `(config, protocol,
 //! churn, seed)` yields identical runs, byte for byte — at any shard count.
@@ -126,7 +127,7 @@ use dslice_core::{
     metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, SlotLookup,
     TakenPair, ViewEntry,
 };
-use dslice_gossip::{build_sampler, PeerSampler, SamplerKind};
+use dslice_gossip::{build_sampler, ExchangeBuffers, PeerSampler, SamplerKind};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -253,29 +254,17 @@ struct ExchangeJob {
     rng: NodeRng,
 }
 
-/// The request and reply payloads of the exchange a worker is executing.
-/// One pair of buffers per worker, reused for every exchange it runs.
-#[derive(Default)]
-struct ExchangeBufs {
-    request: Vec<ViewEntry>,
-    reply: Vec<ViewEntry>,
-}
-
 /// Runs one scheduled pairwise exchange on an extracted pair. Pure
 /// pair-local work: it mutates only the two nodes and the worker's payload
-/// buffers, and draws only from the initiator's carried membership stream,
-/// so the pairs of a conflict-free batch can execute on any thread in any
-/// order with identical results.
-fn run_exchange(pair: &mut TakenPair<SimNode>, rng: &mut NodeRng, bufs: &mut ExchangeBufs) {
-    let self_entry = pair.a.self_entry();
+/// buffers (which two Cyclon samplers do not even touch: they swap their
+/// views in place), and draws only from the initiator's carried membership
+/// stream, so the pairs of a conflict-free batch can execute on any thread
+/// in any order with identical results.
+fn run_exchange(pair: &mut TakenPair<SimNode>, rng: &mut NodeRng, bufs: &mut ExchangeBuffers) {
+    let (self_entry, partner_entry) = (pair.a.self_entry(), pair.b.self_entry());
     pair.a
         .sampler
-        .initiate_into(pair.b_id, self_entry, rng, &mut bufs.request);
-    let partner_entry = pair.b.self_entry();
-    pair.b
-        .sampler
-        .handle_request_into(partner_entry, pair.a_id, &bufs.request, &mut bufs.reply);
-    pair.a.sampler.handle_reply(pair.b_id, &bufs.reply);
+        .exchange_local(self_entry, &mut *pair.b.sampler, partner_entry, rng, bufs);
 }
 
 /// Minimum pairs that justify putting a worker thread on a batch.
@@ -286,7 +275,7 @@ const MIN_PAIRS_PER_WORKER: usize = 64;
 fn exchange_in_place(
     nodes: &mut NodeSlab<SimNode>,
     scheduled: &ScheduledExchange,
-    bufs: &mut ExchangeBufs,
+    bufs: &mut ExchangeBuffers,
 ) {
     if let Some(mut pair) = nodes.take_pair_slots(scheduled.slot, scheduled.partner_slot) {
         run_exchange(&mut pair, &mut scheduled.rng.clone(), bufs);
@@ -297,7 +286,7 @@ fn exchange_in_place(
 /// Executes the extracted pairs of one conflict-free batch across scoped
 /// worker threads, one per payload-buffer pair in `bufs`. Which worker runs
 /// which pair is invisible in the result (only wall-clock differs).
-fn exchange_on_workers(jobs: &mut [ExchangeJob], bufs: &mut [ExchangeBufs]) {
+fn exchange_on_workers(jobs: &mut [ExchangeJob], bufs: &mut [ExchangeBuffers]) {
     let per_worker = jobs.len().div_ceil(bufs.len()).max(MIN_PAIRS_PER_WORKER);
     std::thread::scope(|scope| {
         for (chunk, bufs) in jobs.chunks_mut(per_worker).zip(bufs.iter_mut()) {
@@ -413,7 +402,7 @@ struct Scratch {
     /// Extracted pair state for the batch currently on worker threads.
     jobs: Vec<ExchangeJob>,
     /// Membership execute: one request/reply buffer pair per worker.
-    exchange_bufs: Vec<ExchangeBufs>,
+    exchange_bufs: Vec<ExchangeBuffers>,
     /// Oracle refill: the cycle's population snapshot as view entries.
     pool_entries: Vec<ViewEntry>,
     /// Refresh phase: published value per slot.
@@ -608,9 +597,11 @@ impl Engine {
     }
 
     /// Number of storage slots the node slab has ever allocated (live +
-    /// free): the engine's memory footprint is bounded by this — the *peak*
-    /// population — not by the number of identities created over the run
-    /// (churn reuses slots through the slab's free list).
+    /// free). Node state is bounded by this — the *peak* population — not
+    /// by the number of identities created over the run (churn reuses slots
+    /// through the slab's free list). The id-indexed columns beside it (slab
+    /// index, rank cache, slice tracker) add about 16 bytes per identity
+    /// ever issued, live or not.
     pub fn slot_count(&self) -> usize {
         self.nodes.slot_count()
     }
@@ -667,9 +658,10 @@ impl Engine {
         )
     }
 
-    /// The global disorder measure of the current population.
+    /// The global disorder measure of the current population: `α` from the
+    /// churn-maintained rank cache, one sort of the random values for `ρ`.
     pub fn gdm(&self) -> f64 {
-        metrics::gdm(&self.snapshot_slots())
+        self.ranks.gdm(&self.snapshot_slots())
     }
 
     /// Fraction of nodes whose believed slice equals their true slice —
@@ -1093,7 +1085,7 @@ impl Engine {
                 &self.cfg.partition,
                 snapshot.iter().map(|&(id, _, est)| (id, est)),
             );
-            let gdm = metrics::gdm(&snapshot);
+            let gdm = self.ranks.gdm(&snapshot);
             let slice_changes = self.tracker.observe(&self.cfg.partition, &snapshot);
             self.last_sdm = sdm;
             self.last_gdm = gdm;
@@ -1286,7 +1278,7 @@ impl Engine {
         // pair — spawning costs more than it saves there.
         let shards = self.cfg.shards;
         let mut bufs = mem::take(&mut self.scratch.exchange_bufs);
-        bufs.resize_with(shards, ExchangeBufs::default);
+        bufs.resize_with(shards, ExchangeBuffers::default);
         let mut jobs = mem::take(&mut self.scratch.jobs);
         for batch in batches.iter().take(used_batches) {
             if shards == 1 || batch.len() < 2 * MIN_PAIRS_PER_WORKER {

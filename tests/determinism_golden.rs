@@ -219,16 +219,30 @@ fn assert_pinned_at_5000(
     churn_rate: Option<f64>,
     pinned: u64,
 ) {
+    assert_pinned_with(kind, churn_rate, pinned, |cfg| {
+        cfg.concurrency = concurrency
+    });
+}
+
+/// [`assert_pinned_at_5000`] with `tweak` applied to the base configuration
+/// (view size 10, Cyclon, no concurrency) — for pins on another view size
+/// or peer-sampling substrate.
+fn assert_pinned_with(
+    kind: ProtocolKind,
+    churn_rate: Option<f64>,
+    pinned: u64,
+    tweak: impl Fn(&mut SimConfig),
+) {
     for shards in [1, 4] {
-        let cfg = SimConfig {
+        let mut cfg = SimConfig {
             n: 5000,
             view_size: 10,
             partition: Partition::equal(20).unwrap(),
             seed: 4242,
             shards,
-            concurrency,
             ..SimConfig::default()
         };
+        tweak(&mut cfg);
         let churn = churn_rate.map(|rate| -> Box<dyn ChurnModel> {
             Box::new(UncorrelatedChurn::new(
                 ChurnSchedule {
@@ -267,6 +281,39 @@ fn churned_half_concurrent_mod_jk_record_is_pinned_at_5000_nodes() {
         Some(0.001),
         0x4e92_cbfb_3fa0_83e8,
     );
+}
+
+// Pins captured on the commit before the in-process Cyclon exchange and the
+// id-indexed node tables. Every other pin runs c = 10; the mod-JK churn
+// workload the benchmark measures runs c = 20, where a payload overflows
+// the view and the self-descriptor is cut. Newscast and Lpbcast keep the
+// message exchange path, so their pins hold it to its old bytes.
+
+#[test]
+fn wide_view_churned_half_concurrent_mod_jk_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(
+        ProtocolKind::ModJk,
+        Some(0.001),
+        0x9ce2_2897_4bcc_9409,
+        |cfg| {
+            cfg.concurrency = Concurrency::Half;
+            cfg.view_size = 20;
+        },
+    );
+}
+
+#[test]
+fn newscast_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(ProtocolKind::Ranking, None, 0xcfb9_dbc4_1dcc_e3bd, |cfg| {
+        cfg.sampler = SamplerKind::Newscast;
+    });
+}
+
+#[test]
+fn lpbcast_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(ProtocolKind::Ranking, None, 0x567e_c16a_e0bf_387c, |cfg| {
+        cfg.sampler = SamplerKind::Lpbcast;
+    });
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! figures [--fig <id>] [--scale paper|small|tiny] [--seed N] [--out DIR]
 //! ```
 //!
-//! `--fig all` (the default) runs every experiment; individual ids are
-//! `4a 4b 4c 4d 6a 6b 6c 6d lemma41 thm51 ablation-sampler ablation-dist`.
-//! CSVs land in `--out` (default `target/figures`), next to a `manifest.json`
-//! recording the exact parameters of the run.
+//! `--fig all` (the default) runs every experiment; `--help` lists the
+//! figure ids. Repeated ids run once, and an unknown id is rejected before
+//! anything runs. CSVs land in `--out` (default `target/figures`), next to a
+//! `manifest.json` recording the exact parameters of the run.
 
 use dslice_bench::ablations;
 use dslice_bench::experiments::{self, Scale};
@@ -17,44 +17,55 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// One experiment: its figure id and the function that computes its table.
+type Figure = (&'static str, fn(Scale, u64) -> Table);
+
+/// Every figure id, in `--fig all` order.
+const FIGURES: &[Figure] = &[
+    ("4a", experiments::fig4a),
+    ("4b", experiments::fig4b),
+    ("4b-banded", |scale, seed| {
+        experiments::fig4b_banded(scale, &[seed, seed + 1, seed + 2])
+    }),
+    ("4c", experiments::fig4c),
+    ("4d", experiments::fig4d),
+    ("6a", experiments::fig6a),
+    ("6b", experiments::fig6b),
+    ("6c", experiments::fig6c),
+    ("6d", experiments::fig6d),
+    ("lemma41", |_, seed| experiments::lemma41(seed)),
+    ("thm51", |_, seed| experiments::thm51(seed)),
+    ("ablation-sampler", experiments::ablation_sampler),
+    ("ablation-dist", experiments::ablation_distribution),
+    ("ablation-view-size", ablations::ablation_view_size),
+    ("ablation-slice-count", ablations::ablation_slice_count),
+    ("ablation-loss", ablations::ablation_loss),
+    ("ablation-targeting", ablations::ablation_targeting),
+    (
+        "ablation-sampler-ranking",
+        ablations::ablation_sampler_ranking,
+    ),
+    ("ablation-window", ablations::ablation_window),
+    ("ablation-latency", ablations::ablation_latency),
+    ("baseline-quantile", ablations::baseline_quantile),
+];
+
 struct Args {
-    figs: Vec<String>,
+    figs: Vec<&'static Figure>,
     scale: Scale,
     seed: u64,
     out: PathBuf,
 }
 
-const ALL_FIGS: &[&str] = &[
-    "4a",
-    "4b",
-    "4b-banded",
-    "4c",
-    "4d",
-    "6a",
-    "6b",
-    "6c",
-    "6d",
-    "lemma41",
-    "thm51",
-    "ablation-sampler",
-    "ablation-dist",
-    "ablation-view-size",
-    "ablation-slice-count",
-    "ablation-loss",
-    "ablation-targeting",
-    "ablation-sampler-ranking",
-    "ablation-window",
-    "ablation-latency",
-    "baseline-quantile",
-];
-
-fn parse_args() -> Result<Args, String> {
-    let mut figs = Vec::new();
+/// Parses the arguments after the program name. Figure ids are resolved
+/// here, so a typo fails before any experiment runs, and each figure is
+/// kept once, at its first mention.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut figs: Vec<&'static Figure> = Vec::new();
     let mut scale = Scale::Small;
     let mut seed = 0xD51CE;
     let mut out = PathBuf::from("target/figures");
 
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let need_value = |i: usize| -> Result<&String, String> {
@@ -64,10 +75,20 @@ fn parse_args() -> Result<Args, String> {
         match argv[i].as_str() {
             "--fig" => {
                 let v = need_value(i)?;
-                if v == "all" {
-                    figs = ALL_FIGS.iter().map(|s| s.to_string()).collect();
+                let picked: &'static [Figure] = if v == "all" {
+                    FIGURES
                 } else {
-                    figs.push(v.clone());
+                    std::slice::from_ref(
+                        FIGURES
+                            .iter()
+                            .find(|(id, _)| id == v)
+                            .ok_or_else(|| format!("unknown figure id {v:?} (try --help)"))?,
+                    )
+                };
+                for fig in picked {
+                    if !figs.iter().any(|f| f.0 == fig.0) {
+                        figs.push(fig);
+                    }
                 }
                 i += 2;
             }
@@ -86,17 +107,18 @@ fn parse_args() -> Result<Args, String> {
                 i += 2;
             }
             "--help" | "-h" => {
+                let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
                 return Err(format!(
                     "usage: figures [--fig <id>|all] [--scale paper|small|tiny] \
                      [--seed N] [--out DIR]\n  figure ids: {}",
-                    ALL_FIGS.join(" ")
+                    ids.join(" ")
                 ));
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
     if figs.is_empty() {
-        figs = ALL_FIGS.iter().map(|s| s.to_string()).collect();
+        figs = FIGURES.iter().collect();
     }
     Ok(Args {
         figs,
@@ -106,35 +128,9 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn run_fig(id: &str, scale: Scale, seed: u64) -> Result<Table, String> {
-    Ok(match id {
-        "4a" => experiments::fig4a(scale, seed),
-        "4b" => experiments::fig4b(scale, seed),
-        "4b-banded" => experiments::fig4b_banded(scale, &[seed, seed + 1, seed + 2]),
-        "4c" => experiments::fig4c(scale, seed),
-        "4d" => experiments::fig4d(scale, seed),
-        "6a" => experiments::fig6a(scale, seed),
-        "6b" => experiments::fig6b(scale, seed),
-        "6c" => experiments::fig6c(scale, seed),
-        "6d" => experiments::fig6d(scale, seed),
-        "lemma41" => experiments::lemma41(seed),
-        "thm51" => experiments::thm51(seed),
-        "ablation-sampler" => experiments::ablation_sampler(scale, seed),
-        "ablation-dist" => experiments::ablation_distribution(scale, seed),
-        "ablation-view-size" => ablations::ablation_view_size(scale, seed),
-        "ablation-slice-count" => ablations::ablation_slice_count(scale, seed),
-        "ablation-loss" => ablations::ablation_loss(scale, seed),
-        "ablation-targeting" => ablations::ablation_targeting(scale, seed),
-        "ablation-sampler-ranking" => ablations::ablation_sampler_ranking(scale, seed),
-        "ablation-window" => ablations::ablation_window(scale, seed),
-        "ablation-latency" => ablations::ablation_latency(scale, seed),
-        "baseline-quantile" => ablations::baseline_quantile(scale, seed),
-        other => return Err(format!("unknown figure id {other:?}")),
-    })
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -147,16 +143,10 @@ fn main() -> ExitCode {
     }
 
     let mut manifest = Vec::new();
-    for id in &args.figs {
+    for (id, run) in args.figs {
         let started = Instant::now();
         eprint!("fig {id} ({:?}, seed {}) … ", args.scale, args.seed);
-        let table = match run_fig(id, args.scale, args.seed) {
-            Ok(t) => t,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let table = run(args.scale, args.seed);
         let path = args.out.join(format!("{}.csv", table.name));
         let file = match fs::File::create(&path) {
             Ok(f) => f,
@@ -201,4 +191,32 @@ fn main() -> ExitCode {
     }
     eprintln!("manifest -> {}", manifest_path.display());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(argv: &[&str]) -> Result<Vec<&'static str>, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv).map(|args| args.figs.iter().map(|(id, _)| *id).collect())
+    }
+
+    #[test]
+    fn unknown_figure_id_is_rejected_before_anything_runs() {
+        let err = ids(&["--fig", "4a", "--fig", "nope"]).unwrap_err();
+        assert!(err.contains("\"nope\""), "got: {err}");
+    }
+
+    #[test]
+    fn repeated_figures_run_once_in_order_of_first_mention() {
+        assert_eq!(
+            ids(&["--fig", "6a", "--fig", "4a", "--fig", "6a"]).unwrap(),
+            ["6a", "4a"]
+        );
+        let all = ids(&["--fig", "4b", "--fig", "all"]).unwrap();
+        assert_eq!(all.len(), FIGURES.len());
+        assert_eq!(all[..2], ["4b", "4a"]);
+        assert_eq!(ids(&[]).unwrap(), ids(&["--fig", "all"]).unwrap());
+    }
 }

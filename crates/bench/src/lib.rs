@@ -1,15 +1,17 @@
 //! # dslice-bench
 //!
-//! The experiment harness behind `EXPERIMENTS.md`: one function per figure
-//! of the paper's evaluation, each returning a [`Table`] that the `figures`
-//! binary writes as CSV. Integration tests call the same functions at
-//! reduced scale and assert the *shapes* the paper reports (who wins, what
-//! plateaus, where curves inflect) rather than absolute values.
+//! The experiment harness behind the `figures` binary: one function per
+//! figure of the paper's evaluation, each returning a [`Table`] that
+//! `figures` writes as CSV (`figures --help` lists the ids). Integration
+//! tests call the same functions at reduced scale and assert the *shapes*
+//! the paper reports (who wins, what plateaus, where curves inflect) rather
+//! than absolute values.
 //!
 //! | Experiment | Paper | Function |
 //! |-----------|-------|----------|
 //! | SDM vs GDM | Fig. 4(a) | [`experiments::fig4a`] |
 //! | JK vs mod-JK convergence | Fig. 4(b) | [`experiments::fig4b`] |
+//! | JK vs mod-JK, mean ± std over seeds | Fig. 4(b) | [`experiments::fig4b_banded`] |
 //! | Unsuccessful swaps under concurrency | Fig. 4(c) | [`experiments::fig4c`] |
 //! | Convergence under full concurrency | Fig. 4(d) | [`experiments::fig4d`] |
 //! | Ranking vs ordering (static) | Fig. 6(a) | [`experiments::fig6a`] |

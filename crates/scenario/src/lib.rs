@@ -49,7 +49,7 @@
 //! at **any** shard count. Event selection (leaver draws, regional band
 //! placement, corruption targets) flows through the engine's sequential
 //! seeded RNG; node-level work stays on per-node counter streams. The one
-//! exception is the opt-in `phase_us` wall-clock block, which golden
+//! exception is the opt-in `phase_ns` wall-clock block, which golden
 //! scenarios keep disabled.
 
 #![warn(missing_docs)]

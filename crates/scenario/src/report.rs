@@ -259,11 +259,10 @@ impl serde::Deserialize for Totals {
 
 /// The structured result of one scenario run.
 ///
-/// Serde is hand-written (not derived) to pin the golden byte shape: untimed
-/// reports end with exactly `"phase_us": null` — the derived shape every
-/// golden was committed with — while timed reports additionally carry the
-/// nanosecond block under `phase_ns` (with `phase_us` kept, floor-divided,
-/// for one deprecation cycle).
+/// Serde is hand-written (not derived) to pin the golden byte shape: every
+/// report carries `"phase_us": null` — the derived shape every golden was
+/// committed with — and timed reports append the nanosecond block under
+/// `phase_ns` after it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name (the report/golden file stem).
@@ -314,17 +313,6 @@ const REPORT_HEAD_FIELDS: [&str; 7] = [
     "cycles",
 ];
 
-/// The µs timing keys, in the order the pre-PR-10 derived impl emitted them.
-const PHASE_US_FIELDS: [&str; 7] = [
-    "churn_us",
-    "drain_us",
-    "membership_us",
-    "refresh_us",
-    "active_us",
-    "delivery_us",
-    "metrics_us",
-];
-
 impl serde::Serialize for ScenarioReport {
     fn to_value(&self) -> serde::Value {
         let mut map: Vec<(String, serde::Value)> = vec![
@@ -347,18 +335,10 @@ impl serde::Serialize for ScenarioReport {
             ),
             ("liars".into(), self.liars.to_value()),
         ];
-        match &self.phase_ns {
-            // The exact byte the goldens pin: a literal null, last.
-            None => map.push(("phase_us".into(), serde::Value::Null)),
-            Some(t) => {
-                let us: Vec<(String, serde::Value)> = PHASE_US_FIELDS
-                    .iter()
-                    .zip(t.rows_us())
-                    .map(|(name, (_, us))| (name.to_string(), us.to_value()))
-                    .collect();
-                map.push(("phase_us".into(), serde::Value::Map(us)));
-                map.push(("phase_ns".into(), t.to_value()));
-            }
+        // The exact byte the goldens pin: a literal null, last when untimed.
+        map.push(("phase_us".into(), serde::Value::Null));
+        if let Some(t) = &self.phase_ns {
+            map.push(("phase_ns".into(), t.to_value()));
         }
         serde::Value::Map(map)
     }
@@ -381,33 +361,16 @@ impl serde::Deserialize for ScenarioReport {
                 )));
             }
         }
-        // Timings: prefer the nanosecond block; fall back to a pre-PR-10
-        // microsecond block (×1000) so old timed manifests still parse.
+        // A `phase_us` map holds timings in a format no longer read: fail
+        // rather than parse the report as untimed and drop them.
+        if !matches!(serde::__field(m, "phase_us"), serde::Value::Null) {
+            return Err(ctx(
+                "phase_us",
+                serde::Error::custom("microsecond timings are no longer read; expected null"),
+            ));
+        }
         let phase_ns = match serde::__field(m, "phase_ns") {
-            serde::Value::Null => match serde::__field(m, "phase_us") {
-                serde::Value::Null => None,
-                us => {
-                    let um = us.as_map().ok_or_else(|| {
-                        serde::Error::custom("ScenarioReport.phase_us: expected map or null")
-                    })?;
-                    let mut t = PhaseTimings::default();
-                    let slots = [
-                        &mut t.churn_ns,
-                        &mut t.drain_ns,
-                        &mut t.membership_ns,
-                        &mut t.refresh_ns,
-                        &mut t.active_ns,
-                        &mut t.delivery_ns,
-                        &mut t.metrics_ns,
-                    ];
-                    for (slot, name) in slots.into_iter().zip(PHASE_US_FIELDS) {
-                        let us_v = u64::from_value(serde::__field(um, name))
-                            .map_err(|e| ctx("phase_us", e))?;
-                        *slot = us_v * 1000;
-                    }
-                    Some(t)
-                }
-            },
+            serde::Value::Null => None,
             ns => Some(PhaseTimings::from_value(ns).map_err(|e| ctx("phase_ns", e))?),
         };
         Ok(ScenarioReport {
@@ -682,32 +645,29 @@ mod tests {
     fn timed_report_roundtrips_with_both_blocks() {
         let mut r = report();
         r.phase_ns = Some(PhaseTimings {
-            churn_ns: 999, // floors to 0 µs
             membership_ns: 2_500,
             ..PhaseTimings::default()
         });
         let json = r.to_json();
-        assert!(json.contains("\"churn_us\": 0"));
-        assert!(json.contains("\"membership_us\": 2"));
+        assert!(
+            json.contains("\"phase_us\": null,\n  \"phase_ns\": {"),
+            "{json}"
+        );
         assert!(json.contains("\"membership_ns\": 2500"));
         let parsed = ScenarioReport::from_json(&json).unwrap();
         assert_eq!(parsed, r);
     }
 
     #[test]
-    fn pre_pr10_microsecond_block_still_parses() {
-        // A timed report written before the nanosecond migration: only a
-        // `phase_us` map. It parses with each phase scaled back to ns.
-        let mut json = report().to_json();
-        json = json.replace(
+    fn microsecond_timing_block_is_rejected() {
+        // A timed report written before the nanosecond block: only a
+        // `phase_us` map. It must not parse as an untimed report.
+        let json = report().to_json().replace(
             "\"phase_us\": null",
-            "\"phase_us\": {\"churn_us\": 1, \"drain_us\": 0, \"membership_us\": 3,\
-             \"refresh_us\": 0, \"active_us\": 0, \"delivery_us\": 0, \"metrics_us\": 0}",
+            "\"phase_us\": {\"churn_us\": 1, \"membership_us\": 3}",
         );
-        let parsed = ScenarioReport::from_json(&json).unwrap();
-        let t = parsed.phase_ns.unwrap();
-        assert_eq!(t.churn_ns, 1_000);
-        assert_eq!(t.membership_ns, 3_000);
+        let err = ScenarioReport::from_json(&json).unwrap_err().to_string();
+        assert!(err.contains("ScenarioReport.phase_us: "), "got: {err}");
     }
 
     #[test]

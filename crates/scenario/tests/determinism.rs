@@ -211,6 +211,21 @@ fn reports_roundtrip_losslessly_through_the_golden_format() {
         report.to_json(),
         "re-serialization is stable"
     );
+
+    // Every committed golden parses and re-serializes to its exact bytes.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/scenarios/goldens");
+    let mut goldens = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let golden = std::fs::read_to_string(&path).unwrap();
+            let parsed = ScenarioReport::from_json(&golden)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(parsed.to_json(), golden, "{} drifted", path.display());
+            goldens += 1;
+        }
+    }
+    assert!(goldens > 0, "no goldens under {dir}");
 }
 
 #[test]

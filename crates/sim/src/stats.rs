@@ -135,12 +135,6 @@ impl PhaseTimings {
             ("metrics", self.metrics_ns),
         ]
     }
-
-    /// The phases as `(name, µs)` rows — the pre-PR-10 granularity, kept for
-    /// one deprecation cycle (`scale_bench` still emits `phase_us`).
-    pub fn rows_us(&self) -> [(&'static str, u64); 7] {
-        self.rows().map(|(name, ns)| (name, ns / 1000))
-    }
 }
 
 /// Everything measured at the end of one simulation cycle.
@@ -518,18 +512,6 @@ mod tests {
         assert_eq!(rows.len(), 7);
         assert_eq!(rows[2], ("membership", 3));
         assert_eq!(rows.iter().map(|&(_, ns)| ns).sum::<u64>(), 28);
-    }
-
-    #[test]
-    fn rows_us_floor_divides_nanoseconds() {
-        let t = PhaseTimings {
-            churn_ns: 999,
-            membership_ns: 2_500,
-            ..PhaseTimings::default()
-        };
-        let us = t.rows_us();
-        assert_eq!(us[0], ("churn", 0));
-        assert_eq!(us[2], ("membership", 2));
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! TCP sockets with genuine concurrency. A small cluster must converge to a
 //! mostly-correct slice assignment within a few hundred gossip periods —
 //! and keep gossiping through dead peers, crashes, and refused connections.
+//! The tests run one at a time (see [`WALL_CLOCK`]): each one is a
+//! real-time measurement.
+
+// Each test is a `block_on` on its own OS thread, and the `WALL_CLOCK`
+// guard is meant to block the other tests' threads for the whole run.
+#![allow(clippy::await_holding_lock)]
 
 use dslice::prelude::*;
 use std::time::Duration;
@@ -18,6 +24,18 @@ fn periods(k: u32) -> Duration {
     PERIOD * k
 }
 
+/// Held for the whole of every test in this file, so clusters run one at a
+/// time. Their assertions are wall-clock deadlines ("ticked > 50 times in 70
+/// periods"); two clusters sharing a small host's cores starve each other's
+/// timers and miss them on unchanged code.
+static WALL_CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes the host for one cluster. A test that failed while holding the
+/// lock poisons it; that says nothing about the next test, so carry on.
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn attrs(n: usize) -> Vec<Attribute> {
     (0..n)
         .map(|i| Attribute::new(((i * 37) % n) as f64).unwrap())
@@ -26,6 +44,7 @@ fn attrs(n: usize) -> Vec<Attribute> {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn ranking_cluster_converges_over_tcp() {
+    let _host = exclusive();
     let cfg = ClusterConfig {
         view_size: 8,
         period: PERIOD,
@@ -50,6 +69,7 @@ async fn ranking_cluster_converges_over_tcp() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn sliding_ranking_cluster_runs_over_tcp() {
+    let _host = exclusive();
     let cfg = ClusterConfig {
         view_size: 6,
         period: PERIOD,
@@ -73,6 +93,7 @@ async fn sliding_ranking_cluster_runs_over_tcp() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn cluster_survives_join_and_leave() {
+    let _host = exclusive();
     // Dynamic membership over real sockets: kill two nodes mid-run, join
     // two newcomers with extreme attributes, and verify the survivors and
     // newcomers still converge to sane estimates.
@@ -133,6 +154,7 @@ async fn cluster_survives_join_and_leave() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn every_sampler_substrate_works_over_tcp() {
+    let _host = exclusive();
     // The §4.3.1 substrates are interchangeable over real sockets too:
     // the same ranking cluster converges on Cyclon, Newscast and Lpbcast.
     for (i, sampler) in [
@@ -175,6 +197,7 @@ async fn every_sampler_substrate_works_over_tcp() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn ranking_tolerates_wire_loss_and_delay() {
+    let _host = exclusive();
     // The simulator's loss/latency findings, checked over real sockets:
     // ranking converges through 20% message loss plus 0–30 ms extra delay
     // (3× the gossip period), because one-way attribute samples cannot go
@@ -208,6 +231,7 @@ async fn ranking_tolerates_wire_loss_and_delay() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn mod_jk_cluster_improves_sdm_over_tcp() {
+    let _host = exclusive();
     // The ordering algorithm faces real concurrency here (the paper's
     // §4.5.2 staleness for free). It must still substantially reduce
     // disorder.
@@ -233,6 +257,7 @@ async fn mod_jk_cluster_improves_sdm_over_tcp() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn dead_peer_is_evicted_without_stalling_gossip() {
+    let _host = exclusive();
     // An abrupt departure must surface as strikes on the outbound path and
     // end in eviction — and the survivors' tickers must never stall while
     // the link layer works through its retries.
@@ -286,6 +311,7 @@ async fn dead_peer_is_evicted_without_stalling_gossip() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn crashed_node_is_reaped_and_restarted_by_policy() {
+    let _host = exclusive();
     // Fault injection: node 0 panics after 5 ticks. The supervisor must
     // classify the exit as a crash (with the panic message), restart the
     // node after backoff, and the harness must end with a full population.
@@ -342,6 +368,7 @@ async fn crashed_node_is_reaped_and_restarted_by_policy() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn refusal_window_is_survived_and_reopened() {
+    let _host = exclusive();
     // A scripted listener-refusal window: peers see connection errors and
     // retry; the cluster neither stalls nor loses the node permanently —
     // after the window the listener rebinds the same address.

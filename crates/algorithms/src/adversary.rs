@@ -448,6 +448,10 @@ impl Context for AdaptiveCtx<'_> {
     fn record(&mut self, event: Event) {
         self.inner.record(event);
     }
+
+    fn record_n(&mut self, event: Event, n: usize) {
+        self.inner.record_n(event, n);
+    }
 }
 
 impl SliceProtocol for Adaptive {

@@ -125,6 +125,10 @@ impl Context for LyingCtx<'_> {
     fn record(&mut self, event: Event) {
         self.inner.record(event);
     }
+
+    fn record_n(&mut self, event: Event, n: usize) {
+        self.inner.record_n(event, n);
+    }
 }
 
 /// Inflates an attribute sample, saturating at the original value if the

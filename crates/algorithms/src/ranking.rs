@@ -26,7 +26,7 @@
 use crate::estimator::{CounterEstimator, DecayEstimator, RankEstimator, WindowEstimator};
 use crate::window::ValueWindow;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, View};
+use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, View, ViewEntry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -386,6 +386,21 @@ impl<E: RankEstimator> RankingProtocol<E> {
         self.estimator.absorb(a <= self.attribute);
         ctx.record(Event::SampleAbsorbed);
     }
+
+    /// Fig. 5's `j1`: the first neighbor whose *published rank estimate* is
+    /// closest to a slice boundary. The running minimum is kept with
+    /// selects; the distance is never NaN, so the first entry is the
+    /// answer whenever no later one is strictly closer.
+    fn closest_to_a_boundary(&self, entries: &[ViewEntry]) -> Option<NodeId> {
+        let (mut best, mut best_dist) = (0, f64::INFINITY);
+        for (idx, entry) in entries.iter().enumerate() {
+            let dist = self.partition.boundary_distance(entry.value);
+            let closer = dist < best_dist;
+            best = if closer { idx } else { best };
+            best_dist = if closer { dist } else { best_dist };
+        }
+        entries.get(best).map(|e| e.id)
+    }
 }
 
 impl<E: RankEstimator> SliceProtocol for RankingProtocol<E> {
@@ -420,19 +435,21 @@ impl<E: RankEstimator> SliceProtocol for RankingProtocol<E> {
 
     /// Fig. 5 lines 2–16.
     fn on_active(&mut self, view: &View, ctx: &mut dyn Context) {
-        // Lines 5–11: absorb every neighbor's attribute; track the neighbor
-        // whose *published rank estimate* is closest to a slice boundary.
-        let mut boundary: Option<(NodeId, f64)> = None;
-        for entry in view.iter() {
-            self.observe(entry.attribute, ctx);
-            let dist = self.partition.boundary_distance(entry.value);
-            match boundary {
-                Some((_, best)) if dist >= best => {}
-                _ => boundary = Some((entry.id, dist)),
+        // Lines 5–11: absorb every neighbor's attribute.
+        let entries = view.entries();
+        if self.filter.is_some() {
+            for entry in entries {
+                self.observe(entry.attribute, ctx);
             }
+        } else {
+            // Undefended, every sample is absorbed: one report for all.
+            for entry in entries {
+                self.estimator.absorb(entry.attribute <= self.attribute);
+            }
+            ctx.record_n(Event::SampleAbsorbed, entries.len());
         }
         let j1 = match self.targeting {
-            Targeting::BoundaryPlusRandom => boundary.map(|(id, _)| id),
+            Targeting::BoundaryPlusRandom => self.closest_to_a_boundary(entries),
             Targeting::TwoRandom => view.random(ctx.rng()).map(|e| e.id),
         };
         // Line 12: a uniformly random second target.
@@ -973,7 +990,45 @@ mod tests {
         }
     }
 
+    /// `j1` as `on_active` chose it with a match over an `Option`: the
+    /// first entry taken, replaced only by a strictly closer one.
+    fn first_closest_reference(partition: &Partition, view: &View) -> Option<NodeId> {
+        let mut boundary: Option<(NodeId, f64)> = None;
+        for entry in view.iter() {
+            let dist = partition.boundary_distance(entry.value);
+            match boundary {
+                Some((_, best)) if dist >= best => {}
+                _ => boundary = Some((entry.id, dist)),
+            }
+        }
+        boundary.map(|(id, _)| id)
+    }
+
     proptest! {
+        #[test]
+        fn j1_selects_match_the_first_closest_reference(
+            k in 1usize..8,
+            picks in proptest::collection::vec((0usize..12, 0.0f64..1.0), 0..12),
+        ) {
+            // Values from a grid with exact ties, boundaries, midpoints and
+            // the values no estimate should be but a view may still carry.
+            const GRID: [f64; 11] = [
+                0.25, 0.5, 0.125, 0.375, 0.0, -0.0, 1.0, 1.5,
+                f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+            ];
+            let partition = part(k);
+            let node = Ranking::new(NodeId::new(0), attr(1.0), 0.5, partition.clone());
+            let mut view = View::new(16).unwrap();
+            for (idx, &(pick, drawn)) in picks.iter().enumerate() {
+                let value = GRID.get(pick).copied().unwrap_or(drawn);
+                view.insert(ViewEntry::new(NodeId::new(idx as u64 + 1), attr(1.0), value));
+            }
+            prop_assert_eq!(
+                node.closest_to_a_boundary(view.entries()),
+                first_closest_reference(&partition, &view)
+            );
+        }
+
         #[test]
         fn filters_admit_exactly_what_the_sorting_reference_admits(
             w in 1usize..=64,

@@ -350,8 +350,11 @@ impl ValueWindow {
     /// `q`-quantile over an already-sorted slice.
     fn interpolate(sorted: &[f64], q: f64) -> f64 {
         let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
+        // `floor` and `ceil` without the libm calls: `pos` is NaN or at
+        // least 0, where truncation is the floor (NaN casts to 0) and the
+        // ceiling is one more exactly when a fraction remains.
+        let lo = pos as usize;
+        let hi = lo + usize::from(pos > lo as f64);
         sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
     }
 

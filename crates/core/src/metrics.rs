@@ -327,31 +327,36 @@ impl RankCache {
     /// [`gdm`] over the same slice.
     ///
     /// `α_i` is the cached `A.sequence` rank (no attribute sort, no map);
-    /// `ρ_i` comes from one sort of the values with the comparator of
+    /// `ρ_i` comes from one sort of the values in the order of
     /// [`rank::value_ranks`] (`partial_cmp`, ties by id), so it is the same
     /// bijection. The squared differences are summed in snapshot order, as
     /// [`gdm`] sums them: float addition order decides the last bit.
     ///
-    /// Panics if an id is not tracked (runtimes keep the cache in lock-step
-    /// with the live population, which debug builds check).
+    /// The sort compares integers, not floats: each value becomes a `u64`
+    /// that orders as `partial_cmp` does (`−0.0` folded into `+0.0`, then
+    /// the sign-magnitude bits mapped to an unsigned order), and key, id
+    /// and snapshot position are packed into one `u128` — 64, 32 and 32
+    /// bits — so ties fall to the id and the position rides along.
+    ///
+    /// Panics on a NaN value, as the comparator did, and if an id is not
+    /// tracked (runtimes keep the cache in lock-step with the live
+    /// population, which debug builds check).
     pub fn gdm(&self, snapshot: &[(NodeId, Attribute, f64)]) -> f64 {
         debug_assert!(
             snapshot.len() == self.len() && snapshot.iter().all(|e| self.rank(e.0).is_some()),
             "the rank cache must track exactly the snapshot's population"
         );
-        let mut by_value: Vec<(f64, NodeId, u32)> = snapshot
+        let mut by_value: Vec<u128> = snapshot
             .iter()
             .enumerate()
-            .map(|(pos, &(id, _, value))| (value, id, pos as u32))
+            .map(|(pos, &(id, _, value))| {
+                (u128::from(value_key(value)) << 64) | (id.dense_row() as u128) << 32 | pos as u128
+            })
             .collect();
-        by_value.sort_unstable_by(|(ra, ia, _), (rb, ib, _)| {
-            ra.partial_cmp(rb)
-                .expect("random values are finite")
-                .then_with(|| ia.cmp(ib))
-        });
+        by_value.sort_unstable();
         let mut rho = vec![0u32; snapshot.len()];
-        for (idx, &(_, _, pos)) in by_value.iter().enumerate() {
-            rho[pos as usize] = idx as u32 + 1;
+        for (idx, &packed) in by_value.iter().enumerate() {
+            rho[packed as u32 as usize] = idx as u32 + 1;
         }
         gdm_from_ranks(
             snapshot
@@ -360,6 +365,17 @@ impl RankCache {
                 .map(|(&(id, _, _), &rho)| (self.tracked_rank(id), rho as usize)),
         )
     }
+}
+
+/// A `u64` whose unsigned order is `partial_cmp`'s order on non-NaN `f64`:
+/// `−0.0` is folded into `+0.0` (they compare equal), then the sign bit is
+/// flipped for positives and every bit for negatives. Panics on NaN, which
+/// `partial_cmp` cannot order.
+fn value_key(value: f64) -> u64 {
+    assert!(!value.is_nan(), "random values are finite");
+    let bits = (value + 0.0).to_bits();
+    let negative = ((bits as i64) >> 63) as u64;
+    bits ^ (negative | 1 << 63)
 }
 
 /// Tracks per-node *believed* slices across observations and counts
@@ -804,13 +820,18 @@ mod tests {
 
     /// A population with repeated attributes and repeated values (both
     /// drawn from small grids), so the id tie-breaks of both sequences are
-    /// exercised.
+    /// exercised. Some values are `+0.0` and some `-0.0`: the two compare
+    /// equal, so they tie too and fall back to the id order.
     fn tied_population(picks: &[(u8, u8)], first_id: u64) -> Vec<(NodeId, Attribute, f64)> {
         picks
             .iter()
             .enumerate()
             .map(|(i, &(a, r))| {
-                let value = f64::from(r % 7 + 1) / 8.0;
+                let value = match r % 9 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => f64::from(r % 7 + 1) / 8.0,
+                };
                 node(first_id + i as u64, f64::from(a % 5) * 10.0, value)
             })
             .collect()
@@ -862,6 +883,40 @@ mod tests {
                 check(&cache, &live)?;
             }
         }
+    }
+
+    #[test]
+    fn value_keys_order_like_partial_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    value_key(a).cmp(&value_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "random values are finite")]
+    fn a_nan_value_has_no_key() {
+        value_key(f64::NAN);
     }
 
     /// The map-rebuilding tracker the id-indexed one replaced: the

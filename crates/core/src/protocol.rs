@@ -55,6 +55,14 @@ pub trait Context {
 
     /// Reports a statistics event.
     fn record(&mut self, event: Event);
+
+    /// Reports `n` occurrences of one statistics event at once — what `n`
+    /// calls to [`record`](Self::record) report, which is the default.
+    fn record_n(&mut self, event: Event, n: usize) {
+        for _ in 0..n {
+            self.record(event);
+        }
+    }
 }
 
 /// A distributed slicing protocol instance, one per node.

@@ -13,6 +13,8 @@
 //! * [`Partition::boundary_distance`] — how far is an estimate from the
 //!   closest slice boundary (`dist(·, b)` of Fig. 5, and the `d` of
 //!   Theorem 5.1)?
+//!
+//! Both are answered in O(1) through a lookup grid (see [`Partition`]).
 
 use crate::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -21,6 +23,10 @@ use std::sync::Arc;
 
 /// Tolerance used when validating that slice fractions sum to one.
 const FRACTION_SUM_TOLERANCE: f64 = 1e-9;
+
+/// Most cells a partition's lookup grid gets (256 KiB of counts). Finer
+/// partitions share cells between boundaries and bisect inside them.
+const MAX_GRID_CELLS: usize = 1 << 16;
 
 /// Index of a slice within a [`Partition`] (0-based, ordered by rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -116,24 +122,102 @@ impl fmt::Display for Slice {
 /// let part = Partition::from_boundaries(&[0.8]).unwrap();
 /// assert_eq!(part.slice_of(0.85).as_usize(), 1);
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+///
+/// # The lookup grid
+///
+/// [`slice_of`](Partition::slice_of),
+/// [`boundary_distance`](Partition::boundary_distance) and
+/// [`closest_boundary`](Partition::closest_boundary) all start from the
+/// number of boundaries below `r`. Rather than bisect the boundaries for
+/// it, a partition cuts `[0, 1]` into `m` equal cells, `m` a power of two
+/// (the smallest at least twice the boundary count, at most 2^16), and
+/// stores per cell edge the number of boundaries below it. A lookup reads
+/// the count at the edge of `r`'s cell and compares `r` with the one
+/// boundary the cell can hold; the closest boundary is then one of the two
+/// that bracket `r`, chosen with selects. Only a cell holding two or more
+/// boundaries (boundaries closer together than `1/m`) is bisected.
+///
+/// The grid is exact, not an approximation: `m` is a power of two, so
+/// `r · m` only moves the exponent and truncating it is `⌊r·m⌋`, and every
+/// cell edge `j/m` is a float. Every boundary below the edge of `r`'s cell
+/// is below `r`, and every boundary at or above the next edge is above it,
+/// so only the cell's own boundaries need comparing. The answers are those
+/// of a bisection bit for bit, NaN and infinities included.
+///
+/// Cost: 4 bytes per cell plus 8 per boundary, built once and shared — for
+/// the paper's 100 slices that is 1 KiB of counts beside 0.8 KiB of
+/// boundaries.
+#[derive(Clone)]
 pub struct Partition {
-    /// Strictly increasing interior boundaries, all in `(0, 1)`. Shared:
-    /// the partitioning is global knowledge (§3.2), so every node's copy is
-    /// one more handle on the same array, not `k − 1` floats of its own.
-    boundaries: Arc<[f64]>,
+    /// Shared: the partitioning is global knowledge (§3.2), so every node's
+    /// copy is one more handle on the same boundaries and grid, not `k − 1`
+    /// floats of its own.
+    lookup: Arc<Lookup>,
 }
 
-/// On the wire a partition is `{"boundaries": [..]}`, as the derive wrote it
-/// while the boundaries were a plain `Vec`.
-impl Serialize for Partition {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("boundaries".into(), self.boundaries.to_value())])
+/// A partition's boundaries and the grid that finds them (see
+/// [`Partition`]).
+struct Lookup {
+    /// `−∞`, the strictly increasing interior boundaries (all in `(0, 1)`),
+    /// `+∞`: the padding brackets every `r` by two entries.
+    padded: Box<[f64]>,
+    /// The number of grid cells `m`, a power of two, as a float.
+    cells: f64,
+    /// Entry `j` counts the boundaries below `j/m`, for `j ∈ 0..=m`; a
+    /// repeat of the last entry closes cell `m`, where `r ≥ 1` lands.
+    below: Box<[u32]>,
+}
+
+impl Lookup {
+    /// Builds the grid over already validated boundaries.
+    fn new(boundaries: &[f64]) -> Self {
+        let cells = (2 * boundaries.len())
+            .next_power_of_two()
+            .min(MAX_GRID_CELLS);
+        let mut below = Vec::with_capacity(cells + 2);
+        let mut count = 0;
+        for j in 0..=cells {
+            let edge = j as f64 / cells as f64;
+            count += boundaries[count..].partition_point(|&b| b < edge);
+            below.push(u32::try_from(count).expect("fewer than 2^32 boundaries"));
+        }
+        below.push(*below.last().expect("m + 1 edges"));
+        let padded = std::iter::once(f64::NEG_INFINITY)
+            .chain(boundaries.iter().copied())
+            .chain(std::iter::once(f64::INFINITY))
+            .collect();
+        Lookup {
+            padded,
+            cells: cells as f64,
+            below: below.into(),
+        }
     }
 }
 
-/// Goes through [`Partition::from_boundaries`]: the boundary lookups bisect,
-/// so unsorted or out-of-range input must not get in.
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        self.boundaries() == other.boundaries()
+    }
+}
+
+impl fmt::Debug for Partition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Partition")
+            .field("boundaries", &self.boundaries())
+            .finish()
+    }
+}
+
+/// On the wire a partition is `{"boundaries": [..]}`, as the derive wrote it
+/// while the boundaries were a plain `Vec`; the grid is derived state.
+impl Serialize for Partition {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![("boundaries".into(), self.boundaries().to_value())])
+    }
+}
+
+/// Goes through [`Partition::from_boundaries`]: the boundary lookups rely on
+/// sorted boundaries inside `(0, 1)`, so nothing else must get in.
 impl Deserialize for Partition {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         let map = v
@@ -150,8 +234,15 @@ impl Partition {
         if k == 0 {
             return Err(Error::EmptyPartition);
         }
-        let boundaries = (1..k).map(|j| j as f64 / k as f64).collect();
-        Ok(Partition { boundaries })
+        let boundaries: Vec<f64> = (1..k).map(|j| j as f64 / k as f64).collect();
+        Ok(Partition::new(&boundaries))
+    }
+
+    /// Wraps validated boundaries with their lookup grid.
+    fn new(boundaries: &[f64]) -> Self {
+        Partition {
+            lookup: Arc::new(Lookup::new(boundaries)),
+        }
     }
 
     /// Creates a partition from explicit interior boundaries.
@@ -174,9 +265,7 @@ impl Partition {
                 )));
             }
         }
-        Ok(Partition {
-            boundaries: boundaries.into(),
-        })
+        Ok(Partition::new(boundaries))
     }
 
     /// Creates a partition from slice fractions, e.g. `[0.1, 0.4, 0.5]` for a
@@ -216,7 +305,7 @@ impl Partition {
 
     /// Number of slices.
     pub fn len(&self) -> usize {
-        self.boundaries.len() + 1
+        self.boundaries().len() + 1
     }
 
     /// A partition always has at least one slice.
@@ -230,11 +319,12 @@ impl Partition {
         if j >= self.len() {
             return None;
         }
-        let lower = if j == 0 { 0.0 } else { self.boundaries[j - 1] };
+        let boundaries = self.boundaries();
+        let lower = if j == 0 { 0.0 } else { boundaries[j - 1] };
         let upper = if j == self.len() - 1 {
             1.0
         } else {
-            self.boundaries[j]
+            boundaries[j]
         };
         Some(Slice { lower, upper })
     }
@@ -251,50 +341,72 @@ impl Partition {
     /// only for a degenerate estimate — maps to the first slice; values above
     /// 1 map to the last). This keeps protocol code total.
     pub fn slice_of(&self, r: f64) -> SliceIndex {
-        // partition_point returns the count of boundaries b with b < r;
-        // membership is l < r ≤ u, so a value equal to a boundary belongs to
-        // the slice *below* it.
-        let idx = self.boundaries.partition_point(|&b| b < r);
-        SliceIndex::new(idx.min(self.len() - 1))
+        // Membership is l < r ≤ u, so a value equal to a boundary belongs to
+        // the slice *below* it: the index is the count of boundaries < r.
+        SliceIndex::new(self.count_below(r))
     }
 
-    /// The interior boundary closest to `r` and its distance `|r − b|`, from
-    /// one bisection: the closest boundary is one of the two that bracket
-    /// `r`. Midway between them the lower one wins. `None` for a
-    /// single-slice partition or a NaN `r`.
-    fn nearest_boundary(&self, r: f64) -> Option<(f64, f64)> {
-        if r.is_nan() {
-            return None;
+    /// The number of interior boundaries `b < r` (0 for a NaN `r`), read
+    /// off the lookup grid (see [`Partition`]).
+    fn count_below(&self, r: f64) -> usize {
+        let Lookup {
+            padded,
+            cells,
+            below,
+        } = &*self.lookup;
+        // ⌊r·m⌋ exactly (m is a power of two); a NaN `r` lands in cell 0,
+        // where it compares below no boundary.
+        let cell = (r.clamp(0.0, 1.0) * cells) as usize;
+        let (first, end) = (below[cell] as usize, below[cell + 1] as usize);
+        if end - first > 1 {
+            return first + padded[1 + first..1 + end].partition_point(|&b| b < r);
         }
-        let above = self.boundaries.partition_point(|&b| b < r);
-        let candidate = |idx: usize| self.boundaries.get(idx).map(|&b| (b, (r - b).abs()));
-        match (above.checked_sub(1).and_then(candidate), candidate(above)) {
-            (Some(lower), Some(upper)) => Some(if upper.1 < lower.1 { upper } else { lower }),
-            (lower, upper) => lower.or(upper),
-        }
+        // The cell holds at most `padded[first + 1]`; if it holds nothing,
+        // that entry lies at or above the next cell edge, so above `r`.
+        first + usize::from(padded[first + 1] < r)
+    }
+
+    /// The two entries of the padded boundary array that bracket `r` — the
+    /// last boundary below it (or `−∞`) and the first at or above it (or
+    /// `+∞`) — and the index of the lower one.
+    fn bracket(&self, r: f64) -> (usize, f64, f64) {
+        let idx = self.count_below(r);
+        let padded = &self.lookup.padded;
+        (idx, padded[idx], padded[idx + 1])
     }
 
     /// Distance from `r` to the closest *interior* slice boundary — the `d`
     /// of Theorem 5.1 and the `dist(·, b)` used to select `j1` in Fig. 5.
-    /// O(log k) in the number of slices.
+    /// O(1) (see [`Partition`]).
     ///
     /// For a single-slice partition there is no interior boundary and the
     /// distance is `+∞` (every node is trivially far from any boundary); a
     /// NaN `r` is `+∞` away from everything too.
     pub fn boundary_distance(&self, r: f64) -> f64 {
-        self.nearest_boundary(r)
-            .map_or(f64::INFINITY, |(_, distance)| distance)
+        let (_, lower, upper) = self.bracket(r);
+        // Against the ±∞ padding a finite `r` is +∞ away; an infinite `r`
+        // against the padding of its own sign gives NaN, which `min`
+        // ignores, and so does a NaN `r` until the last `min` makes it +∞.
+        (r - lower).abs().min((r - upper).abs()).min(f64::INFINITY)
     }
 
     /// The closest interior boundary to `r`, if any (`None` for a NaN `r`);
     /// exactly midway between two boundaries, the lower one.
     pub fn closest_boundary(&self, r: f64) -> Option<f64> {
-        self.nearest_boundary(r).map(|(boundary, _)| boundary)
+        if r.is_nan() || self.boundaries().is_empty() {
+            return None;
+        }
+        let (idx, lower, upper) = self.bracket(r);
+        // The padding never wins: `−∞` only brackets from below when no
+        // boundary lies below `r` (idx 0), and `+∞` is never strictly closer.
+        let upper_wins = idx == 0 || (r - upper).abs() < (r - lower).abs();
+        Some(if upper_wins { upper } else { lower })
     }
 
     /// The interior boundaries (strictly increasing, inside `(0,1)`).
     pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
+        let padded = &self.lookup.padded;
+        &padded[1..padded.len() - 1]
     }
 
     /// Per-node term of the *slice disorder measure* (§4.4):
@@ -542,7 +654,175 @@ mod tests {
         ]
     }
 
+    /// The bisection lookups `slice_of` and `nearest_boundary` were before
+    /// the lookup grid, kept verbatim (over the bare boundary array): the
+    /// reference the grid lookups are held to, bit for bit.
+    mod bisection {
+        pub(super) fn slice_of(boundaries: &[f64], r: f64) -> usize {
+            boundaries.partition_point(|&b| b < r).min(boundaries.len())
+        }
+
+        pub(super) fn nearest_boundary(boundaries: &[f64], r: f64) -> Option<(f64, f64)> {
+            if r.is_nan() {
+                return None;
+            }
+            let above = boundaries.partition_point(|&b| b < r);
+            let candidate = |idx: usize| boundaries.get(idx).map(|&b| (b, (r - b).abs()));
+            match (above.checked_sub(1).and_then(candidate), candidate(above)) {
+                (Some(lower), Some(upper)) => Some(if upper.1 < lower.1 { upper } else { lower }),
+                (lower, upper) => lower.or(upper),
+            }
+        }
+    }
+
+    /// Every `r` the lookups must agree on for `part`: the IEEE specials,
+    /// subnormals, 1.0 and beyond, then each boundary with its two float
+    /// neighbours, the exact midpoint to the next boundary, and the dyadic
+    /// rationals `⌊b·2^p⌋/2^p` just below it (where grid cells start)
+    /// with their neighbours.
+    fn probes(part: &Partition) -> Vec<f64> {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -f64::MIN_POSITIVE,
+            -1.0,
+            0.5,
+            1.0,
+            1.0f64.next_down(),
+            1.0f64.next_up(),
+            1.5,
+            2.0,
+            f64::MAX,
+        ];
+        let b = part.boundaries();
+        for (idx, &x) in b.iter().enumerate() {
+            probes.extend([x, x.next_up(), x.next_down()]);
+            let next = b.get(idx + 1).copied().unwrap_or(1.0);
+            probes.push((x + next) / 2.0);
+            for p in 1..=17 {
+                let scale = f64::from(1u32 << p);
+                let cell = (x * scale).floor() / scale;
+                probes.extend([cell, cell.next_up(), cell.next_down()]);
+            }
+        }
+        if let Some(&first) = b.first() {
+            probes.push(first / 2.0);
+        }
+        probes
+    }
+
+    /// `slice_of`, `boundary_distance` (by bits) and `closest_boundary`
+    /// agree with the bisection reference at `r`.
+    fn lookups_match_bisection(part: &Partition, r: f64) -> std::result::Result<(), TestCaseError> {
+        let b = part.boundaries();
+        let nearest = bisection::nearest_boundary(b, r);
+        let distance = nearest.map_or(f64::INFINITY, |(_, d)| d);
+        prop_assert_eq!(
+            part.slice_of(r).as_usize(),
+            bisection::slice_of(b, r),
+            "slice_of({:?}) over {:?}",
+            r,
+            b
+        );
+        prop_assert_eq!(
+            part.boundary_distance(r).to_bits(),
+            distance.to_bits(),
+            "boundary_distance({:?}) over {:?}",
+            r,
+            b
+        );
+        prop_assert_eq!(
+            part.closest_boundary(r).map(f64::to_bits),
+            nearest.map(|(boundary, _)| boundary.to_bits()),
+            "closest_boundary({:?}) over {:?}",
+            r,
+            b
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn crowded_boundaries_share_a_grid_cell() {
+        // Three boundaries below 0.05 and six in all: a 16-cell grid, whose
+        // first cell [0, 1/16) holds all three — the bisected path.
+        let part = Partition::from_fractions(&[0.01, 0.01, 0.02, 0.06, 0.2, 0.3, 0.4]).unwrap();
+        assert_eq!(part.lookup.cells, 16.0);
+        assert_eq!(&part.lookup.below[..3], &[0, 3, 4]);
+        assert_eq!(part.slice_of(0.015).as_usize(), 1);
+        assert_eq!(part.closest_boundary(0.035), Some(0.04));
+        // Equal partitions never crowd a cell.
+        for k in 1..=300 {
+            let part = Partition::equal(k).unwrap();
+            assert!(
+                part.lookup.below.windows(2).all(|w| w[1] - w[0] <= 1),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_partition_lookups_match_bisection() {
+        for k in 1..=300 {
+            let part = Partition::equal(k).unwrap();
+            for r in probes(&part) {
+                lookups_match_bisection(&part, r).unwrap();
+            }
+        }
+    }
+
+    /// Partitions of every shape the lookups must handle: equal ones,
+    /// explicit random boundaries (irregular gaps, some nearly touching),
+    /// the single slice, and cumulative fractions that open with a run of
+    /// tiny slices, so several boundaries share one grid cell.
+    fn lookup_partition() -> impl Strategy<Value = Partition> {
+        prop_oneof![
+            (1usize..=300).prop_map(|k| Partition::equal(k).unwrap()),
+            proptest::collection::vec(0.0f64..1.0, 0..40).prop_map(|mut raw| {
+                raw.retain(|&b| b > 0.0);
+                raw.sort_unstable_by(f64::total_cmp);
+                raw.dedup();
+                Partition::from_boundaries(&raw).unwrap()
+            }),
+            Just(Partition::equal(1).unwrap()),
+            (
+                proptest::collection::vec(1u32..1000, 1..24),
+                proptest::collection::vec(1u32..50, 1..8),
+                0i32..7,
+            )
+                .prop_map(|(tiny, big, exponent)| {
+                    let scale = 10f64.powi(-3 - exponent);
+                    let mut fractions: Vec<f64> =
+                        tiny.iter().map(|&t| f64::from(t) * scale).collect();
+                    let rest = 1.0 - fractions.iter().sum::<f64>();
+                    let total: u32 = big.iter().sum();
+                    fractions.extend(big.iter().map(|&w| rest * f64::from(w) / f64::from(total)));
+                    Partition::from_fractions(&fractions)
+                        .unwrap_or_else(|_| Partition::equal(1).unwrap())
+                }),
+        ]
+    }
+
     proptest! {
+        #[test]
+        fn partition_lookups_match_bisection(
+            part in lookup_partition(),
+            drawn in proptest::collection::vec(-0.25f64..1.25, 0..16),
+            bits in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            let random = drawn.into_iter().chain(bits.into_iter().map(f64::from_bits));
+            for r in probes(&part).into_iter().chain(random) {
+                lookups_match_bisection(&part, r)?;
+            }
+        }
+
         #[test]
         fn bisected_boundary_lookup_matches_the_linear_scan(
             part in any_partition(),

@@ -196,9 +196,9 @@ impl View {
     /// the current value published by a live neighbor, or `None` for a
     /// departed one, whose entry is dropped. Entry order is preserved.
     ///
-    /// This is the bulk form of [`refresh_value`](View::refresh_value) used
-    /// by the simulator's refresh phase — O(len) with no per-entry search
-    /// and no id collection on the side.
+    /// This is the bulk form of [`refresh_value`](View::refresh_value) the
+    /// simulator runs on every view before its owner's active step — O(len)
+    /// with no per-entry search and no id collection on the side.
     pub fn refresh_values<F: FnMut(NodeId) -> Option<f64>>(&mut self, mut lookup: F) {
         self.entries.retain_mut(|e| match lookup(e.id) {
             Some(value) => {

@@ -30,22 +30,26 @@
 //!    The uniform-oracle substrate takes the same shape: the population is
 //!    snapshotted once per cycle and every view refilled from it in sharded
 //!    chunks, each node sampling from its own stream.
-//! 4. **Refresh phase** — every view's value snapshots are refreshed from
-//!    the live population ("each node updates its view before sending its
-//!    random value", §4.5.2). Published values are protocol state the
-//!    refresh never touches, so the engine snapshots them per slot once and
-//!    refreshes all views in sharded chunks against the immutable snapshot
-//!    — again byte-identical at any shard count.
-//! 5. **Active phase** — every live node runs its protocol active thread
-//!    against its own (refreshed) view, drawing randomness from its **own
+//! 4. **Refresh phase** — every node's published value is snapshotted per
+//!    slot, once. That is all this phase does now: the views themselves
+//!    ("each node updates its view before sending its random value",
+//!    §4.5.2) are refreshed against the snapshot in the active sweep.
+//! 5. **Active phase** — one sweep over the slot array. Each live node
+//!    first has its view refreshed against the snapshot (value snapshots
+//!    brought up to date, departed neighbors dropped), then runs its
+//!    protocol active thread against it, drawing randomness from its **own
 //!    counter-based stream** keyed by `(seed, node id, cycle)` (see
-//!    [`crate::stream`]). The step is node-local — it reads nothing but the
-//!    node's own state — so the engine partitions the slot array across
-//!    `cfg.shards` scoped worker threads; each worker appends what its
-//!    nodes send to one flat outbox, marking where every sender's messages
-//!    end. **Any shard count produces a byte-identical run**: per-node
-//!    streams make the draws independent of scheduling, and the outboxes
-//!    are read back in chunk order, which is slot order.
+//!    [`crate::stream`]). Refreshing view by view, just before each owner
+//!    acts, gives exactly what refreshing every view first gave: the
+//!    snapshot is immutable, so no active step can change what a later
+//!    refresh reads, and an active step reads and writes nothing but its
+//!    own node. The sweep reads each view once where two sweeps read it
+//!    twice. Being node-local, it is partitioned across `cfg.shards` scoped
+//!    worker threads; each worker appends what its nodes send to one flat
+//!    outbox, marking where every sender's messages end. **Any shard count
+//!    produces a byte-identical run**: per-node streams make the draws
+//!    independent of scheduling, and the outboxes are read back in chunk
+//!    order, which is slot order.
 //! 6. **Delivery phase** — the outboxes are routed sender by sender per
 //!    the [`Concurrency`](crate::Concurrency) model: non-overlapping
 //!    messages are delivered immediately as *atomic exchanges*, overlapping
@@ -86,12 +90,29 @@
 //!
 //! * *membership* resolves the partner's slot when it schedules the
 //!   exchange; batching, extraction and put-back are slot-addressed;
-//! * *refresh* (and the churn phase's dead-neighbor sweep) resolves each
-//!   view entry against the slab's own index, lent out read-only beside
-//!   the mutable chunks — no side table of the population is built;
+//! * the *active sweep's view refresh* (and the churn phase's dead-neighbor
+//!   sweep) resolves each view entry against the slab's own index, lent
+//!   out read-only beside the mutable chunks — no side table of the
+//!   population is built;
 //! * *delivery* resolves each endpoint of a message once and borrows the
 //!   recipient where it lives (node storage and the engine's RNG are
 //!   separate fields, so both are lent at once — nothing is moved out).
+//!
+//! ## Look-ahead reads
+//!
+//! At 10⁵ nodes the node state is far beyond cache, and delivery and the
+//! membership exchanges visit nodes in random order. Each visit walks a
+//! chain — slab cell, then the protocol and sampler boxes, then the view's
+//! buffer — and each link is a cache miss the next one waits for, so one
+//! node at a time leaves the memory system mostly idle. Both loops
+//! therefore work in groups of `GATHER_AHEAD` (16) messages or exchanges:
+//! at the start of each group they read the next group's nodes — slab
+//! cell and published value, plus the first view entry for an exchange —
+//! and discard what they read, so those chains are in flight together
+//! while the current group runs.
+//! The reads cannot change a result: they go through shared borrows and
+//! read-only accessors, draw no randomness, and leave the order of the
+//! work untouched.
 //!
 //! Resolving an id hashes nothing: the slab's index, the rank cache's
 //! ranks and the slice tracker's stamps are columns indexed by the raw id,
@@ -133,6 +154,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
+use std::hint::black_box;
 use std::mem;
 
 /// Stream domain of the regular active step (see [`NodeRng::for_node`]).
@@ -192,6 +214,10 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
     fn record(&mut self, event: Event) {
         self.counters.record(event);
     }
+
+    fn record_n(&mut self, event: Event, n: usize) {
+        self.counters.record_n(event, n as u64);
+    }
 }
 
 /// An addressed protocol message on its way through the engine.
@@ -207,19 +233,29 @@ struct Outbox {
 }
 
 /// Runs the active phase over one contiguous chunk of the slot array,
-/// collecting what the nodes send into `outbox`.
+/// collecting what the nodes send into `outbox`. With a `published`
+/// snapshot (fresh views), each node's view is first refreshed against it:
+/// value snapshots brought up to date, departed neighbors dropped.
 ///
 /// Pure per-node work: each node draws from its own `(seed, id, cycle)`
-/// stream and writes only to its own state and the chunk's outbox, so
-/// chunks can execute on any thread in any order with identical results.
+/// stream, reads only the immutable snapshot beside its own state, and
+/// writes only to its own state and the chunk's outbox, so chunks can
+/// execute on any thread in any order with identical results.
 fn active_chunk(
     mut chunk: SlabChunk<'_, SimNode>,
+    lookup: SlotLookup<'_>,
+    published: Option<&[f64]>,
     seed: u64,
     cycle: u64,
     outbox: &mut Outbox,
 ) -> EventCounters {
     let mut counters = EventCounters::default();
     for (_slot, id, node) in chunk.iter_mut() {
+        if let Some(published) = published {
+            node.sampler
+                .view_mut()
+                .refresh_values(|nid| lookup.slot_of(nid).map(|slot| published[slot]));
+        }
         let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
         let sent_before = outbox.msgs.len();
         let mut ctx = EngineCtx {
@@ -269,6 +305,30 @@ fn run_exchange(pair: &mut TakenPair<SimNode>, rng: &mut NodeRng, bufs: &mut Exc
 
 /// Minimum pairs that justify putting a worker thread on a batch.
 const MIN_PAIRS_PER_WORKER: usize = 64;
+
+/// Group size of the look-ahead reads: while the delivery loop routes one
+/// group of this many messages, or the membership phase executes one group
+/// of this many exchanges, the next group's node state is read.
+const GATHER_AHEAD: usize = 16;
+
+/// Reads what delivering a message to `node` touches — its slab cell and
+/// its protocol state — and discards it (see the module docs on look-ahead
+/// reads). A read-only accessor through a shared borrow: no write, no RNG
+/// draw, no change to the order of work.
+fn gather_recipient(node: Option<&SimNode>) {
+    if let Some(node) = node {
+        black_box(node.proto.published_value());
+    }
+}
+
+/// [`gather_recipient`] plus the head of the node's view, which an exchange
+/// reads and rewrites.
+fn gather_exchanger(node: Option<&SimNode>) {
+    gather_recipient(node);
+    if let Some(node) = node {
+        black_box(node.sampler.view().entries().first().map(|e| e.id));
+    }
+}
 
 /// Executes one scheduled exchange where the nodes live: both endpoints are
 /// moved out by slot, exchanged, and put straight back.
@@ -351,17 +411,6 @@ fn oracle_refill_chunk(
     }
 }
 
-/// Refreshes every view in one chunk against the per-slot published-value
-/// snapshot; entries whose node departed are dropped. Node-local work,
-/// safe on any thread.
-fn refresh_chunk(mut chunk: SlabChunk<'_, SimNode>, lookup: SlotLookup<'_>, published: &[f64]) {
-    for (_slot, _id, node) in chunk.iter_mut() {
-        node.sampler
-            .view_mut()
-            .refresh_values(|nid| lookup.slot_of(nid).map(|slot| published[slot]));
-    }
-}
-
 /// Reusable per-cycle buffers: after the first cycles warm these up, the
 /// cycle hot path performs no allocation that scales with `n` (enforced by
 /// `tests/alloc_steady_state.rs`). Every buffer belongs to the engine or to
@@ -405,7 +454,8 @@ struct Scratch {
     exchange_bufs: Vec<ExchangeBuffers>,
     /// Oracle refill: the cycle's population snapshot as view entries.
     pool_entries: Vec<ViewEntry>,
-    /// Refresh phase: published value per slot.
+    /// Refresh phase: published value per slot, which the active sweep
+    /// refreshes views against.
     published: Vec<f64>,
 }
 
@@ -1012,33 +1062,45 @@ impl Engine {
         self.membership_phase(&mut dropped);
         timer.lap(&mut timings.membership_ns);
 
-        // Refresh phase: every value snapshot in every view is brought up to
-        // date ("the view is up-to-date when a message is sent", §4.5.2) —
-        // sharded, against the per-slot published-value snapshot.
-        if self.cfg.concurrency.fresh_views() {
-            self.refresh_phase();
+        // Refresh phase: the per-slot published-value snapshot that every
+        // view is brought up to date against ("the view is up-to-date when a
+        // message is sent", §4.5.2) — each in the active sweep, just before
+        // its owner acts.
+        let fresh_views = self.cfg.concurrency.fresh_views();
+        if fresh_views {
+            self.snapshot_published();
         }
         timer.lap(&mut timings.refresh_ns);
 
-        // Active phase: node-local protocol steps on per-node RNG streams,
-        // sharded across worker threads, each filling its own outbox.
-        let mut outboxes = self.active_phase(&mut counters);
+        // Active phase: view refresh, then node-local protocol steps on
+        // per-node RNG streams, sharded across worker threads, each filling
+        // its own outbox.
+        let mut outboxes = self.active_phase(fresh_views, &mut counters);
         timer.lap(&mut timings.active_ns);
 
         // Delivery phase: outboxes in chunk order, senders in slot order.
         // Non-overlapping messages complete as atomic exchanges (with
         // conflict replay, see module docs); overlapping ones join the
         // end-of-cycle drain. (`queue` is empty again after every sender.)
+        // At the start of every group of messages the next group's
+        // recipients are read ahead.
         for outbox in &mut outboxes {
             let mut msgs = outbox.msgs.drain(..);
             let mut sent = 0;
             for &end in &outbox.ends {
-                for (to, msg) in msgs.by_ref().take(end - sent) {
+                while sent < end {
+                    if sent % GATHER_AHEAD == 0 {
+                        let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
+                        for (to, _) in next.take(GATHER_AHEAD) {
+                            gather_recipient(self.nodes.get(*to));
+                        }
+                    }
+                    let (to, msg) = msgs.next().expect("`ends` stay within the outbox");
+                    sent += 1;
                     if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
                         queue.push_back(now);
                     }
                 }
-                sent = end;
                 while let Some(envelope) = queue.pop_front() {
                     self.deliver_and_route(
                         envelope,
@@ -1275,14 +1337,22 @@ impl Engine {
         // and each draws only from its carried stream, so the partition
         // across worker threads is invisible in the result. Small batches
         // (and every batch of an unsharded run) execute in place, pair by
-        // pair — spawning costs more than it saves there.
+        // pair — spawning costs more than it saves there — reading both
+        // endpoints of the next group of pairs ahead.
         let shards = self.cfg.shards;
         let mut bufs = mem::take(&mut self.scratch.exchange_bufs);
         bufs.resize_with(shards, ExchangeBuffers::default);
         let mut jobs = mem::take(&mut self.scratch.jobs);
         for batch in batches.iter().take(used_batches) {
             if shards == 1 || batch.len() < 2 * MIN_PAIRS_PER_WORKER {
-                for &idx in batch {
+                for (pos, &idx) in batch.iter().enumerate() {
+                    if pos % GATHER_AHEAD == 0 {
+                        for &next in batch.iter().skip(pos + GATHER_AHEAD).take(GATHER_AHEAD) {
+                            let s = &scheduled[next];
+                            gather_exchanger(self.nodes.slot(s.slot));
+                            gather_exchanger(self.nodes.slot(s.partner_slot));
+                        }
+                    }
                     exchange_in_place(&mut self.nodes, &scheduled[idx], &mut bufs[0]);
                 }
                 continue;
@@ -1348,32 +1418,15 @@ impl Engine {
         self.scratch.pool_entries = pool;
     }
 
-    /// Refresh phase: snapshot every node's published value per slot, then
-    /// refresh all views in sharded chunks against the immutable snapshot.
-    /// Published values are protocol state the refresh never touches, so
-    /// this is semantically identical to a sequential sweep.
-    fn refresh_phase(&mut self) {
-        let shards = self.cfg.shards;
-        let mut published = mem::take(&mut self.scratch.published);
+    /// Refresh phase: every node's published value, per slot — the
+    /// immutable snapshot the active sweep refreshes each view against.
+    fn snapshot_published(&mut self) {
+        let published = &mut self.scratch.published;
         published.clear();
         published.resize(self.nodes.slot_count(), 0.0);
         for (slot, _, node) in self.nodes.iter() {
             published[slot] = node.proto.published_value();
         }
-        let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(shards);
-        if shards <= 1 {
-            for chunk in chunks {
-                refresh_chunk(chunk, lookup, &published);
-            }
-        } else {
-            let published_ref: &[f64] = &published;
-            std::thread::scope(|scope| {
-                for chunk in chunks {
-                    scope.spawn(move || refresh_chunk(chunk, lookup, published_ref));
-                }
-            });
-        }
-        self.scratch.published = published;
     }
 
     /// Test hook: toggles recording of the membership exchange schedule;
@@ -1394,14 +1447,17 @@ impl Engine {
     /// Runs the active phase, partitioned across `cfg.shards` scoped worker
     /// threads (inline when 1), and returns the workers' outboxes in chunk
     /// order — chunks cover ascending slot ranges and each outbox is filled
-    /// in slot order, so walking them in sequence IS slot order. The caller
-    /// hands the (drained) outboxes back to `scratch`.
-    fn active_phase(&mut self, counters: &mut EventCounters) -> Vec<Outbox> {
+    /// in slot order, so walking them in sequence IS slot order. With
+    /// `fresh_views`, every view is refreshed against the refresh phase's
+    /// snapshot just before its owner acts. The caller hands the (drained)
+    /// outboxes back to `scratch`.
+    fn active_phase(&mut self, fresh_views: bool, counters: &mut EventCounters) -> Vec<Outbox> {
         let seed = self.cfg.seed;
         let cycle = self.cycle as u64;
 
         let mut outboxes = mem::take(&mut self.scratch.outboxes);
-        let chunks = self.nodes.chunks_mut(self.cfg.shards);
+        let published = fresh_views.then_some(&self.scratch.published[..]);
+        let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(self.cfg.shards);
         if outboxes.len() < chunks.len() {
             outboxes.resize_with(chunks.len(), Outbox::default);
         }
@@ -1412,13 +1468,15 @@ impl Engine {
         let work = chunks.into_iter().zip(&mut outboxes);
         if self.cfg.shards <= 1 {
             for (chunk, outbox) in work {
-                counters.merge(&active_chunk(chunk, seed, cycle, outbox));
+                counters.merge(&active_chunk(chunk, lookup, published, seed, cycle, outbox));
             }
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = work
                     .map(|(chunk, outbox)| {
-                        scope.spawn(move || active_chunk(chunk, seed, cycle, outbox))
+                        scope.spawn(move || {
+                            active_chunk(chunk, lookup, published, seed, cycle, outbox)
+                        })
                     })
                     .collect();
                 for handle in handles {
@@ -1589,8 +1647,8 @@ impl Engine {
 
     /// Replays a conflicted atomic exchange: the proposer's view is brought
     /// up to date — every value snapshot refreshed from the live nodes,
-    /// departed neighbors dropped: the single-node form of
-    /// [`refresh_phase`](Engine::refresh_phase) — and its active step
+    /// departed neighbors dropped: the active sweep's view refresh, against
+    /// current values instead of the cycle's snapshot — and its active step
     /// re-runs (on the replay stream), as if its atomic turn came after the
     /// exchange that invalidated its original proposal. The replayed
     /// messages resolve immediately — they are the second half of one

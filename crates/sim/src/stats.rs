@@ -36,15 +36,21 @@ pub struct EventCounters {
 impl EventCounters {
     /// Folds a protocol event in.
     pub fn record(&mut self, event: Event) {
-        match event {
-            Event::SwapProposed => self.swaps_proposed += 1,
-            Event::SwapApplied => self.swaps_applied += 1,
-            Event::SwapUseless => self.swaps_useless += 1,
-            Event::UpdateSent => self.updates_sent += 1,
-            Event::SampleAbsorbed => self.samples_absorbed += 1,
-            Event::SwapAbandoned => self.swaps_abandoned += 1,
-            Event::SampleRejected => self.samples_rejected += 1,
-        }
+        self.record_n(event, 1);
+    }
+
+    /// Folds `n` occurrences of one protocol event in.
+    pub(crate) fn record_n(&mut self, event: Event, n: u64) {
+        let counter = match event {
+            Event::SwapProposed => &mut self.swaps_proposed,
+            Event::SwapApplied => &mut self.swaps_applied,
+            Event::SwapUseless => &mut self.swaps_useless,
+            Event::UpdateSent => &mut self.updates_sent,
+            Event::SampleAbsorbed => &mut self.samples_absorbed,
+            Event::SwapAbandoned => &mut self.swaps_abandoned,
+            Event::SampleRejected => &mut self.samples_rejected,
+        };
+        *counter += n;
     }
 
     /// Percentage of swap messages that were unsuccessful (Fig. 4(c)):
@@ -89,9 +95,10 @@ pub struct PhaseTimings {
     /// Membership phase: exchange scheduling, batching and execution (or
     /// the oracle refill).
     pub membership_ns: u64,
-    /// Refresh phase: value-snapshot refresh of every view.
+    /// Refresh phase: the per-slot snapshot of published values.
     pub refresh_ns: u64,
-    /// Active phase: per-node protocol steps.
+    /// Active phase: per-node view refresh against that snapshot, then the
+    /// protocol's active step.
     pub active_ns: u64,
     /// Delivery phase plus the end-of-cycle deferred drain.
     pub delivery_ns: u64,

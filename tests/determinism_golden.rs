@@ -2,8 +2,8 @@
 //!
 //! Identical `(config, protocol, churn, seed)` must yield identical runs,
 //! **byte for byte** in the serialized [`RunRecord`] — and the shard count
-//! must be invisible: with the membership, refresh *and* active phases all
-//! sharded, `shards ∈ {2, 4, 8}` must reproduce the sequential run
+//! must be invisible: with the membership phase *and* the active sweep (view
+//! refresh included) sharded, `shards ∈ {2, 4, 8}` must reproduce the sequential run
 //! (`shards = 1`) exactly, across every protocol family, every
 //! peer-sampling substrate, and under churn, concurrency and latency. These
 //! tests lock the contract down at the serialization boundary, where any
@@ -124,7 +124,7 @@ fn metrics_cadence_preserves_shard_identity() {
 #[test]
 fn sharded_membership_is_invisible_for_every_substrate() {
     // The schedule-then-execute membership phase (and the sharded oracle
-    // refill / refresh phases) must be byte-invisible for every sampler,
+    // refill and active-sweep view refresh) must be byte-invisible for every sampler,
     // not just the default Cyclon variant — each substrate consumes its
     // membership stream differently (aging, partner draw, digest draws).
     for sampler in [
@@ -313,6 +313,18 @@ fn newscast_ranking_record_is_pinned_at_5000_nodes() {
 fn lpbcast_ranking_record_is_pinned_at_5000_nodes() {
     assert_pinned_with(ProtocolKind::Ranking, None, 0x567e_c16a_e0bf_387c, |cfg| {
         cfg.sampler = SamplerKind::Lpbcast;
+    });
+}
+
+/// Ranking over a skewed partition: three boundaries crowd below 0.05, so
+/// they share one cell of the partition's lookup grid and the slice and
+/// `j1` lookups take the in-cell bisection as well as the direct path.
+/// Captured on the commit before the grid replaced the plain bisection.
+#[test]
+fn skewed_partition_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(ProtocolKind::Ranking, None, 0xb1ef_b6eb_05bc_1250, |cfg| {
+        cfg.partition =
+            Partition::from_fractions(&[0.01, 0.01, 0.02, 0.06, 0.2, 0.3, 0.4]).unwrap();
     });
 }
 

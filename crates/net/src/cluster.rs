@@ -91,6 +91,29 @@ impl ClusterConfig {
             die_after_ticks: None,
         }
     }
+
+    /// The configuration of one node of this cluster.
+    fn node_config(
+        &self,
+        id: NodeId,
+        attribute: Attribute,
+        seed: u64,
+        retry: RetryPolicy,
+    ) -> NodeConfig {
+        NodeConfig {
+            id,
+            attribute,
+            partition: self.partition.clone(),
+            protocol: self.protocol,
+            sampler: self.sampler,
+            view_size: self.view_size,
+            period: self.period,
+            seed,
+            faults: self.faults,
+            retry,
+            die_after_ticks: None,
+        }
+    }
 }
 
 /// Aggregate fault-handling counters for a run: network counters summed
@@ -121,6 +144,84 @@ pub struct ClusterTotals {
     pub peak_queue_depth: u64,
 }
 
+impl ClusterTotals {
+    /// Sums the network counters of `snapshots` (max-folding their queue
+    /// high-water marks) and counts the crashes, chaos kills and restarts
+    /// recorded in `exits`.
+    pub fn fold(snapshots: &[NodeSnapshot], exits: &[NodeExitRecord]) -> ClusterTotals {
+        let mut totals = ClusterTotals::default();
+        for s in snapshots {
+            totals.retries += s.retries;
+            totals.timeouts += s.timeouts;
+            totals.send_failures += s.send_failures;
+            totals.evictions += s.evictions;
+            totals.dropped += s.dropped;
+            totals.queue_drops += s.queue_drops;
+            totals.peak_queue_depth = totals.peak_queue_depth.max(s.peak_queue_depth);
+        }
+        for record in exits {
+            match record.kind {
+                NodeExitKind::Crashed { .. } => totals.crashes += 1,
+                NodeExitKind::KilledByChaos => totals.chaos_kills += 1,
+                NodeExitKind::Clean => {}
+            }
+            totals.restarts += u64::from(record.restarted);
+        }
+        totals
+    }
+}
+
+/// Reads one counter off a node snapshot.
+type Reader = fn(&NodeSnapshot) -> u64;
+
+/// The per-node counters: each one's `dslice_net_*_total` aggregate over
+/// the live nodes, the aggregate's help, how to read it off a snapshot, and
+/// the trace kind its per-node deltas are recorded under (if any).
+const NODE_COUNTERS: [(&str, &str, Reader, Option<TraceKind>); 7] = [
+    (
+        "dslice_net_retries_total",
+        "Delivery retries across live nodes.",
+        |s| s.retries,
+        Some(TraceKind::NetRetry),
+    ),
+    (
+        "dslice_net_timeouts_total",
+        "Connect/write timeouts across live nodes.",
+        |s| s.timeouts,
+        Some(TraceKind::NetTimeout),
+    ),
+    (
+        "dslice_net_send_failures_total",
+        "Messages undelivered after all attempts.",
+        |s| s.send_failures,
+        Some(TraceKind::NetSendFailure),
+    ),
+    (
+        "dslice_net_evictions_total",
+        "Dead-peer evictions performed.",
+        |s| s.evictions,
+        Some(TraceKind::NetEviction),
+    ),
+    (
+        "dslice_net_queue_drops_total",
+        "Messages shed because a link queue was full.",
+        |s| s.queue_drops,
+        Some(TraceKind::NetQueueDrop),
+    ),
+    (
+        "dslice_net_fault_dropped_total",
+        "Messages dropped by wire-level fault injection.",
+        |s| s.dropped,
+        None,
+    ),
+    (
+        "dslice_net_ticks_total",
+        "Gossip ticks across live nodes.",
+        |s| s.ticks,
+        None,
+    ),
+];
+
 /// The harvested outcome of a cluster run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ClusterReport {
@@ -137,12 +238,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// The slice disorder measure over the final estimates.
     pub fn sdm(&self) -> f64 {
-        let population: Vec<(NodeId, Attribute, f64)> = self
-            .nodes
-            .iter()
-            .map(|s| (s.id, s.attribute, s.estimate))
-            .collect();
-        metrics::sdm(&self.partition, &population)
+        sdm_of(&self.partition, &self.nodes)
     }
 
     /// Fraction of nodes whose believed slice equals their true slice.
@@ -176,6 +272,15 @@ impl ClusterReport {
             })
             .collect()
     }
+}
+
+/// The slice disorder measure of `nodes`' estimates.
+fn sdm_of(partition: &Partition, nodes: &[NodeSnapshot]) -> f64 {
+    let population: Vec<(NodeId, Attribute, f64)> = nodes
+        .iter()
+        .map(|s| (s.id, s.attribute, s.estimate))
+        .collect();
+    metrics::sdm(partition, &population)
 }
 
 /// Where a supervised node slot currently stands.
@@ -228,7 +333,6 @@ pub struct LocalCluster {
     retry: RetryPolicy,
     slots: Vec<Slot>,
     directory: Directory,
-    partition: Partition,
     /// Next identity for [`join_node`](Self::join_node); never reused.
     next_id: u64,
     exits: Vec<NodeExitRecord>,
@@ -239,10 +343,9 @@ pub struct LocalCluster {
     /// Flight recorder for supervision-level events (chaos, exits, fault
     /// counter deltas). Strictly observational.
     recorder: Option<FlightRecorder>,
-    /// Last fault counters seen per node, so the recorder logs deltas
-    /// instead of repeating totals: `[retries, timeouts, send_failures,
-    /// evictions, queue_drops]`.
-    trace_seen: HashMap<NodeId, [u64; 5]>,
+    /// Last counters seen per node, in [`NODE_COUNTERS`] order, so the
+    /// recorder logs deltas instead of repeating totals.
+    trace_seen: HashMap<NodeId, [u64; NODE_COUNTERS.len()]>,
     /// Live metrics streaming, serviced by [`run_for`](Self::run_for).
     stream: Option<MetricsStream>,
 }
@@ -267,20 +370,12 @@ impl LocalCluster {
         let mut slots = Vec::with_capacity(cfg.attributes.len());
 
         for (i, &attribute) in cfg.attributes.iter().enumerate() {
+            let id = NodeId::new(i as u64);
             let node_cfg = NodeConfig {
-                id: NodeId::new(i as u64),
-                attribute,
-                partition: cfg.partition.clone(),
-                protocol: cfg.protocol,
-                sampler: cfg.sampler,
-                view_size: cfg.view_size,
-                period: cfg.period,
-                seed: cfg.seed.wrapping_add(i as u64),
-                faults: cfg.faults,
-                retry,
                 die_after_ticks: cfg
                     .die_after_ticks
                     .and_then(|(idx, ticks)| (idx == i).then_some(ticks)),
+                ..cfg.node_config(id, attribute, cfg.seed.wrapping_add(i as u64), retry)
             };
             let handle = NodeRuntime::spawn(node_cfg, directory.clone()).await?;
             let last = handle.snapshot();
@@ -297,7 +392,6 @@ impl LocalCluster {
 
         let schedule = cfg.chaos.schedule();
         let cluster = LocalCluster {
-            partition: cfg.partition.clone(),
             next_id: cfg.attributes.len() as u64,
             retry,
             slots,
@@ -383,12 +477,7 @@ impl LocalCluster {
 
     /// The SDM of the current live snapshots.
     pub fn live_sdm(&self) -> f64 {
-        let population: Vec<(NodeId, Attribute, f64)> = self
-            .snapshots()
-            .into_iter()
-            .map(|s| (s.id, s.attribute, s.estimate))
-            .collect();
-        metrics::sdm(&self.partition, &population)
+        sdm_of(&self.cfg.partition, &self.snapshots())
     }
 
     /// Exit records reaped so far.
@@ -426,6 +515,7 @@ impl LocalCluster {
     pub fn scrape(&self) -> Registry {
         let mut reg = Registry::new();
         let snapshots = self.snapshots();
+        let totals = ClusterTotals::fold(&snapshots, &self.exits);
         reg.gauge_set(
             "dslice_net_nodes_live",
             "Nodes currently running.",
@@ -441,9 +531,6 @@ impl LocalCluster {
             "Slice disorder measure over the live estimates.",
             self.live_sdm(),
         );
-
-        let mut sums = [0u64; 7];
-        let mut peak = 0u64;
         for s in &snapshots {
             let node = s.id.as_u64();
             reg.gauge_set(
@@ -466,107 +553,43 @@ impl LocalCluster {
                 "Deepest outbound link queue this node has seen.",
                 s.peak_queue_depth as f64,
             );
-            let parts = [
-                s.retries,
-                s.timeouts,
-                s.send_failures,
-                s.evictions,
-                s.queue_drops,
-                s.dropped,
-                s.ticks,
-            ];
-            for (sum, v) in sums.iter_mut().zip(parts) {
-                *sum += v;
-            }
-            peak = peak.max(s.peak_queue_depth);
         }
-        let aggregates = [
-            (
-                "dslice_net_retries_total",
-                "Delivery retries across live nodes.",
-            ),
-            (
-                "dslice_net_timeouts_total",
-                "Connect/write timeouts across live nodes.",
-            ),
-            (
-                "dslice_net_send_failures_total",
-                "Messages undelivered after all attempts.",
-            ),
-            (
-                "dslice_net_evictions_total",
-                "Dead-peer evictions performed.",
-            ),
-            (
-                "dslice_net_queue_drops_total",
-                "Messages shed because a link queue was full.",
-            ),
-            (
-                "dslice_net_fault_dropped_total",
-                "Messages dropped by wire-level fault injection.",
-            ),
-            ("dslice_net_ticks_total", "Gossip ticks across live nodes."),
-        ];
-        for ((name, help), v) in aggregates.iter().zip(sums) {
-            reg.counter_add(name, help, v);
+        for (metric, help, read, _) in &NODE_COUNTERS {
+            reg.counter_add(metric, help, snapshots.iter().map(read).sum());
         }
         reg.gauge_set(
             "dslice_net_peak_queue_depth",
             "Deepest outbound link queue across live nodes.",
-            peak as f64,
+            totals.peak_queue_depth as f64,
         );
-
-        let (mut crashes, mut kills, mut restarts) = (0u64, 0u64, 0u64);
-        for record in &self.exits {
-            match record.kind {
-                NodeExitKind::Crashed { .. } => crashes += 1,
-                NodeExitKind::KilledByChaos => kills += 1,
-                NodeExitKind::Clean => {}
-            }
-            if record.restarted {
-                restarts += 1;
-            }
-        }
         reg.counter_add(
             "dslice_net_crashes_total",
             "Node tasks that panicked.",
-            crashes,
+            totals.crashes,
         );
         reg.counter_add(
             "dslice_net_chaos_kills_total",
             "Node tasks killed by the chaos plan.",
-            kills,
+            totals.chaos_kills,
         );
         reg.counter_add(
             "dslice_net_restarts_total",
             "Supervised restarts performed.",
-            restarts,
+            totals.restarts,
         );
         reg
     }
 
-    /// Records the fault-counter deltas of one live snapshot as instants.
+    /// Records the counter deltas of one live snapshot as instants.
     fn trace_counters(&mut self, snap: &NodeSnapshot) {
-        const KINDS: [TraceKind; 5] = [
-            TraceKind::NetRetry,
-            TraceKind::NetTimeout,
-            TraceKind::NetSendFailure,
-            TraceKind::NetEviction,
-            TraceKind::NetQueueDrop,
-        ];
-        let at_ms = self.started.elapsed().as_millis() as u64;
+        let at_ms = self.elapsed_ms();
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
         let seen = self.trace_seen.entry(snap.id).or_default();
-        let now = [
-            snap.retries,
-            snap.timeouts,
-            snap.send_failures,
-            snap.evictions,
-            snap.queue_drops,
-        ];
-        for ((kind, cur), prev) in KINDS.iter().zip(now).zip(seen.iter_mut()) {
+        for ((_, _, read, kind), prev) in NODE_COUNTERS.iter().zip(seen.iter_mut()) {
+            let Some(kind) = kind else { continue };
+            let cur = read(snap);
             if cur > *prev {
                 rec.instant(*kind, at_ms, Some(snap.id.as_u64()), cur - *prev, 0);
             }
@@ -574,9 +597,10 @@ impl LocalCluster {
         }
     }
 
-    /// Records one reaped exit as an instant (`a`: 0 clean, 1 crashed,
-    /// 2 killed).
-    fn trace_exit(&mut self, id: NodeId, kind: &NodeExitKind, at_ms: u64) {
+    /// Records one reaped exit, and traces it as an instant (`a`: 0 clean,
+    /// 1 crashed, 2 killed).
+    fn record_exit(&mut self, id: NodeId, kind: NodeExitKind) {
+        let at_ms = self.elapsed_ms();
         let code = match kind {
             NodeExitKind::Clean => 0,
             NodeExitKind::Crashed { .. } => 1,
@@ -585,6 +609,12 @@ impl LocalCluster {
         if let Some(rec) = self.recorder.as_mut() {
             rec.instant(TraceKind::NetExit, at_ms, Some(id.as_u64()), code, 0);
         }
+        self.exits.push(NodeExitRecord {
+            id,
+            kind,
+            at_ms,
+            restarted: false,
+        });
     }
 
     fn elapsed_ms(&self) -> u64 {
@@ -619,19 +649,9 @@ impl LocalCluster {
             .seed
             .wrapping_add(slot.id.as_u64())
             .wrapping_add(slot.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let node_cfg = NodeConfig {
-            id: slot.id,
-            attribute: slot.attribute,
-            partition: self.partition.clone(),
-            protocol: self.cfg.protocol,
-            sampler: self.cfg.sampler,
-            view_size: self.cfg.view_size,
-            period: self.cfg.period,
-            seed,
-            faults: self.cfg.faults,
-            retry: self.retry,
-            die_after_ticks: None,
-        };
+        let node_cfg = self
+            .cfg
+            .node_config(slot.id, slot.attribute, seed, self.retry);
         let handle = NodeRuntime::spawn(node_cfg, self.directory.clone()).await?;
         self.introduce(&handle, seed).await;
         self.slots[idx].state = SlotState::Running(handle);
@@ -703,14 +723,7 @@ impl LocalCluster {
                 handle.crash();
                 let exit = handle.reap().await;
                 self.slots[idx].last = exit.last_snapshot();
-                let at_ms = self.elapsed_ms();
-                self.trace_exit(event.node, &NodeExitKind::KilledByChaos, at_ms);
-                self.exits.push(NodeExitRecord {
-                    id: event.node,
-                    kind: NodeExitKind::KilledByChaos,
-                    at_ms,
-                    restarted: false,
-                });
+                self.record_exit(event.node, NodeExitKind::KilledByChaos);
             }
             ChaosAction::Restart => {
                 if matches!(
@@ -773,15 +786,7 @@ impl LocalCluster {
                 };
                 let exit = handle.reap().await;
                 self.slots[idx].last = exit.last_snapshot();
-                let at_ms = self.elapsed_ms();
-                let kind = Self::exit_kind(&exit);
-                self.trace_exit(self.slots[idx].id, &kind, at_ms);
-                self.exits.push(NodeExitRecord {
-                    id: self.slots[idx].id,
-                    kind,
-                    at_ms,
-                    restarted: false,
-                });
+                self.record_exit(self.slots[idx].id, Self::exit_kind(&exit));
                 if matches!(exit, NodeExit::Crashed { .. })
                     && self.cfg.restart.auto_restart
                     && self.slots[idx].restarts < self.cfg.restart.max_restarts
@@ -852,19 +857,7 @@ impl LocalCluster {
         let id = NodeId::new(self.next_id);
         self.next_id += 1;
         let seed = self.cfg.seed.wrapping_add(id.as_u64()).wrapping_mul(0x9E37);
-        let node_cfg = NodeConfig {
-            id,
-            attribute,
-            partition: self.partition.clone(),
-            protocol: self.cfg.protocol,
-            sampler: self.cfg.sampler,
-            view_size: self.cfg.view_size,
-            period: self.cfg.period,
-            seed,
-            faults: self.cfg.faults,
-            retry: self.retry,
-            die_after_ticks: None,
-        };
+        let node_cfg = self.cfg.node_config(id, attribute, seed, self.retry);
         let handle = NodeRuntime::spawn(node_cfg, self.directory.clone()).await?;
         self.introduce(&handle, seed).await;
         let last = handle.snapshot();
@@ -942,30 +935,10 @@ impl LocalCluster {
             }
         }
 
-        let mut totals = ClusterTotals::default();
-        for snapshot in &nodes {
-            totals.retries += snapshot.retries;
-            totals.timeouts += snapshot.timeouts;
-            totals.send_failures += snapshot.send_failures;
-            totals.evictions += snapshot.evictions;
-            totals.dropped += snapshot.dropped;
-            totals.queue_drops += snapshot.queue_drops;
-            totals.peak_queue_depth = totals.peak_queue_depth.max(snapshot.peak_queue_depth);
-        }
-        for record in &exits {
-            match record.kind {
-                NodeExitKind::Crashed { .. } => totals.crashes += 1,
-                NodeExitKind::KilledByChaos => totals.chaos_kills += 1,
-                NodeExitKind::Clean => {}
-            }
-            if record.restarted {
-                totals.restarts += 1;
-            }
-        }
-
+        let totals = ClusterTotals::fold(&nodes, &exits);
         ClusterReport {
             nodes,
-            partition: self.partition,
+            partition: self.cfg.partition,
             exits,
             totals,
         }
@@ -1090,6 +1063,151 @@ mod tests {
         }
         assert!(report.totals.peak_queue_depth >= 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn snapshot(id: u64, k: u64, peak_queue_depth: u64) -> NodeSnapshot {
+        NodeSnapshot {
+            id: NodeId::new(id),
+            attribute: Attribute::new(id as f64).unwrap(),
+            estimate: 0.5,
+            ticks: 10 * k,
+            dropped: k,
+            retries: 2 * k,
+            timeouts: 3 * k,
+            send_failures: 4 * k,
+            evictions: 5 * k,
+            queue_drops: 6 * k,
+            uptime_ms: 100,
+            peak_queue_depth,
+        }
+    }
+
+    #[test]
+    fn cluster_totals_fold_sums_snapshots_and_counts_exits() {
+        let snapshots = [snapshot(0, 1, 9), snapshot(1, 2, 3), snapshot(2, 4, 5)];
+        let exit = |id, kind, restarted| NodeExitRecord {
+            id: NodeId::new(id),
+            kind,
+            at_ms: 0,
+            restarted,
+        };
+        let crashed = || NodeExitKind::Crashed {
+            reason: "boom".into(),
+        };
+        let exits = [
+            exit(3, crashed(), true),
+            exit(4, NodeExitKind::KilledByChaos, false),
+            exit(5, NodeExitKind::Clean, true),
+            exit(3, crashed(), false),
+        ];
+        // Network counters summed over the snapshots (k = 1 + 2 + 4), the
+        // queue high-water mark max-folded, exits counted by kind and by
+        // restart.
+        assert_eq!(
+            ClusterTotals::fold(&snapshots, &exits),
+            ClusterTotals {
+                retries: 14,
+                timeouts: 21,
+                send_failures: 28,
+                evictions: 35,
+                dropped: 7,
+                queue_drops: 42,
+                crashes: 2,
+                chaos_kills: 1,
+                restarts: 2,
+                peak_queue_depth: 9,
+            }
+        );
+        assert_eq!(ClusterTotals::fold(&[], &[]), ClusterTotals::default());
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn traced_counters_record_per_node_deltas() {
+        let cfg = ClusterConfig::new(
+            attrs(&[1.0, 2.0]),
+            Partition::equal(2).unwrap(),
+            ProtocolKind::Ranking,
+        );
+        let mut cluster = LocalCluster::spawn(cfg).await.unwrap();
+        cluster.set_tracer(dslice_obs::TraceConfig::on());
+        // A node outside the cluster, so only these snapshots reach it.
+        cluster.trace_counters(&snapshot(7, 1, 0));
+        cluster.trace_counters(&snapshot(7, 1, 0));
+        cluster.trace_counters(&snapshot(7, 3, 0));
+        let recorder = cluster.take_recorder().unwrap();
+        let deltas: Vec<(TraceKind, u64)> = recorder
+            .events()
+            .filter(|e| e.node == Some(7))
+            .map(|e| (e.kind, e.a))
+            .collect();
+        cluster.shutdown().await;
+        // Retries, timeouts, send failures, evictions and queue drops log
+        // their growth (k·[2, 3, 4, 5, 6]); an unchanged snapshot logs
+        // nothing, and fault drops and ticks are never traced.
+        let kinds = [
+            TraceKind::NetRetry,
+            TraceKind::NetTimeout,
+            TraceKind::NetSendFailure,
+            TraceKind::NetEviction,
+            TraceKind::NetQueueDrop,
+        ];
+        let expected: Vec<(TraceKind, u64)> = [1, 2]
+            .into_iter()
+            .flat_map(|k| kinds.into_iter().zip((2..).map(move |m| m * k)))
+            .collect();
+        assert_eq!(deltas, expected);
+    }
+
+    /// Every series `scrape` emits for a three-node cluster, with its type,
+    /// captured before the aggregates came from one counter table.
+    const SCRAPED: [&str; 26] = [
+        "dslice_net_chaos_kills_total counter",
+        "dslice_net_crashes_total counter",
+        "dslice_net_evictions_total counter",
+        "dslice_net_fault_dropped_total counter",
+        "dslice_net_node_estimate{node=\"0\"} gauge",
+        "dslice_net_node_estimate{node=\"1\"} gauge",
+        "dslice_net_node_estimate{node=\"2\"} gauge",
+        "dslice_net_node_peak_queue_depth{node=\"0\"} gauge",
+        "dslice_net_node_peak_queue_depth{node=\"1\"} gauge",
+        "dslice_net_node_peak_queue_depth{node=\"2\"} gauge",
+        "dslice_net_node_ticks{node=\"0\"} gauge",
+        "dslice_net_node_ticks{node=\"1\"} gauge",
+        "dslice_net_node_ticks{node=\"2\"} gauge",
+        "dslice_net_node_uptime_ms{node=\"0\"} gauge",
+        "dslice_net_node_uptime_ms{node=\"1\"} gauge",
+        "dslice_net_node_uptime_ms{node=\"2\"} gauge",
+        "dslice_net_nodes_live gauge",
+        "dslice_net_peak_queue_depth gauge",
+        "dslice_net_queue_drops_total counter",
+        "dslice_net_restarts_total counter",
+        "dslice_net_retries_total counter",
+        "dslice_net_sdm gauge",
+        "dslice_net_send_failures_total counter",
+        "dslice_net_ticks_total counter",
+        "dslice_net_timeouts_total counter",
+        "dslice_net_uptime_ms gauge",
+    ];
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn scrape_emits_the_pinned_metric_names() {
+        let cfg = ClusterConfig {
+            period: Duration::from_millis(10),
+            ..ClusterConfig::new(
+                attrs(&[1.0, 2.0, 3.0]),
+                Partition::equal(2).unwrap(),
+                ProtocolKind::Ranking,
+            )
+        };
+        let cluster = LocalCluster::spawn(cfg).await.unwrap();
+        let mut names: Vec<String> = cluster
+            .scrape()
+            .iter()
+            .map(|m| format!("{} {}", m.name, m.value.type_name()))
+            .collect();
+        names.sort();
+        cluster.shutdown().await;
+        assert_eq!(names, SCRAPED);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

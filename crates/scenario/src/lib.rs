@@ -66,5 +66,6 @@ pub use dsl::{
     fraction_count, population_delta, PopulationPoint, Scenario, ScenarioEvent, Schedule,
     TimedEvent,
 };
-pub use report::{ScenarioReport, Totals, TrajectoryPoint};
+pub use dslice_sim::Totals;
+pub use report::{ScenarioReport, TrajectoryPoint};
 pub use script::ScriptedChurn;

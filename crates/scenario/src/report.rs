@@ -9,7 +9,8 @@
 
 use crate::dsl::TimedEvent;
 use dslice_obs::{Registry, COUNT_BUCKETS};
-use dslice_sim::{CycleStats, PhaseTimings};
+use dslice_sim::{FieldReader, PhaseTimings, Totals};
+use serde::{Serialize, Value};
 
 /// One sampled point of the run's trajectory.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,216 +44,56 @@ pub struct TrajectoryPoint {
     pub swaps_abandoned: u64,
 }
 
-impl serde::Serialize for TrajectoryPoint {
-    /// Hand-written on the same scheme as [`Totals`]: the ten original
-    /// columns serialize exactly as the derived impl always did, and the
-    /// per-cycle defense counters are appended **only when non-zero** —
-    /// undefended scenarios can never record them, so their goldens stay
-    /// byte-identical.
-    fn to_value(&self) -> serde::Value {
-        let mut map: Vec<(String, serde::Value)> = vec![
-            ("cycle".into(), serde::Serialize::to_value(&self.cycle)),
-            ("n".into(), serde::Serialize::to_value(&self.n)),
-            ("sdm".into(), serde::Serialize::to_value(&self.sdm)),
-            ("gdm".into(), serde::Serialize::to_value(&self.gdm)),
-            (
-                "accuracy".into(),
-                serde::Serialize::to_value(&self.accuracy),
-            ),
-            (
-                "honest_accuracy".into(),
-                serde::Serialize::to_value(&self.honest_accuracy),
-            ),
-            ("liars".into(), serde::Serialize::to_value(&self.liars)),
-            ("left".into(), serde::Serialize::to_value(&self.left)),
-            ("joined".into(), serde::Serialize::to_value(&self.joined)),
-            (
-                "slice_changes".into(),
-                serde::Serialize::to_value(&self.slice_changes),
-            ),
+// A trajectory point's counter columns share their keys with the counter
+// table; the per-cycle defence counters come last, in the opposite order to
+// `Totals`, and like there are written only when non-zero.
+
+impl Serialize for TrajectoryPoint {
+    fn to_value(&self) -> Value {
+        let [.., (left, _), (joined, _), (slice_changes, _), (abandoned, _), (rejected, _)] =
+            Totals::COUNTERS;
+        let mut map: Vec<(String, Value)> = vec![
+            ("cycle".into(), self.cycle.to_value()),
+            ("n".into(), self.n.to_value()),
+            ("sdm".into(), self.sdm.to_value()),
+            ("gdm".into(), self.gdm.to_value()),
+            ("accuracy".into(), self.accuracy.to_value()),
+            ("honest_accuracy".into(), self.honest_accuracy.to_value()),
+            ("liars".into(), self.liars.to_value()),
+            (left.into(), self.left.to_value()),
+            (joined.into(), self.joined.to_value()),
+            (slice_changes.into(), self.slice_changes.to_value()),
         ];
         for (name, v) in [
-            ("samples_rejected", self.samples_rejected),
-            ("swaps_abandoned", self.swaps_abandoned),
+            (rejected, self.samples_rejected),
+            (abandoned, self.swaps_abandoned),
         ] {
             if v != 0 {
-                map.push((name.to_string(), serde::Serialize::to_value(&v)));
+                map.push((name.into(), v.to_value()));
             }
         }
-        serde::Value::Map(map)
+        Value::Map(map)
     }
 }
 
 impl serde::Deserialize for TrajectoryPoint {
-    /// Mirror of the conditional [`serde::Serialize`] impl: the defense
-    /// counters default to 0 when absent, so pre-defense goldens parse.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct TrajectoryPoint"))?;
-        let count = |name: &str| -> Result<usize, serde::Error> {
-            serde::Deserialize::from_value(serde::__field(m, name))
-                .map_err(|e| serde::Error::custom(format!("TrajectoryPoint.{name}: {e}")))
-        };
-        let metric = |name: &str| -> Result<f64, serde::Error> {
-            serde::Deserialize::from_value(serde::__field(m, name))
-                .map_err(|e| serde::Error::custom(format!("TrajectoryPoint.{name}: {e}")))
-        };
-        let optional = |name: &str| -> Result<u64, serde::Error> {
-            match serde::__field(m, name) {
-                serde::Value::Null => Ok(0),
-                present => serde::Deserialize::from_value(present)
-                    .map_err(|e| serde::Error::custom(format!("TrajectoryPoint.{name}: {e}"))),
-            }
-        };
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let [.., (left, _), (joined, _), (slice_changes, _), (abandoned, _), (rejected, _)] =
+            Totals::COUNTERS;
+        let f = FieldReader::of("TrajectoryPoint", v)?;
         Ok(TrajectoryPoint {
-            cycle: count("cycle")?,
-            n: count("n")?,
-            sdm: metric("sdm")?,
-            gdm: metric("gdm")?,
-            accuracy: metric("accuracy")?,
-            honest_accuracy: metric("honest_accuracy")?,
-            liars: count("liars")?,
-            left: count("left")?,
-            joined: count("joined")?,
-            slice_changes: count("slice_changes")?,
-            samples_rejected: optional("samples_rejected")?,
-            swaps_abandoned: optional("swaps_abandoned")?,
-        })
-    }
-}
-
-/// Event and message counters accumulated over the whole run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Totals {
-    /// Swap proposals sent (ordering family).
-    pub swaps_proposed: u64,
-    /// Swaps applied (either side).
-    pub swaps_applied: u64,
-    /// Unsuccessful swaps (§4.5.2).
-    pub swaps_useless: u64,
-    /// One-way `UPD` attribute samples sent (ranking family).
-    pub updates_sent: u64,
-    /// Attribute samples folded into rank estimates.
-    pub samples_absorbed: u64,
-    /// Messages dropped (loss model or departed endpoints).
-    pub dropped_messages: u64,
-    /// Total departures over the run.
-    pub left: u64,
-    /// Total arrivals over the run.
-    pub joined: u64,
-    /// Total believed-slice changes over the run.
-    pub slice_changes: u64,
-    /// Swap proposals abandoned unresolved (liveness-tracking ordering
-    /// variant only; 0 for every paper-faithful protocol).
-    pub swaps_abandoned: u64,
-    /// Attribute samples rejected by outlier-robust admission (defended
-    /// ranking variants only; 0 otherwise).
-    pub samples_rejected: u64,
-}
-
-impl Totals {
-    /// Folds one cycle's statistics in.
-    pub fn accumulate(&mut self, stats: &CycleStats) {
-        self.swaps_proposed += stats.events.swaps_proposed;
-        self.swaps_applied += stats.events.swaps_applied;
-        self.swaps_useless += stats.events.swaps_useless;
-        self.updates_sent += stats.events.updates_sent;
-        self.samples_absorbed += stats.events.samples_absorbed;
-        self.dropped_messages += stats.dropped_messages;
-        self.left += stats.left as u64;
-        self.joined += stats.joined as u64;
-        self.slice_changes += stats.slice_changes as u64;
-        self.swaps_abandoned += stats.events.swaps_abandoned;
-        self.samples_rejected += stats.events.samples_rejected;
-    }
-}
-
-/// Field order of the nine original counters, shared by both hand-written
-/// impls below so they cannot drift apart.
-const TOTALS_FIELDS: [&str; 9] = [
-    "swaps_proposed",
-    "swaps_applied",
-    "swaps_useless",
-    "updates_sent",
-    "samples_absorbed",
-    "dropped_messages",
-    "left",
-    "joined",
-    "slice_changes",
-];
-
-impl serde::Serialize for Totals {
-    /// Hand-written to keep the golden files stable: the nine original
-    /// counters serialize exactly as the derived impl always did, and the
-    /// defense counters (`swaps_abandoned`, `samples_rejected`) are appended
-    /// **only when non-zero** — undefended scenarios can never record them,
-    /// so their goldens stay byte-identical.
-    fn to_value(&self) -> serde::Value {
-        let base = [
-            self.swaps_proposed,
-            self.swaps_applied,
-            self.swaps_useless,
-            self.updates_sent,
-            self.samples_absorbed,
-            self.dropped_messages,
-            self.left,
-            self.joined,
-            self.slice_changes,
-        ];
-        let mut map: Vec<(String, serde::Value)> = TOTALS_FIELDS
-            .iter()
-            .zip(base)
-            .map(|(name, v)| (name.to_string(), serde::Serialize::to_value(&v)))
-            .collect();
-        for (name, v) in [
-            ("swaps_abandoned", self.swaps_abandoned),
-            ("samples_rejected", self.samples_rejected),
-        ] {
-            if v != 0 {
-                map.push((name.to_string(), serde::Serialize::to_value(&v)));
-            }
-        }
-        serde::Value::Map(map)
-    }
-}
-
-impl serde::Deserialize for Totals {
-    /// Mirror of the conditional [`serde::Serialize`] impl: the defense
-    /// counters default to 0 when absent, so pre-defense goldens parse.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct Totals"))?;
-        let strict = |name: &str| -> Result<u64, serde::Error> {
-            serde::Deserialize::from_value(serde::__field(m, name))
-                .map_err(|e| serde::Error::custom(format!("Totals.{name}: {e}")))
-        };
-        let optional = |name: &str| -> Result<u64, serde::Error> {
-            match serde::__field(m, name) {
-                serde::Value::Null => Ok(0),
-                present => serde::Deserialize::from_value(present)
-                    .map_err(|e| serde::Error::custom(format!("Totals.{name}: {e}"))),
-            }
-        };
-        let mut base = [0u64; 9];
-        for (slot, name) in base.iter_mut().zip(TOTALS_FIELDS) {
-            *slot = strict(name)?;
-        }
-        let [swaps_proposed, swaps_applied, swaps_useless, updates_sent, samples_absorbed, dropped_messages, left, joined, slice_changes] =
-            base;
-        Ok(Totals {
-            swaps_proposed,
-            swaps_applied,
-            swaps_useless,
-            updates_sent,
-            samples_absorbed,
-            dropped_messages,
-            left,
-            joined,
-            slice_changes,
-            swaps_abandoned: optional("swaps_abandoned")?,
-            samples_rejected: optional("samples_rejected")?,
+            cycle: f.req("cycle")?,
+            n: f.req("n")?,
+            sdm: f.req("sdm")?,
+            gdm: f.req("gdm")?,
+            accuracy: f.req("accuracy")?,
+            honest_accuracy: f.req("honest_accuracy")?,
+            liars: f.req("liars")?,
+            left: f.req(left)?,
+            joined: f.req(joined)?,
+            slice_changes: f.req(slice_changes)?,
+            samples_rejected: f.opt(rejected)?,
+            swaps_abandoned: f.opt(abandoned)?,
         })
     }
 }
@@ -301,21 +142,9 @@ pub struct ScenarioReport {
     pub phase_ns: Option<PhaseTimings>,
 }
 
-/// Field order of the scalar golden columns, shared by both hand-written
-/// impls below so they cannot drift apart.
-const REPORT_HEAD_FIELDS: [&str; 7] = [
-    "name",
-    "protocol",
-    "seed",
-    "initial_n",
-    "final_n",
-    "slices",
-    "cycles",
-];
-
-impl serde::Serialize for ScenarioReport {
-    fn to_value(&self) -> serde::Value {
-        let mut map: Vec<(String, serde::Value)> = vec![
+impl Serialize for ScenarioReport {
+    fn to_value(&self) -> Value {
+        let mut map: Vec<(String, Value)> = vec![
             ("name".into(), self.name.to_value()),
             ("protocol".into(), self.protocol.to_value()),
             ("seed".into(), self.seed.to_value()),
@@ -336,69 +165,39 @@ impl serde::Serialize for ScenarioReport {
             ("liars".into(), self.liars.to_value()),
         ];
         // The exact byte the goldens pin: a literal null, last when untimed.
-        map.push(("phase_us".into(), serde::Value::Null));
+        map.push(("phase_us".into(), Value::Null));
         if let Some(t) = &self.phase_ns {
             map.push(("phase_ns".into(), t.to_value()));
         }
-        serde::Value::Map(map)
+        Value::Map(map)
     }
 }
 
 impl serde::Deserialize for ScenarioReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct ScenarioReport"))?;
-        let ctx = |name: &str, e: serde::Error| {
-            serde::Error::custom(format!("ScenarioReport.{name}: {e}"))
-        };
-        // Validate the head columns exist (same strictness the derived impl
-        // had), then read each typed field.
-        for name in REPORT_HEAD_FIELDS {
-            if matches!(serde::__field(m, name), serde::Value::Null) {
-                return Err(serde::Error::custom(format!(
-                    "ScenarioReport.{name}: missing"
-                )));
-            }
-        }
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let f = FieldReader::of("ScenarioReport", v)?;
         // A `phase_us` map holds timings in a format no longer read: fail
         // rather than parse the report as untimed and drop them.
-        if !matches!(serde::__field(m, "phase_us"), serde::Value::Null) {
-            return Err(ctx(
-                "phase_us",
-                serde::Error::custom("microsecond timings are no longer read; expected null"),
-            ));
+        if f.opt::<Option<Value>>("phase_us")?.is_some() {
+            return Err(f.error("phase_us", "microsecond timings are no longer read"));
         }
-        let phase_ns = match serde::__field(m, "phase_ns") {
-            serde::Value::Null => None,
-            ns => Some(PhaseTimings::from_value(ns).map_err(|e| ctx("phase_ns", e))?),
-        };
         Ok(ScenarioReport {
-            name: String::from_value(serde::__field(m, "name")).map_err(|e| ctx("name", e))?,
-            protocol: String::from_value(serde::__field(m, "protocol"))
-                .map_err(|e| ctx("protocol", e))?,
-            seed: u64::from_value(serde::__field(m, "seed")).map_err(|e| ctx("seed", e))?,
-            initial_n: usize::from_value(serde::__field(m, "initial_n"))
-                .map_err(|e| ctx("initial_n", e))?,
-            final_n: usize::from_value(serde::__field(m, "final_n"))
-                .map_err(|e| ctx("final_n", e))?,
-            slices: usize::from_value(serde::__field(m, "slices")).map_err(|e| ctx("slices", e))?,
-            cycles: usize::from_value(serde::__field(m, "cycles")).map_err(|e| ctx("cycles", e))?,
-            events: Vec::from_value(serde::__field(m, "events")).map_err(|e| ctx("events", e))?,
-            trajectory: Vec::from_value(serde::__field(m, "trajectory"))
-                .map_err(|e| ctx("trajectory", e))?,
-            totals: Totals::from_value(serde::__field(m, "totals"))
-                .map_err(|e| ctx("totals", e))?,
-            final_sdm: f64::from_value(serde::__field(m, "final_sdm"))
-                .map_err(|e| ctx("final_sdm", e))?,
-            final_gdm: f64::from_value(serde::__field(m, "final_gdm"))
-                .map_err(|e| ctx("final_gdm", e))?,
-            final_accuracy: f64::from_value(serde::__field(m, "final_accuracy"))
-                .map_err(|e| ctx("final_accuracy", e))?,
-            final_honest_accuracy: f64::from_value(serde::__field(m, "final_honest_accuracy"))
-                .map_err(|e| ctx("final_honest_accuracy", e))?,
-            liars: usize::from_value(serde::__field(m, "liars")).map_err(|e| ctx("liars", e))?,
-            phase_ns,
+            name: f.req("name")?,
+            protocol: f.req("protocol")?,
+            seed: f.req("seed")?,
+            initial_n: f.req("initial_n")?,
+            final_n: f.req("final_n")?,
+            slices: f.req("slices")?,
+            cycles: f.req("cycles")?,
+            events: f.req("events")?,
+            trajectory: f.req("trajectory")?,
+            totals: f.req("totals")?,
+            final_sdm: f.req("final_sdm")?,
+            final_gdm: f.req("final_gdm")?,
+            final_accuracy: f.req("final_accuracy")?,
+            final_honest_accuracy: f.req("final_honest_accuracy")?,
+            liars: f.req("liars")?,
+            phase_ns: f.opt("phase_ns")?,
         })
     }
 }
@@ -466,65 +265,7 @@ impl ScenarioReport {
             "Live lying nodes at the end.",
             self.liars as f64,
         );
-        for (name, help, v) in [
-            (
-                "dslice_scenario_swaps_proposed_total",
-                "Swap proposals sent.",
-                self.totals.swaps_proposed,
-            ),
-            (
-                "dslice_scenario_swaps_applied_total",
-                "Swaps applied.",
-                self.totals.swaps_applied,
-            ),
-            (
-                "dslice_scenario_swaps_useless_total",
-                "Unsuccessful swaps.",
-                self.totals.swaps_useless,
-            ),
-            (
-                "dslice_scenario_updates_sent_total",
-                "UPD samples sent.",
-                self.totals.updates_sent,
-            ),
-            (
-                "dslice_scenario_samples_absorbed_total",
-                "Samples absorbed.",
-                self.totals.samples_absorbed,
-            ),
-            (
-                "dslice_scenario_dropped_messages_total",
-                "Messages dropped.",
-                self.totals.dropped_messages,
-            ),
-            (
-                "dslice_scenario_left_total",
-                "Departures.",
-                self.totals.left,
-            ),
-            (
-                "dslice_scenario_joined_total",
-                "Arrivals.",
-                self.totals.joined,
-            ),
-            (
-                "dslice_scenario_slice_changes_total",
-                "Believed-slice changes.",
-                self.totals.slice_changes,
-            ),
-            (
-                "dslice_scenario_swaps_abandoned_total",
-                "Swaps abandoned unresolved.",
-                self.totals.swaps_abandoned,
-            ),
-            (
-                "dslice_scenario_samples_rejected_total",
-                "Samples rejected by admission.",
-                self.totals.samples_rejected,
-            ),
-        ] {
-            reg.counter_add(name, help, v);
-        }
+        self.totals.export(&mut reg, "dslice_scenario");
         for p in &self.trajectory {
             reg.observe(
                 "dslice_scenario_slice_changes_per_sample",
@@ -540,13 +281,7 @@ impl ScenarioReport {
             );
         }
         if let Some(t) = &self.phase_ns {
-            for (phase, ns) in t.rows() {
-                reg.counter_add(
-                    &dslice_obs::labeled("dslice_scenario_phase_ns_total", "phase", phase),
-                    "Wall-clock nanoseconds spent per engine phase.",
-                    ns,
-                );
-            }
+            t.export(&mut reg, "dslice_scenario");
         }
         reg
     }
@@ -570,6 +305,7 @@ impl ScenarioReport {
 mod tests {
     use super::*;
     use crate::dsl::ScenarioEvent;
+    use dslice_sim::CycleStats;
 
     fn report() -> ScenarioReport {
         ScenarioReport {

@@ -9,11 +9,11 @@
 //! later ones.
 
 use crate::dsl::{Scenario, ScenarioEvent, Schedule};
-use crate::report::{ScenarioReport, Totals, TrajectoryPoint};
+use crate::report::{ScenarioReport, TrajectoryPoint};
 use crate::script::ScriptedChurn;
 use dslice_core::{Partition, Result};
 use dslice_obs::{FlightRecorder, TraceConfig};
-use dslice_sim::{Engine, PhaseTimings};
+use dslice_sim::{Engine, PhaseTimings, Totals};
 
 impl Scenario {
     /// Compiles and runs the scenario, returning its structured report.

@@ -737,26 +737,9 @@ impl Engine {
     /// [`honest_accuracy`](Engine::honest_accuracy) measures the collateral
     /// damage on the honest majority.
     pub fn corrupt_nodes(&mut self, fraction: f64, inflation: f64) -> usize {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let mut honest: Vec<NodeId> = self
-            .nodes
-            .ids()
-            .filter(|id| !self.liars.contains(id))
-            .collect();
-        // Slot order varies with churn history; id order is canonical.
-        honest.sort_unstable();
-        let count = ((honest.len() as f64) * fraction).round() as usize;
-        let count = count.min(honest.len());
-        if count == 0 {
-            return 0;
-        }
-        let mut chosen: Vec<NodeId> = rand::seq::index::sample(&mut self.rng, honest.len(), count)
-            .into_iter()
-            .map(|i| honest[i])
-            .collect();
-        chosen.sort_unstable();
-        self.make_liars(&chosen, inflation);
-        count
+        let chosen = self.draw_honest(fraction);
+        self.make_liars(&chosen, |proto| Box::new(Liar::new(proto, inflation)));
+        chosen.len()
     }
 
     /// Converts the honest nodes whose *true* ranks sit closest to slice
@@ -800,7 +783,7 @@ impl Engine {
         honest.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut chosen: Vec<NodeId> = honest[..count].iter().map(|&(_, id)| id).collect();
         chosen.sort_unstable();
-        self.make_liars(&chosen, inflation);
+        self.make_liars(&chosen, |proto| Box::new(Liar::new(proto, inflation)));
         count
     }
 
@@ -822,6 +805,14 @@ impl Engine {
     pub fn corrupt_adaptive(&mut self, fraction: f64, spec: AttackerSpec) -> usize {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid attacker spec: {e}"));
+        let chosen = self.draw_honest(fraction);
+        self.make_liars(&chosen, |proto| Box::new(Adaptive::new(proto, spec)));
+        chosen.len()
+    }
+
+    /// Draws `round(still-honest × fraction)` distinct live, still-honest
+    /// nodes from the sequential RNG, returned in id order.
+    fn draw_honest(&mut self, fraction: f64) -> Vec<NodeId> {
         let fraction = fraction.clamp(0.0, 1.0);
         let mut honest: Vec<NodeId> = self
             .nodes
@@ -833,34 +824,23 @@ impl Engine {
         let count = ((honest.len() as f64) * fraction).round() as usize;
         let count = count.min(honest.len());
         if count == 0 {
-            return 0;
+            return Vec::new();
         }
         let mut chosen: Vec<NodeId> = rand::seq::index::sample(&mut self.rng, honest.len(), count)
             .into_iter()
             .map(|i| honest[i])
             .collect();
         chosen.sort_unstable();
-        for &id in &chosen {
-            let Some((slot, node)) = self.nodes.take(id) else {
-                continue;
-            };
-            let SimNode { proto, sampler } = node;
-            self.nodes.put_back(
-                slot,
-                id,
-                SimNode {
-                    proto: Box::new(Adaptive::new(proto, spec)),
-                    sampler,
-                },
-            );
-            self.liars.insert(id);
-        }
-        count
+        chosen
     }
 
-    /// Wraps each listed live node's protocol in a [`Liar`] with the given
-    /// inflation factor and registers it in the liar set.
-    fn make_liars(&mut self, chosen: &[NodeId], inflation: f64) {
+    /// Wraps each listed live node's protocol with `wrap` and registers the
+    /// node in the liar set.
+    fn make_liars(
+        &mut self,
+        chosen: &[NodeId],
+        wrap: impl Fn(Box<dyn SliceProtocol>) -> Box<dyn SliceProtocol>,
+    ) {
         for &id in chosen {
             let Some((slot, node)) = self.nodes.take(id) else {
                 continue;
@@ -870,7 +850,7 @@ impl Engine {
                 slot,
                 id,
                 SimNode {
-                    proto: Box::new(Liar::new(proto, inflation)),
+                    proto: wrap(proto),
                     sampler,
                 },
             );

@@ -81,5 +81,5 @@ pub use engine::Engine;
 pub use fault::{BandPartition, NetworkFault};
 pub use latency::LatencyModel;
 pub use sessions::{FlashCrowd, SessionChurn, WeibullSessions};
-pub use stats::{CycleStats, PhaseTimings, RunRecord};
+pub use stats::{CycleStats, FieldReader, PhaseTimings, RunRecord, Totals};
 pub use sweep::{run_seeds, AggregateRecord, Sweep};

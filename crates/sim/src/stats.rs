@@ -5,11 +5,13 @@
 //! the cycle count. [`CycleStats`] captures all of them (plus message
 //! accounting), and [`RunRecord`] bundles a whole run with its configuration
 //! for the figure pipeline — serializable to JSON, dumpable as CSV, and
-//! exportable as a `dslice_obs` metrics registry.
+//! exportable as a `dslice_obs` metrics registry. [`Totals`] folds a run's
+//! counters; its [`COUNTERS`](Totals::COUNTERS) table names each one once.
 
 use dslice_core::protocol::Event;
-use dslice_obs::{Registry, COUNT_BUCKETS};
+use dslice_obs::{labeled, Registry, COUNT_BUCKETS};
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Display;
 use std::io::{self, Write};
 
 /// Counters of protocol events within one cycle.
@@ -67,13 +69,22 @@ impl EventCounters {
 
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &EventCounters) {
-        self.swaps_proposed += other.swaps_proposed;
-        self.swaps_applied += other.swaps_applied;
-        self.swaps_useless += other.swaps_useless;
-        self.updates_sent += other.updates_sent;
-        self.samples_absorbed += other.samples_absorbed;
-        self.swaps_abandoned += other.swaps_abandoned;
-        self.samples_rejected += other.samples_rejected;
+        let mut other = *other;
+        for (total, n) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *total += *n;
+        }
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; 7] {
+        [
+            &mut self.swaps_proposed,
+            &mut self.swaps_applied,
+            &mut self.swaps_useless,
+            &mut self.updates_sent,
+            &mut self.samples_absorbed,
+            &mut self.swaps_abandoned,
+            &mut self.samples_rejected,
+        ]
     }
 }
 
@@ -109,13 +120,7 @@ pub struct PhaseTimings {
 impl PhaseTimings {
     /// Sum over all phases, in nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.churn_ns
-            + self.drain_ns
-            + self.membership_ns
-            + self.refresh_ns
-            + self.active_ns
-            + self.delivery_ns
-            + self.metrics_ns
+        self.rows().iter().map(|&(_, ns)| ns).sum()
     }
 
     /// Adds another cycle's timings into this accumulator (used to average
@@ -142,6 +147,18 @@ impl PhaseTimings {
             ("metrics", self.metrics_ns),
         ]
     }
+
+    /// Adds each phase to `reg` as `<namespace>_phase_ns_total{phase="…"}`.
+    pub fn export(&self, reg: &mut Registry, namespace: &str) {
+        let name = format!("{namespace}_phase_ns_total");
+        for (phase, ns) in self.rows() {
+            reg.counter_add(
+                &labeled(&name, "phase", phase),
+                "Wall-clock nanoseconds spent per engine phase.",
+                ns,
+            );
+        }
+    }
 }
 
 /// Everything measured at the end of one simulation cycle.
@@ -157,7 +174,9 @@ pub struct CycleStats {
     pub gdm: f64,
     /// Event counters for this cycle.
     pub events: EventCounters,
-    /// Messages dropped because their target departed.
+    /// Messages and membership exchanges that never arrived: the target
+    /// departed, the loss-rate or fault drop coin came up, or a network
+    /// partition severed them.
     pub dropped_messages: u64,
     /// Nodes that left this cycle.
     pub left: usize,
@@ -175,6 +194,184 @@ impl CycleStats {
     /// Percentage of unsuccessful swaps in this cycle.
     pub fn unsuccessful_swap_pct(&self) -> f64 {
         self.events.unsuccessful_swap_pct()
+    }
+}
+
+/// Run counters summed over cycles: scenario report totals, and the
+/// counters of the `dslice_sim_*` and `dslice_scenario_*` registries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Swap proposals sent (ordering family).
+    pub swaps_proposed: u64,
+    /// Swaps applied (either side).
+    pub swaps_applied: u64,
+    /// Unsuccessful swaps (§4.5.2).
+    pub swaps_useless: u64,
+    /// One-way `UPD` attribute samples sent (ranking family).
+    pub updates_sent: u64,
+    /// Attribute samples folded into rank estimates.
+    pub samples_absorbed: u64,
+    /// See [`CycleStats::dropped_messages`].
+    pub dropped_messages: u64,
+    /// Total departures over the run.
+    pub left: u64,
+    /// Total arrivals over the run.
+    pub joined: u64,
+    /// Total believed-slice changes over the run.
+    pub slice_changes: u64,
+    /// Swap proposals abandoned unresolved (liveness-tracking mod-JK only).
+    pub swaps_abandoned: u64,
+    /// Attribute samples rejected by robust admission (defended ranking only).
+    pub samples_rejected: u64,
+}
+
+impl Totals {
+    /// Every counter as `(field, help)`, in golden key order. The field is
+    /// the serde key and, as `<namespace>_<field>_total`, the registry
+    /// counter; the help is that counter's one help string.
+    pub const COUNTERS: [(&'static str, &'static str); 11] = [
+        ("swaps_proposed", "Swap proposals sent."),
+        ("swaps_applied", "Swaps applied (either side)."),
+        ("swaps_useless", "Stale (unsuccessful) swap messages."),
+        ("updates_sent", "UPD attribute samples sent."),
+        ("samples_absorbed", "Attribute samples absorbed."),
+        (
+            "dropped_messages",
+            "Messages and membership exchanges lost: target departed, \
+             loss or fault drop, or severed by a network partition.",
+        ),
+        ("left", "Nodes that left."),
+        ("joined", "Nodes that joined."),
+        ("slice_changes", "Believed-slice changes."),
+        ("swaps_abandoned", "Swap proposals abandoned unresolved."),
+        ("samples_rejected", "Samples rejected by robust admission."),
+    ];
+
+    /// How many leading counters are always written. The defence counters
+    /// after them are written only when non-zero: no undefended run records
+    /// them, so goldens committed before they existed stay byte-identical.
+    const REQUIRED: usize = 9;
+
+    fn fields_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.swaps_proposed,
+            &mut self.swaps_applied,
+            &mut self.swaps_useless,
+            &mut self.updates_sent,
+            &mut self.samples_absorbed,
+            &mut self.dropped_messages,
+            &mut self.left,
+            &mut self.joined,
+            &mut self.slice_changes,
+            &mut self.swaps_abandoned,
+            &mut self.samples_rejected,
+        ]
+    }
+
+    /// The counters' values, in [`COUNTERS`](Totals::COUNTERS) order.
+    fn values(&self) -> [u64; 11] {
+        self.clone().fields_mut().map(|v| *v)
+    }
+
+    /// Folds one cycle's statistics in.
+    pub fn accumulate(&mut self, stats: &CycleStats) {
+        let e = &stats.events;
+        self.swaps_proposed += e.swaps_proposed;
+        self.swaps_applied += e.swaps_applied;
+        self.swaps_useless += e.swaps_useless;
+        self.updates_sent += e.updates_sent;
+        self.samples_absorbed += e.samples_absorbed;
+        self.dropped_messages += stats.dropped_messages;
+        self.left += stats.left as u64;
+        self.joined += stats.joined as u64;
+        self.slice_changes += stats.slice_changes as u64;
+        self.swaps_abandoned += e.swaps_abandoned;
+        self.samples_rejected += e.samples_rejected;
+    }
+
+    /// Adds every counter to `reg` as `<namespace>_<field>_total`.
+    pub fn export(&self, reg: &mut Registry, namespace: &str) {
+        for ((field, help), v) in Self::COUNTERS.iter().zip(self.values()) {
+            reg.counter_add(&format!("{namespace}_{field}_total"), help, v);
+        }
+    }
+}
+
+impl Serialize for Totals {
+    fn to_value(&self) -> Value {
+        Value::Map(
+            Self::COUNTERS
+                .iter()
+                .zip(self.values())
+                .enumerate()
+                .filter(|&(i, (_, v))| i < Self::REQUIRED || v != 0)
+                .map(|(_, ((field, _), v))| (field.to_string(), v.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Totals {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let f = FieldReader::of("Totals", v)?;
+        let (required, defence) = Self::COUNTERS.split_at(Self::REQUIRED);
+        let mut totals = Totals::default();
+        let mut slots = totals.fields_mut().into_iter();
+        for ((field, _), slot) in required.iter().zip(&mut slots) {
+            *slot = f.req(field)?;
+        }
+        for ((field, _), slot) in defence.iter().zip(slots) {
+            *slot = f.opt(field)?;
+        }
+        Ok(totals)
+    }
+}
+
+/// The fields of one struct for a hand-written deserializer: every error
+/// names the struct and the field (`Type.field: …`).
+#[derive(Clone, Copy, Debug)]
+pub struct FieldReader<'a> {
+    ty: &'static str,
+    map: &'a [(String, Value)],
+}
+
+impl<'a> FieldReader<'a> {
+    /// The fields of `v`, which must be a map holding no non-finite number
+    /// at any depth: JSON cannot write one back.
+    pub fn of(ty: &'static str, v: &'a Value) -> Result<Self, serde::Error> {
+        fn finite(v: &Value) -> bool {
+            match v {
+                Value::Float(f) => f.is_finite(),
+                Value::Seq(items) => items.iter().all(finite),
+                Value::Map(entries) => entries.iter().all(|(_, v)| finite(v)),
+                _ => true,
+            }
+        }
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom(format!("expected map for struct {ty}")))?;
+        if !finite(v) {
+            return Err(serde::Error::custom(format!("{ty}: non-finite number")));
+        }
+        Ok(FieldReader { ty, map })
+    }
+
+    /// A field every well-formed value carries.
+    pub fn req<T: Deserialize>(&self, name: &str) -> Result<T, serde::Error> {
+        T::from_value(serde::__field(self.map, name)).map_err(|e| self.error(name, e))
+    }
+
+    /// A field that may be absent or null, reading as `T::default()`.
+    pub fn opt<T: Deserialize + Default>(&self, name: &str) -> Result<T, serde::Error> {
+        match serde::__field(self.map, name) {
+            Value::Null => Ok(T::default()),
+            present => T::from_value(present).map_err(|e| self.error(name, e)),
+        }
+    }
+
+    /// An error about field `name`.
+    pub fn error(&self, name: &str, e: impl Display) -> serde::Error {
+        serde::Error::custom(format!("{}.{name}: {e}", self.ty))
     }
 }
 
@@ -221,17 +418,15 @@ impl Serialize for RunRecord {
 
 impl Deserialize for RunRecord {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("RunRecord: expected map"))?;
+        let f = FieldReader::of("RunRecord", v)?;
         Ok(RunRecord {
-            label: String::from_value(serde::__field(m, "label"))?,
-            seed: u64::from_value(serde::__field(m, "seed"))?,
-            initial_n: usize::from_value(serde::__field(m, "initial_n"))?,
-            slices: usize::from_value(serde::__field(m, "slices"))?,
-            view_size: usize::from_value(serde::__field(m, "view_size"))?,
-            cycles: Vec::from_value(serde::__field(m, "cycles"))?,
-            phase_ns: Option::from_value(serde::__field(m, "phase_ns"))?,
+            label: f.req("label")?,
+            seed: f.req("seed")?,
+            initial_n: f.req("initial_n")?,
+            slices: f.req("slices")?,
+            view_size: f.req("view_size")?,
+            cycles: f.req("cycles")?,
+            phase_ns: f.opt("phase_ns")?,
         })
     }
 }
@@ -312,14 +507,7 @@ impl RunRecord {
         if let Some(gdm) = self.final_gdm() {
             reg.gauge_set("dslice_sim_gdm", "Final global disorder measure.", gdm);
         }
-        let mut events = EventCounters::default();
-        let (mut dropped, mut left, mut joined, mut slice_changes) = (0u64, 0u64, 0u64, 0u64);
         for c in &self.cycles {
-            events.merge(&c.events);
-            dropped += c.dropped_messages;
-            left += c.left as u64;
-            joined += c.joined as u64;
-            slice_changes += c.slice_changes as u64;
             reg.observe(
                 "dslice_sim_swaps_applied_per_cycle",
                 "Distribution of swaps applied per cycle.",
@@ -333,67 +521,20 @@ impl RunRecord {
                 c.events.updates_sent as f64,
             );
         }
-        for (name, help, v) in [
-            (
-                "dslice_sim_swaps_proposed_total",
-                "Swap proposals sent.",
-                events.swaps_proposed,
-            ),
-            (
-                "dslice_sim_swaps_applied_total",
-                "Swaps applied.",
-                events.swaps_applied,
-            ),
-            (
-                "dslice_sim_swaps_useless_total",
-                "Stale (unsuccessful) swap messages.",
-                events.swaps_useless,
-            ),
-            (
-                "dslice_sim_updates_sent_total",
-                "UPD attribute samples sent.",
-                events.updates_sent,
-            ),
-            (
-                "dslice_sim_samples_absorbed_total",
-                "Attribute samples absorbed.",
-                events.samples_absorbed,
-            ),
-            (
-                "dslice_sim_swaps_abandoned_total",
-                "Swap proposals abandoned unresolved.",
-                events.swaps_abandoned,
-            ),
-            (
-                "dslice_sim_samples_rejected_total",
-                "Samples rejected by robust admission.",
-                events.samples_rejected,
-            ),
-            (
-                "dslice_sim_dropped_messages_total",
-                "Messages dropped (target departed).",
-                dropped,
-            ),
-            ("dslice_sim_left_total", "Nodes that left.", left),
-            ("dslice_sim_joined_total", "Nodes that joined.", joined),
-            (
-                "dslice_sim_slice_changes_total",
-                "Believed-slice changes.",
-                slice_changes,
-            ),
-        ] {
-            reg.counter_add(name, help, v);
-        }
+        self.totals().export(&mut reg, "dslice_sim");
         if let Some(t) = &self.phase_ns {
-            for (phase, ns) in t.rows() {
-                reg.counter_add(
-                    &dslice_obs::labeled("dslice_sim_phase_ns_total", "phase", phase),
-                    "Wall-clock nanoseconds spent per engine phase.",
-                    ns,
-                );
-            }
+            t.export(&mut reg, "dslice_sim");
         }
         reg
+    }
+
+    /// The run's counters, summed over every recorded cycle.
+    pub fn totals(&self) -> Totals {
+        let mut totals = Totals::default();
+        for c in &self.cycles {
+            totals.accumulate(c);
+        }
+        totals
     }
 }
 
@@ -574,5 +715,61 @@ mod tests {
         );
         let text = reg.to_prometheus();
         assert!(dslice_obs::validate_prometheus(&text).unwrap() > 10);
+    }
+
+    #[test]
+    fn counter_table_names_each_field() {
+        // Distinct values tie every table key to the field it reads.
+        let json = r#"{"swaps_proposed":1,"swaps_applied":2,"swaps_useless":3,"updates_sent":4,"samples_absorbed":5,"dropped_messages":6,"left":7,"joined":8,"slice_changes":9,"swaps_abandoned":10,"samples_rejected":11}"#;
+        let totals = Totals {
+            swaps_proposed: 1,
+            swaps_applied: 2,
+            swaps_useless: 3,
+            updates_sent: 4,
+            samples_absorbed: 5,
+            dropped_messages: 6,
+            left: 7,
+            joined: 8,
+            slice_changes: 9,
+            swaps_abandoned: 10,
+            samples_rejected: 11,
+        };
+        assert_eq!(serde_json::to_string(&totals).unwrap(), json);
+        assert_eq!(serde_json::from_str::<Totals>(json).unwrap(), totals);
+        let mut reg = Registry::new();
+        totals.export(&mut reg, "x");
+        assert_eq!(reg.counter("x_dropped_messages_total"), Some(6));
+        assert_eq!(reg.counter("x_samples_rejected_total"), Some(11));
+        assert_eq!(reg.len(), Totals::COUNTERS.len());
+    }
+
+    #[test]
+    fn run_record_totals_fold_every_cycle() {
+        let mut a = stats(1, 5.0);
+        a.events.swaps_applied = 4;
+        a.dropped_messages = 2;
+        let mut b = stats(2, 4.0);
+        b.events.samples_rejected = 3;
+        b.left = 1;
+        let totals = record(vec![a, b]).totals();
+        assert_eq!(totals.swaps_applied, 4);
+        assert_eq!(totals.dropped_messages, 2);
+        assert_eq!(totals.samples_rejected, 3);
+        assert_eq!(totals.left, 1);
+    }
+
+    #[test]
+    fn readers_name_the_struct_and_field_and_refuse_non_finite_numbers() {
+        let json = record(vec![stats(1, 5.0)]).to_json();
+        let err =
+            serde_json::from_str::<RunRecord>(&json.replace("\"seed\": 7", "\"seed\": \"7\""))
+                .unwrap_err()
+                .to_string();
+        assert!(err.contains("RunRecord.seed: "), "got: {err}");
+        // `1e999` parses to infinity, which JSON cannot write back.
+        let err = serde_json::from_str::<RunRecord>(&json.replace("\"sdm\": 5", "\"sdm\": 1e999"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("non-finite"), "got: {err}");
     }
 }

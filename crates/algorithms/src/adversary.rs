@@ -19,7 +19,7 @@
 //! All three are **deterministic**: their state advances only on observed
 //! samples and activation counts, so a node's behavior is a pure function
 //! of the per-node SplitMix64 streams that already drive the simulation —
-//! byte-identical runs at any shard count come for free.
+//! byte-identical reruns come for free.
 //!
 //! [`Adaptive`] is the runtime wrapper (the adaptive sibling of
 //! [`Liar`](crate::Liar)): it boxes an honest protocol plus a strategy,

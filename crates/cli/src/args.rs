@@ -125,7 +125,6 @@ pub struct SimArgs {
     pub latency: LatencyModel,
     pub churn: ChurnSpec,
     pub distribution: AttributeDistribution,
-    pub shards: usize,
     pub metrics_every: usize,
     pub time_phases: bool,
     pub csv: Option<String>,
@@ -155,7 +154,6 @@ impl Default for SimArgs {
             latency: LatencyModel::Zero,
             churn: ChurnSpec::None,
             distribution: AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 },
-            shards: 1,
             metrics_every: 1,
             time_phases: false,
             csv: None,
@@ -224,7 +222,7 @@ USAGE:
                  [--latency zero|fixed:<cycles>|uniform:<min>:<max>|geometric:<p>]
                  [--churn none|correlated:<rate>:<period>|uncorrelated:<rate>:<period>]
                  [--distribution uniform|pareto:<scale>:<shape>|normal:<mean>:<std>|exp:<rate>]
-                 [--shards W] [--metrics-every M] [--time-phases]
+                 [--metrics-every M] [--time-phases]
                  [--csv FILE] [--json FILE] [--quiet]
                  [--trace-out FILE] [--trace-jsonl FILE] [--trace-sample N]
                  [--metrics-out FILE]
@@ -641,6 +639,9 @@ fn parse_sim(argv: &[String]) -> Result<SimArgs, String> {
             }
             "--cycles" => {
                 args.cycles = parse_num("--cycles", value(argv, i)?)?;
+                if args.cycles == 0 {
+                    return Err("--cycles must be at least 1".into());
+                }
                 i += 2;
             }
             "--seed" => {
@@ -657,13 +658,6 @@ fn parse_sim(argv: &[String]) -> Result<SimArgs, String> {
             }
             "--distribution" => {
                 args.distribution = parse_distribution(value(argv, i)?)?;
-                i += 2;
-            }
-            "--shards" => {
-                args.shards = parse_num("--shards", value(argv, i)?)?;
-                if args.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
                 i += 2;
             }
             "--metrics-every" => {
@@ -1091,28 +1085,46 @@ mod tests {
     #[test]
     fn scale_flags() {
         let cmd = parse(&argv(
-            "sim --n 100000 --shards 4 --metrics-every 10 --protocol ranking",
+            "sim --n 100000 --metrics-every 10 --protocol ranking",
         ))
         .unwrap();
         let Command::Sim(a) = cmd else {
             panic!("not sim")
         };
-        assert_eq!(a.shards, 4);
         assert_eq!(a.metrics_every, 10);
         let Command::Sim(t) = parse(&argv("sim --time-phases")).unwrap() else {
             panic!("not sim")
         };
         assert!(t.time_phases);
-        // Defaults: sequential, every-cycle metrics, no timing breakdown.
+        // Defaults: every-cycle metrics, no timing breakdown.
         let Command::Sim(d) = parse(&argv("sim")).unwrap() else {
             panic!("not sim")
         };
-        assert_eq!(d.shards, 1);
         assert_eq!(d.metrics_every, 1);
         assert!(!d.time_phases);
-        // Zero is rejected for both.
-        assert!(parse(&argv("sim --shards 0")).is_err());
         assert!(parse(&argv("sim --metrics-every 0")).is_err());
+        // The engine runs on one thread: there is no worker-count flag.
+        let err = parse(&argv("sim --shards 2")).unwrap_err();
+        assert!(
+            err.starts_with("unknown sim argument \"--shards\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_cycles_is_rejected() {
+        assert_eq!(
+            parse(&argv("sim --cycles 0")).unwrap_err(),
+            "--cycles must be at least 1"
+        );
+        assert_eq!(
+            parse(&argv("sim --quiet --cycles 0")).unwrap_err(),
+            "--cycles must be at least 1"
+        );
+        let Command::Sim(one) = parse(&argv("sim --cycles 1")).unwrap() else {
+            panic!("not sim")
+        };
+        assert_eq!(one.cycles, 1);
     }
 
     #[test]

@@ -313,7 +313,6 @@ fn run_sim(args: SimArgs) -> Result<(), String> {
         latency: args.latency,
         distribution: args.distribution,
         seed: args.seed,
-        shards: args.shards,
         metrics_every: args.metrics_every,
         time_phases: args.time_phases,
         ..SimConfig::default()

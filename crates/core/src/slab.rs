@@ -226,10 +226,26 @@ impl<T> NodeSlab<T> {
 
     /// Iterates live nodes in slot order as `(slot, id, &mut state)`.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, NodeId, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(slot, cell)| cell.as_mut().map(|(id, v)| (slot, *id, v)))
+        live_mut(&mut self.slots)
+    }
+
+    /// [`iter_mut`](NodeSlab::iter_mut) beside a read-only id → slot lookup
+    /// that stays usable *while* the iterator borrows the slot storage (the
+    /// borrows are split at the field level).
+    ///
+    /// This is the substrate for phases that mutate every node against the
+    /// rest of the population — an immutable per-slot snapshot, or the live
+    /// set itself: the walk resolves cross-node references through the
+    /// lookup without touching any other node's state. The iterator yields
+    /// only `(slot, id, &mut state)`, never the cells, so it cannot desync
+    /// the index or the free list.
+    pub fn iter_mut_with_lookup(
+        &mut self,
+    ) -> (
+        impl Iterator<Item = (usize, NodeId, &mut T)>,
+        SlotLookup<'_>,
+    ) {
+        (live_mut(&mut self.slots), SlotLookup { index: &self.index })
     }
 
     /// Iterates live node ids in slot order.
@@ -239,41 +255,13 @@ impl<T> NodeSlab<T> {
             .filter_map(|cell| cell.as_ref().map(|(id, _)| *id))
     }
 
-    /// Splits the slot array into at most `count` contiguous chunks of
-    /// equal slot span, for phase-parallel runtimes that fan live nodes out
-    /// across workers (each [`SlabChunk`] is `Send` when `T` is).
-    ///
-    /// Chunks expose only `(slot, id, &mut state)` for their live cells —
-    /// never the cells themselves — so workers can mutate node state but
-    /// cannot desync the id → slot index or the free list.
-    pub fn chunks_mut(&mut self, count: usize) -> Vec<SlabChunk<'_, T>> {
-        chunk_slots(&mut self.slots, count)
-    }
-
-    /// Like [`chunks_mut`](NodeSlab::chunks_mut), but additionally hands out
-    /// a read-only id → slot lookup that stays usable *while* the chunks
-    /// borrow the slot storage (the borrows are split at the field level).
-    ///
-    /// This is the substrate for phases that mutate every node against an
-    /// immutable per-slot snapshot of the whole population: workers walk
-    /// their chunk mutably and resolve cross-node references through the
-    /// lookup without touching any other node's state.
-    pub fn chunks_mut_with_lookup(
-        &mut self,
-        count: usize,
-    ) -> (Vec<SlabChunk<'_, T>>, SlotLookup<'_>) {
-        let lookup = SlotLookup { index: &self.index };
-        (chunk_slots(&mut self.slots, count), lookup)
-    }
-
     /// Temporarily moves *both* endpoints of a pairwise exchange out of the
     /// slab (see [`take`](NodeSlab::take)), keeping their slots reserved.
     ///
     /// Returns `None` — with any partially taken state restored — when the
     /// endpoints alias (`a == b`) or either endpoint is absent or already
     /// taken. Pair-batch runtimes schedule conflict-free batches (no node in
-    /// two pairs of one batch), so within a batch every `take_pair` succeeds
-    /// and the extracted pairs can be processed on any thread in any order.
+    /// two pairs of one batch), so within a batch every `take_pair` succeeds.
     pub fn take_pair(&mut self, a: NodeId, b: NodeId) -> Option<TakenPair<T>> {
         self.take_pair_slots(self.slot_of(a)?, self.slot_of(b)?)
     }
@@ -311,26 +299,18 @@ impl<T> NodeSlab<T> {
     }
 }
 
-/// Shared implementation of [`NodeSlab::chunks_mut`], operating on the slot
-/// storage alone so callers can keep a concurrent borrow of the index.
-fn chunk_slots<T>(slots: &mut [Option<(NodeId, T)>], count: usize) -> Vec<SlabChunk<'_, T>> {
-    assert!(count >= 1, "chunk count must be at least 1");
-    if slots.is_empty() {
-        return Vec::new();
-    }
-    let chunk_len = slots.len().div_ceil(count);
+/// The live cells of `slots`, in slot order, as `(slot, id, &mut state)`:
+/// the walk behind [`NodeSlab::iter_mut`], on the slot storage alone so a
+/// caller can keep a concurrent borrow of the index.
+fn live_mut<T>(slots: &mut [Option<(NodeId, T)>]) -> impl Iterator<Item = (usize, NodeId, &mut T)> {
     slots
-        .chunks_mut(chunk_len)
+        .iter_mut()
         .enumerate()
-        .map(|(index, cells)| SlabChunk {
-            base: index * chunk_len,
-            cells,
-        })
-        .collect()
+        .filter_map(|(slot, cell)| cell.as_mut().map(|(id, v)| (slot, *id, v)))
 }
 
 /// Read-only id → slot lookup handed out by
-/// [`NodeSlab::chunks_mut_with_lookup`]; valid while the chunks are live.
+/// [`NodeSlab::iter_mut_with_lookup`]; valid while the iterator is live.
 /// It lends the slab's id-indexed slot column: a lookup is an array index.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotLookup<'a> {
@@ -366,27 +346,6 @@ pub struct TakenPair<T> {
     pub b_id: NodeId,
     /// Responder state.
     pub b: T,
-}
-
-/// One contiguous range of a [`NodeSlab`]'s slots, handed to a worker by
-/// [`NodeSlab::chunks_mut`]. Yields only live-node state; the slab's
-/// internal invariants are not reachable through it.
-#[derive(Debug)]
-pub struct SlabChunk<'a, T> {
-    base: usize,
-    cells: &'a mut [Option<(NodeId, T)>],
-}
-
-impl<T> SlabChunk<'_, T> {
-    /// Iterates this chunk's live nodes in slot order as
-    /// `(slot, id, &mut state)`. Slot numbers are global (slab-wide).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, NodeId, &mut T)> {
-        let base = self.base;
-        self.cells
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(offset, cell)| cell.as_mut().map(|(id, v)| (base + offset, *id, v)))
-    }
 }
 
 #[cfg(test)]
@@ -475,33 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_every_live_node_exactly_once() {
-        let mut slab: NodeSlab<u32> = NodeSlab::new();
-        for i in 0..10 {
-            slab.insert(id(i), i as u32);
-        }
-        slab.remove(id(3));
-        slab.remove(id(7));
-        for count in [1, 2, 3, 4, 16] {
-            let mut seen: Vec<(usize, u64)> = Vec::new();
-            for mut chunk in slab.chunks_mut(count) {
-                for (slot, node, v) in chunk.iter_mut() {
-                    *v += 1; // mutation reaches the slab
-                    seen.push((slot, node.as_u64()));
-                }
-            }
-            // Global slot order, no duplicates, exactly the live set.
-            assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "count {count}");
-            let ids: Vec<u64> = seen.iter().map(|&(_, id)| id).collect();
-            assert_eq!(ids, vec![0, 1, 2, 4, 5, 6, 8, 9], "count {count}");
-        }
-        assert!(slab.iter().all(|(_, i, v)| *v == i.as_u64() as u32 + 5));
-        let empty: NodeSlab<u32> = NodeSlab::new();
-        let mut none = empty;
-        assert!(none.chunks_mut(4).is_empty());
-    }
-
-    #[test]
     fn take_pair_reserves_both_slots_and_rejects_conflicts() {
         let mut slab: NodeSlab<u32> = NodeSlab::new();
         for i in 0..4 {
@@ -528,23 +460,45 @@ mod tests {
     }
 
     #[test]
-    fn lookup_stays_usable_while_chunks_are_out() {
+    fn borrowed_walk_covers_every_live_node_exactly_once() {
+        let mut slab: NodeSlab<u32> = NodeSlab::new();
+        for i in 0..10 {
+            slab.insert(id(i), i as u32);
+        }
+        slab.remove(id(3));
+        slab.remove(id(7));
+        for _ in 0..5 {
+            let (nodes, _) = slab.iter_mut_with_lookup();
+            let mut seen: Vec<(usize, u64)> = Vec::new();
+            for (slot, node, v) in nodes {
+                *v += 1; // mutation reaches the slab
+                seen.push((slot, node.as_u64()));
+            }
+            // Slot order, no duplicates, exactly the live set.
+            assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
+            let ids: Vec<u64> = seen.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids, vec![0, 1, 2, 4, 5, 6, 8, 9]);
+        }
+        assert!(slab.iter().all(|(_, i, v)| *v == i.as_u64() as u32 + 5));
+        let mut empty: NodeSlab<u32> = NodeSlab::new();
+        assert!(empty.iter_mut_with_lookup().0.next().is_none());
+    }
+
+    #[test]
+    fn lookup_stays_usable_while_nodes_are_borrowed() {
         let mut slab: NodeSlab<u32> = NodeSlab::new();
         for i in 0..9 {
             slab.insert(id(i), i as u32);
         }
         slab.remove(id(4));
-        let (chunks, lookup) = slab.chunks_mut_with_lookup(3);
-        assert_eq!(chunks.len(), 3);
-        let mut visited = 0;
-        for mut chunk in chunks {
-            for (slot, node, v) in chunk.iter_mut() {
-                assert_eq!(lookup.slot_of(node), Some(slot));
-                *v += 100;
-                visited += 1;
-            }
+        let (nodes, lookup) = slab.iter_mut_with_lookup();
+        let mut seen = Vec::new();
+        for (slot, node, v) in nodes {
+            assert_eq!(lookup.slot_of(node), Some(slot));
+            *v += 100;
+            seen.push(node.as_u64());
         }
-        assert_eq!(visited, 8);
+        assert_eq!(seen, vec![0, 1, 2, 3, 5, 6, 7, 8], "slot order, live only");
         assert!(!lookup.contains(id(4)));
         assert_eq!(slab.get(id(7)), Some(&107));
     }

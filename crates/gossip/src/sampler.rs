@@ -80,8 +80,8 @@ pub struct ExchangeRequest {
 
 /// The request and reply payloads of an exchange run by
 /// [`PeerSampler::exchange_local`] through the message path. A runtime that
-/// executes exchanges back to back keeps one per worker and reuses it, so
-/// the exchange allocates nothing.
+/// executes exchanges back to back keeps one and reuses it, so the exchange
+/// allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ExchangeBuffers {
     /// The initiator's request payload.
@@ -183,8 +183,8 @@ pub trait PeerSampler: Send {
     /// exchanges in earlier batches.
     ///
     /// The buffer is the caller's, so a runtime that executes exchanges back
-    /// to back (the cycle simulator) reuses one per worker and the exchange
-    /// allocates nothing.
+    /// to back (the cycle simulator) reuses one and the exchange allocates
+    /// nothing.
     ///
     /// The default sends only the fresh self-descriptor; substrates that can
     /// return a partner from `schedule_exchange` override it.

@@ -13,8 +13,8 @@
 //!   the committed golden under `--goldens` (default
 //!   `docs/scenarios/goldens/`); exit non-zero on any mismatch, missing
 //!   golden, or orphaned golden (a `.json` on disk no library scenario
-//!   produces). This is the CI mode — reports are deterministic at any
-//!   shard count, so a diff means behavior actually changed.
+//!   produces). This is the CI mode — reports are deterministic, so a diff
+//!   means behavior actually changed.
 //! * `--update`: rewrite the goldens from this run (then commit the diff
 //!   alongside the change that caused it).
 //! * `--list`: print the scenario names and exit.

@@ -45,8 +45,8 @@
 //!
 //! ## Determinism
 //!
-//! A report is pure simulated state: `(scenario, seed)` fully determines it
-//! at **any** shard count. Event selection (leaver draws, regional band
+//! A report is pure simulated state: `(scenario, seed)` fully determines
+//! it. Event selection (leaver draws, regional band
 //! placement, corruption targets) flows through the engine's sequential
 //! seeded RNG; node-level work stays on per-node counter streams. The one
 //! exception is the opt-in `phase_ns` wall-clock block, which golden

@@ -2,8 +2,8 @@
 //! goldens under `docs/scenarios/goldens/` pin byte-for-byte.
 //!
 //! A report is pure simulated state — disorder/accuracy trajectory, event
-//! log, message totals — so it is deterministic for a given scenario, at any
-//! shard count. Wall-clock phase timings are host noise, so they ride in an
+//! log, message totals — so it is deterministic for a given scenario.
+//! Wall-clock phase timings are host noise, so they ride in an
 //! `Option` that stays `None` unless the scenario explicitly opts in
 //! (golden scenarios never do).
 
@@ -227,7 +227,7 @@ impl ScenarioReport {
     ///
     /// Everything here derives from simulated state (except the opt-in
     /// `phase_ns` block), so for an untimed scenario the rendered registry
-    /// is byte-identical across reruns and shard counts.
+    /// is byte-identical across reruns.
     pub fn metrics_registry(&self) -> Registry {
         let mut reg = Registry::new();
         reg.gauge_set(

@@ -19,8 +19,7 @@ impl Scenario {
     /// Compiles and runs the scenario, returning its structured report.
     ///
     /// The run is fully determined by `(scenario, seed)` and byte-identical
-    /// at any [`shards`](dslice_sim::SimConfig::shards) setting, except for
-    /// the wall-clock `phase_ns` block when
+    /// across reruns, except for the wall-clock `phase_ns` block when
     /// [`time_phases`](dslice_sim::SimConfig::time_phases) is on.
     pub fn run(&self) -> Result<ScenarioReport> {
         let schedule = self.compile()?;
@@ -310,6 +309,7 @@ mod tests {
         let a = scenario().run().unwrap();
         let b = scenario().run().unwrap();
         assert_eq!(a, b, "identical scenario, identical report");
+        // `shards` is an inert config field: the engine is single-threaded.
         let mut cfg = scenario().config().clone();
         cfg.shards = 4;
         let c = scenario().with_config(cfg).run().unwrap();

@@ -9,7 +9,7 @@
 //!
 //! Leaver selection and regional-failure band placement draw from the RNG
 //! the engine hands in (its sequential stream), so scripted runs stay
-//! byte-identical at any shard count.
+//! byte-identical across reruns.
 
 use crate::dsl::{fraction_count, ScenarioEvent, Schedule};
 use dslice_core::{Attribute, NodeId};

@@ -1,8 +1,7 @@
 //! Golden determinism: a scenario report is pure simulated state, so the
-//! same program must produce **byte-identical** JSON across reruns and at
-//! every shard count. This is the invariant that makes the committed
-//! goldens under `docs/scenarios/goldens/` (and `scenario_matrix --check`)
-//! meaningful.
+//! same program must produce **byte-identical** JSON across reruns. This is
+//! the invariant that makes the committed goldens under
+//! `docs/scenarios/goldens/` (and `scenario_matrix --check`) meaningful.
 
 use dslice_obs::TraceConfig;
 use dslice_scenario::{Scenario, ScenarioReport};
@@ -60,20 +59,6 @@ fn reports_are_byte_identical_across_reruns() {
 }
 
 #[test]
-fn reports_are_byte_identical_at_every_shard_count() {
-    let reference = eventful(7).run().unwrap().to_json();
-    for shards in [2usize, 3, 4, 8] {
-        let mut cfg = eventful(7).config().clone();
-        cfg.shards = shards;
-        let sharded = eventful(7).with_config(cfg).run().unwrap().to_json();
-        assert_eq!(
-            reference, sharded,
-            "shard count {shards} leaked into the report"
-        );
-    }
-}
-
-#[test]
 fn ordering_protocol_reports_are_deterministic_too() {
     let probe = || {
         eventful(11)
@@ -83,44 +68,79 @@ fn ordering_protocol_reports_are_deterministic_too() {
     let a = probe().run().unwrap().to_json();
     let b = probe().run().unwrap().to_json();
     assert_eq!(a, b);
-    let mut cfg = probe().config().clone();
+}
+
+/// FNV-1a-64: a compact pin for report and registry bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `scenario` with [`SimConfig::shards`](dslice_sim::SimConfig::shards) set
+/// off its default. The engine is single-threaded and ignores the field, so
+/// a run must not see it; one non-default value shows that.
+fn with_inert_shards(scenario: Scenario) -> Scenario {
+    let mut cfg = scenario.config().clone();
     cfg.shards = 4;
-    let c = probe().with_config(cfg).run().unwrap().to_json();
-    assert_eq!(a, c);
+    scenario.with_config(cfg)
+}
+
+// The pins below were captured on the commit before the engine became
+// single-threaded, where each of these bytes was also checked identical at
+// 2, 4 and 8 worker threads.
+
+#[test]
+fn reports_are_byte_identical_at_every_shard_count() {
+    let report = eventful(7).run().unwrap().to_json();
+    let hash = fnv1a64(report.as_bytes());
+    assert_eq!(
+        hash, 0xc7bc_6458_ae15_f9bb,
+        "report bytes changed (got {hash:#018x})"
+    );
+    let sharded = with_inert_shards(eventful(7)).run().unwrap().to_json();
+    assert_eq!(report, sharded, "the shard count leaked into the report");
 }
 
 #[test]
 fn defended_protocol_variants_are_shard_invariant() {
     // The hardened variants carry extra per-node state (decay totals,
-    // raw-value windows, strike books); none of it may observe the shard
-    // layout.
+    // raw-value windows, strike books).
     let variants = [
-        ProtocolKind::decay(0.998),
-        ProtocolKind::SlidingRanking { window: 512 },
-        ProtocolKind::RobustRanking { window: 64 },
-        ProtocolKind::ModJkLive {
-            strike_limit: 2,
-            cooldown: 64,
-        },
+        (ProtocolKind::decay(0.998), 0xe7e9_5177_b4a5_bf37),
+        (
+            ProtocolKind::SlidingRanking { window: 512 },
+            0x2800_cace_5222_157d,
+        ),
+        (
+            ProtocolKind::RobustRanking { window: 64 },
+            0xd465_b152_5463_0be5,
+        ),
+        (
+            ProtocolKind::ModJkLive {
+                strike_limit: 2,
+                cooldown: 64,
+            },
+            0x6e38_1948_61b8_2876,
+        ),
     ];
-    for kind in variants {
-        let probe = || {
-            let view = match kind {
-                ProtocolKind::ModJkLive { .. } => 12,
-                _ => 8,
-            };
-            eventful(19).with_protocol(kind).view_size(view)
+    for (kind, pinned) in variants {
+        let view = match kind {
+            ProtocolKind::ModJkLive { .. } => 12,
+            _ => 8,
         };
-        let reference = probe().run().unwrap().to_json();
-        for shards in [2usize, 4, 8] {
-            let mut cfg = probe().config().clone();
-            cfg.shards = shards;
-            let sharded = probe().with_config(cfg).run().unwrap().to_json();
-            assert_eq!(
-                reference, sharded,
-                "{kind:?}: shard count {shards} leaked into the report"
-            );
-        }
+        let probe = || eventful(19).with_protocol(kind).view_size(view);
+        let report = probe().run().unwrap().to_json();
+        let hash = fnv1a64(report.as_bytes());
+        assert_eq!(
+            hash, pinned,
+            "{kind:?}: report bytes changed (got {hash:#018x})"
+        );
+        let sharded = with_inert_shards(probe()).run().unwrap().to_json();
+        assert_eq!(
+            report, sharded,
+            "{kind:?}: the shard count leaked into the report"
+        );
     }
 }
 
@@ -128,7 +148,7 @@ fn defended_protocol_variants_are_shard_invariant() {
 fn tracing_is_invisible_in_the_report_bytes() {
     // The flight recorder must be pure observation: a traced run's report —
     // the same bytes the goldens pin — is identical to the untraced run's,
-    // at the default sampling and at a sparse stride, and at shard count 4.
+    // at the default sampling and at a sparse stride.
     let plain = eventful(42).run().unwrap().to_json();
     let (traced, recorder) = eventful(42).run_traced(TraceConfig::on()).unwrap();
     assert_eq!(plain, traced.to_json(), "tracing perturbed the report");
@@ -145,44 +165,33 @@ fn tracing_is_invisible_in_the_report_bytes() {
         sparse.recorded() < recorder.recorded(),
         "sampling must thin the event stream"
     );
-    let mut cfg = eventful(42).config().clone();
-    cfg.shards = 4;
-    let (sharded, _) = eventful(42)
-        .with_config(cfg)
-        .run_traced(TraceConfig::on())
-        .unwrap();
-    assert_eq!(plain, sharded.to_json(), "traced sharded run diverged");
 }
 
 #[test]
 fn metrics_registries_are_deterministic_across_shard_counts() {
     // The exported registry — histograms included — derives from simulated
-    // state only, so its Prometheus rendering must be byte-identical at
-    // shard counts 1/2/4/8.
-    let reference = eventful(7)
+    // state only.
+    let registry = eventful(7)
         .run()
         .unwrap()
         .metrics_registry()
         .to_prometheus();
-    assert!(dslice_obs::validate_prometheus(&reference).unwrap() > 20);
-    for shards in [2usize, 4, 8] {
-        let mut cfg = eventful(7).config().clone();
-        cfg.shards = shards;
-        let sharded = eventful(7)
-            .with_config(cfg)
-            .run()
-            .unwrap()
-            .metrics_registry()
-            .to_prometheus();
-        assert_eq!(
-            reference, sharded,
-            "shard count {shards} leaked into metrics"
-        );
-    }
+    assert!(dslice_obs::validate_prometheus(&registry).unwrap() > 20);
+    let hash = fnv1a64(registry.as_bytes());
+    assert_eq!(
+        hash, 0x9b50_d3c2_6f27_ae80,
+        "registry bytes changed (got {hash:#018x})"
+    );
+    let sharded = with_inert_shards(eventful(7))
+        .run()
+        .unwrap()
+        .metrics_registry()
+        .to_prometheus();
+    assert_eq!(registry, sharded, "the shard count leaked into metrics");
 }
 
-/// Full-size, so `#[ignore]`d out of tier-1 like the library shard sweep:
-/// a *traced* library run must reproduce its committed golden byte-for-byte.
+/// Full-size, so `#[ignore]`d out of tier-1: a *traced* library run must
+/// reproduce its committed golden byte-for-byte.
 #[test]
 #[ignore = "full library scenario against the committed golden; run in release"]
 fn traced_library_run_matches_the_committed_golden_bytes() {
@@ -233,32 +242,4 @@ fn compiled_schedules_are_byte_identical_across_reruns() {
     let a = serde_json::to_string_pretty(&eventful(0).compile().unwrap()).unwrap();
     let b = serde_json::to_string_pretty(&eventful(0).compile().unwrap()).unwrap();
     assert_eq!(a, b);
-}
-
-/// The committed goldens are written by a shard-1 run; every library
-/// scenario must reproduce them byte-for-byte at 2/4/8 shards too.
-/// Full-size library runs are slow in debug builds, so this sweep is
-/// `#[ignore]`d out of tier-1 and exercised by CI's release-mode
-/// ignored-test job.
-#[test]
-#[ignore = "full library at three shard counts; run in release"]
-fn library_reports_are_shard_invariant() {
-    use dslice_scenario::library;
-    for scenario in library::all() {
-        let name = scenario.name().to_string();
-        let reference = scenario.run().unwrap().to_json();
-        for shards in [2usize, 4, 8] {
-            let rerun = library::all()
-                .into_iter()
-                .find(|s| s.name() == name)
-                .expect("library is stable");
-            let mut cfg = rerun.config().clone();
-            cfg.shards = shards;
-            let sharded = rerun.with_config(cfg).run().unwrap().to_json();
-            assert_eq!(
-                reference, sharded,
-                "`{name}`: shard count {shards} leaked into the report"
-            );
-        }
-    }
 }

@@ -34,10 +34,9 @@ pub struct SimConfig {
     pub loss_rate: f64,
     /// RNG seed: `(config, seed)` fully determines the run.
     pub seed: u64,
-    /// Worker threads for the active phase (≥ 1). The shard count **never**
-    /// changes the simulated run: any value produces byte-identical
-    /// [`RunRecord`](crate::RunRecord)s (per-node RNG streams make active
-    /// steps order-free; see the engine docs). It only changes wall-clock.
+    /// Ignored: the engine runs on one thread. Still validated (≥ 1) and
+    /// serialized so existing configurations keep loading; to be deleted
+    /// once no caller sets it.
     pub shards: usize,
     /// Metrics cadence (≥ 1): full metrics (SDM, GDM, slice-change
     /// tracking) are computed every `metrics_every`-th cycle; skipped

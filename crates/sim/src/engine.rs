@@ -21,15 +21,15 @@
 //!    * *batch*: the resulting `(initiator, partner)` pairs are greedily
 //!      partitioned, in slot order, into **conflict-free batches** in which
 //!      no node appears twice (first-fit on per-slot occupancy bitmasks);
-//!    * *execute*: batches run in order; within a batch the pairs touch
-//!      disjoint node sets and each pair draws only from the initiator's
-//!      carried stream, so the batch is fanned out across
-//!      [`SimConfig::shards`](crate::SimConfig::shards) scoped worker
-//!      threads. **Any shard count produces a byte-identical run.**
+//!    * *execute*: batches run in order, pair by pair, then the overflow
+//!      tail; each pair draws only from the initiator's carried stream.
+//!      The batch order is the execution order, and it matters: about 40 %
+//!      of exchanges read a view that an exchange earlier in batch order
+//!      changed, so plain slot order would be a different run.
 //!
 //!    The uniform-oracle substrate takes the same shape: the population is
-//!    snapshotted once per cycle and every view refilled from it in sharded
-//!    chunks, each node sampling from its own stream.
+//!    snapshotted once per cycle and every view refilled from it, each node
+//!    sampling from its own stream.
 //! 4. **Refresh phase** — every node's published value is snapshotted per
 //!    slot, once. That is all this phase does now: the views themselves
 //!    ("each node updates its view before sending its random value",
@@ -44,13 +44,9 @@
 //!    snapshot is immutable, so no active step can change what a later
 //!    refresh reads, and an active step reads and writes nothing but its
 //!    own node. The sweep reads each view once where two sweeps read it
-//!    twice. Being node-local, it is partitioned across `cfg.shards` scoped
-//!    worker threads; each worker appends what its nodes send to one flat
-//!    outbox, marking where every sender's messages end. **Any shard count
-//!    produces a byte-identical run**: per-node streams make the draws
-//!    independent of scheduling, and the outboxes are read back in chunk
-//!    order, which is slot order.
-//! 6. **Delivery phase** — the outboxes are routed sender by sender per
+//!    twice. What the nodes send is appended to one flat outbox, in slot
+//!    order, marking where every sender's messages end.
+//! 6. **Delivery phase** — the outbox is routed sender by sender per
 //!    the [`Concurrency`](crate::Concurrency) model: non-overlapping
 //!    messages are delivered immediately as *atomic exchanges*, overlapping
 //!    messages are deferred to an end-of-cycle drain in random order, where
@@ -92,7 +88,7 @@
 //!   exchange; batching, extraction and put-back are slot-addressed;
 //! * the *active sweep's view refresh* (and the churn phase's dead-neighbor
 //!   sweep) resolves each view entry against the slab's own index, lent
-//!   out read-only beside the mutable chunks — no side table of the
+//!   out read-only beside the mutable slot walk — no side table of the
 //!   population is built;
 //! * *delivery* resolves each endpoint of a message once and borrows the
 //!   recipient where it lives (node storage and the engine's RNG are
@@ -120,10 +116,9 @@
 //! about 16 bytes per identity ever issued — 0.16 MB per 10k joins — on
 //! top of the slots (see [`Engine::slot_count`]).
 //!
-//! What a phase needs beyond node state lives in engine- or worker-owned
-//! buffers that persist across cycles (`Scratch`): the membership
-//! schedule, batches and per-worker request/reply payloads, the per-worker
-//! active-phase outboxes, the delivery queues. An exchange between two
+//! What a phase needs beyond node state lives in engine-owned buffers that
+//! persist across cycles (`Scratch`): the membership schedule, batches and
+//! request/reply payloads, the active-phase outbox, the delivery queues. An exchange between two
 //! Cyclon samplers uses no payload at all: [`PeerSampler::exchange_local`]
 //! swaps the two views element by element where they live; the other
 //! substrates (and the rare Cyclon exchange whose views need a top-up) go
@@ -132,7 +127,7 @@
 //! way — every protocol instance holds a handle on one boundary array.
 //!
 //! Everything is driven by the run seed: identical `(config, protocol,
-//! churn, seed)` yields identical runs, byte for byte — at any shard count.
+//! churn, seed)` yields identical runs, byte for byte.
 
 use crate::churn::{ChurnModel, NoChurn};
 use crate::config::{ProtocolKind, SimConfig};
@@ -143,10 +138,8 @@ use crate::stream::NodeRng;
 use dslice_algorithms::{Adaptive, AttackerSpec, Liar};
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::slab::SlabChunk;
 use dslice_core::{
-    metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, SlotLookup,
-    TakenPair, ViewEntry,
+    metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewEntry,
 };
 use dslice_gossip::{build_sampler, ExchangeBuffers, PeerSampler, SamplerKind};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
@@ -223,52 +216,13 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
 /// An addressed protocol message on its way through the engine.
 type Envelope = (NodeId, ProtocolMsg);
 
-/// Everything one chunk's active steps sent, flat and in slot order:
-/// `ends[k]` is where the `k`-th sending node's messages end in `msgs`
-/// (silent nodes leave no mark). One per worker, reused every cycle.
+/// Everything the active sweep sent, flat and in slot order: `ends[k]` is
+/// where the `k`-th sending node's messages end in `msgs` (silent nodes
+/// leave no mark). Reused every cycle.
 #[derive(Default)]
 struct Outbox {
     msgs: Vec<Envelope>,
     ends: Vec<usize>,
-}
-
-/// Runs the active phase over one contiguous chunk of the slot array,
-/// collecting what the nodes send into `outbox`. With a `published`
-/// snapshot (fresh views), each node's view is first refreshed against it:
-/// value snapshots brought up to date, departed neighbors dropped.
-///
-/// Pure per-node work: each node draws from its own `(seed, id, cycle)`
-/// stream, reads only the immutable snapshot beside its own state, and
-/// writes only to its own state and the chunk's outbox, so chunks can
-/// execute on any thread in any order with identical results.
-fn active_chunk(
-    mut chunk: SlabChunk<'_, SimNode>,
-    lookup: SlotLookup<'_>,
-    published: Option<&[f64]>,
-    seed: u64,
-    cycle: u64,
-    outbox: &mut Outbox,
-) -> EventCounters {
-    let mut counters = EventCounters::default();
-    for (_slot, id, node) in chunk.iter_mut() {
-        if let Some(published) = published {
-            node.sampler
-                .view_mut()
-                .refresh_values(|nid| lookup.slot_of(nid).map(|slot| published[slot]));
-        }
-        let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
-        let sent_before = outbox.msgs.len();
-        let mut ctx = EngineCtx {
-            rng: &mut rng,
-            out: &mut outbox.msgs,
-            counters: &mut counters,
-        };
-        node.proto.on_active(node.sampler.view(), &mut ctx);
-        if outbox.msgs.len() > sent_before {
-            outbox.ends.push(outbox.msgs.len());
-        }
-    }
-    counters
 }
 
 /// One scheduled membership exchange: the initiator, its chosen partner
@@ -282,29 +236,6 @@ struct ScheduledExchange {
     partner_slot: usize,
     rng: NodeRng,
 }
-
-/// One extracted pair awaiting execution on a worker thread: both
-/// endpoints' state plus the initiator's carried stream.
-struct ExchangeJob {
-    pair: TakenPair<SimNode>,
-    rng: NodeRng,
-}
-
-/// Runs one scheduled pairwise exchange on an extracted pair. Pure
-/// pair-local work: it mutates only the two nodes and the worker's payload
-/// buffers (which two Cyclon samplers do not even touch: they swap their
-/// views in place), and draws only from the initiator's carried membership
-/// stream, so the pairs of a conflict-free batch can execute on any thread
-/// in any order with identical results.
-fn run_exchange(pair: &mut TakenPair<SimNode>, rng: &mut NodeRng, bufs: &mut ExchangeBuffers) {
-    let (self_entry, partner_entry) = (pair.a.self_entry(), pair.b.self_entry());
-    pair.a
-        .sampler
-        .exchange_local(self_entry, &mut *pair.b.sampler, partner_entry, rng, bufs);
-}
-
-/// Minimum pairs that justify putting a worker thread on a batch.
-const MIN_PAIRS_PER_WORKER: usize = 64;
 
 /// Group size of the look-ahead reads: while the delivery loop routes one
 /// group of this many messages, or the membership phase executes one group
@@ -331,32 +262,23 @@ fn gather_exchanger(node: Option<&SimNode>) {
 }
 
 /// Executes one scheduled exchange where the nodes live: both endpoints are
-/// moved out by slot, exchanged, and put straight back.
+/// moved out by slot, exchanged, and put straight back. It mutates only the
+/// two nodes and the payload buffers (which two Cyclon samplers do not even
+/// touch: they swap their views in place), and draws only from the
+/// initiator's carried membership stream.
 fn exchange_in_place(
     nodes: &mut NodeSlab<SimNode>,
     scheduled: &ScheduledExchange,
     bufs: &mut ExchangeBuffers,
 ) {
     if let Some(mut pair) = nodes.take_pair_slots(scheduled.slot, scheduled.partner_slot) {
-        run_exchange(&mut pair, &mut scheduled.rng.clone(), bufs);
+        let (self_entry, partner_entry) = (pair.a.self_entry(), pair.b.self_entry());
+        let rng = &mut scheduled.rng.clone();
+        pair.a
+            .sampler
+            .exchange_local(self_entry, &mut *pair.b.sampler, partner_entry, rng, bufs);
         nodes.put_back_pair(pair);
     }
-}
-
-/// Executes the extracted pairs of one conflict-free batch across scoped
-/// worker threads, one per payload-buffer pair in `bufs`. Which worker runs
-/// which pair is invisible in the result (only wall-clock differs).
-fn exchange_on_workers(jobs: &mut [ExchangeJob], bufs: &mut [ExchangeBuffers]) {
-    let per_worker = jobs.len().div_ceil(bufs.len()).max(MIN_PAIRS_PER_WORKER);
-    std::thread::scope(|scope| {
-        for (chunk, bufs) in jobs.chunks_mut(per_worker).zip(bufs.iter_mut()) {
-            scope.spawn(move || {
-                for job in chunk {
-                    run_exchange(&mut job.pair, &mut job.rng, bufs);
-                }
-            });
-        }
-    });
 }
 
 /// Uniformly draws up to `count` distinct items of `pool` whose id differs
@@ -393,30 +315,12 @@ fn sample_from_pool<T: Copy, R: RngCore + ?Sized>(
     out.sort_unstable_by_key(|item| id_of(item));
 }
 
-/// Refills every view in one chunk from the immutable population snapshot
-/// (uniform-oracle substrate), each node sampling from its own membership
-/// stream. Node-local work, safe on any thread.
-fn oracle_refill_chunk(
-    mut chunk: SlabChunk<'_, SimNode>,
-    pool: &[ViewEntry],
-    seed: u64,
-    cycle: u64,
-    view_size: usize,
-) {
-    let mut entries: Vec<ViewEntry> = Vec::with_capacity(view_size + 1);
-    for (_slot, id, node) in chunk.iter_mut() {
-        let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
-        sample_from_pool(&mut rng, pool, |e| e.id, id, view_size, &mut entries);
-        node.sampler.refill(&entries);
-    }
-}
-
 /// Reusable per-cycle buffers: after the first cycles warm these up, the
 /// cycle hot path performs no allocation that scales with `n` (enforced by
-/// `tests/alloc_steady_state.rs`). Every buffer belongs to the engine or to
-/// one of its workers — never to a node, where a spare vector would be paid
-/// for `n` times over. A phase `mem::take`s what it needs and hands it back
-/// when done, which is what lets it borrow the rest of the engine meanwhile.
+/// `tests/alloc_steady_state.rs`). Every buffer belongs to the engine —
+/// never to a node, where a spare vector would be paid for `n` times over.
+/// A phase `mem::take`s what it needs and hands it back when done, which is
+/// what lets it borrow the rest of the engine meanwhile.
 #[derive(Default)]
 struct Scratch {
     /// Latency-drain split: messages due this cycle.
@@ -437,8 +341,8 @@ struct Scratch {
     replay_out: Vec<Envelope>,
     /// …and the replay's own delivery queue (the outer one is mid-drain).
     replay_queue: VecDeque<Envelope>,
-    /// Active phase: one flat outbox per worker.
-    outboxes: Vec<Outbox>,
+    /// Active phase: what the sweep sent, in slot order.
+    outbox: Outbox,
     /// Membership schedule: one entry per initiating node.
     scheduled: Vec<ScheduledExchange>,
     /// Batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
@@ -448,10 +352,8 @@ struct Scratch {
     /// Pairs beyond the 128-batch bitmask (pathological in-degree),
     /// executed sequentially after the batches.
     overflow: Vec<usize>,
-    /// Extracted pair state for the batch currently on worker threads.
-    jobs: Vec<ExchangeJob>,
-    /// Membership execute: one request/reply buffer pair per worker.
-    exchange_bufs: Vec<ExchangeBuffers>,
+    /// Membership execute: the request/reply payload buffers.
+    exchange_bufs: ExchangeBuffers,
     /// Oracle refill: the cycle's population snapshot as view entries.
     pool_entries: Vec<ViewEntry>,
     /// Refresh phase: published value per slot, which the active sweep
@@ -527,7 +429,6 @@ impl std::fmt::Debug for Engine {
             .field("protocol", &self.kind.label())
             .field("cycle", &self.cycle)
             .field("population", &self.nodes.len())
-            .field("shards", &self.cfg.shards)
             .finish()
     }
 }
@@ -732,8 +633,8 @@ impl Engine {
     /// (`round(still-honest × fraction)`).
     ///
     /// The selection draws from the engine's sequential RNG, so runs remain
-    /// byte-identical at any shard count. Attributes stay truthful: the
-    /// evaluation oracle keeps measuring ground truth, and
+    /// byte-identical. Attributes stay truthful: the evaluation oracle keeps
+    /// measuring ground truth, and
     /// [`honest_accuracy`](Engine::honest_accuracy) measures the collateral
     /// damage on the honest majority.
     pub fn corrupt_nodes(&mut self, fraction: f64, inflation: f64) -> usize {
@@ -752,9 +653,8 @@ impl Engine {
     /// were corrupted (`round(still-honest × fraction)`).
     ///
     /// Selection is a pure function of the live population (true ranks from
-    /// the attribute order, ties broken by id) — no RNG is consumed, so
-    /// determinism across shard counts is trivial and the engine's
-    /// sequential RNG stream is left untouched for later events.
+    /// the attribute order, ties broken by id) — no RNG is consumed, so the
+    /// engine's sequential RNG stream is left untouched for later events.
     pub fn corrupt_boundary_nodes(&mut self, fraction: f64, inflation: f64) -> usize {
         let fraction = fraction.clamp(0.0, 1.0);
         // True normalized ranks over the *full* live population: sort by
@@ -1036,9 +936,9 @@ impl Engine {
         }
         timer.lap(&mut timings.drain_ns);
 
-        // Membership phase: schedule → conflict-free batches → sharded
-        // execute (see module docs). A network partition severs cross-band
-        // exchanges here too (their REQ′ never crosses).
+        // Membership phase: schedule → conflict-free batches → execute in
+        // batch order (see module docs). A network partition severs
+        // cross-band exchanges here too (their REQ′ never crosses).
         self.membership_phase(&mut dropped);
         timer.lap(&mut timings.membership_ns);
 
@@ -1053,47 +953,45 @@ impl Engine {
         timer.lap(&mut timings.refresh_ns);
 
         // Active phase: view refresh, then node-local protocol steps on
-        // per-node RNG streams, sharded across worker threads, each filling
-        // its own outbox.
-        let mut outboxes = self.active_phase(fresh_views, &mut counters);
+        // per-node RNG streams, filling the outbox.
+        let mut outbox = self.active_phase(fresh_views, &mut counters);
         timer.lap(&mut timings.active_ns);
 
-        // Delivery phase: outboxes in chunk order, senders in slot order.
+        // Delivery phase: senders in slot order.
         // Non-overlapping messages complete as atomic exchanges (with
         // conflict replay, see module docs); overlapping ones join the
         // end-of-cycle drain. (`queue` is empty again after every sender.)
         // At the start of every group of messages the next group's
         // recipients are read ahead.
-        for outbox in &mut outboxes {
-            let mut msgs = outbox.msgs.drain(..);
-            let mut sent = 0;
-            for &end in &outbox.ends {
-                while sent < end {
-                    if sent % GATHER_AHEAD == 0 {
-                        let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
-                        for (to, _) in next.take(GATHER_AHEAD) {
-                            gather_recipient(self.nodes.get(*to));
-                        }
-                    }
-                    let (to, msg) = msgs.next().expect("`ends` stay within the outbox");
-                    sent += 1;
-                    if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
-                        queue.push_back(now);
+        let mut msgs = outbox.msgs.drain(..);
+        let mut sent = 0;
+        for &end in &outbox.ends {
+            while sent < end {
+                if sent % GATHER_AHEAD == 0 {
+                    let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
+                    for (to, _) in next.take(GATHER_AHEAD) {
+                        gather_recipient(self.nodes.get(*to));
                     }
                 }
-                while let Some(envelope) = queue.pop_front() {
-                    self.deliver_and_route(
-                        envelope,
-                        true,
-                        &mut queue,
-                        &mut deferred,
-                        &mut counters,
-                        &mut dropped,
-                    );
+                let (to, msg) = msgs.next().expect("`ends` stay within the outbox");
+                sent += 1;
+                if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
+                    queue.push_back(now);
                 }
             }
+            while let Some(envelope) = queue.pop_front() {
+                self.deliver_and_route(
+                    envelope,
+                    true,
+                    &mut queue,
+                    &mut deferred,
+                    &mut counters,
+                    &mut dropped,
+                );
+            }
         }
-        self.scratch.outboxes = outboxes;
+        drop(msgs);
+        self.scratch.outbox = outbox;
 
         // End-of-cycle drain: overlapping messages land in random order;
         // their responses are also in flight within this cycle (unless the
@@ -1221,24 +1119,22 @@ impl Engine {
         // exactly as in the sequential model.
         let mut scheduled = mem::take(&mut self.scratch.scheduled);
         scheduled.clear();
-        let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(1);
-        for mut chunk in chunks {
-            for (slot, id, node) in chunk.iter_mut() {
-                let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
-                let Some(partner) = node.sampler.schedule_exchange(&mut rng) else {
-                    continue;
-                };
-                match lookup.slot_of(partner) {
-                    Some(partner_slot) => scheduled.push(ScheduledExchange {
-                        id,
-                        slot,
-                        partner,
-                        partner_slot,
-                        rng,
-                    }),
-                    None => {
-                        node.sampler.view_mut().remove(partner);
-                    }
+        let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
+        for (slot, id, node) in nodes {
+            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
+            let Some(partner) = node.sampler.schedule_exchange(&mut rng) else {
+                continue;
+            };
+            match lookup.slot_of(partner) {
+                Some(partner_slot) => scheduled.push(ScheduledExchange {
+                    id,
+                    slot,
+                    partner,
+                    partner_slot,
+                    rng,
+                }),
+                None => {
+                    node.sampler.view_mut().remove(partner);
                 }
             }
         }
@@ -1313,64 +1209,39 @@ impl Engine {
             }
         }
 
-        // Execute: batches in order; within a batch the pairs are disjoint
-        // and each draws only from its carried stream, so the partition
-        // across worker threads is invisible in the result. Small batches
-        // (and every batch of an unsharded run) execute in place, pair by
-        // pair — spawning costs more than it saves there — reading both
-        // endpoints of the next group of pairs ahead.
-        let shards = self.cfg.shards;
-        let mut bufs = mem::take(&mut self.scratch.exchange_bufs);
-        bufs.resize_with(shards, ExchangeBuffers::default);
-        let mut jobs = mem::take(&mut self.scratch.jobs);
+        // Execute: batches in order, then the overflow tail, pair by pair in
+        // place, reading both endpoints of the next group of pairs ahead.
+        let bufs = &mut self.scratch.exchange_bufs;
         for batch in batches.iter().take(used_batches) {
-            if shards == 1 || batch.len() < 2 * MIN_PAIRS_PER_WORKER {
-                for (pos, &idx) in batch.iter().enumerate() {
-                    if pos % GATHER_AHEAD == 0 {
-                        for &next in batch.iter().skip(pos + GATHER_AHEAD).take(GATHER_AHEAD) {
-                            let s = &scheduled[next];
-                            gather_exchanger(self.nodes.slot(s.slot));
-                            gather_exchanger(self.nodes.slot(s.partner_slot));
-                        }
+            for (pos, &idx) in batch.iter().enumerate() {
+                if pos % GATHER_AHEAD == 0 {
+                    for &next in batch.iter().skip(pos + GATHER_AHEAD).take(GATHER_AHEAD) {
+                        let s = &scheduled[next];
+                        gather_exchanger(self.nodes.slot(s.slot));
+                        gather_exchanger(self.nodes.slot(s.partner_slot));
                     }
-                    exchange_in_place(&mut self.nodes, &scheduled[idx], &mut bufs[0]);
                 }
-                continue;
-            }
-            jobs.extend(batch.iter().filter_map(|&idx| {
-                let s = &scheduled[idx];
-                let pair = self.nodes.take_pair_slots(s.slot, s.partner_slot)?;
-                Some(ExchangeJob {
-                    pair,
-                    rng: s.rng.clone(),
-                })
-            }));
-            exchange_on_workers(&mut jobs, &mut bufs);
-            for job in jobs.drain(..) {
-                self.nodes.put_back_pair(job.pair);
+                exchange_in_place(&mut self.nodes, &scheduled[idx], bufs);
             }
         }
         for &idx in overflow.iter() {
-            exchange_in_place(&mut self.nodes, &scheduled[idx], &mut bufs[0]);
+            exchange_in_place(&mut self.nodes, &scheduled[idx], bufs);
         }
 
         self.scratch.scheduled = scheduled;
         self.scratch.masks = masks;
         self.scratch.batches = batches;
         self.scratch.overflow = overflow;
-        self.scratch.jobs = jobs;
-        self.scratch.exchange_bufs = bufs;
     }
 
     /// Membership phase of the uniform-oracle substrate: snapshot the
     /// population once (it is invariant within a cycle — churn only happens
-    /// at cycle start), then refill every view from it in sharded chunks,
-    /// each node sampling from its own membership stream.
+    /// at cycle start), then refill every view from it, each node sampling
+    /// from its own membership stream.
     fn oracle_refill_phase(&mut self) {
         let seed = self.cfg.seed;
         let cycle = self.cycle as u64;
         let view_size = self.cfg.view_size;
-        let shards = self.cfg.shards;
 
         let mut pool = mem::take(&mut self.scratch.pool_entries);
         pool.clear();
@@ -1380,20 +1251,11 @@ impl Engine {
             log.clear(); // the oracle never schedules exchanges
         }
 
-        let chunks = self.nodes.chunks_mut(shards);
-        if shards <= 1 {
-            for chunk in chunks {
-                oracle_refill_chunk(chunk, &pool, seed, cycle, view_size);
-            }
-        } else {
-            let pool_ref: &[ViewEntry] = &pool;
-            std::thread::scope(|scope| {
-                for chunk in chunks {
-                    scope.spawn(move || {
-                        oracle_refill_chunk(chunk, pool_ref, seed, cycle, view_size)
-                    });
-                }
-            });
+        let mut entries: Vec<ViewEntry> = Vec::with_capacity(view_size + 1);
+        for (_slot, id, node) in self.nodes.iter_mut() {
+            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
+            sample_from_pool(&mut rng, &pool, |e| e.id, id, view_size, &mut entries);
+            node.sampler.refill(&entries);
         }
         self.scratch.pool_entries = pool;
     }
@@ -1424,47 +1286,38 @@ impl Engine {
         self.schedule_log.as_deref().unwrap_or(&[])
     }
 
-    /// Runs the active phase, partitioned across `cfg.shards` scoped worker
-    /// threads (inline when 1), and returns the workers' outboxes in chunk
-    /// order — chunks cover ascending slot ranges and each outbox is filled
-    /// in slot order, so walking them in sequence IS slot order. With
-    /// `fresh_views`, every view is refreshed against the refresh phase's
-    /// snapshot just before its owner acts. The caller hands the (drained)
-    /// outboxes back to `scratch`.
-    fn active_phase(&mut self, fresh_views: bool, counters: &mut EventCounters) -> Vec<Outbox> {
+    /// Runs the active phase: one sweep in slot order, each node's view
+    /// refreshed against the refresh phase's snapshot (with `fresh_views`)
+    /// just before its owner acts. Returns the filled outbox, which the
+    /// caller hands back to `scratch` once delivered.
+    fn active_phase(&mut self, fresh_views: bool, counters: &mut EventCounters) -> Outbox {
         let seed = self.cfg.seed;
         let cycle = self.cycle as u64;
 
-        let mut outboxes = mem::take(&mut self.scratch.outboxes);
+        let mut outbox = mem::take(&mut self.scratch.outbox);
+        outbox.msgs.clear();
+        outbox.ends.clear();
         let published = fresh_views.then_some(&self.scratch.published[..]);
-        let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(self.cfg.shards);
-        if outboxes.len() < chunks.len() {
-            outboxes.resize_with(chunks.len(), Outbox::default);
-        }
-        for outbox in &mut outboxes {
-            outbox.msgs.clear();
-            outbox.ends.clear();
-        }
-        let work = chunks.into_iter().zip(&mut outboxes);
-        if self.cfg.shards <= 1 {
-            for (chunk, outbox) in work {
-                counters.merge(&active_chunk(chunk, lookup, published, seed, cycle, outbox));
+        let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
+        for (_slot, id, node) in nodes {
+            if let Some(published) = published {
+                node.sampler
+                    .view_mut()
+                    .refresh_values(|nid| lookup.slot_of(nid).map(|slot| published[slot]));
             }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .map(|(chunk, outbox)| {
-                        scope.spawn(move || {
-                            active_chunk(chunk, lookup, published, seed, cycle, outbox)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    counters.merge(&handle.join().expect("active-phase worker panicked"));
-                }
-            });
+            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
+            let sent_before = outbox.msgs.len();
+            let mut ctx = EngineCtx {
+                rng: &mut rng,
+                out: &mut outbox.msgs,
+                counters,
+            };
+            node.proto.on_active(node.sampler.view(), &mut ctx);
+            if outbox.msgs.len() > sent_before {
+                outbox.ends.push(outbox.msgs.len());
+            }
         }
-        outboxes
+        outbox
     }
 
     /// Routes one outgoing message: drops it (loss), holds it across cycles
@@ -1589,12 +1442,10 @@ impl Engine {
         // nodes must not pay an O(n·c) scan for leavers that cannot exist).
         // The slab's own index is the live set: the leavers just left it.
         if !removed.is_empty() {
-            let (chunks, lookup) = self.nodes.chunks_mut_with_lookup(1);
+            let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
             let is_alive = |id: NodeId| lookup.contains(id);
-            for mut chunk in chunks {
-                for (_, _, node) in chunk.iter_mut() {
-                    node.sampler.remove_dead(&is_alive);
-                }
+            for (_, _, node) in nodes {
+                node.sampler.remove_dead(&is_alive);
             }
         }
 
@@ -1809,6 +1660,16 @@ mod tests {
         }
     }
 
+    /// FNV-1a-64 of a run's record bytes followed by the bits of `extra`
+    /// (final accuracies): the pin the tests below hold a run to.
+    fn run_hash(record: &RunRecord, extra: &[f64]) -> u64 {
+        let bytes = record.to_json().into_bytes().into_iter();
+        let bytes = bytes.chain(extra.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+        bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn construction_populates_and_bootstraps() {
         let engine = Engine::new(small_cfg(64, 4, 1), ProtocolKind::ModJk).unwrap();
@@ -1878,20 +1739,6 @@ mod tests {
         let c = run(8);
         assert_eq!(a, b, "same seed, same record");
         assert_ne!(a, c, "different seed, different record");
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_to_sequential() {
-        let run = |shards| {
-            let mut cfg = small_cfg(128, 4, 99);
-            cfg.shards = shards;
-            let mut e = Engine::new(cfg, ProtocolKind::Ranking).unwrap();
-            e.run(12)
-        };
-        let sequential = run(1);
-        for shards in [2, 3, 4, 7] {
-            assert_eq!(sequential, run(shards), "shards = {shards} diverged");
-        }
     }
 
     #[test]
@@ -2218,21 +2065,21 @@ mod tests {
         assert_eq!(engine.corrupt_boundary_nodes(0.0, 10.0), 0);
     }
 
+    // The three runs below are pinned to hashes captured on the commit
+    // before the engine became single-threaded, where each was also checked
+    // byte-identical at 2 and 4 worker threads.
+
     #[test]
-    fn corruption_is_deterministic_across_shard_counts() {
-        let run = |shards| {
-            let mut cfg = small_cfg(128, 4, 61);
-            cfg.shards = shards;
-            let mut e = Engine::new(cfg, ProtocolKind::ModJk).unwrap();
-            e.run(5);
-            e.corrupt_nodes(0.2, 10.0);
-            let record = e.run(10);
-            (record, e.honest_accuracy(), e.accuracy())
-        };
-        let sequential = run(1);
-        for shards in [2, 4] {
-            assert_eq!(sequential, run(shards), "shards = {shards} diverged");
-        }
+    fn corruption_run_is_pinned() {
+        let mut e = Engine::new(small_cfg(128, 4, 61), ProtocolKind::ModJk).unwrap();
+        e.run(5);
+        e.corrupt_nodes(0.2, 10.0);
+        let record = e.run(10);
+        let hash = run_hash(&record, &[e.honest_accuracy(), e.accuracy()]);
+        assert_eq!(
+            hash, 0xab20_817b_a0e0_8c2e,
+            "record bytes changed (got {hash:#018x})"
+        );
     }
 
     #[test]
@@ -2303,23 +2150,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_is_deterministic_across_shard_counts() {
-        let run = |shards| {
-            let mut cfg = small_cfg(128, 4, 74);
-            cfg.shards = shards;
-            let mut e = Engine::new(cfg, ProtocolKind::decay(0.98)).unwrap();
-            e.run(5);
-            e.set_network_partition(2, Some(12)).unwrap();
-            e.set_drop_rate(0.05).unwrap();
-            e.set_region_latency(1, LatencyModel::Uniform { min: 1, max: 2 })
-                .unwrap();
-            let record = e.run(15);
-            (record, e.accuracy())
-        };
-        let sequential = run(1);
-        for shards in [2, 4] {
-            assert_eq!(sequential, run(shards), "shards = {shards} diverged");
-        }
+    fn fault_injection_run_is_pinned() {
+        let mut e = Engine::new(small_cfg(128, 4, 74), ProtocolKind::decay(0.98)).unwrap();
+        e.run(5);
+        e.set_network_partition(2, Some(12)).unwrap();
+        e.set_drop_rate(0.05).unwrap();
+        e.set_region_latency(1, LatencyModel::Uniform { min: 1, max: 2 })
+            .unwrap();
+        let record = e.run(15);
+        let hash = run_hash(&record, &[e.accuracy()]);
+        assert_eq!(
+            hash, 0x5aab_2de4_a5a1_a186,
+            "record bytes changed (got {hash:#018x})"
+        );
     }
 
     #[test]
@@ -2371,27 +2214,24 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_corruption_is_deterministic_across_shard_counts() {
-        let run = |shards| {
-            let mut cfg = small_cfg(128, 4, 66);
-            cfg.shards = shards;
-            let mut e = Engine::new(cfg, ProtocolKind::RobustRanking { window: 16 }).unwrap();
-            e.run(5);
-            e.corrupt_adaptive(
-                0.2,
-                AttackerSpec::Drifter {
-                    inflation: 4.0,
-                    step: 0.25,
-                    epoch: 4,
-                },
-            );
-            let record = e.run(10);
-            (record, e.honest_accuracy(), e.accuracy())
-        };
-        let sequential = run(1);
-        for shards in [2, 4] {
-            assert_eq!(sequential, run(shards), "shards = {shards} diverged");
-        }
+    fn adaptive_corruption_run_is_pinned() {
+        let kind = ProtocolKind::RobustRanking { window: 16 };
+        let mut e = Engine::new(small_cfg(128, 4, 66), kind).unwrap();
+        e.run(5);
+        e.corrupt_adaptive(
+            0.2,
+            AttackerSpec::Drifter {
+                inflation: 4.0,
+                step: 0.25,
+                epoch: 4,
+            },
+        );
+        let record = e.run(10);
+        let hash = run_hash(&record, &[e.honest_accuracy(), e.accuracy()]);
+        assert_eq!(
+            hash, 0xe7ef_d4cc_7cff_df04,
+            "record bytes changed (got {hash:#018x})"
+        );
     }
 
     #[test]

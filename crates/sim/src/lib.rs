@@ -10,10 +10,9 @@
 //! attribute values (§5.3.3). This crate rebuilds that harness natively:
 //!
 //! * [`Engine`] — the cycle scheduler: churn step, membership shuffle,
-//!   a node-local active phase, message routing, metrics. Node state lives
-//!   in a dense slab ([`dslice_core::NodeSlab`]) and the active phase can
-//!   be sharded across worker threads ([`SimConfig::shards`]) with **no**
-//!   effect on the simulated result.
+//!   a node-local active phase, message routing, metrics, all on one
+//!   thread in one fixed order. Node state lives in a dense slab
+//!   ([`dslice_core::NodeSlab`]).
 //! * [`Concurrency`] — `None` (atomic exchanges, fresh views), `Half`
 //!   (each message overlaps with probability ½) and `Full` (all messages
 //!   overlap), matching §4.5.2.
@@ -33,7 +32,7 @@
 //! [`StdRng`](rand::rngs::StdRng), while each node's active step draws
 //! from its own counter-based stream keyed by `(seed, node id, cycle)`
 //! ([`stream::NodeRng`]) — so runs are exactly reproducible from
-//! `(config, seed)` at **any** shard count.
+//! `(config, seed)`.
 //!
 //! ## Example: mod-JK at small scale
 //!

@@ -4,10 +4,9 @@
 //! stream for the active phase of every cycle, derived purely from
 //! `(run seed, node id, cycle, salt)`. Two consequences:
 //!
-//! * active steps no longer contend on one shared `StdRng`, so the active
-//!   phase can be partitioned across worker threads with **no** ordering
-//!   sensitivity — any shard count consumes exactly the same per-node
-//!   streams and therefore produces byte-identical runs;
+//! * a node's active step draws the same values whatever the other nodes
+//!   drew before it, so the order of the active sweep is not part of the
+//!   stream;
 //! * the draws a node makes are independent of how many draws other nodes
 //!   make, so adding a protocol that samples more (or less) does not
 //!   perturb the streams of unrelated nodes.

@@ -1,7 +1,7 @@
 //! Property tests for the scale engine: sampling, slab aliasing, churn
 //! arithmetic, and the membership exchange schedule.
 //!
-//! Invariants the slab/stream/shard rework must never break:
+//! Invariants the slab and stream rework must never break:
 //!
 //! * the per-node entry sampler never hands a node itself or a duplicate;
 //! * slot reuse under arbitrary churn sequences never aliases two live

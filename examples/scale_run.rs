@@ -2,30 +2,22 @@
 //! algorithm — ten times the paper's population (§4.5 runs 10⁴).
 //!
 //! Demonstrates the engine's scale architecture end to end: slab-backed
-//! node storage, per-node RNG streams, a sharded active phase, and a sparse
-//! metrics cadence. The shard count is tunable via the first CLI argument
-//! (default 4) and **never changes the simulated result** — only the
-//! wall-clock. Run with:
+//! node storage, per-node RNG streams and a sparse metrics cadence. Run
+//! with:
 //!
 //! ```text
-//! cargo run --release --example scale_run [shards]
+//! cargo run --release --example scale_run
 //! ```
 
 use dslice::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let shards: usize = std::env::args()
-        .nth(1)
-        .map(|raw| raw.parse().expect("shards must be a positive integer"))
-        .unwrap_or(4);
-
     let cfg = SimConfig {
         n: 100_000,
         view_size: 10,
         partition: Partition::equal(100).unwrap(),
         seed: 0xD51CE,
-        shards,
         // Measure every 10th cycle: the evaluation oracle (global sort for
         // the GDM) is the one O(n log n) piece, so at scale it runs on a
         // cadence while the protocol itself stays O(n) per cycle.
@@ -34,7 +26,7 @@ fn main() {
     };
 
     println!(
-        "scale run: n = {}, slices = {}, view = {}, shards = {shards}",
+        "scale run: n = {}, slices = {}, view = {}",
         cfg.n,
         cfg.partition.len(),
         cfg.view_size,

@@ -1,26 +1,23 @@
 //! Golden determinism tests: the engine's headline contract.
 //!
 //! Identical `(config, protocol, churn, seed)` must yield identical runs,
-//! **byte for byte** in the serialized [`RunRecord`] — and the shard count
-//! must be invisible: with the membership phase *and* the active sweep (view
-//! refresh included) sharded, `shards ∈ {2, 4, 8}` must reproduce the sequential run
-//! (`shards = 1`) exactly, across every protocol family, every
-//! peer-sampling substrate, and under churn, concurrency and latency. These
-//! tests lock the contract down at the serialization boundary, where any
-//! drift (a reordered float sum, a scheduling-dependent RNG draw, a
-//! hash-ordered iteration, a batch-order-sensitive exchange) becomes a
-//! visible diff.
+//! **byte for byte** in the serialized [`RunRecord`]. These tests lock the
+//! contract down at the serialization boundary, where any drift (a
+//! reordered float sum, a scheduling-dependent RNG draw, a hash-ordered
+//! iteration, a batch-order-sensitive exchange) becomes a visible diff:
+//! reruns are compared with each other, and the records of every protocol
+//! family, every peer-sampling substrate, and runs under churn, concurrency
+//! and latency are held to pinned hashes.
 
 use dslice::prelude::*;
 use dslice::sim::churn::ChurnSchedule;
 
-fn base_cfg(seed: u64, shards: usize) -> SimConfig {
+fn base_cfg(seed: u64) -> SimConfig {
     SimConfig {
         n: 200,
         view_size: 10,
         partition: Partition::equal(8).unwrap(),
         seed,
-        shards,
         ..SimConfig::default()
     }
 }
@@ -53,99 +50,80 @@ fn golden(
 #[test]
 fn same_inputs_twice_are_byte_identical() {
     for kind in [ProtocolKind::Ranking, ProtocolKind::Jk, ProtocolKind::ModJk] {
-        let a = golden(base_cfg(42, 1), kind, Some(churned(0.05)), 25);
-        let b = golden(base_cfg(42, 1), kind, Some(churned(0.05)), 25);
+        let a = golden(base_cfg(42), kind, Some(churned(0.05)), 25);
+        let b = golden(base_cfg(42), kind, Some(churned(0.05)), 25);
         assert_eq!(a, b, "{}: same inputs must reproduce exactly", kind.label());
-        let c = golden(base_cfg(43, 1), kind, Some(churned(0.05)), 25);
+        let c = golden(base_cfg(43), kind, Some(churned(0.05)), 25);
         assert_ne!(a, c, "{}: a different seed must show", kind.label());
     }
 }
 
+// The small-population pins below were captured on the commit before the
+// engine became single-threaded, where each of these records was also
+// checked byte-identical at 2, 4 and 8 worker threads.
+
 #[test]
-fn sharded_runs_match_sequential_for_every_protocol() {
-    for kind in [ProtocolKind::Ranking, ProtocolKind::Jk, ProtocolKind::ModJk] {
-        let sequential = golden(base_cfg(7, 1), kind, None, 20);
-        let sharded = golden(base_cfg(7, 4), kind, None, 20);
-        assert_eq!(
-            sequential,
-            sharded,
-            "{}: shards=4 must be byte-identical to shards=1",
-            kind.label()
+fn every_family_record_is_pinned_at_200_nodes() {
+    let pins = [
+        (ProtocolKind::Ranking, 0x1c1d_bc34_5c14_285c),
+        (ProtocolKind::Jk, 0xaa2e_9cb9_d0c9_5862),
+        (ProtocolKind::ModJk, 0xe2aa_c8d5_fa64_5efa),
+    ];
+    for (kind, pinned) in pins {
+        let record = golden(base_cfg(7), kind, None, 20);
+        assert_pinned(&record, pinned, kind.label());
+    }
+}
+
+#[test]
+fn churned_concurrent_delayed_records_are_pinned() {
+    let pins = [
+        (ProtocolKind::Ranking, 0xc68e_1cbe_56b3_11ce),
+        (ProtocolKind::Jk, 0xa42f_4e11_e4cb_b7e1),
+        (ProtocolKind::ModJk, 0xced8_267a_d986_89af),
+    ];
+    for (kind, pinned) in pins {
+        let mut cfg = base_cfg(1234);
+        cfg.concurrency = Concurrency::Half;
+        cfg.latency = LatencyModel::Uniform { min: 0, max: 2 };
+        let correlated = CorrelatedChurn::new(
+            ChurnSchedule {
+                rate: 0.03,
+                period: 3,
+                stop_after: None,
+            },
+            1.0,
         );
+        let record = golden(cfg, kind, Some(Box::new(correlated)), 30);
+        assert_pinned(&record, pinned, kind.label());
     }
 }
 
 #[test]
-fn sharding_is_invisible_under_churn_concurrency_and_latency() {
-    for kind in [ProtocolKind::Ranking, ProtocolKind::Jk, ProtocolKind::ModJk] {
-        let cfg = |shards| {
-            let mut cfg = base_cfg(1234, shards);
-            cfg.concurrency = Concurrency::Half;
-            cfg.latency = LatencyModel::Uniform { min: 0, max: 2 };
-            cfg
-        };
-        let correlated = || -> Box<dyn ChurnModel> {
-            Box::new(CorrelatedChurn::new(
-                ChurnSchedule {
-                    rate: 0.03,
-                    period: 3,
-                    stop_after: None,
-                },
-                1.0,
-            ))
-        };
-        let sequential = golden(cfg(1), kind, Some(correlated()), 30);
-        for shards in [2, 4, 8] {
-            let sharded = golden(cfg(shards), kind, Some(correlated()), 30);
-            assert_eq!(
-                sequential,
-                sharded,
-                "{}: shards={shards} diverged under churn+concurrency+latency",
-                kind.label()
-            );
-        }
-    }
+fn sparse_metrics_cadence_record_is_pinned() {
+    // The carried-forward disorder values of a sparse cadence come from
+    // the measured cycles alone.
+    let mut cfg = base_cfg(77);
+    cfg.metrics_every = 5;
+    let record = golden(cfg, ProtocolKind::Ranking, Some(churned(0.1)), 23);
+    assert_pinned(&record, 0xd7ef_9614_6d1d_2f53, "ranking, metrics every 5");
 }
 
 #[test]
-fn metrics_cadence_preserves_shard_identity() {
-    // A sparse metrics cadence must not interact with sharding: the
-    // carried-forward disorder values come from the same measured cycles.
-    let cfg = |shards| {
-        let mut cfg = base_cfg(77, shards);
-        cfg.metrics_every = 5;
-        cfg
-    };
-    let a = golden(cfg(1), ProtocolKind::Ranking, Some(churned(0.1)), 23);
-    let b = golden(cfg(4), ProtocolKind::Ranking, Some(churned(0.1)), 23);
-    assert_eq!(a, b);
-}
-
-#[test]
-fn sharded_membership_is_invisible_for_every_substrate() {
-    // The schedule-then-execute membership phase (and the sharded oracle
-    // refill and active-sweep view refresh) must be byte-invisible for every sampler,
-    // not just the default Cyclon variant — each substrate consumes its
-    // membership stream differently (aging, partner draw, digest draws).
-    for sampler in [
-        SamplerKind::Cyclon,
-        SamplerKind::Newscast,
-        SamplerKind::Lpbcast,
-        SamplerKind::UniformOracle,
-    ] {
-        let cfg = |shards| {
-            let mut cfg = base_cfg(2024, shards);
-            cfg.sampler = sampler;
-            cfg
-        };
-        let sequential = golden(cfg(1), ProtocolKind::Ranking, Some(churned(0.05)), 20);
-        for shards in [2, 4, 8] {
-            let sharded = golden(cfg(shards), ProtocolKind::Ranking, Some(churned(0.05)), 20);
-            assert_eq!(
-                sequential, sharded,
-                "sampler {sampler}: shards={shards} diverged"
-            );
-        }
+fn every_substrate_ranking_record_is_pinned() {
+    // Each substrate consumes its membership stream differently (aging,
+    // partner draw, digest draws; the oracle refills every view).
+    let pins = [
+        (SamplerKind::Cyclon, 0x8b8d_7234_a580_b179),
+        (SamplerKind::Newscast, 0x3d4e_676b_03c0_e010),
+        (SamplerKind::Lpbcast, 0x7472_817f_2ee9_9a83),
+        (SamplerKind::UniformOracle, 0xd26b_2833_4c1d_7374),
+    ];
+    for (sampler, pinned) in pins {
+        let mut cfg = base_cfg(2024);
+        cfg.sampler = sampler;
+        let record = golden(cfg, ProtocolKind::Ranking, Some(churned(0.05)), 20);
+        assert_pinned(&record, pinned, &format!("sampler {sampler}"));
     }
 }
 
@@ -153,9 +131,9 @@ fn sharded_membership_is_invisible_for_every_substrate() {
 fn phase_timings_do_not_perturb_the_run() {
     // Opt-in timings must be measurement, not intervention: the simulated
     // bytes with `time_phases` on, minus the timing fields themselves, must
-    // equal the run with timings off — at any shard count.
-    let cfg = |time_phases, shards| {
-        let mut cfg = base_cfg(99, shards);
+    // equal the run with timings off.
+    let cfg = |time_phases| {
+        let mut cfg = base_cfg(99);
         cfg.time_phases = time_phases;
         cfg
     };
@@ -167,30 +145,28 @@ fn phase_timings_do_not_perturb_the_run() {
         record.phase_ns = None;
         record
     };
-    let plain = Engine::new(cfg(false, 1), ProtocolKind::Ranking)
+    let plain = Engine::new(cfg(false), ProtocolKind::Ranking)
         .unwrap()
         .run(15);
-    for shards in [1, 4] {
-        let timed = Engine::new(cfg(true, shards), ProtocolKind::Ranking)
-            .unwrap()
-            .run(15);
-        assert!(
-            timed.cycles.iter().all(|c| c.timings.is_some()),
-            "time_phases must fill every cycle's breakdown"
-        );
-        assert_eq!(
-            strip(timed).to_json(),
-            plain.to_json(),
-            "timings leaked into the simulation (shards={shards})"
-        );
-    }
+    let timed = Engine::new(cfg(true), ProtocolKind::Ranking)
+        .unwrap()
+        .run(15);
+    assert!(
+        timed.cycles.iter().all(|c| c.timings.is_some()),
+        "time_phases must fill every cycle's breakdown"
+    );
+    assert_eq!(
+        strip(timed).to_json(),
+        plain.to_json(),
+        "timings leaked into the simulation"
+    );
 }
 
 #[test]
 fn golden_record_roundtrips_through_json() {
     // The golden bytes are not just stable — they parse back to the same
     // record, so goldens can be archived and diffed structurally.
-    let mut engine = Engine::new(base_cfg(5, 2), ProtocolKind::Ranking).unwrap();
+    let mut engine = Engine::new(base_cfg(5), ProtocolKind::Ranking).unwrap();
     let record = engine.run(10);
     let parsed: RunRecord = serde_json::from_str(&record.to_json()).unwrap();
     assert_eq!(parsed, record);
@@ -204,8 +180,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs `kind` at n = 5000 for 20 cycles at shards 1 and 4 and compares the
-/// FNV-1a-64 of the serialized record with `pinned`.
+/// Asserts that the FNV-1a-64 of `record` is `pinned`.
+fn assert_pinned(record: &str, pinned: u64, what: &str) {
+    let hash = fnv1a64(record.as_bytes());
+    assert_eq!(
+        hash, pinned,
+        "{what}: record bytes changed (got {hash:#018x})"
+    );
+}
+
+/// Runs `kind` at n = 5000 for 20 cycles and compares the FNV-1a-64 of the
+/// serialized record with `pinned`.
 ///
 /// The scenario goldens stop at n ≤ 1000, where a slab never recycles more
 /// than a handful of slots. These pins hold the record past the golden
@@ -233,34 +218,25 @@ fn assert_pinned_with(
     pinned: u64,
     tweak: impl Fn(&mut SimConfig),
 ) {
-    for shards in [1, 4] {
-        let mut cfg = SimConfig {
-            n: 5000,
-            view_size: 10,
-            partition: Partition::equal(20).unwrap(),
-            seed: 4242,
-            shards,
-            ..SimConfig::default()
-        };
-        tweak(&mut cfg);
-        let churn = churn_rate.map(|rate| -> Box<dyn ChurnModel> {
-            Box::new(UncorrelatedChurn::new(
-                ChurnSchedule {
-                    rate,
-                    period: 1,
-                    stop_after: None,
-                },
-                AttributeDistribution::default(),
-            ))
-        });
-        let hash = fnv1a64(golden(cfg, kind, churn, 20).as_bytes());
-        assert_eq!(
-            hash,
-            pinned,
-            "{}, shards={shards}: record bytes changed (got {hash:#018x})",
-            kind.label()
-        );
-    }
+    let mut cfg = SimConfig {
+        n: 5000,
+        view_size: 10,
+        partition: Partition::equal(20).unwrap(),
+        seed: 4242,
+        ..SimConfig::default()
+    };
+    tweak(&mut cfg);
+    let churn = churn_rate.map(|rate| -> Box<dyn ChurnModel> {
+        Box::new(UncorrelatedChurn::new(
+            ChurnSchedule {
+                rate,
+                period: 1,
+                stop_after: None,
+            },
+            AttributeDistribution::default(),
+        ))
+    });
+    assert_pinned(&golden(cfg, kind, churn, 20), pinned, kind.label());
 }
 
 #[test]

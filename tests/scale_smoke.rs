@@ -17,7 +17,6 @@ fn hundred_k_nodes_ten_cycles_converges() {
         view_size: 10,
         partition: Partition::equal(100).unwrap(),
         seed: 0x5CA1E,
-        shards: 4,
         metrics_every: 5,
         ..SimConfig::default()
     };
@@ -41,7 +40,6 @@ fn churning_hundred_k_run_keeps_memory_bounded() {
         view_size: 10,
         partition: Partition::equal(100).unwrap(),
         seed: 0xB0B,
-        shards: 4,
         metrics_every: 5,
         ..SimConfig::default()
     };

@@ -2,11 +2,11 @@
 //!
 //! Runtimes (the cycle simulator, the network runtime, the benches) pick a
 //! protocol by [`ProtocolKind`] and instantiate nodes through
-//! [`ProtocolKind::build`], which hides the per-variant constructor details
-//! behind `Box<dyn SliceProtocol>`.
+//! [`AnyProtocol::new`] (inline, for node storage) or
+//! [`ProtocolKind::build`] (the same instance behind `Box<dyn
+//! SliceProtocol>`), which hide the per-variant constructor details.
 
-use crate::ranking::RobustFilter;
-use crate::{DecayRanking, Ordering, Ranking, SlidingRanking};
+use crate::AnyProtocol;
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{Attribute, Error, NodeId, Partition, Result};
 use rand::Rng;
@@ -210,9 +210,10 @@ impl ProtocolKind {
         }
     }
 
-    /// Instantiates a protocol node. The initial random value (used directly
-    /// by the ordering algorithms, and as the pre-sample fallback by the
-    /// ranking ones) is drawn from `rng`.
+    /// Instantiates a protocol node behind a trait object: a boxed
+    /// [`AnyProtocol::new`], the one construction path. The initial random
+    /// value (used directly by the ordering algorithms, and as the
+    /// pre-sample fallback by the ranking ones) is drawn from `rng`.
     pub fn build<R: Rng + ?Sized>(
         &self,
         id: NodeId,
@@ -220,54 +221,7 @@ impl ProtocolKind {
         partition: &Partition,
         rng: &mut R,
     ) -> Box<dyn SliceProtocol> {
-        let initial = 1.0 - rng.gen::<f64>(); // (0, 1]
-        match *self {
-            ProtocolKind::Jk => Box::new(Ordering::jk(id, attribute, initial)),
-            ProtocolKind::ModJk => Box::new(Ordering::mod_jk(id, attribute, initial)),
-            ProtocolKind::ModJkLive {
-                strike_limit,
-                cooldown,
-            } => Box::new(Ordering::mod_jk_live(
-                id,
-                attribute,
-                initial,
-                strike_limit,
-                cooldown as u64,
-            )),
-            ProtocolKind::Ranking => {
-                Box::new(Ranking::new(id, attribute, initial, partition.clone()))
-            }
-            ProtocolKind::RankingUniform => Box::new(
-                Ranking::new(id, attribute, initial, partition.clone())
-                    .with_targeting(crate::ranking::Targeting::TwoRandom),
-            ),
-            ProtocolKind::SlidingRanking { window } => Box::new(SlidingRanking::with_window(
-                id,
-                attribute,
-                initial,
-                partition.clone(),
-                window,
-            )),
-            ProtocolKind::DecayRanking { lambda_ppm } => Box::new(DecayRanking::with_lambda(
-                id,
-                attribute,
-                initial,
-                partition.clone(),
-                lambda_ppm as f64 / 1e6,
-            )),
-            ProtocolKind::RobustRanking { window } => Box::new(
-                Ranking::new(id, attribute, initial, partition.clone())
-                    .with_filter(RobustFilter::new(window)),
-            ),
-            ProtocolKind::TrimmedRanking { window, trim_ppm } => Box::new(
-                Ranking::new(id, attribute, initial, partition.clone())
-                    .with_filter(RobustFilter::trimmed(window, trim_ppm as f64 / 1e6)),
-            ),
-            ProtocolKind::FencedTrimmedRanking { window, trim_ppm } => Box::new(
-                Ranking::new(id, attribute, initial, partition.clone())
-                    .with_filter(RobustFilter::fenced_trimmed(window, trim_ppm as f64 / 1e6)),
-            ),
-        }
+        Box::new(AnyProtocol::new(*self, id, attribute, partition, rng))
     }
 }
 

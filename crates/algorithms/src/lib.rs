@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod adversary;
+pub mod any;
 pub mod estimator;
 pub mod kind;
 pub mod liar;
@@ -70,6 +71,7 @@ pub mod window;
 pub use adversary::{
     Adaptive, AdaptiveAdversary, AttackPlan, AttackerSpec, Colluder, Drifter, Throttler,
 };
+pub use any::AnyProtocol;
 pub use estimator::{CounterEstimator, DecayEstimator, RankEstimator, WindowEstimator};
 pub use kind::ProtocolKind;
 pub use liar::Liar;

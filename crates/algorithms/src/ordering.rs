@@ -135,8 +135,9 @@ pub struct Ordering {
     /// the view rotates before the ACK returns).
     pending: Option<(NodeId, Attribute)>,
     /// Optional per-partner liveness tracking (the mod-JK-live defense);
-    /// `None` for the paper-faithful variants.
-    liveness: Option<Liveness>,
+    /// `None` for the paper-faithful variants. Boxed so the node stays
+    /// 64 bytes: the two maps would nearly triple it for every node.
+    liveness: Option<Box<Liveness>>,
 }
 
 impl Ordering {
@@ -185,7 +186,7 @@ impl Ordering {
 
     /// Attaches the swap-liveness defense (builder style).
     pub fn with_liveness(mut self, strike_limit: u32, cooldown: u64) -> Self {
-        self.liveness = Some(Liveness::new(strike_limit, cooldown));
+        self.liveness = Some(Box::new(Liveness::new(strike_limit, cooldown)));
         self
     }
 

@@ -182,6 +182,12 @@ impl<T> NodeSlab<T> {
         self.slots.get(slot)?.as_ref().map(|(_, v)| v)
     }
 
+    /// The id of the node stored in `slot`: `None` for a free, vacated or
+    /// out-of-range slot, as for [`slot`](NodeSlab::slot).
+    pub fn id_at(&self, slot: usize) -> Option<NodeId> {
+        self.slots.get(slot)?.as_ref().map(|(id, _)| *id)
+    }
+
     /// Mutable access to the state stored in `slot` (see
     /// [`slot`](NodeSlab::slot)).
     pub fn slot_mut(&mut self, slot: usize) -> Option<&mut T> {
@@ -510,6 +516,9 @@ mod tests {
         slab.insert(id(2), 20);
         slab.remove(id(1)); // slot 0 is now free
         assert_eq!(slab.slot(0), None);
+        assert_eq!(slab.id_at(0), None);
+        assert_eq!(slab.id_at(1), Some(id(2)));
+        assert_eq!(slab.id_at(7), None, "out of range");
         assert_eq!(slab.slot_mut(0), None);
         assert_eq!(slab.take_slot(0), None);
         assert_eq!(slab.slot(7), None, "out of range");

@@ -29,18 +29,21 @@
 //! interface (`initiate` → `handle_request` → `handle_reply`) that the
 //! network runtime drives over real sockets. The cycle simulator drives
 //! whole exchanges atomically through [`PeerSampler::exchange_local`], which
-//! two Cyclon samplers carry out as a swap of their views in place.
+//! two Cyclon samplers carry out as a swap of their views in place, and
+//! stores each node's sampler inline as an [`AnySampler`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod any;
 pub mod cyclon;
 pub mod lpbcast;
 pub mod newscast;
 pub mod sampler;
 pub mod uniform;
 
+pub use any::AnySampler;
 pub use cyclon::CyclonSampler;
 pub use lpbcast::LpbcastSampler;
 pub use newscast::NewscastSampler;
@@ -49,18 +52,14 @@ pub use uniform::UniformOracle;
 
 use dslice_core::{Attribute, NodeId, Result, ViewEntry};
 
-/// A boxed sampler, selected at runtime from a [`SamplerKind`].
+/// A boxed sampler, selected at runtime from a [`SamplerKind`]: a boxed
+/// [`AnySampler::new`], the one construction path.
 pub fn build_sampler(
     kind: SamplerKind,
     owner: NodeId,
     capacity: usize,
 ) -> Result<Box<dyn PeerSampler>> {
-    Ok(match kind {
-        SamplerKind::Cyclon => Box::new(CyclonSampler::new(owner, capacity)?),
-        SamplerKind::Newscast => Box::new(NewscastSampler::new(owner, capacity)?),
-        SamplerKind::Lpbcast => Box::new(LpbcastSampler::new(owner, capacity)?),
-        SamplerKind::UniformOracle => Box::new(UniformOracle::new(owner, capacity)?),
-    })
+    Ok(Box::new(AnySampler::new(kind, owner, capacity)?))
 }
 
 /// Convenience: the self-descriptor `⟨i, 0, a_i, r_i⟩` a node contributes to

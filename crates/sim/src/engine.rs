@@ -77,7 +77,14 @@
 //!
 //! Node state lives in a dense [`NodeSlab`]: contiguous slots walked in
 //! slot order each phase, an id → slot index, and a free list so churn
-//! reuses slots (slot storage is bounded by the peak population).
+//! reuses slots (slot storage is bounded by the peak population). Each slot
+//! holds its node whole: the protocol as an [`AnyProtocol`] and the sampler
+//! as an [`AnySampler`], closed enums over the concrete types stored inline
+//! — 120 bytes, no heap object per node but the view's entry buffer (and a
+//! box for the rare arms larger than a ranking node). The per-message and
+//! per-exchange records are small for the same reason: a queued message is
+//! a 32-byte `Copy` envelope of two `u32` rows and a three-variant payload,
+//! and a scheduled exchange is two `u32` slots and a stream, 16 bytes.
 //!
 //! **Every per-cycle touch of a node is O(1): at most one array index to
 //! find it, and no allocation.** A node's slot is stable while it lives, so
@@ -98,14 +105,14 @@
 //!
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
 //! membership exchanges visit nodes in random order. Each visit walks a
-//! chain — slab cell, then the protocol and sampler boxes, then the view's
-//! buffer — and each link is a cache miss the next one waits for, so one
-//! node at a time leaves the memory system mostly idle. Both loops
-//! therefore work in groups of `GATHER_AHEAD` (16) messages or exchanges:
-//! at the start of each group they read the next group's nodes — slab
-//! cell and published value, plus the first view entry for an exchange —
-//! and discard what they read, so those chains are in flight together
-//! while the current group runs.
+//! chain — the slab cell, which holds the protocol and sampler inline,
+//! then the view's buffer — and each link is a cache miss the next one
+//! waits for, so one node at a time leaves the memory system mostly idle.
+//! Both loops therefore work in groups of `GATHER_AHEAD` (16) messages or
+//! exchanges: at the start of each group they read the next group's nodes
+//! — slab cell and published value, plus the first view entry for an
+//! exchange — and discard what they read, so those chains are in flight
+//! together while the current group runs.
 //! The reads cannot change a result: they go through shared borrows and
 //! read-only accessors, draw no randomness, and leave the order of the
 //! work untouched.
@@ -135,13 +142,13 @@ use crate::fault::{BandPartition, NetworkFault};
 use crate::latency::LatencyModel;
 use crate::stats::{CycleStats, EventCounters, PhaseTimings, RunRecord};
 use crate::stream::NodeRng;
-use dslice_algorithms::{Adaptive, AttackerSpec, Liar};
+use dslice_algorithms::{Adaptive, AnyProtocol, AttackerSpec, Liar};
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
 use dslice_core::{
     metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewEntry,
 };
-use dslice_gossip::{build_sampler, ExchangeBuffers, PeerSampler, SamplerKind};
+use dslice_gossip::{AnySampler, ExchangeBuffers, PeerSampler, SamplerKind};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -159,10 +166,11 @@ const REPLAY_SALT: u64 = 1;
 /// execute), or the oracle's per-node refill sample.
 const MEMBERSHIP_SALT: u64 = 2;
 
-/// One simulated node: its protocol state plus its membership state.
+/// One simulated node: its protocol state plus its membership state, both
+/// inline in the slab cell (see the module docs on storage).
 struct SimNode {
-    proto: Box<dyn SliceProtocol>,
-    sampler: Box<dyn PeerSampler>,
+    proto: AnyProtocol,
+    sampler: AnySampler,
 }
 
 impl std::fmt::Debug for SimNode {
@@ -176,6 +184,21 @@ impl std::fmt::Debug for SimNode {
 }
 
 impl SimNode {
+    /// A fresh node running `kind` over the configured sampler — the one
+    /// construction path of the initial population and of churn joiners.
+    fn new(
+        cfg: &SimConfig,
+        kind: ProtocolKind,
+        id: NodeId,
+        attribute: Attribute,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        Ok(SimNode {
+            proto: AnyProtocol::new(kind, id, attribute, &cfg.partition, rng),
+            sampler: AnySampler::new(cfg.sampler, id, cfg.view_size)?,
+        })
+    }
+
     fn self_entry(&self) -> ViewEntry {
         ViewEntry::new(
             self.proto.id(),
@@ -197,7 +220,7 @@ struct EngineCtx<'a, R: RngCore> {
 
 impl<R: RngCore> Context for EngineCtx<'_, R> {
     fn send(&mut self, to: NodeId, msg: ProtocolMsg) {
-        self.out.push((to, msg));
+        self.out.push(Envelope::pack(to, msg));
     }
 
     fn rng(&mut self) -> &mut dyn RngCore {
@@ -213,8 +236,71 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
     }
 }
 
-/// An addressed protocol message on its way through the engine.
-type Envelope = (NodeId, ProtocolMsg);
+/// An addressed protocol message on its way through the engine, in 32
+/// bytes where `(NodeId, ProtocolMsg)` takes 48: both endpoints as `u32`
+/// rows — every id the engine issues is a slab row, below `u32::MAX` — and
+/// a payload without `ProtocolMsg`'s view variants, which no protocol
+/// sends (membership exchanges views in place). [`EngineCtx::send`] packs
+/// it; delivery unpacks it, so protocols only ever see [`ProtocolMsg`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Envelope {
+    to: u32,
+    from: u32,
+    payload: Payload,
+}
+
+/// What an [`Envelope`] carries: the sender-independent fields of the three
+/// [`ProtocolMsg`] variants a protocol sends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Payload {
+    SwapReq { r: f64, a: Attribute },
+    SwapAck { r: f64 },
+    Update { a: Attribute },
+}
+
+/// An engine-issued id as the `u32` row an [`Envelope`] stores.
+fn row(id: NodeId) -> u32 {
+    u32::try_from(id.as_u64()).expect("engine-issued ids are slab rows, below u32::MAX")
+}
+
+impl Envelope {
+    /// Packs a message a protocol sent to `to`.
+    fn pack(to: NodeId, msg: ProtocolMsg) -> Self {
+        let (from, payload) = match msg {
+            ProtocolMsg::SwapReq { from, r, a } => (from, Payload::SwapReq { r, a }),
+            ProtocolMsg::SwapAck { from, r } => (from, Payload::SwapAck { r }),
+            ProtocolMsg::Update { from, a } => (from, Payload::Update { a }),
+            ProtocolMsg::ViewReq { .. } | ProtocolMsg::ViewAck { .. } => {
+                unreachable!("views are exchanged in place, never sent as protocol messages")
+            }
+        };
+        Envelope {
+            to: row(to),
+            from: row(from),
+            payload,
+        }
+    }
+
+    /// The recipient.
+    fn recipient(&self) -> NodeId {
+        NodeId::new(self.to.into())
+    }
+
+    /// The sender.
+    fn sender(&self) -> NodeId {
+        NodeId::new(self.from.into())
+    }
+
+    /// The message as the protocol sent it.
+    fn message(&self) -> ProtocolMsg {
+        let from = self.sender();
+        match self.payload {
+            Payload::SwapReq { r, a } => ProtocolMsg::SwapReq { from, r, a },
+            Payload::SwapAck { r } => ProtocolMsg::SwapAck { from, r },
+            Payload::Update { a } => ProtocolMsg::Update { from, a },
+        }
+    }
+}
 
 /// Everything the active sweep sent, flat and in slot order: `ends[k]` is
 /// where the `k`-th sending node's messages end in `msgs` (silent nodes
@@ -225,16 +311,24 @@ struct Outbox {
     ends: Vec<usize>,
 }
 
-/// One scheduled membership exchange: the initiator, its chosen partner
-/// (with both slots resolved — nothing downstream looks an id up again),
-/// and the initiator's membership stream, carried from schedule to execute
-/// so the pair consumes exactly the draws a combined `initiate` would.
+/// One scheduled membership exchange, in 16 bytes: the slots of the
+/// initiator and its chosen partner (resolved once — nothing downstream
+/// looks an id up again, and the ids themselves are read back from the
+/// slab where needed) and the initiator's membership stream, carried from
+/// schedule to execute so the pair consumes exactly the draws a combined
+/// `initiate` would. Slots fit `u32`: the slab holds fewer slots than ids
+/// below `u32::MAX`.
 struct ScheduledExchange {
-    id: NodeId,
-    slot: usize,
-    partner: NodeId,
-    partner_slot: usize,
+    slot: u32,
+    partner_slot: u32,
     rng: NodeRng,
+}
+
+impl ScheduledExchange {
+    /// The initiator's and the partner's slots.
+    fn slots(&self) -> (usize, usize) {
+        (self.slot as usize, self.partner_slot as usize)
+    }
 }
 
 /// Group size of the look-ahead reads: while the delivery loop routes one
@@ -242,18 +336,18 @@ struct ScheduledExchange {
 /// of this many exchanges, the next group's node state is read.
 const GATHER_AHEAD: usize = 16;
 
-/// Reads what delivering a message to `node` touches — its slab cell and
-/// its protocol state — and discards it (see the module docs on look-ahead
-/// reads). A read-only accessor through a shared borrow: no write, no RNG
-/// draw, no change to the order of work.
+/// Reads what delivering a message to `node` touches — its slab cell,
+/// which holds its protocol state inline — and discards it (see the module
+/// docs on look-ahead reads). A read-only accessor through a shared borrow:
+/// no write, no RNG draw, no change to the order of work.
 fn gather_recipient(node: Option<&SimNode>) {
     if let Some(node) = node {
         black_box(node.proto.published_value());
     }
 }
 
-/// [`gather_recipient`] plus the head of the node's view, which an exchange
-/// reads and rewrites.
+/// [`gather_recipient`] plus the head of the node's view buffer, the one
+/// link beyond the slab cell, which an exchange reads and rewrites.
 fn gather_exchanger(node: Option<&SimNode>) {
     gather_recipient(node);
     if let Some(node) = node {
@@ -271,12 +365,13 @@ fn exchange_in_place(
     scheduled: &ScheduledExchange,
     bufs: &mut ExchangeBuffers,
 ) {
-    if let Some(mut pair) = nodes.take_pair_slots(scheduled.slot, scheduled.partner_slot) {
+    let (slot, partner_slot) = scheduled.slots();
+    if let Some(mut pair) = nodes.take_pair_slots(slot, partner_slot) {
         let (self_entry, partner_entry) = (pair.a.self_entry(), pair.b.self_entry());
         let rng = &mut scheduled.rng.clone();
         pair.a
             .sampler
-            .exchange_local(self_entry, &mut *pair.b.sampler, partner_entry, rng, bufs);
+            .exchange_local(self_entry, &mut pair.b.sampler, partner_entry, rng, bufs);
         nodes.put_back_pair(pair);
     }
 }
@@ -327,7 +422,7 @@ struct Scratch {
     due: Vec<Envelope>,
     /// Latency-drain split: messages still in flight (swapped with
     /// `in_flight` each cycle).
-    flying: Vec<(usize, NodeId, ProtocolMsg)>,
+    flying: Vec<(usize, Envelope)>,
     /// Work queue shared by the drain, delivery and deferred phases.
     queue: VecDeque<Envelope>,
     /// Overlap-deferred messages awaiting the end-of-cycle drain.
@@ -348,10 +443,11 @@ struct Scratch {
     /// Batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
     masks: Vec<u128>,
     /// Conflict-free batches, as indices into `scheduled`.
-    batches: Vec<Vec<usize>>,
+    batches: Vec<Vec<u32>>,
     /// Pairs beyond the 128-batch bitmask (pathological in-degree),
-    /// executed sequentially after the batches.
-    overflow: Vec<usize>,
+    /// executed sequentially after the batches, as indices into
+    /// `scheduled`.
+    overflow: Vec<u32>,
     /// Membership execute: the request/reply payload buffers.
     exchange_bufs: ExchangeBuffers,
     /// Oracle refill: the cycle's population snapshot as view entries.
@@ -398,8 +494,8 @@ pub struct Engine {
     /// Incrementally maintained attribute ranks / true slices (churn-fed).
     ranks: metrics::RankCache,
     /// Messages delayed across cycles by the latency model:
-    /// `(deliver_at_cycle, recipient, payload)`.
-    in_flight: Vec<(usize, NodeId, ProtocolMsg)>,
+    /// `(deliver_at_cycle, message)`.
+    in_flight: Vec<(usize, Envelope)>,
     /// Last fully computed disorder values (repeated on cycles the metrics
     /// cadence skips).
     last_sdm: f64,
@@ -445,9 +541,7 @@ impl Engine {
         let ids = alloc.allocate_many(cfg.n);
         for &id in &ids {
             let attribute = cfg.distribution.sample(&mut rng);
-            let proto = kind.build(id, attribute, &cfg.partition, &mut rng);
-            let sampler = build_sampler(cfg.sampler, id, cfg.view_size)?;
-            nodes.insert(id, SimNode { proto, sampler });
+            nodes.insert(id, SimNode::new(&cfg, kind, id, attribute, &mut rng)?);
         }
 
         let mut ranks = metrics::RankCache::new();
@@ -639,7 +733,9 @@ impl Engine {
     /// damage on the honest majority.
     pub fn corrupt_nodes(&mut self, fraction: f64, inflation: f64) -> usize {
         let chosen = self.draw_honest(fraction);
-        self.make_liars(&chosen, |proto| Box::new(Liar::new(proto, inflation)));
+        self.make_liars(&chosen, |proto| {
+            Liar::new(Box::new(proto), inflation).into()
+        });
         chosen.len()
     }
 
@@ -683,7 +779,9 @@ impl Engine {
         honest.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut chosen: Vec<NodeId> = honest[..count].iter().map(|&(_, id)| id).collect();
         chosen.sort_unstable();
-        self.make_liars(&chosen, |proto| Box::new(Liar::new(proto, inflation)));
+        self.make_liars(&chosen, |proto| {
+            Liar::new(Box::new(proto), inflation).into()
+        });
         count
     }
 
@@ -706,7 +804,7 @@ impl Engine {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid attacker spec: {e}"));
         let chosen = self.draw_honest(fraction);
-        self.make_liars(&chosen, |proto| Box::new(Adaptive::new(proto, spec)));
+        self.make_liars(&chosen, |proto| Adaptive::new(Box::new(proto), spec).into());
         chosen.len()
     }
 
@@ -736,11 +834,7 @@ impl Engine {
 
     /// Wraps each listed live node's protocol with `wrap` and registers the
     /// node in the liar set.
-    fn make_liars(
-        &mut self,
-        chosen: &[NodeId],
-        wrap: impl Fn(Box<dyn SliceProtocol>) -> Box<dyn SliceProtocol>,
-    ) {
+    fn make_liars(&mut self, chosen: &[NodeId], wrap: impl Fn(AnyProtocol) -> AnyProtocol) {
         for &id in chosen {
             let Some((slot, node)) = self.nodes.take(id) else {
                 continue;
@@ -907,11 +1001,11 @@ impl Engine {
         due.clear();
         let mut flying = mem::take(&mut self.scratch.flying);
         flying.clear();
-        for (at, to, msg) in self.in_flight.drain(..) {
+        for (at, envelope) in self.in_flight.drain(..) {
             if at <= self.cycle {
-                due.push((to, msg));
+                due.push(envelope);
             } else {
-                flying.push((at, to, msg));
+                flying.push((at, envelope));
             }
         }
         // The drained vector keeps its capacity for next cycle's split.
@@ -969,13 +1063,13 @@ impl Engine {
             while sent < end {
                 if sent % GATHER_AHEAD == 0 {
                     let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
-                    for (to, _) in next.take(GATHER_AHEAD) {
-                        gather_recipient(self.nodes.get(*to));
+                    for envelope in next.take(GATHER_AHEAD) {
+                        gather_recipient(self.nodes.get(envelope.recipient()));
                     }
                 }
-                let (to, msg) = msgs.next().expect("`ends` stay within the outbox");
+                let envelope = msgs.next().expect("`ends` stay within the outbox");
                 sent += 1;
-                if let Some(now) = self.route(to, msg, &mut deferred, &mut dropped) {
+                if let Some(now) = self.route(envelope, &mut deferred, &mut dropped) {
                     queue.push_back(now);
                 }
             }
@@ -1126,11 +1220,10 @@ impl Engine {
                 continue;
             };
             match lookup.slot_of(partner) {
+                // Slots are below `u32::MAX` (see `ScheduledExchange`).
                 Some(partner_slot) => scheduled.push(ScheduledExchange {
-                    id,
-                    slot,
-                    partner,
-                    partner_slot,
+                    slot: slot as u32,
+                    partner_slot: partner_slot as u32,
                     rng,
                 }),
                 None => {
@@ -1152,7 +1245,8 @@ impl Engine {
                     .map(|n: &SimNode| partition.band_of(n.proto.attribute().value()))
             };
             scheduled.retain(|s| {
-                let connected = match (band_of(s.slot), band_of(s.partner_slot)) {
+                let (slot, partner_slot) = s.slots();
+                let connected = match (band_of(slot), band_of(partner_slot)) {
                     (Some(a), Some(b)) => a == b,
                     _ => false,
                 };
@@ -1179,14 +1273,17 @@ impl Engine {
         overflow.clear();
         let mut used_batches = 0usize;
         for (idx, s) in scheduled.iter().enumerate() {
-            let busy = masks[s.slot] | masks[s.partner_slot];
+            // One entry per live node: the index fits `u32` as slots do.
+            let idx = idx as u32;
+            let (slot, partner_slot) = s.slots();
+            let busy = masks[slot] | masks[partner_slot];
             let batch = (!busy).trailing_zeros() as usize;
             if batch >= 128 {
                 overflow.push(idx);
                 continue;
             }
-            masks[s.slot] |= 1 << batch;
-            masks[s.partner_slot] |= 1 << batch;
+            masks[slot] |= 1 << batch;
+            masks[partner_slot] |= 1 << batch;
             if batch >= batches.len() {
                 batches.push(Vec::new());
             }
@@ -1196,16 +1293,24 @@ impl Engine {
 
         if let Some(log) = &mut self.schedule_log {
             log.clear();
+            let id_at = |slot| {
+                let id = self.nodes.id_at(slot);
+                id.expect("scheduled slots are live").as_u64()
+            };
+            let ids = |idx: u32| {
+                let (slot, partner_slot) = scheduled[idx as usize].slots();
+                (id_at(slot), id_at(partner_slot))
+            };
             for (batch, members) in batches.iter().enumerate().take(used_batches) {
                 for &idx in members {
-                    let s = &scheduled[idx];
-                    log.push((s.id.as_u64(), s.partner.as_u64(), batch));
+                    let (id, partner) = ids(idx);
+                    log.push((id, partner, batch));
                 }
             }
             for (offset, &idx) in overflow.iter().enumerate() {
-                let s = &scheduled[idx];
+                let (id, partner) = ids(idx);
                 // Overflow pairs execute one at a time: singleton batches.
-                log.push((s.id.as_u64(), s.partner.as_u64(), 128 + offset));
+                log.push((id, partner, 128 + offset));
             }
         }
 
@@ -1216,16 +1321,16 @@ impl Engine {
             for (pos, &idx) in batch.iter().enumerate() {
                 if pos % GATHER_AHEAD == 0 {
                     for &next in batch.iter().skip(pos + GATHER_AHEAD).take(GATHER_AHEAD) {
-                        let s = &scheduled[next];
-                        gather_exchanger(self.nodes.slot(s.slot));
-                        gather_exchanger(self.nodes.slot(s.partner_slot));
+                        let (slot, partner_slot) = scheduled[next as usize].slots();
+                        gather_exchanger(self.nodes.slot(slot));
+                        gather_exchanger(self.nodes.slot(partner_slot));
                     }
                 }
-                exchange_in_place(&mut self.nodes, &scheduled[idx], bufs);
+                exchange_in_place(&mut self.nodes, &scheduled[idx as usize], bufs);
             }
         }
         for &idx in overflow.iter() {
-            exchange_in_place(&mut self.nodes, &scheduled[idx], bufs);
+            exchange_in_place(&mut self.nodes, &scheduled[idx as usize], bufs);
         }
 
         self.scratch.scheduled = scheduled;
@@ -1325,15 +1430,14 @@ impl Engine {
     /// immediate delivery.
     fn route(
         &mut self,
-        to: NodeId,
-        msg: ProtocolMsg,
+        envelope: Envelope,
         deferred: &mut Vec<Envelope>,
         dropped: &mut u64,
     ) -> Option<Envelope> {
         // Fault injection first: a quiet fault (the default) takes neither
         // branch and flips no coin, keeping fault-free runs byte-identical.
         if !self.fault.is_quiet() {
-            if self.fault_severed(to, &msg) {
+            if self.fault_severed(&envelope) {
                 *dropped += 1;
                 return None;
             }
@@ -1344,27 +1448,30 @@ impl Engine {
         if self.lost(dropped) {
             return None;
         }
-        let delay = self.delivery_latency(to).sample(&mut self.rng);
+        let delay = self
+            .delivery_latency(envelope.recipient())
+            .sample(&mut self.rng);
         if delay > 0 {
-            self.in_flight.push((self.cycle + delay as usize, to, msg));
+            self.in_flight.push((self.cycle + delay as usize, envelope));
             return None;
         }
         if self.cfg.concurrency.overlaps(&mut self.rng) {
-            deferred.push((to, msg));
+            deferred.push(envelope);
             return None;
         }
-        Some((to, msg))
+        Some(envelope)
     }
 
-    /// Whether `msg`'s delivery to `to` crosses an installed network
+    /// Whether `envelope`'s delivery crosses an installed network
     /// partition (both endpoints live in different attribute bands).
     /// Consumes no RNG; a departed endpoint is not this check's concern
     /// (delivery handles it).
-    fn fault_severed(&self, to: NodeId, msg: &ProtocolMsg) -> bool {
+    fn fault_severed(&self, envelope: &Envelope) -> bool {
         if self.fault.partition().is_none() {
             return false;
         }
-        match (self.nodes.get(msg.from()), self.nodes.get(to)) {
+        let (from, to) = (envelope.sender(), envelope.recipient());
+        match (self.nodes.get(from), self.nodes.get(to)) {
             (Some(f), Some(t)) => self
                 .fault
                 .severed(f.proto.attribute().value(), t.proto.attribute().value()),
@@ -1456,12 +1563,9 @@ impl Engine {
             let pool: Vec<NodeId> = self.nodes.ids().collect();
             for attribute in plan.joiners {
                 let id = self.alloc.allocate();
-                let proto = self
-                    .kind
-                    .build(id, attribute, &self.cfg.partition, &mut self.rng);
-                let sampler = build_sampler(self.cfg.sampler, id, self.cfg.view_size)
+                let node = SimNode::new(&self.cfg, self.kind, id, attribute, &mut self.rng)
                     .expect("validated capacity");
-                self.nodes.insert(id, SimNode { proto, sampler });
+                self.nodes.insert(id, node);
                 new_nodes.push((id, attribute));
             }
             for &(id, _) in &new_nodes {
@@ -1515,8 +1619,8 @@ impl Engine {
 
         let mut queue = mem::take(&mut self.scratch.replay_queue);
         queue.extend(out.drain(..));
-        while let Some((to, msg)) = queue.pop_front() {
-            self.deliver(to, msg, false, counters, dropped, &mut out);
+        while let Some(envelope) = queue.pop_front() {
+            self.deliver(envelope, false, counters, dropped, &mut out);
             queue.extend(out.drain(..));
         }
         self.scratch.replay_out = out;
@@ -1527,7 +1631,7 @@ impl Engine {
     /// immediate delivery join `queue`, overlapping ones `deferred`.
     fn deliver_and_route(
         &mut self,
-        (to, msg): Envelope,
+        envelope: Envelope,
         atomic: bool,
         queue: &mut VecDeque<Envelope>,
         deferred: &mut Vec<Envelope>,
@@ -1535,9 +1639,9 @@ impl Engine {
         dropped: &mut u64,
     ) {
         let mut responses = mem::take(&mut self.scratch.responses);
-        self.deliver(to, msg, atomic, counters, dropped, &mut responses);
-        for (to, msg) in responses.drain(..) {
-            if let Some(now) = self.route(to, msg, deferred, dropped) {
+        self.deliver(envelope, atomic, counters, dropped, &mut responses);
+        for response in responses.drain(..) {
+            if let Some(now) = self.route(response, deferred, dropped) {
                 queue.push_back(now);
             }
         }
@@ -1558,17 +1662,18 @@ impl Engine {
     /// other messages take the ordinary `on_message` path.
     fn deliver(
         &mut self,
-        to: NodeId,
-        msg: ProtocolMsg,
+        envelope: Envelope,
         atomic: bool,
         counters: &mut EventCounters,
         dropped: &mut u64,
         out: &mut Vec<Envelope>,
     ) {
-        if let ProtocolMsg::SwapReq { from, a, .. } = msg {
-            let (Some(to_slot), Some(from_slot)) =
-                (self.nodes.slot_of(to), self.nodes.slot_of(from))
-            else {
+        let to = envelope.recipient();
+        if let Payload::SwapReq { a, .. } = envelope.payload {
+            let (Some(to_slot), Some(from_slot)) = (
+                self.nodes.slot_of(to),
+                self.nodes.slot_of(envelope.sender()),
+            ) else {
                 // Either endpoint departed mid-flight: the exchange cannot
                 // complete; the message is lost.
                 *dropped += 1;
@@ -1603,7 +1708,8 @@ impl Engine {
                     out,
                     counters,
                 };
-                node.proto.on_message(node.sampler.view(), msg, &mut ctx);
+                node.proto
+                    .on_message(node.sampler.view(), envelope.message(), &mut ctx);
             }
             None => *dropped += 1,
         }
@@ -1683,6 +1789,41 @@ mod tests {
             );
             node.sampler.view().check_invariants(Some(id)).unwrap();
         }
+    }
+
+    #[test]
+    fn per_node_and_per_message_records_stay_small() {
+        use std::mem::size_of;
+        // Protocol (72) and sampler (48) inline; the slab cell adds the id.
+        assert_eq!(size_of::<SimNode>(), 120);
+        assert_eq!(size_of::<Envelope>(), 32);
+        assert_eq!(size_of::<ScheduledExchange>(), 16);
+    }
+
+    #[test]
+    fn envelopes_carry_protocol_messages_unchanged() {
+        let a = Attribute::new(7.5).unwrap();
+        let (to, from) = (NodeId::new(9), NodeId::new(u64::from(u32::MAX) - 1));
+        for msg in [
+            ProtocolMsg::SwapReq { from, r: 0.25, a },
+            ProtocolMsg::SwapAck { from, r: 0.75 },
+            ProtocolMsg::Update { from, a },
+        ] {
+            let envelope = Envelope::pack(to, msg.clone());
+            assert_eq!(envelope.recipient(), to);
+            assert_eq!(envelope.sender(), from);
+            assert_eq!(envelope.message(), msg);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slab rows")]
+    fn envelopes_refuse_ids_beyond_the_slab_rows() {
+        let update = ProtocolMsg::Update {
+            from: NodeId::new(1),
+            a: Attribute::new(1.0).unwrap(),
+        };
+        Envelope::pack(NodeId::new(1 << 32), update);
     }
 
     #[test]

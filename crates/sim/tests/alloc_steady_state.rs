@@ -8,6 +8,11 @@
 //! remains is a handful of per-cycle vectors whose *number* does not depend
 //! on `n` (the metrics snapshot and the slice tracker's bookkeeping) and,
 //! for mod-JK, the occasional replay buffer growing.
+//!
+//! Construction is held to a per-node count as well: `Engine::new` stores
+//! each node's protocol and sampler inline in its slab cell, so a node
+//! costs the allocations of its own buffers and nothing for the node
+//! itself.
 
 use dslice_core::Partition;
 use dslice_sim::{Engine, ProtocolKind, SimConfig};
@@ -95,5 +100,41 @@ fn steady_state_cycles_do_not_allocate_per_node() {
                 WARM_UP + cycle + 1,
             );
         }
+    }
+}
+
+/// Allocations `Engine::new` may make per node (measured: 9.0): the view's entry buffer and
+/// the bootstrap sampling's scratch. With the protocol and the sampler
+/// each in its own box the count was 11.0.
+const CONSTRUCTION_PER_NODE: f64 = 9.0;
+
+#[test]
+fn construction_allocates_a_fixed_number_of_times_per_node() {
+    for kind in [ProtocolKind::Ranking, ProtocolKind::ModJk] {
+        let spent = |n: usize| {
+            let cfg = SimConfig {
+                n,
+                view_size: 10,
+                partition: Partition::equal(20).unwrap(),
+                seed: 11,
+                ..SimConfig::default()
+            };
+            let before = allocations();
+            let engine = Engine::new(cfg, kind).unwrap();
+            let spent = allocations() - before;
+            drop(engine);
+            spent
+        };
+        // The difference between two populations is what each further
+        // node costs; the fixed buffers and their doublings cancel out to
+        // well under one allocation per node.
+        let (small, large) = (spent(2_000), spent(8_000));
+        let per_node = (large - small) as f64 / 6_000.0;
+        assert!(
+            per_node < CONSTRUCTION_PER_NODE + 0.05,
+            "{}: construction made {per_node:.3} allocations per node \
+             (ceiling {CONSTRUCTION_PER_NODE})",
+            kind.label(),
+        );
     }
 }

@@ -2,8 +2,10 @@
 //! algorithm — ten times the paper's population (§4.5 runs 10⁴).
 //!
 //! Demonstrates the engine's scale architecture end to end: slab-backed
-//! node storage, per-node RNG streams and a sparse metrics cadence. Run
-//! with:
+//! node storage, per-node RNG streams and a sparse metrics cadence. On
+//! Linux it also reports the process's peak resident set (`VmHWM`) and
+//! that peak per node, the figure a memory budget per node is held to.
+//! Run with:
 //!
 //! ```text
 //! cargo run --release --example scale_run
@@ -11,6 +13,18 @@
 
 use dslice::prelude::*;
 use std::time::Instant;
+
+/// Peak resident set size of this process in bytes (`VmHWM`), where the
+/// platform reports it.
+fn peak_rss_bytes() -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
 
 fn main() {
     let cfg = SimConfig {
@@ -57,6 +71,14 @@ fn main() {
         engine.sdm(),
         100.0 * engine.accuracy(),
     );
+    match peak_rss_bytes() {
+        Some(peak) => println!(
+            "peak RSS {:.1} MiB | {:.0} bytes per node",
+            peak as f64 / (1024.0 * 1024.0),
+            peak as f64 / engine.population() as f64,
+        ),
+        None => println!("peak RSS: not reported on this platform"),
+    }
 
     assert!(
         engine.sdm() < record.cycles[0].sdm / 4.0,

@@ -38,6 +38,8 @@ pub enum Error {
     ZeroViewCapacity,
     /// An operation referenced a node that does not exist.
     UnknownNode(crate::NodeId),
+    /// A raw node id at or above `u32::MAX`, beyond the id range.
+    IdOutOfRange(u64),
 }
 
 impl fmt::Display for Error {
@@ -57,6 +59,7 @@ impl fmt::Display for Error {
             Error::InvalidFault(msg) => write!(f, "invalid network fault: {msg}"),
             Error::ZeroViewCapacity => write!(f, "view capacity must be at least 1"),
             Error::UnknownNode(id) => write!(f, "unknown node {id}"),
+            Error::IdOutOfRange(raw) => write!(f, "node id {raw} is out of range"),
         }
     }
 }
@@ -99,6 +102,7 @@ mod tests {
             ),
             (Error::ZeroViewCapacity, "capacity"),
             (Error::UnknownNode(NodeId::new(3)), "3"),
+            (Error::IdOutOfRange(1 << 32), "4294967296"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

@@ -162,8 +162,8 @@ where
 /// random values. On churn-free cycles the maintenance cost is zero.
 ///
 /// The ranks are a column indexed by the raw node id, so every rank lookup
-/// is an array index: 4 bytes per identity ever tracked, and ids must lie
-/// below `u32::MAX` (the simulator issues them sequentially from 0).
+/// is an array index: 4 bytes per identity ever tracked (the simulator
+/// issues ids sequentially from 0).
 #[derive(Clone, Debug, Default)]
 pub struct RankCache {
     /// Live nodes in `A.sequence` order (sorted by `(attribute, id)`).
@@ -212,12 +212,12 @@ impl RankCache {
         if !leavers.is_empty() {
             // Untrack the leavers first; their zeroed rows then mark them.
             for &id in leavers {
-                if let Some(rank) = id.row().and_then(|row| self.ranks.get_mut(row)) {
+                if let Some(rank) = self.ranks.get_mut(id.row()) {
                     *rank = 0;
                 }
             }
             let ranks = &self.ranks;
-            self.sorted.retain(|key| ranks[key.id.dense_row()] != 0);
+            self.sorted.retain(|key| ranks[key.id.row()] != 0);
         }
         if !joiners.is_empty() {
             let mut incoming: Vec<AttributeKey> = joiners
@@ -251,7 +251,7 @@ impl RankCache {
     /// left are already 0.
     fn renumber(&mut self) {
         for (idx, key) in self.sorted.iter().enumerate() {
-            let row = key.id.dense_row();
+            let row = key.id.row();
             if row >= self.ranks.len() {
                 self.ranks.resize(row + 1, 0);
             }
@@ -262,7 +262,7 @@ impl RankCache {
 
     /// The 1-based attribute rank `α_i` of a live node.
     pub fn rank(&self, id: NodeId) -> Option<usize> {
-        let rank = *self.ranks.get(id.row()?)?;
+        let rank = *self.ranks.get(id.row())?;
         (rank != 0).then_some(rank as usize)
     }
 
@@ -350,7 +350,7 @@ impl RankCache {
             .iter()
             .enumerate()
             .map(|(pos, &(id, _, value))| {
-                (u128::from(value_key(value)) << 64) | (id.dense_row() as u128) << 32 | pos as u128
+                (u128::from(value_key(value)) << 64) | (id.row() as u128) << 32 | pos as u128
             })
             .collect();
         by_value.sort_unstable();
@@ -390,10 +390,9 @@ fn value_key(value: f64) -> u64 {
 /// their second appearance.
 ///
 /// The beliefs are a column of `(observation, slice)` stamps indexed by the
-/// raw node id (8 bytes per identity ever observed; ids must lie below
-/// `u32::MAX`), overwritten in place: a node's change counts only when its
-/// stamp comes from the immediately preceding observation, so nothing is
-/// rebuilt or cleared between cycles.
+/// raw node id (8 bytes per identity ever observed), overwritten in place:
+/// a node's change counts only when its stamp comes from the immediately
+/// preceding observation, so nothing is rebuilt or cleared between cycles.
 #[derive(Clone, Debug, Default)]
 pub struct SliceTracker {
     /// Per raw id: the observation that last saw the node (0 = never) and
@@ -432,7 +431,7 @@ impl SliceTracker {
         let (mut changes, mut len) = (0, 0);
         for &(id, _, est) in nodes {
             let slice = partition.slice_of(est).as_usize() as u32;
-            let row = id.dense_row();
+            let row = id.row();
             if row >= self.stamps.len() {
                 self.stamps.resize(row + 1, (0, 0));
             }

@@ -5,49 +5,69 @@
 //! order over attribute values: node `i` precedes node `j` iff
 //! `a_i < a_j`, or `a_i == a_j` and `i < j`.
 
+use crate::Error;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A unique node identifier.
 ///
-/// Identifiers are plain `u64`s. The simulator allocates them monotonically
-/// so that nodes joining under churn never reuse an identifier; the network
-/// runtime derives them from the listen address. Ordering on `NodeId` is the
+/// Identifiers are issued by the program, sequentially from 0: the
+/// simulator's [`NodeIdAllocator`] never reuses one under churn, and the
+/// network runtime's `LocalCluster` numbers its nodes the same way. An id
+/// is stored in 4 bytes and lies below `u32::MAX`, checked once when it is
+/// made ([`new`](Self::new) panics, `try_from` and deserialization return
+/// an error), so every id is a row of the id-indexed columns, which keep
+/// `u32::MAX` as their "absent" mark. Ordering on `NodeId` is the
 /// tie-breaking order of the paper's `A.sequence`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(u64);
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a node identifier from a raw integer.
-    pub const fn new(raw: u64) -> Self {
-        NodeId(raw)
+    ///
+    /// Panics, naming the id, at or above `u32::MAX`; use
+    /// [`NodeId::try_from`] for ids that did not come from the program.
+    pub fn new(raw: u64) -> Self {
+        NodeId::try_from(raw).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Returns the raw integer value of this identifier.
     pub const fn as_u64(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
-    /// This id as a row of an id-indexed column (`NodeSlab`'s index,
-    /// `RankCache`'s ranks, `SliceTracker`'s stamps), for storing into it.
-    ///
-    /// Panics, naming the id, at or above `u32::MAX`: those columns hold
-    /// identities the program issued itself, sequentially from 0, and a row
-    /// per id up to an arbitrary `u64` would exhaust memory.
-    pub(crate) fn dense_row(self) -> usize {
-        assert!(
-            self.0 < u64::from(u32::MAX),
-            "node {self} is beyond the id-indexed tables' range (ids must be below 2^32 - 1)"
-        );
+    /// This id as a row of an id-indexed column.
+    pub(crate) const fn row(self) -> usize {
         self.0 as usize
     }
+}
 
-    /// This id as a row of an id-indexed column, for looking it up: `None`
-    /// where no row can exist, so an unknown id is simply absent.
-    pub(crate) fn row(self) -> Option<usize> {
-        usize::try_from(self.0).ok()
+impl TryFrom<u64> for NodeId {
+    type Error = Error;
+
+    /// Refuses ids at or above `u32::MAX` with [`Error::IdOutOfRange`].
+    fn try_from(raw: u64) -> Result<Self, Error> {
+        match u32::try_from(raw) {
+            Ok(id) if id != u32::MAX => Ok(NodeId(id)),
+            _ => Err(Error::IdOutOfRange(raw)),
+        }
+    }
+}
+
+/// Hashes as the `u64` it widens to, so every hasher — [`NodeIdHasher`]'s
+/// `write_u64` in particular — sees the same input as for a `u64` id.
+impl Hash for NodeId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.as_u64());
+    }
+}
+
+/// Refuses an out-of-range id with an error: a peer's id must not panic the reader.
+impl Deserialize for NodeId {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        NodeId::try_from(u64::from_value(v)?).map_err(serde::Error::custom)
     }
 }
 
@@ -63,22 +83,16 @@ impl fmt::Display for NodeId {
     }
 }
 
-impl From<u64> for NodeId {
-    fn from(raw: u64) -> Self {
-        NodeId(raw)
-    }
-}
-
 impl From<NodeId> for u64 {
     fn from(id: NodeId) -> Self {
-        id.0
+        id.as_u64()
     }
 }
 
 /// A multiplicative (Fibonacci) hasher for maps keyed by [`NodeId`]s that the
 /// program issued itself.
 ///
-/// Simulated identities come from [`NodeIdAllocator`] — sequential `u64`s —
+/// Simulated identities come from [`NodeIdAllocator`] — sequential ids —
 /// so one multiplication by an odd constant spreads them over the table
 /// perfectly, at a fraction of SipHash's cost. It offers **no protection
 /// against keys crafted to collide**: never key a map of peer-supplied ids
@@ -134,7 +148,7 @@ impl NodeIdAllocator {
 
     /// Issues the next fresh identifier.
     pub fn allocate(&mut self) -> NodeId {
-        let id = NodeId(self.next);
+        let id = NodeId::new(self.next);
         self.next += 1;
         id
     }
@@ -145,8 +159,8 @@ impl NodeIdAllocator {
     }
 
     /// The id that the next call to [`allocate`](Self::allocate) will return.
-    pub const fn peek(&self) -> NodeId {
-        NodeId(self.next)
+    pub fn peek(&self) -> NodeId {
+        NodeId::new(self.next)
     }
 }
 
@@ -164,8 +178,63 @@ mod tests {
     fn node_id_roundtrips_through_u64() {
         let id = NodeId::new(42);
         assert_eq!(u64::from(id), 42);
-        assert_eq!(NodeId::from(42u64), id);
+        assert_eq!(NodeId::try_from(42u64), Ok(id));
         assert_eq!(id.as_u64(), 42);
+    }
+
+    #[test]
+    fn ids_are_four_bytes() {
+        assert_eq!(std::mem::size_of::<NodeId>(), 4);
+        assert_eq!(std::mem::size_of::<crate::ViewEntry>(), 24);
+    }
+
+    #[test]
+    fn try_from_and_deserialize_refuse_ids_beyond_the_range() {
+        use serde::Value;
+        let top = u64::from(u32::MAX);
+        assert_eq!(NodeId::try_from(top - 1).map(NodeId::as_u64), Ok(top - 1));
+        let last = Value::Int(top as i64 - 1);
+        assert_eq!(NodeId::from_value(&last).unwrap().as_u64(), top - 1);
+        for raw in [top, top + 1, u64::MAX] {
+            assert_eq!(NodeId::try_from(raw), Err(Error::IdOutOfRange(raw)));
+        }
+        for v in [
+            Value::Int(top as i64),
+            Value::Int(-1),
+            Value::UInt(u64::MAX),
+            Value::Float(0.5),
+            Value::Str("7".into()),
+        ] {
+            assert!(NodeId::from_value(&v).is_err(), "{v:?} accepted");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 4294967295 is out of range")]
+    fn new_panics_naming_an_id_beyond_the_range() {
+        NodeId::new(u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn hasher_input_is_the_widened_id() {
+        // Captured with the `u64`-backed id: `NodeIdSet`'s buckets and any
+        // hash-keyed order stay the same.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<NodeIdHasher>::default();
+        for (raw, hash) in [
+            (0u64, 0x0000_0000_0000_0000u64),
+            (1, 0x9e37_79b9_7f4a_7c15),
+            (2, 0x3c6e_f372_fe94_f82a),
+            (7, 0x5384_5412_7b09_6493),
+            (42, 0xf519_f86e_e238_5b72),
+            (1_000_000, 0xfd1e_b68e_4bd7_6f40),
+            (u64::from(u32::MAX) - 1, 0x42db_88a2_016b_07d6),
+        ] {
+            assert_eq!(build.hash_one(NodeId::new(raw)), hash, "id {raw}");
+        }
+        let mut pair = NodeIdHasher::default();
+        (NodeId::new(3), NodeId::new(5)).hash(&mut pair);
+        assert_eq!(pair.finish(), 0x4411_30ca_45dc_2fd6);
     }
 
     #[test]

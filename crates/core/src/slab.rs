@@ -27,8 +27,8 @@
 //! the raw id, [`u32::MAX`] marking an id that is not live. That is the
 //! right shape for identities the program issued itself, sequentially from
 //! 0 (the simulator's `NodeIdAllocator`): the index costs 4 bytes per
-//! identity ever issued, live or not, and ids at or above `u32::MAX` are
-//! refused. It is the wrong shape for peer-supplied ids.
+//! identity ever issued, live or not, and every `NodeId` lies below
+//! `u32::MAX`. It is the wrong shape for peer-supplied ids.
 
 use crate::NodeId;
 
@@ -37,7 +37,7 @@ const ABSENT: u32 = u32::MAX;
 
 /// The live slot of `id` in an id-indexed slot index.
 fn lookup(index: &[u32], id: NodeId) -> Option<usize> {
-    let slot = *index.get(id.row()?)?;
+    let slot = *index.get(id.row())?;
     (slot != ABSENT).then_some(slot as usize)
 }
 
@@ -119,11 +119,9 @@ impl<T> NodeSlab<T> {
     /// any. Returns the assigned slot.
     ///
     /// Panics if `id` is already present — node identities are unique for
-    /// the lifetime of a run (the allocator never reuses them) — or if `id`
-    /// is `u32::MAX` or above (the index is a row per id; see the module
-    /// docs).
+    /// the lifetime of a run (the allocator never reuses them).
     pub fn insert(&mut self, id: NodeId, value: T) -> usize {
-        let row = id.dense_row();
+        let row = id.row();
         if row >= self.index.len() {
             self.index.resize(row + 1, ABSENT);
         }
@@ -155,7 +153,7 @@ impl<T> NodeSlab<T> {
     /// Removes `id`, freeing its slot for reuse. Returns the value.
     pub fn remove(&mut self, id: NodeId) -> Option<T> {
         let slot = self.slot_of(id)?;
-        self.index[id.dense_row()] = ABSENT;
+        self.index[id.row()] = ABSENT;
         self.len -= 1;
         let (stored_id, value) = self.slots[slot]
             .take()
@@ -637,10 +635,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node 4294967295 is beyond")]
-    fn id_beyond_the_index_range_panics() {
+    fn ids_beyond_the_index_just_miss() {
         let mut slab: NodeSlab<u32> = NodeSlab::new();
-        assert_eq!(slab.slot_of(id(u64::MAX)), None, "lookups just miss");
-        slab.insert(id(u64::from(u32::MAX)), 1);
+        slab.insert(id(3), 3);
+        let far = id(u64::from(u32::MAX) - 1);
+        assert_eq!(slab.slot_of(far), None);
+        assert_eq!(slab.remove(far), None);
+        assert_eq!(slab.get(far), None);
     }
 }

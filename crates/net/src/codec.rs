@@ -229,7 +229,94 @@ mod tests {
         assert_eq!(got, msg);
     }
 
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // Captured when `NodeId` was backed by a `u64`: the wire bytes of
+        // an id do not depend on how it is stored.
+        let msg = WireMsg {
+            reply_to: "127.0.0.1:9000".into(),
+            msg: ProtocolMsg::ViewAck {
+                from: NodeId::new(4_294_967_294),
+                entries: vec![
+                    ViewEntry::with_age(NodeId::new(0), 3, Attribute::new(17.5).unwrap(), 0.25),
+                    ViewEntry::with_age(
+                        NodeId::new(123_456),
+                        0,
+                        Attribute::new(-2.0).unwrap(),
+                        0.875,
+                    ),
+                ],
+            },
+        };
+        let payload: &[u8] = br#"{"reply_to":"127.0.0.1:9000","msg":{"ViewAck":{"from":4294967294,"entries":[{"id":0,"age":3,"attribute":17.5,"value":0.25},{"id":123456,"age":0,"attribute":-2,"value":0.875}]}}}"#;
+        let frame = encode_frame(&msg).unwrap();
+        assert_eq!(frame[..4], [0, 0, 0, 177]);
+        assert_eq!(&frame[4..], payload);
+        let frame = encode_frame(&sample_msg()).unwrap();
+        assert_eq!(
+            &frame[4..],
+            br#"{"reply_to":"127.0.0.1:9000","msg":{"SwapReq":{"from":3,"r":0.25,"a":17.5}}}"#
+        );
+    }
+
+    /// The first raw id beyond the range.
+    const TOP: u64 = u32::MAX as u64;
+
+    /// `raw` as a JSON number, and as the id it denotes if it is one.
+    fn wire_u64(raw: u64) -> (String, Option<u64>) {
+        (raw.to_string(), (raw < TOP).then_some(raw))
+    }
+
+    /// A node id as a peer may write it: the JSON number, and the id it
+    /// denotes if it is one.
+    fn wire_id() -> impl Strategy<Value = (String, Option<u64>)> {
+        prop_oneof![
+            (0..TOP).prop_map(wire_u64),
+            Just(TOP - 1).prop_map(wire_u64),
+            Just(TOP).prop_map(wire_u64),
+            Just(TOP + 1).prop_map(wire_u64),
+            Just(u64::MAX).prop_map(wire_u64),
+            (TOP..).prop_map(wire_u64),
+            any::<u64>().prop_map(wire_u64),
+            Just(("18446744073709551616".to_string(), None)),
+            (i64::MIN..0).prop_map(|raw| (raw.to_string(), None)),
+            (0..TOP, 1u8..10).prop_map(|(raw, tenths)| (format!("{raw}.{tenths}"), None)),
+        ]
+    }
+
     proptest! {
+        #[test]
+        fn decode_refuses_every_out_of_range_id(
+            (from_text, from) in wire_id(),
+            (entry_text, entry) in wire_id(),
+        ) {
+            let payload = format!(
+                r#"{{"reply_to":"127.0.0.1:1","msg":{{"ViewReq":{{"from":{from_text},"entries":[{{"id":{entry_text},"age":2,"attribute":1.5,"value":0.5}}]}}}}}}"#
+            );
+            let mut buf = BytesMut::new();
+            buf.put_u32(payload.len() as u32);
+            buf.put_slice(payload.as_bytes());
+            match (from, entry, decode_frame(&mut buf)) {
+                (Some(from), Some(entry), Ok(Some(decoded))) => {
+                    let expected = ProtocolMsg::ViewReq {
+                        from: NodeId::new(from),
+                        entries: vec![ViewEntry::with_age(
+                            NodeId::new(entry),
+                            2,
+                            Attribute::new(1.5).unwrap(),
+                            0.5,
+                        )],
+                    };
+                    prop_assert_eq!(decoded.msg, expected);
+                }
+                (Some(_), Some(_), other) => prop_assert!(false, "valid ids refused: {other:?}"),
+                (_, _, Err(e)) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                (_, _, Ok(decoded)) => {
+                    prop_assert!(false, "{from_text} / {entry_text} accepted as {decoded:?}")
+                }
+            }
+        }
+
         #[test]
         fn roundtrip_arbitrary_update(
             from in 0u64..1000,

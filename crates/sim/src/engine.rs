@@ -80,11 +80,12 @@
 //! reuses slots (slot storage is bounded by the peak population). Each slot
 //! holds its node whole: the protocol as an [`AnyProtocol`] and the sampler
 //! as an [`AnySampler`], closed enums over the concrete types stored inline
-//! — 120 bytes, no heap object per node but the view's entry buffer (and a
+//! — 112 bytes, no heap object per node but the view's entry buffer (and a
 //! box for the rare arms larger than a ranking node). The per-message and
 //! per-exchange records are small for the same reason: a queued message is
-//! a 32-byte `Copy` envelope of two `u32` rows and a three-variant payload,
-//! and a scheduled exchange is two `u32` slots and a stream, 16 bytes.
+//! a 32-byte `Copy` envelope of two 4-byte `NodeId`s and a three-variant
+//! payload, and a scheduled exchange is two `u32` slots and a stream, 16
+//! bytes.
 //!
 //! **Every per-cycle touch of a node is O(1): at most one array index to
 //! find it, and no allocation.** A node's slot is stable while it lives, so
@@ -237,15 +238,15 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
 }
 
 /// An addressed protocol message on its way through the engine, in 32
-/// bytes where `(NodeId, ProtocolMsg)` takes 48: both endpoints as `u32`
-/// rows — every id the engine issues is a slab row, below `u32::MAX` — and
-/// a payload without `ProtocolMsg`'s view variants, which no protocol
-/// sends (membership exchanges views in place). [`EngineCtx::send`] packs
-/// it; delivery unpacks it, so protocols only ever see [`ProtocolMsg`].
+/// bytes where `(NodeId, ProtocolMsg)` takes 40: both endpoints (4 bytes
+/// each) and a payload without `ProtocolMsg`'s view variants, which no
+/// protocol sends (membership exchanges views in place).
+/// [`EngineCtx::send`] packs it; delivery unpacks it, so protocols only
+/// ever see [`ProtocolMsg`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Envelope {
-    to: u32,
-    from: u32,
+    to: NodeId,
+    from: NodeId,
     payload: Payload,
 }
 
@@ -256,11 +257,6 @@ enum Payload {
     SwapReq { r: f64, a: Attribute },
     SwapAck { r: f64 },
     Update { a: Attribute },
-}
-
-/// An engine-issued id as the `u32` row an [`Envelope`] stores.
-fn row(id: NodeId) -> u32 {
-    u32::try_from(id.as_u64()).expect("engine-issued ids are slab rows, below u32::MAX")
 }
 
 impl Envelope {
@@ -274,26 +270,12 @@ impl Envelope {
                 unreachable!("views are exchanged in place, never sent as protocol messages")
             }
         };
-        Envelope {
-            to: row(to),
-            from: row(from),
-            payload,
-        }
-    }
-
-    /// The recipient.
-    fn recipient(&self) -> NodeId {
-        NodeId::new(self.to.into())
-    }
-
-    /// The sender.
-    fn sender(&self) -> NodeId {
-        NodeId::new(self.from.into())
+        Envelope { to, from, payload }
     }
 
     /// The message as the protocol sent it.
     fn message(&self) -> ProtocolMsg {
-        let from = self.sender();
+        let from = self.from;
         match self.payload {
             Payload::SwapReq { r, a } => ProtocolMsg::SwapReq { from, r, a },
             Payload::SwapAck { r } => ProtocolMsg::SwapAck { from, r },
@@ -1064,7 +1046,7 @@ impl Engine {
                 if sent % GATHER_AHEAD == 0 {
                     let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
                     for envelope in next.take(GATHER_AHEAD) {
-                        gather_recipient(self.nodes.get(envelope.recipient()));
+                        gather_recipient(self.nodes.get(envelope.to));
                     }
                 }
                 let envelope = msgs.next().expect("`ends` stay within the outbox");
@@ -1448,9 +1430,7 @@ impl Engine {
         if self.lost(dropped) {
             return None;
         }
-        let delay = self
-            .delivery_latency(envelope.recipient())
-            .sample(&mut self.rng);
+        let delay = self.delivery_latency(envelope.to).sample(&mut self.rng);
         if delay > 0 {
             self.in_flight.push((self.cycle + delay as usize, envelope));
             return None;
@@ -1470,7 +1450,7 @@ impl Engine {
         if self.fault.partition().is_none() {
             return false;
         }
-        let (from, to) = (envelope.sender(), envelope.recipient());
+        let (from, to) = (envelope.from, envelope.to);
         match (self.nodes.get(from), self.nodes.get(to)) {
             (Some(f), Some(t)) => self
                 .fault
@@ -1668,12 +1648,11 @@ impl Engine {
         dropped: &mut u64,
         out: &mut Vec<Envelope>,
     ) {
-        let to = envelope.recipient();
+        let to = envelope.to;
         if let Payload::SwapReq { a, .. } = envelope.payload {
-            let (Some(to_slot), Some(from_slot)) = (
-                self.nodes.slot_of(to),
-                self.nodes.slot_of(envelope.sender()),
-            ) else {
+            let (Some(to_slot), Some(from_slot)) =
+                (self.nodes.slot_of(to), self.nodes.slot_of(envelope.from))
+            else {
                 // Either endpoint departed mid-flight: the exchange cannot
                 // complete; the message is lost.
                 *dropped += 1;
@@ -1794,8 +1773,8 @@ mod tests {
     #[test]
     fn per_node_and_per_message_records_stay_small() {
         use std::mem::size_of;
-        // Protocol (72) and sampler (48) inline; the slab cell adds the id.
-        assert_eq!(size_of::<SimNode>(), 120);
+        // Protocol (64) and sampler (48) inline; the slab cell adds the id.
+        assert_eq!(size_of::<SimNode>(), 112);
         assert_eq!(size_of::<Envelope>(), 32);
         assert_eq!(size_of::<ScheduledExchange>(), 16);
     }
@@ -1810,20 +1789,10 @@ mod tests {
             ProtocolMsg::Update { from, a },
         ] {
             let envelope = Envelope::pack(to, msg.clone());
-            assert_eq!(envelope.recipient(), to);
-            assert_eq!(envelope.sender(), from);
+            assert_eq!(envelope.to, to);
+            assert_eq!(envelope.from, from);
             assert_eq!(envelope.message(), msg);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "slab rows")]
-    fn envelopes_refuse_ids_beyond_the_slab_rows() {
-        let update = ProtocolMsg::Update {
-            from: NodeId::new(1),
-            a: Attribute::new(1.0).unwrap(),
-        };
-        Envelope::pack(NodeId::new(1 << 32), update);
     }
 
     #[test]

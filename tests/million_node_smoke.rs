@@ -12,11 +12,11 @@ use dslice::prelude::*;
 const N: usize = 1_000_000;
 /// Cycles in the smoke run.
 const CYCLES: usize = 50;
-/// Peak RSS ceiling: the 633 MiB measured on a 2-vCPU Linux host once
-/// nodes were stored inline and engine messages shrank to 32 bytes (≈ 80 s
-/// in release), plus 25 %. Node state, views and the id-indexed columns
+/// Peak RSS ceiling: the 555 MiB measured on a 2-vCPU Linux host once
+/// node ids took 4 bytes and view entries 24 (≈ 80 s in release), plus
+/// 25 %. Node state, views and the id-indexed columns
 /// all scale with `n`, so a per-node regression shows here first.
-const PEAK_RSS_CEILING_MIB: f64 = 790.0;
+const PEAK_RSS_CEILING_MIB: f64 = 695.0;
 
 /// Peak resident set size of this process in MiB (`VmHWM`), where the
 /// platform reports it.

@@ -29,11 +29,6 @@ impl SizeEstimator {
         }
     }
 
-    /// Whether this node seeded the counting token.
-    pub fn is_initiator(&self) -> bool {
-        self.initiator
-    }
-
     /// Access to the underlying averaging state (drive it like any other
     /// aggregation exchange).
     pub fn state_mut(&mut self) -> &mut AggregationState {

@@ -1,7 +1,14 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
+//!
+//! One argv walk ([`walk`]) fetches each flag's value, steps past switches
+//! and rejects unknown arguments; each command only supplies a `match` with
+//! one arm per flag it takes. The flags `sim` and `net-run` share are
+//! parsed by [`RunSetup`], the output flags by [`Outputs`].
 
 use dslice_sim::churn::ChurnSchedule;
 use dslice_sim::{AttributeDistribution, Concurrency, LatencyModel, ProtocolKind, SamplerKind};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Top-level command.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,19 +32,102 @@ pub enum Command {
     Help,
 }
 
-/// Arguments of `dslice-cli net-run`.
+/// The run setup `sim` and `net-run` share; each command keeps its own
+/// population, slice count and view size defaults.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NetRunArgs {
+pub struct RunSetup {
     pub protocol: ProtocolKind,
     pub sampler: SamplerKind,
     pub n: usize,
     pub slices: usize,
     pub view: usize,
+    pub seed: u64,
+    pub distribution: AttributeDistribution,
+}
+
+impl RunSetup {
+    /// Ranking over Cyclon with uniform attributes and the default seed.
+    fn new(n: usize, slices: usize, view: usize) -> Self {
+        RunSetup {
+            protocol: ProtocolKind::Ranking,
+            sampler: SamplerKind::Cyclon,
+            n,
+            slices,
+            view,
+            seed: 0xD51CE,
+            distribution: AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 },
+        }
+    }
+
+    fn arm(&mut self, arg: &mut Arg) -> Result<bool, String> {
+        match arg.flag {
+            "--protocol" => self.protocol = parse_protocol(arg.value()?)?,
+            "--sampler" => self.sampler = parse_sampler(arg.value()?)?,
+            "--n" => self.n = arg.num()?,
+            "--slices" => self.slices = arg.num()?,
+            "--view" => self.view = arg.num()?,
+            "--seed" => self.seed = arg.num()?,
+            "--distribution" => self.distribution = parse_distribution(arg.value()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The output flags: `--json`, `--quiet` and `--metrics-out` on every run
+/// command, the trace flags only on those that trace (`sim`,
+/// `run-scenario`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outputs {
+    /// Write the run's JSON report here.
+    pub json: Option<String>,
+    /// Suppress progress lines and tables.
+    pub quiet: bool,
+    /// Write the run's metrics registry here (Prometheus text).
+    pub metrics_out: Option<String>,
+    /// Write a chrome://tracing trace of the run here.
+    pub trace_out: Option<String>,
+    /// Write the trace as JSON lines here.
+    pub trace_jsonl: Option<String>,
+    /// Trace only every Nth cycle.
+    pub trace_sample: u64,
+}
+
+impl Default for Outputs {
+    fn default() -> Self {
+        Outputs {
+            json: None,
+            quiet: false,
+            metrics_out: None,
+            trace_out: None,
+            trace_jsonl: None,
+            trace_sample: 1,
+        }
+    }
+}
+
+impl Outputs {
+    fn arm(&mut self, arg: &mut Arg, traced: bool) -> Result<bool, String> {
+        match arg.flag {
+            "--json" => self.json = Some(arg.value()?.into()),
+            "--quiet" => self.quiet = true,
+            "--metrics-out" => self.metrics_out = Some(arg.value()?.into()),
+            "--trace-out" if traced => self.trace_out = Some(arg.value()?.into()),
+            "--trace-jsonl" if traced => self.trace_jsonl = Some(arg.value()?.into()),
+            "--trace-sample" if traced => self.trace_sample = arg.nonzero("at least 1")?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Arguments of `dslice-cli net-run`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetRunArgs {
+    pub run: RunSetup,
     pub period_ms: u64,
     pub duration_ms: u64,
-    pub seed: u64,
     pub bootstrap: usize,
-    pub distribution: AttributeDistribution,
     /// Wire-level loss probability.
     pub loss: f64,
     /// Wire-level extra delay range in milliseconds.
@@ -52,10 +142,8 @@ pub struct NetRunArgs {
     /// Stall (accept but never read) inbound connections:
     /// `(frac, at_ms, window_ms)`.
     pub stall: Option<(f64, u64, u64)>,
-    pub json: Option<String>,
-    pub quiet: bool,
-    /// Write the final scraped metrics registry here (Prometheus text).
-    pub metrics_out: Option<String>,
+    /// The output flags, without the trace ones.
+    pub out: Outputs,
     /// Stream the scraped registry here as JSON lines while running.
     pub metrics_stream: Option<String>,
     /// Cadence of the metrics stream in milliseconds.
@@ -65,25 +153,17 @@ pub struct NetRunArgs {
 impl Default for NetRunArgs {
     fn default() -> Self {
         NetRunArgs {
-            protocol: ProtocolKind::Ranking,
-            sampler: SamplerKind::Cyclon,
-            n: 16,
-            slices: 2,
-            view: 8,
+            run: RunSetup::new(16, 2, 8),
             period_ms: 20,
             duration_ms: 1000,
-            seed: 0xD51CE,
             bootstrap: 4,
-            distribution: AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 },
             loss: 0.0,
             delay_ms: None,
             crash: None,
             restart_at_ms: None,
             refuse: None,
             stall: None,
-            json: None,
-            quiet: false,
-            metrics_out: None,
+            out: Outputs::default(),
             metrics_stream: None,
             scrape_every_ms: 100,
         }
@@ -91,78 +171,41 @@ impl Default for NetRunArgs {
 }
 
 /// Arguments of `dslice-cli run-scenario`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioArgs {
     /// Scenario name (`--list` to see them); `None` only with `list`.
     pub name: Option<String>,
-    /// Write the full JSON report here.
-    pub json: Option<String>,
     /// List the library and exit.
     pub list: bool,
-    /// Suppress the trajectory table.
-    pub quiet: bool,
-    /// Write a chrome://tracing trace of the run here.
-    pub trace_out: Option<String>,
-    /// Write the trace as JSON lines here.
-    pub trace_jsonl: Option<String>,
-    /// Trace only every Nth cycle.
-    pub trace_sample: u64,
-    /// Write the run's metrics registry here (Prometheus text).
-    pub metrics_out: Option<String>,
+    pub out: Outputs,
 }
 
 /// Arguments of `dslice-cli sim`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimArgs {
-    pub protocol: ProtocolKind,
-    pub sampler: SamplerKind,
-    pub n: usize,
-    pub slices: usize,
-    pub view: usize,
+    pub run: RunSetup,
     pub cycles: usize,
-    pub seed: u64,
     pub concurrency: Concurrency,
     pub latency: LatencyModel,
     pub churn: ChurnSpec,
-    pub distribution: AttributeDistribution,
     pub metrics_every: usize,
     pub time_phases: bool,
     pub csv: Option<String>,
-    pub json: Option<String>,
-    pub quiet: bool,
-    /// Write a chrome://tracing trace of the run here.
-    pub trace_out: Option<String>,
-    /// Write the trace as JSON lines here.
-    pub trace_jsonl: Option<String>,
-    /// Trace only every Nth cycle.
-    pub trace_sample: u64,
-    /// Write the run's metrics registry here (Prometheus text).
-    pub metrics_out: Option<String>,
+    pub out: Outputs,
 }
 
 impl Default for SimArgs {
     fn default() -> Self {
         SimArgs {
-            protocol: ProtocolKind::Ranking,
-            sampler: SamplerKind::Cyclon,
-            n: 1000,
-            slices: 10,
-            view: 10,
+            run: RunSetup::new(1000, 10, 10),
             cycles: 100,
-            seed: 0xD51CE,
             concurrency: Concurrency::None,
             latency: LatencyModel::Zero,
             churn: ChurnSpec::None,
-            distribution: AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 },
             metrics_every: 1,
             time_phases: false,
             csv: None,
-            json: None,
-            quiet: false,
-            trace_out: None,
-            trace_jsonl: None,
-            trace_sample: 1,
-            metrics_out: None,
+            out: Outputs::default(),
         }
     }
 }
@@ -246,15 +289,71 @@ USAGE:
                      [--scrape-every-ms MS]
   dslice-cli help";
 
-fn value(argv: &[String], i: usize) -> Result<&str, String> {
-    argv.get(i + 1)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{} requires a value", argv[i]))
+/// The argument a parse arm is looking at, and the one after it, which a
+/// valued flag takes as its value.
+struct Arg<'a> {
+    flag: &'a str,
+    next: Option<&'a str>,
+    took_value: bool,
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
+impl<'a> Arg<'a> {
+    /// The flag's value: the next argument, whatever it looks like.
+    fn value(&mut self) -> Result<&'a str, String> {
+        self.took_value = true;
+        self.next
+            .ok_or_else(|| format!("{} requires a value", self.flag))
+    }
+
+    fn num<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let raw = self.value()?;
+        parse_num(self.flag, raw)
+    }
+
+    /// A number that may not be zero: "`<flag>` must be `<what>`" if it is.
+    fn nonzero<T: FromStr + Default + PartialEq>(&mut self, what: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v: T = self.num()?;
+        if v == T::default() {
+            return Err(format!("{} must be {what}", self.flag));
+        }
+        Ok(v)
+    }
+}
+
+/// The one argv walk. Hands each argument to `arm`, which parses it and
+/// returns `true`, or returns `false` for an argument `command` does not
+/// take; that is rejected, followed by the usage text if `usage`.
+fn walk<'a>(
+    command: &str,
+    usage: bool,
+    argv: &'a [String],
+    mut arm: impl FnMut(&mut Arg<'a>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut i = 0;
+    while let Some(flag) = argv.get(i) {
+        let mut arg = Arg {
+            flag,
+            next: argv.get(i + 1).map(String::as_str),
+            took_value: false,
+        };
+        if !arm(&mut arg)? {
+            let (gap, usage) = if usage { ("\n\n", USAGE) } else { ("", "") };
+            return Err(format!("unknown {command} argument {flag:?}{gap}{usage}"));
+        }
+        i += 1 + usize::from(arg.took_value);
+    }
+    Ok(())
+}
+
+fn parse_num<T: FromStr>(flag: &str, raw: &str) -> Result<T, String>
 where
-    T::Err: std::fmt::Display,
+    T::Err: Display,
 {
     raw.parse()
         .map_err(|e| format!("invalid value for {flag}: {raw:?} ({e})"))
@@ -483,371 +582,170 @@ fn parse_delay_spec(raw: &str) -> Result<(u64, u64), String> {
 }
 
 fn parse_net_run(argv: &[String]) -> Result<NetRunArgs, String> {
-    let mut args = NetRunArgs::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--protocol" => {
-                args.protocol = parse_protocol(value(argv, i)?)?;
-                i += 2;
-            }
-            "--sampler" => {
-                args.sampler = parse_sampler(value(argv, i)?)?;
-                i += 2;
-            }
-            "--n" => {
-                args.n = parse_num("--n", value(argv, i)?)?;
-                i += 2;
-            }
-            "--slices" => {
-                args.slices = parse_num("--slices", value(argv, i)?)?;
-                i += 2;
-            }
-            "--view" => {
-                args.view = parse_num("--view", value(argv, i)?)?;
-                i += 2;
-            }
-            "--period-ms" => {
-                args.period_ms = parse_num("--period-ms", value(argv, i)?)?;
-                i += 2;
-            }
-            "--duration-ms" => {
-                args.duration_ms = parse_num("--duration-ms", value(argv, i)?)?;
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = parse_num("--seed", value(argv, i)?)?;
-                i += 2;
-            }
-            "--bootstrap" => {
-                args.bootstrap = parse_num("--bootstrap", value(argv, i)?)?;
-                i += 2;
-            }
-            "--distribution" => {
-                args.distribution = parse_distribution(value(argv, i)?)?;
-                i += 2;
-            }
+    let mut a = NetRunArgs::default();
+    walk("net-run", true, argv, |arg| {
+        match arg.flag {
+            "--period-ms" => a.period_ms = arg.num()?,
+            "--duration-ms" => a.duration_ms = arg.num()?,
+            "--bootstrap" => a.bootstrap = arg.num()?,
             "--loss" => {
-                let loss: f64 = parse_num("--loss", value(argv, i)?)?;
+                let loss: f64 = arg.num()?;
                 if !loss.is_finite() || !(0.0..=1.0).contains(&loss) {
                     return Err(format!("--loss must lie in [0, 1], got {loss}"));
                 }
-                args.loss = loss;
-                i += 2;
+                a.loss = loss;
             }
-            "--delay-ms" => {
-                args.delay_ms = Some(parse_delay_spec(value(argv, i)?)?);
-                i += 2;
-            }
-            "--crash" => {
-                args.crash = Some(parse_crash_spec(value(argv, i)?)?);
-                i += 2;
-            }
-            "--restart" => {
-                args.restart_at_ms = Some(parse_num("--restart", value(argv, i)?)?);
-                i += 2;
-            }
-            "--refuse" => {
-                args.refuse = Some(parse_gate_spec("--refuse", value(argv, i)?)?);
-                i += 2;
-            }
-            "--stall" => {
-                args.stall = Some(parse_gate_spec("--stall", value(argv, i)?)?);
-                i += 2;
-            }
-            "--json" => {
-                args.json = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--quiet" => {
-                args.quiet = true;
-                i += 1;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--metrics-stream" => {
-                args.metrics_stream = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--scrape-every-ms" => {
-                args.scrape_every_ms = parse_num("--scrape-every-ms", value(argv, i)?)?;
-                if args.scrape_every_ms == 0 {
-                    return Err("--scrape-every-ms must be positive".into());
-                }
-                i += 2;
-            }
-            other => return Err(format!("unknown net-run argument {other:?}\n\n{USAGE}")),
+            "--delay-ms" => a.delay_ms = Some(parse_delay_spec(arg.value()?)?),
+            "--crash" => a.crash = Some(parse_crash_spec(arg.value()?)?),
+            "--restart" => a.restart_at_ms = Some(arg.num()?),
+            "--refuse" => a.refuse = Some(parse_gate_spec("--refuse", arg.value()?)?),
+            "--stall" => a.stall = Some(parse_gate_spec("--stall", arg.value()?)?),
+            "--metrics-stream" => a.metrics_stream = Some(arg.value()?.into()),
+            "--scrape-every-ms" => a.scrape_every_ms = arg.nonzero("positive")?,
+            _ => return Ok(a.run.arm(arg)? || a.out.arm(arg, false)?),
         }
-    }
-    if args.n == 0 {
+        Ok(true)
+    })?;
+    if a.run.n == 0 {
         return Err("net-run needs at least one node (--n)".into());
     }
     // One OS thread per task in the vendored runtime: keep localhost
     // clusters small enough that parked threads don't dominate the box.
-    if args.n > 128 {
+    if a.run.n > 128 {
         return Err(format!(
             "net-run is a localhost harness; --n must be at most 128, got {}",
-            args.n
+            a.run.n
         ));
     }
-    if args.period_ms == 0 {
+    if a.period_ms == 0 {
         return Err("--period-ms must be positive".into());
     }
-    if args.restart_at_ms.is_some() && args.crash.is_none() {
+    if a.restart_at_ms.is_some() && a.crash.is_none() {
         return Err("--restart requires --crash (nothing would be down)".into());
     }
-    if let (Some((_, crash_at)), Some(restart_at)) = (args.crash, args.restart_at_ms) {
+    if let (Some((_, crash_at)), Some(restart_at)) = (a.crash, a.restart_at_ms) {
         if restart_at <= crash_at {
             return Err(format!(
                 "--restart at {restart_at} ms must come after the crash at {crash_at} ms"
             ));
         }
     }
-    Ok(args)
+    Ok(a)
 }
 
 fn parse_sim(argv: &[String]) -> Result<SimArgs, String> {
-    let mut args = SimArgs::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--latency" => {
-                args.latency = parse_latency(value(argv, i)?)?;
-                i += 2;
-            }
-            "--sampler" => {
-                args.sampler = parse_sampler(value(argv, i)?)?;
-                i += 2;
-            }
-            "--protocol" => {
-                args.protocol = parse_protocol(value(argv, i)?)?;
-                i += 2;
-            }
-            "--n" => {
-                args.n = parse_num("--n", value(argv, i)?)?;
-                i += 2;
-            }
-            "--slices" => {
-                args.slices = parse_num("--slices", value(argv, i)?)?;
-                i += 2;
-            }
-            "--view" => {
-                args.view = parse_num("--view", value(argv, i)?)?;
-                i += 2;
-            }
-            "--cycles" => {
-                args.cycles = parse_num("--cycles", value(argv, i)?)?;
-                if args.cycles == 0 {
-                    return Err("--cycles must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = parse_num("--seed", value(argv, i)?)?;
-                i += 2;
-            }
-            "--concurrency" => {
-                args.concurrency = parse_concurrency(value(argv, i)?)?;
-                i += 2;
-            }
-            "--churn" => {
-                args.churn = parse_churn(value(argv, i)?)?;
-                i += 2;
-            }
-            "--distribution" => {
-                args.distribution = parse_distribution(value(argv, i)?)?;
-                i += 2;
-            }
-            "--metrics-every" => {
-                args.metrics_every = parse_num("--metrics-every", value(argv, i)?)?;
-                if args.metrics_every == 0 {
-                    return Err("--metrics-every must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--time-phases" => {
-                args.time_phases = true;
-                i += 1;
-            }
-            "--csv" => {
-                args.csv = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--json" => {
-                args.json = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--quiet" => {
-                args.quiet = true;
-                i += 1;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--trace-jsonl" => {
-                args.trace_jsonl = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--trace-sample" => {
-                args.trace_sample = parse_num("--trace-sample", value(argv, i)?)?;
-                if args.trace_sample == 0 {
-                    return Err("--trace-sample must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            other => return Err(format!("unknown sim argument {other:?}\n\n{USAGE}")),
+    let mut a = SimArgs::default();
+    walk("sim", true, argv, |arg| {
+        match arg.flag {
+            "--cycles" => a.cycles = arg.nonzero("at least 1")?,
+            "--concurrency" => a.concurrency = parse_concurrency(arg.value()?)?,
+            "--latency" => a.latency = parse_latency(arg.value()?)?,
+            "--churn" => a.churn = parse_churn(arg.value()?)?,
+            "--metrics-every" => a.metrics_every = arg.nonzero("at least 1")?,
+            "--time-phases" => a.time_phases = true,
+            "--csv" => a.csv = Some(arg.value()?.into()),
+            _ => return Ok(a.run.arm(arg)? || a.out.arm(arg, true)?),
         }
-    }
-    Ok(args)
+        Ok(true)
+    })?;
+    Ok(a)
 }
 
 fn parse_analyze(argv: &[String]) -> Result<AnalyzeArgs, String> {
     let Some(kind) = argv.first() else {
         return Err(format!("analyze requires a sub-command\n\n{USAGE}"));
     };
-    let mut flags = std::collections::HashMap::new();
-    let rest = &argv[1..];
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i].clone();
-        let val = value(rest, i)?.to_string();
-        flags.insert(key, val);
-        i += 2;
-    }
-    let get = |name: &str| -> Result<&String, String> {
-        flags
-            .get(name)
-            .ok_or_else(|| format!("analyze {kind} requires {name}"))
+    // Each sub-command's flag table; the arms below parse their union.
+    let takes: &[&str] = match kind.as_str() {
+        "lemma41" => &["--beta", "--epsilon", "--n", "--p"],
+        "samples" => &["--p", "--d", "--alpha"],
+        "population" => &["--n", "--p"],
+        other => return Err(format!("unknown analyze sub-command {other:?}\n\n{USAGE}")),
     };
-    match kind.as_str() {
-        "lemma41" => Ok(AnalyzeArgs::Lemma41 {
-            beta: parse_num("--beta", get("--beta")?)?,
-            epsilon: parse_num("--epsilon", get("--epsilon")?)?,
-            n: parse_num("--n", get("--n")?)?,
-            p: flags.get("--p").map(|v| parse_num("--p", v)).transpose()?,
-        }),
-        "samples" => Ok(AnalyzeArgs::Samples {
-            p: parse_num("--p", get("--p")?)?,
-            d: parse_num("--d", get("--d")?)?,
-            alpha: flags
-                .get("--alpha")
-                .map(|v| parse_num("--alpha", v))
-                .transpose()?
-                .unwrap_or(0.05),
-        }),
-        "population" => Ok(AnalyzeArgs::Population {
-            n: parse_num("--n", get("--n")?)?,
-            p: parse_num("--p", get("--p")?)?,
-        }),
-        other => Err(format!("unknown analyze sub-command {other:?}\n\n{USAGE}")),
-    }
+    let (mut beta, mut epsilon, mut n, mut p, mut d, mut alpha) =
+        (None, None, None, None, None, None);
+    walk("analyze", true, &argv[1..], |arg| {
+        match arg.flag {
+            flag if !takes.contains(&flag) => return Ok(false),
+            "--beta" => beta = Some(arg.num()?),
+            "--epsilon" => epsilon = Some(arg.num()?),
+            "--n" => n = Some(arg.num()?),
+            "--p" => p = Some(arg.num()?),
+            "--d" => d = Some(arg.num()?),
+            "--alpha" => alpha = Some(arg.num()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let need = |flag: &str| format!("analyze {kind} requires {flag}");
+    Ok(match kind.as_str() {
+        "lemma41" => AnalyzeArgs::Lemma41 {
+            beta: beta.ok_or_else(|| need("--beta"))?,
+            epsilon: epsilon.ok_or_else(|| need("--epsilon"))?,
+            n: n.ok_or_else(|| need("--n"))?,
+            p,
+        },
+        "samples" => AnalyzeArgs::Samples {
+            p: p.ok_or_else(|| need("--p"))?,
+            d: d.ok_or_else(|| need("--d"))?,
+            alpha: alpha.unwrap_or(0.05),
+        },
+        _ => AnalyzeArgs::Population {
+            n: n.ok_or_else(|| need("--n"))?,
+            p: p.ok_or_else(|| need("--p"))?,
+        },
+    })
+}
+
+fn parse_slice_of(argv: &[String]) -> Result<Command, String> {
+    let (mut slices, mut rank) = (None, None);
+    walk("slice-of", false, argv, |arg| {
+        match arg.flag {
+            "--slices" => slices = Some(arg.num()?),
+            "--rank" => rank = Some(arg.num()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(Command::SliceOf {
+        slices: slices.ok_or("slice-of requires --slices")?,
+        rank: rank.ok_or("slice-of requires --rank")?,
+    })
 }
 
 fn parse_scenario(argv: &[String]) -> Result<ScenarioArgs, String> {
-    let mut args = ScenarioArgs {
-        name: None,
-        json: None,
-        list: false,
-        quiet: false,
-        trace_out: None,
-        trace_jsonl: None,
-        trace_sample: 1,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--list" => {
-                args.list = true;
-                i += 1;
+    let mut a = ScenarioArgs::default();
+    walk("run-scenario", true, argv, |arg| {
+        match arg.flag {
+            "--list" => a.list = true,
+            flag if flag.starts_with("--") => return a.out.arm(arg, true),
+            name if a.name.is_some() => {
+                return Err(format!(
+                    "run-scenario takes one scenario name, got {name:?} too"
+                ));
             }
-            "--quiet" => {
-                args.quiet = true;
-                i += 1;
-            }
-            "--json" => {
-                args.json = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--trace-jsonl" => {
-                args.trace_jsonl = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            "--trace-sample" => {
-                args.trace_sample = parse_num("--trace-sample", value(argv, i)?)?;
-                if args.trace_sample == 0 {
-                    return Err("--trace-sample must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(value(argv, i)?.to_string());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown run-scenario argument {flag:?}\n\n{USAGE}"));
-            }
-            name => {
-                if args.name.is_some() {
-                    return Err(format!(
-                        "run-scenario takes one scenario name, got {name:?} too"
-                    ));
-                }
-                args.name = Some(name.to_string());
-                i += 1;
-            }
+            name => a.name = Some(name.into()),
         }
-    }
-    if args.name.is_none() && !args.list {
+        Ok(true)
+    })?;
+    if a.name.is_none() && !a.list {
         return Err(format!(
             "run-scenario requires a scenario name or --list\n\n{USAGE}"
         ));
     }
-    Ok(args)
+    Ok(a)
 }
 
 /// Parses the full command line.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    match argv.first().map(|s| s.as_str()) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("sim") | Some("run") => Ok(Command::Sim(parse_sim(&argv[1..])?)),
-        Some("analyze") => Ok(Command::Analyze(parse_analyze(&argv[1..])?)),
-        Some("slice-of") => {
-            let rest = &argv[1..];
-            let mut slices = None;
-            let mut rank = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--slices" => {
-                        slices = Some(parse_num("--slices", value(rest, i)?)?);
-                        i += 2;
-                    }
-                    "--rank" => {
-                        rank = Some(parse_num("--rank", value(rest, i)?)?);
-                        i += 2;
-                    }
-                    other => return Err(format!("unknown slice-of argument {other:?}")),
-                }
-            }
-            Ok(Command::SliceOf {
-                slices: slices.ok_or("slice-of requires --slices")?,
-                rank: rank.ok_or("slice-of requires --rank")?,
-            })
-        }
-        Some("run-scenario") => Ok(Command::RunScenario(parse_scenario(&argv[1..])?)),
-        Some("net-run") => Ok(Command::NetRun(parse_net_run(&argv[1..])?)),
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => Ok(Command::Help),
+        Some("sim" | "run") => parse_sim(rest).map(Command::Sim),
+        Some("analyze") => parse_analyze(rest).map(Command::Analyze),
+        Some("slice-of") => parse_slice_of(rest),
+        Some("run-scenario") => parse_scenario(rest).map(Command::RunScenario),
+        Some("net-run") => parse_net_run(rest).map(Command::NetRun),
         Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     }
 }
@@ -878,12 +776,12 @@ mod tests {
         let Command::Sim(a) = cmd else {
             panic!("not sim")
         };
-        assert_eq!(a.protocol, ProtocolKind::ModJk);
-        assert_eq!(a.n, 500);
-        assert_eq!(a.slices, 20);
-        assert_eq!(a.view, 15);
+        assert_eq!(a.run.protocol, ProtocolKind::ModJk);
+        assert_eq!(a.run.n, 500);
+        assert_eq!(a.run.slices, 20);
+        assert_eq!(a.run.view, 15);
         assert_eq!(a.cycles, 50);
-        assert_eq!(a.seed, 9);
+        assert_eq!(a.run.seed, 9);
         assert_eq!(a.concurrency, Concurrency::Full);
         assert_eq!(
             a.churn,
@@ -893,10 +791,10 @@ mod tests {
             }
         );
         assert!(matches!(
-            a.distribution,
+            a.run.distribution,
             AttributeDistribution::Pareto { .. }
         ));
-        assert!(a.quiet);
+        assert!(a.out.quiet);
     }
 
     #[test]
@@ -1015,10 +913,10 @@ mod tests {
         let Command::Sim(a) = cmd else {
             panic!("not sim")
         };
-        assert_eq!(a.protocol, ProtocolKind::RankingUniform);
-        assert_eq!(a.sampler, SamplerKind::Lpbcast);
+        assert_eq!(a.run.protocol, ProtocolKind::RankingUniform);
+        assert_eq!(a.run.sampler, SamplerKind::Lpbcast);
         assert_eq!(a.latency, LatencyModel::Uniform { min: 1, max: 3 });
-        assert_eq!(a.n, 100);
+        assert_eq!(a.run.n, 100);
     }
 
     #[test]
@@ -1134,13 +1032,15 @@ mod tests {
             cmd,
             Command::RunScenario(ScenarioArgs {
                 name: Some("lying-nodes".into()),
-                json: Some("out.json".into()),
                 list: false,
-                quiet: false,
-                trace_out: None,
-                trace_jsonl: None,
-                trace_sample: 1,
-                metrics_out: None,
+                out: Outputs {
+                    json: Some("out.json".into()),
+                    quiet: false,
+                    trace_out: None,
+                    trace_jsonl: None,
+                    trace_sample: 1,
+                    metrics_out: None,
+                },
             })
         );
         let Command::RunScenario(l) = parse(&argv("run-scenario --list")).unwrap() else {
@@ -1168,14 +1068,14 @@ mod tests {
         let Command::NetRun(a) = cmd else {
             panic!("not net-run")
         };
-        assert_eq!(a.protocol, ProtocolKind::ModJk);
-        assert_eq!(a.sampler, SamplerKind::Newscast);
-        assert_eq!(a.n, 24);
-        assert_eq!(a.slices, 3);
-        assert_eq!(a.view, 6);
+        assert_eq!(a.run.protocol, ProtocolKind::ModJk);
+        assert_eq!(a.run.sampler, SamplerKind::Newscast);
+        assert_eq!(a.run.n, 24);
+        assert_eq!(a.run.slices, 3);
+        assert_eq!(a.run.view, 6);
         assert_eq!(a.period_ms, 15);
         assert_eq!(a.duration_ms, 600);
-        assert_eq!(a.seed, 11);
+        assert_eq!(a.run.seed, 11);
         assert_eq!(a.bootstrap, 5);
         assert_eq!(a.loss, 0.1);
         assert_eq!(a.delay_ms, Some((1, 4)));
@@ -1183,8 +1083,8 @@ mod tests {
         assert_eq!(a.restart_at_ms, Some(400));
         assert_eq!(a.refuse, Some((0.2, 100, 150)));
         assert_eq!(a.stall, Some((0.1, 300, 80)));
-        assert_eq!(a.json.as_deref(), Some("out.json"));
-        assert!(a.quiet);
+        assert_eq!(a.out.json.as_deref(), Some("out.json"));
+        assert!(a.out.quiet);
     }
 
     #[test]
@@ -1193,7 +1093,7 @@ mod tests {
             panic!("not net-run")
         };
         assert_eq!(a, NetRunArgs::default());
-        assert_eq!(a.n, 16);
+        assert_eq!(a.run.n, 16);
         assert!(a.crash.is_none());
     }
 
@@ -1254,10 +1154,10 @@ mod tests {
         .unwrap() else {
             panic!("not sim")
         };
-        assert_eq!(a.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(a.trace_jsonl.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.trace_sample, 8);
-        assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(a.out.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(a.out.trace_jsonl.as_deref(), Some("t.jsonl"));
+        assert_eq!(a.out.trace_sample, 8);
+        assert_eq!(a.out.metrics_out.as_deref(), Some("m.prom"));
         assert!(parse(&argv("sim --trace-sample 0")).is_err());
 
         let Command::RunScenario(s) = parse(&argv(
@@ -1266,9 +1166,9 @@ mod tests {
         .unwrap() else {
             panic!("not run-scenario")
         };
-        assert_eq!(s.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(s.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(s.trace_sample, 1, "default stride traces every cycle");
+        assert_eq!(s.out.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(s.out.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(s.out.trace_sample, 1, "default stride traces every cycle");
     }
 
     #[test]
@@ -1280,7 +1180,7 @@ mod tests {
         .unwrap() else {
             panic!("not net-run")
         };
-        assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(a.out.metrics_out.as_deref(), Some("m.prom"));
         assert_eq!(a.metrics_stream.as_deref(), Some("s.jsonl"));
         assert_eq!(a.scrape_every_ms, 50);
         assert!(parse(&argv("net-run --scrape-every-ms 0")).is_err());
@@ -1289,5 +1189,687 @@ mod tests {
             panic!("not net-run")
         };
         assert_eq!(d.scrape_every_ms, 100);
+    }
+
+    // ---- Pins: every flag, every documented line, every error message ----
+
+    fn err(line: &str) -> String {
+        parse(&argv(line)).unwrap_err()
+    }
+
+    fn with_usage(msg: &str) -> String {
+        format!("{msg}\n\n{USAGE}")
+    }
+
+    fn sim(edit: impl FnOnce(&mut SimArgs)) -> Command {
+        let mut a = SimArgs::default();
+        edit(&mut a);
+        Command::Sim(a)
+    }
+
+    fn net_run(edit: impl FnOnce(&mut NetRunArgs)) -> Command {
+        let mut a = NetRunArgs::default();
+        edit(&mut a);
+        Command::NetRun(a)
+    }
+
+    fn scenario(name: &str, edit: impl FnOnce(&mut ScenarioArgs)) -> Command {
+        let mut a = ScenarioArgs {
+            name: Some(name.into()),
+            list: false,
+            out: Outputs {
+                json: None,
+                quiet: false,
+                trace_out: None,
+                trace_jsonl: None,
+                trace_sample: 1,
+                metrics_out: None,
+            },
+        };
+        edit(&mut a);
+        Command::RunScenario(a)
+    }
+
+    #[test]
+    fn pin_every_sim_flag() {
+        let Command::Sim(a) = parse(&argv(
+            "sim --protocol sliding:64 --sampler newscast --n 300 --slices 6 --view 7 \
+             --cycles 12 --seed 5 --concurrency half --latency fixed:2 \
+             --churn uncorrelated:0.02:3 --distribution normal:170:10 --metrics-every 4 \
+             --time-phases --csv r.csv --json r.json --quiet --trace-out t.json \
+             --trace-jsonl t.jsonl --trace-sample 3 --metrics-out m.prom",
+        ))
+        .unwrap() else {
+            panic!("not sim")
+        };
+        assert_eq!(a.run.protocol, ProtocolKind::SlidingRanking { window: 64 });
+        assert_eq!(a.run.sampler, SamplerKind::Newscast);
+        assert_eq!(a.run.n, 300);
+        assert_eq!(a.run.slices, 6);
+        assert_eq!(a.run.view, 7);
+        assert_eq!(a.cycles, 12);
+        assert_eq!(a.run.seed, 5);
+        assert_eq!(a.concurrency, Concurrency::Half);
+        assert_eq!(a.latency, LatencyModel::Fixed { cycles: 2 });
+        assert_eq!(
+            a.churn,
+            ChurnSpec::Uncorrelated {
+                rate: 0.02,
+                period: 3
+            }
+        );
+        assert_eq!(
+            a.run.distribution,
+            AttributeDistribution::Normal {
+                mean: 170.0,
+                std_dev: 10.0
+            }
+        );
+        assert_eq!(a.metrics_every, 4);
+        assert!(a.time_phases);
+        assert_eq!(a.csv.as_deref(), Some("r.csv"));
+        assert_eq!(a.out.json.as_deref(), Some("r.json"));
+        assert!(a.out.quiet);
+        assert_eq!(a.out.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(a.out.trace_jsonl.as_deref(), Some("t.jsonl"));
+        assert_eq!(a.out.trace_sample, 3);
+        assert_eq!(a.out.metrics_out.as_deref(), Some("m.prom"));
+    }
+
+    #[test]
+    fn pin_sim_defaults() {
+        let Command::Sim(a) = parse(&argv("sim")).unwrap() else {
+            panic!("not sim")
+        };
+        assert_eq!(a.run.protocol, ProtocolKind::Ranking);
+        assert_eq!(a.run.sampler, SamplerKind::Cyclon);
+        assert_eq!(
+            (a.run.n, a.run.slices, a.run.view, a.cycles),
+            (1000, 10, 10, 100)
+        );
+        assert_eq!(a.run.seed, 0xD51CE);
+        assert_eq!(a.concurrency, Concurrency::None);
+        assert_eq!(a.latency, LatencyModel::Zero);
+        assert_eq!(a.churn, ChurnSpec::None);
+        assert_eq!(
+            a.run.distribution,
+            AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 }
+        );
+        assert_eq!(a.metrics_every, 1);
+        assert!(!a.time_phases && !a.out.quiet);
+        assert_eq!(a.csv, None);
+        assert_eq!(a.out.json, None);
+        assert_eq!(a.out.trace_out, None);
+        assert_eq!(a.out.trace_jsonl, None);
+        assert_eq!(a.out.trace_sample, 1);
+        assert_eq!(a.out.metrics_out, None);
+    }
+
+    #[test]
+    fn pin_every_net_run_flag() {
+        let Command::NetRun(a) = parse(&argv(
+            "net-run --protocol jk --sampler lpbcast --n 20 --slices 4 --view 5 \
+             --period-ms 12 --duration-ms 900 --seed 3 --bootstrap 2 --distribution exp:0.5 \
+             --loss 0.05 --delay-ms 2:6 --crash 0.5:100 --restart 300 \
+             --refuse 0.25:50:60 --stall 0.125:70:80 --json n.json --quiet \
+             --metrics-out n.prom --metrics-stream n.jsonl --scrape-every-ms 40",
+        ))
+        .unwrap() else {
+            panic!("not net-run")
+        };
+        assert_eq!(a.run.protocol, ProtocolKind::Jk);
+        assert_eq!(a.run.sampler, SamplerKind::Lpbcast);
+        assert_eq!(a.run.n, 20);
+        assert_eq!(a.run.slices, 4);
+        assert_eq!(a.run.view, 5);
+        assert_eq!(a.period_ms, 12);
+        assert_eq!(a.duration_ms, 900);
+        assert_eq!(a.run.seed, 3);
+        assert_eq!(a.bootstrap, 2);
+        assert_eq!(
+            a.run.distribution,
+            AttributeDistribution::Exponential { rate: 0.5 }
+        );
+        assert_eq!(a.loss, 0.05);
+        assert_eq!(a.delay_ms, Some((2, 6)));
+        assert_eq!(a.crash, Some((0.5, 100)));
+        assert_eq!(a.restart_at_ms, Some(300));
+        assert_eq!(a.refuse, Some((0.25, 50, 60)));
+        assert_eq!(a.stall, Some((0.125, 70, 80)));
+        assert_eq!(a.out.json.as_deref(), Some("n.json"));
+        assert!(a.out.quiet);
+        assert_eq!(a.out.metrics_out.as_deref(), Some("n.prom"));
+        assert_eq!(a.metrics_stream.as_deref(), Some("n.jsonl"));
+        assert_eq!(a.scrape_every_ms, 40);
+    }
+
+    #[test]
+    fn pin_net_run_defaults() {
+        let Command::NetRun(a) = parse(&argv("net-run")).unwrap() else {
+            panic!("not net-run")
+        };
+        assert_eq!(a.run.protocol, ProtocolKind::Ranking);
+        assert_eq!(a.run.sampler, SamplerKind::Cyclon);
+        assert_eq!((a.run.n, a.run.slices, a.run.view), (16, 2, 8));
+        assert_eq!((a.period_ms, a.duration_ms), (20, 1000));
+        assert_eq!(a.run.seed, 0xD51CE);
+        assert_eq!(a.bootstrap, 4);
+        assert_eq!(
+            a.run.distribution,
+            AttributeDistribution::Uniform { lo: 0.0, hi: 1.0 }
+        );
+        assert_eq!(a.loss, 0.0);
+        assert_eq!(a.delay_ms, None);
+        assert_eq!(a.crash, None);
+        assert_eq!(a.restart_at_ms, None);
+        assert_eq!(a.refuse, None);
+        assert_eq!(a.stall, None);
+        assert_eq!(a.out.json, None);
+        assert!(!a.out.quiet);
+        assert_eq!(a.out.metrics_out, None);
+        assert_eq!(a.metrics_stream, None);
+        assert_eq!(a.scrape_every_ms, 100);
+    }
+
+    #[test]
+    fn pin_every_run_scenario_flag() {
+        assert_eq!(
+            parse(&argv(
+                "run-scenario --json s.json --quiet --trace-out t.json --trace-jsonl t.jsonl \
+                 --trace-sample 6 --metrics-out s.prom churn-wave",
+            ))
+            .unwrap(),
+            scenario("churn-wave", |a| {
+                a.out.json = Some("s.json".into());
+                a.out.quiet = true;
+                a.out.trace_out = Some("t.json".into());
+                a.out.trace_jsonl = Some("t.jsonl".into());
+                a.out.trace_sample = 6;
+                a.out.metrics_out = Some("s.prom".into());
+            })
+        );
+        assert_eq!(
+            parse(&argv("run-scenario --list")).unwrap(),
+            scenario("", |a| {
+                a.name = None;
+                a.list = true;
+            })
+        );
+    }
+
+    #[test]
+    fn pin_analyze_and_slice_of_flags() {
+        assert_eq!(
+            parse(&argv(
+                "analyze lemma41 --p 0.02 --n 500 --epsilon 0.1 --beta 0.25"
+            ))
+            .unwrap(),
+            Command::Analyze(AnalyzeArgs::Lemma41 {
+                beta: 0.25,
+                epsilon: 0.1,
+                n: 500,
+                p: Some(0.02)
+            })
+        );
+        assert_eq!(
+            parse(&argv("analyze samples --alpha 0.01 --d 0.02 --p 0.3")).unwrap(),
+            Command::Analyze(AnalyzeArgs::Samples {
+                p: 0.3,
+                d: 0.02,
+                alpha: 0.01
+            })
+        );
+        assert_eq!(
+            parse(&argv("analyze population --p 0.1 --n 100")).unwrap(),
+            Command::Analyze(AnalyzeArgs::Population { n: 100, p: 0.1 })
+        );
+        assert_eq!(
+            parse(&argv("slice-of --rank 0.5 --slices 4")).unwrap(),
+            Command::SliceOf {
+                slices: 4,
+                rank: 0.5
+            }
+        );
+        // A repeated flag keeps its last value.
+        assert_eq!(
+            parse(&argv("slice-of --rank 0.5 --slices 4 --rank 0.75")).unwrap(),
+            Command::SliceOf {
+                slices: 4,
+                rank: 0.75
+            }
+        );
+    }
+
+    #[test]
+    fn pin_documented_command_lines() {
+        // README.md, docs/OBSERVABILITY.md, docs/SCENARIOS.md,
+        // .github/workflows/ci.yml and the binary's module doc.
+        let cases: Vec<(&str, Command)> = vec![
+            (
+                "sim --protocol ranking --n 2000 --slices 10 --cycles 200",
+                sim(|a| {
+                    a.run.n = 2000;
+                    a.run.slices = 10;
+                    a.cycles = 200;
+                }),
+            ),
+            (
+                "sim --n 100000 --metrics-every 10 --time-phases",
+                sim(|a| {
+                    a.run.n = 100_000;
+                    a.metrics_every = 10;
+                    a.time_phases = true;
+                }),
+            ),
+            (
+                "run --n 10000 --cycles 100 --trace-out trace.json --trace-sample 10 \
+                 --metrics-out metrics.prom",
+                sim(|a| {
+                    a.run.n = 10_000;
+                    a.cycles = 100;
+                    a.out.trace_out = Some("trace.json".into());
+                    a.out.trace_sample = 10;
+                    a.out.metrics_out = Some("metrics.prom".into());
+                }),
+            ),
+            (
+                "run --n 10000 --cycles 100 --trace-out trace.json --trace-jsonl trace.jsonl \
+                 --trace-sample 10 --metrics-out metrics.prom",
+                sim(|a| {
+                    a.run.n = 10_000;
+                    a.cycles = 100;
+                    a.out.trace_out = Some("trace.json".into());
+                    a.out.trace_jsonl = Some("trace.jsonl".into());
+                    a.out.trace_sample = 10;
+                    a.out.metrics_out = Some("metrics.prom".into());
+                }),
+            ),
+            (
+                "run --n 10000 --cycles 30 --metrics-every 10 \
+                 --trace-out obs-artifacts/sim-trace.json \
+                 --trace-jsonl obs-artifacts/sim-trace.jsonl --trace-sample 5 \
+                 --metrics-out obs-artifacts/sim-metrics.prom",
+                sim(|a| {
+                    a.run.n = 10_000;
+                    a.cycles = 30;
+                    a.metrics_every = 10;
+                    a.out.trace_out = Some("obs-artifacts/sim-trace.json".into());
+                    a.out.trace_jsonl = Some("obs-artifacts/sim-trace.jsonl".into());
+                    a.out.trace_sample = 5;
+                    a.out.metrics_out = Some("obs-artifacts/sim-metrics.prom".into());
+                }),
+            ),
+            (
+                "sim --protocol mod-jk --concurrency full --csv run.csv",
+                sim(|a| {
+                    a.run.protocol = ProtocolKind::ModJk;
+                    a.concurrency = Concurrency::Full;
+                    a.csv = Some("run.csv".into());
+                }),
+            ),
+            (
+                "sim --protocol ranking --n 500 --slices 5 --cycles 40",
+                sim(|a| {
+                    a.run.n = 500;
+                    a.run.slices = 5;
+                    a.cycles = 40;
+                }),
+            ),
+            (
+                "run-scenario lying-nodes --trace-jsonl events.jsonl",
+                scenario("lying-nodes", |a| {
+                    a.out.trace_jsonl = Some("events.jsonl".into())
+                }),
+            ),
+            (
+                "run-scenario lying-nodes --json report.json",
+                scenario("lying-nodes", |a| a.out.json = Some("report.json".into())),
+            ),
+            (
+                "run-scenario lying-nodes --trace-out trace.json --metrics-out m.prom",
+                scenario("lying-nodes", |a| {
+                    a.out.trace_out = Some("trace.json".into());
+                    a.out.metrics_out = Some("m.prom".into());
+                }),
+            ),
+            ("run-scenario lying-nodes", scenario("lying-nodes", |_| {})),
+            (
+                "run-scenario lying-nodes-robust --quiet \
+                 --metrics-out obs-artifacts/scenario-metrics.prom",
+                scenario("lying-nodes-robust", |a| {
+                    a.out.quiet = true;
+                    a.out.metrics_out = Some("obs-artifacts/scenario-metrics.prom".into());
+                }),
+            ),
+            (
+                "net-run --n 16 --duration-ms 2000 --metrics-out metrics.prom \
+                 --metrics-stream metrics.jsonl",
+                net_run(|a| {
+                    a.run.n = 16;
+                    a.duration_ms = 2000;
+                    a.out.metrics_out = Some("metrics.prom".into());
+                    a.metrics_stream = Some("metrics.jsonl".into());
+                }),
+            ),
+            (
+                "net-run --n 16 --duration-ms 2000 --metrics-out metrics.prom \
+                 --metrics-stream metrics.jsonl --scrape-every-ms 100",
+                net_run(|a| {
+                    a.run.n = 16;
+                    a.duration_ms = 2000;
+                    a.out.metrics_out = Some("metrics.prom".into());
+                    a.metrics_stream = Some("metrics.jsonl".into());
+                    a.scrape_every_ms = 100;
+                }),
+            ),
+            (
+                "net-run --n 24 --slices 3 --duration-ms 2000",
+                net_run(|a| {
+                    a.run.n = 24;
+                    a.run.slices = 3;
+                    a.duration_ms = 2000;
+                }),
+            ),
+            (
+                "net-run --loss 0.1 --crash 0.25:800 --restart 1600 --json report.json",
+                net_run(|a| {
+                    a.loss = 0.1;
+                    a.crash = Some((0.25, 800));
+                    a.restart_at_ms = Some(1600);
+                    a.out.json = Some("report.json".into());
+                }),
+            ),
+            (
+                "net-run --n 12 --duration-ms 1500 \
+                 --metrics-out obs-artifacts/net-metrics.prom \
+                 --metrics-stream obs-artifacts/net-metrics.jsonl \
+                 --json obs-artifacts/net-report.json",
+                net_run(|a| {
+                    a.run.n = 12;
+                    a.duration_ms = 1500;
+                    a.out.metrics_out = Some("obs-artifacts/net-metrics.prom".into());
+                    a.metrics_stream = Some("obs-artifacts/net-metrics.jsonl".into());
+                    a.out.json = Some("obs-artifacts/net-report.json".into());
+                }),
+            ),
+            (
+                "analyze lemma41 --beta 0.5 --epsilon 0.05 --n 10000",
+                Command::Analyze(AnalyzeArgs::Lemma41 {
+                    beta: 0.5,
+                    epsilon: 0.05,
+                    n: 10_000,
+                    p: None,
+                }),
+            ),
+            (
+                "analyze samples --p 0.45 --d 0.05 --alpha 0.05",
+                Command::Analyze(AnalyzeArgs::Samples {
+                    p: 0.45,
+                    d: 0.05,
+                    alpha: 0.05,
+                }),
+            ),
+            (
+                "analyze population --n 10000 --p 0.1",
+                Command::Analyze(AnalyzeArgs::Population { n: 10_000, p: 0.1 }),
+            ),
+            ("help", Command::Help),
+            (
+                "slice-of --slices 100 --rank 0.423",
+                Command::SliceOf {
+                    slices: 100,
+                    rank: 0.423,
+                },
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(&argv(line)).unwrap(), want, "{line}");
+        }
+        assert_eq!(
+            parse(&argv("run-scenario --list")).unwrap(),
+            scenario("", |a| {
+                a.name = None;
+                a.list = true;
+            })
+        );
+    }
+
+    #[test]
+    fn pin_command_line_errors() {
+        let cases: &[(&str, &str)] = &[
+            // A valued flag with nothing after it.
+            ("sim --n", "--n requires a value"),
+            ("sim --trace-sample", "--trace-sample requires a value"),
+            ("net-run --loss", "--loss requires a value"),
+            ("net-run --protocol", "--protocol requires a value"),
+            ("run-scenario lying-nodes --json", "--json requires a value"),
+            ("analyze lemma41 --beta", "--beta requires a value"),
+            ("slice-of --rank", "--rank requires a value"),
+            // Missing operands.
+            ("analyze samples --p 0.45", "analyze samples requires --d"),
+            (
+                "analyze lemma41 --beta 0.5 --n 10",
+                "analyze lemma41 requires --epsilon",
+            ),
+            (
+                "analyze population --p 0.1",
+                "analyze population requires --n",
+            ),
+            ("slice-of --slices 100", "slice-of requires --rank"),
+            ("slice-of --rank 0.5", "slice-of requires --slices"),
+            ("slice-of --frob 3", "unknown slice-of argument \"--frob\""),
+            (
+                "run-scenario a b",
+                "run-scenario takes one scenario name, got \"b\" too",
+            ),
+            // Numbers and ranges.
+            (
+                "sim --n x",
+                "invalid value for --n: \"x\" (invalid digit found in string)",
+            ),
+            ("sim --cycles 0", "--cycles must be at least 1"),
+            (
+                "sim --metrics-every 0",
+                "--metrics-every must be at least 1",
+            ),
+            ("sim --trace-sample 0", "--trace-sample must be at least 1"),
+            (
+                "run-scenario a --trace-sample 0",
+                "--trace-sample must be at least 1",
+            ),
+            (
+                "net-run --scrape-every-ms 0",
+                "--scrape-every-ms must be positive",
+            ),
+            ("net-run --n 0", "net-run needs at least one node (--n)"),
+            (
+                "net-run --n 500",
+                "net-run is a localhost harness; --n must be at most 128, got 500",
+            ),
+            ("net-run --period-ms 0", "--period-ms must be positive"),
+            (
+                "net-run --restart 400",
+                "--restart requires --crash (nothing would be down)",
+            ),
+            (
+                "net-run --crash 0.5:400 --restart 200",
+                "--restart at 200 ms must come after the crash at 400 ms",
+            ),
+            ("net-run --loss 1.2", "--loss must lie in [0, 1], got 1.2"),
+            // Protocol specs.
+            (
+                "sim --protocol sliding",
+                "sliding requires an explicit window (sliding:<window>)",
+            ),
+            ("sim --protocol raft", "unknown protocol \"raft\""),
+            (
+                "sim --protocol sliding:x",
+                "invalid value for --protocol sliding: \"x\" (invalid digit found in string)",
+            ),
+            (
+                "sim --protocol sliding:0",
+                "invalid protocol \"sliding:0\": invalid protocol configuration: \
+                 sliding-ranking window must be at least 1",
+            ),
+            (
+                "sim --protocol decay:1",
+                "invalid protocol \"decay:1\": invalid protocol configuration: \
+                 decay factor must lie strictly between 0 and 1, got 1000000 ppm",
+            ),
+            (
+                "sim --protocol decay:x",
+                "invalid value for --protocol decay: \"x\" (invalid float literal)",
+            ),
+            (
+                "sim --protocol robust:2",
+                "invalid protocol \"robust:2\": invalid protocol configuration: \
+                 robust-ranking window must be at least 4 (quartiles need spread), got 2",
+            ),
+            (
+                "sim --protocol trimmed:128",
+                "trimmed takes <window>:<pct>, got \"trimmed:128\"",
+            ),
+            (
+                "sim --protocol trimmed:128:0.5",
+                "invalid protocol \"trimmed:128:0.5\": invalid protocol configuration: \
+                 trim fraction must lie strictly between 0 and 0.5, got 500000 ppm",
+            ),
+            (
+                "sim --protocol trimmed:128:-0.1",
+                "trimmed fraction must be a fraction in (0, 0.5), got -0.1",
+            ),
+            (
+                "sim --protocol fence-trim:128:x",
+                "invalid value for --protocol fence-trim fraction: \"x\" (invalid float literal)",
+            ),
+            (
+                "net-run --protocol mod-jk-live:2",
+                "mod-jk-live takes <strike-limit>:<cooldown>, got \"mod-jk-live:2\"",
+            ),
+            (
+                "sim --protocol mod-jk-live:0:16",
+                "invalid protocol \"mod-jk-live:0:16\": invalid protocol configuration: \
+                 mod-jk-live strike limit and cooldown must be at least 1",
+            ),
+            // Sampler, concurrency, churn, latency and distribution specs.
+            ("net-run --sampler chord", "unknown sampler \"chord\""),
+            ("sim --concurrency most", "unknown concurrency \"most\""),
+            (
+                "sim --churn correlated:2.0:10",
+                "churn rate must lie in [0, 1], got 2",
+            ),
+            (
+                "sim --churn correlated:0.1:0",
+                "churn period must be at least 1",
+            ),
+            (
+                "sim --churn correlated:0.1",
+                "churn spec must be none or <kind>:<rate>:<period>, got \"correlated:0.1\"",
+            ),
+            ("sim --churn bogus:0.1:1", "unknown churn kind \"bogus\""),
+            (
+                "sim --churn correlated:x:1",
+                "invalid value for --churn rate: \"x\" (invalid float literal)",
+            ),
+            (
+                "sim --latency geometric:1.5",
+                "geometric p must lie in [0, 1), got 1.5",
+            ),
+            ("sim --latency warp:9", "unknown latency spec \"warp:9\""),
+            ("sim --latency fixed", "unknown latency spec \"fixed\""),
+            (
+                "sim --distribution pareto:0:1",
+                "invalid slice fractions: invalid distribution parameters: \
+                 Pareto { scale: 0.0, shape: 1.0 }",
+            ),
+            (
+                "sim --distribution zipf:1",
+                "unknown distribution spec \"zipf:1\"",
+            ),
+            (
+                "net-run --distribution normal:0:-1",
+                "invalid slice fractions: invalid distribution parameters: \
+                 Normal { mean: 0.0, std_dev: -1.0 }",
+            ),
+            // Chaos specs.
+            (
+                "net-run --crash 0.5",
+                "--crash takes <frac>:<at-ms>, got \"0.5\"",
+            ),
+            (
+                "net-run --crash 0:100",
+                "--crash fraction must lie in (0, 1], got 0",
+            ),
+            (
+                "net-run --crash 1.5:100",
+                "--crash fraction must lie in (0, 1], got 1.5",
+            ),
+            (
+                "net-run --refuse 0.5:100:0",
+                "--refuse window must be positive",
+            ),
+            (
+                "net-run --stall 0.5:100",
+                "--stall takes <frac>:<at-ms>:<dur-ms>, got \"0.5:100\"",
+            ),
+            ("net-run --delay-ms 5:2", "--delay-ms range inverted: 5 > 2"),
+            (
+                "net-run --delay-ms 5",
+                "--delay-ms takes <min>:<max>, got \"5\"",
+            ),
+        ];
+        for (line, msg) in cases {
+            assert_eq!(err(line), *msg, "{line}");
+        }
+        // Errors that end in the usage text.
+        let usage_cases: &[(&str, &str)] = &[
+            ("sim --frob 3", "unknown sim argument \"--frob\""),
+            ("sim stray", "unknown sim argument \"stray\""),
+            ("sim --list", "unknown sim argument \"--list\""),
+            (
+                "sim --metrics-stream s.jsonl",
+                "unknown sim argument \"--metrics-stream\"",
+            ),
+            ("net-run --frob 3", "unknown net-run argument \"--frob\""),
+            (
+                "net-run --trace-out t.json",
+                "unknown net-run argument \"--trace-out\"",
+            ),
+            (
+                "net-run --cycles 3",
+                "unknown net-run argument \"--cycles\"",
+            ),
+            (
+                "run-scenario lying-nodes --frob",
+                "unknown run-scenario argument \"--frob\"",
+            ),
+            (
+                "run-scenario a --n 3",
+                "unknown run-scenario argument \"--n\"",
+            ),
+            (
+                "run-scenario",
+                "run-scenario requires a scenario name or --list",
+            ),
+            ("teleport", "unknown command \"teleport\""),
+            ("analyze", "analyze requires a sub-command"),
+            ("analyze nothing", "unknown analyze sub-command \"nothing\""),
+            // Each analyze sub-command takes only its own flags.
+            (
+                "analyze samples --p 0.45 --d 0.05 --bogus 3",
+                "unknown analyze argument \"--bogus\"",
+            ),
+            (
+                "analyze population --n 100 --p 0.1 --frob x",
+                "unknown analyze argument \"--frob\"",
+            ),
+            (
+                "analyze samples --n 5 --p 0.45 --d 0.05",
+                "unknown analyze argument \"--n\"",
+            ),
+        ];
+        for (line, msg) in usage_cases {
+            assert_eq!(err(line), with_usage(msg), "{line}");
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Command execution.
 
-use crate::args::{AnalyzeArgs, ChurnSpec, Command, NetRunArgs, ScenarioArgs, SimArgs, USAGE};
+use crate::args::{
+    AnalyzeArgs, ChurnSpec, Command, NetRunArgs, Outputs, ScenarioArgs, SimArgs, USAGE,
+};
 use dslice_analysis as analysis;
 use dslice_core::{NodeId, Partition};
 use dslice_net::{ChaosPlan, ClusterConfig, FaultPlan, LocalCluster};
@@ -12,50 +14,54 @@ use rand::SeedableRng;
 use std::fs::File;
 use std::time::Duration;
 
-/// The trace configuration the observability flags describe, if tracing
-/// was requested at all.
-fn trace_config(
-    trace_out: &Option<String>,
-    trace_jsonl: &Option<String>,
-    sample: u64,
-) -> Option<TraceConfig> {
-    (trace_out.is_some() || trace_jsonl.is_some())
-        .then(|| TraceConfig::on().with_sample_every(sample))
-}
+impl Outputs {
+    /// The trace configuration the trace flags ask for, if any.
+    fn trace_config(&self) -> Option<TraceConfig> {
+        (self.trace_out.is_some() || self.trace_jsonl.is_some())
+            .then(|| TraceConfig::on().with_sample_every(self.trace_sample))
+    }
 
-/// Writes the requested trace artifacts (chrome://tracing and/or JSON
-/// lines) from a recorder's retained events.
-fn write_trace_files(
-    events: &[TraceEvent],
-    trace_out: &Option<String>,
-    trace_jsonl: &Option<String>,
-    quiet: bool,
-) -> Result<(), String> {
-    if let Some(path) = trace_out {
-        std::fs::write(path, export::to_chrome(events))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !quiet {
-            eprintln!("chrome trace ({} events) -> {path}", events.len());
+    /// Writes what the output flags ask for, in this order: the JSON
+    /// report (`report` names it on stderr), the trace files from the
+    /// recorder's retained `events`, and the metrics registry (Prometheus
+    /// text).
+    fn write(
+        &self,
+        report: &str,
+        json: impl FnOnce() -> Result<String, String>,
+        events: Option<Vec<TraceEvent>>,
+        registry: impl FnOnce() -> Option<Registry>,
+    ) -> Result<(), String> {
+        if let Some(path) = &self.json {
+            self.write_file(path, &json()?, &format!("{report} JSON"))?;
         }
-    }
-    if let Some(path) = trace_jsonl {
-        std::fs::write(path, export::to_jsonl(events))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !quiet {
-            eprintln!("trace JSON lines ({} events) -> {path}", events.len());
+        if let Some(events) = events {
+            let n = events.len();
+            if let Some(path) = &self.trace_out {
+                let what = format!("chrome trace ({n} events)");
+                self.write_file(path, &export::to_chrome(&events), &what)?;
+            }
+            if let Some(path) = &self.trace_jsonl {
+                let what = format!("trace JSON lines ({n} events)");
+                self.write_file(path, &export::to_jsonl(&events), &what)?;
+            }
         }
+        if let Some(path) = &self.metrics_out {
+            if let Some(registry) = registry() {
+                let text = registry.to_prometheus();
+                self.write_file(path, &text, "metrics (Prometheus text)")?;
+            }
+        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Writes a metrics registry in the Prometheus text format.
-fn write_metrics_file(registry: &Registry, path: &str, quiet: bool) -> Result<(), String> {
-    std::fs::write(path, registry.to_prometheus())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    if !quiet {
-        eprintln!("metrics (Prometheus text) -> {path}");
+    fn write_file(&self, path: &str, contents: &str, what: &str) -> Result<(), String> {
+        std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+        if !self.quiet {
+            eprintln!("{what} -> {path}");
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Runs a parsed command.
@@ -82,7 +88,7 @@ fn chaos_count(frac: f64, n: usize) -> usize {
 /// lowest-id nodes, refusal/stall windows the highest-id ones, so the two
 /// fault families overlap as little as possible at small fractions.
 fn build_chaos(args: &NetRunArgs) -> ChaosPlan {
-    let n = args.n;
+    let n = args.run.n;
     let mut chaos = ChaosPlan::new();
     if let Some((frac, at_ms)) = args.crash {
         let k = chaos_count(frac, n);
@@ -115,9 +121,10 @@ fn build_chaos(args: &NetRunArgs) -> ChaosPlan {
 }
 
 fn run_net_run(args: NetRunArgs) -> Result<(), String> {
-    let partition = Partition::equal(args.slices).map_err(|e| e.to_string())?;
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0xA77);
-    let attributes = args.distribution.sample_n(args.n, &mut rng);
+    let setup = &args.run;
+    let partition = Partition::equal(setup.slices).map_err(|e| e.to_string())?;
+    let mut rng = StdRng::seed_from_u64(setup.seed ^ 0xA77);
+    let attributes = setup.distribution.sample_n(setup.n, &mut rng);
     let faults = FaultPlan {
         loss: args.loss,
         delay: args
@@ -126,26 +133,26 @@ fn run_net_run(args: NetRunArgs) -> Result<(), String> {
     };
     let chaos = build_chaos(&args);
     let cfg = ClusterConfig {
-        sampler: args.sampler,
+        sampler: setup.sampler,
         faults,
-        view_size: args.view,
+        view_size: setup.view,
         period: Duration::from_millis(args.period_ms),
         bootstrap_degree: args.bootstrap,
-        seed: args.seed,
+        seed: setup.seed,
         chaos,
-        ..ClusterConfig::new(attributes, partition, args.protocol)
+        ..ClusterConfig::new(attributes, partition, setup.protocol)
     };
 
-    if !args.quiet {
+    if !args.out.quiet {
         eprintln!(
             "net-run {} | n = {} | {} slices | view {} | period {} ms | {} ms | seed {}",
-            args.protocol.label(),
-            args.n,
-            args.slices,
-            args.view,
+            setup.protocol.label(),
+            setup.n,
+            setup.slices,
+            setup.view,
             args.period_ms,
             args.duration_ms,
-            args.seed,
+            setup.seed,
         );
         if !cfg.chaos.is_empty() {
             eprintln!("chaos plan: {} event(s)", cfg.chaos.len());
@@ -163,12 +170,12 @@ fn run_net_run(args: NetRunArgs) -> Result<(), String> {
                 .run_for(Duration::from_millis(args.duration_ms))
                 .await;
             // Scrape before shutdown: the registry reads live snapshots.
-            let registry = args.metrics_out.is_some().then(|| cluster.scrape());
+            let registry = args.out.metrics_out.is_some().then(|| cluster.scrape());
             Ok::<_, std::io::Error>((cluster.shutdown().await, registry))
         })
         .map_err(|e| format!("cluster run failed: {e}"))?;
 
-    if !args.quiet {
+    if !args.out.quiet {
         println!(
             "final: {} node(s), SDM {:.3}, accuracy {:.1}%",
             report.nodes.len(),
@@ -201,19 +208,11 @@ fn run_net_run(args: NetRunArgs) -> Result<(), String> {
             );
         }
     }
-    if let Some(path) = &args.json {
-        let json =
-            serde_json::to_string_pretty(&report).map_err(|e| format!("serialize report: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            eprintln!("cluster report JSON -> {path}");
-        }
-    }
-    if let (Some(path), Some(reg)) = (&args.metrics_out, &registry) {
-        write_metrics_file(reg, path, args.quiet)?;
-    }
+    let json =
+        || serde_json::to_string_pretty(&report).map_err(|e| format!("serialize report: {e}"));
+    args.out.write("cluster report", json, None, || registry)?;
     if let Some(path) = &args.metrics_stream {
-        if !args.quiet {
+        if !args.out.quiet {
             eprintln!("metrics stream (JSON lines) -> {path}");
         }
     }
@@ -243,8 +242,7 @@ fn run_scenario(args: ScenarioArgs) -> Result<(), String> {
             library::names().join(", ")
         )
     })?;
-    let trace = trace_config(&args.trace_out, &args.trace_jsonl, args.trace_sample);
-    let (report, recorder) = match trace {
+    let (report, recorder) = match args.out.trace_config() {
         Some(tc) => {
             let (report, recorder) = scenario.run_traced(tc).map_err(|e| e.to_string())?;
             (report, Some(recorder))
@@ -252,7 +250,7 @@ fn run_scenario(args: ScenarioArgs) -> Result<(), String> {
         None => (scenario.run().map_err(|e| e.to_string())?, None),
     };
 
-    if !args.quiet {
+    if !args.out.quiet {
         eprintln!(
             "scenario {} | {} | n0 = {} | {} slices | {} cycles | seed {}",
             report.name,
@@ -287,39 +285,32 @@ fn run_scenario(args: ScenarioArgs) -> Result<(), String> {
             report.final_n,
         );
     }
-    if let Some(path) = &args.json {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            eprintln!("scenario report JSON -> {path}");
-        }
-    }
-    if let Some(recorder) = recorder {
-        let events = recorder.into_events();
-        write_trace_files(&events, &args.trace_out, &args.trace_jsonl, args.quiet)?;
-    }
-    if let Some(path) = &args.metrics_out {
-        write_metrics_file(&report.metrics_registry(), path, args.quiet)?;
-    }
-    Ok(())
+    let events = recorder.map(|r| r.into_events());
+    args.out.write(
+        "scenario report",
+        || Ok(report.to_json()),
+        events,
+        || Some(report.metrics_registry()),
+    )
 }
 
 fn run_sim(args: SimArgs) -> Result<(), String> {
     let cfg = SimConfig {
-        n: args.n,
-        view_size: args.view,
-        partition: Partition::equal(args.slices).map_err(|e| e.to_string())?,
-        sampler: args.sampler,
+        n: args.run.n,
+        view_size: args.run.view,
+        partition: Partition::equal(args.run.slices).map_err(|e| e.to_string())?,
+        sampler: args.run.sampler,
         concurrency: args.concurrency,
         latency: args.latency,
-        distribution: args.distribution,
-        seed: args.seed,
+        distribution: args.run.distribution,
+        seed: args.run.seed,
         metrics_every: args.metrics_every,
         time_phases: args.time_phases,
         ..SimConfig::default()
     };
     cfg.validate().map_err(|e| e.to_string())?;
 
-    let mut engine = Engine::new(cfg, args.protocol).map_err(|e| e.to_string())?;
+    let mut engine = Engine::new(cfg, args.run.protocol).map_err(|e| e.to_string())?;
     let churn: Option<Box<dyn ChurnModel>> = match args.churn {
         ChurnSpec::None => None,
         ChurnSpec::Correlated { rate, period } => Some(Box::new(CorrelatedChurn::new(
@@ -328,31 +319,31 @@ fn run_sim(args: SimArgs) -> Result<(), String> {
         ))),
         ChurnSpec::Uncorrelated { rate, period } => Some(Box::new(UncorrelatedChurn::new(
             ChurnSpec::schedule(rate, period),
-            args.distribution,
+            args.run.distribution,
         ))),
     };
     if let Some(churn) = churn {
         engine = engine.with_churn(churn);
     }
-    if let Some(tc) = trace_config(&args.trace_out, &args.trace_jsonl, args.trace_sample) {
+    if let Some(tc) = args.out.trace_config() {
         engine.set_tracer(tc);
     }
 
-    if !args.quiet {
+    if !args.out.quiet {
         eprintln!(
             "running {} | n = {} | {} slices | view {} | {} cycles | seed {} | concurrency {}",
-            args.protocol.label(),
-            args.n,
-            args.slices,
-            args.view,
+            args.run.protocol.label(),
+            args.run.n,
+            args.run.slices,
+            args.run.view,
             args.cycles,
-            args.seed,
+            args.run.seed,
             args.concurrency,
         );
     }
     let record = engine.run(args.cycles);
 
-    if !args.quiet {
+    if !args.out.quiet {
         let checkpoints: Vec<usize> = [1usize, 5, 10, 25, 50, 100, 250, 500, 1000]
             .into_iter()
             .filter(|&c| c <= args.cycles)
@@ -382,7 +373,7 @@ fn run_sim(args: SimArgs) -> Result<(), String> {
         }
     }
 
-    if !args.quiet {
+    if !args.out.quiet {
         println!("\nSDM trajectory: {}", sparkline(&record));
         println!(
             "final: SDM {:.1}, GDM {:.3}, accuracy {:.1}%",
@@ -400,7 +391,7 @@ fn run_sim(args: SimArgs) -> Result<(), String> {
         );
     }
 
-    if args.time_phases && !args.quiet {
+    if args.time_phases && !args.out.quiet {
         print_phase_breakdown(&record);
     }
 
@@ -409,24 +400,17 @@ fn run_sim(args: SimArgs) -> Result<(), String> {
         record
             .write_csv(file)
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
+        if !args.out.quiet {
             eprintln!("per-cycle CSV -> {path}");
         }
     }
-    if let Some(path) = &args.json {
-        std::fs::write(path, record.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            eprintln!("run record JSON -> {path}");
-        }
-    }
-    if let Some(recorder) = engine.take_recorder() {
-        let events = recorder.into_events();
-        write_trace_files(&events, &args.trace_out, &args.trace_jsonl, args.quiet)?;
-    }
-    if let Some(path) = &args.metrics_out {
-        write_metrics_file(&record.metrics_registry(), path, args.quiet)?;
-    }
-    Ok(())
+    let events = engine.take_recorder().map(|r| r.into_events());
+    args.out.write(
+        "run record",
+        || Ok(record.to_json()),
+        events,
+        || Some(record.metrics_registry()),
+    )
 }
 
 /// Prints the mean per-phase wall-clock breakdown of a timed run.
@@ -687,6 +671,12 @@ mod tests {
         assert!(text.contains("\"chaos_kills\": 2"), "report: {text}");
         assert!(text.contains("\"restarts\": 2"), "report: {text}");
         let _ = std::fs::remove_file(json);
+    }
+
+    #[test]
+    fn net_run_refuses_a_zero_view() {
+        let err = run(parse(&argv("net-run --view 0 --quiet")).unwrap()).unwrap_err();
+        assert_eq!(err, "cluster run failed: view size must be at least 1");
     }
 
     #[test]

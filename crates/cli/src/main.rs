@@ -5,7 +5,12 @@
 //! dslice-cli sim --protocol mod-jk --concurrency full --csv run.csv
 //! dslice-cli analyze lemma41 --beta 0.5 --epsilon 0.05 --n 10000
 //! dslice-cli analyze samples --p 0.45 --d 0.05 --alpha 0.05
+//! dslice-cli analyze population --n 10000 --p 0.1
 //! dslice-cli slice-of --slices 100 --rank 0.423
+//! dslice-cli run-scenario --list
+//! dslice-cli run-scenario lying-nodes --json report.json
+//! dslice-cli net-run --n 24 --slices 3 --duration-ms 2000
+//! dslice-cli help
 //! ```
 
 mod args;

@@ -209,12 +209,6 @@ impl View {
         });
     }
 
-    /// The descriptor this node sends about itself in a view exchange:
-    /// `⟨i, 0, a_i, r_i⟩` (line 3 of Fig. 3).
-    pub fn self_descriptor(id: NodeId, attribute: Attribute, value: f64) -> ViewEntry {
-        ViewEntry::new(id, attribute, value)
-    }
-
     /// Merges an incoming view per lines 5–6 / 9–10 of Fig. 3:
     ///
     /// * entries whose id is already present are *duplicates* and discarded

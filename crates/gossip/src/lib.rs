@@ -50,7 +50,7 @@ pub use newscast::NewscastSampler;
 pub use sampler::{ExchangeBuffers, PeerSampler, SamplerConfig, SamplerKind};
 pub use uniform::UniformOracle;
 
-use dslice_core::{Attribute, NodeId, Result, ViewEntry};
+use dslice_core::{NodeId, Result};
 
 /// A boxed sampler, selected at runtime from a [`SamplerKind`]: a boxed
 /// [`AnySampler::new`], the one construction path.
@@ -60,10 +60,4 @@ pub fn build_sampler(
     capacity: usize,
 ) -> Result<Box<dyn PeerSampler>> {
     Ok(Box::new(AnySampler::new(kind, owner, capacity)?))
-}
-
-/// Convenience: the self-descriptor `⟨i, 0, a_i, r_i⟩` a node contributes to
-/// exchanges (line 3 of Fig. 3).
-pub fn self_descriptor(id: NodeId, attribute: Attribute, value: f64) -> ViewEntry {
-    ViewEntry::new(id, attribute, value)
 }

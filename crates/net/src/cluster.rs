@@ -352,12 +352,18 @@ pub struct LocalCluster {
 
 impl LocalCluster {
     /// Spawns the cluster and performs the bootstrap introductions.
+    ///
+    /// An empty attribute list or a zero view size fails with
+    /// [`io::ErrorKind::InvalidInput`], as does any invalid fault, chaos,
+    /// restart or retry plan.
     pub async fn spawn(cfg: ClusterConfig) -> io::Result<LocalCluster> {
-        assert!(
-            !cfg.attributes.is_empty(),
-            "cluster needs at least one node"
-        );
-        assert!(cfg.view_size >= 1, "view size must be at least 1");
+        let invalid = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if cfg.attributes.is_empty() {
+            return invalid("cluster needs at least one node");
+        }
+        if cfg.view_size == 0 {
+            return invalid("view size must be at least 1");
+        }
         cfg.faults.validate()?;
         cfg.chaos.validate()?;
         cfg.restart.validate()?;
@@ -983,6 +989,22 @@ mod tests {
         }
         assert!(report.exits.is_empty(), "exits: {:?}", report.exits);
         assert_eq!(report.totals.crashes, 0);
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn spawn_refuses_a_zero_view_and_an_empty_population() {
+        let cfg = |values: &[f64], view_size| ClusterConfig {
+            view_size,
+            ..ClusterConfig::new(
+                attrs(values),
+                Partition::equal(2).unwrap(),
+                ProtocolKind::Ranking,
+            )
+        };
+        for bad in [cfg(&[1.0, 2.0], 0), cfg(&[], 4)] {
+            let err = LocalCluster::spawn(bad).await.err().expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

@@ -567,12 +567,6 @@ impl Engine {
         self.recorder = cfg.enabled.then(|| FlightRecorder::new(cfg));
     }
 
-    /// Builder-style [`set_tracer`](Engine::set_tracer).
-    pub fn with_tracer(mut self, cfg: TraceConfig) -> Self {
-        self.set_tracer(cfg);
-        self
-    }
-
     /// The attached flight recorder, if tracing is on.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_ref()

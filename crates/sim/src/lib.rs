@@ -81,4 +81,4 @@ pub use fault::{BandPartition, NetworkFault};
 pub use latency::LatencyModel;
 pub use sessions::{FlashCrowd, SessionChurn, WeibullSessions};
 pub use stats::{CycleStats, FieldReader, PhaseTimings, RunRecord, Totals};
-pub use sweep::{run_seeds, AggregateRecord, Sweep};
+pub use sweep::{run_seeds, AggregateRecord};

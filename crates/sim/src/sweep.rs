@@ -1,12 +1,10 @@
-//! Multi-seed aggregation and parameter sweeps.
+//! Multi-seed aggregation.
 //!
 //! A single seeded run is reproducible but still one draw from the
 //! protocol's randomness; the paper's curves are likewise single
 //! trajectories. [`run_seeds`] repeats a configuration across seeds and
 //! aggregates the per-cycle statistics into mean ± standard deviation, so
-//! experiment tables can carry confidence bands; [`Sweep`] iterates that
-//! over a list of labelled configurations (view sizes, slice counts,
-//! protocols — whatever varies).
+//! experiment tables can carry confidence bands.
 
 use crate::churn::ChurnModel;
 use crate::config::{ProtocolKind, SimConfig};
@@ -130,29 +128,6 @@ where
     Ok(AggregateRecord::from_records(&records))
 }
 
-/// A labelled set of configurations to sweep.
-#[derive(Debug)]
-pub struct Sweep {
-    /// `(label, config, protocol)` triples to run.
-    pub configs: Vec<(String, SimConfig, ProtocolKind)>,
-    /// Seeds each configuration is repeated under.
-    pub seeds: Vec<u64>,
-    /// Cycles per run.
-    pub cycles: usize,
-}
-
-impl Sweep {
-    /// Runs the whole sweep (no churn), returning one aggregate per config.
-    pub fn run(&self) -> Result<Vec<(String, AggregateRecord)>> {
-        let mut out = Vec::with_capacity(self.configs.len());
-        for (label, cfg, kind) in &self.configs {
-            let agg = run_seeds(cfg, *kind, self.cycles, &self.seeds, || None)?;
-            out.push((label.clone(), agg));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,22 +164,6 @@ mod tests {
         assert!(agg.cycles[0].sdm_std > 0.0);
         // And the mean still converges.
         assert!(agg.final_sdm_mean().unwrap() < agg.cycles[0].sdm_mean);
-    }
-
-    #[test]
-    fn sweep_runs_multiple_configs() {
-        let sweep = Sweep {
-            configs: vec![
-                ("jk".into(), base(60), ProtocolKind::Jk),
-                ("mod-jk".into(), base(60), ProtocolKind::ModJk),
-            ],
-            seeds: vec![7, 8],
-            cycles: 8,
-        };
-        let results = sweep.run().unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, "jk");
-        assert_eq!(results[1].1.cycles.len(), 8);
     }
 
     #[test]

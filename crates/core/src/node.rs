@@ -39,7 +39,7 @@ impl NodeId {
     }
 
     /// This id as a row of an id-indexed column.
-    pub(crate) const fn row(self) -> usize {
+    pub const fn row(self) -> usize {
         self.0 as usize
     }
 }

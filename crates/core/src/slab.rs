@@ -7,9 +7,9 @@
 //! * **O(1) lookup** on the message-delivery hot path (no tree descent);
 //! * **cache-friendly iteration** — node state laid out contiguously, walked
 //!   in slot order every cycle;
-//! * **stable slots** during a cycle, so a node can be temporarily moved out
-//!   (to appease the borrow checker during pairwise exchanges) and put back
-//!   without disturbing any other node.
+//! * **stable slots** during a cycle, so the two nodes of a pairwise
+//!   exchange can be borrowed mutably together where they live (or
+//!   temporarily moved out and put back) without disturbing any other node.
 //!
 //! [`NodeSlab`] provides exactly that: a `Vec<Option<(NodeId, T)>>` of
 //! *slots*, a `NodeId → slot` index, and a LIFO free list so that churn
@@ -20,7 +20,8 @@
 //! Slots are stable for as long as a node lives, so a runtime resolves
 //! `NodeId → slot` **once** per phase ([`slot_of`](NodeSlab::slot_of)) and
 //! addresses the node by slot afterwards ([`slot`](NodeSlab::slot),
-//! [`slot_mut`](NodeSlab::slot_mut), [`take_slot`](NodeSlab::take_slot),
+//! [`slot_mut`](NodeSlab::slot_mut), [`slot_pair_mut`](NodeSlab::slot_pair_mut),
+//! [`take_slot`](NodeSlab::take_slot),
 //! [`take_pair_slots`](NodeSlab::take_pair_slots)). The id-addressed
 //! accessors are the same operations behind one lookup — and the lookup is
 //! an array index too, nothing hashes: the index is a `Vec<u32>` indexed by
@@ -295,6 +296,19 @@ impl<T> NodeSlab<T> {
         }
     }
 
+    /// Borrows the states stored in two distinct slots mutably at once,
+    /// where they live — the in-place form of
+    /// [`take_pair_slots`](NodeSlab::take_pair_slots) for a pairwise
+    /// exchange that needs nothing from the slab beyond the two nodes.
+    /// Same contract: `None`, with the slab untouched, when the slots alias
+    /// or either is free, vacated or out of range.
+    pub fn slot_pair_mut(&mut self, a_slot: usize, b_slot: usize) -> Option<(&mut T, &mut T)> {
+        match self.slots.get_disjoint_mut([a_slot, b_slot]) {
+            Ok([Some((_, a)), Some((_, b))]) => Some((a, b)),
+            _ => None,
+        }
+    }
+
     /// Restores a pair moved out by [`take_pair`](NodeSlab::take_pair) into
     /// its reserved slots.
     pub fn put_back_pair(&mut self, pair: TakenPair<T>) {
@@ -530,6 +544,40 @@ mod tests {
         assert_eq!(slab.slot(1), Some(&20), "failed pair take restored a");
     }
 
+    #[test]
+    fn pair_borrow_refuses_what_take_pair_slots_refuses() {
+        let mut slab: NodeSlab<u32> = NodeSlab::new();
+        for i in 0..4 {
+            slab.insert(id(i), i as u32 * 10);
+        }
+        slab.remove(id(1)); // slot 1 is free
+        let (slot, taken) = slab.take(id(2)).unwrap(); // slot 2 is vacated
+        let before = (slab.slots.clone(), slab.index.clone(), slab.free.clone());
+        let unchanged = |slab: &NodeSlab<u32>| {
+            (slab.slots.clone(), slab.index.clone(), slab.free.clone()) == before
+        };
+        for (a, b, why) in [
+            (0, 0, "aliasing slots"),
+            (0, 1, "free slot"),
+            (1, 3, "free slot first"),
+            (3, 2, "vacated slot"),
+            (0, 9, "out-of-range slot"),
+            (9, 3, "out-of-range slot first"),
+        ] {
+            assert!(slab.slot_pair_mut(a, b).is_none(), "{why}");
+            assert!(unchanged(&slab), "{why}: the slab changed");
+            assert!(slab.take_pair_slots(a, b).is_none(), "{why}");
+            assert!(unchanged(&slab), "{why}: take_pair_slots changed the slab");
+        }
+        slab.put_back(slot, id(2), taken);
+        let (a, b) = slab.slot_pair_mut(3, 0).unwrap();
+        assert_eq!((*a, *b), (30, 0));
+        (*a, *b) = (31, 1);
+        assert_eq!(slab.get(id(3)), Some(&31), "write through a landed");
+        assert_eq!(slab.get(id(0)), Some(&1), "write through b landed");
+        assert_eq!(slab.len(), 3, "borrowing changes no liveness");
+    }
+
     /// Index, slots and free list must describe one population: every
     /// indexed id sits in its slot, free slots are empty and indexed by
     /// nobody, and no slot is free twice.
@@ -618,6 +666,19 @@ mod tests {
                             seen
                         });
                         prop_assert_eq!(seen, by_slot);
+                        // In place: the same refusals, and both writes land.
+                        let in_place = slab.slot_pair_mut(slots.0, slots.1).map(|(x, y)| {
+                            let seen = (*x, *y);
+                            (*x, *y) = (seen.0 + 1, seen.1 + 2);
+                            seen
+                        });
+                        prop_assert_eq!(in_place, seen.map(|s| (s.2, s.5)));
+                        if in_place.is_some() {
+                            *model.get_mut(&a).unwrap() += 1;
+                            *model.get_mut(&b).unwrap() += 2;
+                        }
+                        prop_assert_eq!(slab.get(id(a)), model.get(&a));
+                        prop_assert_eq!(slab.get(id(b)), model.get(&b));
                     }
                     _ => {}
                 }

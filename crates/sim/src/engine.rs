@@ -31,7 +31,7 @@
 //!    snapshotted once per cycle and every view refilled from it, each node
 //!    sampling from its own stream.
 //! 4. **Refresh phase** — every node's published value is snapshotted per
-//!    slot, once. That is all this phase does now: the views themselves
+//!    id row, once. That is all this phase does now: the views themselves
 //!    ("each node updates its view before sending its random value",
 //!    §4.5.2) are refreshed against the snapshot in the active sweep.
 //! 5. **Active phase** — one sweep over the slot array. Each live node
@@ -93,11 +93,16 @@
 //! indexes the slot array from then on:
 //!
 //! * *membership* resolves the partner's slot when it schedules the
-//!   exchange; batching, extraction and put-back are slot-addressed;
-//! * the *active sweep's view refresh* (and the churn phase's dead-neighbor
-//!   sweep) resolves each view entry against the slab's own index, lent
-//!   out read-only beside the mutable slot walk — no side table of the
-//!   population is built;
+//!   exchange; batching and execution are slot-addressed, and an exchange
+//!   borrows both nodes mutably where they live
+//!   ([`NodeSlab::slot_pair_mut`]) — nothing is moved out and back;
+//! * the *active sweep's view refresh* resolves nothing: the refresh
+//!   snapshot is itself indexed by id row — a value column beside one live
+//!   bit per row — so a view entry costs one value load that may miss,
+//!   not an index load and then a dependent per-slot load;
+//! * the churn phase's dead-neighbor sweep resolves each view entry
+//!   against the slab's own index, lent out read-only beside the mutable
+//!   slot walk — no side table of the population is built;
 //! * *delivery* resolves each endpoint of a message once and borrows the
 //!   recipient where it lives (node storage and the engine's RNG are
 //!   separate fields, so both are lent at once — nothing is moved out).
@@ -110,19 +115,25 @@
 //! then the view's buffer — and each link is a cache miss the next one
 //! waits for, so one node at a time leaves the memory system mostly idle.
 //! Both loops therefore work in groups of `GATHER_AHEAD` (16) messages or
-//! exchanges: at the start of each group they read the next group's nodes
-//! — slab cell and published value, plus the first view entry for an
-//! exchange — and discard what they read, so those chains are in flight
-//! together while the current group runs.
+//! exchanges, and at the start of each group read nodes ahead and discard
+//! what they read, so those chains are in flight together while the
+//! current group runs. Delivery reads the next group's recipients (slab
+//! cell and published value). An exchange rewrites both endpoints' whole
+//! view rows, so membership reads in two stages: the slab cells of the
+//! group after next, and the whole view rows of the next group, whose
+//! cells — holding the pointer to the row — were read one group earlier.
+//! A row read takes one entry per 64-byte cache line and the last entry,
+//! since a row of ten 24-byte entries spans four or five lines.
 //! The reads cannot change a result: they go through shared borrows and
 //! read-only accessors, draw no randomness, and leave the order of the
 //! work untouched.
 //!
-//! Resolving an id hashes nothing: the slab's index, the rank cache's
-//! ranks and the slice tracker's stamps are columns indexed by the raw id,
-//! which the engine's own allocator issues sequentially from 0. They cost
-//! about 16 bytes per identity ever issued — 0.16 MB per 10k joins — on
-//! top of the slots (see [`Engine::slot_count`]).
+//! Resolving an id hashes nothing: the slab's index, the refresh
+//! snapshot, the rank cache's ranks and the slice tracker's stamps are
+//! columns indexed by the raw id, which the engine's own allocator issues
+//! sequentially from 0. They cost about 24 bytes per identity ever issued
+//! — 0.24 MB per 10k joins — on top of the slots (see
+//! [`Engine::slot_count`]).
 //!
 //! What a phase needs beyond node state lives in engine-owned buffers that
 //! persist across cycles (`Scratch`): the membership schedule, batches and
@@ -315,7 +326,7 @@ impl ScheduledExchange {
 
 /// Group size of the look-ahead reads: while the delivery loop routes one
 /// group of this many messages, or the membership phase executes one group
-/// of this many exchanges, the next group's node state is read.
+/// of this many exchanges, the next groups' node state is read.
 const GATHER_AHEAD: usize = 16;
 
 /// Reads what delivering a message to `node` touches — its slab cell,
@@ -328,17 +339,35 @@ fn gather_recipient(node: Option<&SimNode>) {
     }
 }
 
-/// [`gather_recipient`] plus the head of the node's view buffer, the one
-/// link beyond the slab cell, which an exchange reads and rewrites.
-fn gather_exchanger(node: Option<&SimNode>) {
+/// View entries per 64-byte cache line: the stride of the look-ahead read
+/// over a view buffer.
+const ENTRIES_PER_LINE: usize = 64 / mem::size_of::<ViewEntry>();
+
+/// [`gather_recipient`] plus the handle of the node's view buffer: the
+/// slab cell of an exchange endpoint, both halves of it, and the first
+/// link of the chain [`gather_row`] follows.
+fn gather_cell(node: Option<&SimNode>) {
     gather_recipient(node);
     if let Some(node) = node {
-        black_box(node.sampler.view().entries().first().map(|e| e.id));
+        black_box(node.sampler.view().entries().len());
+    }
+}
+
+/// Reads the node's whole view buffer, the one link beyond the slab cell,
+/// which an exchange reads and rewrites end to end: one entry per cache
+/// line, and the last entry, whose tail may start a line of its own.
+fn gather_row(node: Option<&SimNode>) {
+    if let Some(node) = node {
+        let entries = node.sampler.view().entries();
+        for entry in entries.iter().step_by(ENTRIES_PER_LINE) {
+            black_box(entry.id);
+        }
+        black_box(entries.last().copied());
     }
 }
 
 /// Executes one scheduled exchange where the nodes live: both endpoints are
-/// moved out by slot, exchanged, and put straight back. It mutates only the
+/// borrowed mutably in their slots, nothing is moved. It mutates only the
 /// two nodes and the payload buffers (which two Cyclon samplers do not even
 /// touch: they swap their views in place), and draws only from the
 /// initiator's carried membership stream.
@@ -348,13 +377,49 @@ fn exchange_in_place(
     bufs: &mut ExchangeBuffers,
 ) {
     let (slot, partner_slot) = scheduled.slots();
-    if let Some(mut pair) = nodes.take_pair_slots(slot, partner_slot) {
-        let (self_entry, partner_entry) = (pair.a.self_entry(), pair.b.self_entry());
+    if let Some((node, partner)) = nodes.slot_pair_mut(slot, partner_slot) {
+        let (self_entry, partner_entry) = (node.self_entry(), partner.self_entry());
         let rng = &mut scheduled.rng.clone();
-        pair.a
-            .sampler
-            .exchange_local(self_entry, &mut pair.b.sampler, partner_entry, rng, bufs);
-        nodes.put_back_pair(pair);
+        node.sampler
+            .exchange_local(self_entry, &mut partner.sampler, partner_entry, rng, bufs);
+    }
+}
+
+/// The refresh phase's snapshot: every live node's published value, by id
+/// row. Liveness is one bit per row beside the values rather than a
+/// sentinel value (a liar may publish any `f64`), and a lookup reads the
+/// two columns independently: the bits (one per identity ever issued) stay
+/// in cache, and the value is the one load that may miss. Keyed by slot,
+/// the same read would need the id's slot first: two dependent loads.
+#[derive(Default)]
+struct PublishedRows {
+    /// Published value per id row; meaningful only where `live` is set.
+    values: Vec<f64>,
+    /// Bit `row % 64` of word `row / 64`: whether the id is live.
+    live: Vec<u64>,
+}
+
+impl PublishedRows {
+    /// Rebuilds the snapshot over id rows `0..rows` from the live
+    /// population's `(id, published value)` pairs.
+    fn rebuild(&mut self, rows: usize, live: impl Iterator<Item = (NodeId, f64)>) {
+        // Rows of departed ids keep stale values; their bits are cleared.
+        self.values.resize(rows, 0.0);
+        self.live.clear();
+        self.live.resize(rows.div_ceil(64), 0);
+        for (id, value) in live {
+            let row = id.row();
+            self.values[row] = value;
+            self.live[row / 64] |= 1 << (row % 64);
+        }
+    }
+
+    /// `id`'s published value as of the snapshot, or `None` for an id that
+    /// is not live (departed, or beyond the column).
+    fn get(&self, id: NodeId) -> Option<f64> {
+        let row = id.row();
+        let word = self.live.get(row / 64)?;
+        (word >> (row % 64) & 1 == 1).then(|| self.values[row])
     }
 }
 
@@ -434,9 +499,10 @@ struct Scratch {
     exchange_bufs: ExchangeBuffers,
     /// Oracle refill: the cycle's population snapshot as view entries.
     pool_entries: Vec<ViewEntry>,
-    /// Refresh phase: published value per slot, which the active sweep
-    /// refreshes views against.
-    published: Vec<f64>,
+    /// Refresh phase: published value per id row, beside a live bit per
+    /// row — the snapshot the active sweep refreshes views against, with
+    /// no id → slot lookup in front of the value read.
+    published: PublishedRows,
 }
 
 /// Measures per-phase wall-clock when enabled; a no-op (no clock reads)
@@ -621,8 +687,8 @@ impl Engine {
     /// free). Node state is bounded by this — the *peak* population — not
     /// by the number of identities created over the run (churn reuses slots
     /// through the slab's free list). The id-indexed columns beside it (slab
-    /// index, rank cache, slice tracker) add about 16 bytes per identity
-    /// ever issued, live or not.
+    /// index, refresh snapshot, rank cache, slice tracker) add about 24
+    /// bytes per identity ever issued, live or not.
     pub fn slot_count(&self) -> usize {
         self.nodes.slot_count()
     }
@@ -1012,7 +1078,7 @@ impl Engine {
         self.membership_phase(&mut dropped);
         timer.lap(&mut timings.membership_ns);
 
-        // Refresh phase: the per-slot published-value snapshot that every
+        // Refresh phase: the per-id-row published-value snapshot that every
         // view is brought up to date against ("the view is up-to-date when a
         // message is sent", §4.5.2) — each in the active sweep, just before
         // its owner acts.
@@ -1291,15 +1357,27 @@ impl Engine {
         }
 
         // Execute: batches in order, then the overflow tail, pair by pair in
-        // place, reading both endpoints of the next group of pairs ahead.
+        // place. At the start of each group of pairs, both endpoints' slab
+        // cells are read two groups ahead and their view rows one group
+        // ahead, by which time the cells that point at the rows are in.
         let bufs = &mut self.scratch.exchange_bufs;
         for batch in batches.iter().take(used_batches) {
             for (pos, &idx) in batch.iter().enumerate() {
                 if pos % GATHER_AHEAD == 0 {
-                    for &next in batch.iter().skip(pos + GATHER_AHEAD).take(GATHER_AHEAD) {
+                    let group = |ahead: usize| {
+                        let start = (pos + ahead * GATHER_AHEAD).min(batch.len());
+                        let end = (start + GATHER_AHEAD).min(batch.len());
+                        &batch[start..end]
+                    };
+                    for &next in group(2) {
                         let (slot, partner_slot) = scheduled[next as usize].slots();
-                        gather_exchanger(self.nodes.slot(slot));
-                        gather_exchanger(self.nodes.slot(partner_slot));
+                        gather_cell(self.nodes.slot(slot));
+                        gather_cell(self.nodes.slot(partner_slot));
+                    }
+                    for &next in group(1) {
+                        let (slot, partner_slot) = scheduled[next as usize].slots();
+                        gather_row(self.nodes.slot(slot));
+                        gather_row(self.nodes.slot(partner_slot));
                     }
                 }
                 exchange_in_place(&mut self.nodes, &scheduled[idx as usize], bufs);
@@ -1341,15 +1419,15 @@ impl Engine {
         self.scratch.pool_entries = pool;
     }
 
-    /// Refresh phase: every node's published value, per slot — the
+    /// Refresh phase: every node's published value, per id row — the
     /// immutable snapshot the active sweep refreshes each view against.
+    /// Rows of departed ids, and of ids beyond the column, read `None`.
     fn snapshot_published(&mut self) {
-        let published = &mut self.scratch.published;
-        published.clear();
-        published.resize(self.nodes.slot_count(), 0.0);
-        for (slot, _, node) in self.nodes.iter() {
-            published[slot] = node.proto.published_value();
-        }
+        let live = self.nodes.iter();
+        let live = live.map(|(_, id, node)| (id, node.proto.published_value()));
+        self.scratch
+            .published
+            .rebuild(self.alloc.peek().row(), live);
     }
 
     /// Test hook: toggles recording of the membership exchange schedule;
@@ -1378,13 +1456,12 @@ impl Engine {
         let mut outbox = mem::take(&mut self.scratch.outbox);
         outbox.msgs.clear();
         outbox.ends.clear();
-        let published = fresh_views.then_some(&self.scratch.published[..]);
-        let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
-        for (_slot, id, node) in nodes {
+        let published = fresh_views.then_some(&self.scratch.published);
+        for (_slot, id, node) in self.nodes.iter_mut() {
             if let Some(published) = published {
                 node.sampler
                     .view_mut()
-                    .refresh_values(|nid| lookup.slot_of(nid).map(|slot| published[slot]));
+                    .refresh_values(|nid| published.get(nid));
             }
             let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
             let sent_before = outbox.msgs.len();
@@ -1925,6 +2002,46 @@ mod tests {
         let record = engine.run(20);
         assert_eq!(record.cycles.len(), 20);
         assert!(engine.population() > 0);
+    }
+
+    #[test]
+    fn refresh_snapshot_rows_follow_ids_not_slots() {
+        let schedule = ChurnSchedule {
+            rate: 0.05,
+            period: 1,
+            stop_after: None,
+        };
+        let mut engine = Engine::new(small_cfg(400, 4, 31), ProtocolKind::Ranking)
+            .unwrap()
+            .with_churn(Box::new(UncorrelatedChurn::new(
+                schedule,
+                AttributeDistribution::default(),
+            )));
+        let before: Vec<(usize, NodeId)> = engine.nodes.iter().map(|(s, id, _)| (s, id)).collect();
+        let stats = engine.step();
+        assert!(stats.left > 0 && stats.joined > 0, "the cycle churned");
+        // Departed ids whose slots a joiner (with a fresh id) took over.
+        let reused: Vec<(NodeId, NodeId)> = before
+            .iter()
+            .filter(|&&(_, old)| !engine.nodes.contains(old))
+            .filter_map(|&(slot, old)| Some((old, engine.nodes.id_at(slot)?)))
+            .collect();
+        assert!(!reused.is_empty(), "the free list recycled a slot");
+        let published = &engine.scratch.published;
+        for (old, new) in reused {
+            assert_ne!(old, new);
+            assert_eq!(published.get(old), None, "{old} departed");
+            assert!(published.get(new).is_some(), "{new} is live");
+        }
+        let live: u32 = published.live.iter().map(|word| word.count_ones()).sum();
+        assert_eq!(live as usize, engine.population(), "one bit per live node");
+        for (_, id, _) in engine.nodes.iter() {
+            assert!(published.get(id).is_some(), "{id} is live");
+        }
+        // Ids the column has no row for read as absent, not as a panic.
+        assert_eq!(published.get(engine.alloc.peek()), None);
+        let far = NodeId::new(u64::from(u32::MAX) - 1);
+        assert_eq!(published.get(far), None);
     }
 
     #[test]

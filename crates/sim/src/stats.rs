@@ -106,7 +106,7 @@ pub struct PhaseTimings {
     /// Membership phase: exchange scheduling, batching and execution (or
     /// the oracle refill).
     pub membership_ns: u64,
-    /// Refresh phase: the per-slot snapshot of published values.
+    /// Refresh phase: the per-id-row snapshot of published values.
     pub refresh_ns: u64,
     /// Active phase: per-node view refresh against that snapshot, then the
     /// protocol's active step.

@@ -15,7 +15,9 @@
 //! itself.
 
 use dslice_core::Partition;
-use dslice_sim::{Engine, ProtocolKind, SimConfig};
+use dslice_sim::{
+    AttributeDistribution, ChurnSchedule, Engine, ProtocolKind, SimConfig, UncorrelatedChurn,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -136,5 +138,61 @@ fn construction_allocates_a_fixed_number_of_times_per_node() {
              (ceiling {CONSTRUCTION_PER_NODE})",
             kind.label(),
         );
+    }
+}
+
+/// Allocations each joiner may add to a churned cycle on top of
+/// [`CEILING`]: its view's entry buffer, the bootstrap sampling's scratch,
+/// and its share of the id-indexed columns' amortised growth. Measured
+/// before the refresh snapshot became an id-indexed column: at most 9.45
+/// over 80 cycles (2 000 and 8 000 nodes, ranking and mod-JK, 1 % churn).
+const PER_JOINER: f64 = 9.5;
+
+/// Under churn the id-indexed columns grow with every identity issued, so
+/// a cycle may allocate for its joiners, and for them alone: the bound is
+/// the static ceiling plus a fixed amount per joiner, at two populations
+/// four times apart. An allocation per live node — in the churn phase's
+/// view pruning, the columns' growth or the refresh snapshot — breaks it.
+#[test]
+fn churned_cycles_allocate_per_joiner_not_per_node() {
+    const WARM_UP: usize = 3;
+    const MEASURED: usize = 20;
+    for (n, kind) in [2_000, 8_000]
+        .into_iter()
+        .flat_map(|n| [(n, ProtocolKind::Ranking), (n, ProtocolKind::ModJk)])
+    {
+        let cfg = SimConfig {
+            n,
+            view_size: 10,
+            partition: Partition::equal(20).unwrap(),
+            seed: 11,
+            ..SimConfig::default()
+        };
+        let churn = UncorrelatedChurn::new(
+            ChurnSchedule {
+                rate: 0.01,
+                period: 1,
+                stop_after: None,
+            },
+            AttributeDistribution::default(),
+        );
+        let mut engine = Engine::new(cfg, kind).unwrap().with_churn(Box::new(churn));
+        for _ in 0..WARM_UP {
+            engine.step();
+        }
+        for cycle in 0..MEASURED {
+            let before = allocations();
+            let stats = engine.step();
+            let spent = allocations() - before;
+            let allowance = CEILING as f64 + PER_JOINER * stats.joined as f64;
+            assert!(
+                spent as f64 <= allowance,
+                "{}: cycle {} made {spent} allocations for {n} nodes and {} joiners \
+                 (allowance {allowance})",
+                kind.label(),
+                WARM_UP + cycle + 1,
+                stats.joined,
+            );
+        }
     }
 }

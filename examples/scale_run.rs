@@ -2,9 +2,12 @@
 //! algorithm — ten times the paper's population (§4.5 runs 10⁴).
 //!
 //! Demonstrates the engine's scale architecture end to end: slab-backed
-//! node storage, per-node RNG streams and a sparse metrics cadence. On
-//! Linux it also reports the process's peak resident set (`VmHWM`) and
-//! that peak per node, the figure a memory budget per node is held to.
+//! node storage, per-node RNG streams and a sparse metrics cadence. It
+//! times every phase of every cycle (timing changes no simulated byte) and
+//! prints the median milliseconds per phase as a Markdown table, the rows
+//! beginning with `|`. On Linux it also reports the process's peak
+//! resident set (`VmHWM`) and that peak per node, the figure a memory
+//! budget per node is held to.
 //! Run with:
 //!
 //! ```text
@@ -26,6 +29,21 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
+/// Prints the median wall-clock milliseconds of each phase over the run's
+/// cycles as a Markdown table.
+fn print_phase_medians(record: &RunRecord) {
+    let cycles: Vec<PhaseTimings> = record.cycles.iter().filter_map(|c| c.timings).collect();
+    println!("| phase | median ms/cycle |");
+    println!("|---|---:|");
+    let phases = PhaseTimings::default().rows().map(|(phase, _)| phase);
+    for (i, phase) in phases.into_iter().enumerate() {
+        let mut ns: Vec<u64> = cycles.iter().map(|t| t.rows()[i].1).collect();
+        ns.sort_unstable();
+        let median = ns.get(ns.len() / 2).copied().unwrap_or(0);
+        println!("| {phase} | {:.2} |", median as f64 / 1e6);
+    }
+}
+
 fn main() {
     let cfg = SimConfig {
         n: 100_000,
@@ -36,6 +54,7 @@ fn main() {
         // the GDM) is the one O(n log n) piece, so at scale it runs on a
         // cadence while the protocol itself stays O(n) per cycle.
         metrics_every: 10,
+        time_phases: true,
         ..SimConfig::default()
     };
 
@@ -71,6 +90,7 @@ fn main() {
         engine.sdm(),
         100.0 * engine.accuracy(),
     );
+    print_phase_medians(&record);
     match peak_rss_bytes() {
         Some(peak) => println!(
             "peak RSS {:.1} MiB | {:.0} bytes per node",

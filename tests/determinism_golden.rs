@@ -363,3 +363,19 @@ fn wide_fence_trim_ranking_record_is_pinned_at_5000_nodes() {
         0x367a_49ad_8753_169a,
     );
 }
+
+/// Plain ranking under uncorrelated churn: leavers free slots and the LIFO
+/// free list hands them to joiners with fresh ids, so id rows and slots
+/// part ways within a cycle or two. The static 5000-node ranking pin keeps
+/// ids and slots equal; this one holds every id- or slot-addressed column
+/// of the hot path (the refresh snapshot among them) to bytes captured
+/// before that column changed shape.
+#[test]
+fn churned_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_at_5000(
+        ProtocolKind::Ranking,
+        Concurrency::None,
+        Some(0.01),
+        0x3253_eb3f_6adb_4a51,
+    );
+}

@@ -50,18 +50,6 @@ impl Concurrency {
         }
     }
 
-    /// Whether view value snapshots are refreshed before each active step.
-    ///
-    /// Always true: the paper's simulation "updates its view before sending
-    /// its random value" in every mode (§4.5.2) — staleness enters *only*
-    /// through overlapping in-flight messages. (A node's snapshot of `j` can
-    /// still go stale between its own step and the end-of-cycle drain, which
-    /// is exactly the "i has lastly updated its view before j swapped"
-    /// scenario the paper describes.)
-    pub fn fresh_views(self) -> bool {
-        true
-    }
-
     /// Label used in experiment output.
     pub fn label(self) -> &'static str {
         match self {
@@ -100,13 +88,6 @@ mod tests {
             .filter(|_| Concurrency::Half.overlaps(&mut rng))
             .count();
         assert!((4700..5300).contains(&hits), "got {hits} / 10000");
-    }
-
-    #[test]
-    fn views_are_fresh_at_send_in_every_mode() {
-        assert!(Concurrency::None.fresh_views());
-        assert!(Concurrency::Half.fresh_views());
-        assert!(Concurrency::Full.fresh_views());
     }
 
     #[test]

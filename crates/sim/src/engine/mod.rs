@@ -3,75 +3,34 @@
 //! ## Cycle structure
 //!
 //! One [`Engine::step`] reproduces a PeerSim cycle (§4.5) as a sequence of
-//! explicit phases:
+//! explicit phases, each a plain function in its own module over explicit
+//! borrows — the node slab, the phase's own buffers, and the read-only
+//! `Cycle` context — so no phase holds the whole engine:
 //!
-//! 1. **Churn** — the churn model removes leavers and injects joiners
-//!    (joiners bootstrap their view from random live nodes); every view is
-//!    pruned of departed neighbors; the incremental rank cache folds the
-//!    batch in (no global re-sort).
-//! 2. **Latency drain** — messages whose cross-cycle latency elapsed land
-//!    now, in random order, before anyone's active step.
-//! 3. **Membership phase** — every live node runs its membership shuffle
-//!    (`recompute-view()`, executed atomically as in the paper's
-//!    simulation), as **schedule → batch → execute**:
-//!    * *schedule*: every node's exchange partner is drawn up front from
-//!      the node's own counter-based stream (keyed by
-//!      `(seed, node id, cycle)`, like the active phase) against its
-//!      start-of-phase view;
-//!    * *batch*: the resulting `(initiator, partner)` pairs are greedily
-//!      partitioned, in slot order, into **conflict-free batches** in which
-//!      no node appears twice (first-fit on per-slot occupancy bitmasks);
-//!    * *execute*: batches run in order, pair by pair, then the overflow
-//!      tail; each pair draws only from the initiator's carried stream.
-//!      The batch order is the execution order, and it matters: about 40 %
-//!      of exchanges read a view that an exchange earlier in batch order
-//!      changed, so plain slot order would be a different run.
+//! 1. **Churn** (`churn.rs`) — leavers go, joiners arrive and bootstrap their
+//!    views, every view is pruned of departed neighbors, and the rank cache
+//!    folds the batch in.
+//! 2. **Latency drain** (`delivery.rs`) — messages whose cross-cycle latency
+//!    elapsed land now, in random order, before anyone's active step.
+//! 3. **Membership** (`membership.rs`) — every live node runs its membership
+//!    shuffle atomically, as schedule → batch → execute.
+//! 4. **Refresh** (`active.rs`) — every node's published value is snapshotted
+//!    per id row, once.
+//! 5. **Active** (`active.rs`) — one sweep over the slot array: each node's
+//!    view is refreshed against the snapshot, then its protocol acts on its
+//!    own counter-based stream (see [`crate::stream`]), filling one outbox.
+//! 6. **Delivery** (`delivery.rs`) — the outbox is routed sender by sender per
+//!    the [`Concurrency`](crate::Concurrency) model: atomic exchanges now,
+//!    overlapping messages in an end-of-cycle drain.
+//! 7. **Metrics** (`metrics.rs`) — SDM, GDM and slice changes on the
+//!    configured cadence, in O(n) from the churn-maintained rank cache.
 //!
-//!    The uniform-oracle substrate takes the same shape: the population is
-//!    snapshotted once per cycle and every view refilled from it, each node
-//!    sampling from its own stream.
-//! 4. **Refresh phase** — every node's published value is snapshotted per
-//!    id row, once. That is all this phase does now: the views themselves
-//!    ("each node updates its view before sending its random value",
-//!    §4.5.2) are refreshed against the snapshot in the active sweep.
-//! 5. **Active phase** — one sweep over the slot array. Each live node
-//!    first has its view refreshed against the snapshot (value snapshots
-//!    brought up to date, departed neighbors dropped), then runs its
-//!    protocol active thread against it, drawing randomness from its **own
-//!    counter-based stream** keyed by `(seed, node id, cycle)` (see
-//!    [`crate::stream`]). Refreshing view by view, just before each owner
-//!    acts, gives exactly what refreshing every view first gave: the
-//!    snapshot is immutable, so no active step can change what a later
-//!    refresh reads, and an active step reads and writes nothing but its
-//!    own node. The sweep reads each view once where two sweeps read it
-//!    twice. What the nodes send is appended to one flat outbox, in slot
-//!    order, marking where every sender's messages end.
-//! 6. **Delivery phase** — the outbox is routed sender by sender per
-//!    the [`Concurrency`](crate::Concurrency) model: non-overlapping
-//!    messages are delivered immediately as *atomic exchanges*, overlapping
-//!    messages are deferred to an end-of-cycle drain in random order, where
-//!    stale payloads surface as unsuccessful swaps.
-//! 7. **Metrics** — SDM, GDM and event counters over the live population,
-//!    every [`metrics_every`](crate::SimConfig::metrics_every)-th cycle
-//!    (skipped cycles repeat the last computed disorder values); SDM and
-//!    slice accuracy come from the churn-maintained
-//!    [`RankCache`](metrics::RankCache) in O(n), and so does the GDM's
-//!    attribute rank (only the random values are sorted).
-//!
-//! ## Atomic exchanges under phased execution
-//!
-//! The paper's baseline model executes each swap exchange atomically. In a
-//! phased cycle, a proposal is *computed* in the active phase but
-//! *resolved* in the delivery phase, so two same-cycle proposals can race
-//! for one partner. For non-overlapping messages the engine restores
-//! atomicity by **replaying** the loser: if a swap proposal no longer
-//! satisfies the misplacement predicate when it is delivered (because an
-//! earlier same-cycle exchange moved a value), the proposer's view is
-//! refreshed and its active step re-runs against current state (on its
-//! replay stream), exactly as if its atomic turn came after the conflicting
-//! exchange — so `Concurrency::None` produces zero unsuccessful swaps, as
-//! in the paper. Overlapping and latency-delayed proposals are *not*
-//! replayed; their staleness is the measurement of §4.5.2 / Fig. 4(c).
+//! In debug builds every phase boundary checks what the next phase relies
+//! on: views keep their invariants after churn and after membership, no view
+//! holds a departed neighbor after the churn prune, delivery leaves its
+//! queues empty, and at metrics time every honest estimate lies in its
+//! family's range — `(0, 1]` for the ordering family's random values,
+//! `[0, 1]` for a ranking estimate.
 //!
 //! ## Storage
 //!
@@ -90,63 +49,38 @@
 //! **Every per-cycle touch of a node is O(1): at most one array index to
 //! find it, and no allocation.** A node's slot is stable while it lives, so
 //! each phase resolves `NodeId → slot` once, where the id enters it, and
-//! indexes the slot array from then on:
+//! indexes the slot array from then on (each phase module says where).
+//! Resolving an id hashes nothing: the slab's index, the refresh snapshot,
+//! the rank cache's ranks and the slice tracker's stamps are columns indexed
+//! by the raw id, which the engine's own allocator issues sequentially from
+//! 0. They cost about 24 bytes per identity ever issued — 0.24 MB per 10k
+//! joins — on top of the slots (see [`Engine::slot_count`]).
 //!
-//! * *membership* resolves the partner's slot when it schedules the
-//!   exchange; batching and execution are slot-addressed, and an exchange
-//!   borrows both nodes mutably where they live
-//!   ([`NodeSlab::slot_pair_mut`]) — nothing is moved out and back;
-//! * the *active sweep's view refresh* resolves nothing: the refresh
-//!   snapshot is itself indexed by id row — a value column beside one live
-//!   bit per row — so a view entry costs one value load that may miss,
-//!   not an index load and then a dependent per-slot load;
-//! * the churn phase's dead-neighbor sweep resolves each view entry
-//!   against the slab's own index, lent out read-only beside the mutable
-//!   slot walk — no side table of the population is built;
-//! * *delivery* resolves each endpoint of a message once and borrows the
-//!   recipient where it lives (node storage and the engine's RNG are
-//!   separate fields, so both are lent at once — nothing is moved out).
-//!
-//! ## Look-ahead reads
+//! What a phase needs beyond node state lives in buffers its own module
+//! defines and the engine keeps across cycles: the membership schedule and
+//! exchange order, the refresh snapshot and the outbox, the delivery queues.
+//! After the first cycles warm them up, the cycle hot path performs no
+//! allocation that scales with `n` (enforced by
+//! `tests/alloc_steady_state.rs`). Nothing is kept per node: a spare vector
+//! there is paid for `n` times. The slice partition is shared the same way
+//! — every protocol instance holds a handle on one boundary array.
 //!
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
-//! membership exchanges visit nodes in random order. Each visit walks a
-//! chain — the slab cell, which holds the protocol and sampler inline,
-//! then the view's buffer — and each link is a cache miss the next one
-//! waits for, so one node at a time leaves the memory system mostly idle.
-//! Both loops therefore work in groups of `GATHER_AHEAD` (16) messages or
-//! exchanges, and at the start of each group read nodes ahead and discard
-//! what they read, so those chains are in flight together while the
-//! current group runs. Delivery reads the next group's recipients (slab
-//! cell and published value). An exchange rewrites both endpoints' whole
-//! view rows, so membership reads in two stages: the slab cells of the
-//! group after next, and the whole view rows of the next group, whose
-//! cells — holding the pointer to the row — were read one group earlier.
-//! A row read takes one entry per 64-byte cache line and the last entry,
-//! since a row of ten 24-byte entries spans four or five lines.
-//! The reads cannot change a result: they go through shared borrows and
-//! read-only accessors, draw no randomness, and leave the order of the
-//! work untouched.
-//!
-//! Resolving an id hashes nothing: the slab's index, the refresh
-//! snapshot, the rank cache's ranks and the slice tracker's stamps are
-//! columns indexed by the raw id, which the engine's own allocator issues
-//! sequentially from 0. They cost about 24 bytes per identity ever issued
-//! — 0.24 MB per 10k joins — on top of the slots (see
-//! [`Engine::slot_count`]).
-//!
-//! What a phase needs beyond node state lives in engine-owned buffers that
-//! persist across cycles (`Scratch`): the membership schedule, batches and
-//! request/reply payloads, the active-phase outbox, the delivery queues. An exchange between two
-//! Cyclon samplers uses no payload at all: [`PeerSampler::exchange_local`]
-//! swaps the two views element by element where they live; the other
-//! substrates (and the rare Cyclon exchange whose views need a top-up) go
-//! through the payload buffers. Nothing is kept per node: a spare vector
-//! there is paid for `n` times. The slice partition is shared the same
-//! way — every protocol instance holds a handle on one boundary array.
+//! membership exchanges visit nodes in random order, so both loops work in
+//! groups of `GATHER_AHEAD` (16) messages or exchanges and read the node
+//! state of the next groups ahead, discarding what they read, so that the
+//! cache misses of a group are in flight together. The reads cannot change
+//! a result: they go through shared borrows and read-only accessors, draw no
+//! randomness, and leave the order of the work untouched.
 //!
 //! Everything is driven by the run seed: identical `(config, protocol,
 //! churn, seed)` yields identical runs, byte for byte.
+
+mod active;
+mod churn;
+mod delivery;
+mod membership;
+mod metrics;
 
 use crate::churn::{ChurnModel, NoChurn};
 use crate::config::{ProtocolKind, SimConfig};
@@ -154,20 +88,18 @@ use crate::fault::{BandPartition, NetworkFault};
 use crate::latency::LatencyModel;
 use crate::stats::{CycleStats, EventCounters, PhaseTimings, RunRecord};
 use crate::stream::NodeRng;
+use delivery::Delivery;
 use dslice_algorithms::{Adaptive, AnyProtocol, AttackerSpec, Liar};
+use dslice_core::metrics::{RankCache, SliceTracker};
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
 use dslice_core::{
-    metrics, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewEntry,
+    Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewEntry,
 };
-use dslice_gossip::{AnySampler, ExchangeBuffers, PeerSampler, SamplerKind};
+use dslice_gossip::{AnySampler, PeerSampler};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
-use std::collections::VecDeque;
-use std::hint::black_box;
-use std::mem;
 
 /// Stream domain of the regular active step (see [`NodeRng::for_node`]).
 const ACTIVE_SALT: u64 = 0;
@@ -177,6 +109,22 @@ const REPLAY_SALT: u64 = 1;
 /// exchange payload draws (the same stream is carried from schedule to
 /// execute), or the oracle's per-node refill sample.
 const MEMBERSHIP_SALT: u64 = 2;
+
+/// The trace span of each phase, in the order of [`PhaseTimings::rows`].
+const PHASE_SPANS: [TraceKind; 7] = [
+    TraceKind::PhaseChurn,
+    TraceKind::PhaseDrain,
+    TraceKind::PhaseMembership,
+    TraceKind::PhaseRefresh,
+    TraceKind::PhaseActive,
+    TraceKind::PhaseDelivery,
+    TraceKind::PhaseMetrics,
+];
+
+/// Group size of the look-ahead reads: while the delivery loop routes one
+/// group of this many messages, or the membership phase executes one group
+/// of this many exchanges, the next groups' node state is read.
+const GATHER_AHEAD: usize = 16;
 
 /// One simulated node: its protocol state plus its membership state, both
 /// inline in the slab cell (see the module docs on storage).
@@ -217,6 +165,22 @@ impl SimNode {
             self.proto.attribute(),
             self.proto.published_value(),
         )
+    }
+}
+
+/// What every phase reads and none writes: the configuration, the protocol,
+/// the network-fault state and the cycle number.
+struct Cycle<'a> {
+    cfg: &'a SimConfig,
+    kind: ProtocolKind,
+    fault: &'a NetworkFault,
+    cycle: usize,
+}
+
+impl Cycle<'_> {
+    /// `id`'s counter-based stream in the domain `salt` for this cycle.
+    fn rng(&self, id: NodeId, salt: u64) -> NodeRng {
+        NodeRng::for_node(self.cfg.seed, id.as_u64(), self.cycle as u64, salt)
     }
 }
 
@@ -295,138 +259,10 @@ impl Envelope {
     }
 }
 
-/// Everything the active sweep sent, flat and in slot order: `ends[k]` is
-/// where the `k`-th sending node's messages end in `msgs` (silent nodes
-/// leave no mark). Reused every cycle.
-#[derive(Default)]
-struct Outbox {
-    msgs: Vec<Envelope>,
-    ends: Vec<usize>,
-}
-
-/// One scheduled membership exchange, in 16 bytes: the slots of the
-/// initiator and its chosen partner (resolved once — nothing downstream
-/// looks an id up again, and the ids themselves are read back from the
-/// slab where needed) and the initiator's membership stream, carried from
-/// schedule to execute so the pair consumes exactly the draws a combined
-/// `initiate` would. Slots fit `u32`: the slab holds fewer slots than ids
-/// below `u32::MAX`.
-struct ScheduledExchange {
-    slot: u32,
-    partner_slot: u32,
-    rng: NodeRng,
-}
-
-impl ScheduledExchange {
-    /// The initiator's and the partner's slots.
-    fn slots(&self) -> (usize, usize) {
-        (self.slot as usize, self.partner_slot as usize)
-    }
-}
-
-/// Group size of the look-ahead reads: while the delivery loop routes one
-/// group of this many messages, or the membership phase executes one group
-/// of this many exchanges, the next groups' node state is read.
-const GATHER_AHEAD: usize = 16;
-
-/// Reads what delivering a message to `node` touches — its slab cell,
-/// which holds its protocol state inline — and discards it (see the module
-/// docs on look-ahead reads). A read-only accessor through a shared borrow:
-/// no write, no RNG draw, no change to the order of work.
-fn gather_recipient(node: Option<&SimNode>) {
-    if let Some(node) = node {
-        black_box(node.proto.published_value());
-    }
-}
-
-/// View entries per 64-byte cache line: the stride of the look-ahead read
-/// over a view buffer.
-const ENTRIES_PER_LINE: usize = 64 / mem::size_of::<ViewEntry>();
-
-/// [`gather_recipient`] plus the handle of the node's view buffer: the
-/// slab cell of an exchange endpoint, both halves of it, and the first
-/// link of the chain [`gather_row`] follows.
-fn gather_cell(node: Option<&SimNode>) {
-    gather_recipient(node);
-    if let Some(node) = node {
-        black_box(node.sampler.view().entries().len());
-    }
-}
-
-/// Reads the node's whole view buffer, the one link beyond the slab cell,
-/// which an exchange reads and rewrites end to end: one entry per cache
-/// line, and the last entry, whose tail may start a line of its own.
-fn gather_row(node: Option<&SimNode>) {
-    if let Some(node) = node {
-        let entries = node.sampler.view().entries();
-        for entry in entries.iter().step_by(ENTRIES_PER_LINE) {
-            black_box(entry.id);
-        }
-        black_box(entries.last().copied());
-    }
-}
-
-/// Executes one scheduled exchange where the nodes live: both endpoints are
-/// borrowed mutably in their slots, nothing is moved. It mutates only the
-/// two nodes and the payload buffers (which two Cyclon samplers do not even
-/// touch: they swap their views in place), and draws only from the
-/// initiator's carried membership stream.
-fn exchange_in_place(
-    nodes: &mut NodeSlab<SimNode>,
-    scheduled: &ScheduledExchange,
-    bufs: &mut ExchangeBuffers,
-) {
-    let (slot, partner_slot) = scheduled.slots();
-    if let Some((node, partner)) = nodes.slot_pair_mut(slot, partner_slot) {
-        let (self_entry, partner_entry) = (node.self_entry(), partner.self_entry());
-        let rng = &mut scheduled.rng.clone();
-        node.sampler
-            .exchange_local(self_entry, &mut partner.sampler, partner_entry, rng, bufs);
-    }
-}
-
-/// The refresh phase's snapshot: every live node's published value, by id
-/// row. Liveness is one bit per row beside the values rather than a
-/// sentinel value (a liar may publish any `f64`), and a lookup reads the
-/// two columns independently: the bits (one per identity ever issued) stay
-/// in cache, and the value is the one load that may miss. Keyed by slot,
-/// the same read would need the id's slot first: two dependent loads.
-#[derive(Default)]
-struct PublishedRows {
-    /// Published value per id row; meaningful only where `live` is set.
-    values: Vec<f64>,
-    /// Bit `row % 64` of word `row / 64`: whether the id is live.
-    live: Vec<u64>,
-}
-
-impl PublishedRows {
-    /// Rebuilds the snapshot over id rows `0..rows` from the live
-    /// population's `(id, published value)` pairs.
-    fn rebuild(&mut self, rows: usize, live: impl Iterator<Item = (NodeId, f64)>) {
-        // Rows of departed ids keep stale values; their bits are cleared.
-        self.values.resize(rows, 0.0);
-        self.live.clear();
-        self.live.resize(rows.div_ceil(64), 0);
-        for (id, value) in live {
-            let row = id.row();
-            self.values[row] = value;
-            self.live[row / 64] |= 1 << (row % 64);
-        }
-    }
-
-    /// `id`'s published value as of the snapshot, or `None` for an id that
-    /// is not live (departed, or beyond the column).
-    fn get(&self, id: NodeId) -> Option<f64> {
-        let row = id.row();
-        let word = self.live.get(row / 64)?;
-        (word >> (row % 64) & 1 == 1).then(|| self.values[row])
-    }
-}
-
 /// Uniformly draws up to `count` distinct items of `pool` whose id differs
-/// from `owner` into `out`, sorted by id — the sampling core shared by
-/// [`Engine::random_entries`] (bootstrap, churn joins) and the oracle
-/// refill, so the two paths cannot drift apart.
+/// from `owner` into `out`, sorted by id — the sampling core shared by view
+/// bootstrap (construction, churn joins) and the oracle refill, so the two
+/// paths cannot drift apart.
 ///
 /// Oversamples by one slot so that filtering the owner out still leaves
 /// `count` candidates whenever the pool allows it. Index sampling is
@@ -457,52 +293,17 @@ fn sample_from_pool<T: Copy, R: RngCore + ?Sized>(
     out.sort_unstable_by_key(|item| id_of(item));
 }
 
-/// Reusable per-cycle buffers: after the first cycles warm these up, the
-/// cycle hot path performs no allocation that scales with `n` (enforced by
-/// `tests/alloc_steady_state.rs`). Every buffer belongs to the engine —
-/// never to a node, where a spare vector would be paid for `n` times over.
-/// A phase `mem::take`s what it needs and hands it back when done, which is
-/// what lets it borrow the rest of the engine meanwhile.
-#[derive(Default)]
-struct Scratch {
-    /// Latency-drain split: messages due this cycle.
-    due: Vec<Envelope>,
-    /// Latency-drain split: messages still in flight (swapped with
-    /// `in_flight` each cycle).
-    flying: Vec<(usize, Envelope)>,
-    /// Work queue shared by the drain, delivery and deferred phases.
-    queue: VecDeque<Envelope>,
-    /// Overlap-deferred messages awaiting the end-of-cycle drain.
-    deferred: Vec<Envelope>,
-    /// Response staging inside the final drain.
-    late: Vec<Envelope>,
-    /// What the message being delivered provoked, before it is routed.
-    responses: Vec<Envelope>,
-    /// Atomic-exchange replay: what the replayed active step sent (and,
-    /// after it, what each replayed delivery provoked)…
-    replay_out: Vec<Envelope>,
-    /// …and the replay's own delivery queue (the outer one is mid-drain).
-    replay_queue: VecDeque<Envelope>,
-    /// Active phase: what the sweep sent, in slot order.
-    outbox: Outbox,
-    /// Membership schedule: one entry per initiating node.
-    scheduled: Vec<ScheduledExchange>,
-    /// Batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
-    masks: Vec<u128>,
-    /// Conflict-free batches, as indices into `scheduled`.
-    batches: Vec<Vec<u32>>,
-    /// Pairs beyond the 128-batch bitmask (pathological in-degree),
-    /// executed sequentially after the batches, as indices into
-    /// `scheduled`.
-    overflow: Vec<u32>,
-    /// Membership execute: the request/reply payload buffers.
-    exchange_bufs: ExchangeBuffers,
-    /// Oracle refill: the cycle's population snapshot as view entries.
-    pool_entries: Vec<ViewEntry>,
-    /// Refresh phase: published value per id row, beside a live bit per
-    /// row — the snapshot the active sweep refreshes views against, with
-    /// no id → slot lookup in front of the value read.
-    published: PublishedRows,
+/// Debug builds: after `phase`, every live view keeps its structural
+/// invariants (no owner pointer, no duplicate, within capacity). Allocates
+/// nothing unless it fails.
+fn debug_assert_views(nodes: &NodeSlab<SimNode>, phase: &str) {
+    if cfg!(debug_assertions) {
+        for (_, id, node) in nodes.iter() {
+            if let Err(e) = node.sampler.view().check_invariants(Some(id)) {
+                panic!("after {phase}, node {id}'s view broke an invariant: {e}");
+            }
+        }
+    }
 }
 
 /// Measures per-phase wall-clock when enabled; a no-op (no clock reads)
@@ -538,18 +339,18 @@ pub struct Engine {
     cycle: usize,
     churn: Box<dyn ChurnModel>,
     /// §3.2 stability tracking: believed slices across cycles.
-    tracker: metrics::SliceTracker,
+    tracker: SliceTracker,
     /// Incrementally maintained attribute ranks / true slices (churn-fed).
-    ranks: metrics::RankCache,
-    /// Messages delayed across cycles by the latency model:
-    /// `(deliver_at_cycle, message)`.
-    in_flight: Vec<(usize, Envelope)>,
-    /// Last fully computed disorder values (repeated on cycles the metrics
+    ranks: RankCache,
+    /// Last fully computed `(SDM, GDM)` (repeated on cycles the metrics
     /// cadence skips).
-    last_sdm: f64,
-    last_gdm: f64,
-    /// Reusable per-cycle buffers (see [`Scratch`]).
-    scratch: Scratch,
+    last_disorder: (f64, f64),
+    /// The membership phase's schedule, exchange order and payload buffers.
+    membership: membership::Scratch,
+    /// The refresh snapshot and the active sweep's outbox.
+    active: active::Scratch,
+    /// The delivery queues, and the messages held across cycles.
+    delivery: delivery::Queues,
     /// Nodes converted to rank-inflating liars via
     /// [`corrupt_nodes`](Engine::corrupt_nodes); maintained across churn
     /// (a departed liar is forgotten, joiners are honest).
@@ -585,14 +386,22 @@ impl Engine {
         let mut alloc = NodeIdAllocator::default();
         let mut nodes = NodeSlab::with_capacity(cfg.n);
 
-        // Create the initial population.
+        // Create the initial population, then seed every view with up to
+        // `c` random other nodes.
         let ids = alloc.allocate_many(cfg.n);
         for &id in &ids {
             let attribute = cfg.distribution.sample(&mut rng);
             nodes.insert(id, SimNode::new(&cfg, kind, id, attribute, &mut rng)?);
         }
+        churn::bootstrap(
+            &mut nodes,
+            &mut rng,
+            cfg.view_size,
+            ids.iter().copied(),
+            &ids,
+        );
 
-        let mut ranks = metrics::RankCache::new();
+        let mut ranks = RankCache::new();
         ranks.rebuild(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
 
         let mut engine = Engine {
@@ -603,20 +412,18 @@ impl Engine {
             rng,
             cycle: 0,
             churn: Box::new(NoChurn),
-            tracker: metrics::SliceTracker::new(),
+            tracker: SliceTracker::new(),
             ranks,
-            in_flight: Vec::new(),
-            last_sdm: 0.0,
-            last_gdm: 0.0,
-            scratch: Scratch::default(),
+            last_disorder: (0.0, 0.0),
+            membership: Default::default(),
+            active: Default::default(),
+            delivery: Default::default(),
             liars: NodeIdSet::default(),
             fault: NetworkFault::default(),
             schedule_log: None,
             recorder: None,
         };
-        engine.bootstrap_views(&ids);
-        engine.last_sdm = engine.sdm();
-        engine.last_gdm = engine.gdm();
+        engine.last_disorder = (engine.sdm(), engine.gdm());
         Ok(engine)
     }
 
@@ -643,34 +450,12 @@ impl Engine {
         self.recorder.take()
     }
 
-    /// Seeds every listed node's view with up to `c` random other nodes.
-    fn bootstrap_views(&mut self, ids: &[NodeId]) {
-        let all: Vec<NodeId> = self.nodes.ids().collect();
-        for &id in ids {
-            let entries = self.random_entries(id, self.cfg.view_size, &all);
-            if let Some(node) = self.nodes.get_mut(id) {
-                node.sampler.bootstrap(&entries);
-            }
-        }
-    }
-
-    /// Draws up to `count` distinct entries describing live nodes ≠ `owner`
-    /// (the sampling itself is the shared [`sample_from_pool`] core).
-    fn random_entries(&mut self, owner: NodeId, count: usize, pool: &[NodeId]) -> Vec<ViewEntry> {
-        let mut chosen: Vec<NodeId> = Vec::new();
-        sample_from_pool(&mut self.rng, pool, |&id| id, owner, count, &mut chosen);
-        chosen
-            .into_iter()
-            .filter_map(|id| self.nodes.get(id).map(|n| n.self_entry()))
-            .collect()
-    }
-
     /// Test hook for the sampling invariants (no owner, no duplicates):
     /// draws `count` entries for `owner` from the current live population.
     #[doc(hidden)]
     pub fn debug_random_entries(&mut self, owner: NodeId, count: usize) -> Vec<ViewEntry> {
         let pool: Vec<NodeId> = self.nodes.ids().collect();
-        self.random_entries(owner, count, &pool)
+        churn::random_entries(&self.nodes, &mut self.rng, owner, count, &pool)
     }
 
     /// The current cycle count (number of completed steps).
@@ -713,25 +498,15 @@ impl Engine {
         // Believed slices under the old partitioning are not comparable to
         // the new one; restart stability tracking rather than report a
         // spurious all-nodes-changed spike.
-        self.tracker = metrics::SliceTracker::new();
+        self.tracker = SliceTracker::new();
         // The cached disorder values refer to the old partitioning too.
-        self.last_sdm = self.sdm();
-        self.last_gdm = self.gdm();
-    }
-
-    /// Internal population walk in slot order (the engine's canonical
-    /// deterministic order): `(id, attribute, estimate)`.
-    fn snapshot_slots(&self) -> Vec<(NodeId, Attribute, f64)> {
-        self.nodes
-            .iter()
-            .map(|(_, id, n)| (id, n.proto.attribute(), n.proto.estimate()))
-            .collect()
+        self.last_disorder = (self.sdm(), self.gdm());
     }
 
     /// Snapshot of the live population, sorted by node id:
     /// `(id, attribute, estimate)`.
     pub fn snapshot(&self) -> Vec<(NodeId, Attribute, f64)> {
-        let mut snapshot = self.snapshot_slots();
+        let mut snapshot = metrics::snapshot_slots(&self.nodes);
         snapshot.sort_unstable_by_key(|&(id, _, _)| id);
         snapshot
     }
@@ -748,7 +523,7 @@ impl Engine {
     /// The global disorder measure of the current population: `α` from the
     /// churn-maintained rank cache, one sort of the random values for `ρ`.
     pub fn gdm(&self) -> f64 {
-        self.ranks.gdm(&self.snapshot_slots())
+        self.ranks.gdm(&metrics::snapshot_slots(&self.nodes))
     }
 
     /// Fraction of nodes whose believed slice equals their true slice —
@@ -1008,7 +783,8 @@ impl Engine {
         record
     }
 
-    /// Executes one full cycle and returns its statistics.
+    /// Executes one full cycle — the phases of the module docs, in order —
+    /// and returns its statistics.
     pub fn step(&mut self) -> CycleStats {
         self.cycle += 1;
         // Scheduled partition heal: the heal cycle itself runs connected.
@@ -1022,205 +798,92 @@ impl Engine {
             .recorder
             .as_ref()
             .is_some_and(|r| r.wants_cycle(self.cycle as u64));
-        let cycle_start_ns = if trace_cycle {
-            self.recorder.as_ref().map(|r| r.now_ns()).unwrap_or(0)
-        } else {
-            0
-        };
+        let recorder = self.recorder.as_ref().filter(|_| trace_cycle);
+        let cycle_start_ns = recorder.map_or(0, FlightRecorder::now_ns);
         let mut timer = PhaseTimer::new(self.cfg.time_phases || trace_cycle);
+        let cx = Cycle {
+            cfg: &self.cfg,
+            kind: self.kind,
+            fault: &self.fault,
+            cycle: self.cycle,
+        };
 
-        let (left, joined) = self.apply_churn();
+        let (left, joined) = churn::run(
+            &cx,
+            &mut *self.churn,
+            &mut self.nodes,
+            &mut self.alloc,
+            &mut self.liars,
+            &mut self.ranks,
+            &mut self.rng,
+        );
+        debug_assert_views(&self.nodes, "churn");
         timer.lap(&mut timings.churn_ns);
 
         let mut counters = EventCounters::default();
         let mut dropped = 0u64;
-
-        // Latency drain: messages whose latency elapsed land now, in random
-        // order, before anyone's active step — the paper's staleness
-        // scenario stretched across cycles. Their responses re-enter the
-        // normal routing (and may themselves be delayed again).
-        let mut due = mem::take(&mut self.scratch.due);
-        due.clear();
-        let mut flying = mem::take(&mut self.scratch.flying);
-        flying.clear();
-        for (at, envelope) in self.in_flight.drain(..) {
-            if at <= self.cycle {
-                due.push(envelope);
-            } else {
-                flying.push((at, envelope));
-            }
-        }
-        // The drained vector keeps its capacity for next cycle's split.
-        mem::swap(&mut self.in_flight, &mut flying);
-        self.scratch.flying = flying;
-        due.shuffle(&mut self.rng);
-        let mut queue = mem::take(&mut self.scratch.queue);
-        queue.clear();
-        queue.extend(due.drain(..));
-        self.scratch.due = due;
-        let mut deferred = mem::take(&mut self.scratch.deferred);
-        deferred.clear();
-        while let Some(envelope) = queue.pop_front() {
-            self.deliver_and_route(
-                envelope,
-                false,
-                &mut queue,
-                &mut deferred,
-                &mut counters,
-                &mut dropped,
-            );
-        }
+        // Delivery's borrows span the cycle's message path; the phases in
+        // between borrow the slab and the tallies through it.
+        let mut wire = Delivery {
+            cx: &cx,
+            nodes: &mut self.nodes,
+            rng: &mut self.rng,
+            q: &mut self.delivery,
+            counters: &mut counters,
+            dropped: &mut dropped,
+        };
+        wire.drain_due();
         timer.lap(&mut timings.drain_ns);
 
-        // Membership phase: schedule → conflict-free batches → execute in
-        // batch order (see module docs). A network partition severs
-        // cross-band exchanges here too (their REQ′ never crosses).
-        self.membership_phase(&mut dropped);
+        let log = self.schedule_log.as_mut();
+        membership::run(&cx, wire.nodes, &mut self.membership, log, wire.dropped);
+        debug_assert_views(wire.nodes, "membership");
         timer.lap(&mut timings.membership_ns);
 
-        // Refresh phase: the per-id-row published-value snapshot that every
-        // view is brought up to date against ("the view is up-to-date when a
-        // message is sent", §4.5.2) — each in the active sweep, just before
-        // its owner acts.
-        let fresh_views = self.cfg.concurrency.fresh_views();
-        if fresh_views {
-            self.snapshot_published();
-        }
+        active::refresh(wire.nodes, self.alloc.peek().row(), &mut self.active);
         timer.lap(&mut timings.refresh_ns);
 
-        // Active phase: view refresh, then node-local protocol steps on
-        // per-node RNG streams, filling the outbox.
-        let mut outbox = self.active_phase(fresh_views, &mut counters);
+        active::run(&cx, wire.nodes, &mut self.active, wire.counters);
         timer.lap(&mut timings.active_ns);
 
-        // Delivery phase: senders in slot order.
-        // Non-overlapping messages complete as atomic exchanges (with
-        // conflict replay, see module docs); overlapping ones join the
-        // end-of-cycle drain. (`queue` is empty again after every sender.)
-        // At the start of every group of messages the next group's
-        // recipients are read ahead.
-        let mut msgs = outbox.msgs.drain(..);
-        let mut sent = 0;
-        for &end in &outbox.ends {
-            while sent < end {
-                if sent % GATHER_AHEAD == 0 {
-                    let next = msgs.as_slice().iter().skip(GATHER_AHEAD);
-                    for envelope in next.take(GATHER_AHEAD) {
-                        gather_recipient(self.nodes.get(envelope.to));
-                    }
-                }
-                let envelope = msgs.next().expect("`ends` stay within the outbox");
-                sent += 1;
-                if let Some(now) = self.route(envelope, &mut deferred, &mut dropped) {
-                    queue.push_back(now);
-                }
-            }
-            while let Some(envelope) = queue.pop_front() {
-                self.deliver_and_route(
-                    envelope,
-                    true,
-                    &mut queue,
-                    &mut deferred,
-                    &mut counters,
-                    &mut dropped,
-                );
-            }
-        }
-        drop(msgs);
-        self.scratch.outbox = outbox;
-
-        // End-of-cycle drain: overlapping messages land in random order;
-        // their responses are also in flight within this cycle (unless the
-        // latency model pushes them into a later one).
-        deferred.shuffle(&mut self.rng);
-        queue.extend(deferred.drain(..));
-        self.scratch.deferred = deferred;
-        let mut late = mem::take(&mut self.scratch.late);
-        while let Some(envelope) = queue.pop_front() {
-            self.deliver_and_route(
-                envelope,
-                false,
-                &mut queue,
-                &mut late,
-                &mut counters,
-                &mut dropped,
-            );
-            // Responses that drew an "overlapping" coin inside the final
-            // drain have no later drain this cycle; they join the queue.
-            queue.extend(late.drain(..));
-        }
-        self.scratch.late = late;
-        self.scratch.queue = queue;
+        wire.run(&self.active.outbox);
         timer.lap(&mut timings.delivery_ns);
 
-        // Metrics, on the configured cadence.
-        let n = self.nodes.len();
-        let (sdm, gdm, slice_changes) = if self.cycle.is_multiple_of(self.cfg.metrics_every) {
-            let snapshot = self.snapshot_slots();
-            let sdm = self.ranks.sdm(
-                &self.cfg.partition,
-                snapshot.iter().map(|&(id, _, est)| (id, est)),
-            );
-            let gdm = self.ranks.gdm(&snapshot);
-            let slice_changes = self.tracker.observe(&self.cfg.partition, &snapshot);
-            self.last_sdm = sdm;
-            self.last_gdm = gdm;
-            (sdm, gdm, slice_changes)
-        } else {
-            (self.last_sdm, self.last_gdm, 0)
-        };
+        let (sdm, gdm, slice_changes) = metrics::run(
+            &cx,
+            &self.nodes,
+            &self.liars,
+            &self.ranks,
+            &mut self.tracker,
+            &mut self.last_disorder,
+        );
         timer.lap(&mut timings.metrics_ns);
 
-        if trace_cycle {
-            if let Some(rec) = &mut self.recorder {
-                const PHASES: [TraceKind; 7] = [
-                    TraceKind::PhaseChurn,
-                    TraceKind::PhaseDrain,
-                    TraceKind::PhaseMembership,
-                    TraceKind::PhaseRefresh,
-                    TraceKind::PhaseActive,
-                    TraceKind::PhaseDelivery,
-                    TraceKind::PhaseMetrics,
-                ];
-                let cycle = self.cycle as u64;
-                let mut ts = cycle_start_ns;
-                for (kind, (_, dur)) in PHASES.into_iter().zip(timings.rows()) {
-                    rec.span(kind, cycle, ts, dur);
-                    ts += dur;
-                }
-                if left + joined > 0 {
-                    rec.instant(
-                        TraceKind::CycleChurn,
-                        cycle,
-                        None,
-                        joined as u64,
-                        left as u64,
-                    );
-                }
-                if counters.swaps_applied + counters.swaps_useless > 0 {
-                    rec.instant(
-                        TraceKind::CycleSwaps,
-                        cycle,
-                        None,
-                        counters.swaps_applied,
-                        counters.swaps_useless,
-                    );
-                }
-                if counters.samples_rejected + counters.swaps_abandoned > 0 {
-                    rec.instant(
-                        TraceKind::CycleDefense,
-                        cycle,
-                        None,
-                        counters.samples_rejected,
-                        counters.swaps_abandoned,
-                    );
-                }
+        if let Some(rec) = self.recorder.as_mut().filter(|_| trace_cycle) {
+            let cycle = self.cycle as u64;
+            let mut ts = cycle_start_ns;
+            for (kind, (_, dur)) in PHASE_SPANS.into_iter().zip(timings.rows()) {
+                rec.span(kind, cycle, ts, dur);
+                ts += dur;
+            }
+            let c = &counters;
+            let instants = [
+                (TraceKind::CycleChurn, joined as u64, left as u64),
+                (TraceKind::CycleSwaps, c.swaps_applied, c.swaps_useless),
+                (
+                    TraceKind::CycleDefense,
+                    c.samples_rejected,
+                    c.swaps_abandoned,
+                ),
+            ];
+            for (kind, a, b) in instants.into_iter().filter(|&(_, a, b)| a + b > 0) {
+                rec.instant(kind, cycle, None, a, b);
             }
         }
 
         CycleStats {
             cycle: self.cycle,
-            n,
+            n: self.nodes.len(),
             sdm,
             gdm,
             events: counters,
@@ -1230,204 +893,6 @@ impl Engine {
             slice_changes,
             timings: self.cfg.time_phases.then_some(timings),
         }
-    }
-
-    /// Executes the membership phase as schedule → batch → execute (see
-    /// module docs). The uniform-oracle substrate goes through
-    /// [`oracle_refill_phase`](Engine::oracle_refill_phase) instead (and is
-    /// deliberately *not* constrained by network partitions — it models an
-    /// out-of-band sampling service). Scheduled exchanges crossing an
-    /// installed partition are severed and counted in `dropped`.
-    fn membership_phase(&mut self, dropped: &mut u64) {
-        if self.cfg.sampler == SamplerKind::UniformOracle {
-            self.oracle_refill_phase();
-            return;
-        }
-        let seed = self.cfg.seed;
-        let cycle = self.cycle as u64;
-
-        // Schedule: every live node's partner choice, drawn from its own
-        // counter-based stream — independent of every other node's draws,
-        // against its start-of-phase view — with the partner's slot
-        // resolved on the spot, the one id lookup an exchange costs. A
-        // partner that is not alive (possible only for same-cycle stale
-        // entries) costs the initiator that pointer and its exchange,
-        // exactly as in the sequential model.
-        let mut scheduled = mem::take(&mut self.scratch.scheduled);
-        scheduled.clear();
-        let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
-        for (slot, id, node) in nodes {
-            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
-            let Some(partner) = node.sampler.schedule_exchange(&mut rng) else {
-                continue;
-            };
-            match lookup.slot_of(partner) {
-                // Slots are below `u32::MAX` (see `ScheduledExchange`).
-                Some(partner_slot) => scheduled.push(ScheduledExchange {
-                    slot: slot as u32,
-                    partner_slot: partner_slot as u32,
-                    rng,
-                }),
-                None => {
-                    node.sampler.view_mut().remove(partner);
-                }
-            }
-        }
-
-        // Partition gating: a cross-band exchange's REQ′ never crosses —
-        // the pair is severed before batching (the initiator keeps its
-        // stale pointer; failure detection is the view's business, not the
-        // partition's). RNG-free: band membership is a pure attribute
-        // lookup against the frozen cuts.
-        if let Some(partition) = self.fault.partition() {
-            let nodes = &self.nodes;
-            let band_of = |slot| {
-                nodes
-                    .slot(slot)
-                    .map(|n: &SimNode| partition.band_of(n.proto.attribute().value()))
-            };
-            scheduled.retain(|s| {
-                let (slot, partner_slot) = s.slots();
-                let connected = match (band_of(slot), band_of(partner_slot)) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => false,
-                };
-                if !connected {
-                    *dropped += 1;
-                }
-                connected
-            });
-        }
-
-        // Batch: greedy first-fit, in slot order, into conflict-free
-        // batches — no node appears twice within one batch. Occupancy is a
-        // 128-bit mask per slot; a pair whose endpoints' first common free
-        // batch exceeds 128 (in-degree > 127, pathological) overflows into
-        // a sequential tail.
-        let mut masks = mem::take(&mut self.scratch.masks);
-        masks.clear();
-        masks.resize(self.nodes.slot_count(), 0u128);
-        let mut batches = mem::take(&mut self.scratch.batches);
-        for batch in &mut batches {
-            batch.clear();
-        }
-        let mut overflow = mem::take(&mut self.scratch.overflow);
-        overflow.clear();
-        let mut used_batches = 0usize;
-        for (idx, s) in scheduled.iter().enumerate() {
-            // One entry per live node: the index fits `u32` as slots do.
-            let idx = idx as u32;
-            let (slot, partner_slot) = s.slots();
-            let busy = masks[slot] | masks[partner_slot];
-            let batch = (!busy).trailing_zeros() as usize;
-            if batch >= 128 {
-                overflow.push(idx);
-                continue;
-            }
-            masks[slot] |= 1 << batch;
-            masks[partner_slot] |= 1 << batch;
-            if batch >= batches.len() {
-                batches.push(Vec::new());
-            }
-            batches[batch].push(idx);
-            used_batches = used_batches.max(batch + 1);
-        }
-
-        if let Some(log) = &mut self.schedule_log {
-            log.clear();
-            let id_at = |slot| {
-                let id = self.nodes.id_at(slot);
-                id.expect("scheduled slots are live").as_u64()
-            };
-            let ids = |idx: u32| {
-                let (slot, partner_slot) = scheduled[idx as usize].slots();
-                (id_at(slot), id_at(partner_slot))
-            };
-            for (batch, members) in batches.iter().enumerate().take(used_batches) {
-                for &idx in members {
-                    let (id, partner) = ids(idx);
-                    log.push((id, partner, batch));
-                }
-            }
-            for (offset, &idx) in overflow.iter().enumerate() {
-                let (id, partner) = ids(idx);
-                // Overflow pairs execute one at a time: singleton batches.
-                log.push((id, partner, 128 + offset));
-            }
-        }
-
-        // Execute: batches in order, then the overflow tail, pair by pair in
-        // place. At the start of each group of pairs, both endpoints' slab
-        // cells are read two groups ahead and their view rows one group
-        // ahead, by which time the cells that point at the rows are in.
-        let bufs = &mut self.scratch.exchange_bufs;
-        for batch in batches.iter().take(used_batches) {
-            for (pos, &idx) in batch.iter().enumerate() {
-                if pos % GATHER_AHEAD == 0 {
-                    let group = |ahead: usize| {
-                        let start = (pos + ahead * GATHER_AHEAD).min(batch.len());
-                        let end = (start + GATHER_AHEAD).min(batch.len());
-                        &batch[start..end]
-                    };
-                    for &next in group(2) {
-                        let (slot, partner_slot) = scheduled[next as usize].slots();
-                        gather_cell(self.nodes.slot(slot));
-                        gather_cell(self.nodes.slot(partner_slot));
-                    }
-                    for &next in group(1) {
-                        let (slot, partner_slot) = scheduled[next as usize].slots();
-                        gather_row(self.nodes.slot(slot));
-                        gather_row(self.nodes.slot(partner_slot));
-                    }
-                }
-                exchange_in_place(&mut self.nodes, &scheduled[idx as usize], bufs);
-            }
-        }
-        for &idx in overflow.iter() {
-            exchange_in_place(&mut self.nodes, &scheduled[idx as usize], bufs);
-        }
-
-        self.scratch.scheduled = scheduled;
-        self.scratch.masks = masks;
-        self.scratch.batches = batches;
-        self.scratch.overflow = overflow;
-    }
-
-    /// Membership phase of the uniform-oracle substrate: snapshot the
-    /// population once (it is invariant within a cycle — churn only happens
-    /// at cycle start), then refill every view from it, each node sampling
-    /// from its own membership stream.
-    fn oracle_refill_phase(&mut self) {
-        let seed = self.cfg.seed;
-        let cycle = self.cycle as u64;
-        let view_size = self.cfg.view_size;
-
-        let mut pool = mem::take(&mut self.scratch.pool_entries);
-        pool.clear();
-        pool.extend(self.nodes.iter().map(|(_, _, n)| n.self_entry()));
-
-        if let Some(log) = &mut self.schedule_log {
-            log.clear(); // the oracle never schedules exchanges
-        }
-
-        let mut entries: Vec<ViewEntry> = Vec::with_capacity(view_size + 1);
-        for (_slot, id, node) in self.nodes.iter_mut() {
-            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, MEMBERSHIP_SALT);
-            sample_from_pool(&mut rng, &pool, |e| e.id, id, view_size, &mut entries);
-            node.sampler.refill(&entries);
-        }
-        self.scratch.pool_entries = pool;
-    }
-
-    /// Refresh phase: every node's published value, per id row — the
-    /// immutable snapshot the active sweep refreshes each view against.
-    /// Rows of departed ids, and of ids beyond the column, read `None`.
-    fn snapshot_published(&mut self) {
-        let live = self.nodes.iter();
-        let live = live.map(|(_, id, node)| (id, node.proto.published_value()));
-        self.scratch
-            .published
-            .rebuild(self.alloc.peek().row(), live);
     }
 
     /// Test hook: toggles recording of the membership exchange schedule;
@@ -1445,328 +910,6 @@ impl Engine {
         self.schedule_log.as_deref().unwrap_or(&[])
     }
 
-    /// Runs the active phase: one sweep in slot order, each node's view
-    /// refreshed against the refresh phase's snapshot (with `fresh_views`)
-    /// just before its owner acts. Returns the filled outbox, which the
-    /// caller hands back to `scratch` once delivered.
-    fn active_phase(&mut self, fresh_views: bool, counters: &mut EventCounters) -> Outbox {
-        let seed = self.cfg.seed;
-        let cycle = self.cycle as u64;
-
-        let mut outbox = mem::take(&mut self.scratch.outbox);
-        outbox.msgs.clear();
-        outbox.ends.clear();
-        let published = fresh_views.then_some(&self.scratch.published);
-        for (_slot, id, node) in self.nodes.iter_mut() {
-            if let Some(published) = published {
-                node.sampler
-                    .view_mut()
-                    .refresh_values(|nid| published.get(nid));
-            }
-            let mut rng = NodeRng::for_node(seed, id.as_u64(), cycle, ACTIVE_SALT);
-            let sent_before = outbox.msgs.len();
-            let mut ctx = EngineCtx {
-                rng: &mut rng,
-                out: &mut outbox.msgs,
-                counters,
-            };
-            node.proto.on_active(node.sampler.view(), &mut ctx);
-            if outbox.msgs.len() > sent_before {
-                outbox.ends.push(outbox.msgs.len());
-            }
-        }
-        outbox
-    }
-
-    /// Routes one outgoing message: drops it (loss), holds it across cycles
-    /// (latency), defers it within the cycle (overlap), or returns it for
-    /// immediate delivery.
-    fn route(
-        &mut self,
-        envelope: Envelope,
-        deferred: &mut Vec<Envelope>,
-        dropped: &mut u64,
-    ) -> Option<Envelope> {
-        // Fault injection first: a quiet fault (the default) takes neither
-        // branch and flips no coin, keeping fault-free runs byte-identical.
-        if !self.fault.is_quiet() {
-            if self.fault_severed(&envelope) {
-                *dropped += 1;
-                return None;
-            }
-            if self.fault_dropped(dropped) {
-                return None;
-            }
-        }
-        if self.lost(dropped) {
-            return None;
-        }
-        let delay = self.delivery_latency(envelope.to).sample(&mut self.rng);
-        if delay > 0 {
-            self.in_flight.push((self.cycle + delay as usize, envelope));
-            return None;
-        }
-        if self.cfg.concurrency.overlaps(&mut self.rng) {
-            deferred.push(envelope);
-            return None;
-        }
-        Some(envelope)
-    }
-
-    /// Whether `envelope`'s delivery crosses an installed network
-    /// partition (both endpoints live in different attribute bands).
-    /// Consumes no RNG; a departed endpoint is not this check's concern
-    /// (delivery handles it).
-    fn fault_severed(&self, envelope: &Envelope) -> bool {
-        if self.fault.partition().is_none() {
-            return false;
-        }
-        let (from, to) = (envelope.from, envelope.to);
-        match (self.nodes.get(from), self.nodes.get(to)) {
-            (Some(f), Some(t)) => self
-                .fault
-                .severed(f.proto.attribute().value(), t.proto.attribute().value()),
-            _ => false,
-        }
-    }
-
-    /// Draws the fault-injection drop coin for one message (counts a drop
-    /// on loss). The coin is flipped only while a non-zero drop rate is
-    /// configured, mirroring [`lost`](Engine::lost).
-    fn fault_dropped(&mut self, dropped: &mut u64) -> bool {
-        use rand::Rng;
-        if self.fault.drop_rate() > 0.0 && self.rng.gen::<f64>() < self.fault.drop_rate() {
-            *dropped += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The latency model governing delivery to `to`: the recipient band's
-    /// fault override while a partition holds, the configured model
-    /// otherwise.
-    fn delivery_latency(&self, to: NodeId) -> LatencyModel {
-        if self.fault.partition().is_none() {
-            return self.cfg.latency;
-        }
-        self.nodes
-            .get(to)
-            .and_then(|n| self.fault.latency_override(n.proto.attribute().value()))
-            .unwrap_or(self.cfg.latency)
-    }
-
-    /// Draws the loss coin for one message (counts a drop on loss).
-    fn lost(&mut self, dropped: &mut u64) -> bool {
-        use rand::Rng;
-        if self.cfg.loss_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.loss_rate {
-            *dropped += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Applies the churn plan for this cycle; returns `(left, joined)`.
-    fn apply_churn(&mut self) -> (usize, usize) {
-        let population: Vec<(NodeId, Attribute)> = if self.churn.needs_population() {
-            self.nodes
-                .iter()
-                .map(|(_, id, n)| (id, n.proto.attribute()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let plan = self.churn.plan(self.cycle, &population, &mut self.rng);
-        if plan.is_quiet() {
-            return (0, 0);
-        }
-
-        let mut removed: Vec<NodeId> = Vec::with_capacity(plan.leavers.len());
-        for id in &plan.leavers {
-            if self.nodes.remove(*id).is_some() {
-                removed.push(*id);
-            }
-        }
-        let left = removed.len();
-        if !self.liars.is_empty() {
-            for id in &removed {
-                self.liars.remove(id);
-            }
-        }
-
-        // Prune departed neighbors from every view before anyone gossips —
-        // only when someone actually departed (a join-only cycle at 10⁵
-        // nodes must not pay an O(n·c) scan for leavers that cannot exist).
-        // The slab's own index is the live set: the leavers just left it.
-        if !removed.is_empty() {
-            let (nodes, lookup) = self.nodes.iter_mut_with_lookup();
-            let is_alive = |id: NodeId| lookup.contains(id);
-            for (_, _, node) in nodes {
-                node.sampler.remove_dead(&is_alive);
-            }
-        }
-
-        // Joiners: fresh identity, fresh protocol state, bootstrapped view.
-        let joined = plan.joiners.len();
-        let mut new_nodes = Vec::with_capacity(joined);
-        if joined > 0 {
-            let pool: Vec<NodeId> = self.nodes.ids().collect();
-            for attribute in plan.joiners {
-                let id = self.alloc.allocate();
-                let node = SimNode::new(&self.cfg, self.kind, id, attribute, &mut self.rng)
-                    .expect("validated capacity");
-                self.nodes.insert(id, node);
-                new_nodes.push((id, attribute));
-            }
-            for &(id, _) in &new_nodes {
-                let entries = self.random_entries(id, self.cfg.view_size, &pool);
-                if let Some(node) = self.nodes.get_mut(id) {
-                    node.sampler.bootstrap(&entries);
-                }
-            }
-        }
-        // Fold the batch into the rank cache: a linear merge, no re-sort.
-        self.ranks.apply_churn(&removed, &new_nodes);
-        (left, joined)
-    }
-
-    /// Replays a conflicted atomic exchange: the proposer's view is brought
-    /// up to date — every value snapshot refreshed from the live nodes,
-    /// departed neighbors dropped: the active sweep's view refresh, against
-    /// current values instead of the cycle's snapshot — and its active step
-    /// re-runs (on the replay stream), as if its atomic turn came after the
-    /// exchange that invalidated its original proposal. The replayed
-    /// messages resolve immediately — they are the second half of one
-    /// atomic action, so they draw no new routing coins and cannot
-    /// themselves be replayed.
-    fn replay_exchange(
-        &mut self,
-        from_slot: usize,
-        counters: &mut EventCounters,
-        dropped: &mut u64,
-    ) {
-        // The aborted proposal never happened under atomic semantics;
-        // un-count it (its replacement, if any, records itself).
-        counters.swaps_proposed = counters.swaps_proposed.saturating_sub(1);
-        // The proposer steps out of the slab while it reads its neighbors.
-        let Some((from, mut node)) = self.nodes.take_slot(from_slot) else {
-            return;
-        };
-        let nodes = &self.nodes;
-        node.sampler
-            .view_mut()
-            .refresh_values(|nid| nodes.get(nid).map(|n| n.proto.published_value()));
-        let mut out = mem::take(&mut self.scratch.replay_out);
-        let mut rng =
-            NodeRng::for_node(self.cfg.seed, from.as_u64(), self.cycle as u64, REPLAY_SALT);
-        let mut ctx = EngineCtx {
-            rng: &mut rng,
-            out: &mut out,
-            counters,
-        };
-        node.proto.on_active(node.sampler.view(), &mut ctx);
-        self.nodes.put_back(from_slot, from, node);
-
-        let mut queue = mem::take(&mut self.scratch.replay_queue);
-        queue.extend(out.drain(..));
-        while let Some(envelope) = queue.pop_front() {
-            self.deliver(envelope, false, counters, dropped, &mut out);
-            queue.extend(out.drain(..));
-        }
-        self.scratch.replay_out = out;
-        self.scratch.replay_queue = queue;
-    }
-
-    /// Delivers one message and routes whatever it provoked: responses for
-    /// immediate delivery join `queue`, overlapping ones `deferred`.
-    fn deliver_and_route(
-        &mut self,
-        envelope: Envelope,
-        atomic: bool,
-        queue: &mut VecDeque<Envelope>,
-        deferred: &mut Vec<Envelope>,
-        counters: &mut EventCounters,
-        dropped: &mut u64,
-    ) {
-        let mut responses = mem::take(&mut self.scratch.responses);
-        self.deliver(envelope, atomic, counters, dropped, &mut responses);
-        for response in responses.drain(..) {
-            if let Some(now) = self.route(response, deferred, dropped) {
-                queue.push_back(now);
-            }
-        }
-        self.scratch.responses = responses;
-    }
-
-    /// Delivers one message, appending the responses it provoked to `out`.
-    /// Each endpoint's slot is resolved once and the node addressed in
-    /// place from then on.
-    ///
-    /// `SwapReq` messages are resolved *transactionally* (see
-    /// [`SliceProtocol::try_atomic_swap`]): the paper's cycle-based
-    /// evaluation semantics, under which a stale proposal means "the
-    /// expected swap does not occur" — never a half-completed exchange.
-    /// `atomic` is true on the immediate (non-overlapping, zero-latency)
-    /// path, where a conflicted proposal is replayed instead of counted
-    /// stale (see [`Engine::replay_exchange`] and the module docs). All
-    /// other messages take the ordinary `on_message` path.
-    fn deliver(
-        &mut self,
-        envelope: Envelope,
-        atomic: bool,
-        counters: &mut EventCounters,
-        dropped: &mut u64,
-        out: &mut Vec<Envelope>,
-    ) {
-        let to = envelope.to;
-        if let Payload::SwapReq { a, .. } = envelope.payload {
-            let (Some(to_slot), Some(from_slot)) =
-                (self.nodes.slot_of(to), self.nodes.slot_of(envelope.from))
-            else {
-                // Either endpoint departed mid-flight: the exchange cannot
-                // complete; the message is lost.
-                *dropped += 1;
-                return;
-            };
-            // The proposal is evaluated against the proposer's *current*
-            // value; the snapshot in the message only matters on real wires.
-            let proposer = self.nodes.slot(from_slot).expect("resolved slot is live");
-            let current_r = proposer.proto.estimate();
-            let callee = self.nodes.slot_mut(to_slot).expect("resolved slot is live");
-            match callee.proto.try_atomic_swap(a, current_r) {
-                Some(pre_swap) => {
-                    let proposer = self
-                        .nodes
-                        .slot_mut(from_slot)
-                        .expect("resolved slot is live");
-                    proposer.proto.adopt_value(pre_swap);
-                    counters.record(Event::SwapApplied);
-                }
-                None if atomic => self.replay_exchange(from_slot, counters, dropped),
-                None => counters.record(Event::SwapUseless),
-            }
-            return;
-        }
-
-        // The recipient is borrowed where it lives; the shared stream is a
-        // different field of the engine, so both can be lent out at once.
-        match self.nodes.get_mut(to) {
-            Some(node) => {
-                let mut ctx = EngineCtx {
-                    rng: &mut self.rng,
-                    out,
-                    counters,
-                };
-                node.proto
-                    .on_message(node.sampler.view(), envelope.message(), &mut ctx);
-            }
-            None => *dropped += 1,
-        }
-    }
-}
-
-impl Engine {
     /// Per-node view snapshots, sorted by node id: which neighbors each
     /// live node currently sees. Used by layers built *on top* of slicing
     /// (e.g. the slice-connected overlays of `dslice-overlay`) that consume
@@ -1805,8 +948,9 @@ mod tests {
     use crate::churn::{ChurnSchedule, CorrelatedChurn, UncorrelatedChurn};
     use crate::concurrency::Concurrency;
     use crate::distributions::AttributeDistribution;
+    use dslice_gossip::SamplerKind;
 
-    fn small_cfg(n: usize, slices: usize, seed: u64) -> SimConfig {
+    pub(super) fn small_cfg(n: usize, slices: usize, seed: u64) -> SimConfig {
         SimConfig {
             n,
             view_size: 8,
@@ -1816,14 +960,18 @@ mod tests {
         }
     }
 
-    /// FNV-1a-64 of a run's record bytes followed by the bits of `extra`
-    /// (final accuracies): the pin the tests below hold a run to.
-    fn run_hash(record: &RunRecord, extra: &[f64]) -> u64 {
-        let bytes = record.to_json().into_bytes().into_iter();
-        let bytes = bytes.chain(extra.iter().flat_map(|x| x.to_bits().to_le_bytes()));
-        bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+    /// FNV-1a-64 of `bytes`.
+    pub(super) fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
         })
+    }
+
+    /// FNV-1a-64 of a run's record bytes followed by the bits of `extra`
+    /// (final accuracies): the pin the tests below hold a run to.
+    pub(super) fn run_hash(record: &RunRecord, extra: &[f64]) -> u64 {
+        let bytes = record.to_json().into_bytes().into_iter();
+        fnv(bytes.chain(extra.iter().flat_map(|x| x.to_bits().to_le_bytes())))
     }
 
     #[test]
@@ -1847,7 +995,7 @@ mod tests {
         // Protocol (64) and sampler (48) inline; the slab cell adds the id.
         assert_eq!(size_of::<SimNode>(), 112);
         assert_eq!(size_of::<Envelope>(), 32);
-        assert_eq!(size_of::<ScheduledExchange>(), 16);
+        assert_eq!(size_of::<membership::ScheduledExchange>(), 16);
     }
 
     #[test]
@@ -2027,7 +1175,7 @@ mod tests {
             .filter_map(|&(slot, old)| Some((old, engine.nodes.id_at(slot)?)))
             .collect();
         assert!(!reused.is_empty(), "the free list recycled a slot");
-        let published = &engine.scratch.published;
+        let published = &engine.active.published;
         for (old, new) in reused {
             assert_ne!(old, new);
             assert_eq!(published.get(old), None, "{old} departed");
@@ -2109,7 +1257,7 @@ mod tests {
         let dropped: u64 = record.cycles.iter().map(|c| c.dropped_messages).sum();
         assert_eq!(dropped, 0);
         assert!(
-            !engine.in_flight.is_empty(),
+            !engine.delivery.in_flight.is_empty(),
             "fixed 2-cycle delay keeps a backlog"
         );
         // Samples still flow: the protocol converges, just later.
@@ -2360,7 +1508,7 @@ mod tests {
             .unwrap();
         engine.run(5);
         assert!(
-            !engine.in_flight.is_empty(),
+            !engine.delivery.in_flight.is_empty(),
             "band-1 deliveries must be delayed under the override"
         );
         // Region overrides need an installed partition.

@@ -1,13 +1,13 @@
 //! The cycle hot path must not allocate per node.
 //!
-//! The engine's `Scratch` promises that "the cycle hot path performs no
-//! allocation that scales with `n`" once the first cycles have warmed its
-//! buffers up. This test holds it to that: a counting global allocator
+//! The engine's phase buffers promise that "the cycle hot path performs no
+//! allocation that scales with `n`" once the first cycles have warmed them
+//! up. This test holds it to that: a counting global allocator
 //! watches `Engine::step()` on a static population, and every cycle must
 //! stay under one constant ceiling at two populations four times apart. What
 //! remains is a handful of per-cycle vectors whose *number* does not depend
 //! on `n` (the metrics snapshot and the slice tracker's bookkeeping) and,
-//! for mod-JK, the occasional replay buffer growing.
+//! for mod-JK, the occasional replay queue growing.
 //!
 //! Construction is held to a per-node count as well: `Engine::new` stores
 //! each node's protocol and sampler inline in its slab cell, so a node

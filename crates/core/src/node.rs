@@ -153,11 +153,6 @@ impl NodeIdAllocator {
         id
     }
 
-    /// Issues `count` fresh identifiers.
-    pub fn allocate_many(&mut self, count: usize) -> Vec<NodeId> {
-        (0..count).map(|_| self.allocate()).collect()
-    }
-
     /// The id that the next call to [`allocate`](Self::allocate) will return.
     pub fn peek(&self) -> NodeId {
         NodeId::new(self.next)
@@ -249,7 +244,7 @@ mod tests {
         let mut alloc = NodeIdAllocator::default();
         let a = alloc.allocate();
         let b = alloc.allocate();
-        let batch = alloc.allocate_many(3);
+        let batch: Vec<NodeId> = (0..3).map(|_| alloc.allocate()).collect();
         assert_eq!(a, NodeId::new(0));
         assert_eq!(b, NodeId::new(1));
         assert_eq!(batch, vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)]);

@@ -80,6 +80,10 @@ impl SimConfig {
                 "population must be non-empty".into(),
             ));
         }
+        // The population's ids are `0..n`, and an id lies below `u32::MAX`.
+        if self.n > u32::MAX as usize {
+            return Err(Error::IdOutOfRange(self.n as u64 - 1));
+        }
         if self.view_size == 0 {
             return Err(Error::ZeroViewCapacity);
         }
@@ -136,6 +140,19 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         SimConfig::default().validate().unwrap();
+    }
+
+    #[test]
+    fn population_beyond_the_id_range_is_rejected() {
+        // Validation alone: neither population is ever built.
+        let max = u32::MAX as usize;
+        let cfg = |n| SimConfig {
+            n,
+            ..SimConfig::default()
+        };
+        let last = u64::from(u32::MAX);
+        assert_eq!(cfg(max + 1).validate(), Err(Error::IdOutOfRange(last)));
+        assert_eq!(cfg(max).validate(), Ok(()));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! The dead-neighbor sweep resolves each view entry against the slab's own
 //! index, lent out read-only beside the mutable slot walk — no side table
 //! of the population is built. Joiners bootstrap their views from random
-//! live nodes, through the same sampling core as the initial population.
+//! live nodes, through the same sampling core and the same [`bootstrap`] as
+//! the initial population — but from a pool of live *ids*, looking up only
+//! each joiner's own picks: the slot-order walk that builds the pool then
+//! writes 4 bytes per node, not a 24-byte entry.
 
 use super::{sample_from_pool, Cycle, SimNode};
 use crate::churn::ChurnModel;
@@ -65,11 +68,13 @@ pub(super) fn run(
         );
     }
 
-    // Joiners: fresh identity, fresh protocol state, bootstrapped view.
+    // Joiners: fresh identity, fresh protocol state, and a view sampled
+    // from the nodes that were live before any of them joined.
     let joined = plan.joiners.len();
     let mut new_nodes = Vec::with_capacity(joined);
     if joined > 0 {
-        let pool: Vec<NodeId> = nodes.ids().collect();
+        let mut pool = Vec::with_capacity(nodes.len());
+        pool.extend(nodes.ids());
         for attribute in plan.joiners {
             let id = alloc.allocate();
             let node = SimNode::new(cx.cfg, cx.kind, id, attribute, rng);
@@ -77,45 +82,104 @@ pub(super) fn run(
             new_nodes.push((id, attribute));
         }
         let ids = new_nodes.iter().map(|&(id, _)| id);
-        bootstrap(nodes, rng, cx.cfg.view_size, ids, &pool);
+        let mut picks = Vec::new();
+        bootstrap(nodes, ids, |nodes, owner, entries| {
+            sample_from_pool(rng, &pool, |&id| id, owner, cx.cfg.view_size, &mut picks);
+            let live = picks.iter().filter_map(|&id| nodes.get(id));
+            entries.extend(live.map(SimNode::self_entry));
+        });
     }
     // Fold the batch into the rank cache: a linear merge, no re-sort.
     ranks.apply_churn(&removed, &new_nodes);
     (removed.len(), joined)
 }
 
-/// Seeds the view of each node in `ids`, in order, with up to `count`
-/// random entries describing live nodes of `pool` — the bootstrap of the
-/// initial population and of churn joiners alike.
+/// Seeds the view of each node in `ids`, in order, with the entries
+/// `sample` draws for it into one reused buffer (cleared before each node)
+/// — the one bootstrap of the initial population and of churn joiners.
 pub(super) fn bootstrap(
     nodes: &mut NodeSlab<SimNode>,
-    rng: &mut StdRng,
-    count: usize,
     ids: impl IntoIterator<Item = NodeId>,
-    pool: &[NodeId],
+    mut sample: impl FnMut(&NodeSlab<SimNode>, NodeId, &mut Vec<ViewEntry>),
 ) {
+    let mut entries = Vec::new();
     for id in ids {
-        let entries = random_entries(nodes, rng, id, count, pool);
+        entries.clear();
+        sample(nodes, id, &mut entries);
         if let Some(node) = nodes.get_mut(id) {
             node.sampler.bootstrap(&entries);
         }
     }
 }
 
-/// Draws up to `count` distinct entries describing live nodes of `pool`
-/// other than `owner` (the sampling itself is the shared
-/// [`sample_from_pool`] core).
-pub(super) fn random_entries(
-    nodes: &NodeSlab<SimNode>,
-    rng: &mut StdRng,
-    owner: NodeId,
-    count: usize,
-    pool: &[NodeId],
-) -> Vec<ViewEntry> {
-    let mut chosen: Vec<NodeId> = Vec::new();
-    sample_from_pool(rng, pool, |&id| id, owner, count, &mut chosen);
-    chosen
-        .into_iter()
-        .filter_map(|id| nodes.get(id).map(SimNode::self_entry))
-        .collect()
+#[cfg(test)]
+mod tests {
+    use super::super::tests::small_cfg;
+    use super::super::{sample_from_pool, Engine, SimNode};
+    use crate::churn::{ChurnSchedule, UncorrelatedChurn};
+    use crate::config::ProtocolKind;
+    use crate::distributions::AttributeDistribution;
+    use dslice_core::{NodeId, NodeSlab, ViewEntry};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The bootstrap path the entry snapshot replaced, kept as a reference:
+    /// draw ids from a slot-order id pool, then look every pick up in the
+    /// slab.
+    fn reference_entries(
+        nodes: &NodeSlab<SimNode>,
+        rng: &mut StdRng,
+        owner: NodeId,
+        count: usize,
+    ) -> Vec<ViewEntry> {
+        let pool: Vec<NodeId> = nodes.ids().collect();
+        let mut chosen: Vec<NodeId> = Vec::new();
+        if !pool.is_empty() {
+            let want = count.min(pool.len());
+            let take = (want + 1).min(pool.len());
+            let picks = rand::seq::index::sample(rng, pool.len(), take).into_iter();
+            chosen.extend(picks.map(|i| pool[i]).filter(|&id| id != owner).take(want));
+            chosen.sort_unstable();
+        }
+        chosen
+            .into_iter()
+            .filter_map(|id| nodes.get(id).map(SimNode::self_entry))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Sampling a slot-order entry snapshot, as construction and the
+        /// oracle refill do, picks exactly the entries the id-pool reference
+        /// resolves, and consumes exactly its draws, for every id ever
+        /// issued as the owner (live or departed). With `churned`, a churn
+        /// cycle first recycles slots, so slot order is not id order.
+        #[test]
+        fn snapshot_sampling_matches_the_id_pool_reference(
+            n in 1usize..300,
+            count in 0usize..30,
+            seed in any::<u64>(),
+            churned in any::<bool>(),
+        ) {
+            let mut engine = Engine::new(small_cfg(n, 4, seed), ProtocolKind::Ranking).unwrap();
+            if churned {
+                let schedule = ChurnSchedule { rate: 0.1, period: 1, stop_after: None };
+                let churn = UncorrelatedChurn::new(schedule, AttributeDistribution::default());
+                engine = engine.with_churn(Box::new(churn));
+                engine.step();
+            }
+            let pool: Vec<ViewEntry> = engine.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
+            let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+            let mut entries = Vec::new();
+            for owner in (0..engine.alloc.peek().as_u64()).map(NodeId::new) {
+                let mut reference_rng = rng.clone();
+                let expected = reference_entries(&engine.nodes, &mut reference_rng, owner, count);
+                sample_from_pool(&mut rng, &pool, |e| e.id, owner, count, &mut entries);
+                prop_assert_eq!(&entries, &expected);
+                prop_assert_eq!(&rng, &reference_rng);
+            }
+        }
+    }
 }

@@ -260,9 +260,11 @@ impl Envelope {
 }
 
 /// Uniformly draws up to `count` distinct items of `pool` whose id differs
-/// from `owner` into `out`, sorted by id — the sampling core shared by view
-/// bootstrap (construction, churn joins) and the oracle refill, so the two
-/// paths cannot drift apart.
+/// from `owner` into `out`, sorted by id — the sampling core of all three
+/// callers, so they cannot drift apart: construction and the oracle refill
+/// sample a slot-order snapshot of the live nodes' entries, churn joiners
+/// the live ids (a joiner looks up only its own picks, sparing the churn
+/// phase an entry walk over the population every cycle).
 ///
 /// Oversamples by one slot so that filtering the owner out still leaves
 /// `count` candidates whenever the pool allows it. Index sampling is
@@ -386,20 +388,25 @@ impl Engine {
         let mut alloc = NodeIdAllocator::default();
         let mut nodes = NodeSlab::with_capacity(cfg.n);
 
-        // Create the initial population, then seed every view with up to
-        // `c` random other nodes.
-        let ids = alloc.allocate_many(cfg.n);
-        for &id in &ids {
+        // Create the initial population, snapshotting each node's entry as
+        // it is made (a fresh slab's slot order is id order), then seed
+        // every view with up to `c` random other nodes from the snapshot.
+        let mut pool = Vec::with_capacity(cfg.n);
+        for _ in 0..cfg.n {
+            let id = alloc.allocate();
             let attribute = cfg.distribution.sample(&mut rng);
-            nodes.insert(id, SimNode::new(&cfg, kind, id, attribute, &mut rng)?);
+            let node = SimNode::new(&cfg, kind, id, attribute, &mut rng)?;
+            pool.push(node.self_entry());
+            nodes.insert(id, node);
         }
-        churn::bootstrap(
-            &mut nodes,
-            &mut rng,
-            cfg.view_size,
-            ids.iter().copied(),
-            &ids,
-        );
+        let ids = pool.iter().map(|e| e.id);
+        churn::bootstrap(&mut nodes, ids, |_, owner, entries| {
+            sample_from_pool(&mut rng, &pool, |e| e.id, owner, cfg.view_size, entries);
+        });
+        // `pool` lives until `new` returns, after the disorder metrics' own
+        // snapshot of the same size: freed right here, it left the
+        // allocator holding memory that later buffers did not reuse (+2 MiB
+        // peak RSS at 10⁵ nodes).
 
         let mut ranks = RankCache::new();
         ranks.rebuild(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
@@ -454,8 +461,10 @@ impl Engine {
     /// draws `count` entries for `owner` from the current live population.
     #[doc(hidden)]
     pub fn debug_random_entries(&mut self, owner: NodeId, count: usize) -> Vec<ViewEntry> {
-        let pool: Vec<NodeId> = self.nodes.ids().collect();
-        churn::random_entries(&self.nodes, &mut self.rng, owner, count, &pool)
+        let pool: Vec<ViewEntry> = self.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
+        let mut entries = Vec::new();
+        sample_from_pool(&mut self.rng, &pool, |e| e.id, owner, count, &mut entries);
+        entries
     }
 
     /// The current cycle count (number of completed steps).
@@ -986,6 +995,91 @@ mod tests {
                 "node {id} has no neighbors"
             );
             node.sampler.view().check_invariants(Some(id)).unwrap();
+        }
+    }
+
+    /// FNV-1a-64 of every live view in slot order: the owner's id, then
+    /// each entry's id, age, attribute bits and value bits.
+    fn views_hash(engine: &Engine) -> u64 {
+        fnv(engine.nodes.iter().flat_map(|(_, id, node)| {
+            let entries = node.sampler.view().iter().flat_map(|e| {
+                let words = [
+                    e.id.as_u64(),
+                    u64::from(e.age),
+                    e.attribute.value().to_bits(),
+                    e.value.to_bits(),
+                ];
+                words.into_iter().flat_map(u64::to_le_bytes)
+            });
+            id.as_u64().to_le_bytes().into_iter().chain(entries)
+        }))
+    }
+
+    fn construction_cfg(sampler: SamplerKind) -> SimConfig {
+        SimConfig {
+            view_size: 20,
+            sampler,
+            ..small_cfg(5_000, 10, 38)
+        }
+    }
+
+    #[test]
+    fn constructed_views_are_pinned() {
+        // Bootstrap merges the same draws into every substrate, and both
+        // protocols publish their initial random value, so one pin holds
+        // the whole grid.
+        for sampler in [
+            SamplerKind::Cyclon,
+            SamplerKind::Newscast,
+            SamplerKind::Lpbcast,
+            SamplerKind::UniformOracle,
+        ] {
+            for kind in [ProtocolKind::Ranking, ProtocolKind::ModJk] {
+                let engine = Engine::new(construction_cfg(sampler), kind).unwrap();
+                let hash = views_hash(&engine);
+                assert_eq!(
+                    hash,
+                    0x563c_5ae9_89f2_56b5,
+                    "{sampler:?} × {}: constructed views changed (got {hash:#018x})",
+                    kind.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn joiner_views_are_pinned() {
+        let pins = [
+            (
+                SamplerKind::Cyclon,
+                ProtocolKind::Ranking,
+                0x0291_8965_9fbf_f812,
+            ),
+            (
+                SamplerKind::UniformOracle,
+                ProtocolKind::ModJk,
+                0x8638_c7a8_12e8_654f,
+            ),
+        ];
+        for (sampler, kind, pin) in pins {
+            let schedule = ChurnSchedule {
+                rate: 0.02,
+                period: 1,
+                stop_after: None,
+            };
+            let churn = UncorrelatedChurn::new(schedule, AttributeDistribution::default());
+            let mut engine = Engine::new(construction_cfg(sampler), kind)
+                .unwrap()
+                .with_churn(Box::new(churn));
+            let stats = engine.step();
+            assert!(stats.joined >= 50 && stats.left > 0, "the cycle churned");
+            let hash = views_hash(&engine);
+            assert_eq!(
+                hash,
+                pin,
+                "{sampler:?} × {}: views after the join changed (got {hash:#018x})",
+                kind.label()
+            );
         }
     }
 

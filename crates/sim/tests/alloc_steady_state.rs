@@ -105,10 +105,13 @@ fn steady_state_cycles_do_not_allocate_per_node() {
     }
 }
 
-/// Allocations `Engine::new` may make per node (measured: 9.0): the view's entry buffer and
-/// the bootstrap sampling's scratch. With the protocol and the sampler
-/// each in its own box the count was 11.0.
-const CONSTRUCTION_PER_NODE: f64 = 9.0;
+/// Allocations `Engine::new` may make per node (measured: 3.0): the view's
+/// entry buffer and the index sample the bootstrap draws. The picks land
+/// in one reused buffer and are read from one population snapshot, so no
+/// per-node vector is built; when each node collected its sampled ids and
+/// then their entries into vectors of its own the count was 9.0, and with
+/// the protocol and the sampler each in its own box it was 11.0.
+const CONSTRUCTION_PER_NODE: f64 = 3.0;
 
 #[test]
 fn construction_allocates_a_fixed_number_of_times_per_node() {
@@ -142,11 +145,12 @@ fn construction_allocates_a_fixed_number_of_times_per_node() {
 }
 
 /// Allocations each joiner may add to a churned cycle on top of
-/// [`CEILING`]: its view's entry buffer, the bootstrap sampling's scratch,
-/// and its share of the id-indexed columns' amortised growth. Measured
-/// before the refresh snapshot became an id-indexed column: at most 9.45
-/// over 80 cycles (2 000 and 8 000 nodes, ranking and mod-JK, 1 % churn).
-const PER_JOINER: f64 = 9.5;
+/// [`CEILING`]: its view's entry buffer, the index sample its bootstrap
+/// draws, and its share of the cycle's id pool, pick and entry buffers and
+/// of the id-indexed columns' amortised growth. Measured: at most 3.25 over
+/// 80 cycles (2 000 and 8 000 nodes, ranking and mod-JK, 1 % churn); 9.4
+/// while each joiner built vectors of its own picks and their entries.
+const PER_JOINER: f64 = 3.25;
 
 /// Under churn the id-indexed columns grow with every identity issued, so
 /// a cycle may allocate for its joiners, and for them alone: the bound is

@@ -32,7 +32,7 @@ fn cfg(n: usize, seed: u64) -> SimConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `random_entries` (via the engine's debug hook) never yields the
+    /// The bootstrap sampler (via the engine's debug hook) never yields the
     /// owner and never yields the same node twice, for any owner, any
     /// requested count and any population size.
     #[test]

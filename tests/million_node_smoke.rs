@@ -13,8 +13,9 @@ const N: usize = 1_000_000;
 /// Cycles in the smoke run.
 const CYCLES: usize = 50;
 /// Peak RSS ceiling: the 555 MiB measured on a 2-vCPU Linux host once
-/// node ids took 4 bytes and view entries 24 (≈ 80 s in release), plus
-/// 25 %. Node state, views and the id-indexed columns
+/// node ids took 4 bytes and view entries 24, plus 25 %. Bootstrapping
+/// views from an entry snapshot left it at 546–557 MiB (64–76 s in
+/// release). Node state, views and the id-indexed columns
 /// all scale with `n`, so a per-node regression shows here first.
 const PEAK_RSS_CEILING_MIB: f64 = 695.0;
 

@@ -26,10 +26,11 @@
 //!   answers a *global* question (one value) rather than the slicing
 //!   problem's *per-node* question.
 //!
-//! Everything is deterministic given a seeded RNG, and every exchange is
-//! message-shaped (initiate → respond → absorb), so the same state machines
-//! run under the in-crate round driver ([`swarm::Swarm`]), the cycle
-//! simulator, or a real transport.
+//! Everything is deterministic given a seeded RNG. Every exchange is
+//! message-shaped (initiate → respond → absorb), and one driver runs them:
+//! [`swarm::Swarm`], which gives each node one push–pull exchange per round
+//! with a uniformly random peer, the model of ref \[12\]'s analysis.
+//! Neither the cycle simulator nor `dslice-net` runs these state machines.
 //!
 //! ## Example: learn the network mean in a handful of rounds
 //!
@@ -60,15 +61,11 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod epoch;
-pub mod overlay_swarm;
 pub mod protocol;
 pub mod quantile;
 pub mod size;
 pub mod swarm;
 
-pub use epoch::EpochedAggregator;
-pub use overlay_swarm::OverlaySwarm;
 pub use protocol::{AggregateKind, AggregationState, ExchangeOutcome};
 pub use quantile::{exact_quantile, QuantileResult, QuantileSearch};
 pub use size::{estimate_size, SizeEstimator};

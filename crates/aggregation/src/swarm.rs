@@ -109,25 +109,6 @@ impl Swarm {
         }
         self.rounds += 1;
     }
-
-    /// Runs rounds until the variance drops below `target` or `max_rounds`
-    /// elapse; returns the number of rounds executed.
-    pub fn run_until_variance(&mut self, target: f64, max_rounds: usize) -> usize {
-        let mut executed = 0;
-        while executed < max_rounds && self.variance() > target {
-            self.round();
-            executed += 1;
-        }
-        executed
-    }
-
-    /// Replaces every node's value (epoch restart across the population).
-    pub fn reset(&mut self, initial: &[f64]) {
-        assert_eq!(initial.len(), self.nodes.len(), "population size changed");
-        for (node, &v) in self.nodes.iter_mut().zip(initial) {
-            node.reset(v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,27 +193,6 @@ mod tests {
             assert!(rounds < 40, "max took more than 40 rounds to spread");
         }
         assert!(rounds >= 5, "spread implausibly fast ({rounds} rounds)");
-    }
-
-    #[test]
-    fn run_until_variance_stops_at_target() {
-        let values = ramp(256);
-        let mut swarm = Swarm::new(AggregateKind::Average, &values, 6);
-        let executed = swarm.run_until_variance(1e-3, 200);
-        assert!(swarm.variance() <= 1e-3);
-        assert!(executed > 0 && executed < 200);
-    }
-
-    #[test]
-    fn reset_restores_initial_dispersion() {
-        let values = ramp(64);
-        let mut swarm = Swarm::new(AggregateKind::Average, &values, 7);
-        for _ in 0..20 {
-            swarm.round();
-        }
-        assert!(swarm.variance() < 1e-6);
-        swarm.reset(&values);
-        assert!(swarm.variance() > 100.0);
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub mod any;
 pub mod estimator;
 pub mod kind;
 pub mod liar;
-pub mod multi;
 pub mod ordering;
 pub mod ranking;
 pub mod window;
@@ -75,7 +74,6 @@ pub use any::AnyProtocol;
 pub use estimator::{CounterEstimator, DecayEstimator, RankEstimator, WindowEstimator};
 pub use kind::ProtocolKind;
 pub use liar::Liar;
-pub use multi::{AttributeVector, CompositePolicy, CompositeSlice, MultiRanking, MultiSwarm};
 pub use ordering::{Ordering, SwapSelection};
 pub use ranking::{
     DecayRanking, Ranking, RankingProtocol, RobustFilter, SlidingRanking, Targeting,

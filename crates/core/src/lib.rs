@@ -25,6 +25,7 @@
 //!   disorder measure* (GDM, §4.2), the *local disorder measure* and swap
 //!   gain (LDM / `G_{i,j}`, §4.3), and the *slice disorder measure*
 //!   (SDM, §4.4).
+//! * [`digest`] — the FNV-1a-64 hash that every byte pin uses.
 //! * [`protocol`] — the [`SliceProtocol`](protocol::SliceProtocol) trait and
 //!   [`Context`](protocol::Context) abstraction through which the same
 //!   protocol implementation runs inside the deterministic cycle simulator
@@ -60,6 +61,7 @@
 #![forbid(unsafe_code)]
 
 pub mod attribute;
+pub mod digest;
 pub mod error;
 pub mod message;
 pub mod metrics;

@@ -18,6 +18,8 @@
 //!   and its sliding-window variant.
 //! * [`dslice_sim`] — the deterministic cycle simulator with churn and
 //!   concurrency models (the PeerSim substitute).
+//! * [`dslice_overlay`] — slice-local overlay maintenance over
+//!   converged slice assignments.
 //! * [`dslice_analysis`] — Lemma 4.1 and Theorem 5.1 as
 //!   executable statistics.
 //! * [`dslice_aggregation`] — the related-work substrate (refs \[12\],

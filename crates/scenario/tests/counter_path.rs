@@ -4,6 +4,7 @@
 //! table replaced the hand-written folds, and fuzz the hand-written report
 //! deserializers with mutated copies of the committed goldens.
 
+use dslice_core::digest::fnv1a64;
 use dslice_core::Partition;
 use dslice_obs::{parse_prometheus, Registry};
 use dslice_scenario::ScenarioReport;
@@ -17,13 +18,6 @@ use rand::{Rng, SeedableRng};
 use serde::Value;
 
 const GOLDENS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/scenarios/goldens");
-
-/// FNV-1a-64, the hash every byte pin in this workspace uses.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// A registry's content with its presentation stripped: every sample as
 /// `(name, labels, value)` plus every `# TYPE` line, sorted. HELP text and
@@ -41,7 +35,7 @@ fn registry_pin(reg: &Registry) -> u64 {
             .map(String::from),
     );
     lines.sort();
-    fnv1a64(lines.join("\n").as_bytes())
+    fnv1a64(lines.join("\n").bytes())
 }
 
 /// Distinct per-phase timings, so the phase export is pinned too.
@@ -89,10 +83,10 @@ fn churned_mod_jk_record() -> RunRecord {
 #[test]
 fn run_record_outputs_are_pinned() {
     let mut record = churned_mod_jk_record();
-    let json = fnv1a64(record.to_json().as_bytes());
+    let json = fnv1a64(record.to_json().bytes());
     let mut csv = Vec::new();
     record.write_csv(&mut csv).unwrap();
-    let csv = fnv1a64(&csv);
+    let csv = fnv1a64(csv);
     record.phase_ns = Some(fixed_timings());
     let registry = registry_pin(&record.metrics_registry());
     assert_eq!(

@@ -3,6 +3,7 @@
 //! the invariant that makes the committed goldens under
 //! `docs/scenarios/goldens/` (and `scenario_matrix --check`) meaningful.
 
+use dslice_core::digest::fnv1a64;
 use dslice_obs::TraceConfig;
 use dslice_scenario::{Scenario, ScenarioReport};
 use dslice_sim::{AttackerSpec, AttributeDistribution, LatencyModel, ProtocolKind};
@@ -70,13 +71,6 @@ fn ordering_protocol_reports_are_deterministic_too() {
     assert_eq!(a, b);
 }
 
-/// FNV-1a-64: a compact pin for report and registry bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// `scenario` with [`SimConfig::shards`](dslice_sim::SimConfig::shards) set
 /// off its default. The engine is single-threaded and ignores the field, so
 /// a run must not see it; one non-default value shows that.
@@ -93,7 +87,7 @@ fn with_inert_shards(scenario: Scenario) -> Scenario {
 #[test]
 fn reports_are_byte_identical_at_every_shard_count() {
     let report = eventful(7).run().unwrap().to_json();
-    let hash = fnv1a64(report.as_bytes());
+    let hash = fnv1a64(report.bytes());
     assert_eq!(
         hash, 0xc7bc_6458_ae15_f9bb,
         "report bytes changed (got {hash:#018x})"
@@ -131,7 +125,7 @@ fn defended_protocol_variants_are_shard_invariant() {
         };
         let probe = || eventful(19).with_protocol(kind).view_size(view);
         let report = probe().run().unwrap().to_json();
-        let hash = fnv1a64(report.as_bytes());
+        let hash = fnv1a64(report.bytes());
         assert_eq!(
             hash, pinned,
             "{kind:?}: report bytes changed (got {hash:#018x})"
@@ -177,7 +171,7 @@ fn metrics_registries_are_deterministic_across_shard_counts() {
         .metrics_registry()
         .to_prometheus();
     assert!(dslice_obs::validate_prometheus(&registry).unwrap() > 20);
-    let hash = fnv1a64(registry.as_bytes());
+    let hash = fnv1a64(registry.bytes());
     assert_eq!(
         hash, 0x9b50_d3c2_6f27_ae80,
         "registry bytes changed (got {hash:#018x})"

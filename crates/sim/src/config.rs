@@ -107,30 +107,6 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// The paper's main ordering setup (§4.5.1): 10⁴ nodes, view size 20.
-    /// `slices` is 100 for Fig. 4(a)/(d) and 10 for Fig. 4(b).
-    pub fn paper_ordering(slices: usize, seed: u64) -> Self {
-        SimConfig {
-            n: 10_000,
-            view_size: 20,
-            partition: Partition::equal(slices).expect("slices > 0"),
-            seed,
-            ..SimConfig::default()
-        }
-    }
-
-    /// The paper's ranking setup (§5.3): 10⁴ nodes, view size 10,
-    /// 100 slices.
-    pub fn paper_ranking(seed: u64) -> Self {
-        SimConfig {
-            n: 10_000,
-            view_size: 10,
-            partition: Partition::equal(100).expect("100 > 0"),
-            seed,
-            ..SimConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,16 +198,5 @@ mod tests {
         assert_eq!(parsed.shards, cfg.shards);
         assert_eq!(parsed.metrics_every, cfg.metrics_every);
         assert!(parsed.time_phases);
-    }
-
-    #[test]
-    fn paper_presets() {
-        let ordering = SimConfig::paper_ordering(100, 1);
-        assert_eq!(ordering.n, 10_000);
-        assert_eq!(ordering.view_size, 20);
-        assert_eq!(ordering.partition.len(), 100);
-        let ranking = SimConfig::paper_ranking(1);
-        assert_eq!(ranking.view_size, 10);
-        assert_eq!(ranking.partition.len(), 100);
     }
 }

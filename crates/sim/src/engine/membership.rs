@@ -285,9 +285,10 @@ fn refill(cx: &Cycle, nodes: &mut NodeSlab<SimNode>, pool: &mut Vec<ViewEntry>) 
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{fnv, run_hash, small_cfg};
+    use super::super::tests::{run_hash, small_cfg};
     use super::super::Engine;
     use crate::config::ProtocolKind;
+    use dslice_core::digest::fnv1a64;
     use dslice_core::NodeId;
     use dslice_gossip::PeerSampler;
 
@@ -310,7 +311,7 @@ mod tests {
             log.extend_from_slice(engine.debug_last_schedule());
         }
         assert!(log.iter().any(|&(_, _, batch)| batch >= 128), "overflowed");
-        let log_hash = fnv(log.iter().flat_map(|&(id, partner, batch)| {
+        let log_hash = fnv1a64(log.iter().flat_map(|&(id, partner, batch)| {
             [id, partner, batch as u64]
                 .into_iter()
                 .flat_map(u64::to_le_bytes)

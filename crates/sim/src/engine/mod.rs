@@ -957,6 +957,7 @@ mod tests {
     use crate::churn::{ChurnSchedule, CorrelatedChurn, UncorrelatedChurn};
     use crate::concurrency::Concurrency;
     use crate::distributions::AttributeDistribution;
+    use dslice_core::digest::fnv1a64;
     use dslice_gossip::SamplerKind;
 
     pub(super) fn small_cfg(n: usize, slices: usize, seed: u64) -> SimConfig {
@@ -969,18 +970,11 @@ mod tests {
         }
     }
 
-    /// FNV-1a-64 of `bytes`.
-    pub(super) fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     /// FNV-1a-64 of a run's record bytes followed by the bits of `extra`
     /// (final accuracies): the pin the tests below hold a run to.
     pub(super) fn run_hash(record: &RunRecord, extra: &[f64]) -> u64 {
         let bytes = record.to_json().into_bytes().into_iter();
-        fnv(bytes.chain(extra.iter().flat_map(|x| x.to_bits().to_le_bytes())))
+        fnv1a64(bytes.chain(extra.iter().flat_map(|x| x.to_bits().to_le_bytes())))
     }
 
     #[test]
@@ -1001,7 +995,7 @@ mod tests {
     /// FNV-1a-64 of every live view in slot order: the owner's id, then
     /// each entry's id, age, attribute bits and value bits.
     fn views_hash(engine: &Engine) -> u64 {
-        fnv(engine.nodes.iter().flat_map(|(_, id, node)| {
+        fnv1a64(engine.nodes.iter().flat_map(|(_, id, node)| {
             let entries = node.sampler.view().iter().flat_map(|e| {
                 let words = [
                     e.id.as_u64(),

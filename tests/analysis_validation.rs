@@ -135,41 +135,52 @@ fn ranking_confidence_tracks_theorem_51() {
 
 #[test]
 fn wald_interval_covers_the_simulated_estimates() {
-    // For a sample of nodes, the Wald 95% interval around the final
-    // estimate should cover the true normalized rank for the vast majority.
-    let cfg = SimConfig {
-        n: 300,
-        view_size: 10,
-        partition: Partition::equal(4).unwrap(),
-        seed: 93,
-        ..SimConfig::default()
-    };
-    let mut engine = Engine::new(cfg, ProtocolKind::Ranking).unwrap();
-    let record = engine.run(100);
-    // Approximate per-node sample count: absorbed samples / population.
-    let absorbed: u64 = record
-        .cycles
-        .iter()
-        .map(|c| c.events.samples_absorbed)
-        .sum();
-    let k = (absorbed / 300).max(1) as usize;
+    // For every node, the Wald 95% interval around the final estimate should
+    // cover the true normalized rank, seed after seed.
+    let coverage = |seed: u64| -> (f64, usize) {
+        let cfg = SimConfig {
+            n: 300,
+            view_size: 10,
+            partition: Partition::equal(4).unwrap(),
+            seed,
+            ..SimConfig::default()
+        };
+        let mut engine = Engine::new(cfg, ProtocolKind::Ranking).unwrap();
+        let record = engine.run(100);
+        // Approximate per-node sample count: absorbed samples / population.
+        let absorbed: u64 = record
+            .cycles
+            .iter()
+            .map(|c| c.events.samples_absorbed)
+            .sum();
+        let k = (absorbed / 300).max(1) as usize;
 
-    let snapshot = engine.snapshot();
-    let alpha = dslice::core::rank::attribute_ranks(snapshot.iter().map(|&(id, a, _)| (id, a)));
-    let n = snapshot.len();
-    let covered = snapshot
-        .iter()
-        .filter(|(id, _, est)| {
-            let truth = alpha[id] as f64 / n as f64;
-            let (lo, hi) = analysis::wald_interval(est.clamp(0.0, 1.0), k, 0.05);
-            lo <= truth && truth <= hi
-        })
-        .count();
-    let rate = covered as f64 / n as f64;
-    // Samples are view-correlated rather than iid, so allow slack below the
-    // nominal 95% — but far above chance.
-    assert!(
-        rate >= 0.60,
-        "Wald coverage collapsed: {rate:.2} with k = {k}"
-    );
+        let snapshot = engine.snapshot();
+        let alpha = dslice::core::rank::attribute_ranks(snapshot.iter().map(|&(id, a, _)| (id, a)));
+        let n = snapshot.len();
+        let covered = snapshot
+            .iter()
+            .filter(|(id, _, est)| {
+                let truth = alpha[id] as f64 / n as f64;
+                let (lo, hi) = analysis::wald_interval(est.clamp(0.0, 1.0), k, 0.05);
+                lo <= truth && truth <= hi
+            })
+            .count();
+        (covered as f64 / n as f64, k)
+    };
+    // Samples are view-correlated rather than iid, and every node is given
+    // the population-mean k, so coverage sits below the nominal 95%: seeds
+    // 90–105 read 0.86–0.94, mean 0.91.
+    let seeds = 90..106u64;
+    let mut total = 0.0;
+    for seed in seeds.clone() {
+        let (rate, k) = coverage(seed);
+        assert!(
+            rate >= 0.80,
+            "seed {seed}: Wald coverage {rate:.3} below 0.80 with k = {k}"
+        );
+        total += rate;
+    }
+    let mean = total / seeds.count() as f64;
+    assert!(mean >= 0.88, "mean Wald coverage {mean:.3} below 0.88");
 }

@@ -9,6 +9,7 @@
 //! family, every peer-sampling substrate, and runs under churn, concurrency
 //! and latency are held to pinned hashes.
 
+use dslice::core::digest::fnv1a64;
 use dslice::prelude::*;
 use dslice::sim::churn::ChurnSchedule;
 
@@ -172,17 +173,9 @@ fn golden_record_roundtrips_through_json() {
     assert_eq!(parsed, record);
 }
 
-/// FNV-1a-64 over the golden bytes: a compact pin for records far too large
-/// to commit (n = 5000 × 20 cycles serializes to tens of kilobytes).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Asserts that the FNV-1a-64 of `record` is `pinned`.
 fn assert_pinned(record: &str, pinned: u64, what: &str) {
-    let hash = fnv1a64(record.as_bytes());
+    let hash = fnv1a64(record.bytes());
     assert_eq!(
         hash, pinned,
         "{what}: record bytes changed (got {hash:#018x})"

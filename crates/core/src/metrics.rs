@@ -15,7 +15,7 @@
 //! are genuinely local and are used inside mod-JK.
 
 use crate::attribute::AttributeKey;
-use crate::{rank, Attribute, NodeId, Partition};
+use crate::{rank, Attribute, NodeId, Partition, SliceIndex};
 use std::collections::HashMap;
 
 /// Global disorder measure from explicit rank pairs `(α_i, ρ_i)`.
@@ -155,11 +155,12 @@ where
 /// Attributes are immutable (§3.1), so the attribute order of a population
 /// only changes when nodes join or leave. Large-scale runtimes exploit that:
 /// they [`rebuild`](RankCache::rebuild) once at start-up, fold each cycle's
-/// churn plan in via [`apply_churn`](RankCache::apply_churn) (a linear merge,
-/// no global re-sort), and then evaluate the SDM with [`sdm`](RankCache::sdm)
-/// in O(n) — where the uncached [`sdm`] function pays an O(n log n) sort per
-/// call — and the GDM with [`gdm`](RankCache::gdm), which sorts only the
-/// random values. On churn-free cycles the maintenance cost is zero.
+/// churn plan in via [`apply_churn`](RankCache::apply_churn) (a linear merge
+/// in place, no global re-sort), and then evaluate the SDM with
+/// [`sdm`](RankCache::sdm) in O(n) — where the uncached [`sdm`] function
+/// pays an O(n log n) sort per call — and the GDM with
+/// [`gdm_of`](RankCache::gdm_of), which orders only the random values. On
+/// churn-free cycles the maintenance cost is zero.
 ///
 /// The ranks are a column indexed by the raw node id, so every rank lookup
 /// is an array index: 4 bytes per identity ever tracked (the simulator
@@ -204,7 +205,10 @@ impl RankCache {
     }
 
     /// Folds one churn batch in: drops `leavers`, merges `joiners` into the
-    /// sorted order. Costs O(n + j log j) for j joiners — no global re-sort.
+    /// sorted order. Costs O(n + j log j) for j joiners — no global re-sort
+    /// — and allocates only the joiners' own sorted run: the merge fills
+    /// the grown order from its top end, so no key is overwritten before
+    /// it is read.
     pub fn apply_churn(&mut self, leavers: &[NodeId], joiners: &[(NodeId, Attribute)]) {
         if leavers.is_empty() && joiners.is_empty() {
             return;
@@ -225,22 +229,22 @@ impl RankCache {
                 .map(|&(id, a)| AttributeKey::new(id, a))
                 .collect();
             incoming.sort_unstable();
-            // Linear merge of the two sorted runs.
-            let old = std::mem::take(&mut self.sorted);
-            self.sorted = Vec::with_capacity(old.len() + incoming.len());
-            let (mut a, mut b) = (old.into_iter().peekable(), incoming.into_iter().peekable());
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) => {
-                        if x <= y {
-                            self.sorted.push(a.next().expect("peeked"));
-                        } else {
-                            self.sorted.push(b.next().expect("peeked"));
-                        }
-                    }
-                    (Some(_), None) => self.sorted.push(a.next().expect("peeked")),
-                    (None, Some(_)) => self.sorted.push(b.next().expect("peeked")),
-                    (None, None) => break,
+            // Linear merge of the two sorted runs, backwards: `kept` old
+            // keys and `left` incoming ones remain, and the larger head goes
+            // to the top free position (keys are distinct: ids are). Once
+            // the incoming run is placed, the old keys below are in place.
+            let mut kept = self.sorted.len();
+            self.sorted.extend_from_slice(&incoming);
+            let sorted = &mut self.sorted;
+            let mut left = incoming.len();
+            while left > 0 {
+                let top = kept + left - 1;
+                if kept > 0 && sorted[kept - 1] > incoming[left - 1] {
+                    kept -= 1;
+                    sorted[top] = sorted[kept];
+                } else {
+                    left -= 1;
+                    sorted[top] = incoming[left];
                 }
             }
         }
@@ -272,9 +276,16 @@ impl RankCache {
             .unwrap_or_else(|| panic!("node {id} is not tracked by the rank cache"))
     }
 
+    /// [`true_slice`](RankCache::true_slice) for an id the caller
+    /// guarantees is tracked (panics otherwise).
+    pub fn tracked_slice(&self, partition: &Partition, id: NodeId) -> SliceIndex {
+        self.true_slice(partition, id)
+            .unwrap_or_else(|| panic!("node {id} is not tracked by the rank cache"))
+    }
+
     /// The *true* slice of a live node under `partition`: its normalized
     /// attribute rank looked up in the partition.
-    pub fn true_slice(&self, partition: &Partition, id: NodeId) -> Option<crate::SliceIndex> {
+    pub fn true_slice(&self, partition: &Partition, id: NodeId) -> Option<SliceIndex> {
         let alpha = self.rank(id)?;
         Some(partition.slice_of(rank::normalized(alpha, self.len())))
     }
@@ -288,13 +299,12 @@ impl RankCache {
     where
         I: IntoIterator<Item = (NodeId, f64)>,
     {
-        let n = self.len();
+        let terms = SdmTerms::new(partition);
         estimates
             .into_iter()
             .map(|(id, est)| {
-                let alpha = self.tracked_rank(id);
-                let actual = partition.slice_of(rank::normalized(alpha, n));
-                partition.sdm_term(actual, partition.slice_of(est))
+                let actual = self.tracked_slice(partition, id);
+                terms.term(actual, partition.slice_of(est))
             })
             .sum()
     }
@@ -305,12 +315,9 @@ impl RankCache {
     where
         I: IntoIterator<Item = (NodeId, f64)>,
     {
-        let n = self.len();
         let (mut total, mut correct) = (0usize, 0usize);
         for (id, est) in estimates {
-            let alpha = self.tracked_rank(id);
-            let actual = partition.slice_of(rank::normalized(alpha, n));
-            if partition.slice_of(est) == actual {
+            if partition.slice_of(est) == self.tracked_slice(partition, id) {
                 correct += 1;
             }
             total += 1;
@@ -324,47 +331,173 @@ impl RankCache {
 
     /// Global disorder measure of `snapshot` — `(id, attribute, value)` for
     /// exactly the population the cache tracks — bit-identical to the free
-    /// [`gdm`] over the same slice.
+    /// [`gdm`] over the same slice: [`gdm_of`](RankCache::gdm_of) over a
+    /// fresh [`ValueOrder`] of the snapshot's values.
+    pub fn gdm(&self, snapshot: &[(NodeId, Attribute, f64)]) -> f64 {
+        let mut order = ValueOrder::default();
+        order.count(snapshot.len(), snapshot.iter().map(|&(_, _, value)| value));
+        for &(id, _, value) in snapshot {
+            order.place(id, value);
+        }
+        self.gdm_of(&mut order)
+    }
+
+    /// Global disorder measure of the population placed in `order` —
+    /// exactly the population the cache tracks — bit-identical to the free
+    /// [`gdm`] over the same `(id, value)` sequence.
     ///
     /// `α_i` is the cached `A.sequence` rank (no attribute sort, no map);
-    /// `ρ_i` comes from one sort of the values in the order of
-    /// [`rank::value_ranks`] (`partial_cmp`, ties by id), so it is the same
-    /// bijection. The squared differences are summed in snapshot order, as
-    /// [`gdm`] sums them: float addition order decides the last bit.
+    /// `ρ_i` comes from ordering the values as [`rank::value_ranks`] does
+    /// (`partial_cmp`, ties by id), so it is the same bijection. The squared
+    /// differences are summed in place order, as [`gdm`] sums them in
+    /// snapshot order: float addition order decides the last bit.
     ///
-    /// The sort compares integers, not floats: each value becomes a `u64`
-    /// that orders as `partial_cmp` does (`−0.0` folded into `+0.0`, then
-    /// the sign-magnitude bits mapped to an unsigned order), and key, id
-    /// and snapshot position are packed into one `u128` — 64, 32 and 32
-    /// bits — so ties fall to the id and the position rides along.
+    /// Once ordered, each key's upper half is free: the pass over the
+    /// `R.sequence` writes the id and `ρ` of the node placed `p`-th into
+    /// the upper half of key `p`, whose lower half it has read or has yet
+    /// to read, so the sum walks the keys in place order with no second
+    /// buffer.
     ///
-    /// Panics on a NaN value, as the comparator did, and if an id is not
-    /// tracked (runtimes keep the cache in lock-step with the live
-    /// population, which debug builds check).
-    pub fn gdm(&self, snapshot: &[(NodeId, Attribute, f64)]) -> f64 {
-        debug_assert!(
-            snapshot.len() == self.len() && snapshot.iter().all(|e| self.rank(e.0).is_some()),
-            "the rank cache must track exactly the snapshot's population"
+    /// Panics if an id is not tracked (runtimes keep the cache in lock-step
+    /// with the live population, which debug builds check).
+    pub fn gdm_of(&self, order: &mut ValueOrder) -> f64 {
+        let keys = order.sorted();
+        debug_assert_eq!(
+            keys.len(),
+            self.len(),
+            "the rank cache must track exactly the measured population"
         );
-        let mut by_value: Vec<u128> = snapshot
-            .iter()
-            .enumerate()
-            .map(|(pos, &(id, _, value))| {
-                (u128::from(value_key(value)) << 64) | (id.row() as u128) << 32 | pos as u128
-            })
-            .collect();
-        by_value.sort_unstable();
-        let mut rho = vec![0u32; snapshot.len()];
-        for (idx, &packed) in by_value.iter().enumerate() {
-            rho[packed as u32 as usize] = idx as u32 + 1;
+        for rho in 1..=keys.len() {
+            let low = keys[rho - 1] as u64;
+            let place = low as u32 as usize;
+            let row = low >> 32;
+            keys[place] =
+                u128::from(keys[place] as u64) | u128::from(row) << 96 | (rho as u128) << 64;
         }
-        gdm_from_ranks(
-            snapshot
-                .iter()
-                .zip(&rho)
-                .map(|(&(id, _, _), &rho)| (self.tracked_rank(id), rho as usize)),
-        )
+        gdm_from_ranks(keys.iter().map(|&key| {
+            let alpha = self.tracked_rank(NodeId::new((key >> 96) as u64));
+            (alpha, (key >> 64) as u32 as usize)
+        }))
     }
+}
+
+/// The SDM's per-slice constants — each slice's midpoint and length —
+/// computed once per evaluation rather than twice per node. A
+/// [`term`](SdmTerms::term) is [`Partition::sdm_term`]'s arithmetic on the
+/// same values, so it is the same bits.
+#[derive(Clone, Debug, Default)]
+pub struct SdmTerms {
+    /// `(midpoint, length)` per slice index.
+    slices: Vec<(f64, f64)>,
+}
+
+impl SdmTerms {
+    /// The constants of `partition`.
+    pub fn new(partition: &Partition) -> Self {
+        let mut terms = SdmTerms::default();
+        terms.reset(partition);
+        terms
+    }
+
+    /// Recomputes the constants for `partition`, reusing the buffer.
+    pub fn reset(&mut self, partition: &Partition) {
+        self.slices.clear();
+        let slices = partition.slices();
+        self.slices
+            .extend(slices.map(|slice| (slice.midpoint(), slice.length())));
+    }
+
+    /// A node's SDM term: the distance between the midpoints of its true
+    /// (`actual`) and believed (`estimated`) slices, in units of the true
+    /// slice's length.
+    pub fn term(&self, actual: SliceIndex, estimated: SliceIndex) -> f64 {
+        let (midpoint, length) = self.slices[actual.as_usize()];
+        (midpoint - self.slices[estimated.as_usize()].0).abs() / length
+    }
+}
+
+/// The GDM's `R.sequence` of one evaluation, in buffers kept across
+/// evaluations: a [`count`](ValueOrder::count)ing pass over the
+/// population's values, then a [`place`](ValueOrder::place) per node in the
+/// order the sum should run, then [`RankCache::gdm_of`].
+///
+/// Each node is one `u128` key: the value as a `u64` that orders as
+/// `partial_cmp` does (`−0.0` folded into `+0.0`, then the sign-magnitude
+/// bits mapped to an unsigned order), the id and the place — 64, 32 and 32
+/// bits — so ties fall to the id and the place rides along. The counting
+/// pass sizes one region per bucket ⌊clamp(v, 0, 1)·B⌋ (monotone in the
+/// key order); each key is built straight into its bucket's region; then
+/// each region is sorted by the full key. Keys are distinct, so that is
+/// exactly the order one `sort_unstable` of all keys gives, in linear time
+/// for values spread over `[0, 1]` (values outside share the end buckets).
+#[derive(Clone, Debug, Default)]
+pub struct ValueOrder {
+    /// One key per counted node, grouped by bucket once placed.
+    keys: Vec<u128>,
+    /// Per bucket: the next free place of its region while keys are
+    /// placed, which leaves it at the region's end.
+    buckets: Vec<u32>,
+    /// Keys placed so far.
+    placed: usize,
+}
+
+impl ValueOrder {
+    /// The counting pass: opens an evaluation of the `n` nodes holding
+    /// `values` (in any order), keeping the buffers. Panics unless there
+    /// are exactly `n` values.
+    pub fn count(&mut self, n: usize, values: impl IntoIterator<Item = f64>) {
+        // One or two keys per bucket, and a power of two, so that v·B is
+        // exact.
+        let count = (n / 2).max(1).next_power_of_two();
+        self.buckets.clear();
+        self.buckets.resize(count, 0);
+        let mut counted = 0;
+        for value in values {
+            self.buckets[bucket_of(value, count)] += 1;
+            counted += 1;
+        }
+        assert_eq!(counted, n, "the counting pass saw every node once");
+        let mut start = 0;
+        for bucket in &mut self.buckets {
+            let size = *bucket;
+            *bucket = start;
+            start += size;
+        }
+        self.keys.resize(n, 0);
+        self.placed = 0;
+    }
+
+    /// The scatter: places node `id`, holding `value`, next in the sum
+    /// order — each counted value once. Panics on NaN, which `partial_cmp`
+    /// cannot order.
+    pub fn place(&mut self, id: NodeId, value: f64) {
+        let key = u128::from(value_key(value)) << 64 | (id.row() as u128) << 32;
+        let bucket = bucket_of(value, self.buckets.len());
+        let next = &mut self.buckets[bucket];
+        self.keys[*next as usize] = key | self.placed as u128;
+        *next += 1;
+        self.placed += 1;
+    }
+
+    /// The placed keys, ascending: each bucket's region sorted by the full
+    /// key.
+    fn sorted(&mut self) -> &mut [u128] {
+        assert_eq!(self.placed, self.keys.len(), "every counted node is placed");
+        let mut start = 0;
+        for &end in &self.buckets {
+            self.keys[start..end as usize].sort_unstable();
+            start = end as usize;
+        }
+        debug_assert!(self.keys.is_sorted(), "a key left its bucket");
+        &mut self.keys
+    }
+}
+
+/// The bucket of `value` among `count` (a power of two): ⌊v·count⌋ for `v`
+/// clamped to `[0, 1]`, the top bucket also holding 1. Monotone in `v`;
+/// both zeros land in bucket 0.
+fn bucket_of(value: f64, count: usize) -> usize {
+    ((value.clamp(0.0, 1.0) * count as f64) as usize).min(count - 1)
 }
 
 /// A `u64` whose unsigned order is `partial_cmp`'s order on non-NaN `f64`:
@@ -384,24 +517,37 @@ fn value_key(value: f64) -> u64 {
 /// stability"): an application holding a slice allocation cares as much
 /// about nodes *flapping* between slices as about raw assignment accuracy.
 ///
-/// Feed it one snapshot per cycle (each id at most once); it reports how
-/// many live nodes changed their believed slice since the previous
-/// snapshot. Departed nodes are forgotten; joiners count as changes only on
-/// their second appearance.
+/// Open each observation with [`next_observation`](SliceTracker::next_observation),
+/// then [`observe`](SliceTracker::observe) every live node once, with the
+/// slot it lives in; each call reports whether that node changed its
+/// believed slice since the previous observation. Departed nodes are
+/// forgotten; joiners count as changes only on their second appearance.
 ///
-/// The beliefs are a column of `(observation, slice)` stamps indexed by the
-/// raw node id (8 bytes per identity ever observed), overwritten in place:
-/// a node's change counts only when its stamp comes from the immediately
-/// preceding observation, so nothing is rebuilt or cleared between cycles.
+/// The beliefs are a column of stamps indexed by slot — 12 bytes per slot,
+/// so bounded by the peak population however many identities churn issues
+/// — overwritten in place: a node's change counts only when its slot's
+/// stamp comes from the immediately preceding observation *and* names the
+/// node as its owner, so nothing is rebuilt or cleared between cycles, and
+/// a joiner that takes a departed node's slot never inherits its stamp.
 #[derive(Clone, Debug, Default)]
 pub struct SliceTracker {
-    /// Per raw id: the observation that last saw the node (0 = never) and
-    /// the slice it believed then.
-    stamps: Vec<(u32, u32)>,
-    /// Observations folded in so far.
+    /// Per slot: what the last observation of the slot saw.
+    stamps: Vec<Stamp>,
+    /// Observations opened so far.
     epoch: u32,
     /// Nodes in the latest observation.
     len: usize,
+}
+
+/// One slot's belief record.
+#[derive(Clone, Copy, Debug, Default)]
+struct Stamp {
+    /// The observation that saw it (0 = never).
+    epoch: u32,
+    /// The raw id of the node that lived in the slot then.
+    owner: u32,
+    /// The slice that node believed.
+    slice: u32,
 }
 
 impl SliceTracker {
@@ -410,40 +556,44 @@ impl SliceTracker {
         Self::default()
     }
 
-    /// Number of nodes currently tracked.
+    /// Number of nodes in the latest observation.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no node is tracked yet.
+    /// Whether the latest observation saw no node (or none was made).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Folds in one population snapshot (`(id, attribute, estimate)`);
-    /// returns the number of tracked nodes whose believed slice changed.
-    pub fn observe<'a, I>(&mut self, partition: &Partition, nodes: I) -> usize
-    where
-        I: IntoIterator<Item = &'a (NodeId, Attribute, f64)>,
-    {
-        let previous = self.epoch;
-        self.epoch += 1;
-        let (mut changes, mut len) = (0, 0);
-        for &(id, _, est) in nodes {
-            let slice = partition.slice_of(est).as_usize() as u32;
-            let row = id.row();
-            if row >= self.stamps.len() {
-                self.stamps.resize(row + 1, (0, 0));
-            }
-            let stamp = &mut self.stamps[row];
-            if previous != 0 && stamp.0 == previous && stamp.1 != slice {
-                changes += 1;
-            }
-            *stamp = (self.epoch, slice);
-            len += 1;
+    /// Opens the next observation, of nodes living in slots `0..slots`.
+    pub fn next_observation(&mut self, slots: usize) {
+        if slots > self.stamps.len() {
+            self.stamps.resize(slots, Stamp::default());
         }
-        self.len = len;
-        changes
+        self.epoch += 1;
+        self.len = 0;
+    }
+
+    /// Records that node `id`, living in `slot`, believes `slice` in the
+    /// current observation (each slot at most once per observation);
+    /// returns whether it believed another slice in the previous one.
+    /// Panics if `slot` lies beyond the slots the observation was opened
+    /// for.
+    pub fn observe(&mut self, slot: usize, id: NodeId, slice: SliceIndex) -> bool {
+        // Fits: ids lie below `u32::MAX`, and no partition has that many
+        // slices.
+        let (owner, slice) = (id.row() as u32, slice.as_usize() as u32);
+        let stamp = &mut self.stamps[slot];
+        let seen_last = self.epoch > 1 && stamp.epoch == self.epoch - 1 && stamp.owner == owner;
+        let changed = seen_last && stamp.slice != slice;
+        *stamp = Stamp {
+            epoch: self.epoch,
+            owner,
+            slice,
+        };
+        self.len += 1;
+        changed
     }
 }
 
@@ -820,15 +970,21 @@ mod tests {
     /// A population with repeated attributes and repeated values (both
     /// drawn from small grids), so the id tie-breaks of both sequences are
     /// exercised. Some values are `+0.0` and some `-0.0`: the two compare
-    /// equal, so they tie too and fall back to the id order.
+    /// equal, so they tie too and fall back to the id order. Others lie
+    /// outside `[0, 1]` — negative, exactly 1, above 1, infinite — as a
+    /// liar's or a broken protocol's value may.
     fn tied_population(picks: &[(u8, u8)], first_id: u64) -> Vec<(NodeId, Attribute, f64)> {
         picks
             .iter()
             .enumerate()
             .map(|(i, &(a, r))| {
-                let value = match r % 9 {
+                let value = match r % 14 {
                     0 => -0.0,
                     1 => 0.0,
+                    2 => -f64::from(r % 3 + 1) / 4.0,
+                    3 => 1.0 + f64::from(r % 3) / 2.0,
+                    4 => f64::INFINITY,
+                    5 => f64::NEG_INFINITY,
                     _ => f64::from(r % 7 + 1) / 8.0,
                 };
                 node(first_id + i as u64, f64::from(a % 5) * 10.0, value)
@@ -884,6 +1040,65 @@ mod tests {
         }
     }
 
+    /// Thousands of nodes, so most buckets hold several keys and the
+    /// scatter carries keys across many buckets: a fifth of the values sit
+    /// on 1.0 (a liar's capped claim), some lie below 0 or above 1, and the
+    /// rest repeat on a fine grid.
+    #[test]
+    fn rank_cache_gdm_is_bit_identical_to_gdm_at_scale() {
+        let mut rng_state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng_state = rng_state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            rng_state >> 33
+        };
+        for n in [1usize, 2, 7, 8, 9, 1_000, 4_321] {
+            let nodes: Vec<_> = (0..n as u64)
+                .map(|id| {
+                    let value = match next() % 10 {
+                        0 | 1 => 1.0,
+                        2 => -((next() % 5) as f64) / 4.0,
+                        3 => 1.0 + (next() % 5) as f64 / 4.0,
+                        _ => (next() % 2_000) as f64 / 2_000.0,
+                    };
+                    node(id * 3, (next() % 50) as f64, value)
+                })
+                .collect();
+            let mut cache = RankCache::new();
+            cache.rebuild(nodes.iter().map(|&(id, a, _)| (id, a)));
+            let (cached, fresh) = (cache.gdm(&nodes), gdm(&nodes));
+            assert_eq!(
+                cached.to_bits(),
+                fresh.to_bits(),
+                "n = {n}: {cached} vs {fresh}"
+            );
+        }
+    }
+
+    #[test]
+    fn sdm_terms_are_the_partition_terms_bit_for_bit() {
+        let partitions = [
+            Partition::equal(1).unwrap(),
+            Partition::equal(7).unwrap(),
+            Partition::equal(100).unwrap(),
+            Partition::from_fractions(&[0.01, 0.01, 0.02, 0.06, 0.2, 0.3, 0.4]).unwrap(),
+        ];
+        for partition in &partitions {
+            let terms = SdmTerms::new(partition);
+            for a in 0..partition.len() {
+                for e in 0..partition.len() {
+                    let (a, e) = (SliceIndex::new(a), SliceIndex::new(e));
+                    assert_eq!(
+                        terms.term(a, e).to_bits(),
+                        partition.sdm_term(a, e).to_bits(),
+                        "{partition}: slices {a:?} and {e:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn value_keys_order_like_partial_cmp() {
         let values = [
@@ -918,18 +1133,18 @@ mod tests {
         value_key(f64::NAN);
     }
 
-    /// The map-rebuilding tracker the id-indexed one replaced: the
-    /// reference the property test below holds `SliceTracker` to.
+    /// The map-rebuilding tracker the stamp column replaced: the reference
+    /// the property test below holds `SliceTracker` to.
     #[derive(Default)]
     struct MapTracker {
         believed: HashMap<NodeId, SliceIndex>,
     }
 
     impl MapTracker {
-        fn observe(&mut self, partition: &Partition, nodes: &[(NodeId, Attribute, f64)]) -> usize {
+        fn observe(&mut self, partition: &Partition, nodes: &[(NodeId, f64)]) -> usize {
             let mut changes = 0;
             let mut fresh = HashMap::new();
-            for &(id, _, est) in nodes {
+            for &(id, est) in nodes {
                 let slice = partition.slice_of(est);
                 if self
                     .believed
@@ -945,10 +1160,43 @@ mod tests {
         }
     }
 
+    /// Feeds `snapshot` (distinct ids) to `tracker` as the engine does:
+    /// `slots` first loses the nodes that left and then gives the joiners
+    /// slots, recycling the freed ones, and every node is observed in the
+    /// slot it lives in. Returns the changes counted.
+    fn observe_in_slots(
+        tracker: &mut SliceTracker,
+        slots: &mut crate::NodeSlab<()>,
+        partition: &Partition,
+        snapshot: &[(NodeId, f64)],
+    ) -> usize {
+        let gone: Vec<NodeId> = slots
+            .ids()
+            .filter(|id| snapshot.iter().all(|&(live, _)| live != *id))
+            .collect();
+        for id in gone {
+            slots.remove(id);
+        }
+        for &(id, _) in snapshot {
+            if !slots.contains(id) {
+                slots.insert(id, ());
+            }
+        }
+        tracker.next_observation(slots.slot_count());
+        snapshot
+            .iter()
+            .filter(|&&(id, est)| {
+                let slot = slots.slot_of(id).expect("inserted above");
+                tracker.observe(slot, id, partition.slice_of(est))
+            })
+            .count()
+    }
+
     proptest! {
         /// Over random snapshot sequences — nodes leaving, joining with
-        /// fresh ids, coming back after an absence, moving between slices —
-        /// the stamp column counts exactly the changes the map did.
+        /// fresh ids in recycled slots, coming back after an absence,
+        /// moving between slices — the stamp column counts exactly the
+        /// changes the map did.
         #[test]
         fn slice_tracker_matches_the_map_reference(
             k in 1usize..6,
@@ -961,7 +1209,7 @@ mod tests {
             let mut part = Partition::equal(k).unwrap();
             let mut tracker = SliceTracker::new();
             let mut reference = MapTracker::default();
-            let a = Attribute::new(1.0).unwrap();
+            let mut slots = crate::NodeSlab::new();
             for (step, picks) in steps.iter().enumerate() {
                 if step == repartition_at {
                     // What `Engine::set_partition` does: a fresh tracker.
@@ -973,10 +1221,10 @@ mod tests {
                 let snapshot: Vec<_> = picks
                     .iter()
                     .filter(|&&(id, _)| seen.insert(id))
-                    .map(|&(id, est)| (NodeId::new(id), a, est))
+                    .map(|&(id, est)| (NodeId::new(id), est))
                     .collect();
                 prop_assert_eq!(
-                    tracker.observe(&part, &snapshot),
+                    observe_in_slots(&mut tracker, &mut slots, &part, &snapshot),
                     reference.observe(&part, &snapshot),
                     "step {}", step
                 );
@@ -989,32 +1237,37 @@ mod tests {
     fn tracker_counts_changes_not_first_sightings() {
         let part = Partition::equal(2).unwrap();
         let mut t = SliceTracker::new();
+        let mut slots = crate::NodeSlab::new();
         assert!(t.is_empty());
-        let a = Attribute::new(1.0).unwrap();
         // First sighting: no change counted.
-        let snap1 = [(NodeId::new(1), a, 0.2), (NodeId::new(2), a, 0.9)];
-        assert_eq!(t.observe(&part, &snap1), 0);
+        let snap1 = [(NodeId::new(1), 0.2), (NodeId::new(2), 0.9)];
+        assert_eq!(observe_in_slots(&mut t, &mut slots, &part, &snap1), 0);
         assert_eq!(t.len(), 2);
         // Node 1 crosses the boundary; node 2 stays.
-        let snap2 = [(NodeId::new(1), a, 0.7), (NodeId::new(2), a, 0.8)];
-        assert_eq!(t.observe(&part, &snap2), 1);
+        let snap2 = [(NodeId::new(1), 0.7), (NodeId::new(2), 0.8)];
+        assert_eq!(observe_in_slots(&mut t, &mut slots, &part, &snap2), 1);
         // Stable snapshot: zero changes.
-        assert_eq!(t.observe(&part, &snap2), 0);
+        assert_eq!(observe_in_slots(&mut t, &mut slots, &part, &snap2), 0);
     }
 
     #[test]
     fn tracker_forgets_departed_and_rediscovers_joiners() {
         let part = Partition::equal(2).unwrap();
-        let a = Attribute::new(1.0).unwrap();
         let mut t = SliceTracker::new();
-        t.observe(&part, &[(NodeId::new(1), a, 0.2)]);
-        // Node 1 departs; node 2 joins.
-        assert_eq!(t.observe(&part, &[(NodeId::new(2), a, 0.9)]), 0);
+        let mut slots = crate::NodeSlab::new();
+        observe_in_slots(&mut t, &mut slots, &part, &[(NodeId::new(1), 0.2)]);
+        // Node 1 departs; node 2 joins into its slot, believing another
+        // slice: a first sighting, not a change of node 1's.
+        let joined = [(NodeId::new(2), 0.9)];
+        assert_eq!(observe_in_slots(&mut t, &mut slots, &part, &joined), 0);
+        assert_eq!(
+            slots.slot_of(NodeId::new(2)),
+            Some(0),
+            "the slot is recycled"
+        );
         assert_eq!(t.len(), 1);
         // Node 1 rejoins in the *other* slice: first sighting again, no change.
-        assert_eq!(
-            t.observe(&part, &[(NodeId::new(1), a, 0.9), (NodeId::new(2), a, 0.9)]),
-            0
-        );
+        let rejoined = [(NodeId::new(1), 0.9), (NodeId::new(2), 0.9)];
+        assert_eq!(observe_in_slots(&mut t, &mut slots, &part, &rejoined), 0);
     }
 }

@@ -100,8 +100,8 @@ impl From<NodeId> for u64 {
 /// standard library's default hasher.
 ///
 /// The per-cycle lookups of the simulator do not hash at all: the slab's
-/// index, `RankCache`'s ranks and `SliceTracker`'s stamps are columns
-/// indexed by the id itself. The one set still hashed with this hasher is
+/// index and `RankCache`'s ranks are columns indexed by the id itself, and
+/// `SliceTracker`'s stamps are indexed by slot. The one set still hashed with this hasher is
 /// off the hot path: the engine's liar set, consulted on churn and by the
 /// honest-accuracy probe.
 #[derive(Clone, Copy, Debug, Default)]
@@ -154,8 +154,17 @@ impl NodeIdAllocator {
     }
 
     /// The id that the next call to [`allocate`](Self::allocate) will return.
+    /// Panics once the last valid id, 2³²−2, has been issued.
     pub fn peek(&self) -> NodeId {
         NodeId::new(self.next)
+    }
+
+    /// One past the raw value of the last id issued (the first id, if none
+    /// was): id rows `0..issued()` cover every id issued so far, which is
+    /// what an id-indexed column must hold. Unlike [`peek`](Self::peek) it
+    /// never panics — after 2³²−2 it reads 2³²−1.
+    pub fn issued(&self) -> u64 {
+        self.next
     }
 }
 
@@ -249,6 +258,16 @@ mod tests {
         assert_eq!(b, NodeId::new(1));
         assert_eq!(batch, vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)]);
         assert_eq!(alloc.peek(), NodeId::new(5));
+    }
+
+    #[test]
+    fn issued_counts_past_the_last_valid_id() {
+        let mut alloc = NodeIdAllocator::starting_at(u64::from(u32::MAX) - 1);
+        assert_eq!(alloc.issued(), u64::from(u32::MAX) - 1);
+        assert_eq!(alloc.allocate(), NodeId::new(u64::from(u32::MAX) - 1));
+        assert_eq!(alloc.issued(), u64::from(u32::MAX));
+        let peek = std::panic::catch_unwind(|| alloc.peek());
+        assert!(peek.is_err(), "no id is left to peek at");
     }
 
     #[test]

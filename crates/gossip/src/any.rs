@@ -170,6 +170,7 @@ impl PeerSampler for AnySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune_dead;
     use dslice_core::Attribute;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -305,6 +306,28 @@ mod tests {
     fn every_kind_agrees_with_its_concrete_type_call_for_call() {
         for kind in KINDS {
             assert_agree(kind);
+        }
+    }
+
+    /// The simulator prunes every view with [`prune_dead`] directly, not
+    /// through `remove_dead`: every kind's `remove_dead` must leave exactly
+    /// what the shared filter leaves, concrete and behind the enum alike.
+    #[test]
+    fn every_kind_removes_the_dead_with_the_shared_filter() {
+        let is_alive = |id: NodeId| !id.as_u64().is_multiple_of(3);
+        let boot: Vec<ViewEntry> = (1..=9).map(|i| entry(i, i as u32 % 4)).collect();
+        for kind in KINDS {
+            let mut plain = concrete(kind, NodeId::new(0), 8);
+            let mut any = AnySampler::new(kind, NodeId::new(0), 8).unwrap();
+            plain.bootstrap(&boot);
+            any.bootstrap(&boot);
+            let mut filtered = any.clone();
+            prune_dead(filtered.view_mut(), is_alive);
+            plain.remove_dead(&is_alive);
+            any.remove_dead(&is_alive);
+            assert_eq!(state(&*plain), state(&filtered), "{kind}: concrete");
+            assert_eq!(state(&any), state(&filtered), "{kind}: enum");
+            assert!(filtered.view().ids().all(is_alive), "{kind}");
         }
     }
 

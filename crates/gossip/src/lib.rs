@@ -47,7 +47,7 @@ pub use any::AnySampler;
 pub use cyclon::CyclonSampler;
 pub use lpbcast::LpbcastSampler;
 pub use newscast::NewscastSampler;
-pub use sampler::{ExchangeBuffers, PeerSampler, SamplerConfig, SamplerKind};
+pub use sampler::{prune_dead, ExchangeBuffers, PeerSampler, SamplerConfig, SamplerKind};
 pub use uniform::UniformOracle;
 
 use dslice_core::{NodeId, Result};

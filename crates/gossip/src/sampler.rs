@@ -130,6 +130,14 @@ pub(crate) fn debug_assert_exchanged(view: &View, owner: NodeId, partner: &dyn P
     }
 }
 
+/// Drops `view`'s entries for departed nodes, keeping the order of the
+/// rest: the one definition of the dead-neighbor prune, shared by the
+/// default [`PeerSampler::remove_dead`] and the cycle simulator, which
+/// passes its live-set lookup as a closure the filter inlines.
+pub fn prune_dead(view: &mut View, is_alive: impl Fn(NodeId) -> bool) {
+    view.retain(is_alive);
+}
+
 /// A peer-sampling service instance owned by one node.
 pub trait PeerSampler: Send {
     /// The owning node.
@@ -266,8 +274,13 @@ pub trait PeerSampler: Send {
 
     /// Drops entries for nodes that are no longer alive. Runtimes call this
     /// after churn so protocols never gossip with the departed.
+    ///
+    /// Not overridden by any sampler, and it must not be: the cycle
+    /// simulator calls [`prune_dead`] on each view directly, so that its
+    /// liveness check inlines instead of being called through `&dyn Fn`
+    /// once per entry, and relies on this default doing exactly that.
     fn remove_dead(&mut self, is_alive: &dyn Fn(NodeId) -> bool) {
-        self.view_mut().retain(is_alive);
+        prune_dead(self.view_mut(), is_alive);
     }
 
     /// Seeds the view with bootstrap entries (used at join time).

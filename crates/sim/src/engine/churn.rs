@@ -2,13 +2,16 @@
 //! every view is pruned of departed neighbors; the incremental rank cache
 //! folds the batch in (no global re-sort).
 //!
-//! The dead-neighbor sweep resolves each view entry against the slab's own
-//! index, lent out read-only beside the mutable slot walk — no side table
-//! of the population is built. Joiners bootstrap their views from random
-//! live nodes, through the same sampling core and the same [`bootstrap`] as
-//! the initial population — but from a pool of live *ids*, looking up only
-//! each joiner's own picks: the slot-order walk that builds the pool then
-//! writes 4 bytes per node, not a 24-byte entry.
+//! A churned cycle walks the population a fixed number of times and
+//! allocates nothing in proportion to it: the population the model plans
+//! from is copied into a buffer the engine keeps; the prune filters each
+//! view through [`prune_dead`] with the slab's own index — lent out
+//! read-only beside the mutable slot walk — as a closure the filter
+//! inlines; and the rank cache merges the joiners in place. Joiners
+//! bootstrap their views from random live nodes, through the same sampling
+//! core and the same [`bootstrap`] as the initial population, but from
+//! that same buffer with the leavers dropped, looking up only each
+//! joiner's own picks.
 
 use super::{sample_from_pool, Cycle, SimNode};
 use crate::churn::ChurnModel;
@@ -16,26 +19,45 @@ use dslice_core::metrics::RankCache;
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{Attribute, NodeId, NodeIdSet, NodeSlab, ViewEntry};
-use dslice_gossip::PeerSampler;
+use dslice_gossip::{prune_dead, PeerSampler};
 use rand::rngs::StdRng;
+
+/// The churn model and the buffer it plans from, kept across cycles.
+pub(super) struct Churn {
+    pub(super) model: Box<dyn ChurnModel>,
+    /// The live population as `(id, attribute)` in slot order: what the
+    /// model plans from, then — the leavers dropped — the pool the joiners
+    /// bootstrap from.
+    population: Vec<(NodeId, Attribute)>,
+}
+
+impl Churn {
+    pub(super) fn new(model: Box<dyn ChurnModel>) -> Self {
+        Churn {
+            model,
+            population: Vec::new(),
+        }
+    }
+}
 
 /// Applies the churn plan for this cycle; returns `(left, joined)`.
 pub(super) fn run(
     cx: &Cycle,
-    model: &mut dyn ChurnModel,
+    churn: &mut Churn,
     nodes: &mut NodeSlab<SimNode>,
     alloc: &mut NodeIdAllocator,
     liars: &mut NodeIdSet,
     ranks: &mut RankCache,
     rng: &mut StdRng,
 ) -> (usize, usize) {
-    let population: Vec<(NodeId, Attribute)> = if model.needs_population() {
-        let live = nodes.iter();
-        live.map(|(_, id, n)| (id, n.proto.attribute())).collect()
+    let Churn { model, population } = churn;
+    let planned_from_population = model.needs_population();
+    if planned_from_population {
+        copy_population(nodes, population);
     } else {
-        Vec::new()
-    };
-    let plan = model.plan(cx.cycle, &population, rng);
+        population.clear();
+    }
+    let plan = model.plan(cx.cycle, population, rng);
     if plan.is_quiet() {
         return (0, 0);
     }
@@ -56,9 +78,8 @@ pub(super) fn run(
     // slab's own index is the live set: the leavers just left it.
     if !removed.is_empty() {
         let (live, lookup) = nodes.iter_mut_with_lookup();
-        let is_alive = |id: NodeId| lookup.contains(id);
         for (_, _, node) in live {
-            node.sampler.remove_dead(&is_alive);
+            prune_dead(node.sampler.view_mut(), |id| lookup.contains(id));
         }
         debug_assert!(
             nodes
@@ -69,12 +90,17 @@ pub(super) fn run(
     }
 
     // Joiners: fresh identity, fresh protocol state, and a view sampled
-    // from the nodes that were live before any of them joined.
+    // from the nodes that were live before any of them joined — in slot
+    // order, which is the planned population without its leavers (removing
+    // a node moves no other).
     let joined = plan.joiners.len();
     let mut new_nodes = Vec::with_capacity(joined);
     if joined > 0 {
-        let mut pool = Vec::with_capacity(nodes.len());
-        pool.extend(nodes.ids());
+        if !planned_from_population {
+            copy_population(nodes, population);
+        } else if !removed.is_empty() {
+            population.retain(|&(id, _)| nodes.contains(id));
+        }
         for attribute in plan.joiners {
             let id = alloc.allocate();
             let node = SimNode::new(cx.cfg, cx.kind, id, attribute, rng);
@@ -82,16 +108,25 @@ pub(super) fn run(
             new_nodes.push((id, attribute));
         }
         let ids = new_nodes.iter().map(|&(id, _)| id);
+        let (pool, view_size) = (&population[..], cx.cfg.view_size);
         let mut picks = Vec::new();
         bootstrap(nodes, ids, |nodes, owner, entries| {
-            sample_from_pool(rng, &pool, |&id| id, owner, cx.cfg.view_size, &mut picks);
-            let live = picks.iter().filter_map(|&id| nodes.get(id));
+            sample_from_pool(rng, pool, |&(id, _)| id, owner, view_size, &mut picks);
+            let live = picks.iter().filter_map(|&(id, _)| nodes.get(id));
             entries.extend(live.map(SimNode::self_entry));
         });
     }
     // Fold the batch into the rank cache: a linear merge, no re-sort.
     ranks.apply_churn(&removed, &new_nodes);
     (removed.len(), joined)
+}
+
+/// Overwrites `population` with the live nodes' `(id, attribute)` in slot
+/// order, sized once to the population rather than grown to it.
+fn copy_population(nodes: &NodeSlab<SimNode>, population: &mut Vec<(NodeId, Attribute)>) {
+    population.clear();
+    population.reserve(nodes.len());
+    population.extend(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
 }
 
 /// Seeds the view of each node in `ids`, in order, with the entries
@@ -173,7 +208,7 @@ mod tests {
             let pool: Vec<ViewEntry> = engine.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
             let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
             let mut entries = Vec::new();
-            for owner in (0..engine.alloc.peek().as_u64()).map(NodeId::new) {
+            for owner in (0..engine.alloc.issued()).map(NodeId::new) {
                 let mut reference_rng = rng.clone();
                 let expected = reference_entries(&engine.nodes, &mut reference_rng, owner, count);
                 sample_from_pool(&mut rng, &pool, |e| e.id, owner, count, &mut entries);

@@ -9,7 +9,7 @@
 //!
 //! 1. **Churn** (`churn.rs`) — leavers go, joiners arrive and bootstrap their
 //!    views, every view is pruned of departed neighbors, and the rank cache
-//!    folds the batch in.
+//!    merges the batch in place.
 //! 2. **Latency drain** (`delivery.rs`) — messages whose cross-cycle latency
 //!    elapsed land now, in random order, before anyone's active step.
 //! 3. **Membership** (`membership.rs`) — every live node runs its membership
@@ -23,7 +23,8 @@
 //!    the [`Concurrency`](crate::Concurrency) model: atomic exchanges now,
 //!    overlapping messages in an end-of-cycle drain.
 //! 7. **Metrics** (`metrics.rs`) — SDM, GDM and slice changes on the
-//!    configured cadence, in O(n) from the churn-maintained rank cache.
+//!    configured cadence, from one walk over the slab and the
+//!    churn-maintained rank cache, in O(n).
 //!
 //! In debug builds every phase boundary checks what the next phase relies
 //! on: views keep their invariants after churn and after membership, no view
@@ -50,19 +51,23 @@
 //! find it, and no allocation.** A node's slot is stable while it lives, so
 //! each phase resolves `NodeId → slot` once, where the id enters it, and
 //! indexes the slot array from then on (each phase module says where).
-//! Resolving an id hashes nothing: the slab's index, the refresh snapshot,
-//! the rank cache's ranks and the slice tracker's stamps are columns indexed
-//! by the raw id, which the engine's own allocator issues sequentially from
-//! 0. They cost about 24 bytes per identity ever issued — 0.24 MB per 10k
-//! joins — on top of the slots (see [`Engine::slot_count`]).
+//! Resolving an id hashes nothing: the slab's index, the refresh snapshot
+//! and the rank cache's ranks are columns indexed by the raw id, which the
+//! engine's own allocator issues sequentially from 0. They cost about 16
+//! bytes per identity ever issued — 0.16 MB per 10k joins — on top of the
+//! slots (see [`Engine::slot_count`]). The slice tracker's stamps are keyed
+//! by slot instead, so they are bounded by the peak population.
 //!
 //! What a phase needs beyond node state lives in buffers its own module
-//! defines and the engine keeps across cycles: the membership schedule and
-//! exchange order, the refresh snapshot and the outbox, the delivery queues.
-//! After the first cycles warm them up, the cycle hot path performs no
-//! allocation that scales with `n` (enforced by
-//! `tests/alloc_steady_state.rs`). Nothing is kept per node: a spare vector
-//! there is paid for `n` times. The slice partition is shared the same way
+//! defines and the engine keeps across cycles: the churn model's population
+//! copy, the membership schedule and exchange order, the refresh snapshot
+//! and the outbox, the delivery queues, and the metrics' value order. After
+//! the first cycles warm them up, the cycle hot path performs no allocation
+//! that scales with `n` — on churned cycles and measured cycles too, where
+//! what a cycle allocates goes to its joiners (enforced, in calls and in
+//! bytes, by `tests/alloc_steady_state.rs`). The id-indexed columns grow by
+//! doubling as joiners take new ids: O(1) per joiner, amortized. Nothing is
+//! kept per node: a spare vector there is paid for `n` times. The slice partition is shared the same way
 //! — every protocol instance holds a handle on one boundary array.
 //!
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
@@ -263,8 +268,9 @@ impl Envelope {
 /// from `owner` into `out`, sorted by id — the sampling core of all three
 /// callers, so they cannot drift apart: construction and the oracle refill
 /// sample a slot-order snapshot of the live nodes' entries, churn joiners
-/// the live ids (a joiner looks up only its own picks, sparing the churn
-/// phase an entry walk over the population every cycle).
+/// the churn phase's `(id, attribute)` copy of the population (a joiner
+/// looks up only its own picks, sparing the churn phase an entry walk over
+/// the population every cycle).
 ///
 /// Oversamples by one slot so that filtering the owner out still leaves
 /// `count` candidates whenever the pool allows it. Index sampling is
@@ -339,8 +345,9 @@ pub struct Engine {
     alloc: NodeIdAllocator,
     rng: StdRng,
     cycle: usize,
-    churn: Box<dyn ChurnModel>,
-    /// §3.2 stability tracking: believed slices across cycles.
+    /// The churn model and the population buffer it plans from.
+    churn: churn::Churn,
+    /// §3.2 stability tracking: believed slices across cycles, per slot.
     tracker: SliceTracker,
     /// Incrementally maintained attribute ranks / true slices (churn-fed).
     ranks: RankCache,
@@ -353,6 +360,8 @@ pub struct Engine {
     active: active::Scratch,
     /// The delivery queues, and the messages held across cycles.
     delivery: delivery::Queues,
+    /// The SDM constants and the GDM's value order.
+    metrics: metrics::Scratch,
     /// Nodes converted to rank-inflating liars via
     /// [`corrupt_nodes`](Engine::corrupt_nodes); maintained across churn
     /// (a departed liar is forgotten, joiners are honest).
@@ -418,25 +427,27 @@ impl Engine {
             alloc,
             rng,
             cycle: 0,
-            churn: Box::new(NoChurn),
+            churn: churn::Churn::new(Box::new(NoChurn)),
             tracker: SliceTracker::new(),
             ranks,
             last_disorder: (0.0, 0.0),
             membership: Default::default(),
             active: Default::default(),
             delivery: Default::default(),
+            metrics: Default::default(),
             liars: NodeIdSet::default(),
             fault: NetworkFault::default(),
             schedule_log: None,
             recorder: None,
         };
-        engine.last_disorder = (engine.sdm(), engine.gdm());
+        let gdm = metrics::gdm(&engine.nodes, &engine.ranks, &mut engine.metrics);
+        engine.last_disorder = (engine.sdm(), gdm);
         Ok(engine)
     }
 
     /// Replaces the churn model (builder style).
     pub fn with_churn(mut self, churn: Box<dyn ChurnModel>) -> Self {
-        self.churn = churn;
+        self.churn.model = churn;
         self
     }
 
@@ -480,9 +491,10 @@ impl Engine {
     /// Number of storage slots the node slab has ever allocated (live +
     /// free). Node state is bounded by this — the *peak* population — not
     /// by the number of identities created over the run (churn reuses slots
-    /// through the slab's free list). The id-indexed columns beside it (slab
-    /// index, refresh snapshot, rank cache, slice tracker) add about 24
-    /// bytes per identity ever issued, live or not.
+    /// through the slab's free list), and so is the slice tracker, keyed by
+    /// slot. The id-indexed columns beside it (slab index, refresh
+    /// snapshot, rank cache) add about 16 bytes per identity ever issued,
+    /// live or not.
     pub fn slot_count(&self) -> usize {
         self.nodes.slot_count()
     }
@@ -509,13 +521,18 @@ impl Engine {
         // spurious all-nodes-changed spike.
         self.tracker = SliceTracker::new();
         // The cached disorder values refer to the old partitioning too.
-        self.last_disorder = (self.sdm(), self.gdm());
+        let gdm = metrics::gdm(&self.nodes, &self.ranks, &mut self.metrics);
+        self.last_disorder = (self.sdm(), gdm);
     }
 
     /// Snapshot of the live population, sorted by node id:
     /// `(id, attribute, estimate)`.
     pub fn snapshot(&self) -> Vec<(NodeId, Attribute, f64)> {
-        let mut snapshot = metrics::snapshot_slots(&self.nodes);
+        // Sized once, not grown by doubling: at 10⁵ nodes this is the
+        // largest block a caller's end-of-run check allocates.
+        let mut snapshot = Vec::with_capacity(self.nodes.len());
+        let live = self.nodes.iter();
+        snapshot.extend(live.map(|(_, id, n)| (id, n.proto.attribute(), n.proto.estimate())));
         snapshot.sort_unstable_by_key(|&(id, _, _)| id);
         snapshot
     }
@@ -530,9 +547,10 @@ impl Engine {
     }
 
     /// The global disorder measure of the current population: `α` from the
-    /// churn-maintained rank cache, one sort of the random values for `ρ`.
+    /// churn-maintained rank cache, one ordering of the random values for
+    /// `ρ`.
     pub fn gdm(&self) -> f64 {
-        self.ranks.gdm(&metrics::snapshot_slots(&self.nodes))
+        metrics::gdm(&self.nodes, &self.ranks, &mut Default::default())
     }
 
     /// Fraction of nodes whose believed slice equals their true slice —
@@ -819,7 +837,7 @@ impl Engine {
 
         let (left, joined) = churn::run(
             &cx,
-            &mut *self.churn,
+            &mut self.churn,
             &mut self.nodes,
             &mut self.alloc,
             &mut self.liars,
@@ -849,7 +867,8 @@ impl Engine {
         debug_assert_views(wire.nodes, "membership");
         timer.lap(&mut timings.membership_ns);
 
-        active::refresh(wire.nodes, self.alloc.peek().row(), &mut self.active);
+        let rows = self.alloc.issued() as usize;
+        active::refresh(wire.nodes, rows, &mut self.active);
         timer.lap(&mut timings.refresh_ns);
 
         active::run(&cx, wire.nodes, &mut self.active, wire.counters);
@@ -864,6 +883,7 @@ impl Engine {
             &self.liars,
             &self.ranks,
             &mut self.tracker,
+            &mut self.metrics,
             &mut self.last_disorder,
         );
         timer.lap(&mut timings.metrics_ns);

@@ -2,12 +2,13 @@
 //!
 //! The engine's phase buffers promise that "the cycle hot path performs no
 //! allocation that scales with `n`" once the first cycles have warmed them
-//! up. This test holds it to that: a counting global allocator
-//! watches `Engine::step()` on a static population, and every cycle must
-//! stay under one constant ceiling at two populations four times apart. What
-//! remains is a handful of per-cycle vectors whose *number* does not depend
-//! on `n` (the metrics snapshot and the slice tracker's bookkeeping) and,
-//! for mod-JK, the occasional replay queue growing.
+//! up. These tests hold it to that: a counting global allocator watches
+//! `Engine::step()`, counting both the calls and the bytes they ask for.
+//! On a static population every cycle must stay under one constant ceiling
+//! of calls at two populations four times apart; what remains is a handful
+//! of small per-cycle vectors and, for mod-JK, the occasional replay queue
+//! growing. Under churn, with the disorder metrics on every cycle, the
+//! bytes a cycle asks for must not grow with the population either.
 //!
 //! Construction is held to a per-node count as well: `Engine::new` stores
 //! each node's protocol and sampler inline in its slab cell, so a node
@@ -16,7 +17,8 @@
 
 use dslice_core::Partition;
 use dslice_sim::{
-    AttributeDistribution, ChurnSchedule, Engine, ProtocolKind, SimConfig, UncorrelatedChurn,
+    AttributeDistribution, ChurnSchedule, Concurrency, Engine, ProtocolKind, SimConfig,
+    UncorrelatedChurn,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,27 +26,30 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations made by this thread (`alloc` and `realloc` calls).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for: the whole new block of each.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting calls per thread so that the test
-/// harness's other threads cannot disturb the measurement.
+/// The system allocator, counting calls and bytes per thread so that the
+/// test harness's other threads cannot disturb the measurement.
 struct Counting;
 
 impl Counting {
-    fn count() {
+    fn count(bytes: usize) {
         // `try_with`: the allocator also runs while a thread's locals are
-        // being torn down, when the counter is already gone.
+        // being torn down, when the counters are already gone.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// `Cell<u64>` with a const initializer and no destructor, so touching it
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// `Cell<u64>`s with const initializers and no destructor, so touching them
 // neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -55,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: `ptr` came from `System`; the rest is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,6 +71,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Allocations one steady-state cycle may make, at any population.
@@ -199,4 +208,74 @@ fn churned_cycles_allocate_per_joiner_not_per_node() {
             );
         }
     }
+}
+
+/// Joiners (and leavers) per churned cycle in the byte test, at both
+/// populations.
+const JOINERS: usize = 20;
+
+/// The median bytes a churned cycle may ask for at 8 000 nodes beyond what
+/// it asks for at 2 000, with the same [`JOINERS`] per cycle: a cycle's
+/// bytes go to its joiners (views, bootstrap samples, the rank cache's
+/// incoming run) and to small per-cycle vectors, none of which grows with
+/// `n`. One byte per live node per cycle — a population copy, a snapshot,
+/// a rebuilt sorted run or a per-call sort buffer — would add 6 000.
+const BYTES_SLACK: u64 = 2_048;
+
+/// Churned mod-JK cycles with the disorder metrics on every cycle: the
+/// median bytes per cycle must not grow from 2 000 to 8 000 nodes.
+///
+/// The id-indexed columns (the slab index, the refresh snapshot and the
+/// rank cache's ranks) are excepted: they grow by doubling as ids are
+/// issued, so a cycle that crosses a column's capacity reallocates it —
+/// bytes in proportion to `n`, but once per ≈ `n / JOINERS` cycles, which
+/// is O(1) per joiner amortized. The median excludes those cycles: the 25
+/// measured cycles issue 500 ids, fewer than the `n` it takes a column to
+/// double twice, so each of the three columns lands in at most one
+/// measured cycle, and three outlying cycles cannot move the median of 25.
+#[test]
+fn churned_cycles_allocate_bytes_per_joiner_not_per_node() {
+    const WARM_UP: usize = 5;
+    const MEASURED: usize = 25;
+    let median_bytes = |n: usize| {
+        let cfg = SimConfig {
+            n,
+            view_size: 20,
+            partition: Partition::equal(20).unwrap(),
+            concurrency: Concurrency::Half,
+            metrics_every: 1,
+            seed: 11,
+            ..SimConfig::default()
+        };
+        let churn = UncorrelatedChurn::new(
+            ChurnSchedule {
+                rate: JOINERS as f64 / n as f64,
+                period: 1,
+                stop_after: None,
+            },
+            AttributeDistribution::default(),
+        );
+        let mut engine = Engine::new(cfg, ProtocolKind::ModJk)
+            .unwrap()
+            .with_churn(Box::new(churn));
+        for _ in 0..WARM_UP {
+            engine.step();
+        }
+        let mut per_cycle: Vec<u64> = (0..MEASURED)
+            .map(|_| {
+                let before = bytes();
+                let stats = engine.step();
+                assert_eq!((stats.joined, stats.left), (JOINERS, JOINERS));
+                bytes() - before
+            })
+            .collect();
+        per_cycle.sort_unstable();
+        per_cycle[MEASURED / 2]
+    };
+    let (small, large) = (median_bytes(2_000), median_bytes(8_000));
+    assert!(
+        large <= small + BYTES_SLACK,
+        "a churned mod-JK cycle asks for {large} bytes at 8 000 nodes against {small} at \
+         2 000 (median of {MEASURED} cycles, {JOINERS} joiners each; slack {BYTES_SLACK})",
+    );
 }

@@ -372,3 +372,53 @@ fn churned_ranking_record_is_pinned_at_5000_nodes() {
         0x3253_eb3f_6adb_4a51,
     );
 }
+
+/// Wide-view, half-concurrent mod-JK under 1 % uncorrelated churn with the
+/// disorder metrics on every third cycle: three churn batches recycle slots
+/// between two slice-tracker observations, so a joiner can sit in a slot
+/// whose previous owner was seen in the last observation. Captured on the
+/// commit before the tracker, the rank-cache merge and the GDM moved to
+/// slot-keyed, in-place state.
+#[test]
+fn sparse_metrics_churned_wide_view_mod_jk_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(
+        ProtocolKind::ModJk,
+        Some(0.01),
+        0x83b1_c6c8_c577_9f06,
+        |cfg| {
+            cfg.concurrency = Concurrency::Half;
+            cfg.view_size = 20;
+            cfg.metrics_every = 3;
+        },
+    );
+}
+
+/// Half-concurrent mod-JK under 1 % uncorrelated churn with a fifth of the
+/// population lying: every liar claims its inflated value, capped at 1, so
+/// the GDM ranks many ties at the top of the range alongside the honest
+/// values. Captured on the same commit as the pin above.
+#[test]
+fn churned_mod_jk_record_with_liars_is_pinned_at_5000_nodes() {
+    let cfg = SimConfig {
+        n: 5000,
+        view_size: 10,
+        partition: Partition::equal(20).unwrap(),
+        seed: 4242,
+        concurrency: Concurrency::Half,
+        ..SimConfig::default()
+    };
+    let churn = UncorrelatedChurn::new(
+        ChurnSchedule {
+            rate: 0.01,
+            period: 1,
+            stop_after: None,
+        },
+        AttributeDistribution::default(),
+    );
+    let mut engine = Engine::new(cfg, ProtocolKind::ModJk)
+        .unwrap()
+        .with_churn(Box::new(churn));
+    assert_eq!(engine.corrupt_nodes(0.2, 3.0), 1000);
+    let record = engine.run(20).to_json();
+    assert_pinned(&record, 0xed8e_e5df_968b_d325, "mod-JK with 20 % liars");
+}

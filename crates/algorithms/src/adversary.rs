@@ -22,16 +22,18 @@
 //! byte-identical reruns come for free.
 //!
 //! [`Adaptive`] is the runtime wrapper (the adaptive sibling of
-//! [`Liar`](crate::Liar)): it boxes an honest protocol plus a strategy,
-//! feeds every observed attribute to the strategy, and rewrites outgoing
-//! traffic with the strategy's current [`AttackPlan`]. Runtimes decide who
+//! [`Liar`](crate::Liar)): it boxes an honest [`AnyProtocol`] plus a
+//! strategy, feeds every observed attribute to the strategy, and rewrites
+//! outgoing traffic with the strategy's current [`AttackPlan`], through the
+//! same rewriting shim as the liar. Runtimes decide who
 //! attacks (e.g. `dslice_sim::Engine::corrupt_adaptive`) and measure the
 //! damage via honest-only accuracy.
 
+use crate::liar::Rewrite;
 use crate::window::ValueWindow;
-use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{Attribute, Error, NodeId, Partition, ProtocolMsg, Result, SliceIndex, View};
-use rand::RngCore;
+use crate::AnyProtocol;
+use dslice_core::protocol::{Context, SliceProtocol};
+use dslice_core::{Attribute, Error, NodeId, Partition, ProtocolMsg, Result, View};
 use serde::{Deserialize, Serialize};
 
 /// Width of the mirror window an observing attacker keeps: enough samples
@@ -361,7 +363,7 @@ impl AdaptiveAdversary for Drifter {
 /// A node running an adaptive attack: wraps an honest protocol instance and
 /// an [`AdaptiveAdversary`] strategy (see the module docs).
 pub struct Adaptive {
-    inner: Box<dyn SliceProtocol>,
+    inner: Box<AnyProtocol>,
     strategy: Box<dyn AdaptiveAdversary>,
     /// The plan cached at the last activation — external surfaces
     /// (`estimate`, `published_value`, message rewrites) read this.
@@ -384,7 +386,7 @@ impl Adaptive {
     ///
     /// # Panics
     /// Panics if the spec does not [`validate`](AttackerSpec::validate).
-    pub fn new(inner: Box<dyn SliceProtocol>, spec: AttackerSpec) -> Self {
+    pub fn new(inner: Box<AnyProtocol>, spec: AttackerSpec) -> Self {
         let mut strategy = spec.build();
         let plan = strategy.plan(inner.estimate(), inner.attribute().value());
         Adaptive {
@@ -404,53 +406,20 @@ impl Adaptive {
     pub fn honest_estimate(&self) -> f64 {
         self.inner.estimate()
     }
-}
 
-/// A [`Context`] shim that rewrites outgoing payloads per the cached
-/// [`AttackPlan`] before forwarding them to the real runtime context.
-struct AdaptiveCtx<'a> {
-    inner: &'a mut dyn Context,
-    plan: AttackPlan,
-}
-
-impl Context for AdaptiveCtx<'_> {
-    fn send(&mut self, to: NodeId, msg: ProtocolMsg) {
-        let msg = match msg {
-            ProtocolMsg::SwapReq { from, r: _, a } => ProtocolMsg::SwapReq {
-                from,
-                r: self.plan.claim,
-                a,
-            },
-            ProtocolMsg::SwapAck { from, r: _ } => ProtocolMsg::SwapAck {
-                from,
-                r: self.plan.claim,
-            },
-            ProtocolMsg::Update { from, a } => ProtocolMsg::Update {
-                from,
-                a: match self.plan.poison {
-                    // Saturate at the truthful attribute if the poison is
-                    // not a representable value.
-                    Some(p) => Attribute::new(p).unwrap_or(a),
-                    None => a,
-                },
-            },
-            // View traffic belongs to the membership substrate — nothing of
-            // the protocol's to rewrite.
-            other => other,
-        };
-        self.inner.send(to, msg);
-    }
-
-    fn rng(&mut self) -> &mut dyn RngCore {
-        self.inner.rng()
-    }
-
-    fn record(&mut self, event: Event) {
-        self.inner.record(event);
-    }
-
-    fn record_n(&mut self, event: Event, n: usize) {
-        self.inner.record_n(event, n);
+    /// `ctx` behind the cached [`AttackPlan`]: its claim in swap traffic,
+    /// and its poison, if any, on each attribute sample (saturating at the
+    /// truthful attribute if the poison is not a representable value).
+    fn rewrite<'a>(
+        &self,
+        ctx: &'a mut dyn Context,
+    ) -> Rewrite<'a, impl Fn(Attribute) -> Attribute> {
+        let AttackPlan { claim, poison } = self.plan;
+        Rewrite {
+            inner: ctx,
+            claim,
+            poison: move |a: Attribute| poison.map_or(a, |p| Attribute::new(p).unwrap_or(a)),
+        }
     }
 }
 
@@ -469,10 +438,6 @@ impl SliceProtocol for Adaptive {
         self.plan.claim
     }
 
-    fn published_value(&self) -> f64 {
-        self.plan.claim
-    }
-
     fn on_active(&mut self, view: &View, ctx: &mut dyn Context) {
         // Intelligence phase: the strategy sees exactly the evidence an
         // honest defender's filter would.
@@ -482,10 +447,7 @@ impl SliceProtocol for Adaptive {
         self.plan = self
             .strategy
             .plan(self.inner.estimate(), self.inner.attribute().value());
-        let mut shim = AdaptiveCtx {
-            inner: ctx,
-            plan: self.plan,
-        };
+        let mut shim = self.rewrite(ctx);
         self.inner.on_active(view, &mut shim);
     }
 
@@ -493,15 +455,8 @@ impl SliceProtocol for Adaptive {
         if let ProtocolMsg::Update { a, .. } = &msg {
             self.strategy.observe(a.value());
         }
-        let mut shim = AdaptiveCtx {
-            inner: ctx,
-            plan: self.plan,
-        };
+        let mut shim = self.rewrite(ctx);
         self.inner.on_message(view, msg, &mut shim);
-    }
-
-    fn slice(&self, partition: &Partition) -> SliceIndex {
-        partition.slice_of(self.plan.claim)
     }
 
     /// Swap probes reach the strategy's throttle: refused probes burn as
@@ -536,13 +491,14 @@ mod tests {
     fn adaptive(kind: ProtocolKind, attribute: f64, spec: AttackerSpec) -> Adaptive {
         let mut rng = StdRng::seed_from_u64(7);
         let partition = Partition::equal(4).unwrap();
-        let inner = kind.build(
+        let inner = AnyProtocol::new(
+            kind,
             NodeId::new(1),
             Attribute::new(attribute).unwrap(),
             &partition,
             &mut rng,
         );
-        Adaptive::new(inner, spec)
+        Adaptive::new(Box::new(inner), spec)
     }
 
     fn honest_stream() -> Vec<f64> {

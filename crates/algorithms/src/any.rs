@@ -3,10 +3,13 @@
 //! A runtime that holds one protocol instance per node for 10⁵–10⁶ nodes
 //! (the cycle simulator) stores this enum inline in its node storage: no
 //! heap object per node and no pointer to chase on every visit, where a
-//! `Box<dyn SliceProtocol>` costs both. The enum implements
-//! [`SliceProtocol`] by forwarding every method — the defaulted ones too —
-//! to the concrete type in its arm, so it behaves call for call as that
-//! type does.
+//! `Box<dyn SliceProtocol>` costs both. The network node stores the enum as
+//! well, so both runtimes dispatch through it. The enum implements
+//! [`SliceProtocol`] by forwarding each required method, and each provided
+//! one that some protocol overrides, to the concrete type in its arm.
+//! `published_value` and `slice` are overridden by none, so their defaults
+//! reach the arm through the forwarded `estimate`, and the enum behaves call
+//! for call as that type does.
 //!
 //! An arm larger than [`Ranking`]'s 56 bytes is boxed inside the arm, so
 //! the common arms set the enum's size and the rare large ones pay one
@@ -16,7 +19,7 @@ use crate::kind::ProtocolKind;
 use crate::ranking::{RobustFilter, Targeting};
 use crate::{Adaptive, DecayRanking, Liar, Ordering, Ranking, SlidingRanking};
 use dslice_core::protocol::{Context, SliceProtocol};
-use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, SliceIndex, View};
+use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, View};
 use rand::Rng;
 
 /// One protocol instance of any concrete type (see the module docs).
@@ -175,20 +178,12 @@ impl SliceProtocol for AnyProtocol {
         forward!(self, p => SliceProtocol::estimate(p))
     }
 
-    fn published_value(&self) -> f64 {
-        forward!(self, p => SliceProtocol::published_value(p))
-    }
-
     fn on_active(&mut self, view: &View, ctx: &mut dyn Context) {
         forward!(self, mut p => SliceProtocol::on_active(p, view, ctx))
     }
 
     fn on_message(&mut self, view: &View, msg: ProtocolMsg, ctx: &mut dyn Context) {
         forward!(self, mut p => SliceProtocol::on_message(p, view, msg, ctx))
-    }
-
-    fn slice(&self, partition: &Partition) -> SliceIndex {
-        forward!(self, p => SliceProtocol::slice(p, partition))
     }
 
     fn try_atomic_swap(&mut self, other_attr: Attribute, other_value: f64) -> Option<f64> {
@@ -392,7 +387,7 @@ mod tests {
             epoch: 2,
         };
         for inner in [ProtocolKind::ModJk, ProtocolKind::Ranking] {
-            let build = || -> Box<dyn SliceProtocol> {
+            let build = || {
                 Box::new(AnyProtocol::new(
                     inner,
                     id,
@@ -408,6 +403,91 @@ mod tests {
             let mut plain = Adaptive::new(build(), spec);
             assert_agree("adaptive", &mut any, &mut plain, &view_for(3));
         }
+    }
+
+    /// Pins every byte the two wrappers put out — each message they send,
+    /// each event they record and each `estimate`/`published_value`/`slice`
+    /// reading — for the static liar and each adaptive attacker around
+    /// mod-JK and around ranking. The agreement test above cannot catch a
+    /// change in the message-rewriting shim, since both of its sides run
+    /// the same shim; this constant can.
+    #[test]
+    fn wrapper_outputs_are_pinned() {
+        let part = Partition::equal(5).unwrap();
+        let (id, a) = (NodeId::new(3), attr(21.0));
+        let specs = [
+            AttackerSpec::Colluder { target: 0.9 },
+            AttackerSpec::Throttler {
+                accept_period: 2,
+                inflation: 3.0,
+            },
+            AttackerSpec::Drifter {
+                inflation: 2.0,
+                step: 0.25,
+                epoch: 2,
+            },
+        ];
+        let mut bytes = Vec::new();
+        fn push(bytes: &mut Vec<u8>, word: u64) {
+            bytes.extend(word.to_le_bytes());
+        }
+        for inner in [ProtocolKind::ModJk, ProtocolKind::Ranking] {
+            let build = || AnyProtocol::new(inner, id, a, &part, &mut StdRng::seed_from_u64(9));
+            let mut wrapped = vec![AnyProtocol::from(Liar::new(Box::new(build()), 2.5))];
+            for spec in specs {
+                wrapped.push(Adaptive::new(Box::new(build()), spec).into());
+            }
+            for node in &mut wrapped {
+                let mut ctx = MockContext::new(StdRng::seed_from_u64(5));
+                for round in 0..12u64 {
+                    let view = view_for(round % 4);
+                    node.on_active(&view, &mut ctx);
+                    let msgs = [
+                        ProtocolMsg::Update {
+                            from: NodeId::new(round + 1),
+                            a: attr(round as f64 * 9.0 + 1.0),
+                        },
+                        ProtocolMsg::SwapReq {
+                            from: NodeId::new(round + 2),
+                            r: 0.07 * round as f64 + 0.05,
+                            a: attr(40.0 - round as f64 * 3.0),
+                        },
+                        ProtocolMsg::SwapAck {
+                            from: NodeId::new(round + 3),
+                            r: 0.9 - 0.06 * round as f64,
+                        },
+                    ];
+                    for msg in msgs {
+                        node.on_message(&view, msg, &mut ctx);
+                    }
+                    let swapped =
+                        node.try_atomic_swap(attr(round as f64 * 11.0 % 50.0), 0.08 * round as f64);
+                    push(&mut bytes, swapped.map_or(u64::MAX, f64::to_bits));
+                    node.adopt_value(1.0 - 0.05 * round as f64);
+                    push(&mut bytes, node.estimate().to_bits());
+                    push(&mut bytes, node.published_value().to_bits());
+                    push(&mut bytes, node.slice(&part).as_usize() as u64);
+                }
+                for (to, msg) in ctx.take_sent() {
+                    push(&mut bytes, to.as_u64());
+                    let (tag, from, r, a) = match msg {
+                        ProtocolMsg::SwapReq { from, r, a } => (1, from, r, a.value()),
+                        ProtocolMsg::SwapAck { from, r } => (2, from, r, 0.0),
+                        ProtocolMsg::Update { from, a } => (3, from, 0.0, a.value()),
+                        other => panic!("a protocol sent membership traffic: {other:?}"),
+                    };
+                    for word in [tag, from.as_u64(), r.to_bits(), a.to_bits()] {
+                        push(&mut bytes, word);
+                    }
+                }
+                bytes.extend(format!("{:?}", ctx.events).bytes());
+            }
+        }
+        assert_eq!(
+            dslice_core::digest::fnv1a64(bytes),
+            0x3a25_624a_6350_d682,
+            "wrapper outputs changed"
+        );
     }
 
     #[test]

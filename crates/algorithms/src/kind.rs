@@ -1,10 +1,12 @@
-//! Protocol selection: one enum naming the four algorithm variants.
+//! Protocol selection: one enum naming every protocol variant.
 //!
-//! Runtimes (the cycle simulator, the network runtime, the benches) pick a
-//! protocol by [`ProtocolKind`] and instantiate nodes through
-//! [`AnyProtocol::new`] (inline, for node storage) or
-//! [`ProtocolKind::build`] (the same instance behind `Box<dyn
-//! SliceProtocol>`), which hide the per-variant constructor details.
+//! Runtimes (the cycle simulator, the network node) pick a protocol by
+//! [`ProtocolKind`] and instantiate each node through [`AnyProtocol::new`],
+//! which hides the per-variant constructor details and is the one
+//! construction path. [`ProtocolKind::build`] boxes the same instance
+//! behind `Box<dyn SliceProtocol>` for code that drives single protocol
+//! steps through a trait object, such as the per-layer timing loops of the
+//! repository benchmark; no runtime uses it.
 
 use crate::AnyProtocol;
 use dslice_core::protocol::SliceProtocol;
@@ -12,9 +14,10 @@ use dslice_core::{Attribute, Error, NodeId, Partition, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Which slicing protocol to run — the four algorithm variants the paper
-/// evaluates plus the three hardened variants (sample aging, outlier-robust
-/// absorption, swap liveness).
+/// Which slicing protocol to run — ten variants: the four algorithms the
+/// paper evaluates (JK, mod-JK, ranking, sliding-window ranking), the
+/// uniform-target ranking ablation, and five hardened variants (swap
+/// liveness, sample aging, and three outlier-robust sample admissions).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// The baseline JK ordering algorithm (random misplaced partner).
@@ -211,9 +214,10 @@ impl ProtocolKind {
     }
 
     /// Instantiates a protocol node behind a trait object: a boxed
-    /// [`AnyProtocol::new`], the one construction path. The initial random
-    /// value (used directly by the ordering algorithms, and as the
-    /// pre-sample fallback by the ranking ones) is drawn from `rng`.
+    /// [`AnyProtocol::new`], for callers that drive single steps through
+    /// `dyn SliceProtocol` (see the module docs). The initial random value
+    /// (used directly by the ordering algorithms, and as the pre-sample
+    /// fallback by the ranking ones) is drawn from `rng`.
     pub fn build<R: Rng + ?Sized>(
         &self,
         id: NodeId,

@@ -4,7 +4,8 @@
 //! natural attack against rank-based slicing is a node that **claims a
 //! higher normalized rank than its attribute warrants** — a freeloader
 //! advertising itself into the premium slice. [`Liar`] wraps any honest
-//! [`SliceProtocol`] and applies exactly that attack surface:
+//! protocol instance ([`AnyProtocol`]) and applies exactly that attack
+//! surface:
 //!
 //! * its *claimed* rank ([`estimate`](SliceProtocol::estimate) and
 //!   [`published_value`](SliceProtocol::published_value)) is the honest
@@ -32,14 +33,15 @@
 //! `dslice_sim::Engine::corrupt_nodes`) and measure the damage via
 //! honest-only accuracy; the wrapper itself is runtime-agnostic.
 
+use crate::AnyProtocol;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, SliceIndex, View};
+use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, View};
 use rand::RngCore;
 
 /// A node that reports an inflated rank: wraps an honest protocol instance
 /// and lies on every external surface (see the module docs).
 pub struct Liar {
-    inner: Box<dyn SliceProtocol>,
+    inner: Box<AnyProtocol>,
     inflation: f64,
 }
 
@@ -59,7 +61,7 @@ impl Liar {
     /// `1.0`). `inflation` must be finite and ≥ 1 — a "liar" that deflates
     /// its rank is a different (and uninteresting) animal; the constructor
     /// clamps it up to 1.
-    pub fn new(inner: Box<dyn SliceProtocol>, inflation: f64) -> Self {
+    pub fn new(inner: Box<AnyProtocol>, inflation: f64) -> Self {
         let inflation = if inflation.is_finite() {
             inflation.max(1.0)
         } else {
@@ -84,17 +86,35 @@ impl Liar {
     pub fn honest_estimate(&self) -> f64 {
         self.inner.estimate()
     }
+
+    /// `ctx` behind the lie as it stands now: the claim in swap traffic and
+    /// each attribute sample inflated, saturating at the original value if
+    /// the product stops being a valid (finite) attribute.
+    fn rewrite<'a>(
+        &self,
+        ctx: &'a mut dyn Context,
+    ) -> Rewrite<'a, impl Fn(Attribute) -> Attribute> {
+        let inflation = self.inflation;
+        Rewrite {
+            inner: ctx,
+            claim: self.claim(),
+            poison: move |a: Attribute| Attribute::new(a.value() * inflation).unwrap_or(a),
+        }
+    }
 }
 
-/// A [`Context`] shim that rewrites outgoing payloads with the lie before
-/// forwarding them to the real runtime context.
-struct LyingCtx<'a> {
-    inner: &'a mut dyn Context,
-    claim: f64,
-    inflation: f64,
+/// A [`Context`] shim that rewrites a wrapped protocol's outgoing payloads
+/// with a lie before forwarding them to the real runtime context: swap
+/// traffic (`SwapReq`/`SwapAck`) carries `claim` in place of the random
+/// value, and each `UPD` sample's attribute passes through `poison`. Both
+/// attackers, [`Liar`] and [`Adaptive`](crate::Adaptive), send through it.
+pub(crate) struct Rewrite<'a, P> {
+    pub(crate) inner: &'a mut dyn Context,
+    pub(crate) claim: f64,
+    pub(crate) poison: P,
 }
 
-impl Context for LyingCtx<'_> {
+impl<P: Fn(Attribute) -> Attribute> Context for Rewrite<'_, P> {
     fn send(&mut self, to: NodeId, msg: ProtocolMsg) {
         let msg = match msg {
             ProtocolMsg::SwapReq { from, r: _, a } => ProtocolMsg::SwapReq {
@@ -108,7 +128,7 @@ impl Context for LyingCtx<'_> {
             },
             ProtocolMsg::Update { from, a } => ProtocolMsg::Update {
                 from,
-                a: inflate_attribute(a, self.inflation),
+                a: (self.poison)(a),
             },
             // View traffic belongs to the membership substrate; the payload
             // entries were snapshotted by the sampler, not the protocol, so
@@ -131,12 +151,6 @@ impl Context for LyingCtx<'_> {
     }
 }
 
-/// Inflates an attribute sample, saturating at the original value if the
-/// product stops being a valid (finite) attribute.
-fn inflate_attribute(a: Attribute, inflation: f64) -> Attribute {
-    Attribute::new(a.value() * inflation).unwrap_or(a)
-}
-
 impl SliceProtocol for Liar {
     fn id(&self) -> NodeId {
         self.inner.id()
@@ -152,32 +166,14 @@ impl SliceProtocol for Liar {
         self.claim()
     }
 
-    fn published_value(&self) -> f64 {
-        self.claim()
-    }
-
     fn on_active(&mut self, view: &View, ctx: &mut dyn Context) {
-        let claim = self.claim();
-        let mut lying = LyingCtx {
-            inner: ctx,
-            claim,
-            inflation: self.inflation,
-        };
+        let mut lying = self.rewrite(ctx);
         self.inner.on_active(view, &mut lying);
     }
 
     fn on_message(&mut self, view: &View, msg: ProtocolMsg, ctx: &mut dyn Context) {
-        let claim = self.claim();
-        let mut lying = LyingCtx {
-            inner: ctx,
-            claim,
-            inflation: self.inflation,
-        };
+        let mut lying = self.rewrite(ctx);
         self.inner.on_message(view, msg, &mut lying);
-    }
-
-    fn slice(&self, partition: &Partition) -> SliceIndex {
-        partition.slice_of(self.claim())
     }
 
     /// Refuses every swap: the liar never surrenders its claimed position.
@@ -204,13 +200,14 @@ mod tests {
     fn liar(kind: ProtocolKind, attribute: f64, inflation: f64) -> Liar {
         let mut rng = StdRng::seed_from_u64(7);
         let partition = Partition::equal(4).unwrap();
-        let inner = kind.build(
+        let inner = AnyProtocol::new(
+            kind,
             NodeId::new(1),
             Attribute::new(attribute).unwrap(),
             &partition,
             &mut rng,
         );
-        Liar::new(inner, inflation)
+        Liar::new(Box::new(inner), inflation)
     }
 
     #[test]

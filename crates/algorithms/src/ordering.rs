@@ -221,19 +221,6 @@ impl Ordering {
         true
     }
 
-    /// Creates a node drawing its initial random value from `rng`
-    /// (line 1 of Fig. 2: `r_i, a random value chosen in (0, 1]`).
-    pub fn with_rng<R: Rng + ?Sized>(
-        id: NodeId,
-        attribute: Attribute,
-        selection: SwapSelection,
-        rng: &mut R,
-    ) -> Self {
-        // gen() yields [0, 1); map to (0, 1].
-        let r = 1.0 - rng.gen::<f64>();
-        Self::with_selection(id, attribute, r, selection)
-    }
-
     /// The current random value.
     pub fn random_value(&self) -> f64 {
         self.r
@@ -724,20 +711,6 @@ mod tests {
         let part = Partition::equal(10).unwrap();
         let node = Ordering::jk(NodeId::new(1), attr(5.0), 0.42);
         assert_eq!(node.slice(&part).as_usize(), 4);
-    }
-
-    #[test]
-    fn with_rng_draws_in_unit_interval() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..100 {
-            let node = Ordering::with_rng(
-                NodeId::new(1),
-                attr(1.0),
-                SwapSelection::RandomMisplaced,
-                &mut rng,
-            );
-            assert!(node.random_value() > 0.0 && node.random_value() <= 1.0);
-        }
     }
 
     #[test]

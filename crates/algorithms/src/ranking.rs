@@ -27,7 +27,6 @@ use crate::estimator::{CounterEstimator, DecayEstimator, RankEstimator, WindowEs
 use crate::window::ValueWindow;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
 use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, View, ViewEntry};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// How the two `UPD` targets of Fig. 5 lines 12–14 are chosen.
@@ -273,17 +272,6 @@ impl Ranking {
             targeting: Targeting::default(),
             filter: None,
         }
-    }
-
-    /// Creates a counter-based ranking node with an RNG-drawn initial value.
-    pub fn with_rng<R: Rng + ?Sized>(
-        id: NodeId,
-        attribute: Attribute,
-        partition: Partition,
-        rng: &mut R,
-    ) -> Self {
-        let initial = 1.0 - rng.gen::<f64>();
-        Self::new(id, attribute, initial, partition)
     }
 }
 

@@ -153,16 +153,10 @@ impl NodeIdAllocator {
         id
     }
 
-    /// The id that the next call to [`allocate`](Self::allocate) will return.
-    /// Panics once the last valid id, 2³²−2, has been issued.
-    pub fn peek(&self) -> NodeId {
-        NodeId::new(self.next)
-    }
-
     /// One past the raw value of the last id issued (the first id, if none
     /// was): id rows `0..issued()` cover every id issued so far, which is
-    /// what an id-indexed column must hold. Unlike [`peek`](Self::peek) it
-    /// never panics — after 2³²−2 it reads 2³²−1.
+    /// what an id-indexed column must hold. It never panics — after the
+    /// last valid id, 2³²−2, it reads 2³²−1.
     pub fn issued(&self) -> u64 {
         self.next
     }
@@ -257,7 +251,7 @@ mod tests {
         assert_eq!(a, NodeId::new(0));
         assert_eq!(b, NodeId::new(1));
         assert_eq!(batch, vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)]);
-        assert_eq!(alloc.peek(), NodeId::new(5));
+        assert_eq!(alloc.issued(), 5);
     }
 
     #[test]
@@ -266,8 +260,6 @@ mod tests {
         assert_eq!(alloc.issued(), u64::from(u32::MAX) - 1);
         assert_eq!(alloc.allocate(), NodeId::new(u64::from(u32::MAX) - 1));
         assert_eq!(alloc.issued(), u64::from(u32::MAX));
-        let peek = std::panic::catch_unwind(|| alloc.peek());
-        assert!(peek.is_err(), "no id is left to peek at");
     }
 
     #[test]

@@ -68,10 +68,15 @@ pub trait Context {
 /// A distributed slicing protocol instance, one per node.
 ///
 /// Implementations in `dslice-algorithms`:
-/// * `Jk` — the baseline ordering algorithm of Jelasity & Kermarrec.
-/// * `ModJk` — the paper's improved ordering algorithm (§4).
-/// * `Ranking` — the paper's rank-estimation algorithm (§5).
-/// * `SlidingRanking` — the sliding-window variant (§5.3.4).
+/// * `Ordering` — the ordering family (§4): the baseline JK algorithm of
+///   Jelasity & Kermarrec, the paper's mod-JK, and mod-JK with swap
+///   liveness.
+/// * `Ranking`, `SlidingRanking` and `DecayRanking` — the rank-estimation
+///   family (§5), with unbounded counters, the sliding window of §5.3.4,
+///   and exponential sample aging.
+/// * `Liar` and `Adaptive` — attackers wrapping another instance.
+/// * `AnyProtocol` — any of the above in one enum, which is what both
+///   runtimes hold per node.
 pub trait SliceProtocol: Send {
     /// This node's identifier.
     fn id(&self) -> NodeId;

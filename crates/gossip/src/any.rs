@@ -3,12 +3,14 @@
 //! The cycle simulator keeps one sampler per node for 10⁵–10⁶ nodes and
 //! stores this enum inline in its node storage, where a `Box<dyn
 //! PeerSampler>` costs a heap object per node and a pointer to chase on
-//! every visit. The enum implements [`PeerSampler`] by forwarding every
-//! method — the defaulted ones too — to the concrete type in its arm, so
-//! it behaves call for call as that type does. Lpbcast, twice the size of
+//! every visit. The enum implements [`PeerSampler`] by forwarding each
+//! required method, and each provided one that a sampler overrides, to the
+//! concrete type in its arm; the other provided methods are never
+//! overridden, so their defaults reach the arm through the forwards and the
+//! enum behaves call for call as that type does. Lpbcast, twice the size of
 //! the others with its eviction stream, is boxed inside its arm.
 
-use crate::sampler::{ExchangeBuffers, ExchangeRequest, PeerSampler, SamplerKind};
+use crate::sampler::{ExchangeBuffers, PeerSampler, SamplerKind};
 use crate::{CyclonSampler, LpbcastSampler, NewscastSampler, UniformOracle};
 use dslice_core::{NodeId, Result, View, ViewEntry};
 use rand::RngCore;
@@ -29,7 +31,7 @@ pub enum AnySampler {
 /// Expands `$body` once per arm with `$s` bound to the arm's concrete
 /// sampler (`&T` or `&mut T`, the box dereferenced), so every forward below
 /// is statically dispatched and calls the trait method by path — never an
-/// inherent method of the same name (`UniformOracle::refill` is one).
+/// inherent method of the same name.
 macro_rules! forward {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {
@@ -57,7 +59,8 @@ macro_rules! forward {
 
 impl AnySampler {
     /// A sampler of `kind` for `owner` with view capacity `capacity` — the
-    /// one construction path behind [`build_sampler`](crate::build_sampler).
+    /// one construction path, for the cycle simulator and the network node
+    /// alike.
     pub fn new(kind: SamplerKind, owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(match kind {
             SamplerKind::Cyclon => AnySampler::Cyclon(CyclonSampler::new(owner, capacity)?),
@@ -89,14 +92,6 @@ impl PeerSampler for AnySampler {
         forward!(self, mut s => PeerSampler::view_mut(s))
     }
 
-    fn initiate(
-        &mut self,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
-        forward!(self, mut s => PeerSampler::initiate(s, self_entry, rng))
-    }
-
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
         forward!(self, mut s => PeerSampler::schedule_exchange(s, rng))
     }
@@ -111,15 +106,6 @@ impl PeerSampler for AnySampler {
         forward!(self, mut s => PeerSampler::initiate_into(s, partner, self_entry, rng, payload))
     }
 
-    fn initiate_with(
-        &mut self,
-        partner: NodeId,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> ExchangeRequest {
-        forward!(self, mut s => PeerSampler::initiate_with(s, partner, self_entry, rng))
-    }
-
     fn handle_request_into(
         &mut self,
         self_entry: ViewEntry,
@@ -128,15 +114,6 @@ impl PeerSampler for AnySampler {
         reply: &mut Vec<ViewEntry>,
     ) {
         forward!(self, mut s => PeerSampler::handle_request_into(s, self_entry, from, entries, reply))
-    }
-
-    fn handle_request(
-        &mut self,
-        self_entry: ViewEntry,
-        from: NodeId,
-        entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
-        forward!(self, mut s => PeerSampler::handle_request(s, self_entry, from, entries))
     }
 
     fn handle_reply(&mut self, from: NodeId, entries: &[ViewEntry]) {
@@ -152,18 +129,6 @@ impl PeerSampler for AnySampler {
         bufs: &mut ExchangeBuffers,
     ) {
         forward!(self, mut s => PeerSampler::exchange_local(s, self_entry, partner, partner_entry, rng, bufs))
-    }
-
-    fn remove_dead(&mut self, is_alive: &dyn Fn(NodeId) -> bool) {
-        forward!(self, mut s => PeerSampler::remove_dead(s, is_alive))
-    }
-
-    fn bootstrap(&mut self, entries: &[ViewEntry]) {
-        forward!(self, mut s => PeerSampler::bootstrap(s, entries))
-    }
-
-    fn refill(&mut self, entries: &[ViewEntry]) {
-        forward!(self, mut s => PeerSampler::refill(s, entries))
     }
 }
 

@@ -59,8 +59,7 @@
 //! saved.
 
 use crate::sampler::{
-    debug_assert_exchanged, exchange_via_messages, ExchangeBuffers, ExchangeRequest, PeerSampler,
-    SamplerKind,
+    debug_assert_exchanged, exchange_via_messages, ExchangeBuffers, PeerSampler, SamplerKind,
 };
 use dslice_core::{NodeId, Result, View, ViewEntry};
 use rand::RngCore;
@@ -97,15 +96,6 @@ impl PeerSampler for CyclonSampler {
 
     fn view_mut(&mut self) -> &mut View {
         &mut self.view
-    }
-
-    fn initiate(
-        &mut self,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
-        let partner = self.schedule_exchange(rng)?;
-        Some(self.initiate_with(partner, self_entry, rng))
     }
 
     fn schedule_exchange(&mut self, _rng: &mut dyn RngCore) -> Option<NodeId> {

@@ -27,10 +27,14 @@
 //!
 //! All four implement [`PeerSampler`], a three-phase message-level
 //! interface (`initiate` → `handle_request` → `handle_reply`) that the
-//! network runtime drives over real sockets. The cycle simulator drives
-//! whole exchanges atomically through [`PeerSampler::exchange_local`], which
-//! two Cyclon samplers carry out as a swap of their views in place, and
-//! stores each node's sampler inline as an [`AnySampler`].
+//! network runtime drives over real sockets. A sampler defines the active
+//! side once, as `schedule_exchange` (age the view, pick the partner) and
+//! `initiate_into` (build the payload); `initiate` is the trait's provided
+//! composition of the two, shared by every sampler. The cycle simulator
+//! drives whole exchanges atomically through
+//! [`PeerSampler::exchange_local`], which two Cyclon samplers carry out as a
+//! swap of their views in place. Both runtimes hold each node's sampler as
+//! an [`AnySampler`], built by [`AnySampler::new`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,17 +51,5 @@ pub use any::AnySampler;
 pub use cyclon::CyclonSampler;
 pub use lpbcast::LpbcastSampler;
 pub use newscast::NewscastSampler;
-pub use sampler::{prune_dead, ExchangeBuffers, PeerSampler, SamplerConfig, SamplerKind};
+pub use sampler::{prune_dead, ExchangeBuffers, PeerSampler, SamplerKind};
 pub use uniform::UniformOracle;
-
-use dslice_core::{NodeId, Result};
-
-/// A boxed sampler, selected at runtime from a [`SamplerKind`]: a boxed
-/// [`AnySampler::new`], the one construction path.
-pub fn build_sampler(
-    kind: SamplerKind,
-    owner: NodeId,
-    capacity: usize,
-) -> Result<Box<dyn PeerSampler>> {
-    Ok(Box::new(AnySampler::new(kind, owner, capacity)?))
-}

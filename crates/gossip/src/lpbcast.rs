@@ -28,7 +28,7 @@
 //! the owner id, so simulation runs stay reproducible even though
 //! `handle_request` receives no runtime RNG.
 
-use crate::sampler::{ExchangeRequest, PeerSampler, SamplerKind};
+use crate::sampler::{PeerSampler, SamplerKind};
 use dslice_core::{NodeId, Result, View, ViewEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -128,15 +128,6 @@ impl PeerSampler for LpbcastSampler {
 
     fn view_mut(&mut self) -> &mut View {
         &mut self.view
-    }
-
-    fn initiate(
-        &mut self,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
-        let partner = self.schedule_exchange(rng)?;
-        Some(self.initiate_with(partner, self_entry, rng))
     }
 
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {

@@ -11,7 +11,7 @@
 //! the paper discusses. It is included so the two substrates can be compared
 //! under the same protocols (see `bench/ablations`).
 
-use crate::sampler::{ExchangeRequest, PeerSampler, SamplerKind};
+use crate::sampler::{PeerSampler, SamplerKind};
 use dslice_core::{NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
@@ -75,15 +75,6 @@ impl PeerSampler for NewscastSampler {
 
     fn view_mut(&mut self) -> &mut View {
         &mut self.view
-    }
-
-    fn initiate(
-        &mut self,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
-        let partner = self.schedule_exchange(rng)?;
-        Some(self.initiate_with(partner, self_entry, rng))
     }
 
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {

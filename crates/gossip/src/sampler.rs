@@ -50,25 +50,6 @@ impl fmt::Display for SamplerKind {
     }
 }
 
-/// Static sampler configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SamplerConfig {
-    /// Which substrate to instantiate.
-    pub kind: SamplerKind,
-    /// View capacity `c`.
-    pub capacity: usize,
-}
-
-impl SamplerConfig {
-    /// The paper's default: Cyclon variant with view size `c`.
-    pub fn cyclon(capacity: usize) -> Self {
-        SamplerConfig {
-            kind: SamplerKind::Cyclon,
-            capacity,
-        }
-    }
-}
-
 /// The outcome of starting an exchange on the active side.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExchangeRequest {
@@ -139,6 +120,14 @@ pub fn prune_dead(view: &mut View, is_alive: impl Fn(NodeId) -> bool) {
 }
 
 /// A peer-sampling service instance owned by one node.
+///
+/// A sampler overrides only the required methods and, if it gossips,
+/// [`schedule_exchange`](Self::schedule_exchange),
+/// [`initiate_into`](Self::initiate_into) and (Cyclon)
+/// [`exchange_local`](Self::exchange_local). The other provided methods
+/// are defined once, here: [`AnySampler`](crate::AnySampler) forwards only
+/// the methods a sampler may override, and relies on the rest reaching the
+/// concrete sampler through them.
 pub trait PeerSampler: Send {
     /// The owning node.
     fn owner(&self) -> NodeId;
@@ -154,10 +143,18 @@ pub trait PeerSampler: Send {
     fn view_mut(&mut self) -> &mut View;
 
     /// Active side, phase 1: age the view, pick a partner, build the request
-    /// payload. Returns `None` when the view is empty (isolated node) or the
-    /// substrate does not gossip (the uniform oracle).
-    fn initiate(&mut self, self_entry: ViewEntry, rng: &mut dyn RngCore)
-        -> Option<ExchangeRequest>;
+    /// payload — [`schedule_exchange`](PeerSampler::schedule_exchange), then
+    /// [`initiate_with`](PeerSampler::initiate_with). Returns `None` when the
+    /// view is empty (isolated node) or the substrate does not gossip (the
+    /// uniform oracle).
+    fn initiate(
+        &mut self,
+        self_entry: ViewEntry,
+        rng: &mut dyn RngCore,
+    ) -> Option<ExchangeRequest> {
+        let partner = self.schedule_exchange(rng)?;
+        Some(self.initiate_with(partner, self_entry, rng))
+    }
 
     /// Schedule half of a **schedule-then-execute** runtime: age the view
     /// and choose the partner [`initiate`](PeerSampler::initiate) would
@@ -172,11 +169,9 @@ pub trait PeerSampler: Send {
     /// exactly the draws `initiate` would.
     ///
     /// The default declines to gossip (`None`) — correct for oracle-refilled
-    /// substrates. **A substrate that gossips must override this** (together
-    /// with [`initiate_into`](PeerSampler::initiate_into)): the cycle
-    /// simulator drives membership exclusively through the split path, so a
-    /// sampler implementing only the combined
-    /// [`initiate`](PeerSampler::initiate) would never exchange views there.
+    /// substrates. **A substrate that gossips overrides this** together with
+    /// [`initiate_into`](PeerSampler::initiate_into); every other entry
+    /// point of the active side is built from the two.
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
         let _ = rng;
         None
@@ -291,7 +286,9 @@ pub trait PeerSampler: Send {
 
     /// Replaces the whole view with `entries` — the oracle-refill path of
     /// idealized substrates, where the runtime re-draws a fresh uniform
-    /// sample every cycle instead of gossiping for it.
+    /// sample every cycle instead of gossiping for it. The caller passes at
+    /// most `c` entries and none for the owner, as the cycle simulator's
+    /// sampling does; the view keeps them in the given order.
     fn refill(&mut self, entries: &[ViewEntry]) {
         let view = self.view_mut();
         view.retain(|_| false);
@@ -310,13 +307,6 @@ mod tests {
         assert_eq!(SamplerKind::Cyclon.to_string(), "cyclon");
         assert_eq!(SamplerKind::Newscast.to_string(), "newscast");
         assert_eq!(SamplerKind::UniformOracle.to_string(), "uniform");
-    }
-
-    #[test]
-    fn config_constructor() {
-        let cfg = SamplerConfig::cyclon(20);
-        assert_eq!(cfg.kind, SamplerKind::Cyclon);
-        assert_eq!(cfg.capacity, 20);
     }
 
     /// The schedule-then-execute split must be a pure refactoring of

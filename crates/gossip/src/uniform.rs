@@ -3,15 +3,15 @@
 //! Figure 6(b) of the paper compares the ranking algorithm running on top of
 //! "an artificial protocol, drawing neighbors randomly at uniform in each
 //! cycle of the algorithm execution" against the Cyclon variant. This module
-//! is that artificial protocol: it never gossips; instead the runtime calls
-//! [`UniformOracle::refill`] each cycle with `c` uniformly drawn live nodes.
+//! is that artificial protocol: it never gossips; instead the cycle
+//! simulator replaces its view each cycle through
+//! [`PeerSampler::refill`] with `c` uniformly drawn live nodes.
 //!
 //! It doubles as a test utility — protocols can be unit-tested against a
 //! perfectly uniform sample stream without simulating the membership layer.
 
-use crate::sampler::{ExchangeRequest, PeerSampler, SamplerKind};
+use crate::sampler::{PeerSampler, SamplerKind};
 use dslice_core::{NodeId, Result, View, ViewEntry};
-use rand::RngCore;
 
 /// An oracle-backed sampler: the runtime refills the view each cycle.
 #[derive(Debug, Clone)]
@@ -27,19 +27,6 @@ impl UniformOracle {
             owner,
             view: View::new(capacity)?,
         })
-    }
-
-    /// Replaces the entire view with the given entries (self-pointers are
-    /// dropped; at most `c` entries are kept, in the given order).
-    pub fn refill(&mut self, entries: &[ViewEntry]) {
-        let capacity = self.view.capacity();
-        let mut fresh = View::new(capacity).expect("capacity >= 1");
-        for e in entries {
-            if e.id != self.owner && fresh.len() < capacity {
-                fresh.insert(*e);
-            }
-        }
-        self.view = fresh;
     }
 }
 
@@ -58,15 +45,6 @@ impl PeerSampler for UniformOracle {
 
     fn view_mut(&mut self) -> &mut View {
         &mut self.view
-    }
-
-    /// The oracle never initiates gossip; freshness comes from `refill`.
-    fn initiate(
-        &mut self,
-        _self_entry: ViewEntry,
-        _rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
-        None
     }
 
     fn handle_request_into(
@@ -91,18 +69,6 @@ mod tests {
 
     fn entry(id: u64) -> ViewEntry {
         ViewEntry::new(NodeId::new(id), Attribute::new(id as f64).unwrap(), 0.5)
-    }
-
-    #[test]
-    fn refill_replaces_view_and_filters_self() {
-        let mut s = UniformOracle::new(NodeId::new(0), 3).unwrap();
-        s.refill(&[entry(1), entry(2)]);
-        assert_eq!(s.view().len(), 2);
-        s.refill(&[entry(0), entry(3), entry(4), entry(5), entry(6)]);
-        assert_eq!(s.view().len(), 3, "capacity respected");
-        assert!(!s.view().contains(NodeId::new(0)), "self filtered");
-        assert!(!s.view().contains(NodeId::new(1)), "old entries replaced");
-        s.view().check_invariants(Some(NodeId::new(0))).unwrap();
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! timer (`period_i` of the pseudocode). Every `period` it runs the
 //! membership shuffle — sending a real `ViewReq` instead of the simulator's
 //! atomic exchange — and then the protocol's active thread; incoming frames
-//! drive the passive threads.
+//! drive the passive threads. Protocol and sampler are the cycle
+//! simulator's per-node types, [`AnyProtocol`] and [`AnySampler`], built by
+//! the same constructors, so both runtimes dispatch every protocol and
+//! sampler call through one path.
 //!
 //! ## Addressing
 //!
@@ -30,10 +33,10 @@
 
 use crate::codec::{read_frame_timeout, write_frame, WireMsg};
 use crate::retry::RetryPolicy;
-use dslice_algorithms::ProtocolKind;
+use dslice_algorithms::{AnyProtocol, ProtocolKind};
 use dslice_core::protocol::{Context, Event, SliceProtocol};
 use dslice_core::{Attribute, NodeId, Partition, ProtocolMsg, ViewEntry};
-use dslice_gossip::{build_sampler, PeerSampler, SamplerKind};
+use dslice_gossip::{AnySampler, PeerSampler, SamplerKind};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -408,8 +411,8 @@ impl Link {
 /// The node runtime: protocol + sampler + listener, driven by one task.
 pub struct NodeRuntime {
     cfg: NodeConfig,
-    proto: Box<dyn SliceProtocol>,
-    sampler: Box<dyn PeerSampler>,
+    proto: AnyProtocol,
+    sampler: AnySampler,
     directory: Directory,
     rng: StdRng,
     my_addr: SocketAddr,
@@ -468,10 +471,14 @@ impl NodeRuntime {
         directory.lock().await.insert(cfg.id, my_addr);
 
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let proto = cfg
-            .protocol
-            .build(cfg.id, cfg.attribute, &cfg.partition, &mut rng);
-        let sampler = build_sampler(cfg.sampler, cfg.id, cfg.view_size)
+        let proto = AnyProtocol::new(
+            cfg.protocol,
+            cfg.id,
+            cfg.attribute,
+            &cfg.partition,
+            &mut rng,
+        );
+        let sampler = AnySampler::new(cfg.sampler, cfg.id, cfg.view_size)
             .expect("view_size validated by caller");
 
         let snapshot = NodeSnapshot {

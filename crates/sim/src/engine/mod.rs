@@ -952,23 +952,6 @@ impl Engine {
         snapshot.sort_unstable_by_key(|&(id, _)| id);
         snapshot
     }
-
-    /// Debug helper: per-node view id lists, sorted by owner id (used by
-    /// diagnostics examples and cross-crate tests; deterministic order).
-    #[doc(hidden)]
-    pub fn debug_views(&self) -> Vec<(u64, Vec<u64>)> {
-        let mut views: Vec<(u64, Vec<u64>)> = self
-            .nodes
-            .iter()
-            .map(|(_, id, n)| {
-                let mut ids: Vec<u64> = n.sampler.view().ids().map(|i| i.as_u64()).collect();
-                ids.sort_unstable();
-                (id.as_u64(), ids)
-            })
-            .collect();
-        views.sort_unstable_by_key(|&(id, _)| id);
-        views
-    }
 }
 
 #[cfg(test)]
@@ -1295,7 +1278,7 @@ mod tests {
             assert!(published.get(id).is_some(), "{id} is live");
         }
         // Ids the column has no row for read as absent, not as a panic.
-        assert_eq!(published.get(engine.alloc.peek()), None);
+        assert_eq!(published.get(NodeId::new(engine.alloc.issued())), None);
         let far = NodeId::new(u64::from(u32::MAX) - 1);
         assert_eq!(published.get(far), None);
     }
@@ -1467,7 +1450,7 @@ mod tests {
         engine.run(10); // slot recycling has shuffled the internal order
         let snapshot = engine.snapshot();
         assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
-        let views = engine.debug_views();
+        let views = engine.view_snapshot();
         assert!(views.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(views.len(), engine.population());
     }

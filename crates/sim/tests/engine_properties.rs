@@ -231,7 +231,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Under scripted mass churn (up to near-full turnover per cycle) the
-    /// slab never aliases: `debug_views` reports each live node exactly
+    /// slab never aliases: `view_snapshot` reports each live node exactly
     /// once and the population follows the script.
     #[test]
     fn scripted_mass_churn_never_aliases_views(
@@ -243,9 +243,9 @@ proptest! {
             .unwrap()
             .with_churn(Box::new(ScriptedChurn { script: script.clone() }));
         let record = engine.run(script.len());
-        let views = engine.debug_views();
+        let views = engine.view_snapshot();
         prop_assert_eq!(views.len(), engine.population(), "one view row per live node");
-        let owners: HashSet<u64> = views.iter().map(|(id, _)| *id).collect();
+        let owners: HashSet<u64> = views.iter().map(|(id, _)| id.as_u64()).collect();
         prop_assert_eq!(owners.len(), views.len(), "duplicate owner row");
         for stats in &record.cycles {
             prop_assert!(stats.n >= 1, "population must never empty out");

@@ -154,10 +154,10 @@ fn views_never_reference_departed_nodes_after_a_cycle() {
             .iter()
             .map(|(id, _, _)| id.as_u64())
             .collect();
-        for (owner, view_ids) in engine.debug_views() {
+        for (owner, view_ids) in engine.view_snapshot() {
             for id in view_ids {
                 assert!(
-                    alive.contains(&id),
+                    alive.contains(&id.as_u64()),
                     "node {owner} still references departed node {id}"
                 );
             }

@@ -62,7 +62,7 @@ proptest! {
             prop_assert_eq!(c.n, n);
         }
         // Views stay structurally valid.
-        for (owner, ids) in engine.debug_views() {
+        for (owner, ids) in engine.view_snapshot() {
             let unique: std::collections::HashSet<_> = ids.iter().collect();
             prop_assert_eq!(unique.len(), ids.len(), "duplicate view entries");
             prop_assert!(!ids.contains(&owner), "self-pointer in view");

@@ -490,6 +490,69 @@ mod tests {
         );
     }
 
+    /// The passive step reads only the message (Fig. 2 lines 15–19, Fig. 5
+    /// lines 17–21): every kind, and each wrapper around mod-JK and
+    /// ranking, sends, records and estimates the same from `on_message`
+    /// with an empty view as with a full one. The cycle simulator relies on
+    /// this: it hands `on_message` an empty view.
+    #[test]
+    fn on_message_reads_only_the_message() {
+        let part = Partition::equal(5).unwrap();
+        let (id, a) = (NodeId::new(3), attr(21.0));
+        let spec = AttackerSpec::Drifter {
+            inflation: 2.0,
+            step: 0.25,
+            epoch: 2,
+        };
+        let build = |kind| AnyProtocol::new(kind, id, a, &part, &mut StdRng::seed_from_u64(9));
+        let mut pairs: Vec<(String, AnyProtocol, AnyProtocol)> = kinds()
+            .into_iter()
+            .map(|kind| (kind.label().to_string(), build(kind), build(kind)))
+            .collect();
+        for inner in [ProtocolKind::ModJk, ProtocolKind::Ranking] {
+            let liar = || Liar::new(Box::new(build(inner)), 2.5).into();
+            pairs.push(("liar".into(), liar(), liar()));
+            let adaptive = || Adaptive::new(Box::new(build(inner)), spec).into();
+            pairs.push(("adaptive".into(), adaptive(), adaptive()));
+        }
+        let empty = View::new(8).unwrap();
+        for (label, mut full_side, mut empty_side) in pairs {
+            let mut ctx_full = MockContext::new(StdRng::seed_from_u64(5));
+            let mut ctx_empty = MockContext::new(StdRng::seed_from_u64(5));
+            for round in 0..8u64 {
+                let view = view_for(round % 3);
+                full_side.on_active(&view, &mut ctx_full);
+                empty_side.on_active(&view, &mut ctx_empty);
+                let msgs = [
+                    ProtocolMsg::Update {
+                        from: NodeId::new(round + 1),
+                        a: attr(round as f64 * 7.0 + 1.0),
+                    },
+                    ProtocolMsg::SwapReq {
+                        from: NodeId::new(round + 2),
+                        r: 0.09 * round as f64 + 0.05,
+                        a: attr(45.0 - round as f64 * 5.0),
+                    },
+                    ProtocolMsg::SwapAck {
+                        from: NodeId::new(round + 3),
+                        r: 0.85 - 0.08 * round as f64,
+                    },
+                ];
+                for msg in msgs {
+                    full_side.on_message(&view, msg.clone(), &mut ctx_full);
+                    empty_side.on_message(&empty, msg, &mut ctx_empty);
+                }
+                assert_eq!(
+                    full_side.estimate().to_bits(),
+                    empty_side.estimate().to_bits(),
+                    "{label}: estimate after round {round}"
+                );
+            }
+            assert_eq!(ctx_full.sent, ctx_empty.sent, "{label}: messages sent");
+            assert_eq!(ctx_full.events, ctx_empty.events, "{label}: events");
+        }
+    }
+
     #[test]
     fn inline_arms_fit_in_a_ranking_node() {
         let ranking = size_of::<Ranking>();

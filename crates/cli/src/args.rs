@@ -278,8 +278,9 @@ USAGE:
                  [--trace-out FILE] [--trace-jsonl FILE] [--trace-sample N]
                  [--metrics-out FILE]
   dslice-cli run-scenario --list
-  dslice-cli net-run [--protocol P] [--sampler S] [--n N] [--slices K]
-                     [--view C] [--period-ms MS] [--duration-ms MS] [--seed S]
+  dslice-cli net-run [--protocol P] [--sampler cyclon|newscast|lpbcast]
+                     [--n N] [--slices K] [--view C]
+                     [--period-ms MS] [--duration-ms MS] [--seed S]
                      [--bootstrap B] [--distribution D]
                      [--loss P] [--delay-ms MIN:MAX]
                      [--crash FRAC:AT_MS] [--restart AT_MS]
@@ -608,6 +609,15 @@ fn parse_net_run(argv: &[String]) -> Result<NetRunArgs, String> {
     })?;
     if a.run.n == 0 {
         return Err("net-run needs at least one node (--n)".into());
+    }
+    // Nothing on the network refills an oracle's view, so its nodes would
+    // never gain a neighbor.
+    if a.run.sampler == SamplerKind::UniformOracle {
+        return Err(
+            "net-run cannot use the uniform oracle: it is a simulator-only substrate \
+             (use cyclon, newscast or lpbcast)"
+                .into(),
+        );
     }
     // One OS thread per task in the vendored runtime: keep localhost
     // clusters small enough that parked threads don't dominate the box.
@@ -1753,6 +1763,16 @@ mod tests {
             ),
             // Sampler, concurrency, churn, latency and distribution specs.
             ("net-run --sampler chord", "unknown sampler \"chord\""),
+            (
+                "net-run --sampler uniform",
+                "net-run cannot use the uniform oracle: it is a simulator-only substrate \
+                 (use cyclon, newscast or lpbcast)",
+            ),
+            (
+                "net-run --sampler oracle",
+                "net-run cannot use the uniform oracle: it is a simulator-only substrate \
+                 (use cyclon, newscast or lpbcast)",
+            ),
             ("sim --concurrency most", "unknown concurrency \"most\""),
             (
                 "sim --churn correlated:2.0:10",

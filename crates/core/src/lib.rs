@@ -78,4 +78,4 @@ pub use message::ProtocolMsg;
 pub use node::{NodeId, NodeIdSet};
 pub use slab::{NodeSlab, SlotLookup, TakenPair};
 pub use slice::{Partition, Slice, SliceIndex};
-pub use view::{View, ViewEntry};
+pub use view::{AgedId, Entry, View, ViewEntry};

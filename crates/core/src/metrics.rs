@@ -201,60 +201,90 @@ impl RankCache {
             .collect();
         self.sorted.sort_unstable();
         self.ranks.clear();
-        self.renumber();
+        self.renumber(0..self.sorted.len());
     }
 
     /// Folds one churn batch in: drops `leavers`, merges `joiners` into the
-    /// sorted order. Costs O(n + j log j) for j joiners — no global re-sort
-    /// — and allocates only the joiners' own sorted run: the merge fills
-    /// the grown order from its top end, so no key is overwritten before
-    /// it is read.
+    /// sorted order, in place. Only the span of sorted positions the batch
+    /// changes is rewritten — from the lowest leaver or joiner position to
+    /// the highest — plus, when the batch changes the population size, the
+    /// keys above it, which shift by that change. Costs O(span + j log j)
+    /// for j joiners, no global re-sort, and allocates only the joiners'
+    /// own sorted run.
     pub fn apply_churn(&mut self, leavers: &[NodeId], joiners: &[(NodeId, Attribute)]) {
-        if leavers.is_empty() && joiners.is_empty() {
+        // The span is `low..end` in the old order. Leavers are untracked
+        // first, and their zeroed rows then mark them; a tracked leaver's
+        // rank is one past its sorted position.
+        let (mut first_gone, mut end, mut gone) = (self.sorted.len(), 0, 0);
+        for &id in leavers {
+            if let Some(rank) = self.ranks.get_mut(id.row()).filter(|r| **r != 0) {
+                first_gone = first_gone.min(*rank as usize - 1);
+                end = end.max(*rank as usize);
+                *rank = 0;
+                gone += 1;
+            }
+        }
+        let mut low = first_gone;
+        let mut incoming: Vec<AttributeKey> = joiners
+            .iter()
+            .map(|&(id, a)| AttributeKey::new(id, a))
+            .collect();
+        incoming.sort_unstable();
+        if let (Some(first), Some(last)) = (incoming.first(), incoming.last()) {
+            low = low.min(self.sorted.partition_point(|key| key < first));
+            end = end.max(self.sorted.partition_point(|key| key < last));
+        }
+        if gone == 0 && incoming.is_empty() {
             return;
         }
-        if !leavers.is_empty() {
-            // Untrack the leavers first; their zeroed rows then mark them.
-            for &id in leavers {
-                if let Some(rank) = self.ranks.get_mut(id.row()) {
-                    *rank = 0;
-                }
-            }
-            let ranks = &self.ranks;
-            self.sorted.retain(|key| ranks[key.id.row()] != 0);
-        }
-        if !joiners.is_empty() {
-            let mut incoming: Vec<AttributeKey> = joiners
-                .iter()
-                .map(|&(id, a)| AttributeKey::new(id, a))
-                .collect();
-            incoming.sort_unstable();
-            // Linear merge of the two sorted runs, backwards: `kept` old
-            // keys and `left` incoming ones remain, and the larger head goes
-            // to the top free position (keys are distinct: ids are). Once
-            // the incoming run is placed, the old keys below are in place.
-            let mut kept = self.sorted.len();
-            self.sorted.extend_from_slice(&incoming);
-            let sorted = &mut self.sorted;
-            let mut left = incoming.len();
-            while left > 0 {
-                let top = kept + left - 1;
-                if kept > 0 && sorted[kept - 1] > incoming[left - 1] {
-                    kept -= 1;
-                    sorted[top] = sorted[kept];
-                } else {
-                    left -= 1;
-                    sorted[top] = incoming[left];
-                }
+        // Compact the span's remaining keys to its bottom (none moves below
+        // the first leaver), then move the keys above the span to where the
+        // span's new end will be.
+        let (len, came) = (self.sorted.len(), incoming.len());
+        let (ranks, sorted) = (&self.ranks, &mut self.sorted);
+        let start = first_gone.min(end);
+        let mut kept = start;
+        for read in start..end {
+            let key = sorted[read];
+            if ranks[key.id.row()] != 0 {
+                sorted[kept] = key;
+                kept += 1;
             }
         }
-        self.renumber();
+        let new_end = end - gone + came;
+        if new_end != end {
+            if new_end > end {
+                // Placeholders, overwritten by the shift.
+                sorted.extend_from_slice(&incoming[..new_end - end]);
+            }
+            sorted.copy_within(end..len, new_end);
+            sorted.truncate(len - gone + came);
+        }
+        // Linear merge of the two sorted runs into `low..new_end`,
+        // backwards: `kept` old keys and `left` incoming ones remain, and
+        // the larger head goes to the top free position (keys are distinct:
+        // ids are). Once the incoming run is placed, the old keys below are
+        // in place.
+        let mut left = came;
+        while left > 0 {
+            let top = kept + left - 1;
+            if kept > low && sorted[kept - 1] > incoming[left - 1] {
+                kept -= 1;
+                sorted[top] = sorted[kept];
+            } else {
+                left -= 1;
+                sorted[top] = incoming[left];
+            }
+        }
+        // Keys above the span keep their ranks unless the size changed.
+        let stop = if came == gone { new_end } else { sorted.len() };
+        self.renumber(low..stop);
     }
 
-    /// Rewrites every tracked row (every rank can shift); rows of ids that
-    /// left are already 0.
-    fn renumber(&mut self) {
-        for (idx, key) in self.sorted.iter().enumerate() {
+    /// Rewrites the rows of the keys at the given sorted positions; rows of
+    /// ids that left are already 0.
+    fn renumber(&mut self, positions: std::ops::Range<usize>) {
+        for (idx, key) in (positions.start..).zip(&self.sorted[positions]) {
             let row = key.id.row();
             if row >= self.ranks.len() {
                 self.ranks.resize(row + 1, 0);
@@ -1036,6 +1066,66 @@ mod tests {
                 );
                 live.extend(joiners);
                 check(&cache, &live)?;
+            }
+        }
+    }
+
+    proptest! {
+        /// `apply_churn` rewrites only the span of sorted positions a batch
+        /// changes: after every random batch — leavers repeated, departed
+        /// or never tracked included, the population growing, shrinking or
+        /// keeping its size — its ranks are bit for bit those of a full
+        /// renumber, and its order that of a rebuild.
+        #[test]
+        fn rank_cache_churn_matches_a_full_renumber(
+            initial in proptest::collection::vec((0u8..255, 0u8..255), 0..60),
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..80, 0..8),
+                    proptest::collection::vec((0u8..255, 0u8..255), 0..8),
+                    any::<bool>(),
+                ),
+                1..8,
+            ),
+        ) {
+            let mut live = tied_population(&initial, 0);
+            let mut next_id = 1000;
+            let mut cache = RankCache::new();
+            cache.rebuild(live.iter().map(|&(id, a, _)| (id, a)));
+            for (leave, join, replace) in batches {
+                // Indices past the population name ids never tracked.
+                let leavers: Vec<NodeId> = leave
+                    .iter()
+                    .map(|&k| live.get(k).map_or(NodeId::new(5000 + k as u64), |n| n.0))
+                    .collect();
+                // A replacement batch: one joiner per leaver, each with its
+                // leaver's attribute, so the size holds and spans are short.
+                let replaced: Vec<Attribute> = live
+                    .iter()
+                    .filter(|(id, _, _)| replace && leavers.contains(id))
+                    .map(|&(_, a, _)| a)
+                    .collect();
+                live.retain(|(id, _, _)| !leavers.contains(id));
+                let mut joiners: Vec<_> = tied_population(&join, next_id)
+                    .iter()
+                    .map(|&(id, a, _)| (id, a))
+                    .collect();
+                if replace {
+                    joiners = (next_id..).zip(replaced).map(|(id, a)| (NodeId::new(id), a)).collect();
+                }
+                next_id += joiners.len() as u64;
+                cache.apply_churn(&leavers, &joiners);
+                live.extend(joiners.iter().map(|&(id, a)| (id, a, 0.5)));
+
+                let mut full = cache.clone();
+                full.renumber(0..full.sorted.len());
+                prop_assert_eq!(&cache.ranks, &full.ranks);
+                let mut rebuilt = RankCache::new();
+                rebuilt.rebuild(live.iter().map(|&(id, a, _)| (id, a)));
+                prop_assert_eq!(&cache.sorted, &rebuilt.sorted);
+                for &(id, _, _) in &live {
+                    prop_assert_eq!(cache.rank(id), rebuilt.rank(id));
+                }
             }
         }
     }

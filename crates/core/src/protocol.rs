@@ -99,7 +99,10 @@ pub trait SliceProtocol: Send {
     fn on_active(&mut self, view: &View, ctx: &mut dyn Context);
 
     /// The passive step: a message arrived (Fig. 2 lines 15–19, Fig. 5
-    /// lines 17–21).
+    /// lines 17–21). Those lines read only the message, and the cycle
+    /// simulator passes an empty `view` here (the network runtime passes
+    /// the node's own), so an implementation must not depend on the view's
+    /// contents.
     fn on_message(&mut self, view: &View, msg: ProtocolMsg, ctx: &mut dyn Context);
 
     /// The slice this node currently believes it belongs to.

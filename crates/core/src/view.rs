@@ -15,11 +15,34 @@
 //! but the value may go stale between gossip exchanges. The simulator decides
 //! when snapshots are refreshed, which is exactly the staleness knob behind
 //! the paper's concurrency study (§4.5.2).
+//!
+//! ## Entry types
+//!
+//! The peer-sampling layer (the Cyclon variant of Fig. 3 and its
+//! alternatives) reads only an entry's id and age, so a [`View`] is generic
+//! over the [`Entry`] it stores. Protocols, the network runtime and the wire
+//! use the full [`ViewEntry`], the default. The cycle simulator stores the
+//! 8-byte [`AgedId`] instead: it refreshes every value before a protocol
+//! reads a view anyway, and an attribute is a copy of an immutable per-node
+//! field, so it joins both in from its per-cycle snapshot at the moment a
+//! protocol reads the view.
 
 use crate::{Attribute, Error, NodeId, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::fmt;
+
+/// What a [`View`] needs of an entry: the neighbor's id and the entry's age
+/// — everything the peer-sampling layer reads (Fig. 3).
+pub trait Entry: Copy + PartialEq + fmt::Debug + Send {
+    /// The identifier of the neighbor the entry describes.
+    fn id(&self) -> NodeId;
+    /// The age of the entry, in gossip cycles.
+    fn age(&self) -> u32;
+    /// Replaces the age of the entry.
+    fn set_age(&mut self, age: u32);
+}
 
 /// One row of a node's view: Table 1 of the paper.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -58,22 +81,111 @@ impl ViewEntry {
     }
 }
 
-/// A bounded set of [`ViewEntry`]s with at most one entry per neighbor.
+impl Entry for ViewEntry {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn age(&self) -> u32 {
+        self.age
+    }
+
+    fn set_age(&mut self, age: u32) {
+        self.age = age;
+    }
+}
+
+/// The simulator's view row: a neighbor's id and the entry's age, in 8
+/// bytes where a [`ViewEntry`] takes 24. The attribute and the value are
+/// joined in from the simulator's per-cycle snapshot when a protocol reads
+/// the view (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AgedId {
+    /// The identifier of the neighbor (`j`).
+    pub id: NodeId,
+    /// The age of the entry (`t_j`), as in [`ViewEntry::age`].
+    pub age: u32,
+}
+
+impl AgedId {
+    /// Creates a fresh entry (age 0): a node's self-descriptor.
+    pub fn new(id: NodeId) -> Self {
+        AgedId { id, age: 0 }
+    }
+}
+
+impl Entry for AgedId {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn age(&self) -> u32 {
+        self.age
+    }
+
+    fn set_age(&mut self, age: u32) {
+        self.age = age;
+    }
+}
+
+/// The eviction order: the oldest entry first, ties broken by id for
+/// determinism.
+fn older<E: Entry>(a: &E, b: &E) -> Ordering {
+    a.age().cmp(&b.age()).then_with(|| a.id().cmp(&b.id()))
+}
+
+/// A bounded set of [`Entry`]s — [`ViewEntry`]s unless stated otherwise —
+/// with at most one entry per neighbor.
 ///
 /// Invariants (checked in debug builds and by property tests):
 /// * at most `capacity` entries;
 /// * entry ids are unique;
 /// * a view owned by node `i` never contains an entry for `i` itself
 ///   (enforced by [`merge`](View::merge), which takes the owner's id).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct View {
+#[derive(Clone, Debug, PartialEq)]
+pub struct View<E = ViewEntry> {
     capacity: usize,
-    entries: Vec<ViewEntry>,
+    entries: Vec<E>,
 }
 
 impl View {
-    /// Creates an empty view with the given capacity `c ≥ 1`.
+    /// Creates an empty view of [`ViewEntry`]s with the given capacity
+    /// `c ≥ 1`; [`View::empty`] for any entry type.
     pub fn new(capacity: usize) -> Result<Self> {
+        Self::empty(capacity)
+    }
+
+    /// Updates the value snapshot for `id` (if present), returning whether an
+    /// entry was updated.
+    pub fn refresh_value(&mut self, id: NodeId, value: f64) -> bool {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
+            e.value = value;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Refreshes every entry's value snapshot in one pass: `lookup` returns
+    /// the current value published by a live neighbor, or `None` for a
+    /// departed one, whose entry is dropped. Entry order is preserved.
+    ///
+    /// This is the bulk form of [`refresh_value`](View::refresh_value):
+    /// O(len) with no per-entry search and no id collection on the side.
+    pub fn refresh_values<F: FnMut(NodeId) -> Option<f64>>(&mut self, mut lookup: F) {
+        self.entries.retain_mut(|e| match lookup(e.id) {
+            Some(value) => {
+                e.value = value;
+                true
+            }
+            None => false,
+        });
+    }
+}
+
+impl<E: Entry> View<E> {
+    /// Creates an empty view with the given capacity `c ≥ 1`.
+    pub fn empty(capacity: usize) -> Result<Self> {
         if capacity == 0 {
             return Err(Error::ZeroViewCapacity);
         }
@@ -104,18 +216,18 @@ impl View {
     }
 
     /// The entries, in insertion order.
-    pub fn entries(&self) -> &[ViewEntry] {
+    pub fn entries(&self) -> &[E] {
         &self.entries
     }
 
     /// Iterates over the entries.
-    pub fn iter(&self) -> impl Iterator<Item = &ViewEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
         self.entries.iter()
     }
 
     /// Looks up the entry for `id`.
-    pub fn get(&self, id: NodeId) -> Option<&ViewEntry> {
-        self.entries.iter().find(|e| e.id == id)
+    pub fn get(&self, id: NodeId) -> Option<&E> {
+        self.entries.iter().find(|e| e.id() == id)
     }
 
     /// Whether the view contains an entry for `id`.
@@ -125,26 +237,24 @@ impl View {
 
     /// The neighbor ids currently in the view.
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.id)
+        self.entries.iter().map(|e| e.id())
     }
 
     /// Increments every entry's age by one (line 1 of Fig. 3).
     pub fn increment_ages(&mut self) {
         for e in &mut self.entries {
-            e.age = e.age.saturating_add(1);
+            e.set_age(e.age().saturating_add(1));
         }
     }
 
     /// The entry with the maximal age (line 2 of Fig. 3); ties broken by id
     /// for determinism. `None` on an empty view.
-    pub fn oldest(&self) -> Option<&ViewEntry> {
-        self.entries
-            .iter()
-            .max_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)))
+    pub fn oldest(&self) -> Option<&E> {
+        self.entries.iter().max_by(|a, b| older(*a, *b))
     }
 
     /// A uniformly random entry (used to pick `j2` in Fig. 5).
-    pub fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&ViewEntry> {
+    pub fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&E> {
         if self.entries.is_empty() {
             None
         } else {
@@ -152,13 +262,13 @@ impl View {
         }
     }
 
-    /// Inserts or replaces the entry for `entry.id`.
+    /// Inserts or replaces the entry for `entry.id()`.
     ///
     /// If the id is already present the entry is replaced. If the view is
     /// full, the oldest entry is evicted to make room (freshness-preferring
     /// truncation, the standard Cyclon policy).
-    pub fn insert(&mut self, entry: ViewEntry) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
+    pub fn insert(&mut self, entry: E) {
+        if let Some(existing) = self.entries.iter_mut().find(|e| e.id() == entry.id()) {
             *existing = entry;
             return;
         }
@@ -169,40 +279,32 @@ impl View {
     }
 
     /// Removes the entry for `id`, returning it if present.
-    pub fn remove(&mut self, id: NodeId) -> Option<ViewEntry> {
-        let idx = self.entries.iter().position(|e| e.id == id)?;
+    pub fn remove(&mut self, id: NodeId) -> Option<E> {
+        let idx = self.entries.iter().position(|e| e.id() == id)?;
         Some(self.entries.swap_remove(idx))
     }
 
     /// Retains only entries whose id satisfies the predicate (used by churn
     /// handling to drop departed neighbors).
     pub fn retain<F: FnMut(NodeId) -> bool>(&mut self, mut keep: F) {
-        self.entries.retain(|e| keep(e.id));
+        self.entries.retain(|e| keep(e.id()));
     }
 
-    /// Updates the value snapshot for `id` (if present), returning whether an
-    /// entry was updated. Used by the simulator's "views are up-to-date when
-    /// a message is sent" mode (§4.5.2).
-    pub fn refresh_value(&mut self, id: NodeId, value: f64) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
-            e.value = value;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Refreshes every entry's value snapshot in one pass: `lookup` returns
-    /// the current value published by a live neighbor, or `None` for a
-    /// departed one, whose entry is dropped. Entry order is preserved.
+    /// Writes this view's entries, in order and through `join`, over the
+    /// contents of `out`, which takes this view's capacity; an entry for
+    /// which `join` returns `None` describes a departed neighbor and is
+    /// dropped from both views. `out` therefore keeps this view's
+    /// invariants when `join` keeps each entry's id.
     ///
-    /// This is the bulk form of [`refresh_value`](View::refresh_value) the
-    /// simulator runs on every view before its owner's active step — O(len)
-    /// with no per-entry search and no id collection on the side.
-    pub fn refresh_values<F: FnMut(NodeId) -> Option<f64>>(&mut self, mut lookup: F) {
-        self.entries.retain_mut(|e| match lookup(e.id) {
-            Some(value) => {
-                e.value = value;
+    /// The simulator builds the [`ViewEntry`] view a protocol reads from
+    /// its stored [`AgedId`]s this way, joining in each neighbor's attribute
+    /// and current value.
+    pub fn join_into<F: Entry>(&mut self, out: &mut View<F>, mut join: impl FnMut(E) -> Option<F>) {
+        out.capacity = self.capacity;
+        out.entries.clear();
+        self.entries.retain(|&e| match join(e) {
+            Some(joined) => {
+                out.entries.push(joined);
                 true
             }
             None => false,
@@ -217,14 +319,14 @@ impl View {
     /// * an entry describing the owner itself (`e_i`) is discarded;
     /// * the union is truncated back to `capacity` by evicting the oldest
     ///   entries.
-    pub fn merge(&mut self, owner: NodeId, incoming: &[ViewEntry]) {
+    pub fn merge(&mut self, owner: NodeId, incoming: &[E]) {
         for entry in incoming {
-            if entry.id == owner {
+            if entry.id() == owner {
                 continue;
             }
-            match self.entries.iter_mut().find(|e| e.id == entry.id) {
+            match self.entries.iter_mut().find(|e| e.id() == entry.id()) {
                 Some(existing) => {
-                    if entry.age < existing.age {
+                    if entry.age() < existing.age() {
                         *existing = *entry;
                     }
                 }
@@ -245,10 +347,10 @@ impl View {
     ///
     /// Works inside the view's own storage: no allocation, and the entry
     /// vector never grows past `capacity`.
-    pub fn replace_with(&mut self, owner: NodeId, incoming: &[ViewEntry]) {
+    pub fn replace_with(&mut self, owner: NodeId, incoming: &[E]) {
         let accepted = |idx: usize| {
-            let id = incoming[idx].id;
-            id != owner && incoming[..idx].iter().all(|earlier| earlier.id != id)
+            let id = incoming[idx].id();
+            id != owner && incoming[..idx].iter().all(|earlier| earlier.id() != id)
         };
         // One pass over the payload: how many entries it contributes, and
         // how far in the last of them sits.
@@ -266,9 +368,8 @@ impl View {
         // the payload fills the view), then put the payload in front of them.
         if fresh < self.capacity {
             self.entries
-                .retain(|e| e.id != owner && incoming.iter().all(|i| i.id != e.id));
-            self.entries
-                .sort_unstable_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)));
+                .retain(|e| e.id() != owner && incoming.iter().all(|i| i.id() != e.id()));
+            self.entries.sort_unstable_by(older);
             self.entries.truncate(self.capacity - fresh);
         } else {
             self.entries.clear();
@@ -308,16 +409,11 @@ impl View {
     /// buffers, never by swapping the buffers: each view's storage stays
     /// with its node, so a runtime that lays node state out in slot order
     /// keeps walking it in slot order.
-    pub fn swap_in_place(
-        &mut self,
-        own: ViewEntry,
-        other: &mut View,
-        other_own: ViewEntry,
-    ) -> bool {
+    pub fn swap_in_place(&mut self, own: E, other: &mut View<E>, other_own: E) -> bool {
         let c = self.capacity;
-        let mine = self.entries.iter().position(|e| e.id == other_own.id);
-        let theirs = other.entries.iter().position(|e| e.id == own.id);
-        if own.id == other_own.id
+        let mine = self.entries.iter().position(|e| e.id() == other_own.id());
+        let theirs = other.entries.iter().position(|e| e.id() == own.id());
+        if own.id() == other_own.id()
             || other.capacity != c
             || self.entries.len() - usize::from(mine.is_some()) + 1 < c
             || other.entries.len() - usize::from(theirs.is_some()) + 1 < c
@@ -354,7 +450,7 @@ impl View {
             .entries
             .iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)))
+            .max_by(|(_, a), (_, b)| older(*a, *b))
         {
             self.entries.swap_remove(idx);
         }
@@ -370,12 +466,12 @@ impl View {
             )));
         }
         for (i, a) in self.entries.iter().enumerate() {
-            if Some(a.id) == owner {
-                return Err(Error::UnknownNode(a.id));
+            if Some(a.id()) == owner {
+                return Err(Error::UnknownNode(a.id()));
             }
             for b in &self.entries[i + 1..] {
-                if a.id == b.id {
-                    return Err(Error::UnknownNode(a.id));
+                if a.id() == b.id() {
+                    return Err(Error::UnknownNode(a.id()));
                 }
             }
         }
@@ -421,6 +517,25 @@ mod tests {
         // Surviving entries keep their relative order.
         let ids: Vec<u64> = v.ids().map(|i| i.as_u64()).collect();
         assert_eq!(ids, vec![1, 3]);
+    }
+
+    #[test]
+    fn join_into_drops_the_departed_from_both_views_in_order() {
+        let mut stored = View::empty(4).unwrap();
+        for (id, age) in [(1, 3), (2, 0), (3, 5)] {
+            stored.insert(AgedId {
+                id: NodeId::new(id),
+                age,
+            });
+        }
+        let mut joined = View::new(1).unwrap();
+        joined.insert(entry(9, 0, 0.9));
+        stored.join_into(&mut joined, |e| {
+            (e.id.as_u64() != 2).then(|| entry(e.id.as_u64(), e.age, e.id.as_u64() as f64 / 10.0))
+        });
+        assert_eq!(stored.ids().map(|i| i.as_u64()).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(joined.entries(), &[entry(1, 3, 0.1), entry(3, 5, 0.3)]);
+        assert_eq!(joined.capacity(), 4, "the joined view takes the capacity");
     }
 
     #[test]

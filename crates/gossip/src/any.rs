@@ -12,20 +12,21 @@
 
 use crate::sampler::{ExchangeBuffers, PeerSampler, SamplerKind};
 use crate::{CyclonSampler, LpbcastSampler, NewscastSampler, UniformOracle};
-use dslice_core::{NodeId, Result, View, ViewEntry};
+use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
-/// One sampler of any concrete type (see the module docs).
+/// One sampler of any concrete type (see the module docs), over views of
+/// `E` entries.
 #[derive(Debug, Clone)]
-pub enum AnySampler {
+pub enum AnySampler<E = ViewEntry> {
     /// The paper's Cyclon variant.
-    Cyclon(CyclonSampler),
+    Cyclon(CyclonSampler<E>),
     /// Newscast-style.
-    Newscast(NewscastSampler),
+    Newscast(NewscastSampler<E>),
     /// Lpbcast-style (boxed: 80 bytes).
-    Lpbcast(Box<LpbcastSampler>),
+    Lpbcast(Box<LpbcastSampler<E>>),
     /// The runtime-refilled uniform oracle.
-    UniformOracle(UniformOracle),
+    UniformOracle(UniformOracle<E>),
 }
 
 /// Expands `$body` once per arm with `$s` bound to the arm's concrete
@@ -58,24 +59,33 @@ macro_rules! forward {
 }
 
 impl AnySampler {
-    /// A sampler of `kind` for `owner` with view capacity `capacity` — the
-    /// one construction path, for the cycle simulator and the network node
-    /// alike.
+    /// A sampler of `kind` for `owner` with a view of [`ViewEntry`]s of
+    /// capacity `capacity`, as the network node holds;
+    /// [`AnySampler::empty`] for any entry type.
     pub fn new(kind: SamplerKind, owner: NodeId, capacity: usize) -> Result<Self> {
+        Self::empty(kind, owner, capacity)
+    }
+}
+
+impl<E: Entry> AnySampler<E> {
+    /// A sampler of `kind` for `owner` with an empty view of capacity
+    /// `capacity` — the one construction path, for the cycle simulator and
+    /// the network node alike.
+    pub fn empty(kind: SamplerKind, owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(match kind {
-            SamplerKind::Cyclon => AnySampler::Cyclon(CyclonSampler::new(owner, capacity)?),
-            SamplerKind::Newscast => AnySampler::Newscast(NewscastSampler::new(owner, capacity)?),
+            SamplerKind::Cyclon => AnySampler::Cyclon(CyclonSampler::empty(owner, capacity)?),
+            SamplerKind::Newscast => AnySampler::Newscast(NewscastSampler::empty(owner, capacity)?),
             SamplerKind::Lpbcast => {
-                AnySampler::Lpbcast(Box::new(LpbcastSampler::new(owner, capacity)?))
+                AnySampler::Lpbcast(Box::new(LpbcastSampler::empty(owner, capacity)?))
             }
             SamplerKind::UniformOracle => {
-                AnySampler::UniformOracle(UniformOracle::new(owner, capacity)?)
+                AnySampler::UniformOracle(UniformOracle::empty(owner, capacity)?)
             }
         })
     }
 }
 
-impl PeerSampler for AnySampler {
+impl<E: Entry> PeerSampler<E> for AnySampler<E> {
     fn owner(&self) -> NodeId {
         forward!(self, s => PeerSampler::owner(s))
     }
@@ -84,11 +94,11 @@ impl PeerSampler for AnySampler {
         forward!(self, s => PeerSampler::kind(s))
     }
 
-    fn view(&self) -> &View {
+    fn view(&self) -> &View<E> {
         forward!(self, s => PeerSampler::view(s))
     }
 
-    fn view_mut(&mut self) -> &mut View {
+    fn view_mut(&mut self) -> &mut View<E> {
         forward!(self, mut s => PeerSampler::view_mut(s))
     }
 
@@ -99,34 +109,34 @@ impl PeerSampler for AnySampler {
     fn initiate_into(
         &mut self,
         partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         rng: &mut dyn RngCore,
-        payload: &mut Vec<ViewEntry>,
+        payload: &mut Vec<E>,
     ) {
         forward!(self, mut s => PeerSampler::initiate_into(s, partner, self_entry, rng, payload))
     }
 
     fn handle_request_into(
         &mut self,
-        self_entry: ViewEntry,
+        self_entry: E,
         from: NodeId,
-        entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        entries: &[E],
+        reply: &mut Vec<E>,
     ) {
         forward!(self, mut s => PeerSampler::handle_request_into(s, self_entry, from, entries, reply))
     }
 
-    fn handle_reply(&mut self, from: NodeId, entries: &[ViewEntry]) {
+    fn handle_reply(&mut self, from: NodeId, entries: &[E]) {
         forward!(self, mut s => PeerSampler::handle_reply(s, from, entries))
     }
 
     fn exchange_local(
         &mut self,
-        self_entry: ViewEntry,
-        partner: &mut dyn PeerSampler,
-        partner_entry: ViewEntry,
+        self_entry: E,
+        partner: &mut dyn PeerSampler<E>,
+        partner_entry: E,
         rng: &mut dyn RngCore,
-        bufs: &mut ExchangeBuffers,
+        bufs: &mut ExchangeBuffers<E>,
     ) {
         forward!(self, mut s => PeerSampler::exchange_local(s, self_entry, partner, partner_entry, rng, bufs))
     }
@@ -136,7 +146,7 @@ impl PeerSampler for AnySampler {
 mod tests {
     use super::*;
     use crate::prune_dead;
-    use dslice_core::Attribute;
+    use dslice_core::{AgedId, Attribute};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::mem::size_of;
@@ -303,5 +313,64 @@ mod tests {
         assert_eq!(size_of::<UniformOracle>(), 40);
         assert!(size_of::<LpbcastSampler>() > 64);
         assert_eq!(size_of::<AnySampler>(), 48);
+        assert_eq!(size_of::<AnySampler<AgedId>>(), 48);
+    }
+
+    /// A sampler reads only ids and ages, so over `AgedId` views every kind
+    /// keeps the ids and ages it keeps over `ViewEntry` views, exchange for
+    /// exchange, through both the message path and `exchange_local`.
+    #[test]
+    fn every_kind_keeps_the_same_ids_and_ages_over_aged_ids() {
+        fn ids_and_ages<E: Entry>(s: &AnySampler<E>) -> Vec<(NodeId, u32)> {
+            s.view().iter().map(|e| (e.id(), e.age())).collect()
+        }
+        let n = 12u64;
+        let aged = |e: &ViewEntry| AgedId {
+            id: e.id,
+            age: e.age,
+        };
+        for kind in KINDS {
+            let mut full: Vec<AnySampler> = Vec::new();
+            let mut slim: Vec<AnySampler<AgedId>> = Vec::new();
+            for i in 0..n {
+                let boot: Vec<ViewEntry> =
+                    (1..=4).map(|k| entry((i + 3 * k) % n, k as u32)).collect();
+                let owner = NodeId::new(i);
+                full.push(AnySampler::new(kind, owner, 5).unwrap());
+                slim.push(AnySampler::empty(kind, owner, 5).unwrap());
+                full[i as usize].bootstrap(&boot);
+                slim[i as usize].bootstrap(&boot.iter().map(aged).collect::<Vec<_>>());
+            }
+            let (mut rng_full, mut rng_slim) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+            let (mut bufs_full, mut bufs_slim) =
+                (ExchangeBuffers::default(), ExchangeBuffers::default());
+            for round in 0..30 {
+                let i = round % n as usize;
+                let me = entry(i as u64, 0);
+                let partner = full[i].schedule_exchange(&mut rng_full);
+                assert_eq!(partner, slim[i].schedule_exchange(&mut rng_slim), "{kind}");
+                let Some(partner) = partner else { continue };
+                let j = partner.as_u64() as usize;
+                let them = entry(j as u64, 0);
+                if round % 2 == 0 {
+                    let [x, y] = full.get_disjoint_mut([i, j]).unwrap();
+                    x.exchange_local(me, y, them, &mut rng_full, &mut bufs_full);
+                    let [x, y] = slim.get_disjoint_mut([i, j]).unwrap();
+                    x.exchange_local(aged(&me), y, aged(&them), &mut rng_slim, &mut bufs_slim);
+                } else {
+                    let request = full[i].initiate_with(partner, me, &mut rng_full).entries;
+                    let reply = full[j].handle_request(them, me.id, &request);
+                    full[i].handle_reply(partner, &reply);
+                    let request = slim[i]
+                        .initiate_with(partner, aged(&me), &mut rng_slim)
+                        .entries;
+                    let reply = slim[j].handle_request(aged(&them), me.id, &request);
+                    slim[i].handle_reply(partner, &reply);
+                }
+                for (x, y) in full.iter().zip(&slim) {
+                    assert_eq!(ids_and_ages(x), ids_and_ages(y), "{kind}: round {round}");
+                }
+            }
+        }
     }
 }

@@ -61,27 +61,35 @@
 use crate::sampler::{
     debug_assert_exchanged, exchange_via_messages, ExchangeBuffers, PeerSampler, SamplerKind,
 };
-use dslice_core::{NodeId, Result, View, ViewEntry};
+use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
-/// The Cyclon-variant peer sampler of Fig. 3.
+/// The Cyclon-variant peer sampler of Fig. 3, over views of `E` entries.
 #[derive(Debug, Clone)]
-pub struct CyclonSampler {
+pub struct CyclonSampler<E = ViewEntry> {
     owner: NodeId,
-    view: View,
+    view: View<E>,
 }
 
 impl CyclonSampler {
-    /// Creates a sampler for `owner` with view capacity `c`.
+    /// Creates a sampler for `owner` with a view of [`ViewEntry`]s of
+    /// capacity `c`; [`CyclonSampler::empty`] for any entry type.
     pub fn new(owner: NodeId, capacity: usize) -> Result<Self> {
+        Self::empty(owner, capacity)
+    }
+}
+
+impl<E: Entry> CyclonSampler<E> {
+    /// Creates a sampler for `owner` with an empty view of capacity `c`.
+    pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(CyclonSampler {
             owner,
-            view: View::new(capacity)?,
+            view: View::empty(capacity)?,
         })
     }
 }
 
-impl PeerSampler for CyclonSampler {
+impl<E: Entry> PeerSampler<E> for CyclonSampler<E> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -90,11 +98,11 @@ impl PeerSampler for CyclonSampler {
         SamplerKind::Cyclon
     }
 
-    fn view(&self) -> &View {
+    fn view(&self) -> &View<E> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View {
+    fn view_mut(&mut self) -> &mut View<E> {
         &mut self.view
     }
 
@@ -102,41 +110,41 @@ impl PeerSampler for CyclonSampler {
         // Line 1: age every entry.
         self.view.increment_ages();
         // Line 2: pick the oldest neighbor.
-        Some(self.view.oldest()?.id)
+        Some(self.view.oldest()?.id())
     }
 
     fn initiate_into(
         &mut self,
         partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         _rng: &mut dyn RngCore,
-        payload: &mut Vec<ViewEntry>,
+        payload: &mut Vec<E>,
     ) {
         // Line 3: the request payload is the view copy, minus the partner's
         // own entry, plus a fresh self-descriptor.
         payload.clear();
-        payload.extend(self.view.iter().filter(|e| e.id != partner));
+        payload.extend(self.view.iter().filter(|e| e.id() != partner));
         payload.push(self_entry);
     }
 
     fn handle_request_into(
         &mut self,
-        self_entry: ViewEntry,
+        self_entry: E,
         from: NodeId,
-        entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        entries: &[E],
+        reply: &mut Vec<E>,
     ) {
         // Line 8: reply with the pre-merge view, discarding pointers to the
         // requester, plus a fresh self-descriptor so the requester learns
         // our current value.
         reply.clear();
-        reply.extend(self.view.iter().filter(|e| e.id != from));
+        reply.extend(self.view.iter().filter(|e| e.id() != from));
         reply.push(self_entry);
         // Lines 9–10: adopt the received entries (swap).
         self.view.replace_with(self.owner, entries);
     }
 
-    fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {
+    fn handle_reply(&mut self, _from: NodeId, entries: &[E]) {
         // Lines 5–6: adopt the received entries (swap).
         self.view.replace_with(self.owner, entries);
     }
@@ -145,15 +153,15 @@ impl PeerSampler for CyclonSampler {
     /// top-up is needed (see the module docs); the message path otherwise.
     fn exchange_local(
         &mut self,
-        self_entry: ViewEntry,
-        partner: &mut dyn PeerSampler,
-        partner_entry: ViewEntry,
+        self_entry: E,
+        partner: &mut dyn PeerSampler<E>,
+        partner_entry: E,
         rng: &mut dyn RngCore,
-        bufs: &mut ExchangeBuffers,
+        bufs: &mut ExchangeBuffers<E>,
     ) {
         let swapped = partner.kind() == SamplerKind::Cyclon
-            && self_entry.id == self.owner
-            && partner_entry.id == partner.owner()
+            && self_entry.id() == self.owner
+            && partner_entry.id() == partner.owner()
             && self
                 .view
                 .swap_in_place(self_entry, partner.view_mut(), partner_entry);

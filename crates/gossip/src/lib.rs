@@ -34,7 +34,13 @@
 //! drives whole exchanges atomically through
 //! [`PeerSampler::exchange_local`], which two Cyclon samplers carry out as a
 //! swap of their views in place. Both runtimes hold each node's sampler as
-//! an [`AnySampler`], built by [`AnySampler::new`].
+//! an [`AnySampler`], built by [`AnySampler::empty`].
+//!
+//! Every sampler reads only an entry's id and age, so each is generic over
+//! the view's [`Entry`](dslice_core::Entry) type: the network node's views
+//! hold full [`ViewEntry`](dslice_core::ViewEntry)s, the default, and the
+//! cycle simulator's hold 8-byte [`AgedId`](dslice_core::AgedId)s. The
+//! `new` constructors build the `ViewEntry` form; `empty` builds any.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

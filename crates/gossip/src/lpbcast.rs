@@ -29,7 +29,7 @@
 //! `handle_request` receives no runtime RNG.
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{NodeId, Result, View, ViewEntry};
+use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -38,26 +38,38 @@ pub const DEFAULT_DIGEST_SIZE: usize = 8;
 
 /// An Lpbcast-style peer sampler: push-only digests, random eviction.
 #[derive(Debug, Clone)]
-pub struct LpbcastSampler {
+pub struct LpbcastSampler<E = ViewEntry> {
     owner: NodeId,
-    view: View,
+    view: View<E>,
     digest_size: usize,
     evict_rng: StdRng,
 }
 
 impl LpbcastSampler {
-    /// Creates a sampler for `owner` with view capacity `c` and the default
-    /// digest size.
+    /// Creates a sampler for `owner` with a view of [`ViewEntry`]s of
+    /// capacity `c` and the default digest size; [`LpbcastSampler::empty`]
+    /// for any entry type.
     pub fn new(owner: NodeId, capacity: usize) -> Result<Self> {
-        Self::with_digest_size(owner, capacity, DEFAULT_DIGEST_SIZE)
+        Self::empty(owner, capacity)
     }
 
     /// Creates a sampler with an explicit digest (gossip payload) size.
     pub fn with_digest_size(owner: NodeId, capacity: usize, digest_size: usize) -> Result<Self> {
         Ok(LpbcastSampler {
-            owner,
-            view: View::new(capacity)?,
             digest_size: digest_size.max(1),
+            ..Self::empty(owner, capacity)?
+        })
+    }
+}
+
+impl<E: Entry> LpbcastSampler<E> {
+    /// Creates a sampler for `owner` with an empty view of capacity `c` and
+    /// the default digest size.
+    pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
+        Ok(LpbcastSampler {
+            owner,
+            view: View::empty(capacity)?,
+            digest_size: DEFAULT_DIGEST_SIZE,
             evict_rng: StdRng::seed_from_u64(owner.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         })
     }
@@ -69,15 +81,15 @@ impl LpbcastSampler {
 
     /// Lpbcast merge: add unseen descriptors (preferring the younger copy of
     /// a duplicate), then trim back to capacity by *random* eviction.
-    fn lpbcast_merge(&mut self, incoming: &[ViewEntry]) {
-        let mut pool: Vec<ViewEntry> = self.view.entries().to_vec();
+    fn lpbcast_merge(&mut self, incoming: &[E]) {
+        let mut pool: Vec<E> = self.view.entries().to_vec();
         for e in incoming {
-            if e.id == self.owner {
+            if e.id() == self.owner {
                 continue;
             }
-            match pool.iter_mut().find(|p| p.id == e.id) {
+            match pool.iter_mut().find(|p| p.id() == e.id()) {
                 Some(existing) => {
-                    if e.age < existing.age {
+                    if e.age() < existing.age() {
                         *existing = *e;
                     }
                 }
@@ -89,7 +101,7 @@ impl LpbcastSampler {
             pool.swap_remove(victim);
         }
         let capacity = self.view.capacity();
-        let mut fresh = View::new(capacity).expect("capacity >= 1");
+        let mut fresh = View::empty(capacity).expect("capacity >= 1");
         for e in pool {
             fresh.insert(e);
         }
@@ -98,7 +110,7 @@ impl LpbcastSampler {
 
     /// Writes the digest payload into `pool`: up to `digest_size` random
     /// view entries plus the fresh self-descriptor.
-    fn digest(&self, self_entry: ViewEntry, rng: &mut dyn RngCore, pool: &mut Vec<ViewEntry>) {
+    fn digest(&self, self_entry: E, rng: &mut dyn RngCore, pool: &mut Vec<E>) {
         pool.clear();
         pool.extend_from_slice(self.view.entries());
         // Partial Fisher–Yates: the first `digest_size` slots end up holding
@@ -113,7 +125,7 @@ impl LpbcastSampler {
     }
 }
 
-impl PeerSampler for LpbcastSampler {
+impl<E: Entry> PeerSampler<E> for LpbcastSampler<E> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -122,41 +134,41 @@ impl PeerSampler for LpbcastSampler {
         SamplerKind::Lpbcast
     }
 
-    fn view(&self) -> &View {
+    fn view(&self) -> &View<E> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View {
+    fn view_mut(&mut self) -> &mut View<E> {
         &mut self.view
     }
 
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
         self.view.increment_ages();
-        Some(self.view.random(rng)?.id)
+        Some(self.view.random(rng)?.id())
     }
 
     fn initiate_into(
         &mut self,
         _partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         rng: &mut dyn RngCore,
-        payload: &mut Vec<ViewEntry>,
+        payload: &mut Vec<E>,
     ) {
         self.digest(self_entry, rng, payload);
     }
 
     fn handle_request_into(
         &mut self,
-        _self_entry: ViewEntry,
+        _self_entry: E,
         _from: NodeId,
-        entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        entries: &[E],
+        reply: &mut Vec<E>,
     ) {
         self.lpbcast_merge(entries);
         reply.clear(); // push-only: nothing flows back
     }
 
-    fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {
+    fn handle_reply(&mut self, _from: NodeId, entries: &[E]) {
         // Push-only protocol: the reply payload is empty. Merge defensively
         // anyway so a mixed-substrate runtime cannot lose descriptors.
         if !entries.is_empty() {

@@ -12,36 +12,44 @@
 //! under the same protocols (see `bench/ablations`).
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{NodeId, Result, View, ViewEntry};
+use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
 /// A Newscast-style peer sampler: random partner, freshest-`c` merge.
 #[derive(Debug, Clone)]
-pub struct NewscastSampler {
+pub struct NewscastSampler<E = ViewEntry> {
     owner: NodeId,
-    view: View,
+    view: View<E>,
 }
 
 impl NewscastSampler {
-    /// Creates a sampler for `owner` with view capacity `c`.
+    /// Creates a sampler for `owner` with a view of [`ViewEntry`]s of
+    /// capacity `c`; [`NewscastSampler::empty`] for any entry type.
     pub fn new(owner: NodeId, capacity: usize) -> Result<Self> {
+        Self::empty(owner, capacity)
+    }
+}
+
+impl<E: Entry> NewscastSampler<E> {
+    /// Creates a sampler for `owner` with an empty view of capacity `c`.
+    pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(NewscastSampler {
             owner,
-            view: View::new(capacity)?,
+            view: View::empty(capacity)?,
         })
     }
 
     /// Newscast merge: union of both views, keep the `c` freshest entries
     /// (smallest age), never a self-pointer, unique ids.
-    fn newscast_merge(&mut self, incoming: &[ViewEntry]) {
-        let mut pool: Vec<ViewEntry> = self.view.entries().to_vec();
+    fn newscast_merge(&mut self, incoming: &[E]) {
+        let mut pool: Vec<E> = self.view.entries().to_vec();
         for e in incoming {
-            if e.id == self.owner {
+            if e.id() == self.owner {
                 continue;
             }
-            match pool.iter_mut().find(|p| p.id == e.id) {
+            match pool.iter_mut().find(|p| p.id() == e.id()) {
                 Some(existing) => {
-                    if e.age < existing.age {
+                    if e.age() < existing.age() {
                         *existing = *e;
                     }
                 }
@@ -49,10 +57,10 @@ impl NewscastSampler {
             }
         }
         // Keep the freshest `c`, ties broken by id for determinism.
-        pool.sort_by(|a, b| a.age.cmp(&b.age).then_with(|| a.id.cmp(&b.id)));
+        pool.sort_by(|a, b| a.age().cmp(&b.age()).then_with(|| a.id().cmp(&b.id())));
         pool.truncate(self.view.capacity());
         let capacity = self.view.capacity();
-        let mut fresh = View::new(capacity).expect("capacity >= 1");
+        let mut fresh = View::empty(capacity).expect("capacity >= 1");
         for e in pool {
             fresh.insert(e);
         }
@@ -60,7 +68,7 @@ impl NewscastSampler {
     }
 }
 
-impl PeerSampler for NewscastSampler {
+impl<E: Entry> PeerSampler<E> for NewscastSampler<E> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -69,25 +77,25 @@ impl PeerSampler for NewscastSampler {
         SamplerKind::Newscast
     }
 
-    fn view(&self) -> &View {
+    fn view(&self) -> &View<E> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View {
+    fn view_mut(&mut self) -> &mut View<E> {
         &mut self.view
     }
 
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
         self.view.increment_ages();
-        Some(self.view.random(rng)?.id)
+        Some(self.view.random(rng)?.id())
     }
 
     fn initiate_into(
         &mut self,
         _partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         _rng: &mut dyn RngCore,
-        payload: &mut Vec<ViewEntry>,
+        payload: &mut Vec<E>,
     ) {
         payload.clear();
         payload.extend_from_slice(self.view.entries());
@@ -96,18 +104,18 @@ impl PeerSampler for NewscastSampler {
 
     fn handle_request_into(
         &mut self,
-        self_entry: ViewEntry,
+        self_entry: E,
         from: NodeId,
-        entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        entries: &[E],
+        reply: &mut Vec<E>,
     ) {
         reply.clear();
-        reply.extend(self.view.iter().filter(|e| e.id != from));
+        reply.extend(self.view.iter().filter(|e| e.id() != from));
         reply.push(self_entry);
         self.newscast_merge(entries);
     }
 
-    fn handle_reply(&mut self, _from: NodeId, entries: &[ViewEntry]) {
+    fn handle_reply(&mut self, _from: NodeId, entries: &[E]) {
         self.newscast_merge(entries);
     }
 }

@@ -19,7 +19,7 @@
 //! over sockets, Newscast and Lpbcast exchange only through it, and the
 //! in-process Cyclon swap is tested against it.
 
-use dslice_core::{NodeId, View, ViewEntry};
+use dslice_core::{Entry, NodeId, View, ViewEntry};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -52,23 +52,32 @@ impl fmt::Display for SamplerKind {
 
 /// The outcome of starting an exchange on the active side.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ExchangeRequest {
+pub struct ExchangeRequest<E = ViewEntry> {
     /// The chosen gossip partner.
     pub partner: NodeId,
     /// The entries to send (`N_i \ {e_j} ∪ {⟨i,0,a_i,r_i⟩}` for Cyclon).
-    pub entries: Vec<ViewEntry>,
+    pub entries: Vec<E>,
 }
 
 /// The request and reply payloads of an exchange run by
 /// [`PeerSampler::exchange_local`] through the message path. A runtime that
 /// executes exchanges back to back keeps one and reuses it, so the exchange
 /// allocates nothing.
-#[derive(Clone, Debug, Default)]
-pub struct ExchangeBuffers {
+#[derive(Clone, Debug)]
+pub struct ExchangeBuffers<E = ViewEntry> {
     /// The initiator's request payload.
-    pub request: Vec<ViewEntry>,
+    pub request: Vec<E>,
     /// The partner's reply payload.
-    pub reply: Vec<ViewEntry>,
+    pub reply: Vec<E>,
+}
+
+impl<E> Default for ExchangeBuffers<E> {
+    fn default() -> Self {
+        ExchangeBuffers {
+            request: Vec::new(),
+            reply: Vec::new(),
+        }
+    }
 }
 
 /// One whole exchange between two samplers held in one process, through the
@@ -78,13 +87,13 @@ pub struct ExchangeBuffers {
 /// `bufs`. This is the default body of
 /// [`PeerSampler::exchange_local`], and what the Cyclon override falls back
 /// to.
-pub(crate) fn exchange_via_messages<S: PeerSampler + ?Sized>(
+pub(crate) fn exchange_via_messages<E: Entry, S: PeerSampler<E> + ?Sized>(
     initiator: &mut S,
-    self_entry: ViewEntry,
-    partner: &mut dyn PeerSampler,
-    partner_entry: ViewEntry,
+    self_entry: E,
+    partner: &mut dyn PeerSampler<E>,
+    partner_entry: E,
     rng: &mut dyn RngCore,
-    bufs: &mut ExchangeBuffers,
+    bufs: &mut ExchangeBuffers<E>,
 ) {
     let partner_id = partner.owner();
     initiator.initiate_into(partner_id, self_entry, rng, &mut bufs.request);
@@ -101,7 +110,11 @@ pub(crate) fn exchange_via_messages<S: PeerSampler + ?Sized>(
 /// Debug builds: after an exchange both views hold at most `c` entries, no
 /// duplicate id and no entry for their owner. The in-process Cyclon swap is
 /// exact only on views that satisfy this, so every exchange re-checks it.
-pub(crate) fn debug_assert_exchanged(view: &View, owner: NodeId, partner: &dyn PeerSampler) {
+pub(crate) fn debug_assert_exchanged<E: Entry>(
+    view: &View<E>,
+    owner: NodeId,
+    partner: &dyn PeerSampler<E>,
+) {
     if cfg!(debug_assertions) {
         for (view, owner) in [(view, owner), (partner.view(), partner.owner())] {
             if let Err(e) = view.check_invariants(Some(owner)) {
@@ -115,11 +128,14 @@ pub(crate) fn debug_assert_exchanged(view: &View, owner: NodeId, partner: &dyn P
 /// rest: the one definition of the dead-neighbor prune, shared by the
 /// default [`PeerSampler::remove_dead`] and the cycle simulator, which
 /// passes its live-set lookup as a closure the filter inlines.
-pub fn prune_dead(view: &mut View, is_alive: impl Fn(NodeId) -> bool) {
+pub fn prune_dead<E: Entry>(view: &mut View<E>, is_alive: impl Fn(NodeId) -> bool) {
     view.retain(is_alive);
 }
 
-/// A peer-sampling service instance owned by one node.
+/// A peer-sampling service instance owned by one node, over views of `E`
+/// entries: [`ViewEntry`] by default, [`AgedId`](dslice_core::AgedId) in
+/// the cycle simulator. Nothing here reads more of an entry than its id and
+/// age, so one implementation serves both.
 ///
 /// A sampler overrides only the required methods and, if it gossips,
 /// [`schedule_exchange`](Self::schedule_exchange),
@@ -128,7 +144,7 @@ pub fn prune_dead(view: &mut View, is_alive: impl Fn(NodeId) -> bool) {
 /// are defined once, here: [`AnySampler`](crate::AnySampler) forwards only
 /// the methods a sampler may override, and relies on the rest reaching the
 /// concrete sampler through them.
-pub trait PeerSampler: Send {
+pub trait PeerSampler<E: Entry = ViewEntry>: Send {
     /// The owning node.
     fn owner(&self) -> NodeId;
 
@@ -136,22 +152,18 @@ pub trait PeerSampler: Send {
     fn kind(&self) -> SamplerKind;
 
     /// Read access to the current view.
-    fn view(&self) -> &View;
+    fn view(&self) -> &View<E>;
 
     /// Mutable access to the current view (used by the runtime for value
     /// refreshes and churn cleanup).
-    fn view_mut(&mut self) -> &mut View;
+    fn view_mut(&mut self) -> &mut View<E>;
 
     /// Active side, phase 1: age the view, pick a partner, build the request
     /// payload — [`schedule_exchange`](PeerSampler::schedule_exchange), then
     /// [`initiate_with`](PeerSampler::initiate_with). Returns `None` when the
     /// view is empty (isolated node) or the substrate does not gossip (the
     /// uniform oracle).
-    fn initiate(
-        &mut self,
-        self_entry: ViewEntry,
-        rng: &mut dyn RngCore,
-    ) -> Option<ExchangeRequest> {
+    fn initiate(&mut self, self_entry: E, rng: &mut dyn RngCore) -> Option<ExchangeRequest<E>> {
         let partner = self.schedule_exchange(rng)?;
         Some(self.initiate_with(partner, self_entry, rng))
     }
@@ -194,9 +206,9 @@ pub trait PeerSampler: Send {
     fn initiate_into(
         &mut self,
         partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         rng: &mut dyn RngCore,
-        payload: &mut Vec<ViewEntry>,
+        payload: &mut Vec<E>,
     ) {
         let _ = (partner, rng);
         payload.clear();
@@ -208,9 +220,9 @@ pub trait PeerSampler: Send {
     fn initiate_with(
         &mut self,
         partner: NodeId,
-        self_entry: ViewEntry,
+        self_entry: E,
         rng: &mut dyn RngCore,
-    ) -> ExchangeRequest {
+    ) -> ExchangeRequest<E> {
         let mut entries = Vec::new();
         self.initiate_into(partner, self_entry, rng, &mut entries);
         ExchangeRequest { partner, entries }
@@ -222,27 +234,22 @@ pub trait PeerSampler: Send {
     /// [`initiate_into`](PeerSampler::initiate_into).
     fn handle_request_into(
         &mut self,
-        self_entry: ViewEntry,
+        self_entry: E,
         from: NodeId,
-        entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        entries: &[E],
+        reply: &mut Vec<E>,
     );
 
     /// [`handle_request_into`](PeerSampler::handle_request_into) for callers
     /// that must own the reply (the network runtime ships it in a message).
-    fn handle_request(
-        &mut self,
-        self_entry: ViewEntry,
-        from: NodeId,
-        entries: &[ViewEntry],
-    ) -> Vec<ViewEntry> {
+    fn handle_request(&mut self, self_entry: E, from: NodeId, entries: &[E]) -> Vec<E> {
         let mut reply = Vec::new();
         self.handle_request_into(self_entry, from, entries, &mut reply);
         reply
     }
 
     /// Active side, phase 2: absorb the reply payload.
-    fn handle_reply(&mut self, from: NodeId, entries: &[ViewEntry]);
+    fn handle_reply(&mut self, from: NodeId, entries: &[E]);
 
     /// Runs a whole exchange with `partner`, chosen earlier by
     /// [`schedule_exchange`](PeerSampler::schedule_exchange), when both
@@ -258,11 +265,11 @@ pub trait PeerSampler: Send {
     /// way, debug builds check both views' invariants afterwards.
     fn exchange_local(
         &mut self,
-        self_entry: ViewEntry,
-        partner: &mut dyn PeerSampler,
-        partner_entry: ViewEntry,
+        self_entry: E,
+        partner: &mut dyn PeerSampler<E>,
+        partner_entry: E,
         rng: &mut dyn RngCore,
-        bufs: &mut ExchangeBuffers,
+        bufs: &mut ExchangeBuffers<E>,
     ) {
         exchange_via_messages(self, self_entry, partner, partner_entry, rng, bufs);
     }
@@ -279,7 +286,7 @@ pub trait PeerSampler: Send {
     }
 
     /// Seeds the view with bootstrap entries (used at join time).
-    fn bootstrap(&mut self, entries: &[ViewEntry]) {
+    fn bootstrap(&mut self, entries: &[E]) {
         let owner = self.owner();
         self.view_mut().merge(owner, entries);
     }
@@ -289,7 +296,7 @@ pub trait PeerSampler: Send {
     /// sample every cycle instead of gossiping for it. The caller passes at
     /// most `c` entries and none for the owner, as the cycle simulator's
     /// sampling does; the view keeps them in the given order.
-    fn refill(&mut self, entries: &[ViewEntry]) {
+    fn refill(&mut self, entries: &[E]) {
         let view = self.view_mut();
         view.retain(|_| false);
         for e in entries {

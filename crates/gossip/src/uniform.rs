@@ -11,26 +11,35 @@
 //! perfectly uniform sample stream without simulating the membership layer.
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{NodeId, Result, View, ViewEntry};
+use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
 
 /// An oracle-backed sampler: the runtime refills the view each cycle.
 #[derive(Debug, Clone)]
-pub struct UniformOracle {
+pub struct UniformOracle<E = ViewEntry> {
     owner: NodeId,
-    view: View,
+    view: View<E>,
 }
 
 impl UniformOracle {
-    /// Creates an oracle sampler for `owner` with view capacity `c`.
+    /// Creates an oracle sampler for `owner` with a view of [`ViewEntry`]s
+    /// of capacity `c`; [`UniformOracle::empty`] for any entry type.
     pub fn new(owner: NodeId, capacity: usize) -> Result<Self> {
+        Self::empty(owner, capacity)
+    }
+}
+
+impl<E: Entry> UniformOracle<E> {
+    /// Creates an oracle sampler for `owner` with an empty view of
+    /// capacity `c`.
+    pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(UniformOracle {
             owner,
-            view: View::new(capacity)?,
+            view: View::empty(capacity)?,
         })
     }
 }
 
-impl PeerSampler for UniformOracle {
+impl<E: Entry> PeerSampler<E> for UniformOracle<E> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -39,25 +48,25 @@ impl PeerSampler for UniformOracle {
         SamplerKind::UniformOracle
     }
 
-    fn view(&self) -> &View {
+    fn view(&self) -> &View<E> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View {
+    fn view_mut(&mut self) -> &mut View<E> {
         &mut self.view
     }
 
     fn handle_request_into(
         &mut self,
-        _self_entry: ViewEntry,
+        _self_entry: E,
         _from: NodeId,
-        _entries: &[ViewEntry],
-        reply: &mut Vec<ViewEntry>,
+        _entries: &[E],
+        reply: &mut Vec<E>,
     ) {
         reply.clear();
     }
 
-    fn handle_reply(&mut self, _from: NodeId, _entries: &[ViewEntry]) {}
+    fn handle_reply(&mut self, _from: NodeId, _entries: &[E]) {}
 }
 
 #[cfg(test)]

@@ -839,11 +839,6 @@ impl NodeRuntime {
         tokio::spawn(link.run(rx));
         self.links.insert(to, (tx, depth));
     }
-
-    /// Seeds the sampler view (used before spawning in custom setups).
-    pub fn bootstrap(&mut self, entries: &[ViewEntry]) {
-        self.sampler.bootstrap(entries);
-    }
 }
 
 /// Bootstraps a handle-less runtime for direct driving in tests.

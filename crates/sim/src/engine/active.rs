@@ -7,38 +7,54 @@
 //! step and the end-of-cycle drain, which is exactly the "i has lastly
 //! updated its view before j swapped" scenario the paper describes.)
 //!
-//! The **refresh** phase snapshots every live node's published value per id
-//! row, once. The **active** phase is one sweep over the slot array. Each
-//! live node first has its view refreshed against the snapshot (value
-//! snapshots brought up to date, departed neighbors dropped), then runs its
-//! protocol active thread against it, drawing randomness from its **own
-//! counter-based stream** keyed by `(seed, node id, cycle)` (see
-//! [`crate::stream`]). Refreshing view by view, just before each owner acts,
-//! gives exactly what refreshing every view first would: the snapshot is
-//! immutable, so no active step can change what a later refresh reads, and
-//! an active step reads and writes nothing but its own node. The sweep
-//! reads each view once where two sweeps would read it twice. What the
-//! nodes send is appended to one flat outbox, in slot order, marking where
-//! every sender's messages end.
+//! The **refresh** phase snapshots every live node's published value and
+//! attribute per id row, once. The **active** phase is one sweep over the
+//! slot array. A stored view holds only `(id, age)` entries
+//! ([`AgedId`](dslice_core::AgedId)), so each live node first has its view
+//! joined against the snapshot — departed neighbors dropped from the stored
+//! view, and the full [`ViewEntry`] of every other neighbor (its age, and
+//! its attribute and value as of the snapshot) written into one reused
+//! scratch view — then runs its protocol active thread against that
+//! scratch view, drawing randomness from its **own counter-based stream**
+//! keyed by `(seed, node id, cycle)` (see [`crate::stream`]). Joining view
+//! by view, just before each owner acts, gives exactly what refreshing
+//! every view first would: the snapshot is immutable, so no active step can
+//! change what a later join reads, and an active step reads and writes
+//! nothing but its own node. What the nodes send is appended to one flat
+//! outbox, in slot order, marking where every sender's messages end.
 //!
-//! The refresh resolves no id to a slot: the snapshot is itself indexed by
-//! id row — a value column beside one live bit per row — so a view entry
-//! costs one value load that may miss, not an index load and then a
-//! dependent per-slot load.
+//! The join resolves no id to a slot: the snapshot is itself indexed by id
+//! row — a 16-byte `(value, attribute)` row beside one live bit per row —
+//! so a view entry costs one row load that may miss, not an index load and
+//! then a dependent per-slot load.
 
 use super::{Cycle, EngineCtx, Envelope, SimNode, ACTIVE_SALT};
 use crate::stats::EventCounters;
 use dslice_core::protocol::SliceProtocol;
-use dslice_core::{NodeId, NodeSlab};
+use dslice_core::{Attribute, NodeId, NodeSlab, Result, View, ViewEntry};
 use dslice_gossip::PeerSampler;
 
-/// The refresh snapshot and the outbox, kept across cycles.
-#[derive(Default)]
+/// The refresh snapshot, the outbox and the joined view, kept across
+/// cycles.
 pub(super) struct Scratch {
-    /// Published value per id row, beside a live bit per row.
+    /// Published value and attribute per id row, beside a live bit per row.
     pub(super) published: PublishedRows,
     /// What the last sweep sent, in slot order.
     pub(super) outbox: Outbox,
+    /// The view the acting node's protocol reads: its stored view joined
+    /// against the snapshot.
+    view: View,
+}
+
+impl Scratch {
+    /// Empty buffers for views of capacity `view_size`.
+    pub(super) fn new(view_size: usize) -> Result<Self> {
+        Ok(Scratch {
+            published: PublishedRows::default(),
+            outbox: Outbox::default(),
+            view: View::new(view_size)?,
+        })
+    }
 }
 
 /// Everything the active sweep sent, flat and in slot order: `ends[k]` is
@@ -50,59 +66,89 @@ pub(super) struct Outbox {
     pub(super) ends: Vec<usize>,
 }
 
-/// The refresh phase's snapshot: every live node's published value, by id
-/// row. Liveness is one bit per row beside the values rather than a
-/// sentinel value (a liar may publish any `f64`), and a lookup reads the
-/// two columns independently: the bits (one per identity ever issued) stay
-/// in cache, and the value is the one load that may miss. Keyed by slot,
-/// the same read would need the id's slot first: two dependent loads.
+/// The refresh phase's snapshot: every live node's published value and
+/// attribute, in one 16-byte row per id. Liveness is one bit per row beside
+/// the rows rather than a sentinel value (a liar may publish any `f64`),
+/// and a lookup reads the two columns independently: the bits (one per
+/// identity ever issued) stay in cache, and the row is the one load that
+/// may miss. Keyed by slot, the same read would need the id's slot first:
+/// two dependent loads.
 #[derive(Default)]
 pub(super) struct PublishedRows {
-    /// Published value per id row; meaningful only where `live` is set.
-    values: Vec<f64>,
+    /// One row per id; meaningful only where `live` is set.
+    rows: Vec<Published>,
     /// Bit `row % 64` of word `row / 64`: whether the id is live.
     pub(super) live: Vec<u64>,
 }
 
+/// What a view entry about a node carries beyond its id and age, as of the
+/// refresh snapshot.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) struct Published {
+    /// The node's published value.
+    value: f64,
+    /// The node's attribute.
+    attribute: Attribute,
+}
+
+impl Published {
+    /// The full view entry about `id`, of age `age`.
+    pub(super) fn entry(self, id: NodeId, age: u32) -> ViewEntry {
+        ViewEntry::with_age(id, age, self.attribute, self.value)
+    }
+}
+
 impl PublishedRows {
-    /// `id`'s published value as of the snapshot, or `None` for an id that
-    /// is not live (departed, or beyond the column).
-    pub(super) fn get(&self, id: NodeId) -> Option<f64> {
+    /// `id`'s row as of the snapshot, or `None` for an id that is not live
+    /// (departed, or beyond the column).
+    pub(super) fn get(&self, id: NodeId) -> Option<Published> {
         let row = id.row();
         let word = self.live.get(row / 64)?;
-        (word >> (row % 64) & 1 == 1).then(|| self.values[row])
+        (word >> (row % 64) & 1 == 1).then(|| self.rows[row])
     }
 }
 
 /// Refresh phase: rebuilds the snapshot over id rows `0..rows` from the
-/// live population. Rows of departed ids keep stale values; their bits are
-/// cleared.
+/// live population. Rows of departed ids keep stale contents; their bits
+/// are cleared.
 pub(super) fn refresh(nodes: &NodeSlab<SimNode>, rows: usize, s: &mut Scratch) {
-    let PublishedRows { values, live } = &mut s.published;
-    values.resize(rows, 0.0);
+    let PublishedRows { rows: column, live } = &mut s.published;
+    // New rows are written below (live) or never read (departed).
+    let unset = Published {
+        value: 0.0,
+        attribute: Attribute::new(0.0).expect("finite"),
+    };
+    column.resize(rows, unset);
     live.clear();
     live.resize(rows.div_ceil(64), 0);
     for (_, id, node) in nodes.iter() {
         let row = id.row();
-        values[row] = node.proto.published_value();
+        column[row] = Published {
+            value: node.proto.published_value(),
+            attribute: node.proto.attribute(),
+        };
         live[row / 64] |= 1 << (row % 64);
     }
 }
 
-/// Active phase: one sweep in slot order, each node's view refreshed
-/// against the snapshot just before its owner acts, filling the outbox.
+/// Active phase: one sweep in slot order, each node's view joined against
+/// the snapshot just before its owner acts, filling the outbox.
 pub(super) fn run(
     cx: &Cycle,
     nodes: &mut NodeSlab<SimNode>,
     s: &mut Scratch,
     counters: &mut EventCounters,
 ) {
-    let Scratch { published, outbox } = s;
+    let Scratch {
+        published,
+        outbox,
+        view,
+    } = s;
     outbox.msgs.clear();
     outbox.ends.clear();
     for (_, id, node) in nodes.iter_mut() {
-        let view = node.sampler.view_mut();
-        view.refresh_values(|nid| published.get(nid));
+        let stored = node.sampler.view_mut();
+        stored.join_into(view, |e| Some(published.get(e.id)?.entry(e.id, e.age)));
         let mut rng = cx.rng(id, ACTIVE_SALT);
         let sent_before = outbox.msgs.len();
         let mut ctx = EngineCtx {
@@ -110,7 +156,7 @@ pub(super) fn run(
             out: &mut outbox.msgs,
             counters,
         };
-        node.proto.on_active(node.sampler.view(), &mut ctx);
+        node.proto.on_active(view, &mut ctx);
         if outbox.msgs.len() > sent_before {
             outbox.ends.push(outbox.msgs.len());
         }

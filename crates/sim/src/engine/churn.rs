@@ -10,15 +10,15 @@
 //! inlines; and the rank cache merges the joiners in place. Joiners
 //! bootstrap their views from random live nodes, through the same sampling
 //! core and the same [`bootstrap`] as the initial population, but from
-//! that same buffer with the leavers dropped, looking up only each
-//! joiner's own picks.
+//! that same buffer with the leavers dropped: a pick is only an id, so
+//! nothing is looked up in the slab.
 
 use super::{sample_from_pool, Cycle, SimNode};
 use crate::churn::ChurnModel;
 use dslice_core::metrics::RankCache;
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::SliceProtocol;
-use dslice_core::{Attribute, NodeId, NodeIdSet, NodeSlab, ViewEntry};
+use dslice_core::{AgedId, Attribute, NodeId, NodeIdSet, NodeSlab};
 use dslice_gossip::{prune_dead, PeerSampler};
 use rand::rngs::StdRng;
 
@@ -110,10 +110,9 @@ pub(super) fn run(
         let ids = new_nodes.iter().map(|&(id, _)| id);
         let (pool, view_size) = (&population[..], cx.cfg.view_size);
         let mut picks = Vec::new();
-        bootstrap(nodes, ids, |nodes, owner, entries| {
+        bootstrap(nodes, ids, |owner, entries| {
             sample_from_pool(rng, pool, |&(id, _)| id, owner, view_size, &mut picks);
-            let live = picks.iter().filter_map(|&(id, _)| nodes.get(id));
-            entries.extend(live.map(SimNode::self_entry));
+            entries.extend(picks.iter().map(|&(id, _)| AgedId::new(id)));
         });
     }
     // Fold the batch into the rank cache: a linear merge, no re-sort.
@@ -135,12 +134,12 @@ fn copy_population(nodes: &NodeSlab<SimNode>, population: &mut Vec<(NodeId, Attr
 pub(super) fn bootstrap(
     nodes: &mut NodeSlab<SimNode>,
     ids: impl IntoIterator<Item = NodeId>,
-    mut sample: impl FnMut(&NodeSlab<SimNode>, NodeId, &mut Vec<ViewEntry>),
+    mut sample: impl FnMut(NodeId, &mut Vec<AgedId>),
 ) {
     let mut entries = Vec::new();
     for id in ids {
         entries.clear();
-        sample(nodes, id, &mut entries);
+        sample(id, &mut entries);
         if let Some(node) = nodes.get_mut(id) {
             node.sampler.bootstrap(&entries);
         }
@@ -154,7 +153,7 @@ mod tests {
     use crate::churn::{ChurnSchedule, UncorrelatedChurn};
     use crate::config::ProtocolKind;
     use crate::distributions::AttributeDistribution;
-    use dslice_core::{NodeId, NodeSlab, ViewEntry};
+    use dslice_core::{AgedId, NodeId, NodeSlab};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -167,7 +166,7 @@ mod tests {
         rng: &mut StdRng,
         owner: NodeId,
         count: usize,
-    ) -> Vec<ViewEntry> {
+    ) -> Vec<AgedId> {
         let pool: Vec<NodeId> = nodes.ids().collect();
         let mut chosen: Vec<NodeId> = Vec::new();
         if !pool.is_empty() {
@@ -205,7 +204,7 @@ mod tests {
                 engine = engine.with_churn(Box::new(churn));
                 engine.step();
             }
-            let pool: Vec<ViewEntry> = engine.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
+            let pool: Vec<AgedId> = engine.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
             let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
             let mut entries = Vec::new();
             for owner in (0..engine.alloc.issued()).map(NodeId::new) {

@@ -20,23 +20,26 @@
 //! For non-overlapping messages the engine restores atomicity by
 //! **replaying** the loser: if a swap proposal no longer satisfies the
 //! misplacement predicate when it is delivered (because an earlier
-//! same-cycle exchange moved a value), the proposer's view is refreshed and
-//! its active step re-runs against current state (on its replay stream),
-//! exactly as if its atomic turn came after the conflicting exchange — so
-//! `Concurrency::None` produces zero unsuccessful swaps, as in the paper.
+//! same-cycle exchange moved a value), the proposer's view is joined
+//! against the live nodes and its active step re-runs against current
+//! state (on its replay stream), exactly as if its atomic turn came after
+//! the conflicting exchange — so `Concurrency::None` produces zero
+//! unsuccessful swaps, as in the paper.
 //! Overlapping and latency-delayed proposals are *not* replayed; their
 //! staleness is the measurement of §4.5.2 / Fig. 4(c).
 //!
 //! Delivery resolves each endpoint of a message once and borrows the
 //! recipient where it lives. At the start of every group of `GATHER_AHEAD`
 //! messages it reads the next group's recipients ahead (slab cell and
-//! published value).
+//! published value). The passive step reads only its message (Fig. 2 lines
+//! 15–19, Fig. 5 lines 17–21), so `on_message` is handed an empty view the
+//! queues keep, and no view is joined for it.
 
 use super::active::Outbox;
 use super::{Cycle, EngineCtx, Envelope, Payload, SimNode, GATHER_AHEAD, REPLAY_SALT};
 use crate::stats::EventCounters;
 use dslice_core::protocol::{Event, SliceProtocol};
-use dslice_core::NodeSlab;
+use dslice_core::{NodeSlab, Result, View, ViewEntry};
 use dslice_gossip::PeerSampler;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -44,9 +47,8 @@ use rand::Rng;
 use std::collections::VecDeque;
 use std::hint::black_box;
 
-/// The delivery queues, kept across cycles, and the messages held across
-/// cycles by the latency model.
-#[derive(Default)]
+/// The delivery queues, kept across cycles, the messages held across
+/// cycles by the latency model, and the two views protocols read here.
 pub(super) struct Queues {
     /// Messages delayed across cycles: `(deliver_at_cycle, message)`.
     pub(super) in_flight: Vec<(usize, Envelope)>,
@@ -60,6 +62,25 @@ pub(super) struct Queues {
     /// The atomic-exchange replay's own delivery queue (the outer one is
     /// mid-drain).
     replay_queue: VecDeque<Envelope>,
+    /// The view every `on_message` is handed: always empty.
+    empty: View,
+    /// The replayed proposer's view, joined against the live nodes.
+    joined: View,
+}
+
+impl Queues {
+    /// Empty queues, for views of capacity `view_size`.
+    pub(super) fn new(view_size: usize) -> Result<Self> {
+        Ok(Queues {
+            in_flight: Vec::new(),
+            queue: VecDeque::new(),
+            deferred: Vec::new(),
+            responses: Vec::new(),
+            replay_queue: VecDeque::new(),
+            empty: View::new(view_size)?,
+            joined: View::new(view_size)?,
+        })
+    }
 }
 
 /// What the message path borrows for one cycle: the slab, the engine's
@@ -237,18 +258,18 @@ impl Delivery<'_> {
                     counters: &mut *self.counters,
                 };
                 node.proto
-                    .on_message(node.sampler.view(), envelope.message(), &mut ctx);
+                    .on_message(&self.q.empty, envelope.message(), &mut ctx);
             }
             None => *self.dropped += 1,
         }
     }
 
     /// Replays a conflicted atomic exchange: the proposer's view is brought
-    /// up to date — every value snapshot refreshed from the live nodes,
-    /// departed neighbors dropped: the active sweep's view refresh, against
-    /// current values instead of the cycle's snapshot — and its active step
-    /// re-runs (on the replay stream), as if its atomic turn came after the
-    /// exchange that invalidated its original proposal. The replayed
+    /// up to date — each entry joined with its neighbor's attribute and
+    /// current value, departed neighbors dropped: the active sweep's join,
+    /// against the live nodes instead of the cycle's snapshot — and its
+    /// active step re-runs (on the replay stream), as if its atomic turn
+    /// came after the exchange that invalidated its original proposal. The replayed
     /// messages resolve immediately — they are the second half of one
     /// atomic action, so they draw no new routing coins and cannot
     /// themselves be replayed.
@@ -264,16 +285,18 @@ impl Delivery<'_> {
         let Some((from, mut node)) = self.nodes.take_slot(from_slot) else {
             return;
         };
-        let nodes = &*self.nodes;
-        node.sampler
-            .view_mut()
-            .refresh_values(|nid| nodes.get(nid).map(|n| n.proto.published_value()));
+        let (nodes, joined) = (&*self.nodes, &mut self.q.joined);
+        node.sampler.view_mut().join_into(joined, |e| {
+            let n = nodes.get(e.id)?;
+            let (attribute, value) = (n.proto.attribute(), n.proto.published_value());
+            Some(ViewEntry::with_age(e.id, e.age, attribute, value))
+        });
         let mut ctx = EngineCtx {
             rng: &mut self.cx.rng(from, REPLAY_SALT),
             out: &mut self.q.responses,
             counters: &mut *self.counters,
         };
-        node.proto.on_active(node.sampler.view(), &mut ctx);
+        node.proto.on_active(joined, &mut ctx);
         self.nodes.put_back(from_slot, from, node);
 
         self.q.replay_queue.extend(self.q.responses.drain(..));

@@ -25,13 +25,17 @@
 //! where they live; the other substrates (and the rare Cyclon exchange whose
 //! views need a top-up) go through the payload buffers.
 //!
+//! An exchange reads nothing of either node's protocol: the
+//! self-descriptors it hands the samplers are `(owner, age 0)`
+//! [`AgedId`]s, the owner read from the sampler.
+//!
 //! **Look-ahead reads.** An exchange rewrites both endpoints' whole view
 //! rows, so at the start of each group of `GATHER_AHEAD` exchanges the
-//! phase reads in two stages: the slab cells of the group after next, and
-//! the whole view rows of the next group, whose cells — holding the pointer
-//! to the row — were read one group earlier. A row read takes one entry per
-//! 64-byte cache line and the last entry, since a row of ten 24-byte
-//! entries spans four or five lines.
+//! phase reads in two stages: the sampler halves of the slab cells of the
+//! group after next, and the whole view rows of the next group, whose
+//! cells — holding the pointer to the row — were read one group earlier. A
+//! row read takes one entry per 64-byte cache line and the last entry,
+//! since a row of ten 8-byte entries spans two or three lines.
 //!
 //! The uniform-oracle substrate takes the same shape: the population is
 //! snapshotted once per cycle and every view refilled from it, each node
@@ -41,7 +45,7 @@ use super::{sample_from_pool, Cycle, SimNode, GATHER_AHEAD, MEMBERSHIP_SALT};
 use crate::config::SamplerKind;
 use crate::stream::NodeRng;
 use dslice_core::protocol::SliceProtocol;
-use dslice_core::{NodeSlab, ViewEntry};
+use dslice_core::{AgedId, NodeSlab};
 use dslice_gossip::{ExchangeBuffers, PeerSampler};
 use std::hint::black_box;
 use std::mem;
@@ -62,9 +66,9 @@ pub(super) struct Scratch {
     /// The execution order, as indices into `scheduled`.
     order: Vec<u32>,
     /// The request/reply payload buffers of non-local exchanges.
-    bufs: ExchangeBuffers,
+    bufs: ExchangeBuffers<AgedId>,
     /// Oracle refill: the cycle's population snapshot as view entries.
-    pool: Vec<ViewEntry>,
+    pool: Vec<AgedId>,
 }
 
 /// One scheduled membership exchange, in 16 bytes: the slots of the
@@ -229,7 +233,7 @@ pub(super) fn run(
 fn exchange_in_place(
     nodes: &mut NodeSlab<SimNode>,
     scheduled: &ScheduledExchange,
-    bufs: &mut ExchangeBuffers,
+    bufs: &mut ExchangeBuffers<AgedId>,
 ) {
     let (slot, partner_slot) = scheduled.slots();
     if let Some((node, partner)) = nodes.slot_pair_mut(slot, partner_slot) {
@@ -242,14 +246,13 @@ fn exchange_in_place(
 
 /// View entries per 64-byte cache line: the stride of the look-ahead read
 /// over a view buffer.
-const ENTRIES_PER_LINE: usize = 64 / mem::size_of::<ViewEntry>();
+const ENTRIES_PER_LINE: usize = 64 / mem::size_of::<AgedId>();
 
-/// Reads an exchange endpoint's slab cell — both halves of it: the
-/// protocol's published value and the handle of the view buffer, the first
-/// link of the chain [`gather_row`] follows — and discards what it read.
+/// Reads the sampler half of an exchange endpoint's slab cell — the handle
+/// of the view buffer, the first link of the chain [`gather_row`] follows —
+/// and discards what it read.
 fn gather_cell(node: Option<&SimNode>) {
     if let Some(node) = node {
-        black_box(node.proto.published_value());
         black_box(node.sampler.view().entries().len());
     }
 }
@@ -271,11 +274,11 @@ fn gather_row(node: Option<&SimNode>) {
 /// population once (it is invariant within a cycle — churn only happens at
 /// cycle start), then refill every view from it, each node sampling from
 /// its own membership stream.
-fn refill(cx: &Cycle, nodes: &mut NodeSlab<SimNode>, pool: &mut Vec<ViewEntry>) {
+fn refill(cx: &Cycle, nodes: &mut NodeSlab<SimNode>, pool: &mut Vec<AgedId>) {
     let view_size = cx.cfg.view_size;
     pool.clear();
-    pool.extend(nodes.iter().map(|(_, _, n)| n.self_entry()));
-    let mut entries: Vec<ViewEntry> = Vec::with_capacity(view_size + 1);
+    pool.extend(nodes.ids().map(AgedId::new));
+    let mut entries: Vec<AgedId> = Vec::with_capacity(view_size + 1);
     for (_, id, node) in nodes.iter_mut() {
         let mut rng = cx.rng(id, MEMBERSHIP_SALT);
         sample_from_pool(&mut rng, pool, |e| e.id, id, view_size, &mut entries);

@@ -14,10 +14,10 @@
 //!    elapsed land now, in random order, before anyone's active step.
 //! 3. **Membership** (`membership.rs`) — every live node runs its membership
 //!    shuffle atomically, as schedule → batch → execute.
-//! 4. **Refresh** (`active.rs`) — every node's published value is snapshotted
-//!    per id row, once.
+//! 4. **Refresh** (`active.rs`) — every node's published value and attribute
+//!    are snapshotted per id row, once.
 //! 5. **Active** (`active.rs`) — one sweep over the slot array: each node's
-//!    view is refreshed against the snapshot, then its protocol acts on its
+//!    view is joined against the snapshot, then its protocol acts on its
 //!    own counter-based stream (see [`crate::stream`]), filling one outbox.
 //! 6. **Delivery** (`delivery.rs`) — the outbox is routed sender by sender per
 //!    the [`Concurrency`](crate::Concurrency) model: atomic exchanges now,
@@ -41,7 +41,15 @@
 //! holds its node whole: the protocol as an [`AnyProtocol`] and the sampler
 //! as an [`AnySampler`], closed enums over the concrete types stored inline
 //! — 112 bytes, no heap object per node but the view's entry buffer (and a
-//! box for the rare arms larger than a ranking node). The per-message and
+//! box for the rare arms larger than a ranking node). A view stores 8-byte
+//! `(id, age)` entries ([`AgedId`]), all that peer sampling reads; each
+//! neighbor's attribute and published value are joined in from the refresh
+//! snapshot only when a protocol reads the view (`active.rs`), and a
+//! protocol's passive step is handed an empty view (`delivery.rs`). At view
+//! size 10 the entry buffer is 80 bytes, in a 96-byte heap chunk; with the
+//! cell and the id-indexed columns below, a 10⁵-node run peaks at about
+//! 430 bytes of resident memory per node (`examples/scale_run`, 2-vCPU
+//! Linux host). The per-message and
 //! per-exchange records are small for the same reason: a queued message is
 //! a 32-byte `Copy` envelope of two 4-byte `NodeId`s and a three-variant
 //! payload, and a scheduled exchange is two `u32` slots and a stream, 16
@@ -53,9 +61,10 @@
 //! indexes the slot array from then on (each phase module says where).
 //! Resolving an id hashes nothing: the slab's index, the refresh snapshot
 //! and the rank cache's ranks are columns indexed by the raw id, which the
-//! engine's own allocator issues sequentially from 0. They cost about 16
-//! bytes per identity ever issued — 0.16 MB per 10k joins — on top of the
-//! slots (see [`Engine::slot_count`]). The slice tracker's stamps are keyed
+//! engine's own allocator issues sequentially from 0. They cost about 24
+//! bytes per identity ever issued — 0.24 MB per 10k joins — on top of the
+//! slots (see [`Engine::slot_count`]), 16 of them the snapshot's
+//! `(value, attribute)` row. The slice tracker's stamps are keyed
 //! by slot instead, so they are bounded by the peak population.
 //!
 //! What a phase needs beyond node state lives in buffers its own module
@@ -67,8 +76,9 @@
 //! what a cycle allocates goes to its joiners (enforced, in calls and in
 //! bytes, by `tests/alloc_steady_state.rs`). The id-indexed columns grow by
 //! doubling as joiners take new ids: O(1) per joiner, amortized. Nothing is
-//! kept per node: a spare vector there is paid for `n` times. The slice partition is shared the same way
-//! — every protocol instance holds a handle on one boundary array.
+//! kept per node: a spare vector there is paid for `n` times. The slice
+//! partition is shared the same way — every protocol instance holds a
+//! handle on one boundary array.
 //!
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
 //! membership exchanges visit nodes in random order, so both loops work in
@@ -98,9 +108,7 @@ use dslice_algorithms::{Adaptive, AnyProtocol, AttackerSpec, Liar};
 use dslice_core::metrics::{RankCache, SliceTracker};
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{
-    Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewEntry,
-};
+use dslice_core::{AgedId, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result};
 use dslice_gossip::{AnySampler, PeerSampler};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
@@ -135,7 +143,7 @@ const GATHER_AHEAD: usize = 16;
 /// inline in the slab cell (see the module docs on storage).
 struct SimNode {
     proto: AnyProtocol,
-    sampler: AnySampler,
+    sampler: AnySampler<AgedId>,
 }
 
 impl std::fmt::Debug for SimNode {
@@ -160,16 +168,14 @@ impl SimNode {
     ) -> Result<Self> {
         Ok(SimNode {
             proto: AnyProtocol::new(kind, id, attribute, &cfg.partition, rng),
-            sampler: AnySampler::new(cfg.sampler, id, cfg.view_size)?,
+            sampler: AnySampler::empty(cfg.sampler, id, cfg.view_size)?,
         })
     }
 
-    fn self_entry(&self) -> ViewEntry {
-        ViewEntry::new(
-            self.proto.id(),
-            self.proto.attribute(),
-            self.proto.published_value(),
-        )
+    /// The node's self-descriptor `(owner, age 0)`, read from the sampler
+    /// half of the cell alone.
+    fn self_entry(&self) -> AgedId {
+        AgedId::new(self.sampler.owner())
     }
 }
 
@@ -409,16 +415,20 @@ impl Engine {
             nodes.insert(id, node);
         }
         let ids = pool.iter().map(|e| e.id);
-        churn::bootstrap(&mut nodes, ids, |_, owner, entries| {
+        churn::bootstrap(&mut nodes, ids, |owner, entries| {
             sample_from_pool(&mut rng, &pool, |e| e.id, owner, cfg.view_size, entries);
         });
         // `pool` lives until `new` returns, after the disorder metrics' own
-        // snapshot of the same size: freed right here, it left the
-        // allocator holding memory that later buffers did not reuse (+2 MiB
-        // peak RSS at 10⁵ nodes).
+        // snapshot: freed right here, it left the allocator holding memory
+        // that later buffers did not reuse (+2 MiB peak RSS at 10⁵ nodes,
+        // measured with 24-byte entries).
 
         let mut ranks = RankCache::new();
         ranks.rebuild(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
+        let (active, delivery) = (
+            active::Scratch::new(cfg.view_size)?,
+            delivery::Queues::new(cfg.view_size)?,
+        );
 
         let mut engine = Engine {
             cfg,
@@ -432,8 +442,8 @@ impl Engine {
             ranks,
             last_disorder: (0.0, 0.0),
             membership: Default::default(),
-            active: Default::default(),
-            delivery: Default::default(),
+            active,
+            delivery,
             metrics: Default::default(),
             liars: NodeIdSet::default(),
             fault: NetworkFault::default(),
@@ -471,8 +481,8 @@ impl Engine {
     /// Test hook for the sampling invariants (no owner, no duplicates):
     /// draws `count` entries for `owner` from the current live population.
     #[doc(hidden)]
-    pub fn debug_random_entries(&mut self, owner: NodeId, count: usize) -> Vec<ViewEntry> {
-        let pool: Vec<ViewEntry> = self.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
+    pub fn debug_random_entries(&mut self, owner: NodeId, count: usize) -> Vec<AgedId> {
+        let pool: Vec<AgedId> = self.nodes.ids().map(AgedId::new).collect();
         let mut entries = Vec::new();
         sample_from_pool(&mut self.rng, &pool, |e| e.id, owner, count, &mut entries);
         entries
@@ -493,7 +503,7 @@ impl Engine {
     /// by the number of identities created over the run (churn reuses slots
     /// through the slab's free list), and so is the slice tracker, keyed by
     /// slot. The id-indexed columns beside it (slab index, refresh
-    /// snapshot, rank cache) add about 16 bytes per identity ever issued,
+    /// snapshot, rank cache) add about 24 bytes per identity ever issued,
     /// live or not.
     pub fn slot_count(&self) -> usize {
         self.nodes.slot_count()
@@ -996,16 +1006,30 @@ mod tests {
     }
 
     /// FNV-1a-64 of every live view in slot order: the owner's id, then
-    /// each entry's id, age, attribute bits and value bits.
+    /// each entry's id, age, and the bits of the neighbor's attribute and
+    /// current published value, read from the live node.
     fn views_hash(engine: &Engine) -> u64 {
         fnv1a64(engine.nodes.iter().flat_map(|(_, id, node)| {
             let entries = node.sampler.view().iter().flat_map(|e| {
+                let neighbor = engine.nodes.get(e.id).expect("views hold live ids");
                 let words = [
                     e.id.as_u64(),
                     u64::from(e.age),
-                    e.attribute.value().to_bits(),
-                    e.value.to_bits(),
+                    neighbor.proto.attribute().value().to_bits(),
+                    neighbor.proto.published_value().to_bits(),
                 ];
+                words.into_iter().flat_map(u64::to_le_bytes)
+            });
+            id.as_u64().to_le_bytes().into_iter().chain(entries)
+        }))
+    }
+
+    /// FNV-1a-64 of what membership alone decides: every live view in slot
+    /// order, the owner's id, then each entry's id and age.
+    fn membership_hash(engine: &Engine) -> u64 {
+        fnv1a64(engine.nodes.iter().flat_map(|(_, id, node)| {
+            let entries = node.sampler.view().iter().flat_map(|e| {
+                let words = [e.id.as_u64(), u64::from(e.age)];
                 words.into_iter().flat_map(u64::to_le_bytes)
             });
             id.as_u64().to_le_bytes().into_iter().chain(entries)
@@ -1040,22 +1064,32 @@ mod tests {
                     "{sampler:?} × {}: constructed views changed (got {hash:#018x})",
                     kind.label()
                 );
+                let ids = membership_hash(&engine);
+                assert_eq!(
+                    ids,
+                    0x612f_d47e_02a2_5fd9,
+                    "{sampler:?} × {}: constructed ids or ages changed (got {ids:#018x})",
+                    kind.label()
+                );
             }
         }
     }
 
+    /// Membership after a churned cycle, joiners' bootstrap included. The
+    /// pin covers ids and ages alone: the attribute and value of an entry
+    /// are joined in from the live nodes when a protocol reads a view.
     #[test]
     fn joiner_views_are_pinned() {
         let pins = [
             (
                 SamplerKind::Cyclon,
                 ProtocolKind::Ranking,
-                0x0291_8965_9fbf_f812,
+                0x92bc_efd2_32b9_23c6,
             ),
             (
                 SamplerKind::UniformOracle,
                 ProtocolKind::ModJk,
-                0x8638_c7a8_12e8_654f,
+                0xbe09_7da3_b28d_57e9,
             ),
         ];
         for (sampler, kind, pin) in pins {
@@ -1070,11 +1104,11 @@ mod tests {
                 .with_churn(Box::new(churn));
             let stats = engine.step();
             assert!(stats.joined >= 50 && stats.left > 0, "the cycle churned");
-            let hash = views_hash(&engine);
+            let ids = membership_hash(&engine);
             assert_eq!(
-                hash,
+                ids,
                 pin,
-                "{sampler:?} × {}: views after the join changed (got {hash:#018x})",
+                "{sampler:?} × {}: ids or ages after the join changed (got {ids:#018x})",
                 kind.label()
             );
         }
@@ -1085,6 +1119,8 @@ mod tests {
         use std::mem::size_of;
         // Protocol (64) and sampler (48) inline; the slab cell adds the id.
         assert_eq!(size_of::<SimNode>(), 112);
+        // A stored view entry is an id and an age.
+        assert_eq!(size_of::<AgedId>(), 8);
         assert_eq!(size_of::<Envelope>(), 32);
         assert_eq!(size_of::<membership::ScheduledExchange>(), 16);
     }

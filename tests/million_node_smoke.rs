@@ -12,12 +12,12 @@ use dslice::prelude::*;
 const N: usize = 1_000_000;
 /// Cycles in the smoke run.
 const CYCLES: usize = 50;
-/// Peak RSS ceiling: the 555 MiB measured on a 2-vCPU Linux host once
-/// node ids took 4 bytes and view entries 24, plus 25 %. Bootstrapping
-/// views from an entry snapshot left it at 546–557 MiB (64–76 s in
-/// release). Node state, views and the id-indexed columns
-/// all scale with `n`, so a per-node regression shows here first.
-const PEAK_RSS_CEILING_MIB: f64 = 695.0;
+/// Peak RSS ceiling: the 389 MiB measured on a 2-vCPU Linux host once the
+/// simulator's views stored 8-byte `(id, age)` entries, plus 25 % (the
+/// same host read 531 MiB with 24-byte entries; 33–34 s in release).
+/// Node state, views and the id-indexed columns all scale with `n`, so a
+/// per-node regression shows here first.
+const PEAK_RSS_CEILING_MIB: f64 = 487.0;
 
 /// Peak resident set size of this process in MiB (`VmHWM`), where the
 /// platform reports it.

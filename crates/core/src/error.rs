@@ -36,6 +36,9 @@ pub enum Error {
     InvalidFault(String),
     /// A view was created with a capacity of zero.
     ZeroViewCapacity,
+    /// A view arena was created for views larger than a one-byte length
+    /// can count (255 entries).
+    ViewCapacityTooLarge(usize),
     /// An operation referenced a node that does not exist.
     UnknownNode(crate::NodeId),
     /// A raw node id at or above `u32::MAX`, beyond the id range.
@@ -58,6 +61,9 @@ impl fmt::Display for Error {
             Error::InvalidLatency(msg) => write!(f, "invalid latency model: {msg}"),
             Error::InvalidFault(msg) => write!(f, "invalid network fault: {msg}"),
             Error::ZeroViewCapacity => write!(f, "view capacity must be at least 1"),
+            Error::ViewCapacityTooLarge(c) => {
+                write!(f, "view capacity must be at most 255, got {c}")
+            }
             Error::UnknownNode(id) => write!(f, "unknown node {id}"),
             Error::IdOutOfRange(raw) => write!(f, "node id {raw} is out of range"),
         }
@@ -101,6 +107,7 @@ mod tests {
                 "random value",
             ),
             (Error::ZeroViewCapacity, "capacity"),
+            (Error::ViewCapacityTooLarge(300), "at most 255"),
             (Error::UnknownNode(NodeId::new(3)), "3"),
             (Error::IdOutOfRange(1 << 32), "4294967296"),
         ];

@@ -20,7 +20,8 @@
 //! * [`Slice`] and [`Partition`] — the slice intervals `(l, u]` partitioning
 //!   `(0, 1]` (paper §3.2).
 //! * [`View`] / [`ViewEntry`] — the bounded neighbor table with ages, as
-//!   introduced in §4.2 (Table 1 of the paper).
+//!   introduced in §4.2 (Table 1 of the paper), stored in its own buffer
+//!   or as one row of a [`ViewArena`] holding a whole population's views.
 //! * [`metrics`] — the three disorder measures of the paper: the *global
 //!   disorder measure* (GDM, §4.2), the *local disorder measure* and swap
 //!   gain (LDM / `G_{i,j}`, §4.3), and the *slice disorder measure*
@@ -76,6 +77,6 @@ pub use attribute::Attribute;
 pub use error::{Error, Result};
 pub use message::ProtocolMsg;
 pub use node::{NodeId, NodeIdSet};
-pub use slab::{NodeSlab, SlotLookup, TakenPair};
+pub use slab::{NodeSlab, TakenPair};
 pub use slice::{Partition, Slice, SliceIndex};
-pub use view::{AgedId, Entry, View, ViewEntry};
+pub use view::{AgedId, Entries, EntriesMut, Entry, RowMut, RowView, View, ViewArena, ViewEntry};

@@ -17,6 +17,7 @@
 use crate::attribute::AttributeKey;
 use crate::{rank, Attribute, NodeId, Partition, SliceIndex};
 use std::collections::HashMap;
+use std::mem::size_of;
 
 /// Global disorder measure from explicit rank pairs `(α_i, ρ_i)`.
 ///
@@ -148,6 +149,27 @@ where
     )
 }
 
+/// One step of a churn batch over the old sorted order (see
+/// [`RankCache::apply_churn`]): a run of kept keys, all moving by one shift,
+/// or a joiner and the position it lands at.
+#[derive(Clone, Copy)]
+enum ChurnStep {
+    /// The keys at old positions `from..to` move by `shift`.
+    Keys {
+        from: usize,
+        to: usize,
+        shift: isize,
+    },
+    /// `incoming[joiner]` lands at `target`.
+    Joiner { joiner: usize, target: usize },
+}
+
+/// `pos` moved by `shift`.
+fn shifted(pos: usize, shift: isize) -> usize {
+    pos.checked_add_signed(shift)
+        .expect("a kept key lands inside the order")
+}
+
 /// An incrementally maintained `A.sequence`: the attribute ranks (and hence
 /// the *true* slices) of a live population, updated on churn instead of
 /// re-sorted from scratch on every evaluation.
@@ -180,6 +202,12 @@ impl RankCache {
         Self::default()
     }
 
+    /// Heap bytes held: the sorted keys' and the rank column's capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.sorted.capacity() * size_of::<AttributeKey>()
+            + self.ranks.capacity() * size_of::<u32>()
+    }
+
     /// Number of live nodes tracked.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -205,80 +233,113 @@ impl RankCache {
     }
 
     /// Folds one churn batch in: drops `leavers`, merges `joiners` into the
-    /// sorted order, in place. Only the span of sorted positions the batch
-    /// changes is rewritten — from the lowest leaver or joiner position to
-    /// the highest — plus, when the batch changes the population size, the
-    /// keys above it, which shift by that change. Costs O(span + j log j)
-    /// for j joiners, no global re-sort, and allocates only the joiners'
-    /// own sorted run.
+    /// sorted order, in place, writing each key that moves once and
+    /// renumbering only the keys whose position changes.
+    ///
+    /// The batch's events — a leaver's position, a joiner's insertion
+    /// point — cut the old order into runs of kept keys, each of which
+    /// moves by one shift: the joiners before it less the leavers before
+    /// it. A run that does not move is not touched, so a batch that
+    /// replaces each leaver by a joiner of a nearby attribute costs
+    /// O(e log n) for its e events, not a pass over the keys between them.
+    /// Runs moving down are moved in order, runs moving up in reverse
+    /// order once the run after them has left room, then the joiners are
+    /// written into the places left between the runs. Allocates the
+    /// batch's own small buffers only.
     pub fn apply_churn(&mut self, leavers: &[NodeId], joiners: &[(NodeId, Attribute)]) {
-        // The span is `low..end` in the old order. Leavers are untracked
-        // first, and their zeroed rows then mark them; a tracked leaver's
-        // rank is one past its sorted position.
-        let (mut first_gone, mut end, mut gone) = (self.sorted.len(), 0, 0);
+        // Leavers are untracked first; a tracked leaver's rank is one past
+        // its sorted position.
+        let mut gone = Vec::with_capacity(leavers.len());
         for &id in leavers {
             if let Some(rank) = self.ranks.get_mut(id.row()).filter(|r| **r != 0) {
-                first_gone = first_gone.min(*rank as usize - 1);
-                end = end.max(*rank as usize);
+                gone.push(*rank as usize - 1);
                 *rank = 0;
-                gone += 1;
             }
         }
-        let mut low = first_gone;
+        gone.sort_unstable();
         let mut incoming: Vec<AttributeKey> = joiners
             .iter()
             .map(|&(id, a)| AttributeKey::new(id, a))
             .collect();
         incoming.sort_unstable();
-        if let (Some(first), Some(last)) = (incoming.first(), incoming.last()) {
-            low = low.min(self.sorted.partition_point(|key| key < first));
-            end = end.max(self.sorted.partition_point(|key| key < last));
-        }
-        if gone == 0 && incoming.is_empty() {
+        if gone.is_empty() && incoming.is_empty() {
             return;
         }
-        // Compact the span's remaining keys to its bottom (none moves below
-        // the first leaver), then move the keys above the span to where the
-        // span's new end will be.
-        let (len, came) = (self.sorted.len(), incoming.len());
-        let (ranks, sorted) = (&self.ranks, &mut self.sorted);
-        let start = first_gone.min(end);
-        let mut kept = start;
-        for read in start..end {
-            let key = sorted[read];
-            if ranks[key.id.row()] != 0 {
-                sorted[kept] = key;
-                kept += 1;
+        let (len, sorted) = (self.sorted.len(), &mut self.sorted);
+        let mut steps = Vec::with_capacity(gone.len() + 2 * incoming.len() + 1);
+        let (mut from, mut shift) = (0, 0isize);
+        let keys = |from: usize, to: usize, shift: isize, steps: &mut Vec<ChurnStep>| {
+            if to > from {
+                steps.push(ChurnStep::Keys { from, to, shift });
+            }
+        };
+        let mut leaving = gone.iter().copied().peekable();
+        for (joiner, key) in incoming.iter().enumerate() {
+            // A joiner lands before the first old key above it; a leaver
+            // at that position sits after it.
+            let at = sorted.partition_point(|old| old < key);
+            while let Some(position) = leaving.next_if(|&position| position < at) {
+                keys(from, position, shift, &mut steps);
+                (from, shift) = (position + 1, shift - 1);
+            }
+            keys(from, at, shift, &mut steps);
+            from = at;
+            steps.push(ChurnStep::Joiner {
+                joiner,
+                target: shifted(at, shift),
+            });
+            shift += 1;
+        }
+        for position in leaving {
+            keys(from, position, shift, &mut steps);
+            (from, shift) = (position + 1, shift - 1);
+        }
+        keys(from, len, shift, &mut steps);
+
+        let new_len = len - gone.len() + incoming.len();
+        if let Some(&placeholder) = incoming.first().filter(|_| new_len > len) {
+            sorted.resize(new_len, placeholder);
+        }
+        let move_up = |sorted: &mut Vec<AttributeKey>, steps: &[ChurnStep]| {
+            for step in steps.iter().rev() {
+                if let ChurnStep::Keys { from, to, shift } = *step {
+                    sorted.copy_within(from..to, shifted(from, shift));
+                }
+            }
+        };
+        let mut rising = None;
+        for (idx, step) in steps.iter().enumerate() {
+            let ChurnStep::Keys { from, to, shift } = *step else {
+                continue;
+            };
+            if shift > 0 {
+                rising.get_or_insert(idx);
+                continue;
+            }
+            // Every rising run lands below this run's new place.
+            if let Some(start) = rising.take() {
+                move_up(sorted, &steps[start..idx]);
+            }
+            if shift < 0 {
+                sorted.copy_within(from..to, shifted(from, shift));
             }
         }
-        let new_end = end - gone + came;
-        if new_end != end {
-            if new_end > end {
-                // Placeholders, overwritten by the shift.
-                sorted.extend_from_slice(&incoming[..new_end - end]);
-            }
-            sorted.copy_within(end..len, new_end);
-            sorted.truncate(len - gone + came);
+        if let Some(start) = rising {
+            move_up(sorted, &steps[start..]);
         }
-        // Linear merge of the two sorted runs into `low..new_end`,
-        // backwards: `kept` old keys and `left` incoming ones remain, and
-        // the larger head goes to the top free position (keys are distinct:
-        // ids are). Once the incoming run is placed, the old keys below are
-        // in place.
-        let mut left = came;
-        while left > 0 {
-            let top = kept + left - 1;
-            if kept > low && sorted[kept - 1] > incoming[left - 1] {
-                kept -= 1;
-                sorted[top] = sorted[kept];
-            } else {
-                left -= 1;
-                sorted[top] = incoming[left];
+        sorted.truncate(new_len);
+        for step in steps {
+            match step {
+                ChurnStep::Keys { from, to, shift } if shift != 0 => {
+                    self.renumber(shifted(from, shift)..shifted(to, shift));
+                }
+                ChurnStep::Joiner { joiner, target } => {
+                    self.sorted[target] = incoming[joiner];
+                    self.renumber(target..target + 1);
+                }
+                ChurnStep::Keys { .. } => {}
             }
         }
-        // Keys above the span keep their ranks unless the size changed.
-        let stop = if came == gone { new_end } else { sorted.len() };
-        self.renumber(low..stop);
     }
 
     /// Rewrites the rows of the keys at the given sorted positions; rows of
@@ -429,6 +490,11 @@ impl SdmTerms {
         terms
     }
 
+    /// Heap bytes held: the constants' capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.slices.capacity() * size_of::<(f64, f64)>()
+    }
+
     /// Recomputes the constants for `partition`, reusing the buffer.
     pub fn reset(&mut self, partition: &Partition) {
         self.slices.clear();
@@ -472,6 +538,11 @@ pub struct ValueOrder {
 }
 
 impl ValueOrder {
+    /// Heap bytes held: the keys' and the buckets' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * size_of::<u128>() + self.buckets.capacity() * size_of::<u32>()
+    }
+
     /// The counting pass: opens an evaluation of the `n` nodes holding
     /// `values` (in any order), keeping the buffers. Panics unless there
     /// are exactly `n` values.
@@ -584,6 +655,11 @@ impl SliceTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes held: the per-slot stamps' capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.stamps.capacity() * size_of::<Stamp>()
     }
 
     /// Number of nodes in the latest observation.

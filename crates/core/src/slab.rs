@@ -32,15 +32,10 @@
 //! `u32::MAX`. It is the wrong shape for peer-supplied ids.
 
 use crate::NodeId;
+use std::mem::size_of;
 
 /// An index row whose id is not live.
 const ABSENT: u32 = u32::MAX;
-
-/// The live slot of `id` in an id-indexed slot index.
-fn lookup(index: &[u32], id: NodeId) -> Option<usize> {
-    let slot = *index.get(id.row())?;
-    (slot != ABSENT).then_some(slot as usize)
-}
 
 /// A slot-addressed, id-indexed dense store of per-node state.
 ///
@@ -106,6 +101,14 @@ impl<T> NodeSlab<T> {
         self.slots.len()
     }
 
+    /// Heap bytes held, as `(slots and free list, id index)`: the buffers'
+    /// capacities, whether or not a slot or an index row is in use.
+    pub fn heap_bytes(&self) -> (usize, usize) {
+        let slots = self.slots.capacity() * size_of::<Option<(NodeId, T)>>();
+        let free = self.free.capacity() * size_of::<usize>();
+        (slots + free, self.index.capacity() * size_of::<u32>())
+    }
+
     /// Whether `id` is live.
     pub fn contains(&self, id: NodeId) -> bool {
         self.slot_of(id).is_some()
@@ -113,7 +116,8 @@ impl<T> NodeSlab<T> {
 
     /// The slot currently assigned to `id`, if live.
     pub fn slot_of(&self, id: NodeId) -> Option<usize> {
-        lookup(&self.index, id)
+        let slot = *self.index.get(id.row())?;
+        (slot != ABSENT).then_some(slot as usize)
     }
 
     /// Inserts `value` under `id`, reusing the most recently freed slot if
@@ -231,26 +235,10 @@ impl<T> NodeSlab<T> {
 
     /// Iterates live nodes in slot order as `(slot, id, &mut state)`.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, NodeId, &mut T)> {
-        live_mut(&mut self.slots)
-    }
-
-    /// [`iter_mut`](NodeSlab::iter_mut) beside a read-only id → slot lookup
-    /// that stays usable *while* the iterator borrows the slot storage (the
-    /// borrows are split at the field level).
-    ///
-    /// This is the substrate for phases that mutate every node against the
-    /// rest of the population — an immutable per-slot snapshot, or the live
-    /// set itself: the walk resolves cross-node references through the
-    /// lookup without touching any other node's state. The iterator yields
-    /// only `(slot, id, &mut state)`, never the cells, so it cannot desync
-    /// the index or the free list.
-    pub fn iter_mut_with_lookup(
-        &mut self,
-    ) -> (
-        impl Iterator<Item = (usize, NodeId, &mut T)>,
-        SlotLookup<'_>,
-    ) {
-        (live_mut(&mut self.slots), SlotLookup { index: &self.index })
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(slot, cell)| cell.as_mut().map(|(id, v)| (slot, *id, v)))
     }
 
     /// Iterates live node ids in slot order.
@@ -314,36 +302,6 @@ impl<T> NodeSlab<T> {
     pub fn put_back_pair(&mut self, pair: TakenPair<T>) {
         self.put_back(pair.a_slot, pair.a_id, pair.a);
         self.put_back(pair.b_slot, pair.b_id, pair.b);
-    }
-}
-
-/// The live cells of `slots`, in slot order, as `(slot, id, &mut state)`:
-/// the walk behind [`NodeSlab::iter_mut`], on the slot storage alone so a
-/// caller can keep a concurrent borrow of the index.
-fn live_mut<T>(slots: &mut [Option<(NodeId, T)>]) -> impl Iterator<Item = (usize, NodeId, &mut T)> {
-    slots
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(slot, cell)| cell.as_mut().map(|(id, v)| (slot, *id, v)))
-}
-
-/// Read-only id → slot lookup handed out by
-/// [`NodeSlab::iter_mut_with_lookup`]; valid while the iterator is live.
-/// It lends the slab's id-indexed slot column: a lookup is an array index.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotLookup<'a> {
-    index: &'a [u32],
-}
-
-impl SlotLookup<'_> {
-    /// The slot currently assigned to `id`, if live.
-    pub fn slot_of(&self, id: NodeId) -> Option<usize> {
-        lookup(self.index, id)
-    }
-
-    /// Whether `id` is live.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.slot_of(id).is_some()
     }
 }
 
@@ -486,9 +444,8 @@ mod tests {
         slab.remove(id(3));
         slab.remove(id(7));
         for _ in 0..5 {
-            let (nodes, _) = slab.iter_mut_with_lookup();
             let mut seen: Vec<(usize, u64)> = Vec::new();
-            for (slot, node, v) in nodes {
+            for (slot, node, v) in slab.iter_mut() {
                 *v += 1; // mutation reaches the slab
                 seen.push((slot, node.as_u64()));
             }
@@ -499,26 +456,7 @@ mod tests {
         }
         assert!(slab.iter().all(|(_, i, v)| *v == i.as_u64() as u32 + 5));
         let mut empty: NodeSlab<u32> = NodeSlab::new();
-        assert!(empty.iter_mut_with_lookup().0.next().is_none());
-    }
-
-    #[test]
-    fn lookup_stays_usable_while_nodes_are_borrowed() {
-        let mut slab: NodeSlab<u32> = NodeSlab::new();
-        for i in 0..9 {
-            slab.insert(id(i), i as u32);
-        }
-        slab.remove(id(4));
-        let (nodes, lookup) = slab.iter_mut_with_lookup();
-        let mut seen = Vec::new();
-        for (slot, node, v) in nodes {
-            assert_eq!(lookup.slot_of(node), Some(slot));
-            *v += 100;
-            seen.push(node.as_u64());
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 5, 6, 7, 8], "slot order, live only");
-        assert!(!lookup.contains(id(4)));
-        assert_eq!(slab.get(id(7)), Some(&107));
+        assert!(empty.iter_mut().next().is_none());
     }
 
     #[test]

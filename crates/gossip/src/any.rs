@@ -1,58 +1,48 @@
 //! [`AnySampler`]: every concrete sampler of this crate behind one enum.
 //!
-//! The cycle simulator keeps one sampler per node for 10⁵–10⁶ nodes and
-//! stores this enum inline in its node storage, where a `Box<dyn
-//! PeerSampler>` costs a heap object per node and a pointer to chase on
-//! every visit. The enum implements [`PeerSampler`] by forwarding each
-//! required method, and each provided one that a sampler overrides, to the
-//! concrete type in its arm; the other provided methods are never
-//! overridden, so their defaults reach the arm through the forwards and the
-//! enum behaves call for call as that type does. Lpbcast, twice the size of
-//! the others with its eviction stream, is boxed inside its arm.
+//! The network node holds its sampler as this enum, and a
+//! [`SamplerColumn`](crate::SamplerColumn) binds one over a view arena's
+//! row for each operation, where a `Box<dyn PeerSampler>` would cost a heap
+//! object per node and a pointer to chase on every visit. The enum
+//! implements [`PeerSampler`] by forwarding each required method, and each
+//! provided one that a sampler overrides, to the concrete type in its arm;
+//! the other provided methods are never overridden, so their defaults reach
+//! the arm through the forwards and the enum behaves call for call as that
+//! type does. Lpbcast, whose digest size and eviction stream make it twice
+//! the size of the others, holds that state through `T`: boxed in an
+//! owned sampler, borrowed from the column in a bound one.
 
+use crate::lpbcast::LpbcastState;
 use crate::sampler::{ExchangeBuffers, PeerSampler, SamplerKind};
 use crate::{CyclonSampler, LpbcastSampler, NewscastSampler, UniformOracle};
-use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
+use std::borrow::BorrowMut;
 
 /// One sampler of any concrete type (see the module docs), over views of
-/// `E` entries.
+/// `E` entries stored in `S`, with Lpbcast's state held in `T`.
 #[derive(Debug, Clone)]
-pub enum AnySampler<E = ViewEntry> {
+pub enum AnySampler<E = ViewEntry, S = Vec<E>, T = Box<LpbcastState>> {
     /// The paper's Cyclon variant.
-    Cyclon(CyclonSampler<E>),
+    Cyclon(CyclonSampler<E, S>),
     /// Newscast-style.
-    Newscast(NewscastSampler<E>),
-    /// Lpbcast-style (boxed: 80 bytes).
-    Lpbcast(Box<LpbcastSampler<E>>),
+    Newscast(NewscastSampler<E, S>),
+    /// Lpbcast-style (its state boxed when owned).
+    Lpbcast(LpbcastSampler<E, S, T>),
     /// The runtime-refilled uniform oracle.
-    UniformOracle(UniformOracle<E>),
+    UniformOracle(UniformOracle<E, S>),
 }
 
 /// Expands `$body` once per arm with `$s` bound to the arm's concrete
-/// sampler (`&T` or `&mut T`, the box dereferenced), so every forward below
-/// is statically dispatched and calls the trait method by path — never an
-/// inherent method of the same name.
+/// sampler (`&T` or `&mut T`), so every forward below is statically
+/// dispatched and calls the trait method by path — never an inherent
+/// method of the same name.
 macro_rules! forward {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {
             AnySampler::Cyclon($s) => $body,
             AnySampler::Newscast($s) => $body,
-            AnySampler::Lpbcast(boxed) => {
-                let $s = &**boxed;
-                $body
-            }
-            AnySampler::UniformOracle($s) => $body,
-        }
-    };
-    ($self:expr, mut $s:ident => $body:expr) => {
-        match $self {
-            AnySampler::Cyclon($s) => $body,
-            AnySampler::Newscast($s) => $body,
-            AnySampler::Lpbcast(boxed) => {
-                let $s = &mut **boxed;
-                $body
-            }
+            AnySampler::Lpbcast($s) => $body,
             AnySampler::UniformOracle($s) => $body,
         }
     };
@@ -69,23 +59,44 @@ impl AnySampler {
 
 impl<E: Entry> AnySampler<E> {
     /// A sampler of `kind` for `owner` with an empty view of capacity
-    /// `capacity` — the one construction path, for the cycle simulator and
-    /// the network node alike.
+    /// `capacity`, owning its view.
     pub fn empty(kind: SamplerKind, owner: NodeId, capacity: usize) -> Result<Self> {
-        Ok(match kind {
-            SamplerKind::Cyclon => AnySampler::Cyclon(CyclonSampler::empty(owner, capacity)?),
-            SamplerKind::Newscast => AnySampler::Newscast(NewscastSampler::empty(owner, capacity)?),
-            SamplerKind::Lpbcast => {
-                AnySampler::Lpbcast(Box::new(LpbcastSampler::empty(owner, capacity)?))
-            }
-            SamplerKind::UniformOracle => {
-                AnySampler::UniformOracle(UniformOracle::empty(owner, capacity)?)
-            }
-        })
+        Ok(Self::over(kind, owner, View::empty(capacity)?, || {
+            Box::new(LpbcastState::new(owner))
+        }))
     }
 }
 
-impl<E: Entry> PeerSampler<E> for AnySampler<E> {
+impl<E: Entry, S: EntriesMut<E>, T: BorrowMut<LpbcastState>> AnySampler<E, S, T> {
+    /// A sampler of `kind` for `owner` over `view`, wherever the view is
+    /// stored — the one construction path of an owned sampler and of one
+    /// bound to an arena row. `lpbcast` supplies Lpbcast's state and is
+    /// called for that kind alone.
+    pub fn over(
+        kind: SamplerKind,
+        owner: NodeId,
+        view: View<E, S>,
+        lpbcast: impl FnOnce() -> T,
+    ) -> Self {
+        match kind {
+            SamplerKind::Cyclon => AnySampler::Cyclon(CyclonSampler::over(owner, view)),
+            SamplerKind::Newscast => AnySampler::Newscast(NewscastSampler::over(owner, view)),
+            SamplerKind::Lpbcast => {
+                AnySampler::Lpbcast(LpbcastSampler::over(owner, view, lpbcast()))
+            }
+            SamplerKind::UniformOracle => {
+                AnySampler::UniformOracle(UniformOracle::over(owner, view))
+            }
+        }
+    }
+}
+
+impl<E, S, T> PeerSampler<E, S> for AnySampler<E, S, T>
+where
+    E: Entry,
+    S: EntriesMut<E> + Send,
+    T: BorrowMut<LpbcastState> + Send,
+{
     fn owner(&self) -> NodeId {
         forward!(self, s => PeerSampler::owner(s))
     }
@@ -94,16 +105,16 @@ impl<E: Entry> PeerSampler<E> for AnySampler<E> {
         forward!(self, s => PeerSampler::kind(s))
     }
 
-    fn view(&self) -> &View<E> {
+    fn view(&self) -> &View<E, S> {
         forward!(self, s => PeerSampler::view(s))
     }
 
-    fn view_mut(&mut self) -> &mut View<E> {
-        forward!(self, mut s => PeerSampler::view_mut(s))
+    fn view_mut(&mut self) -> &mut View<E, S> {
+        forward!(self, s => PeerSampler::view_mut(s))
     }
 
     fn schedule_exchange(&mut self, rng: &mut dyn RngCore) -> Option<NodeId> {
-        forward!(self, mut s => PeerSampler::schedule_exchange(s, rng))
+        forward!(self, s => PeerSampler::schedule_exchange(s, rng))
     }
 
     fn initiate_into(
@@ -113,7 +124,7 @@ impl<E: Entry> PeerSampler<E> for AnySampler<E> {
         rng: &mut dyn RngCore,
         payload: &mut Vec<E>,
     ) {
-        forward!(self, mut s => PeerSampler::initiate_into(s, partner, self_entry, rng, payload))
+        forward!(self, s => PeerSampler::initiate_into(s, partner, self_entry, rng, payload))
     }
 
     fn handle_request_into(
@@ -123,22 +134,22 @@ impl<E: Entry> PeerSampler<E> for AnySampler<E> {
         entries: &[E],
         reply: &mut Vec<E>,
     ) {
-        forward!(self, mut s => PeerSampler::handle_request_into(s, self_entry, from, entries, reply))
+        forward!(self, s => PeerSampler::handle_request_into(s, self_entry, from, entries, reply))
     }
 
     fn handle_reply(&mut self, from: NodeId, entries: &[E]) {
-        forward!(self, mut s => PeerSampler::handle_reply(s, from, entries))
+        forward!(self, s => PeerSampler::handle_reply(s, from, entries))
     }
 
     fn exchange_local(
         &mut self,
         self_entry: E,
-        partner: &mut dyn PeerSampler<E>,
+        partner: &mut dyn PeerSampler<E, S>,
         partner_entry: E,
         rng: &mut dyn RngCore,
         bufs: &mut ExchangeBuffers<E>,
     ) {
-        forward!(self, mut s => PeerSampler::exchange_local(s, self_entry, partner, partner_entry, rng, bufs))
+        forward!(self, s => PeerSampler::exchange_local(s, self_entry, partner, partner_entry, rng, bufs))
     }
 }
 

@@ -52,23 +52,24 @@
 //! each other by a proptest and a 10⁵-case sweep in this module.
 //!
 //! The swap moves entries element by element between the two existing
-//! buffers; it never swaps the `Vec`s themselves. Swapping the vectors gives
-//! the same entries but lets every view's heap buffer wander away from its
-//! node, so the simulator's slot-ordered sweeps (refresh, active) stop
-//! walking memory in order — at 10⁵ nodes that cost more than the copies
-//! saved.
+//! buffers; it never swaps the buffers themselves. In the simulator the
+//! buffers are two rows of one arena, each fixed at its node's slot, and
+//! the slot-ordered sweeps (active, the churn prune) walk the rows in
+//! memory order; an owned view's `Vec` stays with its sampler the same
+//! way.
 
 use crate::sampler::{
     debug_assert_exchanged, exchange_via_messages, ExchangeBuffers, PeerSampler, SamplerKind,
 };
-use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
-/// The Cyclon-variant peer sampler of Fig. 3, over views of `E` entries.
+/// The Cyclon-variant peer sampler of Fig. 3, over views of `E` entries
+/// stored in `S` (see [`PeerSampler`]).
 #[derive(Debug, Clone)]
-pub struct CyclonSampler<E = ViewEntry> {
+pub struct CyclonSampler<E = ViewEntry, S = Vec<E>> {
     owner: NodeId,
-    view: View<E>,
+    view: View<E, S>,
 }
 
 impl CyclonSampler {
@@ -89,7 +90,14 @@ impl<E: Entry> CyclonSampler<E> {
     }
 }
 
-impl<E: Entry> PeerSampler<E> for CyclonSampler<E> {
+impl<E, S> CyclonSampler<E, S> {
+    /// The sampler of `owner` over `view`, wherever the view is stored.
+    pub fn over(owner: NodeId, view: View<E, S>) -> Self {
+        CyclonSampler { owner, view }
+    }
+}
+
+impl<E: Entry, S: EntriesMut<E> + Send> PeerSampler<E, S> for CyclonSampler<E, S> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -98,11 +106,11 @@ impl<E: Entry> PeerSampler<E> for CyclonSampler<E> {
         SamplerKind::Cyclon
     }
 
-    fn view(&self) -> &View<E> {
+    fn view(&self) -> &View<E, S> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View<E> {
+    fn view_mut(&mut self) -> &mut View<E, S> {
         &mut self.view
     }
 
@@ -154,7 +162,7 @@ impl<E: Entry> PeerSampler<E> for CyclonSampler<E> {
     fn exchange_local(
         &mut self,
         self_entry: E,
-        partner: &mut dyn PeerSampler<E>,
+        partner: &mut dyn PeerSampler<E, S>,
         partner_entry: E,
         rng: &mut dyn RngCore,
         bufs: &mut ExchangeBuffers<E>,

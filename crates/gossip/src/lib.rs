@@ -33,20 +33,30 @@
 //! composition of the two, shared by every sampler. The cycle simulator
 //! drives whole exchanges atomically through
 //! [`PeerSampler::exchange_local`], which two Cyclon samplers carry out as a
-//! swap of their views in place. Both runtimes hold each node's sampler as
-//! an [`AnySampler`], built by [`AnySampler::empty`].
+//! swap of their views in place. Both runtimes run each node's sampler as
+//! an [`AnySampler`], built by [`AnySampler::over`].
 //!
 //! Every sampler reads only an entry's id and age, so each is generic over
 //! the view's [`Entry`](dslice_core::Entry) type: the network node's views
 //! hold full [`ViewEntry`](dslice_core::ViewEntry)s, the default, and the
 //! cycle simulator's hold 8-byte [`AgedId`](dslice_core::AgedId)s. The
 //! `new` constructors build the `ViewEntry` form; `empty` builds any.
+//!
+//! Every sampler is generic over where its view is stored as well. The
+//! network node's sampler owns its view, the default. The cycle simulator
+//! keeps the views of its whole population as the rows of one
+//! [`ViewArena`](dslice_core::ViewArena), and the rest of each sampler's
+//! state in a [`SamplerColumn`], which binds a sampler over a row for each
+//! operation ([`SamplerColumn::bind`]). Either way the sampler runs the one
+//! definition of each operation in this crate, over the one definition of
+//! each view operation in `dslice_core`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod any;
+pub mod column;
 pub mod cyclon;
 pub mod lpbcast;
 pub mod newscast;
@@ -54,8 +64,9 @@ pub mod sampler;
 pub mod uniform;
 
 pub use any::AnySampler;
+pub use column::{RowSampler, SamplerColumn};
 pub use cyclon::CyclonSampler;
-pub use lpbcast::LpbcastSampler;
+pub use lpbcast::{LpbcastSampler, LpbcastState};
 pub use newscast::NewscastSampler;
 pub use sampler::{prune_dead, ExchangeBuffers, PeerSampler, SamplerKind};
 pub use uniform::UniformOracle;

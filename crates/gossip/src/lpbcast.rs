@@ -29,20 +29,42 @@
 //! `handle_request` receives no runtime RNG.
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, Result, View, ViewEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::borrow::BorrowMut;
 
 /// Default number of view entries included in each gossip digest.
 pub const DEFAULT_DIGEST_SIZE: usize = 8;
 
-/// An Lpbcast-style peer sampler: push-only digests, random eviction.
+/// What an Lpbcast sampler keeps besides its owner and its view: the digest
+/// size and the private eviction stream. A [`SamplerColumn`](crate::SamplerColumn)
+/// keeps one per slot, and an [`AnySampler`](crate::AnySampler) boxes it.
 #[derive(Debug, Clone)]
-pub struct LpbcastSampler<E = ViewEntry> {
-    owner: NodeId,
-    view: View<E>,
+pub struct LpbcastState {
     digest_size: usize,
     evict_rng: StdRng,
+}
+
+impl LpbcastState {
+    /// The state of a fresh sampler owned by `owner`: the default digest
+    /// size, and an eviction stream seeded from the owner id.
+    pub fn new(owner: NodeId) -> Self {
+        LpbcastState {
+            digest_size: DEFAULT_DIGEST_SIZE,
+            evict_rng: StdRng::seed_from_u64(owner.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        }
+    }
+}
+
+/// An Lpbcast-style peer sampler: push-only digests, random eviction. Its
+/// view is stored in `S` (see [`PeerSampler`]) and its [`LpbcastState`]
+/// held in `T`: inline, boxed or borrowed.
+#[derive(Debug, Clone)]
+pub struct LpbcastSampler<E = ViewEntry, S = Vec<E>, T = LpbcastState> {
+    owner: NodeId,
+    view: View<E, S>,
+    state: T,
 }
 
 impl LpbcastSampler {
@@ -55,10 +77,9 @@ impl LpbcastSampler {
 
     /// Creates a sampler with an explicit digest (gossip payload) size.
     pub fn with_digest_size(owner: NodeId, capacity: usize, digest_size: usize) -> Result<Self> {
-        Ok(LpbcastSampler {
-            digest_size: digest_size.max(1),
-            ..Self::empty(owner, capacity)?
-        })
+        let mut sampler = Self::empty(owner, capacity)?;
+        sampler.state.digest_size = digest_size.max(1);
+        Ok(sampler)
     }
 }
 
@@ -66,17 +87,24 @@ impl<E: Entry> LpbcastSampler<E> {
     /// Creates a sampler for `owner` with an empty view of capacity `c` and
     /// the default digest size.
     pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
-        Ok(LpbcastSampler {
+        Ok(Self::over(
             owner,
-            view: View::empty(capacity)?,
-            digest_size: DEFAULT_DIGEST_SIZE,
-            evict_rng: StdRng::seed_from_u64(owner.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        })
+            View::empty(capacity)?,
+            LpbcastState::new(owner),
+        ))
+    }
+}
+
+impl<E: Entry, S: EntriesMut<E>, T: BorrowMut<LpbcastState>> LpbcastSampler<E, S, T> {
+    /// The sampler of `owner` over `view` and `state`, wherever they are
+    /// stored.
+    pub fn over(owner: NodeId, view: View<E, S>, state: T) -> Self {
+        LpbcastSampler { owner, view, state }
     }
 
     /// The digest size used by this sampler.
     pub fn digest_size(&self) -> usize {
-        self.digest_size
+        self.state.borrow().digest_size
     }
 
     /// Lpbcast merge: add unseen descriptors (preferring the younger copy of
@@ -96,16 +124,15 @@ impl<E: Entry> LpbcastSampler<E> {
                 None => pool.push(*e),
             }
         }
+        let evict_rng = &mut self.state.borrow_mut().evict_rng;
         while pool.len() > self.view.capacity() {
-            let victim = self.evict_rng.gen_range(0..pool.len());
+            let victim = evict_rng.gen_range(0..pool.len());
             pool.swap_remove(victim);
         }
-        let capacity = self.view.capacity();
-        let mut fresh = View::empty(capacity).expect("capacity >= 1");
+        self.view.clear();
         for e in pool {
-            fresh.insert(e);
+            self.view.insert(e);
         }
-        self.view = fresh;
     }
 
     /// Writes the digest payload into `pool`: up to `digest_size` random
@@ -115,7 +142,7 @@ impl<E: Entry> LpbcastSampler<E> {
         pool.extend_from_slice(self.view.entries());
         // Partial Fisher–Yates: the first `digest_size` slots end up holding
         // a uniform sample without cloning the whole pool twice.
-        let take = self.digest_size.min(pool.len());
+        let take = self.digest_size().min(pool.len());
         for i in 0..take {
             let j = i + (rng.next_u64() as usize) % (pool.len() - i);
             pool.swap(i, j);
@@ -125,7 +152,12 @@ impl<E: Entry> LpbcastSampler<E> {
     }
 }
 
-impl<E: Entry> PeerSampler<E> for LpbcastSampler<E> {
+impl<E, S, T> PeerSampler<E, S> for LpbcastSampler<E, S, T>
+where
+    E: Entry,
+    S: EntriesMut<E> + Send,
+    T: BorrowMut<LpbcastState> + Send,
+{
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -134,11 +166,11 @@ impl<E: Entry> PeerSampler<E> for LpbcastSampler<E> {
         SamplerKind::Lpbcast
     }
 
-    fn view(&self) -> &View<E> {
+    fn view(&self) -> &View<E, S> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View<E> {
+    fn view_mut(&mut self) -> &mut View<E, S> {
         &mut self.view
     }
 

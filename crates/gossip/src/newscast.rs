@@ -12,14 +12,14 @@
 //! under the same protocols (see `bench/ablations`).
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, Result, View, ViewEntry};
 use rand::RngCore;
 
 /// A Newscast-style peer sampler: random partner, freshest-`c` merge.
 #[derive(Debug, Clone)]
-pub struct NewscastSampler<E = ViewEntry> {
+pub struct NewscastSampler<E = ViewEntry, S = Vec<E>> {
     owner: NodeId,
-    view: View<E>,
+    view: View<E, S>,
 }
 
 impl NewscastSampler {
@@ -38,37 +38,25 @@ impl<E: Entry> NewscastSampler<E> {
             view: View::empty(capacity)?,
         })
     }
+}
+
+impl<E: Entry, S: EntriesMut<E>> NewscastSampler<E, S> {
+    /// The sampler of `owner` over `view`, wherever the view is stored.
+    pub fn over(owner: NodeId, view: View<E, S>) -> Self {
+        NewscastSampler { owner, view }
+    }
 
     /// Newscast merge: union of both views, keep the `c` freshest entries
-    /// (smallest age), never a self-pointer, unique ids.
+    /// (smallest age, ties broken by id for determinism), never a
+    /// self-pointer, unique ids — youngest first. [`View::merge`] keeps
+    /// exactly those `c` entries, inside the view's own storage.
     fn newscast_merge(&mut self, incoming: &[E]) {
-        let mut pool: Vec<E> = self.view.entries().to_vec();
-        for e in incoming {
-            if e.id() == self.owner {
-                continue;
-            }
-            match pool.iter_mut().find(|p| p.id() == e.id()) {
-                Some(existing) => {
-                    if e.age() < existing.age() {
-                        *existing = *e;
-                    }
-                }
-                None => pool.push(*e),
-            }
-        }
-        // Keep the freshest `c`, ties broken by id for determinism.
-        pool.sort_by(|a, b| a.age().cmp(&b.age()).then_with(|| a.id().cmp(&b.id())));
-        pool.truncate(self.view.capacity());
-        let capacity = self.view.capacity();
-        let mut fresh = View::empty(capacity).expect("capacity >= 1");
-        for e in pool {
-            fresh.insert(e);
-        }
-        self.view = fresh;
+        self.view.merge(self.owner, incoming);
+        self.view.sort_youngest_first();
     }
 }
 
-impl<E: Entry> PeerSampler<E> for NewscastSampler<E> {
+impl<E: Entry, S: EntriesMut<E> + Send> PeerSampler<E, S> for NewscastSampler<E, S> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -77,11 +65,11 @@ impl<E: Entry> PeerSampler<E> for NewscastSampler<E> {
         SamplerKind::Newscast
     }
 
-    fn view(&self) -> &View<E> {
+    fn view(&self) -> &View<E, S> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View<E> {
+    fn view_mut(&mut self) -> &mut View<E, S> {
         &mut self.view
     }
 

@@ -14,12 +14,13 @@
 //! [`PeerSampler::exchange_local`] instead: by default the same three
 //! phases through reusable [`ExchangeBuffers`], and for a pair of
 //! [`CyclonSampler`](crate::CyclonSampler)s a swap of the two views where
-//! they live, with no payload copied at all. The message path stays the
+//! they live — two rows of the simulator's view arena — with no payload
+//! copied at all. The message path stays the
 //! definition of an exchange all the same: `dslice-net` ships its payloads
 //! over sockets, Newscast and Lpbcast exchange only through it, and the
 //! in-process Cyclon swap is tested against it.
 
-use dslice_core::{Entry, NodeId, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, View, ViewEntry};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -87,14 +88,18 @@ impl<E> Default for ExchangeBuffers<E> {
 /// `bufs`. This is the default body of
 /// [`PeerSampler::exchange_local`], and what the Cyclon override falls back
 /// to.
-pub(crate) fn exchange_via_messages<E: Entry, S: PeerSampler<E> + ?Sized>(
-    initiator: &mut S,
+pub(crate) fn exchange_via_messages<E, S, P>(
+    initiator: &mut P,
     self_entry: E,
-    partner: &mut dyn PeerSampler<E>,
+    partner: &mut dyn PeerSampler<E, S>,
     partner_entry: E,
     rng: &mut dyn RngCore,
     bufs: &mut ExchangeBuffers<E>,
-) {
+) where
+    E: Entry,
+    S: EntriesMut<E>,
+    P: PeerSampler<E, S> + ?Sized,
+{
     let partner_id = partner.owner();
     initiator.initiate_into(partner_id, self_entry, rng, &mut bufs.request);
     partner.handle_request_into(
@@ -110,10 +115,10 @@ pub(crate) fn exchange_via_messages<E: Entry, S: PeerSampler<E> + ?Sized>(
 /// Debug builds: after an exchange both views hold at most `c` entries, no
 /// duplicate id and no entry for their owner. The in-process Cyclon swap is
 /// exact only on views that satisfy this, so every exchange re-checks it.
-pub(crate) fn debug_assert_exchanged<E: Entry>(
-    view: &View<E>,
+pub(crate) fn debug_assert_exchanged<E: Entry, S: EntriesMut<E>>(
+    view: &View<E, S>,
     owner: NodeId,
-    partner: &dyn PeerSampler<E>,
+    partner: &dyn PeerSampler<E, S>,
 ) {
     if cfg!(debug_assertions) {
         for (view, owner) in [(view, owner), (partner.view(), partner.owner())] {
@@ -128,14 +133,21 @@ pub(crate) fn debug_assert_exchanged<E: Entry>(
 /// rest: the one definition of the dead-neighbor prune, shared by the
 /// default [`PeerSampler::remove_dead`] and the cycle simulator, which
 /// passes its live-set lookup as a closure the filter inlines.
-pub fn prune_dead<E: Entry>(view: &mut View<E>, is_alive: impl Fn(NodeId) -> bool) {
+pub fn prune_dead<E: Entry, S: EntriesMut<E>>(
+    view: &mut View<E, S>,
+    is_alive: impl Fn(NodeId) -> bool,
+) {
     view.retain(is_alive);
 }
 
 /// A peer-sampling service instance owned by one node, over views of `E`
 /// entries: [`ViewEntry`] by default, [`AgedId`](dslice_core::AgedId) in
 /// the cycle simulator. Nothing here reads more of an entry than its id and
-/// age, so one implementation serves both.
+/// age, so one implementation serves both. The view is stored in `S`: the
+/// sampler's own `Vec` by default, or a row of a
+/// [`ViewArena`](dslice_core::ViewArena) that a
+/// [`SamplerColumn`](crate::SamplerColumn) binds the sampler to. Every
+/// operation below runs on either the same way.
 ///
 /// A sampler overrides only the required methods and, if it gossips,
 /// [`schedule_exchange`](Self::schedule_exchange),
@@ -144,7 +156,7 @@ pub fn prune_dead<E: Entry>(view: &mut View<E>, is_alive: impl Fn(NodeId) -> boo
 /// are defined once, here: [`AnySampler`](crate::AnySampler) forwards only
 /// the methods a sampler may override, and relies on the rest reaching the
 /// concrete sampler through them.
-pub trait PeerSampler<E: Entry = ViewEntry>: Send {
+pub trait PeerSampler<E: Entry = ViewEntry, S: EntriesMut<E> = Vec<E>>: Send {
     /// The owning node.
     fn owner(&self) -> NodeId;
 
@@ -152,11 +164,11 @@ pub trait PeerSampler<E: Entry = ViewEntry>: Send {
     fn kind(&self) -> SamplerKind;
 
     /// Read access to the current view.
-    fn view(&self) -> &View<E>;
+    fn view(&self) -> &View<E, S>;
 
     /// Mutable access to the current view (used by the runtime for value
     /// refreshes and churn cleanup).
-    fn view_mut(&mut self) -> &mut View<E>;
+    fn view_mut(&mut self) -> &mut View<E, S>;
 
     /// Active side, phase 1: age the view, pick a partner, build the request
     /// payload — [`schedule_exchange`](PeerSampler::schedule_exchange), then
@@ -266,7 +278,7 @@ pub trait PeerSampler<E: Entry = ViewEntry>: Send {
     fn exchange_local(
         &mut self,
         self_entry: E,
-        partner: &mut dyn PeerSampler<E>,
+        partner: &mut dyn PeerSampler<E, S>,
         partner_entry: E,
         rng: &mut dyn RngCore,
         bufs: &mut ExchangeBuffers<E>,
@@ -298,7 +310,7 @@ pub trait PeerSampler<E: Entry = ViewEntry>: Send {
     /// sampling does; the view keeps them in the given order.
     fn refill(&mut self, entries: &[E]) {
         let view = self.view_mut();
-        view.retain(|_| false);
+        view.clear();
         for e in entries {
             view.insert(*e);
         }

@@ -11,13 +11,13 @@
 //! perfectly uniform sample stream without simulating the membership layer.
 
 use crate::sampler::{PeerSampler, SamplerKind};
-use dslice_core::{Entry, NodeId, Result, View, ViewEntry};
+use dslice_core::{EntriesMut, Entry, NodeId, Result, View, ViewEntry};
 
 /// An oracle-backed sampler: the runtime refills the view each cycle.
 #[derive(Debug, Clone)]
-pub struct UniformOracle<E = ViewEntry> {
+pub struct UniformOracle<E = ViewEntry, S = Vec<E>> {
     owner: NodeId,
-    view: View<E>,
+    view: View<E, S>,
 }
 
 impl UniformOracle {
@@ -39,7 +39,15 @@ impl<E: Entry> UniformOracle<E> {
     }
 }
 
-impl<E: Entry> PeerSampler<E> for UniformOracle<E> {
+impl<E, S> UniformOracle<E, S> {
+    /// The oracle sampler of `owner` over `view`, wherever the view is
+    /// stored.
+    pub fn over(owner: NodeId, view: View<E, S>) -> Self {
+        UniformOracle { owner, view }
+    }
+}
+
+impl<E: Entry, S: EntriesMut<E> + Send> PeerSampler<E, S> for UniformOracle<E, S> {
     fn owner(&self) -> NodeId {
         self.owner
     }
@@ -48,11 +56,11 @@ impl<E: Entry> PeerSampler<E> for UniformOracle<E> {
         SamplerKind::UniformOracle
     }
 
-    fn view(&self) -> &View<E> {
+    fn view(&self) -> &View<E, S> {
         &self.view
     }
 
-    fn view_mut(&mut self) -> &mut View<E> {
+    fn view_mut(&mut self) -> &mut View<E, S> {
         &mut self.view
     }
 

@@ -8,9 +8,10 @@
 //! updated its view before j swapped" scenario the paper describes.)
 //!
 //! The **refresh** phase snapshots every live node's published value and
-//! attribute per id row, once. The **active** phase is one sweep over the
-//! slot array. A stored view holds only `(id, age)` entries
-//! ([`AgedId`](dslice_core::AgedId)), so each live node first has its view
+//! attribute per id row, once, from the protocol column. The **active**
+//! phase is one sweep in slot order over the protocol column and the view
+//! arena's rows beside it. A stored view holds only `(id, age)` entries
+//! ([`AgedId`](dslice_core::AgedId)), so each live node first has its row
 //! joined against the snapshot — departed neighbors dropped from the stored
 //! view, and the full [`ViewEntry`] of every other neighbor (its age, and
 //! its attribute and value as of the snapshot) written into one reused
@@ -28,11 +29,12 @@
 //! so a view entry costs one row load that may miss, not an index load and
 //! then a dependent per-slot load.
 
-use super::{Cycle, EngineCtx, Envelope, SimNode, ACTIVE_SALT};
+use super::{Cycle, EngineCtx, Envelope, Nodes, ACTIVE_SALT};
 use crate::stats::EventCounters;
+use dslice_algorithms::AnyProtocol;
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{Attribute, NodeId, NodeSlab, Result, View, ViewEntry};
-use dslice_gossip::PeerSampler;
+use std::mem::size_of;
 
 /// The refresh snapshot, the outbox and the joined view, kept across
 /// cycles.
@@ -54,6 +56,19 @@ impl Scratch {
             outbox: Outbox::default(),
             view: View::new(view_size)?,
         })
+    }
+}
+
+impl Scratch {
+    /// Heap bytes held, as `(refresh snapshot, outbox and joined view)`:
+    /// the buffers' capacities.
+    pub(super) fn heap_bytes(&self) -> (usize, usize) {
+        let PublishedRows { rows, live } = &self.published;
+        let published =
+            rows.capacity() * size_of::<Published>() + live.capacity() * size_of::<u64>();
+        let outbox = self.outbox.msgs.capacity() * size_of::<Envelope>()
+            + self.outbox.ends.capacity() * size_of::<usize>();
+        (published, outbox + self.view.heap_bytes())
     }
 }
 
@@ -111,7 +126,7 @@ impl PublishedRows {
 /// Refresh phase: rebuilds the snapshot over id rows `0..rows` from the
 /// live population. Rows of departed ids keep stale contents; their bits
 /// are cleared.
-pub(super) fn refresh(nodes: &NodeSlab<SimNode>, rows: usize, s: &mut Scratch) {
+pub(super) fn refresh(protos: &NodeSlab<AnyProtocol>, rows: usize, s: &mut Scratch) {
     let PublishedRows { rows: column, live } = &mut s.published;
     // New rows are written below (live) or never read (departed).
     let unset = Published {
@@ -121,11 +136,11 @@ pub(super) fn refresh(nodes: &NodeSlab<SimNode>, rows: usize, s: &mut Scratch) {
     column.resize(rows, unset);
     live.clear();
     live.resize(rows.div_ceil(64), 0);
-    for (_, id, node) in nodes.iter() {
+    for (_, id, proto) in protos.iter() {
         let row = id.row();
         column[row] = Published {
-            value: node.proto.published_value(),
-            attribute: node.proto.attribute(),
+            value: proto.published_value(),
+            attribute: proto.attribute(),
         };
         live[row / 64] |= 1 << (row % 64);
     }
@@ -133,12 +148,7 @@ pub(super) fn refresh(nodes: &NodeSlab<SimNode>, rows: usize, s: &mut Scratch) {
 
 /// Active phase: one sweep in slot order, each node's view joined against
 /// the snapshot just before its owner acts, filling the outbox.
-pub(super) fn run(
-    cx: &Cycle,
-    nodes: &mut NodeSlab<SimNode>,
-    s: &mut Scratch,
-    counters: &mut EventCounters,
-) {
+pub(super) fn run(cx: &Cycle, nodes: &mut Nodes, s: &mut Scratch, counters: &mut EventCounters) {
     let Scratch {
         published,
         outbox,
@@ -146,8 +156,9 @@ pub(super) fn run(
     } = s;
     outbox.msgs.clear();
     outbox.ends.clear();
-    for (_, id, node) in nodes.iter_mut() {
-        let stored = node.sampler.view_mut();
+    let Nodes { protos, views, .. } = nodes;
+    for (slot, id, proto) in protos.iter_mut() {
+        let mut stored = views.row_mut(slot);
         stored.join_into(view, |e| Some(published.get(e.id)?.entry(e.id, e.age)));
         let mut rng = cx.rng(id, ACTIVE_SALT);
         let sent_before = outbox.msgs.len();
@@ -156,7 +167,7 @@ pub(super) fn run(
             out: &mut outbox.msgs,
             counters,
         };
-        node.proto.on_active(view, &mut ctx);
+        proto.on_active(view, &mut ctx);
         if outbox.msgs.len() > sent_before {
             outbox.ends.push(outbox.msgs.len());
         }

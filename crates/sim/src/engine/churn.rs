@@ -4,17 +4,19 @@
 //!
 //! A churned cycle walks the population a fixed number of times and
 //! allocates nothing in proportion to it: the population the model plans
-//! from is copied into a buffer the engine keeps; the prune filters each
-//! view through [`prune_dead`] with the slab's own index — lent out
-//! read-only beside the mutable slot walk — as a closure the filter
-//! inlines; and the rank cache merges the joiners in place. Joiners
-//! bootstrap their views from random live nodes, through the same sampling
-//! core and the same [`bootstrap`] as the initial population, but from
-//! that same buffer with the leavers dropped: a pick is only an id, so
-//! nothing is looked up in the slab.
+//! from is copied into a buffer the engine keeps; a leaver's arena row is
+//! emptied where it lies; the prune filters every row in place, in slot
+//! order, through [`prune_dead`] with the slab's id index as a closure the
+//! filter inlines; and the rank cache merges the joiners in place. A joiner
+//! takes a free slot's emptied row, or a new row at the arena's end, so it
+//! allocates no view. Joiners bootstrap their rows from random live nodes,
+//! through the same sampling core and the same [`bootstrap`] as the initial
+//! population, but from that same buffer with the leavers dropped: a pick
+//! is only an id, so nothing is looked up in the slab.
 
-use super::{sample_from_pool, Cycle, SimNode};
+use super::{sample_from_pool, Cycle, Nodes};
 use crate::churn::ChurnModel;
+use dslice_algorithms::AnyProtocol;
 use dslice_core::metrics::RankCache;
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::SliceProtocol;
@@ -40,11 +42,18 @@ impl Churn {
     }
 }
 
+impl Churn {
+    /// Heap bytes held: the population buffer's capacity.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.population.capacity() * std::mem::size_of::<(NodeId, Attribute)>()
+    }
+}
+
 /// Applies the churn plan for this cycle; returns `(left, joined)`.
 pub(super) fn run(
     cx: &Cycle,
     churn: &mut Churn,
-    nodes: &mut NodeSlab<SimNode>,
+    nodes: &mut Nodes,
     alloc: &mut NodeIdAllocator,
     liars: &mut NodeIdSet,
     ranks: &mut RankCache,
@@ -53,7 +62,7 @@ pub(super) fn run(
     let Churn { model, population } = churn;
     let planned_from_population = model.needs_population();
     if planned_from_population {
-        copy_population(nodes, population);
+        copy_population(&nodes.protos, population);
     } else {
         population.clear();
     }
@@ -63,11 +72,7 @@ pub(super) fn run(
     }
 
     let mut removed: Vec<NodeId> = Vec::with_capacity(plan.leavers.len());
-    removed.extend(
-        plan.leavers
-            .iter()
-            .filter(|&&id| nodes.remove(id).is_some()),
-    );
+    removed.extend(plan.leavers.iter().filter(|&&id| nodes.remove(id)));
     for id in &removed {
         liars.remove(id);
     }
@@ -75,16 +80,15 @@ pub(super) fn run(
     // Prune departed neighbors from every view before anyone gossips —
     // only when someone actually departed (a join-only cycle at 10⁵ nodes
     // must not pay an O(n·c) scan for leavers that cannot exist). The
-    // slab's own index is the live set: the leavers just left it.
+    // slab's own index is the live set: the leavers just left it. Free
+    // slots' rows are empty.
     if !removed.is_empty() {
-        let (live, lookup) = nodes.iter_mut_with_lookup();
-        for (_, _, node) in live {
-            prune_dead(node.sampler.view_mut(), |id| lookup.contains(id));
+        let Nodes { protos, views, .. } = &mut *nodes;
+        for mut row in views.rows_mut() {
+            prune_dead(&mut row, |id| protos.contains(id));
         }
         debug_assert!(
-            nodes
-                .iter()
-                .all(|(_, _, n)| n.sampler.view().ids().all(|id| nodes.contains(id))),
+            (0..views.slot_count()).all(|slot| views.row(slot).ids().all(|id| protos.contains(id))),
             "a view still holds a departed neighbor after the prune"
         );
     }
@@ -97,14 +101,14 @@ pub(super) fn run(
     let mut new_nodes = Vec::with_capacity(joined);
     if joined > 0 {
         if !planned_from_population {
-            copy_population(nodes, population);
+            copy_population(&nodes.protos, population);
         } else if !removed.is_empty() {
-            population.retain(|&(id, _)| nodes.contains(id));
+            population.retain(|&(id, _)| nodes.protos.contains(id));
         }
         for attribute in plan.joiners {
             let id = alloc.allocate();
-            let node = SimNode::new(cx.cfg, cx.kind, id, attribute, rng);
-            nodes.insert(id, node.expect("validated capacity"));
+            let proto = AnyProtocol::new(cx.kind, id, attribute, &cx.cfg.partition, rng);
+            nodes.insert(id, proto);
             new_nodes.push((id, attribute));
         }
         let ids = new_nodes.iter().map(|&(id, _)| id);
@@ -122,17 +126,18 @@ pub(super) fn run(
 
 /// Overwrites `population` with the live nodes' `(id, attribute)` in slot
 /// order, sized once to the population rather than grown to it.
-fn copy_population(nodes: &NodeSlab<SimNode>, population: &mut Vec<(NodeId, Attribute)>) {
+fn copy_population(protos: &NodeSlab<AnyProtocol>, population: &mut Vec<(NodeId, Attribute)>) {
     population.clear();
-    population.reserve(nodes.len());
-    population.extend(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
+    population.reserve(protos.len());
+    population.extend(protos.iter().map(|(_, id, p)| (id, p.attribute())));
 }
 
-/// Seeds the view of each node in `ids`, in order, with the entries
-/// `sample` draws for it into one reused buffer (cleared before each node)
-/// — the one bootstrap of the initial population and of churn joiners.
+/// Seeds the row of each node in `ids`, in order and in place, with the
+/// entries `sample` draws for it into one reused buffer (cleared before
+/// each node) — the one bootstrap of the initial population and of churn
+/// joiners.
 pub(super) fn bootstrap(
-    nodes: &mut NodeSlab<SimNode>,
+    nodes: &mut Nodes,
     ids: impl IntoIterator<Item = NodeId>,
     mut sample: impl FnMut(NodeId, &mut Vec<AgedId>),
 ) {
@@ -140,8 +145,8 @@ pub(super) fn bootstrap(
     for id in ids {
         entries.clear();
         sample(id, &mut entries);
-        if let Some(node) = nodes.get_mut(id) {
-            node.sampler.bootstrap(&entries);
+        if let Some(slot) = nodes.protos.slot_of(id) {
+            nodes.sampler(slot).bootstrap(&entries);
         }
     }
 }
@@ -149,10 +154,11 @@ pub(super) fn bootstrap(
 #[cfg(test)]
 mod tests {
     use super::super::tests::small_cfg;
-    use super::super::{sample_from_pool, Engine, SimNode};
+    use super::super::{sample_from_pool, Engine};
     use crate::churn::{ChurnSchedule, UncorrelatedChurn};
     use crate::config::ProtocolKind;
     use crate::distributions::AttributeDistribution;
+    use dslice_algorithms::AnyProtocol;
     use dslice_core::{AgedId, NodeId, NodeSlab};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -162,7 +168,7 @@ mod tests {
     /// draw ids from a slot-order id pool, then look every pick up in the
     /// slab.
     fn reference_entries(
-        nodes: &NodeSlab<SimNode>,
+        nodes: &NodeSlab<AnyProtocol>,
         rng: &mut StdRng,
         owner: NodeId,
         count: usize,
@@ -178,7 +184,8 @@ mod tests {
         }
         chosen
             .into_iter()
-            .filter_map(|id| nodes.get(id).map(SimNode::self_entry))
+            .filter(|&id| nodes.contains(id))
+            .map(AgedId::new)
             .collect()
     }
 
@@ -204,12 +211,12 @@ mod tests {
                 engine = engine.with_churn(Box::new(churn));
                 engine.step();
             }
-            let pool: Vec<AgedId> = engine.nodes.iter().map(|(_, _, n)| n.self_entry()).collect();
+            let pool: Vec<AgedId> = engine.nodes.protos.ids().map(AgedId::new).collect();
             let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
             let mut entries = Vec::new();
             for owner in (0..engine.alloc.issued()).map(NodeId::new) {
                 let mut reference_rng = rng.clone();
-                let expected = reference_entries(&engine.nodes, &mut reference_rng, owner, count);
+                let expected = reference_entries(&engine.nodes.protos, &mut reference_rng, owner, count);
                 sample_from_pool(&mut rng, &pool, |e| e.id, owner, count, &mut entries);
                 prop_assert_eq!(&entries, &expected);
                 prop_assert_eq!(&rng, &reference_rng);

@@ -28,24 +28,26 @@
 //! Overlapping and latency-delayed proposals are *not* replayed; their
 //! staleness is the measurement of §4.5.2 / Fig. 4(c).
 //!
-//! Delivery resolves each endpoint of a message once and borrows the
-//! recipient where it lives. At the start of every group of `GATHER_AHEAD`
-//! messages it reads the next group's recipients ahead (slab cell and
-//! published value). The passive step reads only its message (Fig. 2 lines
-//! 15–19, Fig. 5 lines 17–21), so `on_message` is handed an empty view the
-//! queues keep, and no view is joined for it.
+//! Delivery reads and writes the protocol column alone — one 72-byte slot
+//! per node, the protocol beside its id — except in a replay, which joins
+//! the proposer's arena row. It resolves each endpoint of a message once
+//! and borrows the recipient where it lives. At the start of every group of
+//! `GATHER_AHEAD` messages it reads the next group's recipients ahead (the
+//! slot and the published value in it). The passive step reads only its
+//! message (Fig. 2 lines 15–19, Fig. 5 lines 17–21), so `on_message` is
+//! handed an empty view the queues keep, and no view is joined for it.
 
 use super::active::Outbox;
-use super::{Cycle, EngineCtx, Envelope, Payload, SimNode, GATHER_AHEAD, REPLAY_SALT};
+use super::{Cycle, EngineCtx, Envelope, Nodes, Payload, GATHER_AHEAD, REPLAY_SALT};
 use crate::stats::EventCounters;
 use dslice_core::protocol::{Event, SliceProtocol};
-use dslice_core::{NodeSlab, Result, View, ViewEntry};
-use dslice_gossip::PeerSampler;
+use dslice_core::{Result, View, ViewEntry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::hint::black_box;
+use std::mem::size_of;
 
 /// The delivery queues, kept across cycles, the messages held across
 /// cycles by the latency model, and the two views protocols read here.
@@ -83,11 +85,25 @@ impl Queues {
     }
 }
 
-/// What the message path borrows for one cycle: the slab, the engine's
-/// shared stream, the queues and the cycle's tallies.
+impl Queues {
+    /// Heap bytes held: the queues' and the two views' capacities.
+    pub(super) fn heap_bytes(&self) -> usize {
+        let envelopes = self.queue.capacity()
+            + self.deferred.capacity()
+            + self.responses.capacity()
+            + self.replay_queue.capacity();
+        self.in_flight.capacity() * size_of::<(usize, Envelope)>()
+            + envelopes * size_of::<Envelope>()
+            + self.empty.heap_bytes()
+            + self.joined.heap_bytes()
+    }
+}
+
+/// What the message path borrows for one cycle: the node columns, the
+/// engine's shared stream, the queues and the cycle's tallies.
 pub(super) struct Delivery<'a> {
     pub(super) cx: &'a Cycle<'a>,
-    pub(super) nodes: &'a mut NodeSlab<SimNode>,
+    pub(super) nodes: &'a mut Nodes,
     pub(super) rng: &'a mut StdRng,
     pub(super) q: &'a mut Queues,
     pub(super) counters: &'a mut EventCounters,
@@ -120,8 +136,8 @@ impl Delivery<'_> {
                 if (next + pos) % GATHER_AHEAD == 0 {
                     let ahead = outbox.msgs.iter().skip(next + pos + GATHER_AHEAD);
                     for envelope in ahead.take(GATHER_AHEAD) {
-                        if let Some(node) = self.nodes.get(envelope.to) {
-                            black_box(node.proto.published_value());
+                        if let Some(proto) = self.nodes.protos.get(envelope.to) {
+                            black_box(proto.published_value());
                         }
                     }
                 }
@@ -191,7 +207,7 @@ impl Delivery<'_> {
     /// endpoints live in different attribute bands). Consumes no RNG; a
     /// departed endpoint is not this check's concern (delivery handles it).
     fn severed(&self, envelope: Envelope) -> bool {
-        let attribute = |id| self.nodes.get(id).map(|n| n.proto.attribute().value());
+        let attribute = |id| self.nodes.protos.get(id).map(|p| p.attribute().value());
         match (attribute(envelope.from), attribute(envelope.to)) {
             (Some(from), Some(to)) => self.cx.fault.severed(from, to),
             _ => false,
@@ -206,8 +222,8 @@ impl Delivery<'_> {
         if fault.partition().is_none() {
             return latency;
         }
-        let to = self.nodes.get(envelope.to);
-        to.and_then(|n| fault.latency_override(n.proto.attribute().value()))
+        let to = self.nodes.protos.get(envelope.to);
+        to.and_then(|p| fault.latency_override(p.attribute().value()))
             .unwrap_or(latency)
     }
 
@@ -225,7 +241,7 @@ impl Delivery<'_> {
     /// messages take the ordinary `on_message` path.
     fn deliver(&mut self, envelope: Envelope, atomic: bool) {
         if let Payload::SwapReq { a, .. } = envelope.payload {
-            let nodes = &mut *self.nodes;
+            let nodes = &mut self.nodes.protos;
             let (Some(to_slot), Some(from_slot)) =
                 (nodes.slot_of(envelope.to), nodes.slot_of(envelope.from))
             else {
@@ -237,12 +253,12 @@ impl Delivery<'_> {
             // The proposal is evaluated against the proposer's *current*
             // value; the snapshot in the message only matters on real wires.
             let current_r = nodes.slot(from_slot).expect("resolved slot is live");
-            let current_r = current_r.proto.estimate();
+            let current_r = current_r.estimate();
             let callee = nodes.slot_mut(to_slot).expect("resolved slot is live");
-            match callee.proto.try_atomic_swap(a, current_r) {
+            match callee.try_atomic_swap(a, current_r) {
                 Some(pre_swap) => {
                     let proposer = nodes.slot_mut(from_slot).expect("resolved slot is live");
-                    proposer.proto.adopt_value(pre_swap);
+                    proposer.adopt_value(pre_swap);
                     self.counters.record(Event::SwapApplied);
                 }
                 None if atomic => self.replay(from_slot),
@@ -250,15 +266,14 @@ impl Delivery<'_> {
             }
             return;
         }
-        match self.nodes.get_mut(envelope.to) {
-            Some(node) => {
+        match self.nodes.protos.get_mut(envelope.to) {
+            Some(proto) => {
                 let mut ctx = EngineCtx {
                     rng: &mut *self.rng,
                     out: &mut self.q.responses,
                     counters: &mut *self.counters,
                 };
-                node.proto
-                    .on_message(&self.q.empty, envelope.message(), &mut ctx);
+                proto.on_message(&self.q.empty, envelope.message(), &mut ctx);
             }
             None => *self.dropped += 1,
         }
@@ -281,14 +296,14 @@ impl Delivery<'_> {
         // un-count it (its replacement, if any, records itself).
         let proposed = &mut self.counters.swaps_proposed;
         *proposed = proposed.saturating_sub(1);
-        // The proposer steps out of the slab while it reads its neighbors.
-        let Some((from, mut node)) = self.nodes.take_slot(from_slot) else {
+        let Nodes { protos, views, .. } = &mut *self.nodes;
+        let Some(from) = protos.id_at(from_slot) else {
             return;
         };
-        let (nodes, joined) = (&*self.nodes, &mut self.q.joined);
-        node.sampler.view_mut().join_into(joined, |e| {
-            let n = nodes.get(e.id)?;
-            let (attribute, value) = (n.proto.attribute(), n.proto.published_value());
+        let joined = &mut self.q.joined;
+        views.row_mut(from_slot).join_into(joined, |e| {
+            let n = protos.get(e.id)?;
+            let (attribute, value) = (n.attribute(), n.published_value());
             Some(ViewEntry::with_age(e.id, e.age, attribute, value))
         });
         let mut ctx = EngineCtx {
@@ -296,8 +311,8 @@ impl Delivery<'_> {
             out: &mut self.q.responses,
             counters: &mut *self.counters,
         };
-        node.proto.on_active(joined, &mut ctx);
-        self.nodes.put_back(from_slot, from, node);
+        let proposer = protos.slot_mut(from_slot).expect("resolved slot is live");
+        proposer.on_active(joined, &mut ctx);
 
         self.q.replay_queue.extend(self.q.responses.drain(..));
         while let Some(envelope) = self.q.replay_queue.pop_front() {

@@ -13,10 +13,10 @@
 //!   with no common free batch among the 128 goes to the overflow tail). A
 //!   stable counting sort by batch number then gives one execution order:
 //!   batch 0 in schedule order, then batch 1, …, then the overflow tail;
-//! * *execute*: the exchanges run in that order, each borrowing both nodes
-//!   mutably where they live ([`NodeSlab::slot_pair_mut`]) — nothing is
-//!   moved out and back — and drawing only from the initiator's carried
-//!   stream. The order matters: about 40 % of exchanges read a view that an
+//! * *execute*: the exchanges run in that order, each borrowing both
+//!   nodes' views mutably where they live, as rows of the view arena
+//!   ([`ViewArena::row_pair_mut`]) — nothing is moved out and back — and
+//!   drawing only from the initiator's carried stream. The order matters: about 40 % of exchanges read a view that an
 //!   exchange earlier in the order changed, so plain slot order would be a
 //!   different run.
 //!
@@ -25,28 +25,32 @@
 //! where they live; the other substrates (and the rare Cyclon exchange whose
 //! views need a top-up) go through the payload buffers.
 //!
-//! An exchange reads nothing of either node's protocol: the
-//! self-descriptors it hands the samplers are `(owner, age 0)`
-//! [`AgedId`]s, the owner read from the sampler.
+//! The phase reads nothing of any node's protocol (the protocol column) but
+//! its attribute under an installed network partition: a sampler is bound
+//! from the sampler column — its owner — and the node's arena row, and the
+//! self-descriptors it hands the samplers are `(owner, age 0)` [`AgedId`]s.
+//! The schedule walks the rows in slot order and skips the empty ones: the
+//! rows of free slots, and of nodes with no neighbor, which would schedule
+//! nothing.
 //!
 //! **Look-ahead reads.** An exchange rewrites both endpoints' whole view
 //! rows, so at the start of each group of `GATHER_AHEAD` exchanges the
-//! phase reads in two stages: the sampler halves of the slab cells of the
-//! group after next, and the whole view rows of the next group, whose
-//! cells — holding the pointer to the row — were read one group earlier. A
-//! row read takes one entry per 64-byte cache line and the last entry,
-//! since a row of ten 8-byte entries spans two or three lines.
+//! phase reads the next group's rows and owners ahead. A row's address is
+//! computed from its slot, so this is one stage: nothing read ahead is
+//! needed to find what else to read. A row read takes one entry per 64-byte
+//! cache line and the last entry, since a row of ten 8-byte entries spans
+//! two or three lines.
 //!
 //! The uniform-oracle substrate takes the same shape: the population is
 //! snapshotted once per cycle and every view refilled from it, each node
 //! sampling from its own stream.
 
-use super::{sample_from_pool, Cycle, SimNode, GATHER_AHEAD, MEMBERSHIP_SALT};
+use super::{sample_from_pool, Cycle, Nodes, GATHER_AHEAD, MEMBERSHIP_SALT};
 use crate::config::SamplerKind;
 use crate::stream::NodeRng;
 use dslice_core::protocol::SliceProtocol;
-use dslice_core::{AgedId, NodeSlab};
-use dslice_gossip::{ExchangeBuffers, PeerSampler};
+use dslice_core::{AgedId, ViewArena};
+use dslice_gossip::{ExchangeBuffers, PeerSampler, SamplerColumn};
 use std::hint::black_box;
 use std::mem;
 
@@ -73,8 +77,8 @@ pub(super) struct Scratch {
 
 /// One scheduled membership exchange, in 16 bytes: the slots of the
 /// initiator and its chosen partner (resolved once — nothing downstream
-/// looks an id up again, and the ids themselves are read back from the
-/// slab where needed) and the initiator's membership stream, carried from
+/// looks an id up again, and the owners are read back from the sampler
+/// column where needed) and the initiator's membership stream, carried from
 /// schedule to execute so the pair consumes exactly the draws a combined
 /// `initiate` would. Slots fit `u32`: the slab holds fewer slots than ids
 /// below `u32::MAX`.
@@ -82,6 +86,18 @@ pub(super) struct ScheduledExchange {
     slot: u32,
     partner_slot: u32,
     rng: NodeRng,
+}
+
+impl Scratch {
+    /// Heap bytes held: the buffers' capacities.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.scheduled.capacity() * mem::size_of::<ScheduledExchange>()
+            + self.masks.capacity() * mem::size_of::<u128>()
+            + self.batch.capacity()
+            + self.order.capacity() * mem::size_of::<u32>()
+            + (self.bufs.request.capacity() + self.bufs.reply.capacity() + self.pool.capacity())
+                * mem::size_of::<AgedId>()
+    }
 }
 
 impl ScheduledExchange {
@@ -100,7 +116,7 @@ impl ScheduledExchange {
 /// as singleton batches `128 + offset`.
 pub(super) fn run(
     cx: &Cycle,
-    nodes: &mut NodeSlab<SimNode>,
+    nodes: &mut Nodes,
     s: &mut Scratch,
     log: Option<&mut Vec<(u64, u64, usize)>>,
     dropped: &mut u64,
@@ -116,13 +132,15 @@ pub(super) fn run(
     // stale entries) costs the initiator that pointer and its exchange,
     // exactly as in the sequential model.
     s.scheduled.clear();
-    let (live, lookup) = nodes.iter_mut_with_lookup();
-    for (slot, id, node) in live {
-        let mut rng = cx.rng(id, MEMBERSHIP_SALT);
-        let Some(partner) = node.sampler.schedule_exchange(&mut rng) else {
+    for slot in 0..nodes.views.slot_count() {
+        if nodes.views.entries(slot).is_empty() {
+            continue;
+        }
+        let mut rng = cx.rng(nodes.samplers.owner(slot), MEMBERSHIP_SALT);
+        let Some(partner) = nodes.sampler(slot).schedule_exchange(&mut rng) else {
             continue;
         };
-        match lookup.slot_of(partner) {
+        match nodes.protos.slot_of(partner) {
             // Slots are below `u32::MAX` (see `ScheduledExchange`).
             Some(partner_slot) => s.scheduled.push(ScheduledExchange {
                 slot: slot as u32,
@@ -130,7 +148,7 @@ pub(super) fn run(
                 rng,
             }),
             None => {
-                node.sampler.view_mut().remove(partner);
+                nodes.views.row_mut(slot).remove(partner);
             }
         }
     }
@@ -142,8 +160,8 @@ pub(super) fn run(
     // against the frozen cuts.
     if let Some(partition) = cx.fault.partition() {
         let band_of = |slot| {
-            let node: Option<&SimNode> = nodes.slot(slot);
-            node.map(|n| partition.band_of(n.proto.attribute().value()))
+            let proto = nodes.protos.slot(slot);
+            proto.map(|p| partition.band_of(p.attribute().value()))
         };
         s.scheduled.retain(|x| {
             let (slot, partner_slot) = x.slots();
@@ -160,7 +178,7 @@ pub(super) fn run(
     // by batch number into the execution order. `starts[b]` ends up where
     // batch `b + 1` starts, so `starts[OVERFLOW - 1]` is the tail's start.
     s.masks.clear();
-    s.masks.resize(nodes.slot_count(), 0);
+    s.masks.resize(nodes.protos.slot_count(), 0);
     s.batch.clear();
     let mut starts = [0u32; OVERFLOW + 1];
     for x in &s.scheduled {
@@ -191,10 +209,8 @@ pub(super) fn run(
         log.clear();
         let tail = starts[OVERFLOW - 1] as usize;
         let id = |slot| {
-            nodes
-                .id_at(slot)
-                .expect("scheduled slots are live")
-                .as_u64()
+            let id = nodes.protos.id_at(slot);
+            id.expect("scheduled slots are live").as_u64()
         };
         for (pos, &idx) in s.order.iter().enumerate() {
             let (slot, partner_slot) = s.scheduled[idx as usize].slots();
@@ -205,84 +221,83 @@ pub(super) fn run(
     }
 
     // Execute, in order, with the look-ahead reads of the module docs.
-    let ahead = |pos: usize, groups: usize| {
-        let next = s.order.iter().skip(pos + groups * GATHER_AHEAD);
+    let ahead = |pos: usize| {
+        let next = s.order.iter().skip(pos + GATHER_AHEAD);
         next.take(GATHER_AHEAD)
             .map(|&idx| s.scheduled[idx as usize].slots())
     };
+    let Nodes {
+        samplers, views, ..
+    } = nodes;
     for (pos, &idx) in s.order.iter().enumerate() {
         if pos % GATHER_AHEAD == 0 {
-            for (slot, partner_slot) in ahead(pos, 2) {
-                gather_cell(nodes.slot(slot));
-                gather_cell(nodes.slot(partner_slot));
-            }
-            for (slot, partner_slot) in ahead(pos, 1) {
-                gather_row(nodes.slot(slot));
-                gather_row(nodes.slot(partner_slot));
+            for (slot, partner_slot) in ahead(pos) {
+                gather(samplers, views, slot);
+                gather(samplers, views, partner_slot);
             }
         }
-        exchange_in_place(nodes, &s.scheduled[idx as usize], &mut s.bufs);
+        exchange_in_place(samplers, views, &s.scheduled[idx as usize], &mut s.bufs);
     }
 }
 
-/// Executes one scheduled exchange where the nodes live: both endpoints are
-/// borrowed mutably in their slots, nothing is moved. It mutates only the
-/// two nodes and the payload buffers (which two Cyclon samplers do not even
-/// touch: they swap their views in place), and draws only from the
-/// initiator's carried membership stream.
+/// Executes one scheduled exchange where the views live: both endpoints'
+/// rows are borrowed mutably in the arena and bound to their samplers,
+/// nothing is moved. It mutates only the two nodes' sampler state and the
+/// payload buffers (which two Cyclon samplers do not even touch: they swap
+/// their rows in place), and draws only from the initiator's carried
+/// membership stream.
 fn exchange_in_place(
-    nodes: &mut NodeSlab<SimNode>,
+    samplers: &mut SamplerColumn,
+    views: &mut ViewArena<AgedId>,
     scheduled: &ScheduledExchange,
     bufs: &mut ExchangeBuffers<AgedId>,
 ) {
-    let (slot, partner_slot) = scheduled.slots();
-    if let Some((node, partner)) = nodes.slot_pair_mut(slot, partner_slot) {
-        let (self_entry, partner_entry) = (node.self_entry(), partner.self_entry());
+    let slots = scheduled.slots();
+    let Some(rows) = views.row_pair_mut(slots.0, slots.1) else {
+        return;
+    };
+    if let Some((mut node, mut partner)) = samplers.bind_pair(slots, rows) {
+        let (self_entry, partner_entry) = (AgedId::new(node.owner()), AgedId::new(partner.owner()));
         let rng = &mut scheduled.rng.clone();
-        node.sampler
-            .exchange_local(self_entry, &mut partner.sampler, partner_entry, rng, bufs);
+        node.exchange_local(self_entry, &mut partner, partner_entry, rng, bufs);
     }
 }
 
 /// View entries per 64-byte cache line: the stride of the look-ahead read
-/// over a view buffer.
+/// over a view row.
 const ENTRIES_PER_LINE: usize = 64 / mem::size_of::<AgedId>();
 
-/// Reads the sampler half of an exchange endpoint's slab cell — the handle
-/// of the view buffer, the first link of the chain [`gather_row`] follows —
-/// and discards what it read.
-fn gather_cell(node: Option<&SimNode>) {
-    if let Some(node) = node {
-        black_box(node.sampler.view().entries().len());
+/// Reads what an exchange endpoint's exchange reads, and discards it: the
+/// owner, and the whole view row, which the exchange reads and rewrites end
+/// to end — one entry per cache line, and the last entry, whose tail may
+/// start a line of its own.
+fn gather(samplers: &SamplerColumn, views: &ViewArena<AgedId>, slot: usize) {
+    black_box(samplers.owner(slot));
+    let entries = views.entries(slot);
+    for entry in entries.iter().step_by(ENTRIES_PER_LINE) {
+        black_box(entry.id);
     }
-}
-
-/// Reads the node's whole view buffer, the one link beyond the slab cell,
-/// which an exchange reads and rewrites end to end: one entry per cache
-/// line, and the last entry, whose tail may start a line of its own.
-fn gather_row(node: Option<&SimNode>) {
-    if let Some(node) = node {
-        let entries = node.sampler.view().entries();
-        for entry in entries.iter().step_by(ENTRIES_PER_LINE) {
-            black_box(entry.id);
-        }
-        black_box(entries.last().copied());
-    }
+    black_box(entries.last().copied());
 }
 
 /// Membership phase of the uniform-oracle substrate: snapshot the
 /// population once (it is invariant within a cycle — churn only happens at
 /// cycle start), then refill every view from it, each node sampling from
 /// its own membership stream.
-fn refill(cx: &Cycle, nodes: &mut NodeSlab<SimNode>, pool: &mut Vec<AgedId>) {
+fn refill(cx: &Cycle, nodes: &mut Nodes, pool: &mut Vec<AgedId>) {
     let view_size = cx.cfg.view_size;
     pool.clear();
-    pool.extend(nodes.ids().map(AgedId::new));
+    pool.extend(nodes.protos.ids().map(AgedId::new));
     let mut entries: Vec<AgedId> = Vec::with_capacity(view_size + 1);
-    for (_, id, node) in nodes.iter_mut() {
+    let Nodes {
+        protos,
+        samplers,
+        views,
+    } = nodes;
+    for (slot, id, _) in protos.iter() {
         let mut rng = cx.rng(id, MEMBERSHIP_SALT);
         sample_from_pool(&mut rng, pool, |e| e.id, id, view_size, &mut entries);
-        node.sampler.refill(&entries);
+        samplers.bind(slot, views.row_mut(slot)).refill(&entries);
     }
 }
 
@@ -292,7 +307,7 @@ mod tests {
     use super::super::Engine;
     use crate::config::ProtocolKind;
     use dslice_core::digest::fnv1a64;
-    use dslice_core::NodeId;
+    use dslice_core::{AgedId, NodeId};
     use dslice_gossip::PeerSampler;
 
     #[test]
@@ -301,10 +316,10 @@ mod tests {
         // in-degree (299) exceeds the 127 the 128-batch masks hold and the
         // excess pairs run in the sequential overflow tail.
         let mut engine = Engine::new(small_cfg(300, 4, 81), ProtocolKind::ModJk).unwrap();
-        let hub = engine.nodes.get(NodeId::new(0)).unwrap().self_entry();
-        for (_, id, node) in engine.nodes.iter_mut() {
-            if id != hub.id {
-                node.sampler.refill(&[hub]);
+        let hub = AgedId::new(NodeId::new(0));
+        for slot in 0..engine.slot_count() {
+            if engine.nodes.samplers.owner(slot) != hub.id {
+                engine.nodes.sampler(slot).refill(&[hub]);
             }
         }
         engine.debug_record_schedule(true);

@@ -10,7 +10,8 @@
 //! the GDM's [`ValueOrder`]. Every buffer lives in [`Scratch`] or the
 //! tracker across cycles: a measured cycle allocates nothing.
 
-use super::{Cycle, SimNode};
+use super::Cycle;
+use dslice_algorithms::AnyProtocol;
 use dslice_core::metrics::{RankCache, SdmTerms, SliceTracker, ValueOrder};
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{NodeIdSet, NodeSlab};
@@ -24,11 +25,18 @@ pub(super) struct Scratch {
     order: ValueOrder,
 }
 
+impl Scratch {
+    /// Heap bytes held: the SDM constants' and the value order's buffers.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.terms.heap_bytes() + self.order.heap_bytes()
+    }
+}
+
 /// Runs the metrics phase; returns `(sdm, gdm, slice_changes)`. `last`
 /// holds the last computed `(sdm, gdm)`, repeated on skipped cycles.
 pub(super) fn run(
     cx: &Cycle,
-    nodes: &NodeSlab<SimNode>,
+    nodes: &NodeSlab<AnyProtocol>,
     liars: &NodeIdSet,
     ranks: &RankCache,
     tracker: &mut SliceTracker,
@@ -41,7 +49,7 @@ pub(super) fn run(
     let floor_ok = |r: f64| r > 0.0 || !cx.kind.is_ordering();
     debug_assert!(
         nodes.iter().all(|(_, id, n)| {
-            let r = n.proto.estimate();
+            let r = n.estimate();
             liars.contains(&id) || ((0.0..=1.0).contains(&r) && floor_ok(r))
         }),
         "an honest estimate left its family's range"
@@ -52,17 +60,14 @@ pub(super) fn run(
     let partition = &cx.cfg.partition;
     let Scratch { terms, order } = s;
     terms.reset(partition);
-    order.count(
-        nodes.len(),
-        nodes.iter().map(|(_, _, n)| n.proto.estimate()),
-    );
+    order.count(nodes.len(), nodes.iter().map(|(_, _, n)| n.estimate()));
     tracker.next_observation(nodes.slot_count());
     let mut slice_changes = 0;
     // Summed as `RankCache::sdm` sums: in slot order, by `Iterator::sum`.
     let sdm = nodes
         .iter()
         .map(|(slot, id, node)| {
-            let estimate = node.proto.estimate();
+            let estimate = node.estimate();
             let believed = partition.slice_of(estimate);
             slice_changes += usize::from(tracker.observe(slot, id, believed));
             order.place(id, estimate);
@@ -76,14 +81,11 @@ pub(super) fn run(
 /// The GDM of the live population through `s`'s value order, outside the
 /// phase: the disorder an engine starts from, or restarts from after a
 /// repartition, without a buffer of its own.
-pub(super) fn gdm(nodes: &NodeSlab<SimNode>, ranks: &RankCache, s: &mut Scratch) -> f64 {
+pub(super) fn gdm(nodes: &NodeSlab<AnyProtocol>, ranks: &RankCache, s: &mut Scratch) -> f64 {
     let order = &mut s.order;
-    order.count(
-        nodes.len(),
-        nodes.iter().map(|(_, _, n)| n.proto.estimate()),
-    );
+    order.count(nodes.len(), nodes.iter().map(|(_, _, n)| n.estimate()));
     for (_, id, node) in nodes.iter() {
-        order.place(id, node.proto.estimate());
+        order.place(id, node.estimate());
     }
     ranks.gdm_of(order)
 }

@@ -4,7 +4,7 @@
 //!
 //! One [`Engine::step`] reproduces a PeerSim cycle (§4.5) as a sequence of
 //! explicit phases, each a plain function in its own module over explicit
-//! borrows — the node slab, the phase's own buffers, and the read-only
+//! borrows — the node columns, the phase's own buffers, and the read-only
 //! `Cycle` context — so no phase holds the whole engine:
 //!
 //! 1. **Churn** (`churn.rs`) — leavers go, joiners arrive and bootstrap their
@@ -16,14 +16,14 @@
 //!    shuffle atomically, as schedule → batch → execute.
 //! 4. **Refresh** (`active.rs`) — every node's published value and attribute
 //!    are snapshotted per id row, once.
-//! 5. **Active** (`active.rs`) — one sweep over the slot array: each node's
-//!    view is joined against the snapshot, then its protocol acts on its
+//! 5. **Active** (`active.rs`) — one sweep in slot order: each node's
+//!    view row is joined against the snapshot, then its protocol acts on its
 //!    own counter-based stream (see [`crate::stream`]), filling one outbox.
 //! 6. **Delivery** (`delivery.rs`) — the outbox is routed sender by sender per
 //!    the [`Concurrency`](crate::Concurrency) model: atomic exchanges now,
 //!    overlapping messages in an end-of-cycle drain.
 //! 7. **Metrics** (`metrics.rs`) — SDM, GDM and slice changes on the
-//!    configured cadence, from one walk over the slab and the
+//!    configured cadence, from one walk over the protocol column and the
 //!    churn-maintained rank cache, in O(n).
 //!
 //! In debug builds every phase boundary checks what the next phase relies
@@ -35,21 +35,36 @@
 //!
 //! ## Storage
 //!
-//! Node state lives in a dense [`NodeSlab`]: contiguous slots walked in
-//! slot order each phase, an id → slot index, and a free list so churn
-//! reuses slots (slot storage is bounded by the peak population). Each slot
-//! holds its node whole: the protocol as an [`AnyProtocol`] and the sampler
-//! as an [`AnySampler`], closed enums over the concrete types stored inline
-//! — 112 bytes, no heap object per node but the view's entry buffer (and a
-//! box for the rare arms larger than a ranking node). A view stores 8-byte
-//! `(id, age)` entries ([`AgedId`]), all that peer sampling reads; each
-//! neighbor's attribute and published value are joined in from the refresh
-//! snapshot only when a protocol reads the view (`active.rs`), and a
-//! protocol's passive step is handed an empty view (`delivery.rs`). At view
-//! size 10 the entry buffer is 80 bytes, in a 96-byte heap chunk; with the
-//! cell and the id-indexed columns below, a 10⁵-node run peaks at about
-//! 430 bytes of resident memory per node (`examples/scale_run`, 2-vCPU
-//! Linux host). The per-message and
+//! Node state lives in three columns indexed by the same slot, one `Vec`
+//! each, walked in slot order every phase: the protocol column, a
+//! [`NodeSlab`] of [`AnyProtocol`]s (a closed enum over the concrete
+//! protocols, stored inline: 72 bytes a slot with the id), which also
+//! keeps the id → slot index and the free list that lets churn reuse slots
+//! (slot storage is bounded by the peak population); the sampler column, a
+//! [`SamplerColumn`] holding what a sampler keeps besides its view — the
+//! owner, 4 bytes, and in an Lpbcast run the digest size and eviction
+//! stream; and the view arena, a [`ViewArena`] holding every view as one
+//! row of `c` 8-byte `(id, age)` entries ([`AgedId`]) beside a one-byte
+//! length per slot. No heap object is kept per node (but a box for the rare
+//! protocol arms larger than a ranking node): the columns are sized once
+//! for the initial population, a departed node's row is emptied, and a
+//! joiner takes the emptied row of the slot it takes over. A phase reads
+//! only the columns it needs: membership the sampler column and the rows,
+//! delivery the protocol column, the active sweep both side by side. A row
+//! is reached from its slot by arithmetic, never through a pointer stored
+//! per node. For each membership operation a sampler is bound over the
+//! column and the row ([`SamplerColumn::bind`]) and runs the same code as
+//! a sampler that owns its view.
+//!
+//! A view stores only what peer sampling reads; each neighbor's attribute
+//! and published value are joined in from the refresh snapshot when a
+//! protocol reads the view (`active.rs`), and a protocol's passive step is
+//! handed an empty view (`delivery.rs`). At view size 10 a node costs 72
+//! bytes of protocol slot, 80 of row, 1 of length and 4 of sampler column;
+//! with the id-indexed columns and the phase buffers below, a 10⁵-node run
+//! peaks at about 370 bytes of resident memory per node, and
+//! [`Engine::heap_bytes`] accounts for nearly all of it, column by column
+//! (`examples/scale_run`, 2-vCPU Linux host). The per-message and
 //! per-exchange records are small for the same reason: a queued message is
 //! a 32-byte `Copy` envelope of two 4-byte `NodeId`s and a three-variant
 //! payload, and a scheduled exchange is two `u32` slots and a stream, 16
@@ -83,7 +98,8 @@
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
 //! membership exchanges visit nodes in random order, so both loops work in
 //! groups of `GATHER_AHEAD` (16) messages or exchanges and read the node
-//! state of the next groups ahead, discarding what they read, so that the
+//! state of the next group ahead — the recipients' protocol slots, the
+//! endpoints' rows and owners — discarding what they read, so that the
 //! cache misses of a group are in flight together. The reads cannot change
 //! a result: they go through shared borrows and read-only accessors, draw no
 //! randomness, and leave the order of the work untouched.
@@ -108,8 +124,10 @@ use dslice_algorithms::{Adaptive, AnyProtocol, AttackerSpec, Liar};
 use dslice_core::metrics::{RankCache, SliceTracker};
 use dslice_core::node::NodeIdAllocator;
 use dslice_core::protocol::{Context, Event, SliceProtocol};
-use dslice_core::{AgedId, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result};
-use dslice_gossip::{AnySampler, PeerSampler};
+use dslice_core::{
+    AgedId, Attribute, NodeId, NodeIdSet, NodeSlab, Partition, ProtocolMsg, Result, ViewArena,
+};
+use dslice_gossip::{RowSampler, SamplerColumn};
 use dslice_obs::{FlightRecorder, TraceConfig, TraceKind};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -136,46 +154,77 @@ const PHASE_SPANS: [TraceKind; 7] = [
 
 /// Group size of the look-ahead reads: while the delivery loop routes one
 /// group of this many messages, or the membership phase executes one group
-/// of this many exchanges, the next groups' node state is read.
+/// of this many exchanges, the next group's node state is read.
 const GATHER_AHEAD: usize = 16;
 
-/// One simulated node: its protocol state plus its membership state, both
-/// inline in the slab cell (see the module docs on storage).
-struct SimNode {
-    proto: AnyProtocol,
-    sampler: AnySampler<AgedId>,
+/// The population, as three columns indexed by the slot [`NodeSlab::insert`]
+/// hands a node (see the module docs on storage): the protocols in the slab,
+/// which also keeps the id → slot index and the free list; what each
+/// sampler keeps besides its view; and the views, one arena row per slot.
+/// A node enters and leaves all three together, through
+/// [`insert`](Nodes::insert) and [`remove`](Nodes::remove).
+struct Nodes {
+    protos: NodeSlab<AnyProtocol>,
+    samplers: SamplerColumn,
+    views: ViewArena<AgedId>,
 }
 
-impl std::fmt::Debug for SimNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimNode")
-            .field("id", &self.proto.id())
-            .field("attribute", &self.proto.attribute())
-            .field("estimate", &self.proto.estimate())
-            .finish()
-    }
-}
-
-impl SimNode {
-    /// A fresh node running `kind` over the configured sampler — the one
-    /// construction path of the initial population and of churn joiners.
-    fn new(
-        cfg: &SimConfig,
-        kind: ProtocolKind,
-        id: NodeId,
-        attribute: Attribute,
-        rng: &mut StdRng,
-    ) -> Result<Self> {
-        Ok(SimNode {
-            proto: AnyProtocol::new(kind, id, attribute, &cfg.partition, rng),
-            sampler: AnySampler::empty(cfg.sampler, id, cfg.view_size)?,
+impl Nodes {
+    /// Empty columns with room for `slots` nodes of `cfg`'s sampler and
+    /// view size, sized once so that building the population never grows
+    /// them.
+    fn with_capacity(cfg: &SimConfig, slots: usize) -> Result<Self> {
+        Ok(Nodes {
+            protos: NodeSlab::with_capacity(slots),
+            samplers: SamplerColumn::with_capacity(cfg.sampler, slots),
+            views: ViewArena::with_capacity(cfg.view_size, slots)?,
         })
     }
 
-    /// The node's self-descriptor `(owner, age 0)`, read from the sampler
-    /// half of the cell alone.
-    fn self_entry(&self) -> AgedId {
-        AgedId::new(self.sampler.owner())
+    /// Adds node `id` running `proto`, with a fresh sampler and an empty
+    /// view in the slot it takes — a recycled slot's row is reused.
+    fn insert(&mut self, id: NodeId, proto: AnyProtocol) {
+        let slot = self.protos.insert(id, proto);
+        self.samplers.set(slot, id);
+        self.views.clear(slot);
+    }
+
+    /// Removes node `id`, emptying its row; whether it was live.
+    fn remove(&mut self, id: NodeId) -> bool {
+        let Some(slot) = self.protos.slot_of(id) else {
+            return false;
+        };
+        self.protos.remove(id);
+        self.views.clear(slot);
+        true
+    }
+
+    /// The sampler of the node in `slot`, bound to its row.
+    fn sampler(&mut self, slot: usize) -> RowSampler<'_, AgedId> {
+        self.samplers.bind(slot, self.views.row_mut(slot))
+    }
+}
+
+/// The heap bytes an engine holds, column by column and buffer by buffer
+/// ([`Engine::heap_bytes`]): what each buffer's capacity reserves, whether
+/// or not the population fills it. Resident memory adds the allocator's
+/// overhead and whatever it keeps after a buffer is freed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HeapLedger {
+    /// `(what, bytes)` per row, in a fixed order.
+    pub rows: [(&'static str, usize); 12],
+}
+
+impl HeapLedger {
+    /// The bytes of all rows.
+    pub fn total(&self) -> usize {
+        self.rows.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// The bytes of the row named `what`.
+    pub fn bytes(&self, what: &str) -> Option<usize> {
+        let row = self.rows.iter().find(|&&(name, _)| name == what);
+        row.map(|&(_, bytes)| bytes)
     }
 }
 
@@ -310,10 +359,10 @@ fn sample_from_pool<T: Copy, R: RngCore + ?Sized>(
 /// Debug builds: after `phase`, every live view keeps its structural
 /// invariants (no owner pointer, no duplicate, within capacity). Allocates
 /// nothing unless it fails.
-fn debug_assert_views(nodes: &NodeSlab<SimNode>, phase: &str) {
+fn debug_assert_views(nodes: &Nodes, phase: &str) {
     if cfg!(debug_assertions) {
-        for (_, id, node) in nodes.iter() {
-            if let Err(e) = node.sampler.view().check_invariants(Some(id)) {
+        for (slot, id, _) in nodes.protos.iter() {
+            if let Err(e) = nodes.views.row(slot).check_invariants(Some(id)) {
                 panic!("after {phase}, node {id}'s view broke an invariant: {e}");
             }
         }
@@ -347,7 +396,7 @@ impl PhaseTimer {
 pub struct Engine {
     cfg: SimConfig,
     kind: ProtocolKind,
-    nodes: NodeSlab<SimNode>,
+    nodes: Nodes,
     alloc: NodeIdAllocator,
     rng: StdRng,
     cycle: usize,
@@ -390,7 +439,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("protocol", &self.kind.label())
             .field("cycle", &self.cycle)
-            .field("population", &self.nodes.len())
+            .field("population", &self.nodes.protos.len())
             .finish()
     }
 }
@@ -401,7 +450,7 @@ impl Engine {
         cfg.validate()?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut alloc = NodeIdAllocator::default();
-        let mut nodes = NodeSlab::with_capacity(cfg.n);
+        let mut nodes = Nodes::with_capacity(&cfg, cfg.n)?;
 
         // Create the initial population, snapshotting each node's entry as
         // it is made (a fresh slab's slot order is id order), then seed
@@ -410,9 +459,9 @@ impl Engine {
         for _ in 0..cfg.n {
             let id = alloc.allocate();
             let attribute = cfg.distribution.sample(&mut rng);
-            let node = SimNode::new(&cfg, kind, id, attribute, &mut rng)?;
-            pool.push(node.self_entry());
-            nodes.insert(id, node);
+            let proto = AnyProtocol::new(kind, id, attribute, &cfg.partition, &mut rng);
+            pool.push(AgedId::new(id));
+            nodes.insert(id, proto);
         }
         let ids = pool.iter().map(|e| e.id);
         churn::bootstrap(&mut nodes, ids, |owner, entries| {
@@ -424,7 +473,7 @@ impl Engine {
         // measured with 24-byte entries).
 
         let mut ranks = RankCache::new();
-        ranks.rebuild(nodes.iter().map(|(_, id, n)| (id, n.proto.attribute())));
+        ranks.rebuild(nodes.protos.iter().map(|(_, id, p)| (id, p.attribute())));
         let (active, delivery) = (
             active::Scratch::new(cfg.view_size)?,
             delivery::Queues::new(cfg.view_size)?,
@@ -450,7 +499,7 @@ impl Engine {
             schedule_log: None,
             recorder: None,
         };
-        let gdm = metrics::gdm(&engine.nodes, &engine.ranks, &mut engine.metrics);
+        let gdm = metrics::gdm(&engine.nodes.protos, &engine.ranks, &mut engine.metrics);
         engine.last_disorder = (engine.sdm(), gdm);
         Ok(engine)
     }
@@ -482,7 +531,7 @@ impl Engine {
     /// draws `count` entries for `owner` from the current live population.
     #[doc(hidden)]
     pub fn debug_random_entries(&mut self, owner: NodeId, count: usize) -> Vec<AgedId> {
-        let pool: Vec<AgedId> = self.nodes.ids().map(AgedId::new).collect();
+        let pool: Vec<AgedId> = self.nodes.protos.ids().map(AgedId::new).collect();
         let mut entries = Vec::new();
         sample_from_pool(&mut self.rng, &pool, |e| e.id, owner, count, &mut entries);
         entries
@@ -495,18 +544,51 @@ impl Engine {
 
     /// The current population size.
     pub fn population(&self) -> usize {
-        self.nodes.len()
+        self.nodes.protos.len()
     }
 
-    /// Number of storage slots the node slab has ever allocated (live +
-    /// free). Node state is bounded by this — the *peak* population — not
-    /// by the number of identities created over the run (churn reuses slots
-    /// through the slab's free list), and so is the slice tracker, keyed by
-    /// slot. The id-indexed columns beside it (slab index, refresh
-    /// snapshot, rank cache) add about 24 bytes per identity ever issued,
-    /// live or not.
+    /// Number of storage slots the node columns have ever allocated, live
+    /// and free. Node state — protocol slots, sampler column, view arena —
+    /// is bounded by this, the *peak* population, not by the number of
+    /// identities created over the run (churn reuses slots through the
+    /// slab's free list), and so is the slice tracker, keyed by slot. The
+    /// id-indexed columns beside it (slab index, refresh snapshot, rank
+    /// cache) add about 24 bytes per identity ever issued, live or not.
     pub fn slot_count(&self) -> usize {
-        self.nodes.slot_count()
+        self.nodes.protos.slot_count()
+    }
+
+    /// The heap bytes the engine holds, one row per column of node state
+    /// and per phase buffer (see [`HeapLedger`]). It reads capacities: O(1)
+    /// per row, and it allocates nothing.
+    pub fn heap_bytes(&self) -> HeapLedger {
+        let Nodes {
+            protos,
+            samplers,
+            views,
+        } = &self.nodes;
+        let (slots, index) = protos.heap_bytes();
+        let (arena, lengths) = views.heap_bytes();
+        let (published, outbox) = self.active.heap_bytes();
+        HeapLedger {
+            rows: [
+                ("protocol slots", slots),
+                ("sampler column", samplers.heap_bytes()),
+                ("view arena", arena),
+                ("length column", lengths),
+                ("id -> slot index", index),
+                ("published rows", published),
+                ("rank cache", self.ranks.heap_bytes()),
+                ("slice tracker", self.tracker.heap_bytes()),
+                ("membership scratch", self.membership.heap_bytes()),
+                ("delivery queues", self.delivery.heap_bytes()),
+                ("outbox and joined view", outbox),
+                (
+                    "churn and metrics buffers",
+                    self.churn.heap_bytes() + self.metrics.heap_bytes(),
+                ),
+            ],
+        }
     }
 
     /// The partition nodes slice against.
@@ -523,15 +605,15 @@ impl Engine {
     /// verifies exactly that.
     pub fn set_partition(&mut self, partition: Partition) {
         self.cfg.partition = partition;
-        for (_, _, node) in self.nodes.iter_mut() {
-            node.proto.set_partition(&self.cfg.partition);
+        for (_, _, proto) in self.nodes.protos.iter_mut() {
+            proto.set_partition(&self.cfg.partition);
         }
         // Believed slices under the old partitioning are not comparable to
         // the new one; restart stability tracking rather than report a
         // spurious all-nodes-changed spike.
         self.tracker = SliceTracker::new();
         // The cached disorder values refer to the old partitioning too.
-        let gdm = metrics::gdm(&self.nodes, &self.ranks, &mut self.metrics);
+        let gdm = metrics::gdm(&self.nodes.protos, &self.ranks, &mut self.metrics);
         self.last_disorder = (self.sdm(), gdm);
     }
 
@@ -540,9 +622,9 @@ impl Engine {
     pub fn snapshot(&self) -> Vec<(NodeId, Attribute, f64)> {
         // Sized once, not grown by doubling: at 10⁵ nodes this is the
         // largest block a caller's end-of-run check allocates.
-        let mut snapshot = Vec::with_capacity(self.nodes.len());
-        let live = self.nodes.iter();
-        snapshot.extend(live.map(|(_, id, n)| (id, n.proto.attribute(), n.proto.estimate())));
+        let mut snapshot = Vec::with_capacity(self.nodes.protos.len());
+        let live = self.nodes.protos.iter();
+        snapshot.extend(live.map(|(_, id, p)| (id, p.attribute(), p.estimate())));
         snapshot.sort_unstable_by_key(|&(id, _, _)| id);
         snapshot
     }
@@ -552,7 +634,10 @@ impl Engine {
     pub fn sdm(&self) -> f64 {
         self.ranks.sdm(
             &self.cfg.partition,
-            self.nodes.iter().map(|(_, id, n)| (id, n.proto.estimate())),
+            self.nodes
+                .protos
+                .iter()
+                .map(|(_, id, p)| (id, p.estimate())),
         )
     }
 
@@ -560,7 +645,7 @@ impl Engine {
     /// churn-maintained rank cache, one ordering of the random values for
     /// `ρ`.
     pub fn gdm(&self) -> f64 {
-        metrics::gdm(&self.nodes, &self.ranks, &mut Default::default())
+        metrics::gdm(&self.nodes.protos, &self.ranks, &mut Default::default())
     }
 
     /// Fraction of nodes whose believed slice equals their true slice —
@@ -568,7 +653,10 @@ impl Engine {
     pub fn accuracy(&self) -> f64 {
         self.ranks.accuracy(
             &self.cfg.partition,
-            self.nodes.iter().map(|(_, id, n)| (id, n.proto.estimate())),
+            self.nodes
+                .protos
+                .iter()
+                .map(|(_, id, p)| (id, p.estimate())),
         )
     }
 
@@ -611,8 +699,9 @@ impl Engine {
         // (attribute, id) exactly as the evaluation oracle does.
         let mut by_attr: Vec<(NodeId, f64)> = self
             .nodes
+            .protos
             .iter()
-            .map(|(_, id, n)| (id, n.proto.attribute().value()))
+            .map(|(_, id, p)| (id, p.attribute().value()))
             .collect();
         by_attr.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let n = by_attr.len();
@@ -668,6 +757,7 @@ impl Engine {
         let fraction = fraction.clamp(0.0, 1.0);
         let mut honest: Vec<NodeId> = self
             .nodes
+            .protos
             .ids()
             .filter(|id| !self.liars.contains(id))
             .collect();
@@ -690,18 +780,10 @@ impl Engine {
     /// node in the liar set.
     fn make_liars(&mut self, chosen: &[NodeId], wrap: impl Fn(AnyProtocol) -> AnyProtocol) {
         for &id in chosen {
-            let Some((slot, node)) = self.nodes.take(id) else {
+            let Some((slot, proto)) = self.nodes.protos.take(id) else {
                 continue;
             };
-            let SimNode { proto, sampler } = node;
-            self.nodes.put_back(
-                slot,
-                id,
-                SimNode {
-                    proto: wrap(proto),
-                    sampler,
-                },
-            );
+            self.nodes.protos.put_back(slot, id, wrap(proto));
             self.liars.insert(id);
         }
     }
@@ -720,8 +802,9 @@ impl Engine {
     pub fn set_network_partition(&mut self, bands: usize, heal_at: Option<usize>) -> Result<()> {
         let attributes: Vec<f64> = self
             .nodes
+            .protos
             .iter()
-            .map(|(_, _, n)| n.proto.attribute().value())
+            .map(|(_, _, p)| p.attribute().value())
             .collect();
         let partition = BandPartition::from_attributes(bands, &attributes, heal_at)?;
         self.fault.install_partition(partition);
@@ -774,9 +857,10 @@ impl Engine {
         self.ranks.accuracy(
             &self.cfg.partition,
             self.nodes
+                .protos
                 .iter()
                 .filter(|(_, id, _)| !self.liars.contains(id))
-                .map(|(_, id, n)| (id, n.proto.estimate())),
+                .map(|(_, id, p)| (id, p.estimate())),
         )
     }
 
@@ -784,12 +868,8 @@ impl Engine {
     /// (index = slice index). Sums to the population size.
     pub fn slice_histogram(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.cfg.partition.len()];
-        for (_, _, node) in self.nodes.iter() {
-            counts[self
-                .cfg
-                .partition
-                .slice_of(node.proto.estimate())
-                .as_usize()] += 1;
+        for (_, _, proto) in self.nodes.protos.iter() {
+            counts[self.cfg.partition.slice_of(proto.estimate()).as_usize()] += 1;
         }
         counts
     }
@@ -860,7 +940,7 @@ impl Engine {
         let mut counters = EventCounters::default();
         let mut dropped = 0u64;
         // Delivery's borrows span the cycle's message path; the phases in
-        // between borrow the slab and the tallies through it.
+        // between borrow the node columns and the tallies through it.
         let mut wire = Delivery {
             cx: &cx,
             nodes: &mut self.nodes,
@@ -878,7 +958,7 @@ impl Engine {
         timer.lap(&mut timings.membership_ns);
 
         let rows = self.alloc.issued() as usize;
-        active::refresh(wire.nodes, rows, &mut self.active);
+        active::refresh(&wire.nodes.protos, rows, &mut self.active);
         timer.lap(&mut timings.refresh_ns);
 
         active::run(&cx, wire.nodes, &mut self.active, wire.counters);
@@ -889,7 +969,7 @@ impl Engine {
 
         let (sdm, gdm, slice_changes) = metrics::run(
             &cx,
-            &self.nodes,
+            &self.nodes.protos,
             &self.liars,
             &self.ranks,
             &mut self.tracker,
@@ -922,7 +1002,7 @@ impl Engine {
 
         CycleStats {
             cycle: self.cycle,
-            n: self.nodes.len(),
+            n: self.nodes.protos.len(),
             sdm,
             gdm,
             events: counters,
@@ -954,10 +1034,10 @@ impl Engine {
     /// (e.g. the slice-connected overlays of `dslice-overlay`) that consume
     /// the gossip stream as their candidate source.
     pub fn view_snapshot(&self) -> Vec<(NodeId, Vec<NodeId>)> {
-        let mut snapshot: Vec<(NodeId, Vec<NodeId>)> = self
-            .nodes
+        let Nodes { protos, views, .. } = &self.nodes;
+        let mut snapshot: Vec<(NodeId, Vec<NodeId>)> = protos
             .iter()
-            .map(|(_, id, n)| (id, n.sampler.view().ids().collect()))
+            .map(|(slot, id, _)| (id, views.row(slot).ids().collect()))
             .collect();
         snapshot.sort_unstable_by_key(|&(id, _)| id);
         snapshot
@@ -972,6 +1052,7 @@ mod tests {
     use crate::distributions::AttributeDistribution;
     use dslice_core::digest::fnv1a64;
     use dslice_gossip::SamplerKind;
+    use std::mem::size_of;
 
     pub(super) fn small_cfg(n: usize, slices: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -996,12 +1077,10 @@ mod tests {
         assert_eq!(engine.population(), 64);
         assert_eq!(engine.cycle(), 0);
         // Every node has a non-empty, invariant-respecting view.
-        for (_, id, node) in engine.nodes.iter() {
-            assert!(
-                !node.sampler.view().is_empty(),
-                "node {id} has no neighbors"
-            );
-            node.sampler.view().check_invariants(Some(id)).unwrap();
+        for (slot, id, _) in engine.nodes.protos.iter() {
+            let view = engine.nodes.views.row(slot);
+            assert!(!view.is_empty(), "node {id} has no neighbors");
+            view.check_invariants(Some(id)).unwrap();
         }
     }
 
@@ -1009,14 +1088,16 @@ mod tests {
     /// each entry's id, age, and the bits of the neighbor's attribute and
     /// current published value, read from the live node.
     fn views_hash(engine: &Engine) -> u64 {
-        fnv1a64(engine.nodes.iter().flat_map(|(_, id, node)| {
-            let entries = node.sampler.view().iter().flat_map(|e| {
-                let neighbor = engine.nodes.get(e.id).expect("views hold live ids");
+        let Nodes { protos, views, .. } = &engine.nodes;
+        fnv1a64(protos.iter().flat_map(|(slot, id, _)| {
+            let row = views.entries(slot).iter();
+            let entries = row.flat_map(|e| {
+                let neighbor = protos.get(e.id).expect("views hold live ids");
                 let words = [
                     e.id.as_u64(),
                     u64::from(e.age),
-                    neighbor.proto.attribute().value().to_bits(),
-                    neighbor.proto.published_value().to_bits(),
+                    neighbor.attribute().value().to_bits(),
+                    neighbor.published_value().to_bits(),
                 ];
                 words.into_iter().flat_map(u64::to_le_bytes)
             });
@@ -1027,8 +1108,9 @@ mod tests {
     /// FNV-1a-64 of what membership alone decides: every live view in slot
     /// order, the owner's id, then each entry's id and age.
     fn membership_hash(engine: &Engine) -> u64 {
-        fnv1a64(engine.nodes.iter().flat_map(|(_, id, node)| {
-            let entries = node.sampler.view().iter().flat_map(|e| {
+        let Nodes { protos, views, .. } = &engine.nodes;
+        fnv1a64(protos.iter().flat_map(|(slot, id, _)| {
+            let entries = views.entries(slot).iter().flat_map(|e| {
                 let words = [e.id.as_u64(), u64::from(e.age)];
                 words.into_iter().flat_map(u64::to_le_bytes)
             });
@@ -1091,6 +1173,16 @@ mod tests {
                 ProtocolKind::ModJk,
                 0xbe09_7da3_b28d_57e9,
             ),
+            (
+                SamplerKind::Newscast,
+                ProtocolKind::ModJk,
+                0x70d8_7468_b6ef_c3f5,
+            ),
+            (
+                SamplerKind::Lpbcast,
+                ProtocolKind::Ranking,
+                0x279f_20c2_4489_6bd0,
+            ),
         ];
         for (sampler, kind, pin) in pins {
             let schedule = ChurnSchedule {
@@ -1116,13 +1208,54 @@ mod tests {
 
     #[test]
     fn per_node_and_per_message_records_stay_small() {
-        use std::mem::size_of;
-        // Protocol (64) and sampler (48) inline; the slab cell adds the id.
-        assert_eq!(size_of::<SimNode>(), 112);
-        // A stored view entry is an id and an age.
+        // A protocol slot: the protocol (64) inline beside its id.
+        assert_eq!(size_of::<Option<(NodeId, AnyProtocol)>>(), 72);
+        // A sampler-column cell: the owner (an Lpbcast run adds its state).
+        assert_eq!(size_of::<NodeId>(), 4);
+        // An arena entry is an id and an age.
         assert_eq!(size_of::<AgedId>(), 8);
         assert_eq!(size_of::<Envelope>(), 32);
         assert_eq!(size_of::<membership::ScheduledExchange>(), 16);
+    }
+
+    #[test]
+    fn heap_ledgers_repeat_and_the_arena_is_one_row_per_slot() {
+        let run = || {
+            let schedule = ChurnSchedule {
+                rate: 0.02,
+                period: 1,
+                stop_after: None,
+            };
+            let churn = UncorrelatedChurn::new(schedule, AttributeDistribution::default());
+            let mut engine = Engine::new(small_cfg(2_000, 8, 17), ProtocolKind::ModJk)
+                .unwrap()
+                .with_churn(Box::new(churn));
+            let built = engine.heap_bytes();
+            engine.run(5);
+            (built, engine.heap_bytes(), engine.slot_count())
+        };
+        let (built, ran, slots) = run();
+        assert_eq!(
+            run(),
+            (built, ran, slots),
+            "same config and seed, same ledgers"
+        );
+        // Sized once for the initial population; a churned population at
+        // the same size takes recycled slots and their rows.
+        let row = 8 * size_of::<AgedId>();
+        assert_eq!(slots, 2_000);
+        assert_eq!(built.bytes("view arena"), Some(2_000 * row));
+        assert_eq!(ran.bytes("view arena"), Some(slots * row));
+        assert_eq!(ran.bytes("length column"), Some(slots));
+        assert_eq!(
+            ran.bytes("sampler column"),
+            Some(slots * size_of::<NodeId>())
+        );
+        assert_eq!(
+            ran.total(),
+            ran.rows.iter().map(|&(_, bytes)| bytes).sum::<usize>()
+        );
+        assert!(ran.bytes("no such column").is_none());
     }
 
     #[test]
@@ -1146,6 +1279,16 @@ mod tests {
         let mut cfg = small_cfg(0, 4, 1);
         cfg.n = 0;
         assert!(Engine::new(cfg, ProtocolKind::Jk).is_err());
+    }
+
+    #[test]
+    fn views_too_wide_for_a_length_byte_are_rejected() {
+        let mut cfg = small_cfg(16, 4, 1);
+        cfg.view_size = 256;
+        let err = Engine::new(cfg.clone(), ProtocolKind::Ranking).unwrap_err();
+        assert!(matches!(err, dslice_core::Error::ViewCapacityTooLarge(256)));
+        cfg.view_size = 255;
+        assert!(Engine::new(cfg, ProtocolKind::Ranking).is_ok());
     }
 
     #[test]
@@ -1254,9 +1397,9 @@ mod tests {
         assert_eq!(total_joined, 25);
         assert_eq!(engine.population(), 100, "same-rate churn keeps n stable");
         // All views reference live nodes only.
-        for (_, id, node) in engine.nodes.iter() {
-            for e in node.sampler.view().iter() {
-                assert!(engine.nodes.contains(e.id) || id == e.id);
+        for (slot, id, _) in engine.nodes.protos.iter() {
+            for e in engine.nodes.views.row(slot).iter() {
+                assert!(engine.nodes.protos.contains(e.id) || id == e.id);
             }
         }
     }
@@ -1292,14 +1435,19 @@ mod tests {
                 schedule,
                 AttributeDistribution::default(),
             )));
-        let before: Vec<(usize, NodeId)> = engine.nodes.iter().map(|(s, id, _)| (s, id)).collect();
+        let before: Vec<(usize, NodeId)> = engine
+            .nodes
+            .protos
+            .iter()
+            .map(|(s, id, _)| (s, id))
+            .collect();
         let stats = engine.step();
         assert!(stats.left > 0 && stats.joined > 0, "the cycle churned");
         // Departed ids whose slots a joiner (with a fresh id) took over.
         let reused: Vec<(NodeId, NodeId)> = before
             .iter()
-            .filter(|&&(_, old)| !engine.nodes.contains(old))
-            .filter_map(|&(slot, old)| Some((old, engine.nodes.id_at(slot)?)))
+            .filter(|&&(_, old)| !engine.nodes.protos.contains(old))
+            .filter_map(|&(slot, old)| Some((old, engine.nodes.protos.id_at(slot)?)))
             .collect();
         assert!(!reused.is_empty(), "the free list recycled a slot");
         let published = &engine.active.published;
@@ -1310,7 +1458,7 @@ mod tests {
         }
         let live: u32 = published.live.iter().map(|word| word.count_ones()).sum();
         assert_eq!(live as usize, engine.population(), "one bit per live node");
-        for (_, id, _) in engine.nodes.iter() {
+        for (_, id, _) in engine.nodes.protos.iter() {
             assert!(published.get(id).is_some(), "{id} is live");
         }
         // Ids the column has no row for read as absent, not as a panic.
@@ -1325,8 +1473,8 @@ mod tests {
         cfg.sampler = SamplerKind::UniformOracle;
         let mut engine = Engine::new(cfg, ProtocolKind::Ranking).unwrap();
         engine.step();
-        for (_, id, node) in engine.nodes.iter() {
-            let view = node.sampler.view();
+        for (slot, id, _) in engine.nodes.protos.iter() {
+            let view = engine.nodes.views.row(slot);
             assert_eq!(view.len(), 8, "view refilled to capacity");
             view.check_invariants(Some(id)).unwrap();
         }
@@ -1787,12 +1935,15 @@ mod tests {
         // Heavy uncorrelated churn replaces liars with honest joiners; every
         // tracked liar must still be a live node.
         assert!(engine.liar_count() < 50);
-        let live: Vec<NodeId> = engine.nodes.ids().collect();
+        let live: Vec<NodeId> = engine.nodes.protos.ids().collect();
         for id in &live {
             let _ = engine.is_liar(*id);
         }
         assert!(
-            engine.liars.iter().all(|id| engine.nodes.contains(*id)),
+            engine
+                .liars
+                .iter()
+                .all(|id| engine.nodes.protos.contains(*id)),
             "liar set must only track live nodes"
         );
     }

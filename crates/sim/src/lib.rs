@@ -76,7 +76,7 @@ pub use concurrency::Concurrency;
 pub use config::{ProtocolKind, SamplerKind, SimConfig};
 pub use distributions::AttributeDistribution;
 pub use dslice_algorithms::AttackerSpec;
-pub use engine::Engine;
+pub use engine::{Engine, HeapLedger};
 pub use fault::{BandPartition, NetworkFault};
 pub use latency::LatencyModel;
 pub use sessions::{FlashCrowd, SessionChurn, WeibullSessions};

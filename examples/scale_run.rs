@@ -12,7 +12,8 @@
 //! metrics medians read about 0; the churned run measures every cycle. On
 //! Linux it also reports the process's peak resident set (`VmHWM`) after
 //! the 100k run and that peak per node, the figure a memory budget per
-//! node is held to.
+//! node is held to, and beside it the engine's own heap ledger
+//! (`Engine::heap_bytes`): its total, per node, and row by row.
 //! Run with:
 //!
 //! ```text
@@ -108,6 +109,15 @@ fn main() {
             peak as f64 / engine.population() as f64,
         ),
         None => println!("peak RSS: not reported on this platform"),
+    }
+    let ledger = engine.heap_bytes();
+    println!(
+        "heap ledger {:.1} MiB | {:.0} bytes per node",
+        ledger.total() as f64 / (1024.0 * 1024.0),
+        ledger.total() as f64 / engine.population() as f64,
+    );
+    for (what, bytes) in ledger.rows {
+        println!("  {what}: {bytes} bytes");
     }
 
     assert!(

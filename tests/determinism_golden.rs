@@ -422,3 +422,45 @@ fn churned_mod_jk_record_with_liars_is_pinned_at_5000_nodes() {
     let record = engine.run(20).to_json();
     assert_pinned(&record, 0xed8e_e5df_968b_d325, "mod-JK with 20 % liars");
 }
+
+// Churned records for the three substrates besides Cyclon, at 1 %
+// uncorrelated churn: joiners take recycled slots, so a view left behind
+// in a slot by its departed owner would leak into the joiner that takes
+// the slot over. Captured before the simulator's views moved into one
+// slot-indexed arena.
+
+#[test]
+fn churned_newscast_mod_jk_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(
+        ProtocolKind::ModJk,
+        Some(0.01),
+        0xb529_48b4_2402_4598,
+        |cfg| {
+            cfg.sampler = SamplerKind::Newscast;
+        },
+    );
+}
+
+#[test]
+fn churned_lpbcast_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(
+        ProtocolKind::Ranking,
+        Some(0.01),
+        0x9c0a_c348_a0ea_20aa,
+        |cfg| {
+            cfg.sampler = SamplerKind::Lpbcast;
+        },
+    );
+}
+
+#[test]
+fn churned_uniform_oracle_ranking_record_is_pinned_at_5000_nodes() {
+    assert_pinned_with(
+        ProtocolKind::Ranking,
+        Some(0.01),
+        0x9976_bcba_ec71_b33f,
+        |cfg| {
+            cfg.sampler = SamplerKind::UniformOracle;
+        },
+    );
+}

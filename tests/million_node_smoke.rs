@@ -12,12 +12,13 @@ use dslice::prelude::*;
 const N: usize = 1_000_000;
 /// Cycles in the smoke run.
 const CYCLES: usize = 50;
-/// Peak RSS ceiling: the 389 MiB measured on a 2-vCPU Linux host once the
-/// simulator's views stored 8-byte `(id, age)` entries, plus 25 % (the
-/// same host read 531 MiB with 24-byte entries; 33–34 s in release).
+/// Peak RSS ceiling: the 333 MiB measured on a 2-vCPU Linux host once the
+/// simulator's views became rows of one arena beside a protocol column and
+/// a sampler column, plus 25 % (the same host read 389 MiB with a heap
+/// buffer per view and 531 MiB with 24-byte entries; 25 s in release).
 /// Node state, views and the id-indexed columns all scale with `n`, so a
 /// per-node regression shows here first.
-const PEAK_RSS_CEILING_MIB: f64 = 487.0;
+const PEAK_RSS_CEILING_MIB: f64 = 417.0;
 
 /// Peak resident set size of this process in MiB (`VmHWM`), where the
 /// platform reports it.

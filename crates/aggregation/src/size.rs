@@ -29,17 +29,6 @@ impl SizeEstimator {
         }
     }
 
-    /// Access to the underlying averaging state (drive it like any other
-    /// aggregation exchange).
-    pub fn state_mut(&mut self) -> &mut AggregationState {
-        &mut self.state
-    }
-
-    /// The raw averaged token value (converges to `1/n`).
-    pub fn token(&self) -> f64 {
-        self.state.value()
-    }
-
     /// The size estimate `1/token`, or `None` while the token is still zero
     /// (the counting wave has not reached this node yet).
     pub fn estimate(&self) -> Option<f64> {
@@ -84,8 +73,6 @@ mod tests {
 
     #[test]
     fn initiator_starts_at_one_others_at_zero() {
-        assert_eq!(SizeEstimator::new(true).token(), 1.0);
-        assert_eq!(SizeEstimator::new(false).token(), 0.0);
         assert_eq!(SizeEstimator::new(true).estimate(), Some(1.0));
         assert_eq!(SizeEstimator::new(false).estimate(), None);
     }
@@ -94,11 +81,9 @@ mod tests {
     fn pairwise_exchange_halves_the_token() {
         let mut a = SizeEstimator::new(true);
         let mut b = SizeEstimator::new(false);
-        let pushed = a.state_mut().push_value();
-        let reply = b.state_mut().respond(pushed);
-        a.state_mut().absorb_reply(reply);
-        assert_eq!(a.token(), 0.5);
-        assert_eq!(b.token(), 0.5);
+        let pushed = a.state.push_value();
+        let reply = b.state.respond(pushed);
+        a.state.absorb_reply(reply);
         assert_eq!(a.estimate(), Some(2.0));
         assert_eq!(b.estimate(), Some(2.0));
     }
@@ -139,14 +124,14 @@ mod tests {
     #[test]
     fn reset_reseeds_the_token() {
         let mut a = SizeEstimator::new(true);
-        a.state_mut().respond(0.0); // halves the token
-        assert_eq!(a.token(), 0.5);
+        a.state.respond(0.0); // halves the token
+        assert_eq!(a.estimate(), Some(2.0));
         a.reset();
-        assert_eq!(a.token(), 1.0);
+        assert_eq!(a.estimate(), Some(1.0));
         let mut b = SizeEstimator::new(false);
-        b.state_mut().respond(1.0);
+        b.state.respond(1.0);
         b.reset();
-        assert_eq!(b.token(), 0.0);
+        assert_eq!(b.estimate(), None);
     }
 
     #[test]

@@ -396,11 +396,6 @@ impl Adaptive {
         }
     }
 
-    /// The strategy's diagnostic label.
-    pub fn strategy_label(&self) -> &'static str {
-        self.strategy.label()
-    }
-
     /// The honest estimate of the wrapped protocol — what the node *would*
     /// report if it were not attacking.
     pub fn honest_estimate(&self) -> f64 {
@@ -804,6 +799,6 @@ mod tests {
         assert_eq!(node.estimate(), 0.95);
         assert_eq!(node.published_value(), 0.95);
         assert_eq!(node.attribute().value(), 50.0);
-        assert_eq!(node.strategy_label(), "colluder");
+        assert_eq!(node.strategy.label(), "colluder");
     }
 }

@@ -190,11 +190,6 @@ impl Ordering {
         self
     }
 
-    /// Whether the swap-liveness defense is active.
-    pub fn tracks_liveness(&self) -> bool {
-        self.liveness.is_some()
-    }
-
     /// Whether `id` is currently excluded from partner selection by the
     /// liveness defense (always `false` without it).
     pub fn is_partner_banned(&self, id: NodeId) -> bool {
@@ -219,11 +214,6 @@ impl Ordering {
         ctx.record(Event::SwapAbandoned);
         liveness.strike(partner);
         true
-    }
-
-    /// The current random value.
-    pub fn random_value(&self) -> f64 {
-        self.r
     }
 
     /// The selection policy of this node.
@@ -458,7 +448,7 @@ mod tests {
                 let others: Vec<(u64, f64, f64)> = nodes
                     .iter()
                     .filter(|n| n.id() != me.id())
-                    .map(|n| (n.id().as_u64(), n.attribute().value(), n.random_value()))
+                    .map(|n| (n.id().as_u64(), n.attribute().value(), n.estimate()))
                     .collect();
                 view_of(&others)
             };
@@ -486,9 +476,9 @@ mod tests {
         for _ in 0..6 {
             atomic_cycle(&mut nodes);
         }
-        assert_eq!(nodes[0].random_value(), 0.35);
-        assert_eq!(nodes[1].random_value(), 0.85);
-        assert_eq!(nodes[2].random_value(), 0.10);
+        assert_eq!(nodes[0].estimate(), 0.35);
+        assert_eq!(nodes[1].estimate(), 0.85);
+        assert_eq!(nodes[2].estimate(), 0.10);
     }
 
     #[test]
@@ -509,7 +499,7 @@ mod tests {
         // Fully sorted: values increase with the attribute.
         for w in nodes.windows(2) {
             assert!(
-                w[0].random_value() < w[1].random_value(),
+                w[0].estimate() < w[1].estimate(),
                 "values must end sorted along attributes"
             );
         }
@@ -570,7 +560,7 @@ mod tests {
             c.sent[0].1,
             ProtocolMsg::SwapAck { r, .. } if r == 0.1
         ));
-        assert_eq!(node.random_value(), 0.85);
+        assert_eq!(node.estimate(), 0.85);
         assert_eq!(c.count(Event::SwapApplied), 1);
     }
 
@@ -590,7 +580,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.95);
+        assert_eq!(node.estimate(), 0.95);
         assert_eq!(c.count(Event::SwapUseless), 1);
         assert_eq!(c.sent.len(), 1, "ACK is sent regardless");
     }
@@ -609,7 +599,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.1);
+        assert_eq!(node.estimate(), 0.1);
         assert_eq!(c.count(Event::SwapApplied), 1);
     }
 
@@ -629,7 +619,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.05);
+        assert_eq!(node.estimate(), 0.05);
         // Now the original ACK arrives: 0.1 vs our 0.05 with a_j = 120 > 50
         // → (a_j - a_i)(r_j - r_i) = (+)(+) ≥ 0: no longer misplaced.
         let events_before = c.count(Event::SwapUseless);
@@ -641,7 +631,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.05, "stale ACK must not apply");
+        assert_eq!(node.estimate(), 0.05, "stale ACK must not apply");
         assert_eq!(c.count(Event::SwapUseless), events_before + 1);
     }
 
@@ -658,7 +648,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.85);
+        assert_eq!(node.estimate(), 0.85);
         assert!(c.events.is_empty());
     }
 
@@ -676,7 +666,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.85, "ACK from wrong sender ignored");
+        assert_eq!(node.estimate(), 0.85, "ACK from wrong sender ignored");
         // The genuine ACK still completes.
         node.on_message(
             &view,
@@ -686,7 +676,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.1);
+        assert_eq!(node.estimate(), 0.1);
     }
 
     #[test]
@@ -702,7 +692,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.85);
+        assert_eq!(node.estimate(), 0.85);
         assert!(c.sent.is_empty());
     }
 
@@ -725,18 +715,18 @@ mod tests {
         // Proposer with larger attribute but smaller value: misplaced.
         let taken = node.try_atomic_swap(attr(120.0), 0.10);
         assert_eq!(taken, Some(0.85), "callee surrenders its pre-swap value");
-        assert_eq!(node.random_value(), 0.10, "callee adopted the proposal");
+        assert_eq!(node.estimate(), 0.10, "callee adopted the proposal");
         // Now the pair would be ordered: a second identical proposal aborts.
         let again = node.try_atomic_swap(attr(120.0), 0.85);
         assert_eq!(again, None);
-        assert_eq!(node.random_value(), 0.10, "aborted swap changes nothing");
+        assert_eq!(node.estimate(), 0.10, "aborted swap changes nothing");
     }
 
     #[test]
     fn adopt_value_overwrites() {
         let mut node = Ordering::jk(NodeId::new(1), attr(50.0), 0.85);
         node.adopt_value(0.33);
-        assert_eq!(node.random_value(), 0.33);
+        assert_eq!(node.estimate(), 0.33);
     }
 
     #[test]
@@ -759,7 +749,7 @@ mod tests {
             &mut c,
         );
         assert_eq!(
-            node.random_value(),
+            node.estimate(),
             0.85,
             "an abandoned proposal must not complete"
         );
@@ -773,7 +763,7 @@ mod tests {
     #[test]
     fn liveness_bans_refusing_partner_after_strikes() {
         let mut node = Ordering::mod_jk_live(NodeId::new(1), attr(50.0), 0.9, 2, 5);
-        assert!(node.tracks_liveness());
+        assert!(node.liveness.is_some());
         let refuser = NodeId::new(2);
         let view = view_of(&[(2, 120.0, 0.1)]);
         let mut c = ctx();
@@ -814,7 +804,7 @@ mod tests {
         // This time the partner accepts (the simulator's transactional
         // path): pending resolves, the strike slate wipes.
         node.adopt_value(0.1);
-        assert_eq!(node.random_value(), 0.1);
+        assert_eq!(node.estimate(), 0.1);
         let ordered = view_of(&[(3, 120.0, 0.95)]);
         node.on_active(&ordered, &mut c);
         assert_eq!(
@@ -845,7 +835,7 @@ mod tests {
             },
             &mut c,
         );
-        assert_eq!(node.random_value(), 0.1, "the ACK completed the swap");
+        assert_eq!(node.estimate(), 0.1, "the ACK completed the swap");
         // Two more unresolved proposals: were the earlier strike still on
         // the books, the second would be strike #3 — but the slate was
         // wiped, so the ban lands exactly at two *fresh* strikes.
@@ -904,7 +894,7 @@ mod tests {
             }
         }
         assert_eq!(
-            live.random_value(),
+            live.estimate(),
             0.1,
             "the live variant must reach the honest partner and swap"
         );
@@ -995,16 +985,16 @@ mod tests {
         // value pair and orders it.
         let mut i = Ordering::jk(NodeId::new(1), attr(50.0), 0.85);
         let mut j = Ordering::jk(NodeId::new(2), attr(120.0), 0.10);
-        if let Some(pre) = j.try_atomic_swap(i.attribute(), i.random_value()) {
+        if let Some(pre) = j.try_atomic_swap(i.attribute(), i.estimate()) {
             i.adopt_value(pre);
         }
-        assert_eq!(i.random_value(), 0.10);
-        assert_eq!(j.random_value(), 0.85);
+        assert_eq!(i.estimate(), 0.10);
+        assert_eq!(j.estimate(), 0.85);
         assert!(!misplaced(
             i.attribute(),
-            i.random_value(),
+            i.estimate(),
             j.attribute(),
-            j.random_value()
+            j.estimate()
         ));
     }
 }

@@ -173,19 +173,9 @@ impl RobustFilter {
         filter
     }
 
-    /// Number of raw samples the filter remembers.
-    pub fn window_capacity(&self) -> usize {
-        self.window.capacity()
-    }
-
     /// The symmetric trim fraction, if trimming is enabled.
     pub fn trim_fraction(&self) -> Option<f64> {
         self.trim_pct
-    }
-
-    /// Whether the Tukey-fence test is enabled.
-    pub fn has_fence(&self) -> bool {
-        self.fence_k.is_some()
     }
 
     /// Judges `value` against the enabled tests over the remembered stream,
@@ -788,7 +778,7 @@ mod tests {
         let mut filter = RobustFilter::new(4);
         assert!(filter.admit(1.0));
         assert!(filter.admit(1e9), "no fences before the window fills");
-        assert_eq!(filter.window_capacity(), 4);
+        assert_eq!(filter.window.capacity(), 4);
     }
 
     #[test]
@@ -869,7 +859,7 @@ mod tests {
     #[test]
     fn fenced_trimmed_composes_both_tests() {
         let mut filter = RobustFilter::fenced_trimmed(8, 0.2);
-        assert!(filter.has_fence());
+        assert!(filter.fence_k.is_some());
         assert_eq!(filter.trim_fraction(), Some(0.2));
         for i in 0..8 {
             assert!(filter.admit(10.0 + i as f64));
@@ -941,7 +931,7 @@ mod tests {
     impl SortingFilter {
         fn mirroring(filter: &RobustFilter) -> Self {
             SortingFilter {
-                window: SortingWindow::new(filter.window_capacity()),
+                window: SortingWindow::new(filter.window.capacity()),
                 fence_k: filter.fence_k,
                 trim_pct: filter.trim_pct,
             }
@@ -1042,7 +1032,7 @@ mod tests {
                         value,
                         w,
                         filter.trim_fraction(),
-                        filter.has_fence()
+                        filter.fence_k.is_some()
                     );
                 }
             }

@@ -83,18 +83,6 @@ impl ProtocolMsg {
             ProtocolMsg::ViewAck { .. } => MsgKind::ViewAck,
         }
     }
-
-    /// Whether this message participates in a request/reply exchange whose
-    /// payload can go stale in transit (the concurrency-sensitive messages
-    /// of §4.5.2). `Update` payloads are attribute values, which never
-    /// change, so they are immune by construction (§5, "Concurrency
-    /// side-effect").
-    pub fn staleness_sensitive(&self) -> bool {
-        matches!(
-            self,
-            ProtocolMsg::SwapReq { .. } | ProtocolMsg::SwapAck { .. }
-        )
-    }
 }
 
 /// Message kinds, used as statistics keys.
@@ -163,25 +151,5 @@ mod tests {
         assert_eq!(req.kind(), MsgKind::SwapReq);
         assert_eq!(upd.kind(), MsgKind::Update);
         assert_ne!(req.kind(), upd.kind());
-    }
-
-    #[test]
-    fn staleness_sensitivity_matches_paper() {
-        let swap = ProtocolMsg::SwapReq {
-            from: NodeId::new(1),
-            r: 0.5,
-            a: attr(1.0),
-        };
-        let ack = ProtocolMsg::SwapAck {
-            from: NodeId::new(1),
-            r: 0.5,
-        };
-        let upd = ProtocolMsg::Update {
-            from: NodeId::new(1),
-            a: attr(1.0),
-        };
-        assert!(swap.staleness_sensitive());
-        assert!(ack.staleness_sensitive());
-        assert!(!upd.staleness_sensitive());
     }
 }

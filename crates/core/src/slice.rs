@@ -125,16 +125,15 @@ impl fmt::Display for Slice {
 ///
 /// # The lookup grid
 ///
-/// [`slice_of`](Partition::slice_of),
-/// [`boundary_distance`](Partition::boundary_distance) and
-/// [`closest_boundary`](Partition::closest_boundary) all start from the
+/// [`slice_of`](Partition::slice_of) and
+/// [`boundary_distance`](Partition::boundary_distance) both start from the
 /// number of boundaries below `r`. Rather than bisect the boundaries for
 /// it, a partition cuts `[0, 1]` into `m` equal cells, `m` a power of two
 /// (the smallest at least twice the boundary count, at most 2^16), and
 /// stores per cell edge the number of boundaries below it. A lookup reads
 /// the count at the edge of `r`'s cell and compares `r` with the one
-/// boundary the cell can hold; the closest boundary is then one of the two
-/// that bracket `r`, chosen with selects. Only a cell holding two or more
+/// boundary the cell can hold; the distance is then the smaller of those to
+/// the two boundaries that bracket `r`. Only a cell holding two or more
 /// boundaries (boundaries closer together than `1/m`) is bisected.
 ///
 /// The grid is exact, not an approximation: `m` is a power of two, so
@@ -369,10 +368,10 @@ impl Partition {
     /// The two entries of the padded boundary array that bracket `r` — the
     /// last boundary below it (or `−∞`) and the first at or above it (or
     /// `+∞`) — and the index of the lower one.
-    fn bracket(&self, r: f64) -> (usize, f64, f64) {
+    fn bracket(&self, r: f64) -> (f64, f64) {
         let idx = self.count_below(r);
         let padded = &self.lookup.padded;
-        (idx, padded[idx], padded[idx + 1])
+        (padded[idx], padded[idx + 1])
     }
 
     /// Distance from `r` to the closest *interior* slice boundary — the `d`
@@ -383,24 +382,11 @@ impl Partition {
     /// distance is `+∞` (every node is trivially far from any boundary); a
     /// NaN `r` is `+∞` away from everything too.
     pub fn boundary_distance(&self, r: f64) -> f64 {
-        let (_, lower, upper) = self.bracket(r);
+        let (lower, upper) = self.bracket(r);
         // Against the ±∞ padding a finite `r` is +∞ away; an infinite `r`
         // against the padding of its own sign gives NaN, which `min`
         // ignores, and so does a NaN `r` until the last `min` makes it +∞.
         (r - lower).abs().min((r - upper).abs()).min(f64::INFINITY)
-    }
-
-    /// The closest interior boundary to `r`, if any (`None` for a NaN `r`);
-    /// exactly midway between two boundaries, the lower one.
-    pub fn closest_boundary(&self, r: f64) -> Option<f64> {
-        if r.is_nan() || self.boundaries().is_empty() {
-            return None;
-        }
-        let (idx, lower, upper) = self.bracket(r);
-        // The padding never wins: `−∞` only brackets from below when no
-        // boundary lies below `r` (idx 0), and `+∞` is never strictly closer.
-        let upper_wins = idx == 0 || (r - upper).abs() < (r - lower).abs();
-        Some(if upper_wins { upper } else { lower })
     }
 
     /// The interior boundaries (strictly increasing, inside `(0,1)`).
@@ -456,7 +442,6 @@ mod tests {
         assert_eq!(part.slice_of(0.0001).as_usize(), 0);
         assert_eq!(part.slice_of(1.0).as_usize(), 0);
         assert_eq!(part.boundary_distance(0.5), f64::INFINITY);
-        assert_eq!(part.closest_boundary(0.5), None);
     }
 
     #[test]
@@ -539,28 +524,20 @@ mod tests {
         assert!((part.boundary_distance(0.3) - 0.05).abs() < 1e-12);
         assert!((part.boundary_distance(0.5) - 0.0).abs() < 1e-12);
         assert!((part.boundary_distance(0.95) - 0.2).abs() < 1e-12);
-        assert_eq!(part.closest_boundary(0.3), Some(0.25));
     }
 
     #[test]
-    fn nan_estimate_has_no_closest_boundary() {
-        // `closest_boundary` used to panic on NaN while `boundary_distance`
-        // quietly answered +∞; both now come from one lookup.
+    fn nan_and_infinite_estimates_are_infinitely_far_from_every_boundary() {
         let part = Partition::equal(4).unwrap();
-        assert_eq!(part.closest_boundary(f64::NAN), None);
         assert_eq!(part.boundary_distance(f64::NAN), f64::INFINITY);
-        // Infinite estimates are merely far away.
         assert_eq!(part.boundary_distance(f64::INFINITY), f64::INFINITY);
-        assert_eq!(part.closest_boundary(f64::NEG_INFINITY), Some(0.25));
+        assert_eq!(part.boundary_distance(f64::NEG_INFINITY), f64::INFINITY);
     }
 
     #[test]
-    fn midway_between_two_boundaries_the_lower_one_wins() {
+    fn boundary_distance_midway_and_on_a_boundary() {
         let part = Partition::from_boundaries(&[0.25, 0.75]).unwrap();
-        assert_eq!(part.closest_boundary(0.5), Some(0.25));
         assert_eq!(part.boundary_distance(0.5), 0.25);
-        // On a boundary the answer is that boundary, at distance zero.
-        assert_eq!(part.closest_boundary(0.75), Some(0.75));
         assert_eq!(part.boundary_distance(0.75), 0.0);
     }
 
@@ -617,22 +594,13 @@ mod tests {
         );
     }
 
-    /// The linear scans `boundary_distance` and `closest_boundary` were
-    /// before they bisected: the reference the property test below holds the
-    /// O(log k) lookup to. (`min_by` keeps the first of equal minima — the
-    /// lower boundary.)
-    fn linear_scan(part: &Partition, r: f64) -> (f64, Option<f64>) {
-        let distance = part
-            .boundaries()
+    /// The linear scan `boundary_distance` was before it bisected: the
+    /// reference the property test below holds the lookup to.
+    fn linear_scan(part: &Partition, r: f64) -> f64 {
+        part.boundaries()
             .iter()
             .map(|&b| (r - b).abs())
-            .fold(f64::INFINITY, f64::min);
-        let closest = part
-            .boundaries()
-            .iter()
-            .copied()
-            .min_by(|x, y| (r - x).abs().partial_cmp(&(r - y).abs()).unwrap());
-        (distance, closest)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Partitions built both ways: explicit boundaries (from sorted distinct
@@ -719,8 +687,8 @@ mod tests {
         probes
     }
 
-    /// `slice_of`, `boundary_distance` (by bits) and `closest_boundary`
-    /// agree with the bisection reference at `r`.
+    /// `slice_of` and `boundary_distance` (by bits) agree with the
+    /// bisection reference at `r`.
     fn lookups_match_bisection(part: &Partition, r: f64) -> std::result::Result<(), TestCaseError> {
         let b = part.boundaries();
         let nearest = bisection::nearest_boundary(b, r);
@@ -739,13 +707,6 @@ mod tests {
             r,
             b
         );
-        prop_assert_eq!(
-            part.closest_boundary(r).map(f64::to_bits),
-            nearest.map(|(boundary, _)| boundary.to_bits()),
-            "closest_boundary({:?}) over {:?}",
-            r,
-            b
-        );
         Ok(())
     }
 
@@ -757,7 +718,7 @@ mod tests {
         assert_eq!(part.lookup.cells, 16.0);
         assert_eq!(&part.lookup.below[..3], &[0, 3, 4]);
         assert_eq!(part.slice_of(0.015).as_usize(), 1);
-        assert_eq!(part.closest_boundary(0.035), Some(0.04));
+        assert_eq!(part.boundary_distance(0.035), part.boundaries()[2] - 0.035);
         // Equal partitions never crowd a cell.
         for k in 1..=300 {
             let part = Partition::equal(k).unwrap();
@@ -838,11 +799,9 @@ mod tests {
                 probes.push((w[0] + w[1]) / 2.0);
             }
             for r in probes {
-                let (distance, closest) = linear_scan(&part, r);
                 // Bit-for-bit: the ranking protocol's j1 choice compares
                 // these distances, and the goldens pin its choices.
-                prop_assert_eq!(part.boundary_distance(r).to_bits(), distance.to_bits());
-                prop_assert_eq!(part.closest_boundary(r), closest);
+                prop_assert_eq!(part.boundary_distance(r).to_bits(), linear_scan(&part, r).to_bits());
             }
         }
 
@@ -893,8 +852,7 @@ mod tests {
             let part = Partition::equal(k).unwrap();
             let d = part.boundary_distance(r);
             prop_assert!(d >= 0.0);
-            let b = part.closest_boundary(r).unwrap();
-            prop_assert!(((r - b).abs() - d).abs() < 1e-12);
+            prop_assert!(part.boundaries().iter().any(|&b| ((r - b).abs() - d).abs() < 1e-12));
         }
 
         #[test]

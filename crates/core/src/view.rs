@@ -261,23 +261,10 @@ impl View {
         Self::empty(capacity)
     }
 
-    /// Updates the value snapshot for `id` (if present), returning whether an
-    /// entry was updated.
-    pub fn refresh_value(&mut self, id: NodeId, value: f64) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
-            e.value = value;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Refreshes every entry's value snapshot in one pass: `lookup` returns
     /// the current value published by a live neighbor, or `None` for a
-    /// departed one, whose entry is dropped. Entry order is preserved.
-    ///
-    /// This is the bulk form of [`refresh_value`](View::refresh_value):
-    /// O(len) with no per-entry search and no id collection on the side.
+    /// departed one, whose entry is dropped. Entry order is preserved. O(len)
+    /// with no per-entry search and no id collection on the side.
     pub fn refresh_values<F: FnMut(NodeId) -> Option<f64>>(&mut self, mut lookup: F) {
         self.entries.retain_mut(|e| match lookup(e.id) {
             Some(value) => {
@@ -904,16 +891,6 @@ mod tests {
         v.retain(|id| id.as_u64() % 2 == 0);
         assert_eq!(v.len(), 2);
         assert!(v.contains(NodeId::new(2)) && v.contains(NodeId::new(4)));
-    }
-
-    #[test]
-    fn refresh_value_updates_snapshot() {
-        let mut v = View::new(2).unwrap();
-        v.insert(entry(1, 3, 0.1));
-        assert!(v.refresh_value(NodeId::new(1), 0.8));
-        assert_eq!(v.get(NodeId::new(1)).unwrap().value, 0.8);
-        assert_eq!(v.get(NodeId::new(1)).unwrap().age, 3, "age untouched");
-        assert!(!v.refresh_value(NodeId::new(9), 0.5));
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   and its sliding-window variant.
 //! * [`dslice_sim`] — the deterministic cycle simulator with churn and
 //!   concurrency models (the PeerSim substitute).
-//! * [`dslice_overlay`] — slice-local overlay maintenance over
-//!   converged slice assignments.
 //! * [`dslice_analysis`] — Lemma 4.1 and Theorem 5.1 as
 //!   executable statistics.
 //! * [`dslice_aggregation`] — the related-work substrate (refs \[12\],
@@ -61,7 +59,6 @@ pub use dslice_analysis as analysis;
 pub use dslice_core as core;
 pub use dslice_gossip as gossip;
 pub use dslice_net as net;
-pub use dslice_overlay as overlay;
 pub use dslice_sim as sim;
 
 /// The most commonly used items, one import away.
@@ -83,7 +80,6 @@ pub mod prelude {
     };
     pub use dslice_sim::{
         AttributeDistribution, ChurnModel, Concurrency, CorrelatedChurn, CycleStats, Engine,
-        FlashCrowd, LatencyModel, NoChurn, PhaseTimings, RunRecord, SessionChurn, SimConfig,
-        UncorrelatedChurn, WeibullSessions,
+        LatencyModel, NoChurn, PhaseTimings, RunRecord, SimConfig, UncorrelatedChurn,
     };
 }

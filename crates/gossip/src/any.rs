@@ -8,9 +8,9 @@
 //! provided one that a sampler overrides, to the concrete type in its arm;
 //! the other provided methods are never overridden, so their defaults reach
 //! the arm through the forwards and the enum behaves call for call as that
-//! type does. Lpbcast, whose digest size and eviction stream make it twice
-//! the size of the others, holds that state through `T`: boxed in an
-//! owned sampler, borrowed from the column in a bound one.
+//! type does. Lpbcast, whose eviction stream makes it larger than the
+//! others, holds that state through `T`: boxed in an owned sampler,
+//! borrowed from the column in a bound one.
 
 use crate::lpbcast::LpbcastState;
 use crate::sampler::{ExchangeBuffers, PeerSampler, SamplerKind};

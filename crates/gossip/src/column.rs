@@ -26,8 +26,7 @@ pub struct SamplerColumn {
     kind: SamplerKind,
     /// The owner of each slot: what Cyclon, Newscast and the oracle keep.
     owners: Vec<NodeId>,
-    /// Lpbcast's digest size and eviction stream per slot; empty for the
-    /// other kinds.
+    /// Lpbcast's eviction stream per slot; empty for the other kinds.
     lpbcast: Vec<LpbcastState>,
 }
 

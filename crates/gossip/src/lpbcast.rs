@@ -37,21 +37,19 @@ use std::borrow::BorrowMut;
 /// Default number of view entries included in each gossip digest.
 pub const DEFAULT_DIGEST_SIZE: usize = 8;
 
-/// What an Lpbcast sampler keeps besides its owner and its view: the digest
-/// size and the private eviction stream. A [`SamplerColumn`](crate::SamplerColumn)
-/// keeps one per slot, and an [`AnySampler`](crate::AnySampler) boxes it.
+/// What an Lpbcast sampler keeps besides its owner and its view: the private
+/// eviction stream. A [`SamplerColumn`](crate::SamplerColumn) keeps one per
+/// slot, and an [`AnySampler`](crate::AnySampler) boxes it.
 #[derive(Debug, Clone)]
 pub struct LpbcastState {
-    digest_size: usize,
     evict_rng: StdRng,
 }
 
 impl LpbcastState {
-    /// The state of a fresh sampler owned by `owner`: the default digest
-    /// size, and an eviction stream seeded from the owner id.
+    /// The state of a fresh sampler owned by `owner`: an eviction stream
+    /// seeded from the owner id.
     pub fn new(owner: NodeId) -> Self {
         LpbcastState {
-            digest_size: DEFAULT_DIGEST_SIZE,
             evict_rng: StdRng::seed_from_u64(owner.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         }
     }
@@ -69,23 +67,14 @@ pub struct LpbcastSampler<E = ViewEntry, S = Vec<E>, T = LpbcastState> {
 
 impl LpbcastSampler {
     /// Creates a sampler for `owner` with a view of [`ViewEntry`]s of
-    /// capacity `c` and the default digest size; [`LpbcastSampler::empty`]
-    /// for any entry type.
+    /// capacity `c`; [`LpbcastSampler::empty`] for any entry type.
     pub fn new(owner: NodeId, capacity: usize) -> Result<Self> {
         Self::empty(owner, capacity)
-    }
-
-    /// Creates a sampler with an explicit digest (gossip payload) size.
-    pub fn with_digest_size(owner: NodeId, capacity: usize, digest_size: usize) -> Result<Self> {
-        let mut sampler = Self::empty(owner, capacity)?;
-        sampler.state.digest_size = digest_size.max(1);
-        Ok(sampler)
     }
 }
 
 impl<E: Entry> LpbcastSampler<E> {
-    /// Creates a sampler for `owner` with an empty view of capacity `c` and
-    /// the default digest size.
+    /// Creates a sampler for `owner` with an empty view of capacity `c`.
     pub fn empty(owner: NodeId, capacity: usize) -> Result<Self> {
         Ok(Self::over(
             owner,
@@ -100,11 +89,6 @@ impl<E: Entry, S: EntriesMut<E>, T: BorrowMut<LpbcastState>> LpbcastSampler<E, S
     /// stored.
     pub fn over(owner: NodeId, view: View<E, S>, state: T) -> Self {
         LpbcastSampler { owner, view, state }
-    }
-
-    /// The digest size used by this sampler.
-    pub fn digest_size(&self) -> usize {
-        self.state.borrow().digest_size
     }
 
     /// Lpbcast merge: add unseen descriptors (preferring the younger copy of
@@ -135,14 +119,14 @@ impl<E: Entry, S: EntriesMut<E>, T: BorrowMut<LpbcastState>> LpbcastSampler<E, S
         }
     }
 
-    /// Writes the digest payload into `pool`: up to `digest_size` random
-    /// view entries plus the fresh self-descriptor.
+    /// Writes the digest payload into `pool`: up to [`DEFAULT_DIGEST_SIZE`]
+    /// random view entries plus the fresh self-descriptor.
     fn digest(&self, self_entry: E, rng: &mut dyn RngCore, pool: &mut Vec<E>) {
         pool.clear();
         pool.extend_from_slice(self.view.entries());
-        // Partial Fisher–Yates: the first `digest_size` slots end up holding
-        // a uniform sample without cloning the whole pool twice.
-        let take = self.digest_size().min(pool.len());
+        // Partial Fisher–Yates: the first `take` slots end up holding a
+        // uniform sample without cloning the whole pool twice.
+        let take = DEFAULT_DIGEST_SIZE.min(pool.len());
         for i in 0..take {
             let j = i + (rng.next_u64() as usize) % (pool.len() - i);
             pool.swap(i, j);
@@ -272,13 +256,17 @@ mod tests {
 
     #[test]
     fn digest_is_bounded_and_contains_self() {
-        let mut s = LpbcastSampler::with_digest_size(NodeId::new(0), 20, 4).unwrap();
+        let mut s = LpbcastSampler::new(NodeId::new(0), 20).unwrap();
         for i in 1..=20 {
             s.view_mut().insert(entry(i, 0));
         }
         let mut rng = StdRng::seed_from_u64(7);
         let req = s.initiate(descriptor(0), &mut rng).unwrap();
-        assert_eq!(req.entries.len(), 5, "4 digest entries + self descriptor");
+        assert_eq!(
+            req.entries.len(),
+            DEFAULT_DIGEST_SIZE + 1,
+            "digest entries + self descriptor"
+        );
         assert!(req.entries.iter().any(|e| e.id == NodeId::new(0)));
         // Digest entries are distinct.
         for (i, a) in req.entries.iter().enumerate() {
@@ -366,16 +354,14 @@ mod tests {
             #[test]
             fn digest_is_a_bounded_subset(
                 entries in arbitrary_entries(),
-                digest_size in 1usize..8,
                 seed in 0u64..1000,
             ) {
                 let owner = NodeId::new(0);
-                let mut s =
-                    LpbcastSampler::with_digest_size(owner, 20, digest_size).unwrap();
+                let mut s = LpbcastSampler::new(owner, 20).unwrap();
                 s.lpbcast_merge(&entries);
                 let mut rng = StdRng::seed_from_u64(seed);
                 if let Some(req) = s.initiate(descriptor(0), &mut rng) {
-                    prop_assert!(req.entries.len() <= digest_size + 1);
+                    prop_assert!(req.entries.len() <= DEFAULT_DIGEST_SIZE + 1);
                     for e in &req.entries {
                         prop_assert!(
                             e.id == owner || s.view().contains(e.id),

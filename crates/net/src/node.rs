@@ -841,14 +841,6 @@ impl NodeRuntime {
     }
 }
 
-/// Bootstraps a handle-less runtime for direct driving in tests.
-#[doc(hidden)]
-pub async fn bind_probe_listener() -> io::Result<(TcpListener, SocketAddr)> {
-    let listener = TcpListener::bind("127.0.0.1:0").await?;
-    let addr = listener.local_addr()?;
-    Ok((listener, addr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,19 +42,19 @@
 //! keeps the id → slot index and the free list that lets churn reuse slots
 //! (slot storage is bounded by the peak population); the sampler column, a
 //! [`SamplerColumn`] holding what a sampler keeps besides its view — the
-//! owner, 4 bytes, and in an Lpbcast run the digest size and eviction
-//! stream; and the view arena, a [`ViewArena`] holding every view as one
-//! row of `c` 8-byte `(id, age)` entries ([`AgedId`]) beside a one-byte
-//! length per slot. No heap object is kept per node (but a box for the rare
-//! protocol arms larger than a ranking node): the columns are sized once
-//! for the initial population, a departed node's row is emptied, and a
-//! joiner takes the emptied row of the slot it takes over. A phase reads
-//! only the columns it needs: membership the sampler column and the rows,
-//! delivery the protocol column, the active sweep both side by side. A row
-//! is reached from its slot by arithmetic, never through a pointer stored
-//! per node. For each membership operation a sampler is bound over the
-//! column and the row ([`SamplerColumn::bind`]) and runs the same code as
-//! a sampler that owns its view.
+//! owner, 4 bytes, and in an Lpbcast run the eviction stream; and the view
+//! arena, a [`ViewArena`] holding every view as one row of `c` 8-byte
+//! `(id, age)` entries ([`AgedId`]) beside a one-byte length per slot. No
+//! heap object is kept per node (but a box for the rare protocol arms
+//! larger than a ranking node): the columns are sized once for the initial
+//! population, a departed node's row is emptied, and a joiner takes the
+//! emptied row of the slot it takes over. A phase reads only the columns it
+//! needs: membership the sampler column and the rows, delivery the protocol
+//! column, the active sweep both side by side. A row is reached from its
+//! slot by arithmetic, never through a pointer stored per node. For each
+//! membership operation a sampler is bound over the column and the row
+//! ([`SamplerColumn::bind`]) and runs the same code as a sampler that owns
+//! its view.
 //!
 //! A view stores only what peer sampling reads; each neighbor's attribute
 //! and published value are joined in from the refresh snapshot when a
@@ -831,19 +831,9 @@ impl Engine {
         self.fault.set_region_latency(region, model)
     }
 
-    /// Read access to the network-fault state.
-    pub fn network_fault(&self) -> &NetworkFault {
-        &self.fault
-    }
-
     /// Number of live lying nodes.
     pub fn liar_count(&self) -> usize {
         self.liars.len()
-    }
-
-    /// Whether `id` is a live lying node.
-    pub fn is_liar(&self, id: NodeId) -> bool {
-        self.liars.contains(&id)
     }
 
     /// [`accuracy`](Engine::accuracy) restricted to the honest population:
@@ -1030,9 +1020,8 @@ impl Engine {
     }
 
     /// Per-node view snapshots, sorted by node id: which neighbors each
-    /// live node currently sees. Used by layers built *on top* of slicing
-    /// (e.g. the slice-connected overlays of `dslice-overlay`) that consume
-    /// the gossip stream as their candidate source.
+    /// live node currently sees. Tests read it to check that views hold no
+    /// departed or aliased nodes.
     pub fn view_snapshot(&self) -> Vec<(NodeId, Vec<NodeId>)> {
         let Nodes { protos, views, .. } = &self.nodes;
         let mut snapshot: Vec<(NodeId, Vec<NodeId>)> = protos
@@ -1675,13 +1664,13 @@ mod tests {
         let worst_liar = by_attr
             .iter()
             .enumerate()
-            .filter(|(_, (id, _))| engine.is_liar(NodeId::new(*id)))
+            .filter(|(_, (id, _))| engine.liars.contains(&NodeId::new(*id)))
             .map(|(pos, _)| dist(pos))
             .fold(0.0f64, f64::max);
         let best_honest = by_attr
             .iter()
             .enumerate()
-            .filter(|(_, (id, _))| !engine.is_liar(NodeId::new(*id)))
+            .filter(|(_, (id, _))| !engine.liars.contains(&NodeId::new(*id)))
             .map(|(pos, _)| dist(pos))
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -1696,13 +1685,13 @@ mod tests {
             .snapshot()
             .iter()
             .map(|&(id, _, _)| id.as_u64())
-            .filter(|&id| engine.is_liar(NodeId::new(id)))
+            .filter(|&id| engine.liars.contains(&NodeId::new(id)))
             .collect();
         let liars_b: Vec<u64> = again
             .snapshot()
             .iter()
             .map(|&(id, _, _)| id.as_u64())
-            .filter(|&id| again.is_liar(NodeId::new(id)))
+            .filter(|&id| again.liars.contains(&NodeId::new(id)))
             .collect();
         assert_eq!(liars_a, liars_b);
         // Zero fraction is a no-op.
@@ -1735,7 +1724,7 @@ mod tests {
         let severed: u64 = partitioned.cycles.iter().map(|c| c.dropped_messages).sum();
         assert!(severed > 0, "cross-band updates must be dropped");
         engine.heal_network_partition();
-        assert!(engine.network_fault().is_quiet());
+        assert!(engine.fault.is_quiet());
         let healed = engine.run(10);
         let after: u64 = healed.cycles.iter().map(|c| c.dropped_messages).sum();
         assert_eq!(after, 0, "a healed network loses nothing");
@@ -1748,10 +1737,10 @@ mod tests {
         engine.set_network_partition(2, Some(4)).unwrap();
         for _ in 0..3 {
             engine.step();
-            assert!(engine.network_fault().partition().is_some());
+            assert!(engine.fault.partition().is_some());
         }
         let healed_cycle = engine.step();
-        assert!(engine.network_fault().partition().is_none());
+        assert!(engine.fault.partition().is_none());
         assert_eq!(healed_cycle.dropped_messages, 0);
     }
 
@@ -1935,10 +1924,6 @@ mod tests {
         // Heavy uncorrelated churn replaces liars with honest joiners; every
         // tracked liar must still be a live node.
         assert!(engine.liar_count() < 50);
-        let live: Vec<NodeId> = engine.nodes.protos.ids().collect();
-        for id in &live {
-            let _ = engine.is_liar(*id);
-        }
         assert!(
             engine
                 .liars

@@ -64,7 +64,6 @@ pub mod distributions;
 pub mod engine;
 pub mod fault;
 pub mod latency;
-pub mod sessions;
 pub mod stats;
 pub mod stream;
 pub mod sweep;
@@ -79,6 +78,5 @@ pub use dslice_algorithms::AttackerSpec;
 pub use engine::{Engine, HeapLedger};
 pub use fault::{BandPartition, NetworkFault};
 pub use latency::LatencyModel;
-pub use sessions::{FlashCrowd, SessionChurn, WeibullSessions};
 pub use stats::{CycleStats, FieldReader, PhaseTimings, RunRecord, Totals};
 pub use sweep::{run_seeds, AggregateRecord};

@@ -4,7 +4,12 @@
 //! attribute-correlated churn the ordering algorithms degrade and cannot
 //! recover, the ranking algorithm recovers once a burst stops, and the
 //! sliding window bounds the long-run SDM growth under sustained churn.
+//! It also checks Fig. 6(c)'s mechanism directly: correlated churn skews
+//! the ordering algorithm's random-value multiset away from uniformity
+//! (detected by a KS test), which is why no amount of further sorting can
+//! repair its slice assignment.
 
+use dslice::analysis::{ks_statistic, ks_test};
 use dslice::prelude::*;
 use dslice::sim::churn::ChurnSchedule;
 
@@ -163,4 +168,54 @@ fn views_never_reference_departed_nodes_after_a_cycle() {
             }
         }
     }
+}
+
+#[test]
+fn correlated_churn_skews_ordering_random_values() {
+    // The Fig. 6(c) mechanism. After a long attribute-correlated burst, the
+    // leavers (lowest attributes) drag the *small* random values out of the
+    // system while joiners draw fresh uniform values — the surviving
+    // multiset stops looking uniform, so slice lookups via `r_i` are
+    // permanently biased.
+    let schedule = ChurnSchedule {
+        rate: 0.01,
+        period: 1,
+        stop_after: Some(150),
+    };
+    let mut engine = Engine::new(
+        SimConfig {
+            n: 800,
+            ..config(87)
+        },
+        ProtocolKind::ModJk,
+    )
+    .unwrap()
+    .with_churn(Box::new(CorrelatedChurn::new(schedule, 1.0)));
+    engine.run(200);
+
+    let survivors: Vec<f64> = engine.snapshot().iter().map(|&(_, _, r)| r).collect();
+    let outcome = ks_test(&survivors, 0.01);
+    assert!(
+        outcome.rejected,
+        "random values should be skewed after correlated churn: {outcome:?}"
+    );
+
+    // Control: the same run without churn keeps a uniform multiset (swaps
+    // permute values, never create or destroy them).
+    let mut control = Engine::new(
+        SimConfig {
+            n: 800,
+            ..config(87)
+        },
+        ProtocolKind::ModJk,
+    )
+    .unwrap();
+    control.run(200);
+    let values: Vec<f64> = control.snapshot().iter().map(|&(_, _, r)| r).collect();
+    let d = ks_statistic(&values);
+    let outcome = ks_test(&values, 0.01);
+    assert!(
+        !outcome.rejected,
+        "static ordering run must keep its uniform draw (D = {d})"
+    );
 }

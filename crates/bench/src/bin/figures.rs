@@ -4,51 +4,19 @@
 //! figures [--fig <id>] [--scale paper|small|tiny] [--seed N] [--out DIR]
 //! ```
 //!
-//! `--fig all` (the default) runs every experiment; `--help` lists the
-//! figure ids. Repeated ids run once, and an unknown id is rejected before
-//! anything runs. CSVs land in `--out` (default `target/figures`), next to a
-//! `manifest.json` recording the exact parameters of the run.
+//! `--fig all` (the default) runs every figure of the library's table
+//! (`dslice_bench::experiments::FIGURES`); `--help` prints this usage and
+//! the figure ids to stdout. Repeated ids run once, and an unknown id is
+//! rejected before anything runs. CSVs land in `--out` (default
+//! `target/figures`), next to a `manifest.json` recording the exact
+//! parameters of the run.
 
-use dslice_bench::ablations;
-use dslice_bench::experiments::{self, Scale};
-use dslice_bench::Table;
+use dslice_bench::experiments::FIGURES;
+use dslice_bench::{Figure, Scale};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// One experiment: its figure id and the function that computes its table.
-type Figure = (&'static str, fn(Scale, u64) -> Table);
-
-/// Every figure id, in `--fig all` order.
-const FIGURES: &[Figure] = &[
-    ("4a", experiments::fig4a),
-    ("4b", experiments::fig4b),
-    ("4b-banded", |scale, seed| {
-        experiments::fig4b_banded(scale, &[seed, seed + 1, seed + 2])
-    }),
-    ("4c", experiments::fig4c),
-    ("4d", experiments::fig4d),
-    ("6a", experiments::fig6a),
-    ("6b", experiments::fig6b),
-    ("6c", experiments::fig6c),
-    ("6d", experiments::fig6d),
-    ("lemma41", |_, seed| experiments::lemma41(seed)),
-    ("thm51", |_, seed| experiments::thm51(seed)),
-    ("ablation-sampler", experiments::ablation_sampler),
-    ("ablation-dist", experiments::ablation_distribution),
-    ("ablation-view-size", ablations::ablation_view_size),
-    ("ablation-slice-count", ablations::ablation_slice_count),
-    ("ablation-loss", ablations::ablation_loss),
-    ("ablation-targeting", ablations::ablation_targeting),
-    (
-        "ablation-sampler-ranking",
-        ablations::ablation_sampler_ranking,
-    ),
-    ("ablation-window", ablations::ablation_window),
-    ("ablation-latency", ablations::ablation_latency),
-    ("baseline-quantile", ablations::baseline_quantile),
-];
 
 struct Args {
     figs: Vec<&'static Figure>,
@@ -57,118 +25,101 @@ struct Args {
     out: PathBuf,
 }
 
-/// Parses the arguments after the program name. Figure ids are resolved
-/// here, so a typo fails before any experiment runs, and each figure is
-/// kept once, at its first mention.
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut figs: Vec<&'static Figure> = Vec::new();
-    let mut scale = Scale::Small;
-    let mut seed = 0xD51CE;
-    let mut out = PathBuf::from("target/figures");
-
-    let mut i = 0;
-    while i < argv.len() {
-        let need_value = |i: usize| -> Result<&String, String> {
-            argv.get(i + 1)
-                .ok_or_else(|| format!("{} requires a value", argv[i]))
+/// Parses the arguments after the program name; `None` asks for the usage.
+/// Figure ids are resolved here, so a typo fails before any experiment
+/// runs, and each figure is kept once, at its first mention.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        figs: Vec::new(),
+        scale: Scale::Small,
+        seed: 0xD51CE,
+        out: PathBuf::from("target/figures"),
+    };
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match argv[i].as_str() {
+        match flag.as_str() {
             "--fig" => {
-                let v = need_value(i)?;
-                let picked: &'static [Figure] = if v == "all" {
-                    FIGURES
-                } else {
-                    std::slice::from_ref(
-                        FIGURES
-                            .iter()
-                            .find(|(id, _)| id == v)
-                            .ok_or_else(|| format!("unknown figure id {v:?} (try --help)"))?,
-                    )
-                };
+                let v = value()?;
+                let picked: Vec<&'static Figure> = FIGURES
+                    .iter()
+                    .filter(|fig| v == "all" || fig.id() == v)
+                    .collect();
+                if picked.is_empty() {
+                    return Err(format!("unknown figure id {v:?} (try --help)"));
+                }
                 for fig in picked {
-                    if !figs.iter().any(|f| f.0 == fig.0) {
-                        figs.push(fig);
+                    if !args.figs.iter().any(|f| f.id() == fig.id()) {
+                        args.figs.push(fig);
                     }
                 }
-                i += 2;
             }
             "--scale" => {
-                let v = need_value(i)?;
-                scale = Scale::parse(v).ok_or_else(|| format!("unknown scale {v:?}"))?;
-                i += 2;
+                let v = value()?;
+                args.scale = Scale::parse(v).ok_or_else(|| format!("unknown scale {v:?}"))?;
             }
             "--seed" => {
-                let v = need_value(i)?;
-                seed = v.parse().map_err(|e| format!("bad seed {v:?}: {e}"))?;
-                i += 2;
+                let v = value()?;
+                args.seed = v.parse().map_err(|e| format!("bad seed {v:?}: {e}"))?;
             }
-            "--out" => {
-                out = PathBuf::from(need_value(i)?);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
-                return Err(format!(
-                    "usage: figures [--fig <id>|all] [--scale paper|small|tiny] \
-                     [--seed N] [--out DIR]\n  figure ids: {}",
-                    ids.join(" ")
-                ));
-            }
+            "--out" => args.out = PathBuf::from(value()?),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if figs.is_empty() {
-        figs = FIGURES.iter().collect();
+    if args.figs.is_empty() {
+        args.figs = FIGURES.iter().collect();
     }
-    Ok(Args {
-        figs,
-        scale,
-        seed,
-        out,
-    })
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
+    let result = match parse_args(&argv) {
+        Ok(Some(args)) => run(&args),
+        Ok(None) => {
+            let ids: Vec<&str> = FIGURES.iter().map(Figure::id).collect();
+            println!(
+                "usage: figures [--fig <id>|all] [--scale paper|small|tiny] [--seed N] [--out DIR]\n  \
+                 figure ids: {}",
+                ids.join(" ")
+            );
+            Ok(())
+        }
+        Err(msg) => Err(msg),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if let Err(e) = fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
     }
+}
 
+/// Writes each figure's CSV, then the manifest, into `args.out`.
+fn run(args: &Args) -> Result<(), String> {
+    fs::create_dir_all(&args.out)
+        .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
     let mut manifest = Vec::new();
-    for (id, run) in args.figs {
+    for fig in &args.figs {
+        let id = fig.id();
         let started = Instant::now();
         eprint!("fig {id} ({:?}, seed {}) … ", args.scale, args.seed);
-        let table = run(args.scale, args.seed);
+        let table = fig.table(args.scale, args.seed);
         let path = args.out.join(format!("{}.csv", table.name));
-        let file = match fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = table.write_csv(file) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        let elapsed = started.elapsed();
-        eprintln!(
-            "{} rows -> {} ({elapsed:.2?})",
-            table.rows.len(),
-            path.display()
-        );
+        fs::File::create(&path)
+            .and_then(|file| table.write_csv(file))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let (elapsed, rows) = (started.elapsed(), table.rows.len());
+        eprintln!("{rows} rows -> {} ({elapsed:.2?})", path.display());
         manifest.push(serde_json::json!({
             "fig": id,
             "csv": path.display().to_string(),
-            "rows": table.rows.len(),
+            "rows": rows,
             "columns": table.columns,
             "scale": format!("{:?}", args.scale),
             "seed": args.seed,
@@ -177,20 +128,11 @@ fn main() -> ExitCode {
     }
 
     let manifest_path = args.out.join("manifest.json");
-    match serde_json::to_string_pretty(&manifest) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&manifest_path, json) {
-                eprintln!("cannot write manifest: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot serialize manifest: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let json = serde_json::to_string_pretty(&manifest)
+        .map_err(|e| format!("cannot serialize manifest: {e}"))?;
+    fs::write(&manifest_path, json).map_err(|e| format!("cannot write manifest: {e}"))?;
     eprintln!("manifest -> {}", manifest_path.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -199,7 +141,8 @@ mod tests {
 
     fn ids(argv: &[&str]) -> Result<Vec<&'static str>, String> {
         let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-        parse_args(&argv).map(|args| args.figs.iter().map(|(id, _)| *id).collect())
+        let args = parse_args(&argv)?.expect("not a usage request");
+        Ok(args.figs.iter().map(|fig| fig.id()).collect())
     }
 
     #[test]

@@ -52,20 +52,6 @@ impl Table {
         }
         Ok(())
     }
-
-    /// Renders the table as aligned text (for terminal output).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {}\n", self.name));
-        out.push_str(&self.columns.join("\t"));
-        out.push('\n');
-        for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|v| format!("{v:.4}")).collect();
-            out.push_str(&line.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -95,14 +81,5 @@ mod tests {
         let mut buf = Vec::new();
         t.write_csv(&mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "a,b\n1,2.5\n");
-    }
-
-    #[test]
-    fn render_contains_name_and_data() {
-        let mut t = Table::new("fig", &["x"]);
-        t.push(vec![3.0]);
-        let s = t.render();
-        assert!(s.contains("# fig"));
-        assert!(s.contains("3.0000"));
     }
 }

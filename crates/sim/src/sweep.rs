@@ -83,20 +83,6 @@ impl AggregateRecord {
     pub fn final_sdm_mean(&self) -> Option<f64> {
         self.cycles.last().map(|c| c.sdm_mean)
     }
-
-    /// Writes the aggregate as CSV
-    /// (`cycle,sdm_mean,sdm_std,gdm_mean,unsuccessful_pct_mean`).
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "cycle,sdm_mean,sdm_std,gdm_mean,unsuccessful_pct_mean")?;
-        for c in &self.cycles {
-            writeln!(
-                w,
-                "{},{},{},{},{:.4}",
-                c.cycle, c.sdm_mean, c.sdm_std, c.gdm_mean, c.unsuccessful_pct_mean
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// Runs `base` under each seed (overriding `base.seed`) and aggregates.
@@ -164,16 +150,6 @@ mod tests {
         assert!(agg.cycles[0].sdm_std > 0.0);
         // And the mean still converges.
         assert!(agg.final_sdm_mean().unwrap() < agg.cycles[0].sdm_mean);
-    }
-
-    #[test]
-    fn aggregate_csv_output() {
-        let agg = run_seeds(&base(60), ProtocolKind::Ranking, 3, &[1, 2], || None).unwrap();
-        let mut buf = Vec::new();
-        agg.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("cycle,sdm_mean,sdm_std"));
-        assert_eq!(text.lines().count(), 4);
     }
 
     #[test]

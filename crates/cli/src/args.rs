@@ -1799,7 +1799,7 @@ mod tests {
             ("sim --latency fixed", "unknown latency spec \"fixed\""),
             (
                 "sim --distribution pareto:0:1",
-                "invalid slice fractions: invalid distribution parameters: \
+                "invalid configuration: invalid distribution parameters: \
                  Pareto { scale: 0.0, shape: 1.0 }",
             ),
             (
@@ -1808,7 +1808,7 @@ mod tests {
             ),
             (
                 "net-run --distribution normal:0:-1",
-                "invalid slice fractions: invalid distribution parameters: \
+                "invalid configuration: invalid distribution parameters: \
                  Normal { mean: 0.0, std_dev: -1.0 }",
             ),
             // Chaos specs.

@@ -18,6 +18,10 @@ pub enum Error {
     /// Slice fractions did not sum to 1 (within tolerance) or contained a
     /// non-positive fraction.
     InvalidFractions(String),
+    /// A simulation or scenario was configured with out-of-range
+    /// parameters (an empty population, a loss rate outside `[0, 1]`, bad
+    /// distribution parameters, a scenario event outside the run, ...).
+    InvalidConfig(String),
     /// A normalized rank or random value fell outside `(0, 1]`.
     OutOfRange {
         /// Short description of the quantity that was out of range.
@@ -54,6 +58,7 @@ impl fmt::Display for Error {
             Error::EmptyPartition => write!(f, "a partition must contain at least one slice"),
             Error::InvalidBoundaries(msg) => write!(f, "invalid partition boundaries: {msg}"),
             Error::InvalidFractions(msg) => write!(f, "invalid slice fractions: {msg}"),
+            Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::OutOfRange { what, value } => {
                 write!(f, "{what} must lie in (0, 1], got {value}")
             }
@@ -87,6 +92,10 @@ mod tests {
                 "0.5 repeated",
             ),
             (Error::InvalidFractions("sum 0.9".into()), "sum 0.9"),
+            (
+                Error::InvalidConfig("population must be non-empty".into()),
+                "invalid configuration: population",
+            ),
             (
                 Error::InvalidProtocol("window must be at least 1".into()),
                 "protocol",

@@ -538,18 +538,18 @@ impl Scenario {
         self.config.validate()?;
         self.protocol.validate()?;
         if self.cycles == 0 {
-            return Err(Error::InvalidFractions(
+            return Err(Error::InvalidConfig(
                 "a scenario must run for at least one cycle".into(),
             ));
         }
         if self.sample_every == 0 {
-            return Err(Error::InvalidFractions(
+            return Err(Error::InvalidConfig(
                 "the sampling cadence must be at least 1".into(),
             ));
         }
         for te in &self.events {
             if te.cycle == 0 || te.cycle > self.cycles {
-                return Err(Error::InvalidFractions(format!(
+                return Err(Error::InvalidConfig(format!(
                     "event `{}` at cycle {} falls outside the run (1..={})",
                     te.event.label(),
                     te.cycle,
@@ -621,7 +621,7 @@ impl Scenario {
             while i < events.len() && events[i].cycle == cycle {
                 let (leave, join) = population_delta(&events[i].event, n0);
                 if leave >= remaining {
-                    return Err(Error::InvalidFractions(format!(
+                    return Err(Error::InvalidConfig(format!(
                         "event `{}` at cycle {cycle} would empty the population \
                          ({remaining} alive, {leave} leaving)",
                         events[i].event.label()
@@ -647,7 +647,7 @@ impl Scenario {
     }
 
     fn validate_event(&self, event: &ScenarioEvent) -> Result<()> {
-        let bad = |msg: String| Err(Error::InvalidFractions(msg));
+        let bad = |msg: String| Err(Error::InvalidConfig(msg));
         match event {
             ScenarioEvent::Join { count } | ScenarioEvent::Leave { count } => {
                 if *count == 0 {

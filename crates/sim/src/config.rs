@@ -76,9 +76,7 @@ impl SimConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.n == 0 {
-            return Err(Error::InvalidFractions(
-                "population must be non-empty".into(),
-            ));
+            return Err(Error::InvalidConfig("population must be non-empty".into()));
         }
         // The population's ids are `0..n`, and an id lies below `u32::MAX`.
         if self.n > u32::MAX as usize {
@@ -90,18 +88,18 @@ impl SimConfig {
         self.distribution.validate()?;
         self.latency.validate()?;
         if !(0.0..=1.0).contains(&self.loss_rate) {
-            return Err(Error::InvalidFractions(format!(
+            return Err(Error::InvalidConfig(format!(
                 "loss rate must lie in [0, 1], got {}",
                 self.loss_rate
             )));
         }
         if self.shards == 0 {
-            return Err(Error::InvalidFractions(
+            return Err(Error::InvalidConfig(
                 "shard count must be at least 1".into(),
             ));
         }
         if self.metrics_every == 0 {
-            return Err(Error::InvalidFractions(
+            return Err(Error::InvalidConfig(
                 "metrics cadence must be at least 1".into(),
             ));
         }
@@ -137,7 +135,10 @@ mod tests {
             n: 0,
             ..SimConfig::default()
         };
-        assert!(cfg.validate().is_err());
+        assert_eq!(
+            cfg.validate().unwrap_err().to_string(),
+            "invalid configuration: population must be non-empty"
+        );
         let cfg = SimConfig {
             view_size: 0,
             ..SimConfig::default()

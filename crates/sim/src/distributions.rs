@@ -72,7 +72,7 @@ impl AttributeDistribution {
         if ok {
             Ok(())
         } else {
-            Err(Error::InvalidFractions(format!(
+            Err(Error::InvalidConfig(format!(
                 "invalid distribution parameters: {self:?}"
             )))
         }

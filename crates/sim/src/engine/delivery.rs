@@ -31,9 +31,13 @@
 //! Delivery reads and writes the protocol column alone — one 72-byte slot
 //! per node, the protocol beside its id — except in a replay, which joins
 //! the proposer's arena row. It resolves each endpoint of a message once
-//! and borrows the recipient where it lives. At the start of every group of
-//! `GATHER_AHEAD` messages it reads the next group's recipients ahead (the
-//! slot and the published value in it). The passive step reads only its
+//! and borrows the recipient where it lives. The active sweep's outbox
+//! keeps a record per message, not an envelope (see `active.rs`):
+//! [`Delivery::run`] rebuilds each envelope, bit for bit, as it routes it,
+//! and the queues carry envelopes from then on. At the start of every group
+//! of `GATHER_AHEAD` outbox messages it reads the next group's recipients
+//! ahead, as the outbox's records name them (the slot and the published
+//! value in it). The passive step reads only its
 //! message (Fig. 2 lines 15–19, Fig. 5 lines 17–21), so `on_message` is
 //! handed an empty view the queues keep, and no view is joined for it.
 
@@ -130,18 +134,19 @@ impl Delivery<'_> {
     /// last, the end-of-cycle drain delivers the overlapping messages in
     /// random order.
     pub(super) fn run(&mut self, outbox: &Outbox) {
+        let mut attributes = outbox.attributes();
         let mut next = 0;
-        for &end in &outbox.ends {
-            for (pos, &envelope) in outbox.msgs[next..end].iter().enumerate() {
-                if (next + pos) % GATHER_AHEAD == 0 {
-                    let ahead = outbox.msgs.iter().skip(next + pos + GATHER_AHEAD);
-                    for envelope in ahead.take(GATHER_AHEAD) {
-                        if let Some(proto) = self.nodes.protos.get(envelope.to) {
+        for &(from, end) in outbox.senders() {
+            let end = end as usize;
+            for pos in next..end {
+                if pos % GATHER_AHEAD == 0 {
+                    for to in outbox.recipients(pos + GATHER_AHEAD, GATHER_AHEAD) {
+                        if let Some(proto) = self.nodes.protos.get(to) {
                             black_box(proto.published_value());
                         }
                     }
                 }
-                self.route(envelope);
+                self.route(outbox.envelope(pos, from, &mut attributes));
             }
             next = end;
             self.drain(true, false);

@@ -9,10 +9,10 @@
 //!   costs;
 //! * *batch*: the resulting `(initiator, partner)` pairs are greedily
 //!   assigned, in slot order, to **conflict-free batches** in which no node
-//!   appears twice (first-fit on per-slot 128-bit occupancy masks; a pair
-//!   with no common free batch among the 128 goes to the overflow tail). A
-//!   stable counting sort by batch number then gives one execution order:
-//!   batch 0 in schedule order, then batch 1, …, then the overflow tail;
+//!   appears twice (first-fit over 128 batches; a pair with no common free
+//!   batch among them goes to the overflow tail). A stable counting sort by
+//!   batch number then gives one execution order: batch 0 in schedule
+//!   order, then batch 1, …, then the overflow tail;
 //! * *execute*: the exchanges run in that order, each borrowing both
 //!   nodes' views mutably where they live, as rows of the view arena
 //!   ([`ViewArena::row_pair_mut`]) — nothing is moved out and back — and
@@ -33,6 +33,16 @@
 //! rows of free slots, and of nodes with no neighbor, which would schedule
 //! nothing.
 //!
+//! **Batch occupancy.** Each slot keeps a 32-bit mask of the low batches
+//! it is busy in (bit `b` = batch `b`), re-zeroed every cycle. Only a pair
+//! whose two masks together fill all 32 low batches looks further: batches
+//! 32–127 are kept in an exact side map from slot to a 96-bit mask, which
+//! holds an entry only for a slot busy in one of them: the endpoints of a
+//! pair that found its low batches full, which takes a node in dozens of
+//! the cycle's exchanges (a hub, or a partner of one). First-fit reads the
+//! same 128 bits it would read from one 128-bit mask per slot, so every
+//! exchange gets the same batch, at a quarter of the bytes per slot.
+//!
 //! **Look-ahead reads.** An exchange rewrites both endpoints' whole view
 //! rows, so at the start of each group of `GATHER_AHEAD` exchanges the
 //! phase reads the next group's rows and owners ahead. A row's address is
@@ -51,6 +61,7 @@ use crate::stream::NodeRng;
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{AgedId, ViewArena};
 use dslice_gossip::{ExchangeBuffers, PeerSampler, SamplerColumn};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::mem;
 
@@ -58,13 +69,20 @@ use std::mem;
 /// occupancy masks hold.
 const OVERFLOW: usize = 128;
 
+/// The batches each slot's own mask holds: `0..LOW`. The side map holds
+/// `LOW..OVERFLOW`.
+const LOW: usize = 32;
+
 /// The membership phase's buffers, kept across cycles.
 #[derive(Default)]
 pub(super) struct Scratch {
     /// The schedule: one entry per initiating node, in slot order.
     scheduled: Vec<ScheduledExchange>,
-    /// Batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
-    masks: Vec<u128>,
+    /// Low batch-occupancy bitmask per slot (bit `b` = busy in batch `b`).
+    masks: Vec<u32>,
+    /// The slots busy in a batch of `LOW..OVERFLOW`: bit `b` = busy in
+    /// batch `LOW + b`.
+    high: HashMap<u32, u128>,
     /// Batch number per scheduled exchange ([`OVERFLOW`] for the tail).
     batch: Vec<u8>,
     /// The execution order, as indices into `scheduled`.
@@ -92,7 +110,8 @@ impl Scratch {
     /// Heap bytes held: the buffers' capacities.
     pub(super) fn heap_bytes(&self) -> usize {
         self.scheduled.capacity() * mem::size_of::<ScheduledExchange>()
-            + self.masks.capacity() * mem::size_of::<u128>()
+            + self.masks.capacity() * mem::size_of::<u32>()
+            + self.high.capacity() * mem::size_of::<(u32, u128)>()
             + self.batch.capacity()
             + self.order.capacity() * mem::size_of::<u32>()
             + (self.bufs.request.capacity() + self.bufs.reply.capacity() + self.pool.capacity())
@@ -179,15 +198,19 @@ pub(super) fn run(
     // batch `b + 1` starts, so `starts[OVERFLOW - 1]` is the tail's start.
     s.masks.clear();
     s.masks.resize(nodes.protos.slot_count(), 0);
+    s.high.clear();
     s.batch.clear();
     let mut starts = [0u32; OVERFLOW + 1];
     for x in &s.scheduled {
         let (slot, partner_slot) = x.slots();
-        // All 128 bits busy: `trailing_zeros` of zero is `OVERFLOW`.
-        let batch = (!(s.masks[slot] | s.masks[partner_slot])).trailing_zeros() as usize;
-        if batch < OVERFLOW {
+        let batch = first_free(&s.masks, &s.high, slot, partner_slot);
+        if batch < LOW {
             s.masks[slot] |= 1 << batch;
             s.masks[partner_slot] |= 1 << batch;
+        } else if batch < OVERFLOW {
+            for slot in [slot, partner_slot] {
+                *s.high.entry(slot as u32).or_default() |= 1 << (batch - LOW);
+            }
         }
         s.batch.push(batch as u8);
         starts[batch] += 1;
@@ -238,6 +261,20 @@ pub(super) fn run(
         }
         exchange_in_place(samplers, views, &s.scheduled[idx as usize], &mut s.bufs);
     }
+}
+
+/// The first batch in which neither `slot` nor `partner_slot` is busy, or
+/// [`OVERFLOW`] when they share no free batch. The side map is read only
+/// when the two low masks together are full.
+fn first_free(masks: &[u32], high: &HashMap<u32, u128>, slot: usize, partner_slot: usize) -> usize {
+    let low = !(masks[slot] | masks[partner_slot]);
+    if low != 0 {
+        return low.trailing_zeros() as usize;
+    }
+    let high_of = |slot: usize| high.get(&(slot as u32)).copied().unwrap_or(0);
+    // Bits `OVERFLOW - LOW..` are never set, so with all 96 high batches
+    // busy the first zero of the complement is bit 96: batch `OVERFLOW`.
+    LOW + (!(high_of(slot) | high_of(partner_slot))).trailing_zeros() as usize
 }
 
 /// Executes one scheduled exchange where the views live: both endpoints'
@@ -339,6 +376,43 @@ mod tests {
         assert_eq!(
             (log_hash, hash),
             (0x9823_a29d_bf83_5f61, 0x339e_e8d6_54d2_2c66),
+            "schedule or record bytes changed (got {log_hash:#018x}, {hash:#018x})"
+        );
+    }
+
+    #[test]
+    fn high_batches_are_pinned() {
+        // Every view but the hub's holds the hub alone, so the hub's
+        // in-degree (99) fills batches beyond the low 32 but stays within
+        // the 128 batches, short of the overflow tail.
+        let mut engine = Engine::new(small_cfg(100, 4, 83), ProtocolKind::ModJk).unwrap();
+        let hub = AgedId::new(NodeId::new(0));
+        for slot in 0..engine.slot_count() {
+            if engine.nodes.samplers.owner(slot) != hub.id {
+                engine.nodes.sampler(slot).refill(&[hub]);
+            }
+        }
+        engine.debug_record_schedule(true);
+        let mut log = Vec::new();
+        for _ in 0..3 {
+            engine.step();
+            log.extend_from_slice(engine.debug_last_schedule());
+        }
+        let highest = log.iter().map(|&(_, _, batch)| batch).max();
+        assert!(
+            highest.is_some_and(|b| (32..128).contains(&b)),
+            "{highest:?}"
+        );
+        let log_hash = fnv1a64(log.iter().flat_map(|&(id, partner, batch)| {
+            [id, partner, batch as u64]
+                .into_iter()
+                .flat_map(u64::to_le_bytes)
+        }));
+        let record = engine.run(10);
+        let hash = run_hash(&record, &[engine.accuracy()]);
+        assert_eq!(
+            (log_hash, hash),
+            (0xcbda_dbec_7ae9_4a6c, 0x19fd_44ea_c1e2_b629),
             "schedule or record bytes changed (got {log_hash:#018x}, {hash:#018x})"
         );
     }

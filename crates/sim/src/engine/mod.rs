@@ -62,13 +62,15 @@
 //! handed an empty view (`delivery.rs`). At view size 10 a node costs 72
 //! bytes of protocol slot, 80 of row, 1 of length and 4 of sampler column;
 //! with the id-indexed columns and the phase buffers below, a 10⁵-node run
-//! peaks at about 370 bytes of resident memory per node, and
-//! [`Engine::heap_bytes`] accounts for nearly all of it, column by column
+//! peaks at about 315 bytes of resident memory per node, and
+//! [`Engine::heap_bytes`] accounts for all but 16 of them, column by column
 //! (`examples/scale_run`, 2-vCPU Linux host). The per-message and
 //! per-exchange records are small for the same reason: a queued message is
 //! a 32-byte `Copy` envelope of two 4-byte `NodeId`s and a three-variant
-//! payload, and a scheduled exchange is two `u32` slots and a stream, 16
-//! bytes.
+//! payload; the active sweep's outbox, which holds a whole cycle's
+//! messages, keeps 13 bytes of each (`active.rs`); a scheduled exchange is
+//! two `u32` slots and a stream, 16 bytes; and the membership batches take
+//! a 4-byte occupancy mask per slot (`membership.rs`).
 //!
 //! **Every per-cycle touch of a node is O(1): at most one array index to
 //! find it, and no allocation.** A node's slot is stable while it lives, so
@@ -84,8 +86,9 @@
 //!
 //! What a phase needs beyond node state lives in buffers its own module
 //! defines and the engine keeps across cycles: the churn model's population
-//! copy, the membership schedule and exchange order, the refresh snapshot
-//! and the outbox, the delivery queues, and the metrics' value order. After
+//! copy, the membership schedule, batch masks and exchange order, the
+//! refresh snapshot and the outbox of message records, the delivery queues
+//! of envelopes, and the metrics' value order. After
 //! the first cycles warm them up, the cycle hot path performs no allocation
 //! that scales with `n` — on churned cycles and measured cycles too, where
 //! what a cycle allocates goes to its joiners (enforced, in calls and in
@@ -98,9 +101,10 @@
 //! At 10⁵ nodes the node state is far beyond cache, and delivery and the
 //! membership exchanges visit nodes in random order, so both loops work in
 //! groups of `GATHER_AHEAD` (16) messages or exchanges and read the node
-//! state of the next group ahead — the recipients' protocol slots, the
-//! endpoints' rows and owners — discarding what they read, so that the
-//! cache misses of a group are in flight together. The reads cannot change
+//! state of the next group ahead — the protocol slots of the recipients
+//! that the outbox's records name, the endpoints' rows and owners —
+//! discarding what they read, so that the cache misses of a group are in
+//! flight together. The reads cannot change
 //! a result: they go through shared borrows and read-only accessors, draw no
 //! randomness, and leave the order of the work untouched.
 //!
@@ -209,6 +213,29 @@ impl Nodes {
 /// ([`Engine::heap_bytes`]): what each buffer's capacity reserves, whether
 /// or not the population fills it. Resident memory adds the allocator's
 /// overhead and whatever it keeps after a buffer is freed.
+///
+/// The rows, in order:
+/// - *protocol slots*: the slab's `(id, protocol)` slots, 72 bytes each;
+/// - *sampler column*: each slot's sampler owner, and an Lpbcast run's
+///   eviction streams;
+/// - *view arena*: every view, one row of `c` 8-byte `(id, age)` entries
+///   per slot;
+/// - *length column*: one view-length byte per slot;
+/// - *id -> slot index*: the slab's id-indexed `u32` slots;
+/// - *published rows*: the refresh snapshot, a 16-byte row and a live bit
+///   per id;
+/// - *rank cache*: the churn-maintained attribute order and ranks;
+/// - *slice tracker*: the believed slices, per slot;
+/// - *membership scratch*: the schedule, a 4-byte batch mask per slot and
+///   the side map of batches 32–127, the batch numbers, the execution
+///   order, the exchange payloads and the oracle's pool;
+/// - *delivery queues*: the envelopes in flight, queued, deferred or
+///   provoked, and the two views delivery hands protocols;
+/// - *outbox and joined view*: a cycle's sends as `(sender, end)` pairs,
+///   12-byte records, kind bytes and swap-request attributes, and the view
+///   the acting node reads;
+/// - *churn and metrics buffers*: the churn phase's population copy, and
+///   the metrics' SDM constants and value order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeapLedger {
     /// `(what, bytes)` per row, in a fixed order.
@@ -244,19 +271,32 @@ impl Cycle<'_> {
     }
 }
 
+/// Where a protocol callback's messages go: the active sweep's outbox
+/// (`active.rs`), or a delivery queue of [`Envelope`]s.
+trait Outgoing {
+    /// Keeps `msg`, addressed to `to`.
+    fn send(&mut self, to: NodeId, msg: ProtocolMsg);
+}
+
+impl Outgoing for Vec<Envelope> {
+    fn send(&mut self, to: NodeId, msg: ProtocolMsg) {
+        self.push(Envelope::pack(to, msg));
+    }
+}
+
 /// The [`Context`] handed to protocol callbacks: collects outgoing messages
 /// and statistics events. Generic over the RNG so the same context type
 /// serves the engine's shared stream (delivery paths) and the per-node
-/// streams (active phase).
-struct EngineCtx<'a, R: RngCore> {
+/// streams (active phase), and over where the messages go.
+struct EngineCtx<'a, R: RngCore, O: Outgoing> {
     rng: &'a mut R,
-    out: &'a mut Vec<Envelope>,
+    out: &'a mut O,
     counters: &'a mut EventCounters,
 }
 
-impl<R: RngCore> Context for EngineCtx<'_, R> {
+impl<R: RngCore, O: Outgoing> Context for EngineCtx<'_, R, O> {
     fn send(&mut self, to: NodeId, msg: ProtocolMsg) {
-        self.out.push(Envelope::pack(to, msg));
+        self.out.send(to, msg);
     }
 
     fn rng(&mut self) -> &mut dyn RngCore {
@@ -275,9 +315,13 @@ impl<R: RngCore> Context for EngineCtx<'_, R> {
 /// An addressed protocol message on its way through the engine, in 32
 /// bytes where `(NodeId, ProtocolMsg)` takes 40: both endpoints (4 bytes
 /// each) and a payload without `ProtocolMsg`'s view variants, which no
-/// protocol sends (membership exchanges views in place).
-/// [`EngineCtx::send`] packs it; delivery unpacks it, so protocols only
-/// ever see [`ProtocolMsg`].
+/// protocol sends (membership exchanges views in place). It is what the
+/// delivery queues and the latency model hold. What the active sweep sends
+/// is kept more compactly, as a record per message in the outbox, and
+/// delivery rebuilds each envelope from its record as it routes it
+/// (`active.rs`). [`Envelope::pack`] builds an envelope from what a
+/// protocol sent; delivery unpacks it, so protocols only ever see
+/// [`ProtocolMsg`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Envelope {
     to: NodeId,
@@ -475,7 +519,7 @@ impl Engine {
         let mut ranks = RankCache::new();
         ranks.rebuild(nodes.protos.iter().map(|(_, id, p)| (id, p.attribute())));
         let (active, delivery) = (
-            active::Scratch::new(cfg.view_size)?,
+            active::Scratch::new(cfg.view_size, cfg.n)?,
             delivery::Queues::new(cfg.view_size)?,
         );
 

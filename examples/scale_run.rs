@@ -13,7 +13,11 @@
 //! Linux it also reports the process's peak resident set (`VmHWM`) after
 //! the 100k run and that peak per node, the figure a memory budget per
 //! node is held to, and beside it the engine's own heap ledger
-//! (`Engine::heap_bytes`): its total, per node, and row by row.
+//! (`Engine::heap_bytes`): its total and per node on one line, then one
+//! indented `  <row>: <bytes> bytes` line per row, twelve in all. The
+//! ledger reads buffer capacities, so it repeats exactly run to run, and a
+//! memory change shows in the row it touches (CI copies the total and the
+//! rows into the job summary).
 //! Run with:
 //!
 //! ```text

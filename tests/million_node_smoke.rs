@@ -12,13 +12,14 @@ use dslice::prelude::*;
 const N: usize = 1_000_000;
 /// Cycles in the smoke run.
 const CYCLES: usize = 50;
-/// Peak RSS ceiling: the 333 MiB measured on a 2-vCPU Linux host once the
-/// simulator's views became rows of one arena beside a protocol column and
-/// a sampler column, plus 25 % (the same host read 389 MiB with a heap
-/// buffer per view and 531 MiB with 24-byte entries; 25 s in release).
-/// Node state, views and the id-indexed columns all scale with `n`, so a
-/// per-node regression shows here first.
-const PEAK_RSS_CEILING_MIB: f64 = 417.0;
+/// Peak RSS ceiling: the 279 MiB measured on a 2-vCPU Linux host once the
+/// active sweep's outbox kept 13-byte message records and the membership
+/// batches a 4-byte mask per slot, plus 25 % (the same host read 333 MiB
+/// with 32-byte envelopes and 16-byte masks, 389 MiB with a heap buffer
+/// per view and 531 MiB with 24-byte entries; 25–45 s in release). Node
+/// state, views, the id-indexed columns and a cycle's messages all scale
+/// with `n`, so a per-node regression shows here first.
+const PEAK_RSS_CEILING_MIB: f64 = 349.0;
 
 /// Peak resident set size of this process in MiB (`VmHWM`), where the
 /// platform reports it.
